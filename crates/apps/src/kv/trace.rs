@@ -2,8 +2,8 @@
 //!
 //! Everything here is a pure function of the harness seed: the sampler is
 //! counter-based splitmix64 (no host RNG, no iteration-order state), so the
-//! trace is bit-identical across host thread counts, platforms and reruns —
-//! the property `check/tests/host_exec.rs` pins.
+//! trace is bit-identical across platforms and reruns — the property
+//! `check/tests/determinism.rs` pins.
 
 use repseq_sim::Dur;
 

@@ -24,10 +24,8 @@
 //! ≥90% of twin allocations, that the guard path is ≥5x and the TLB hit
 //! path ≥2x faster than the locked baseline, that the TLB changes
 //! nothing about the simulation (identical virtual time, messages, bytes
-//! with the TLB on and off), that every host-execution configuration
-//! (duty-handoff, window-parallel at 2 and 4 threads) reproduces the
-//! serial fingerprint exactly, and that window-parallel throughput is at
-//! least duty-handoff's at the 256-node cluster.
+//! with the TLB on and off), and that RSE beats MasterOnly on KV
+//! throughput at the highest skew.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,11 +36,11 @@ use parking_lot::Mutex;
 use repseq_apps::barnes_hut::{BhConfig, BhResult};
 use repseq_apps::kv::KvResult;
 use repseq_bench::{
-    bh_config, commit_id, host_cpus, run_barnes, run_barnes_exec, run_kv, RunOutcome, Scale,
+    bh_config, host_cpus, run_barnes, run_barnes_report, run_kv, tree_stamp, RunOutcome, Scale,
 };
 use repseq_core::SeqMode;
 use repseq_dsm::{Cluster, ClusterConfig, Diff, DsmNode, ShArray};
-use repseq_sim::{HostExec, Stopped};
+use repseq_sim::Stopped;
 use repseq_stats::{host, Stats};
 
 const PAGE: usize = 4096;
@@ -50,19 +48,22 @@ const SAMPLES: usize = 15;
 
 /// Schema of every BENCH_*.json artifact this harness writes. Bump when a
 /// field changes meaning, so trajectory tooling can tell formats apart.
-/// v3: `host_execution` gains the window-parallel `parallel` column
-/// (threads 2 and 4) next to serial and duty-handoff, and the
-/// `host_data_plane` blocks report the scratch-arena counters. Additive,
-/// not version-bumping: every artifact now records `host_cpus`, so
+/// v3: the `host_data_plane` blocks report the scratch-arena counters.
+/// Additive, not version-bumping: every artifact records `host_cpus`, so
 /// wall-clock numbers are legible as single-core or parallel runs.
 const SCHEMA_VERSION: u32 = 3;
+
+/// `BENCH_host.json` alone is at v4: one row per cluster size for the one
+/// event engine, where v3 had serial / duty-handoff / window-parallel
+/// columns (their last numbers are in DESIGN.md §8).
+const HOST_SCHEMA_VERSION: u32 = 4;
 
 /// Execute independent sweep points on scoped host worker threads,
 /// returning results in input order regardless of completion order.
 /// `workers == 1` runs the points inline. Points must be genuinely
 /// independent: simulations never share state (virtual results are
-/// host-invariant by construction — the pins and the host-execution
-/// matrix prove it), but points that *time the host wall clock* contend
+/// host-invariant by construction — the pins prove it), but points that
+/// *time the host wall clock* contend
 /// for cores when co-scheduled, so callers keep those at `workers == 1`
 /// or skip their throughput gates.
 fn sweep_points<I: Sync, T: Send>(
@@ -546,154 +547,61 @@ fn write_bench_kv(points: &[KvPoint], commit: &str) -> std::io::Result<()> {
 }
 
 // ---------------------------------------------------------------
-// Host-execution bench: serial coordinator loop vs duty-handoff vs
-// window-parallel conservative execution
+// Host-execution bench: what the event engine costs per event
 // ---------------------------------------------------------------
-
-/// The window-parallel thread counts the trajectory records per cluster.
-const PARALLEL_THREADS: [usize; 2] = [2, 4];
 
 /// One measured host execution of the reference workload.
 struct HostRun {
+    nodes: usize,
     wall_s: f64,
     events: u64,
-    events_per_sec: f64,
     exec: repseq_sim::ExecCounters,
 }
 
-/// Run Barnes-Hut (RSE) at `n` nodes with `threads` host threads under
-/// the given execution mode (`None` = automatic promotion) and time the
-/// host wall clock.
-fn host_run(n: usize, threads: usize, exec: Option<HostExec>, cfg: &BhConfig) -> (HostRun, String) {
-    let wall = Instant::now();
-    let (out, report) = run_barnes_exec(SeqMode::Replicated, n, cfg.clone(), true, threads, exec);
-    let wall_s = wall.elapsed().as_secs_f64();
-    // Everything determinism-relevant, in one comparable string: the
-    // virtual end state of the kernel, the physics, and the wire totals.
-    let agg = out.snap.total_agg_with_startup();
-    let fp = format!(
-        "end={} events={} clocks={:?} backlog={:?} total_time={} msgs={} bytes={} result={:?}",
-        report.end_time.nanos(),
-        report.events_processed,
-        report.proc_clocks,
-        report.mailbox_backlog,
-        out.snap.total_time.nanos(),
-        agg.messages,
-        agg.bytes,
-        out.result,
-    );
-    let run = HostRun {
-        wall_s,
-        events: report.events_processed,
-        events_per_sec: report.events_processed as f64 / wall_s.max(1e-9),
-        exec: report.exec,
-    };
-    (run, fp)
-}
-
-struct HostCase {
-    nodes: usize,
-    serial: HostRun,
-    handoff: HostRun,
-    /// Window-parallel runs, one per entry of [`PARALLEL_THREADS`].
-    parallel: Vec<(usize, HostRun)>,
-}
-
-/// Measure one cluster size: serial coordinator, duty-handoff (forced —
-/// the automatic promotion now picks window-parallel at ≥ 2 threads) and
-/// window-parallel at each thread count, asserting every configuration
-/// reproduces the serial fingerprint before anything is recorded.
-fn measure_host_case(hn: usize, handoff_threads: usize, cfg: &BhConfig) -> HostCase {
-    let (serial, fp_serial) = host_run(hn, 1, None, cfg);
-    let (handoff, fp_handoff) = host_run(hn, handoff_threads, Some(HostExec::Handoff), cfg);
-    assert_eq!(fp_serial, fp_handoff, "duty-handoff changed the simulation at {hn} nodes");
-    let mut parallel = Vec::new();
-    for &t in &PARALLEL_THREADS {
-        let (run, fp) = host_run(hn, t, None, cfg);
-        assert_eq!(
-            fp_serial, fp,
-            "window-parallel execution ({t} threads) changed the simulation at {hn} nodes"
-        );
-        assert!(
-            run.exec.windows > 0,
-            "window-parallel run at {hn} nodes / {t} threads never opened a window: {:?}",
-            run.exec
-        );
-        parallel.push((t, run));
+impl HostRun {
+    fn events_per_sec(&self) -> f64 {
+        self.events as f64 / self.wall_s.max(1e-9)
     }
-    HostCase { nodes: hn, serial, handoff, parallel }
+}
+
+/// Run Barnes-Hut (RSE) at `n` nodes and time the host wall clock.
+fn host_run(n: usize, cfg: &BhConfig) -> HostRun {
+    let wall = Instant::now();
+    let (_, report) = run_barnes_report(SeqMode::Replicated, n, cfg.clone(), true);
+    let wall_s = wall.elapsed().as_secs_f64();
+    HostRun { nodes: n, wall_s, events: report.events_processed, exec: report.exec }
 }
 
 fn write_bench_host(
     scale: Scale,
-    threads: usize,
     bodies: usize,
-    cases: &[HostCase],
+    runs: &[HostRun],
     commit: &str,
 ) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"bench\": \"host_execution\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
+    s.push_str("  \"bench\": \"event_engine\",\n");
+    let _ = writeln!(s, "  \"schema_version\": {HOST_SCHEMA_VERSION},");
     let _ = writeln!(s, "  \"commit\": \"{commit}\",");
     let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
     let _ = writeln!(s, "  \"bodies\": {bodies},");
-    let _ = writeln!(s, "  \"handoff_threads\": {threads},");
-    let _ = writeln!(
-        s,
-        "  \"parallel_threads\": [{}],",
-        PARALLEL_THREADS.map(|t| t.to_string()).join(", ")
-    );
     let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
     s.push_str(
-        "  \"note\": \"Barnes-Hut (RSE) per cluster size: serial coordinator loop vs duty-handoff scheduling vs window-parallel conservative execution; fingerprints (virtual end state, physics, wire totals) verified identical across all configurations before writing. events_per_sec = kernel events / host wall seconds; speedups are vs serial\",\n",
+        "  \"note\": \"Barnes-Hut (RSE) per cluster size under the one event engine (duty handoff). events_per_sec = kernel events / host wall seconds; handoff_switches = resumes that cost a host thread switch, inline_events = events applied with none, sprint_pops = pops that bypassed the merge index. Run pinned to one CPU (taskset -c <cpu>, host_cpus then reads 1): one duty token cannot use a second core, and an unpinned run times the scheduler's cross-core wake-ups\",\n",
     );
     s.push_str("  \"clusters\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let _ = writeln!(s, "    {{\"nodes\": {},", c.nodes);
+    for (i, r) in runs.iter().enumerate() {
         let _ = writeln!(
             s,
-            "     \"serial\": {{\"host_wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}}},",
-            c.serial.wall_s, c.serial.events, c.serial.events_per_sec
-        );
-        let _ = writeln!(
-            s,
-            "     \"handoff\": {{\"host_wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"handoff_switches\": {}, \"self_continues\": {}, \"inline_events\": {}, \"sprint_pops\": {}}},",
-            c.handoff.wall_s,
-            c.handoff.events,
-            c.handoff.events_per_sec,
-            c.handoff.exec.handoff_switches,
-            c.handoff.exec.self_continues,
-            c.handoff.exec.inline_events,
-            c.handoff.exec.sprint_pops
-        );
-        s.push_str("     \"parallel\": [\n");
-        for (j, (t, run)) in c.parallel.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "       {{\"threads\": {t}, \"host_wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"windows\": {}, \"max_parallel_groups\": {}, \"barrier_stalls\": {}, \"handoff_switches\": {}}}{}",
-                run.wall_s,
-                run.events,
-                run.events_per_sec,
-                run.exec.windows,
-                run.exec.max_parallel_groups,
-                run.exec.barrier_stalls,
-                run.exec.handoff_switches,
-                if j + 1 < c.parallel.len() { "," } else { "" }
-            );
-        }
-        s.push_str("     ],\n");
-        let best_parallel = c.parallel.iter().map(|(_, r)| r.wall_s).fold(f64::INFINITY, f64::min);
-        let _ = writeln!(
-            s,
-            "     \"handoff_speedup\": {:.2},",
-            c.serial.wall_s / c.handoff.wall_s.max(1e-9)
-        );
-        let _ = writeln!(
-            s,
-            "     \"parallel_speedup\": {:.2}}}{}",
-            c.serial.wall_s / best_parallel.max(1e-9),
-            if i + 1 < cases.len() { "," } else { "" }
+            "    {{\"nodes\": {}, \"host_wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"handoff_switches\": {}, \"inline_events\": {}, \"sprint_pops\": {}}}{}",
+            r.nodes,
+            r.wall_s,
+            r.events,
+            r.events_per_sec(),
+            r.exec.handoff_switches,
+            r.exec.inline_events,
+            r.exec.sprint_pops,
+            if i + 1 < runs.len() { "," } else { "" }
         );
     }
     s.push_str("  ]\n}\n");
@@ -701,7 +609,7 @@ fn write_bench_host(
 }
 
 fn main() {
-    let commit = commit_id();
+    let commit = tree_stamp();
     println!("diff-engine micro-benchmarks ({SAMPLES}-sample medians)...");
     let cases = diff_cases();
     for c in &cases {
@@ -818,102 +726,29 @@ fn main() {
         .expect("writing BENCH_table1.json");
     println!("wrote BENCH_table1.json");
 
-    // Host-execution trajectory: serial coordinator loop vs duty-handoff
-    // scheduling vs window-parallel conservative execution on the same
-    // workload, growing the cluster past the paper's 32 nodes.
-    // Fingerprints must match before anything is written — host
-    // threading is a wall-clock optimization only. The cluster sizes are
-    // independent sweep points and run through `sweep_points`, but the
-    // default stays sequential (workers = 1): each point times the host
-    // wall clock, and co-scheduled points contend for the cores being
-    // measured. REPSEQ_BENCH_HOST_SWEEP_THREADS > 1 trades the
-    // throughput gates (skipped, numbers are noise) for wall time when
-    // only the fingerprint checks matter.
+    // Host-execution trajectory: the same workload, growing the cluster
+    // past the paper's 32 nodes. Each point times the host wall clock, so
+    // the points run one after another.
     let host_nodes: Vec<usize> = std::env::var("REPSEQ_BENCH_HOST_NODES")
         .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .unwrap_or_default();
     let host_nodes = if host_nodes.is_empty() { vec![32, 64, 256] } else { host_nodes };
-    let host_threads: usize =
-        std::env::var("REPSEQ_BENCH_HOST_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let host_workers: usize = std::env::var("REPSEQ_BENCH_HOST_SWEEP_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let host_cfg = bh_config(scale);
-    println!(
-        "host execution trajectory: Barnes-Hut (RSE) at {host_nodes:?} nodes — serial vs \
-         duty-handoff ({host_threads} threads) vs window-parallel ({PARALLEL_THREADS:?} threads)..."
-    );
-    let host_cases: Vec<HostCase> = sweep_points(&host_nodes, host_workers, |&hn| {
-        measure_host_case(hn, host_threads, &host_cfg)
-    });
-    for c in &host_cases {
-        println!("  {} nodes:", c.nodes);
-        println!("    serial    {:>8.3}s  {:>10.0} ev/s", c.serial.wall_s, c.serial.events_per_sec);
+    println!("host execution trajectory: Barnes-Hut (RSE) at {host_nodes:?} nodes...");
+    let host_runs: Vec<HostRun> = host_nodes.iter().map(|&hn| host_run(hn, &host_cfg)).collect();
+    for r in &host_runs {
         println!(
-            "    handoff   {:>8.3}s  {:>10.0} ev/s   speedup {:.2}x",
-            c.handoff.wall_s,
-            c.handoff.events_per_sec,
-            c.serial.wall_s / c.handoff.wall_s.max(1e-9)
+            "  {:>3} nodes  {:>8.3}s  {:>10.0} ev/s   ({} events: {} switches, {} inline, {} sprint pops)",
+            r.nodes,
+            r.wall_s,
+            r.events_per_sec(),
+            r.events,
+            r.exec.handoff_switches,
+            r.exec.inline_events,
+            r.exec.sprint_pops
         );
-        for (t, run) in &c.parallel {
-            println!(
-                "    window x{t} {:>8.3}s  {:>10.0} ev/s   speedup {:.2}x   \
-                 ({} windows, max {} groups in flight, {} barrier stalls)",
-                run.wall_s,
-                run.events_per_sec,
-                c.serial.wall_s / run.wall_s.max(1e-9),
-                run.exec.windows,
-                run.exec.max_parallel_groups,
-                run.exec.barrier_stalls
-            );
-        }
-        if host_workers > 1 {
-            continue; // co-scheduled timing is noise; fingerprints already gated
-        }
-        // Gate: duty-handoff must not regress event throughput by more
-        // than 10% (it is expected to win; the artifact records the
-        // actual speedup). Sub-50ms serial runs are pure timer noise.
-        if c.serial.wall_s >= 0.05 {
-            assert!(
-                c.handoff.events_per_sec >= 0.9 * c.serial.events_per_sec,
-                "duty-handoff regressed events/sec by >10% at {} nodes: \
-                 serial {:.0} vs handoff {:.0}",
-                c.nodes,
-                c.serial.events_per_sec,
-                c.handoff.events_per_sec
-            );
-        }
-        // Gate: at the paper-scale 256-node cluster, window-parallel
-        // execution must at least match duty-handoff throughput — the
-        // whole point of the window engine is turning independent node
-        // groups into wall-clock concurrency (target: ≥1.5x over
-        // serial; the artifact records the actual figure). Only armed on
-        // hosts that can actually run groups concurrently: on a single
-        // CPU the window engine pays its arbiter for zero overlap, so
-        // losing to duty-handoff there is expected, not a regression.
-        // The artifact records `host_cpus` so a reader can tell which
-        // case a committed run was.
-        if c.nodes >= 256 && c.serial.wall_s >= 0.05 {
-            if host_cpus() >= 2 {
-                let best = c.parallel.iter().map(|(_, r)| r.events_per_sec).fold(0.0f64, f64::max);
-                assert!(
-                    best >= c.handoff.events_per_sec,
-                    "window-parallel execution fell behind duty-handoff at {} nodes: \
-                     best parallel {:.0} ev/s vs handoff {:.0} ev/s",
-                    c.nodes,
-                    best,
-                    c.handoff.events_per_sec
-                );
-            } else {
-                println!(
-                    "    (single-CPU host: the 256-node parallel-vs-handoff gate is \
-                     informational only)"
-                );
-            }
-        }
     }
-    write_bench_host(scale, host_threads, host_cfg.n_bodies, &host_cases, &commit)
+    write_bench_host(scale, host_cfg.n_bodies, &host_runs, &commit)
         .expect("writing BENCH_host.json");
     println!("wrote BENCH_host.json");
 

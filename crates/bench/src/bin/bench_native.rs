@@ -34,8 +34,8 @@ use repseq_apps::barnes_hut::BhResult;
 use repseq_apps::ilink::IlinkResult;
 use repseq_apps::kv::KvResult;
 use repseq_bench::{
-    bh_config, commit_id, host_cpus, ilink_config, kv_config, run_barnes_on, run_ilink_on,
-    run_kv_on, RunOutcome, Scale,
+    bh_config, host_cpus, ilink_config, kv_config, run_barnes_on, run_ilink_on, run_kv_on,
+    tree_stamp, RunOutcome, Scale,
 };
 use repseq_core::SeqMode;
 use repseq_dsm::Backend;
@@ -227,7 +227,7 @@ fn write_bench_native(
 }
 
 fn main() {
-    let commit = commit_id();
+    let commit = tree_stamp();
     // Wall-clock throughput at Tiny problem sizes: the point is the
     // substrate comparison, not problem-size scaling (the DES artifacts
     // own that axis).

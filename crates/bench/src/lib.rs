@@ -19,7 +19,7 @@ use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
 use repseq_apps::kv::{KvConfig, KvResult, KvStore};
 use repseq_core::{RunConfig, Runtime, SeqMode};
 use repseq_dsm::{Backend, ClusterConfig};
-use repseq_sim::{Dur, HostExec, SimReport};
+use repseq_sim::{Dur, SimReport};
 use repseq_stats::{Section, StatsSnapshot};
 
 /// Benchmark scale, from `REPSEQ_SCALE`.
@@ -46,25 +46,30 @@ pub fn nodes_from_env() -> usize {
     std::env::var("REPSEQ_NODES").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
 }
 
-/// CPUs available to this process. Every BENCH artifact records this so a
-/// reader can tell whether wall-clock numbers (window-parallel speedups,
-/// native-backend throughput) were measured with real parallelism or on a
-/// single core; the gates that need ≥ 2 CPUs key off it.
+/// CPUs available to this process (the affinity mask counts: 1 under
+/// `taskset -c <cpu>`). Every BENCH artifact records this so a reader can
+/// tell whether wall-clock numbers were measured pinned to one core — what
+/// the DES wants, one duty token cannot use a second — or with real
+/// parallelism, which the native backend's throughput needs.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// The commit the artifacts were generated at (best effort; "unknown"
-/// outside a git checkout).
-pub fn commit_id() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+/// The source the artifacts were generated from: the short git tree hash
+/// of `HEAD`, plus `+dirty` if the working tree differs from it. (A commit
+/// hash would be stale by construction — artifacts are written before the
+/// commit that carries them exists.) "unknown" outside a git checkout.
+pub fn tree_stamp() -> String {
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let stamp = || {
+        let tree = git(&["rev-parse", "--short", "HEAD^{tree}"]).filter(|t| !t.is_empty())?;
+        let dirty = !git(&["status", "--porcelain"])?.is_empty();
+        Some(format!("{tree}{}", if dirty { "+dirty" } else { "" }))
+    };
+    stamp().unwrap_or_else(|| "unknown".into())
 }
 
 /// The Barnes-Hut configuration for a scale.
@@ -115,41 +120,20 @@ pub fn run_barnes_config(
     cfg: BhConfig,
     tlb_enabled: bool,
 ) -> RunOutcome<BhResult> {
-    run_barnes_report(mode, n, cfg, tlb_enabled, 1).0
+    run_barnes_report(mode, n, cfg, tlb_enabled).0
 }
 
-/// Like [`run_barnes_config`], but also selects the host thread count
-/// (`host_threads`, see `ClusterConfig`) and returns the kernel's
-/// [`SimReport`] alongside the outcome — the host-execution bench compares
-/// reports across thread counts and derives events/sec from them. Uses the
-/// automatic execution-mode promotion (serial at 1 thread, window-parallel
-/// at ≥ 2).
+/// Like [`run_barnes_config`], but also returns the kernel's [`SimReport`]
+/// — the host-execution bench derives events/sec and the duty counters
+/// from it.
 pub fn run_barnes_report(
     mode: SeqMode,
     n: usize,
     cfg: BhConfig,
     tlb_enabled: bool,
-    host_threads: usize,
-) -> (RunOutcome<BhResult>, SimReport) {
-    run_barnes_exec(mode, n, cfg, tlb_enabled, host_threads, None)
-}
-
-/// The fully explicit Barnes-Hut runner: thread count *and* forced host
-/// execution mode (`None` = automatic promotion). The host-execution bench
-/// uses this to put the serial coordinator, duty-handoff and
-/// window-parallel engines side by side at the same thread count.
-pub fn run_barnes_exec(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    tlb_enabled: bool,
-    host_threads: usize,
-    host_exec: Option<HostExec>,
 ) -> (RunOutcome<BhResult>, SimReport) {
     let mut cluster = ClusterConfig::paper(n);
     cluster.dsm.tlb_enabled = tlb_enabled;
-    cluster.host_threads = host_threads;
-    cluster.host_exec = host_exec;
     let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
     let app = BarnesHut::setup(&mut rt, cfg);
     let stats = rt.stats();

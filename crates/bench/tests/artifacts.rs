@@ -71,31 +71,36 @@ fn native_artifact_records_the_des_gated_comparison() {
     }
 }
 
-/// The committed host-execution artifact must be at the v3 schema and
-/// carry the window-parallel column: per-cluster `parallel` runs with the
-/// window engine's counters next to the serial and duty-handoff baselines.
+/// The committed event-engine artifact must be at the v4 schema: one row
+/// per cluster size with the engine's throughput and duty counters.
 #[test]
-fn host_artifact_records_window_parallel_runs() {
+fn host_artifact_records_the_event_engine() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let host = std::fs::read_to_string(root.join("BENCH_host.json"))
         .expect("BENCH_host.json must be committed");
-    assert!(
-        host.contains("\"schema_version\": 3"),
-        "BENCH_host.json must carry the v3 schema (window-parallel column)"
-    );
     for key in [
-        "\"parallel\":",
-        "\"parallel_threads\":",
+        "\"bench\": \"event_engine\"",
+        "\"schema_version\": 4",
         "\"host_cpus\":",
-        "\"windows\":",
-        "\"max_parallel_groups\":",
-        "\"barrier_stalls\":",
-        "\"handoff_speedup\":",
-        "\"parallel_speedup\":",
+        "\"nodes\": 256",
+        "\"events_per_sec\":",
+        "\"handoff_switches\":",
+        "\"inline_events\":",
+        "\"sprint_pops\":",
     ] {
-        assert!(
-            host.contains(key),
-            "BENCH_host.json v3 must record the window-parallel runs: missing {key}"
-        );
+        assert!(host.contains(key), "BENCH_host.json v4 must record {key}");
     }
+}
+
+/// Artifacts are written before the commit that carries them exists, so a
+/// commit hash would be stale by construction: the stamp is the tree hash
+/// of `HEAD`, `+dirty` when the working tree differs from it.
+#[test]
+fn the_stamp_names_a_tree_and_its_dirtiness() {
+    let stamp = repseq_bench::tree_stamp();
+    let tree = stamp.strip_suffix("+dirty").unwrap_or(&stamp);
+    assert!(
+        stamp == "unknown" || (tree.len() >= 7 && tree.chars().all(|c| c.is_ascii_hexdigit())),
+        "unexpected stamp {stamp:?}"
+    );
 }

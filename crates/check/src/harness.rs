@@ -60,14 +60,6 @@ pub struct HarnessConfig {
     /// phases run under. The oracle and the invariant checks are
     /// strategy-agnostic, so the same sweep grid tortures every strategy.
     pub seq_exec: SeqExecMode,
-    /// Host threads driving the simulation (see
-    /// `ClusterConfig::host_threads`). Every fingerprint, oracle and pin in
-    /// this crate must be bit-identical across values of this knob.
-    pub host_threads: usize,
-    /// Forced host execution mode (see `ClusterConfig::host_exec`): `None`
-    /// auto-promotes ≥ 2 threads to window-parallel; `Some(mode)` pins the
-    /// engine so the exec-mode matrix can cover duty-handoff explicitly.
-    pub host_exec: Option<repseq_sim::HostExec>,
     /// Which substrate the cluster runs on. The coherence oracle and the
     /// race detector are substrate-agnostic, so the same sweep validates
     /// both; fingerprints and loss schedules are meaningful only on
@@ -82,8 +74,6 @@ impl Default for HarnessConfig {
             rse_timeout: Dur::from_millis(20),
             break_generation_bumps: false,
             seq_exec: SeqExecMode::Rse,
-            host_threads: 1,
-            host_exec: None,
             backend: Backend::Sim,
         }
     }
@@ -198,8 +188,6 @@ pub(crate) fn run_once(
     ccfg.dsm.rse_timeout = cfg.rse_timeout;
     ccfg.dsm.tlb_break_generation_bumps = cfg.break_generation_bumps;
     ccfg.dsm.seq_exec = cfg.seq_exec;
-    ccfg.host_threads = cfg.host_threads;
-    ccfg.host_exec = cfg.host_exec;
     ccfg.backend = cfg.backend;
     let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
     cl.record_trace(trace);

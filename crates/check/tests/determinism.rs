@@ -1,0 +1,75 @@
+//! Run-to-run determinism of what `tests/pins/` does not pin: the KV
+//! serving run and its zipfian trace, and torture schedules drawn at random
+//! over loss seeds, drop rates and sequential-section strategies. Which
+//! host thread holds duty when, and how the scheduler interleaves the
+//! others' wake-ups, differs between two runs of one process; nothing in a
+//! report, a statistics snapshot or a fingerprint may.
+
+mod support;
+
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use proptest::prelude::*;
+use repseq_apps::kv::{KvConfig, KvStore};
+use repseq_check::{rse_kernel, run_schedule_instrumented, HarnessConfig, Schedule};
+use repseq_core::{RunConfig, Runtime};
+use repseq_dsm::SeqExecMode;
+use support::render;
+
+/// The trace uses counter-based hashing (no host RNG, no iteration-order
+/// state), so its hash must not move; and the full rendered report —
+/// virtual end time, statistics, fingerprint, tail latencies — must match
+/// byte for byte.
+#[test]
+fn kv_trace_and_run_repeat_exactly() {
+    let run = || {
+        let mut rt = Runtime::new(RunConfig::optimized(8));
+        let kv = KvStore::setup(&mut rt, KvConfig::tiny());
+        let trace_hash = kv.trace_hash();
+        let stats = rt.stats();
+        let result = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&result);
+        let report = rt
+            .run(move |team| {
+                *slot.lock() = Some(kv.run(team)?);
+                Ok(())
+            })
+            .expect("run must complete");
+        assert!(report.exec.handoff_switches > 0, "{:?}", report.exec);
+        let r = result.lock().take().expect("result recorded");
+        (trace_hash, render(&report, &stats.snapshot(), &format!("{r:?}")))
+    };
+    let first = run();
+    for _ in 0..2 {
+        assert_eq!(first, run(), "the KV run diverged from its previous run");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// On lossy schedules the §5.4.2 recovery machinery runs, so this
+    /// covers timeout wakeups, reply chains and out-of-band multicasts.
+    #[test]
+    fn torture_schedules_repeat_exactly(
+        (seed, rate_idx, strat_idx) in (0u64..1_000_000, 0usize..4, 0usize..3)
+    ) {
+        let sched = Schedule {
+            seed,
+            drop_per_mille: [0u32, 60, 150, 300][rate_idx],
+            unicast: rate_idx % 2 == 1,
+        };
+        let seq_exec =
+            [SeqExecMode::Rse, SeqExecMode::MasterOnly, SeqExecMode::MasterPush][strat_idx];
+        let run = || {
+            let cfg = HarnessConfig { seq_exec, ..HarnessConfig::default() };
+            run_schedule_instrumented(rse_kernel, &cfg, sched, None)
+                .unwrap_or_else(|e| panic!("schedule {sched:?} ({seq_exec:?}): {e}"))
+        };
+        let (a, b) = (run(), run());
+        prop_assert_eq!(&a.sim, &b.sim, "fingerprint diverged on {:?} ({:?})", sched, seq_exec);
+        prop_assert_eq!(&a.stats, &b.stats, "stats diverged on {:?} ({:?})", sched, seq_exec);
+        prop_assert_eq!(a.drops, b.drops);
+    }
+}

@@ -2,9 +2,8 @@
 //! determinism-relevant residue and byte-exact comparison against the
 //! committed pins under `tests/pins/`.
 //!
-//! Used by `pins.rs` (serial reference, owns regeneration) and
-//! `host_exec.rs` (re-runs the same workloads under duty-handoff host
-//! scheduling and holds them to the same bytes).
+//! Used by `pins.rs` (the committed reference, owns regeneration) and
+//! `determinism.rs` (holds unpinned workloads to their own previous run).
 #![allow(dead_code)]
 
 use std::fmt::Write as _;
@@ -48,9 +47,8 @@ pub fn pin_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/pins").join(format!("{name}.pin"))
 }
 
-/// True when this invocation is regenerating the pins (the serial
-/// reference in `pins.rs` writes them; everything else must stand down).
-pub fn regenerating() -> bool {
+/// True when this invocation is regenerating the pins.
+fn regenerating() -> bool {
     std::env::var("REPSEQ_PIN_REGEN").map(|v| v == "1").unwrap_or(false)
 }
 
@@ -71,23 +69,6 @@ pub fn check_pin(name: &str, rendered: &str) {
         rendered,
         "fingerprint for `{name}` drifted from the pre-refactor pin \
          ({}). The pinned modes must stay bit-identical across refactors.",
-        path.display()
-    );
-}
-
-/// Compare `rendered` against the committed pin without ever rewriting it:
-/// the parallel-host reruns are consumers of the serial reference, never
-/// its source.
-pub fn check_pin_readonly(name: &str, rendered: &str, what: &str) {
-    let path = pin_path(name);
-    let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing pin {} ({e}); regenerate via the serial pins first", name)
-    });
-    assert_eq!(
-        pinned,
-        rendered,
-        "fingerprint for `{name}` under {what} diverged from the serial pin \
-         ({}). Host threading must be invisible to the simulation.",
         path.display()
     );
 }

@@ -82,7 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn blocks_are_contiguous_and_ordered() {
+    fn blocks_are_contiguous_and_in_order() {
         let r0 = block_range(0, 3, 10);
         let r1 = block_range(1, 3, 10);
         let r2 = block_range(2, 3, 10);

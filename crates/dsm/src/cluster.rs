@@ -31,8 +31,7 @@ pub enum Backend {
     Sim,
     /// Real OS threads, wall-clock time, shared memory in-process. No
     /// fingerprints — correctness is gated by the coherence oracle and
-    /// the race detector; timing-model fields of [`ClusterConfig`]
-    /// (`host_threads`, `host_exec`, trace recording) are ignored.
+    /// the race detector; trace recording is ignored.
     Native,
 }
 
@@ -45,19 +44,6 @@ pub struct ClusterConfig {
     pub dsm: DsmConfig,
     /// Interconnect parameters.
     pub net: NetConfig,
-    /// Host threads driving the simulation: 1 (default) runs the classic
-    /// serial coordinator loop; ≥ 2 promotes the engine to window-parallel
-    /// conservative execution with one group per node and the network's
-    /// minimum cross-node latency as the conservative lookahead. The
-    /// simulated results — virtual times, messages, statistics, traces —
-    /// are bit-identical either way; only host wall time changes.
-    pub host_threads: usize,
-    /// Force a specific host execution mode instead of the automatic
-    /// promotion: `None` (default) picks serial for one thread and
-    /// window-parallel for ≥ 2; `Some(mode)` pins the engine to that mode
-    /// (the bench harness uses this to compare duty-handoff against
-    /// window-parallel at the same thread count).
-    pub host_exec: Option<repseq_sim::HostExec>,
     /// The substrate the cluster runs on (default: the simulator).
     pub backend: Backend,
 }
@@ -69,8 +55,6 @@ impl ClusterConfig {
             nodes: n,
             dsm: DsmConfig::default(),
             net: NetConfig::paper(n),
-            host_threads: 1,
-            host_exec: None,
             backend: Backend::Sim,
         }
     }
@@ -295,22 +279,11 @@ impl Cluster {
             });
             assert_eq!(pid, topo.app_pids[i]);
         }
-        // Group each node's two processes together so a node's local event
-        // runs stay on one scheduling unit, with the network's minimum
-        // cross-node latency as the conservative lookahead bound. The
-        // grouping (and the lookahead) is applied in *every* mode, single
-        // threaded included: event keys carry the pusher's group and a
-        // per-group sequence number, and the post-exit quiescence tail is
-        // bounded by the lookahead horizon, so leaving a serial run
-        // ungrouped would give it a different tie order (and a different
-        // processed-event count) than the very runs it is the determinism
-        // baseline for. With `host_exec: None`, ≥ 2 threads promote to
-        // window-parallel execution; a forced mode is honored as-is.
-        let lookahead = cfg.net.min_cross_latency();
-        match cfg.host_exec {
-            Some(exec) => sim.set_exec(exec, cfg.host_threads, lookahead),
-            None => sim.set_parallel(cfg.host_threads, lookahead),
-        }
+        // Group each node's two processes together, with the network's
+        // minimum cross-node latency as the lookahead: event keys carry the
+        // pusher's group (same-instant ties break by node), and the
+        // post-exit quiescence tail is bounded by the lookahead horizon.
+        sim.set_lookahead(cfg.net.min_cross_latency());
         for i in 0..n {
             sim.assign_group(topo.handler_pids[i], i);
             sim.assign_group(topo.app_pids[i], i);
@@ -322,8 +295,7 @@ impl Cluster {
     /// [`Cluster::run_sim`], but each on a real OS thread with wall-clock
     /// time. The network object still routes frames and counts statistics;
     /// its computed delivery times are accounting only (messages arrive as
-    /// soon as the receiver looks). Timing-model knobs (`host_threads`,
-    /// `host_exec`, traces) do not apply.
+    /// soon as the receiver looks). Traces do not apply.
     fn run_native(
         cfg: &ClusterConfig,
         net: &Arc<Network>,

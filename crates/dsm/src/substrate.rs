@@ -108,17 +108,6 @@ impl NodeCtx {
             NodeCtx::Native(c) => c.try_recv(),
         }
     }
-
-    /// Run `f` in global event order (the DES's cross-group ordering
-    /// guarantee; plain execution on the native backend, where the mutex
-    /// inside `f` provides the consistency).
-    #[inline]
-    pub fn ordered<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self {
-            NodeCtx::Sim(c) => c.ordered(f),
-            NodeCtx::Native(_) => f(),
-        }
-    }
 }
 
 impl SubstrateCtx<DsmMsg> for NodeCtx {
@@ -152,9 +141,5 @@ impl SubstrateCtx<DsmMsg> for NodeCtx {
 
     fn try_recv(&self) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
         NodeCtx::try_recv(self)
-    }
-
-    fn ordered<R>(&self, f: impl FnOnce() -> R) -> R {
-        NodeCtx::ordered(self, f)
     }
 }

@@ -36,12 +36,7 @@ type AppFn = Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>;
 #[test]
 fn twin_pool_hit_rate_stays_high_at_256_nodes() {
     let stats = Stats::new(N);
-    let mut ccfg = ClusterConfig::paper(N);
-    // Duty-handoff host scheduling: identical simulation, but at 256 nodes
-    // the wall-clock (dominated by host context switches) drops a lot —
-    // and the twin-pool counters this test reads must be mode-invariant.
-    ccfg.host_threads = 4;
-    let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
+    let mut cl = Cluster::new(ClusterConfig::paper(N), Arc::clone(&stats));
     // A segment wider than the 256-node prewarm share (8192 / 256,
     // floored at 64 pages), so the rate genuinely depends on recycling.
     let per_page = cl.config().dsm.page_size / 8;

@@ -85,9 +85,9 @@ impl NetConfig {
     /// A lower bound on the virtual latency of any message between two
     /// *different* nodes: the cheapest path is an empty frame (headers
     /// only) on the faster medium, plus the fixed forwarding and software
-    /// receive costs. The simulation engine uses this as its conservative
-    /// lookahead — no node can affect another sooner than this — when
-    /// scheduling node groups on the host (`Sim::set_parallel`).
+    /// receive costs. The simulation engine uses this as its lookahead —
+    /// no node can affect another sooner than this — which bounds the
+    /// quiescence tail of a run (`Sim::set_lookahead`).
     ///
     /// Send-side software overhead is *not* included: it is charged to the
     /// sender's clock before the transfer starts, so it is already part of

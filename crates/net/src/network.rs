@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_stats::{MsgClass, NodeId, StatsRef};
-use repseq_substrate::{Pid, SimTime, SubstrateCtx};
+use repseq_substrate::{Dur, Pid, SimTime, SubstrateCtx};
 
 use crate::config::NetConfig;
 use crate::loss::LossState;
@@ -150,39 +150,38 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.unicast_wire_time(payload_bytes);
-        let deliver_at = if dst_node == self.node {
-            // Loopback: no switch traversal, and the transmit link is
-            // touched only by this node's own (serialized) processes, so
-            // no cross-group ordering is needed.
+        let deliver_at = {
             let mut l = self.net.links.lock();
-            let t0 = now.max(l.tx_free[self.node]);
-            let tx_done = t0 + wire;
+            // Serialize on the sender's transmit link.
+            let tx_done = now.max(l.tx_free[self.node]) + wire;
             l.tx_free[self.node] = tx_done;
-            tx_done
-        } else {
-            // The receiver's switch port is shared among all senders:
-            // reservations must happen in global event order or the
-            // computed queueing delays differ between host exec modes.
-            ctx.ordered(|| {
-                let mut l = self.net.links.lock();
-                // Serialize on the sender's transmit link.
-                let t0 = now.max(l.tx_free[self.node]);
-                let tx_done = t0 + wire;
-                l.tx_free[self.node] = tx_done;
+            if dst_node == self.node {
+                // Loopback: no switch traversal.
+                tx_done
+            } else {
                 // Store-and-forward at the switch, then serialize on the
-                // receiver's output port.
+                // receiver's output port, which all senders share.
                 let at_port = tx_done + cfg.switch_latency;
-                let t1 = at_port.max(l.rx_free[dst_node]);
-                let rx_done = t1 + wire;
+                let rx_done = at_port.max(l.rx_free[dst_node]) + wire;
                 l.rx_free[dst_node] = rx_done;
                 rx_done
-            })
+            }
         };
         let at = deliver_at + cfg.recv_sw_overhead;
         if !self.dropped_unicast(class, dst_node, at) {
             ctx.send(dst, msg, at);
         }
         at
+    }
+
+    /// Reserve the hub — one shared half-duplex medium every node contends
+    /// for — for a frame of `wire` duration offered at `now`; returns when
+    /// the frame leaves it.
+    fn reserve_hub(&self, now: SimTime, wire: Dur) -> SimTime {
+        let mut l = self.net.links.lock();
+        let done = now.max(l.hub_free) + wire;
+        l.hub_free = done;
+        done + self.net.config().hub_latency
     }
 
     /// Send one multicast frame through the hub, delivered to every process
@@ -202,16 +201,7 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.multicast_wire_time(payload_bytes);
-        let deliver_at = ctx.ordered(|| {
-            let mut l = self.net.links.lock();
-            // The hub is one shared half-duplex medium: every node
-            // contends for it, so reservations take global event order.
-            let t0 = now.max(l.hub_free);
-            let done = t0 + wire;
-            l.hub_free = done;
-            done + cfg.hub_latency
-        });
-        let at = deliver_at + cfg.recv_sw_overhead;
+        let at = self.reserve_hub(now, wire) + cfg.recv_sw_overhead;
         for &(dst_node, dst) in dsts {
             if self.dropped(class, dst_node, at, true) {
                 continue;
@@ -238,14 +228,7 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.multicast_wire_time(payload_bytes);
-        let deliver_at = ctx.ordered(|| {
-            let mut l = self.net.links.lock();
-            let t0 = now.max(l.hub_free);
-            let done = t0 + wire;
-            l.hub_free = done;
-            done + cfg.hub_latency
-        });
-        let at = deliver_at + cfg.recv_sw_overhead;
+        let at = self.reserve_hub(now, wire) + cfg.recv_sw_overhead;
         for &(_, dst) in dsts {
             ctx.send(dst, msg.clone(), at);
         }

@@ -1,23 +1,14 @@
 //! The process-side handle to the simulation kernel.
 
 use std::cell::Cell;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::engine::{Ctrl, DrainOutcome, EvKey, EventKind, ExecMode, Kernel, Status, WindowSync};
+use crate::engine::{Ctrl, DrainOutcome, EventKind, Kernel, Status};
+use crate::resume::{Resume, ResumeCell};
 use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
-
-pub(crate) enum Resume {
-    /// Resume at the given event key's time. The full key rides along so
-    /// the process knows its group's window envelope (see [`Ctx::ordered`]).
-    Go {
-        key: EvKey,
-        timed_out: bool,
-    },
-    Stop,
-}
 
 /// Handle through which a simulated process observes and affects virtual
 /// time. One `Ctx` exists per process and is not shareable.
@@ -32,57 +23,37 @@ pub(crate) enum Resume {
 pub struct Ctx<M: Send + 'static> {
     pid: Pid,
     kernel: Arc<Mutex<Kernel<M>>>,
-    /// Global control channel (serial/handoff yields; window mode routes
-    /// through the kernel instead).
+    /// How duty returns to the coordinator when nothing is runnable.
     ctrl_tx: Sender<Ctrl>,
-    resume_rx: Receiver<Resume>,
-    /// Window-mode link arbiter, shared with the kernel (see
-    /// [`Ctx::ordered`]).
-    sync: Arc<WindowSync>,
+    /// Where this process's thread parks while it is blocked.
+    resume: Arc<ResumeCell>,
     /// Local copy of the process clock (nanoseconds); authoritative while
     /// the process runs, written back to the kernel at yields.
     clock: Cell<u64>,
     /// Compute time charged since the last yield.
     pending: Cell<u64>,
-    /// Key of the event that last resumed this process. While the process
-    /// runs, this *is* its group's window envelope (the group's drain
-    /// stopped at that pop and only restarts after the process blocks), so
-    /// [`Ctx::ordered`] can hand the arbiter its position without touching
-    /// the kernel lock.
-    cur_key: Cell<EvKey>,
 }
 
 impl<M: Send + 'static> Ctx<M> {
     pub(crate) fn new(
         pid: Pid,
         kernel: Arc<Mutex<Kernel<M>>>,
-        resume_rx: Receiver<Resume>,
+        ctrl_tx: Sender<Ctrl>,
+        resume: Arc<ResumeCell>,
     ) -> Self {
-        let (ctrl_tx, sync) = {
-            let k = kernel.lock();
-            (k.ctrl_tx.clone(), Arc::clone(&k.sync))
-        };
-        Ctx {
-            pid,
-            kernel,
-            ctrl_tx,
-            resume_rx,
-            sync,
-            clock: Cell::new(0),
-            pending: Cell::new(0),
-            cur_key: Cell::new((SimTime::ZERO, 0, 0)),
-        }
+        Ctx { pid, kernel, ctrl_tx, resume, clock: Cell::new(0), pending: Cell::new(0) }
     }
 
-    /// Block until the engine first schedules this process.
-    pub(crate) fn wait_first_resume(&self) -> Result<(), Stopped> {
-        match self.resume_rx.recv() {
-            Ok(Resume::Go { key, .. }) => {
-                self.clock.set(key.0.nanos());
-                self.cur_key.set(key);
-                Ok(())
+    /// Park until resumed (the first time: until the engine first schedules
+    /// this process); adopt the resume's virtual time as the clock. Returns
+    /// whether the resume is a receive timeout.
+    pub(crate) fn wait_resume(&self) -> Result<bool, Stopped> {
+        match self.resume.wait() {
+            Resume::Go { at, timed_out } => {
+                self.clock.set(at.nanos());
+                Ok(timed_out)
             }
-            Ok(Resume::Stop) | Err(_) => Err(Stopped),
+            Resume::Stop => Err(Stopped),
         }
     }
 
@@ -104,23 +75,6 @@ impl<M: Send + 'static> Ctx<M> {
     #[inline]
     pub fn charge(&self, d: Dur) {
         self.pending.set(self.pending.get() + d.nanos());
-    }
-
-    /// Run `f` in global event order: under window-parallel execution,
-    /// block until every other concurrently-executing node group has
-    /// advanced past this process's current event key, so operations on
-    /// *shared simulated resources* (the network's link-occupancy state)
-    /// happen in exactly the order the serial coordinator would produce.
-    /// Free outside window mode (one relaxed atomic load), and never a
-    /// *virtual-time* yield — only host-level waiting.
-    ///
-    /// The wait is deadlock-free: event keys are globally unique and
-    /// totally ordered, so the group holding the minimal in-flight key is
-    /// never blocked, and positions only advance.
-    #[inline]
-    pub fn ordered<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.sync.await_turn(self.pid, self.cur_key.get());
-        f()
     }
 
     /// Schedule delivery of `msg` to `dst` at `deliver_at` (virtual time).
@@ -160,7 +114,7 @@ impl<M: Send + 'static> Ctx<M> {
 
     /// Receive the next message, or `None` if none arrives within `d`.
     pub fn recv_timeout(&self, d: Dur) -> Result<Option<Envelope<M>>, Stopped> {
-        let deadline = self.flushed_clock_peek() + d;
+        let deadline = self.flushed_clock() + d;
         self.recv_deadline(Some(deadline))
     }
 
@@ -168,27 +122,26 @@ impl<M: Send + 'static> Ctx<M> {
     /// the current instant. (Still a yield point: the kernel must process
     /// deliveries up to the current clock.)
     pub fn try_recv(&self) -> Result<Option<Envelope<M>>, Stopped> {
-        let deadline = self.flushed_clock_peek();
+        let deadline = self.flushed_clock();
         self.recv_deadline(Some(deadline))
     }
 
     fn recv_deadline(&self, deadline: Option<SimTime>) -> Result<Option<Envelope<M>>, Stopped> {
-        let at = self.flushed_clock_peek();
+        let at = self.flushed_clock();
         // Fast path: a message already in the mailbox was delivered at or
         // before this process's last resume, so it can be consumed right
         // now without a checkpoint event or a yield. Only one process per
         // group runs at a time and deliveries are applied in global
         // (time, src_group, seq) order, so the mailbox front is exactly
-        // what the checkpoint path would return — minus two host context
-        // switches (serial mode) or a kernel round trip (handoff mode) per
-        // received burst message.
+        // what the checkpoint path would return — minus a checkpoint event
+        // and a drain per received burst message.
         {
             let mut k = self.kernel.lock();
             if let Some(env) = k.procs[self.pid].mailbox.pop_front() {
                 return Ok(Some(env));
             }
         }
-        let (_, timed_out) = self.block(|k, pid| {
+        let timed_out = self.block(|k, pid| {
             let gen = k.bump_gen(pid);
             k.procs[pid].status = Status::Polling { deadline };
             // Checkpoint wake at the current clock: by the time it pops, all
@@ -215,76 +168,35 @@ impl<M: Send + 'static> Ctx<M> {
         SimTime::from_nanos(c)
     }
 
-    /// Same as [`flushed_clock`] but usable before the block that flushes.
-    fn flushed_clock_peek(&self) -> SimTime {
-        self.flushed_clock()
-    }
-
     /// Yield to the engine. `setup` runs under the kernel lock and must set
-    /// this process's status and schedule any wake events.
+    /// this process's status and schedule any wake events. Returns whether
+    /// the resume is a receive timeout.
     ///
-    /// In the serial mode the yield is a channel round trip through the
-    /// coordinator. In the handoff mode the yielding process keeps *duty*:
-    /// still under the kernel lock, it pops and applies events itself. If
-    /// one of them resumes this very process it returns immediately — zero
-    /// host context switches; if it resumes another process, duty moves
-    /// there directly — one switch; if the queue runs dry, duty returns to
-    /// the coordinator for the termination check. The window mode is the
-    /// handoff discipline scoped to this process's own group and the
-    /// current window: the yielder drains its group below the horizon, and
-    /// when the group runs dry it returns duty to the window worker
-    /// driving the group.
-    fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<(SimTime, bool), Stopped> {
+    /// The yielding process keeps *duty*: still under the kernel lock, it
+    /// pops and applies events itself. If one of them resumes this very
+    /// process it returns immediately — zero host context switches; if it
+    /// resumes another process, duty moves there directly — one switch,
+    /// issued after the lock is dropped; if nothing is runnable, duty
+    /// returns to the coordinator for the termination check.
+    fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<bool, Stopped> {
         let c = self.flushed_clock();
         let mut k = self.kernel.lock();
+        if k.stopping {
+            return Err(Stopped);
+        }
         k.procs[self.pid].clock = c;
         setup(&mut k, self.pid);
-        match k.mode {
-            ExecMode::Handoff => match k.drain(Some(self.pid)) {
-                DrainOutcome::SelfResume { key, timed_out } => {
-                    drop(k);
-                    self.clock.set(key.0.nanos());
-                    self.cur_key.set(key);
-                    return Ok((key.0, timed_out));
-                }
-                DrainOutcome::Handoff => drop(k),
-                DrainOutcome::Empty => {
-                    drop(k);
-                    self.ctrl_tx.send(Ctrl::Idle(self.pid)).map_err(|_| Stopped)?;
-                }
-            },
-            ExecMode::Window => {
-                let g = k.group_of(self.pid);
-                match k.drain_window(g, Some(self.pid)) {
-                    DrainOutcome::SelfResume { key, timed_out } => {
-                        drop(k);
-                        self.clock.set(key.0.nanos());
-                        self.cur_key.set(key);
-                        return Ok((key.0, timed_out));
-                    }
-                    DrainOutcome::Handoff => drop(k),
-                    DrainOutcome::Empty => {
-                        // The group's window is complete: return duty to
-                        // the worker driving it.
-                        let route = k.ctrl_route(self.pid);
-                        drop(k);
-                        route.send(Ctrl::Idle(self.pid)).map_err(|_| Stopped)?;
-                    }
-                }
+        let outcome = k.drain(Some(self.pid));
+        drop(k);
+        match outcome {
+            DrainOutcome::SelfResume { at, timed_out } => {
+                self.clock.set(at.nanos());
+                return Ok(timed_out);
             }
-            ExecMode::Serial => {
-                drop(k);
-                self.ctrl_tx.send(Ctrl::Yielded(self.pid)).map_err(|_| Stopped)?;
-            }
+            DrainOutcome::Handoff(next) => next.wake(),
+            DrainOutcome::Empty => self.ctrl_tx.send(Ctrl::Idle).map_err(|_| Stopped)?,
         }
-        match self.resume_rx.recv() {
-            Ok(Resume::Go { key, timed_out }) => {
-                self.clock.set(key.0.nanos());
-                self.cur_key.set(key);
-                Ok((key.0, timed_out))
-            }
-            Ok(Resume::Stop) | Err(_) => Err(Stopped),
-        }
+        self.wait_resume()
     }
 }
 
@@ -324,9 +236,5 @@ impl<M: Send + 'static> SubstrateCtx<M> for Ctx<M> {
 
     fn try_recv(&self) -> Result<Option<Envelope<M>>, Stopped> {
         Ctx::try_recv(self)
-    }
-
-    fn ordered<R>(&self, f: impl FnOnce() -> R) -> R {
-        Ctx::ordered(self, f)
     }
 }

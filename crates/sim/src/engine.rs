@@ -8,83 +8,68 @@
 //! wall-clock terms (no context switch) and is folded into the process clock
 //! at the next yield point.
 //!
-//! The engine always *applies* events in ascending `(time, src_group, seq)`
-//! order per group, and globally that order is identical across every host
-//! execution mode, so each run is bit-for-bit deterministic — a property the
-//! reproduced paper *relies on* (replicated sequential execution assumes
-//! deterministic sequential sections) and which makes every experiment in
-//! this repository reproducible.
+//! The engine applies events in ascending `(time, src_group, seq)` order,
+//! so each run is bit-for-bit deterministic — a property the reproduced
+//! paper *relies on* (replicated sequential execution assumes deterministic
+//! sequential sections) and which makes every experiment in this repository
+//! reproducible.
 //!
-//! # Event sharding and host execution modes
+//! # Event order
 //!
 //! Pending events live in per-*group* ordered queues (a group is normally
 //! one simulated node: its application and protocol-handler processes) with
 //! a lazy merge index over the group heads — see [`EventQueues`]. Event keys
 //! are `(time, src_group, seq)` where `src_group` is the scheduling group of
 //! the *pushing* process and `seq` is drawn from that group's private
-//! counter. Because each group's execution is serialized in every mode, the
-//! keys — and therefore the global pop order — never depend on how the host
-//! happened to interleave worker threads.
+//! counter, so a key depends only on what the pusher itself did.
 //!
-//! Three host execution modes drive that order:
+//! # The event engine: duty handoff
 //!
-//! * **Serial** (default): a coordinator thread pops every event and does a
-//!   channel round trip with a process thread for every resume — two host
-//!   context switches per yield.
-//! * **Handoff** ([`Sim::set_exec`] with [`HostExec::Handoff`]): the process
-//!   threads themselves drive the kernel. At a yield, the blocking process
-//!   keeps *duty*: it pops and applies events inline (no switch), resumes
-//!   itself without any switch, and hands duty directly to another process
-//!   with a single switch. Execution is still serialized by the duty token —
-//!   this mode measures context-switch economy, not parallelism.
-//! * **Window** ([`Sim::set_parallel`] with 2+ threads): true conservative
-//!   parallel execution. Each *window*, the coordinator computes the safe
-//!   horizon `H = min(next event time across groups) + lookahead` and
-//!   dispatches every group whose head falls below `H` to a pool of host
-//!   worker threads concurrently. Within the window each group drains its
-//!   own queue (the intra-group duty handoff of the Handoff mode is
-//!   preserved); cross-group sends are buffered per source group and merged
-//!   into the destination queues at the window barrier, in `(time,
-//!   src_group, seq)` order. The network model charges at least `lookahead`
-//!   of virtual latency on every cross-group message, so no event below the
-//!   horizon can be created during the window — the per-group drains are
-//!   provably the same prefixes the serial coordinator would have executed,
-//!   and every [`SimReport`] field is bit-identical to the serial mode.
-//!   Shared network link state is serialized in exact serial order by a
-//!   window-scoped arbiter ([`Ctx::ordered`](crate::Ctx::ordered)).
+//! Exactly one host thread at a time holds *duty* — the right to pop and
+//! apply events — so execution is serialized and the pop order is the key
+//! order. Duty moves without a scheduler in the middle:
+//!
+//! * a process that blocks keeps duty and pops events itself, under the
+//!   kernel lock. Events that resume nobody (deliveries to busy processes,
+//!   receive checkpoints, stale wakes) are applied inline;
+//! * an event that resumes the duty holder itself just returns — no host
+//!   switch at all;
+//! * an event that resumes another process posts a `Go` into that
+//!   process's [`ResumeCell`] and hands duty to it. The `unpark` is issued
+//!   only *after* the kernel lock is released: a thread woken under the
+//!   lock would run straight into it and be descheduled a second time;
+//! * when the queue runs dry, or the process exits, duty returns to the
+//!   coordinator thread (the caller of [`Sim::run`]), which checks for
+//!   termination or deadlock and otherwise drains on.
+//!
+//! One host switch per cross-process resume, none otherwise.
 //!
 //! # End of run
 //!
 //! When the last primary process exits, the engine finishes the lookahead
-//! window the exit fell into — bounded by the current horizon — and stops.
-//! With no groups or zero lookahead the horizon is degenerate and the run
-//! stops at the exit event exactly as before; with windows this rule makes
-//! the tail of the run identical across all three modes (a parallel window
-//! cannot be cut short retroactively, so the serial modes finish it too).
+//! window the exit fell into — events strictly below the current horizon
+//! (`time of the pop that opened the window + lookahead`) — and stops. With
+//! no groups or zero lookahead the horizon is degenerate and the run stops
+//! at the exit event.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::ctx::{Ctx, Resume};
+use crate::ctx::Ctx;
 use crate::error::SimError;
+use crate::resume::{Resume, ResumeCell};
 use crate::trace::TraceEntry;
 use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
 
 /// Event key: `(delivery time, source group, per-source-group sequence)`.
-/// Assigned at push from the pushing process's group counter, so keys are
-/// identical in every host execution mode; the global pop order is the
-/// ascending key order.
+/// Assigned at push from the pushing process's group counter; the global
+/// pop order is the ascending key order.
 pub(crate) type EvKey = (SimTime, u64, u64);
-
-/// Sentinel above every real key (used by the window arbiter for groups
-/// that are inactive or have finished their window).
-pub(crate) const KEY_MAX: EvKey = (SimTime::from_nanos(u64::MAX), u64::MAX, u64::MAX);
 
 pub(crate) enum EventKind<M> {
     /// Wake a process (timer expiry or receive checkpoint). Stale if the
@@ -114,23 +99,18 @@ pub(crate) struct Event<M> {
 /// Sharded pending-event store: one ordered map per group plus a lazy merge
 /// index over the group heads.
 ///
-/// Invariant (serial/handoff pops): for every non-empty group, either the
-/// merge heap contains an entry carrying the group's current head key, or
-/// that head is the `deferred` slot. The heap may additionally hold *stale*
-/// entries — keys already consumed — which are strictly smaller than their
-/// group's live head and are skipped at pop. Pops therefore always yield
-/// the global minimum key.
+/// Invariant: for every non-empty group, either the merge heap contains an
+/// entry carrying the group's current head key, or that head is the
+/// `deferred` slot. The heap may additionally hold *stale* entries — keys
+/// already consumed — which are strictly smaller than their group's live
+/// head and are skipped at pop. Pops therefore always yield the global
+/// minimum key.
 ///
 /// The `deferred` slot is the sprint optimization: after popping from group
 /// `g`, `g`'s next head is withheld from the heap. If it is still the
 /// global minimum at the next pop (true for any run of consecutive events
 /// on one node), it is consumed with two `BTreeMap` operations and no heap
 /// traffic at all.
-///
-/// The window execution mode never uses the merge index: it reads group
-/// heads directly ([`head_of`](Self::head_of)) and inserts without touching
-/// the heap ([`insert_plain`](Self::insert_plain)), so the heap cannot
-/// accumulate stale entries across a windowed run.
 struct EventQueues<M> {
     groups: Vec<BTreeMap<EvKey, EventKind<M>>>,
     heads: BinaryHeap<Reverse<(EvKey, usize)>>,
@@ -138,7 +118,6 @@ struct EventQueues<M> {
     /// pid → group index. Each process starts in its own group;
     /// [`Sim::assign_group`] merges the processes of one simulated node.
     group_of: Vec<usize>,
-    len: usize,
     sprint_pops: u64,
 }
 
@@ -149,7 +128,6 @@ impl<M> EventQueues<M> {
             heads: BinaryHeap::new(),
             deferred: None,
             group_of: Vec::new(),
-            len: 0,
             sprint_pops: 0,
         }
     }
@@ -195,7 +173,6 @@ impl<M> EventQueues<M> {
         let new_head = self.groups[g].first_key_value().is_none_or(|(&k, _)| key < k);
         let dup = self.groups[g].insert(key, kind);
         debug_assert!(dup.is_none(), "duplicate event key");
-        self.len += 1;
         if new_head {
             match self.deferred {
                 // The deferred slot covered this group's old head; it must
@@ -204,15 +181,6 @@ impl<M> EventQueues<M> {
                 _ => self.heads.push(Reverse((key, g))),
             }
         }
-    }
-
-    /// Insert without maintaining the merge index (window mode, which pops
-    /// via [`take_from`](Self::take_from) and never consults the heap).
-    fn insert_plain(&mut self, key: EvKey, kind: EventKind<M>) {
-        let g = self.group_of[kind.target()];
-        let dup = self.groups[g].insert(key, kind);
-        debug_assert!(dup.is_none(), "duplicate event key");
-        self.len += 1;
     }
 
     fn pop(&mut self) -> Option<Event<M>> {
@@ -241,20 +209,6 @@ impl<M> EventQueues<M> {
         if let Some((&next, _)) = self.groups[g].first_key_value() {
             self.deferred = Some((next, g));
         }
-        self.len -= 1;
-        Event { time: key.0, src: key.1, seq: key.2, kind }
-    }
-
-    /// Current head key of group `g` (window mode; bypasses the index).
-    fn head_of(&self, g: usize) -> Option<EvKey> {
-        self.groups[g].first_key_value().map(|(&k, _)| k)
-    }
-
-    /// Remove and return group `g`'s head event (window mode; bypasses the
-    /// index — the caller already knows `key` is the head).
-    fn take_from(&mut self, key: EvKey, g: usize) -> Event<M> {
-        let kind = self.groups[g].remove(&key).expect("window head vanished");
-        self.len -= 1;
         Event { time: key.0, src: key.1, seq: key.2, kind }
     }
 
@@ -269,7 +223,7 @@ impl<M> EventQueues<M> {
 /// What a blocked process is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
-    /// Currently executing (at most one process per group at a time).
+    /// Currently executing (it holds duty).
     Running,
     /// Waiting for a timer.
     Sleeping,
@@ -291,296 +245,40 @@ pub(crate) struct ProcSlot<M> {
     pub gen: u64,
     pub clock: SimTime,
     pub mailbox: VecDeque<Envelope<M>>,
-    pub resume_tx: Sender<Resume>,
-    pub panicked: bool,
+    pub resume: Arc<ResumeCell>,
 }
-
-/// How the host drives the (unchanged) global event order. Public
-/// selector; see the module docs for the three modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostExec {
-    /// Coordinator thread pops; every resume is a channel round trip.
-    Serial,
-    /// Yielding processes drive the kernel themselves and hand duty
-    /// directly to the process they resume (serialized by the duty token).
-    Handoff,
-    /// Window-parallel conservative execution: independent groups run
-    /// concurrently on host worker threads between lookahead barriers.
-    Window,
-}
-
-pub(crate) type ExecMode = HostExec;
 
 /// Host-execution counters for one run (see the module docs). These
 /// describe how the *host* drove the simulation — they are not part of the
-/// simulation result and are excluded from determinism fingerprints: a
-/// serial run, a handoff run and a window-parallel run of the same workload
-/// produce different counters but identical reports otherwise.
+/// simulation result and are excluded from determinism fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Handoff mode: maximal bursts of consecutive events executed by one
-    /// duty holder without returning to the coordinator. Window mode:
-    /// number of barrier-delimited parallel windows executed.
+    /// Duty bursts: maximal runs of consecutive events popped by one duty
+    /// holder before duty moved or the queue ran dry.
     pub windows: u64,
     /// Pops served straight from the last group's queue, bypassing the
-    /// merge index (consecutive same-node events; serial/handoff modes).
+    /// merge index (consecutive same-node events).
     pub sprint_pops: u64,
-    /// Direct duty transfers that resumed a process over its channel
-    /// without a serial-coordinator round trip (handoff chains, and window
-    /// workers resuming group processes).
+    /// Duty transfers: resumes of a process other than the duty holder —
+    /// one host thread switch each.
     pub handoff_switches: u64,
-    /// Resumes where the duty holder resumed *itself* — zero host context
-    /// switches (handoff and window modes).
+    /// Resumes where the duty holder resumed *itself* — no host switch.
     pub self_continues: u64,
     /// Events applied without resuming anyone (deliveries to busy
-    /// processes, checkpoint wakes, stale wakes) by a duty-holding process.
+    /// processes, checkpoint wakes, stale wakes).
     pub inline_events: u64,
-    /// Window mode: largest number of groups dispatched concurrently in
-    /// one window (capped by the worker-thread count).
-    pub max_parallel_groups: u64,
-    /// Window mode: windows with a single runnable group, executed inline
-    /// by the coordinator — the barrier bought no parallelism there.
-    pub barrier_stalls: u64,
 }
 
-/// What applying one event did (see [`Kernel::apply`]).
-enum Resumption {
-    /// `Resume::Go` was sent to another process.
-    Cross,
-    /// The applying process resumed itself; nothing was sent. `key` is the
-    /// resuming event's key — the group's running envelope from here on.
-    SelfGo { key: EvKey, timed_out: bool },
-}
-
-/// What a [`Kernel::drain`] / [`Kernel::drain_window`] call ended with.
+/// What a [`Kernel::drain`] call ended with.
 pub(crate) enum DrainOutcome {
-    /// No events left while this drainer held duty (window mode: none left
-    /// below the horizon — the group's window is complete).
+    /// No runnable events left while this drainer held duty.
     Empty,
-    /// Duty was handed to the resumed process.
-    Handoff,
+    /// Duty belongs to the process owning this cell: its `Go` is posted;
+    /// the caller must [`wake`](ResumeCell::wake) it once it has dropped
+    /// the kernel lock.
+    Handoff(Arc<ResumeCell>),
     /// The draining process resumed itself (only when `me` was given).
-    SelfResume { key: EvKey, timed_out: bool },
-}
-
-/// Per-window kernel state (window mode only; `None` between windows).
-/// The allocation is recycled across windows: the barrier drains the
-/// active groups' slots and hands the carcass back to the planner, so a
-/// steady-state window costs no per-group allocations.
-struct WindowState<M> {
-    /// Group ids active in this window, ascending (the planner scans
-    /// groups in id order). Only these slots are touched.
-    active: Vec<usize>,
-    /// Single-active window: driven inline by the coordinator with the
-    /// cross-group arbiter bypassed entirely — no other group runs, so
-    /// there is nothing to order against.
-    solo: bool,
-    /// Events strictly below this virtual time belong to the window.
-    horizon: SimTime,
-    /// Latest popped event time in this window (folded into `end_time` at
-    /// the barrier).
-    max_time: SimTime,
-    /// Per-group control routes: `Ctrl` messages from a group's processes
-    /// must reach the worker currently driving that group.
-    routes: Vec<Option<Sender<Ctrl>>>,
-    /// Cross-group events pushed during the window, buffered per *source*
-    /// group and merged into the destination queues at the barrier. Every
-    /// buffered key is `>= horizon` (conservative-lookahead contract), and
-    /// keys are mode-independent, so the keyed merge is deterministic.
-    outboxes: Vec<Vec<(EvKey, EventKind<M>)>>,
-    /// Per-group trace buffers, merged in key order at the barrier (only
-    /// allocated when tracing).
-    traces: Option<Vec<Vec<TraceEntry>>>,
-    /// Process exits observed during the window, per group in observation
-    /// order. Collected at the barrier in group order, so exit processing
-    /// never depends on which worker observed the exit first.
-    exits: Vec<Vec<(Pid, bool)>>,
-}
-
-impl<M> WindowState<M> {
-    fn new(n_groups: usize, horizon: SimTime, tracing: bool) -> Self {
-        WindowState {
-            active: Vec::new(),
-            solo: false,
-            horizon,
-            max_time: SimTime::ZERO,
-            routes: (0..n_groups).map(|_| None).collect(),
-            outboxes: (0..n_groups).map(|_| Vec::new()).collect(),
-            traces: tracing.then(|| (0..n_groups).map(|_| Vec::new()).collect()),
-            exits: (0..n_groups).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Re-arm a recycled window for the next round. The previous barrier
-    /// drained every per-group slot, so only the header fields need
-    /// resetting.
-    fn rearm(&mut self, horizon: SimTime, active: Vec<usize>, solo: bool) {
-        debug_assert!(self.active.is_empty());
-        self.active = active;
-        self.solo = solo;
-        self.horizon = horizon;
-        self.max_time = SimTime::ZERO;
-    }
-}
-
-/// The cross-thread window arbiter: per-group *positions* behind a plain
-/// std mutex + condvar, separate from the kernel lock so processes can wait
-/// on it without blocking the kernel.
-///
-/// A group's position is the **running envelope** of its window: the
-/// maximum event key it has popped so far (`KEY_MAX` when inactive or
-/// finished). Raw per-group pop sequences are not monotone in key — a
-/// process's same-instant follow-ups (checkpoint wakes, local sends) carry
-/// its own group id, which can sort below an already-consumed key from a
-/// higher group — but the serial coordinator provably pops across groups
-/// in ascending *envelope* order: a group's head can only drop below
-/// another group's pending key through its own execution, which the serial
-/// loop runs only after popping the (larger) key that resumed it. The
-/// envelope is monotone and its values are globally unique event keys, so
-/// ordering by it is total, the least-envelope group can always proceed
-/// (deadlock freedom), and a group admitted once can never be undercut by
-/// a later-created smaller key (its envelope already covers it).
-///
-/// [`Ctx::ordered`](crate::Ctx::ordered) blocks until every other group's
-/// position is strictly greater than the caller's envelope, so operations
-/// on shared *simulated* resources (network links) execute in exactly the
-/// serial global order while unrelated compute still overlaps.
-pub(crate) struct WindowSync {
-    /// Fast-path gate: false outside window-mode runs, so `ordered` costs
-    /// one relaxed load in the serial and handoff modes.
-    enabled: AtomicBool,
-    /// True only while a *multi-group* window is in flight. Single-active
-    /// windows bypass the arbiter entirely (nothing to order against), so
-    /// `ordered` stays two atomic loads on the majority of windows.
-    multi: AtomicBool,
-    /// Number of processes blocked in [`await_turn`](Self::await_turn).
-    /// Mutated only under `inner`; read lock-free by drains to skip the
-    /// per-pop position publish while nobody is watching.
-    waiters: AtomicUsize,
-    inner: StdMutex<SyncState>,
-    cv: Condvar,
-}
-
-struct SyncState {
-    /// True while a multi-group window is in flight.
-    windowing: bool,
-    /// pid → group, copied from the kernel at run start.
-    group_of: Vec<usize>,
-    /// Published per-group envelopes. May lag a group's true envelope
-    /// while no waiter exists (publishing is gated on `waiters`); every
-    /// path on which a group stops popping republishes — next pop with a
-    /// waiter present, [`await_turn`](WindowSync::await_turn) publishing
-    /// the caller's own key, or [`finish_group`](WindowSync::finish_group)
-    /// — so a waiter only ever blocks on a *live* understatement.
-    positions: Vec<EvKey>,
-}
-
-impl WindowSync {
-    fn new() -> Self {
-        WindowSync {
-            enabled: AtomicBool::new(false),
-            multi: AtomicBool::new(false),
-            waiters: AtomicUsize::new(0),
-            inner: StdMutex::new(SyncState {
-                windowing: false,
-                group_of: Vec::new(),
-                positions: Vec::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SyncState> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Anyone blocked in the arbiter right now? Lock-free; drains use it
-    /// to skip [`advance`](Self::advance) on the uncontended fast path.
-    #[inline]
-    pub(crate) fn has_waiters(&self) -> bool {
-        self.waiters.load(Ordering::Relaxed) > 0
-    }
-
-    /// Open a multi-group window: active groups start positioned at their
-    /// head keys (set before dispatch, so a group whose worker has not
-    /// started yet already holds its place in the arbiter); everyone else
-    /// is `KEY_MAX`. Single-active windows never call this.
-    fn begin_window(&self, active: &[(usize, EvKey)]) {
-        let mut s = self.lock();
-        s.positions.iter_mut().for_each(|p| *p = KEY_MAX);
-        for &(g, key) in active {
-            s.positions[g] = key;
-        }
-        s.windowing = true;
-        drop(s);
-        self.multi.store(true, Ordering::Release);
-    }
-
-    /// Publish event `key` (just popped by group `g`) as the group's
-    /// envelope position. Only called when a waiter exists (or from the
-    /// always-published paths); the fold keeps it monotone regardless.
-    fn advance(&self, g: usize, key: EvKey) {
-        let mut s = self.lock();
-        if key > s.positions[g] {
-            s.positions[g] = key;
-            if self.has_waiters() {
-                self.cv.notify_all();
-            }
-        }
-    }
-
-    /// Group `g` finished its window. Always published: a finished group
-    /// pops no more, so its `KEY_MAX` must be visible to present *and
-    /// future* waiters.
-    fn finish_group(&self, g: usize) {
-        let mut s = self.lock();
-        s.positions[g] = KEY_MAX;
-        if self.has_waiters() {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Close the window (barrier reached, or the run is unwinding).
-    fn end_window(&self) {
-        self.multi.store(false, Ordering::Release);
-        let mut s = self.lock();
-        s.windowing = false;
-        self.cv.notify_all();
-    }
-
-    /// Block until every other group is strictly past `mine`, the key of
-    /// the event that resumed the calling process — which *is* its group's
-    /// current envelope: the group's drain stopped at that pop, and only
-    /// resumes after this process blocks again. No-op outside multi-group
-    /// windows.
-    pub(crate) fn await_turn(&self, pid: Pid, mine: EvKey) {
-        if !self.enabled.load(Ordering::Acquire) || !self.multi.load(Ordering::Acquire) {
-            return;
-        }
-        let mut s = self.lock();
-        if !s.windowing {
-            return;
-        }
-        let g = s.group_of[pid];
-        // Publish our own envelope: gated publishing means `positions[g]`
-        // may understate it, and a mutual-understatement standoff between
-        // two waiting groups would deadlock.
-        if mine > s.positions[g] {
-            s.positions[g] = mine;
-            if self.has_waiters() {
-                self.cv.notify_all();
-            }
-        }
-        loop {
-            let blocked = s.positions.iter().enumerate().any(|(h, &k)| h != g && k <= mine);
-            if !s.windowing || !blocked {
-                return;
-            }
-            self.waiters.fetch_add(1, Ordering::Relaxed);
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-            self.waiters.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
+    SelfResume { at: SimTime, timed_out: bool },
 }
 
 pub(crate) struct Kernel<M> {
@@ -588,39 +286,29 @@ pub(crate) struct Kernel<M> {
     pub procs: Vec<ProcSlot<M>>,
     /// Per-source-group event sequence counters (index = group id at push
     /// time). Each group's pushes are serialized by its own execution, so
-    /// the counters are deterministic in every host mode — no worker-raced
-    /// global counter.
+    /// the counters depend on nothing but that execution.
     seqs: Vec<u64>,
-    pub trace: Option<Vec<TraceEntry>>,
+    trace: Option<Vec<TraceEntry>>,
     /// Count of popped events, for the report.
-    pub events_processed: u64,
-    /// Virtual time of the last popped event (window mode: updated at
-    /// barriers).
-    pub end_time: SimTime,
-    pub mode: ExecMode,
-    /// Conservative lookahead: the minimum virtual latency of any
-    /// cross-group message, used for window construction and validation.
-    pub lookahead: Dur,
-    /// Host worker threads for the window mode.
-    pub host_threads: usize,
-    /// True once groups were explicitly assigned (enables the lookahead
-    /// check and the window mode — with default per-pid groups, same-node
-    /// traffic crosses groups at zero latency and windows collapse).
+    events_processed: u64,
+    /// Virtual time of the last popped event.
+    end_time: SimTime,
+    /// Lower bound on the virtual latency of any cross-group message;
+    /// defines the horizon that bounds the quiescence tail.
+    lookahead: Dur,
+    /// True once groups were explicitly assigned (with default per-pid
+    /// groups, same-node traffic crosses groups at zero latency and the
+    /// horizon is meaningless).
     grouped: bool,
     /// End of the lookahead window the last pop fell into (grouped runs
-    /// with nonzero lookahead; stays ZERO otherwise). The quiescence tail
-    /// after the last primary exit is bounded by this horizon.
+    /// with nonzero lookahead; stays ZERO otherwise).
     cur_horizon: SimTime,
-    /// In-flight window (window mode only).
-    window: Option<WindowState<M>>,
-    /// True for the whole window-mode run: inserts skip the merge index.
-    windowing: bool,
-    /// Shared with every `Ctx` for the link-order arbiter.
-    pub sync: Arc<WindowSync>,
-    /// Global control channel (serial loop, unwinding, and the fallback
-    /// route when no window is active).
-    pub(crate) ctrl_tx: Sender<Ctrl>,
-    pub exec: ExecCounters,
+    /// Every primary has exited: only events below `cur_horizon` remain
+    /// runnable.
+    tail: bool,
+    /// The run is over; every blocking call returns `Stopped`.
+    pub stopping: bool,
+    exec: ExecCounters,
 }
 
 impl<M> Kernel<M> {
@@ -633,54 +321,7 @@ impl<M> Kernel<M> {
         }
         let seq = self.seqs[sg];
         self.seqs[sg] += 1;
-        let key = (time, sg as u64, seq);
-        if let Some(w) = &mut self.window {
-            let tg = self.queues.group_of[kind.target()];
-            if tg != sg {
-                debug_assert!(
-                    time >= w.horizon,
-                    "cross-group delivery below the window horizon: at {time:?}, \
-                     horizon {:?}, lookahead {:?}",
-                    w.horizon,
-                    self.lookahead
-                );
-                w.outboxes[sg].push((key, kind));
-                return;
-            }
-            self.queues.insert_plain(key, kind);
-            return;
-        }
-        #[cfg(debug_assertions)]
-        self.assert_lookahead(time, &kind);
-        if self.windowing {
-            self.queues.insert_plain(key, kind);
-        } else {
-            self.queues.push(key, kind);
-        }
-    }
-
-    /// Validate the conservative-lookahead contract: a running process can
-    /// only affect *another* node at least `lookahead` of virtual time in
-    /// the future. This is what makes a window safe — no cross-node event
-    /// can appear under a draining group's feet — and it holds because the
-    /// network model charges at least the minimum cross-node latency on
-    /// every inter-node message.
-    #[cfg(debug_assertions)]
-    fn assert_lookahead(&self, time: SimTime, kind: &EventKind<M>) {
-        if !self.grouped || self.lookahead == Dur::ZERO {
-            return;
-        }
-        let EventKind::Deliver { dst, env } = kind else { return };
-        if self.queues.group_of[env.from] == self.queues.group_of[*dst] {
-            return;
-        }
-        debug_assert!(
-            time >= self.end_time + self.lookahead,
-            "cross-group delivery inside the lookahead window: at {time:?}, \
-             kernel at {:?}, lookahead {:?}",
-            self.end_time,
-            self.lookahead
-        );
+        self.queues.push((time, sg as u64, seq), kind);
     }
 
     pub(crate) fn bump_gen(&mut self, pid: Pid) -> u64 {
@@ -688,9 +329,12 @@ impl<M> Kernel<M> {
         self.procs[pid].gen
     }
 
-    /// Pop the globally next event and do the per-event bookkeeping
-    /// (serial and handoff modes).
+    /// Pop the globally next runnable event and do the per-event
+    /// bookkeeping.
     fn pop_next(&mut self) -> Option<Event<M>> {
+        if self.tail && self.queues.peek_min().is_none_or(|key| key.0 >= self.cur_horizon) {
+            return None;
+        }
         let ev = self.queues.pop()?;
         debug_assert!(ev.time >= self.end_time, "kernel time went backwards");
         self.end_time = self.end_time.max(ev.time);
@@ -704,42 +348,33 @@ impl<M> Kernel<M> {
         Some(ev)
     }
 
-    /// Apply a popped event. Returns what resumption, if any, it caused;
-    /// `me` is the applying process (duty holder), which is resumed in
-    /// place instead of through its channel.
-    fn apply(&mut self, ev: Event<M>, me: Option<Pid>) -> Option<Resumption> {
-        // The event's queue key rides along into the resumption: a resumed
-        // process's group envelope *is* this key (its group drains only
-        // resume after it blocks again), so `Ctx::ordered` can hand the
-        // arbiter its true position without taking the kernel lock.
-        let key = (ev.time, ev.src, ev.seq);
+    /// Apply a popped event. Returns the process it resumed, if any, and
+    /// whether that resume is a timeout.
+    fn apply(&mut self, ev: Event<M>) -> Option<(Pid, bool)> {
         match ev.kind {
             EventKind::Wake { pid, gen } => {
-                let slot = &self.procs[pid];
-                if slot.gen != gen
-                    || slot.status == Status::Exited
-                    || slot.status == Status::Running
-                {
+                let slot = &mut self.procs[pid];
+                if slot.gen != gen {
                     return None; // stale wake
                 }
                 match slot.status {
-                    Status::Sleeping => Some(self.resume(pid, key, false, me)),
+                    Status::Sleeping => Some((pid, false)),
                     Status::Polling { deadline } => {
-                        if !self.procs[pid].mailbox.is_empty() {
-                            Some(self.resume(pid, key, false, me))
+                        if !slot.mailbox.is_empty() {
+                            Some((pid, false))
                         } else if deadline == Some(ev.time) {
                             // Zero-length timeout: the checkpoint *is* the
                             // deadline.
-                            Some(self.resume(pid, key, true, me))
+                            Some((pid, true))
                         } else {
-                            self.procs[pid].status = Status::Waiting { deadline };
+                            slot.status = Status::Waiting { deadline };
                             None
                         }
                     }
                     Status::Waiting { deadline } => {
                         // Only the deadline wake is still live for a waiter.
                         debug_assert_eq!(deadline, Some(ev.time));
-                        Some(self.resume(pid, key, true, me))
+                        Some((pid, true))
                     }
                     Status::Running | Status::Exited => None,
                 }
@@ -750,146 +385,50 @@ impl<M> Kernel<M> {
                     return None; // message to a dead process is dropped
                 }
                 slot.mailbox.push_back(env);
-                match slot.status {
-                    Status::Waiting { .. } => Some(self.resume(dst, key, false, me)),
-                    _ => None,
-                }
+                matches!(slot.status, Status::Waiting { .. }).then_some((dst, false))
             }
-        }
-    }
-
-    fn resume(&mut self, pid: Pid, key: EvKey, timed_out: bool, me: Option<Pid>) -> Resumption {
-        let slot = &mut self.procs[pid];
-        debug_assert!(slot.clock <= key.0, "process resumed into its past");
-        slot.gen += 1; // invalidate any other pending wakes
-        slot.status = Status::Running;
-        slot.clock = key.0;
-        if me == Some(pid) {
-            Resumption::SelfGo { key, timed_out }
-        } else {
-            slot.resume_tx.send(Resume::Go { key, timed_out }).expect("process thread vanished");
-            Resumption::Cross
         }
     }
 
     /// Drive the kernel while holding duty: pop and apply events until one
-    /// resumes a process (duty moves to it) or the queue runs dry. `me` is
-    /// the duty-holding process, or `None` for the coordinator.
-    /// Serial and handoff modes only.
+    /// resumes a process (duty moves to it) or nothing runnable is left.
+    /// `me` is the duty-holding process — resumed in place instead of
+    /// through its cell — or `None` for the coordinator.
     pub(crate) fn drain(&mut self, me: Option<Pid>) -> DrainOutcome {
         let mut popped = false;
-        loop {
-            let Some(ev) = self.pop_next() else {
-                if popped {
-                    self.exec.windows += 1;
-                }
-                return DrainOutcome::Empty;
-            };
+        while let Some(ev) = self.pop_next() {
             popped = true;
-            match self.apply(ev, me) {
-                None => self.exec.inline_events += 1,
-                Some(Resumption::SelfGo { key, timed_out }) => {
-                    self.exec.windows += 1;
-                    self.exec.self_continues += 1;
-                    return DrainOutcome::SelfResume { key, timed_out };
-                }
-                Some(Resumption::Cross) => {
-                    self.exec.windows += 1;
-                    self.exec.handoff_switches += 1;
-                    return DrainOutcome::Handoff;
-                }
+            let at = ev.time;
+            let Some((pid, timed_out)) = self.apply(ev) else {
+                self.exec.inline_events += 1;
+                continue;
+            };
+            let slot = &mut self.procs[pid];
+            debug_assert!(slot.clock <= at, "process resumed into its past");
+            slot.gen += 1; // invalidate any other pending wakes
+            slot.status = Status::Running;
+            slot.clock = at;
+            self.exec.windows += 1;
+            if me == Some(pid) {
+                self.exec.self_continues += 1;
+                return DrainOutcome::SelfResume { at, timed_out };
             }
+            slot.resume.post(Resume::Go { at, timed_out });
+            self.exec.handoff_switches += 1;
+            return DrainOutcome::Handoff(Arc::clone(&slot.resume));
         }
-    }
-
-    /// Window-mode drain of one group: pop and apply group `g`'s events
-    /// strictly below the window horizon, advancing the arbiter position at
-    /// every pop. Only group-local state is touched (events target `g`'s
-    /// processes by construction), so concurrent drains of different groups
-    /// under the kernel lock's serialization are free of cross-group
-    /// interference — and bit-identical to the serial pops.
-    pub(crate) fn drain_window(&mut self, g: usize, me: Option<Pid>) -> DrainOutcome {
-        loop {
-            let horizon = self.window.as_ref().expect("drain_window outside a window").horizon;
-            let Some(key) = self.queues.head_of(g) else { return DrainOutcome::Empty };
-            if key.0 >= horizon {
-                return DrainOutcome::Empty;
-            }
-            let ev = self.queues.take_from(key, g);
-            debug_assert!(ev.time >= self.end_time, "window popped into the kernel's past");
-            self.events_processed += 1;
-            let tracing = self.trace.is_some();
-            let w = self.window.as_mut().expect("window vanished");
-            let solo = w.solo;
-            w.max_time = w.max_time.max(key.0);
-            if tracing {
-                if let Some(bufs) = &mut w.traces {
-                    bufs[g].push(TraceEntry::from_event(&ev));
-                }
-            }
-            // Publish the envelope only when someone is actually blocked on
-            // it: an `ordered` caller publishes its own position before
-            // waiting, so an unwatched lag here can never strand a waiter.
-            // Solo windows skip the arbiter outright.
-            if !solo && self.sync.has_waiters() {
-                self.sync.advance(g, key);
-            }
-            match self.apply(ev, me) {
-                None => self.exec.inline_events += 1,
-                Some(Resumption::SelfGo { key, timed_out }) => {
-                    self.exec.self_continues += 1;
-                    return DrainOutcome::SelfResume { key, timed_out };
-                }
-                Some(Resumption::Cross) => {
-                    self.exec.handoff_switches += 1;
-                    return DrainOutcome::Handoff;
-                }
-            }
-        }
-    }
-
-    /// The control route for `pid`'s group: the worker currently driving
-    /// the group during a window, the global channel otherwise.
-    pub(crate) fn ctrl_route(&self, pid: Pid) -> Sender<Ctrl> {
-        if let Some(w) = &self.window {
-            let g = self.queues.group_of[pid];
-            if let Some(tx) = &w.routes[g] {
-                return tx.clone();
-            }
-        }
-        self.ctrl_tx.clone()
-    }
-
-    /// Record an exit in the process table (status must flip before any
-    /// further event targeting the process is applied, in every mode).
-    fn mark_exited(&mut self, pid: Pid, panicked: bool) {
-        let slot = &mut self.procs[pid];
-        slot.status = Status::Exited;
-        slot.panicked = panicked;
-    }
-
-    pub(crate) fn group_of(&self, pid: Pid) -> usize {
-        self.queues.group_of[pid]
+        self.exec.windows += u64::from(popped);
+        DrainOutcome::Empty
     }
 }
 
-/// Control messages from process threads back to the engine.
+/// Control messages from process threads back to the coordinator: how duty
+/// returns to it.
 pub(crate) enum Ctrl {
-    /// The process blocked (its slot describes on what). Serial mode only.
-    Yielded(Pid),
-    /// A duty-holding process found no more runnable events (handoff:
-    /// queue empty; window: group done below the horizon): duty returns to
-    /// the coordinator/worker.
-    Idle(Pid),
+    /// A duty-holding process found nothing runnable.
+    Idle,
     /// The process function returned or unwound.
     Exited(Pid, /*panicked*/ bool),
-    /// Window mode only, coordinator → worker pool: start driving this
-    /// group's window. Shares the channel with the processes' `Idle` /
-    /// `Exited` continuations so a worker is never parked on one group
-    /// while another group's continuation is waiting — any free worker
-    /// picks up whichever group becomes runnable next (see
-    /// [`worker_loop`]).
-    Adopt(usize),
 }
 
 /// Summary of a completed simulation run.
@@ -940,7 +479,6 @@ pub struct Sim<M: Send + 'static> {
     ctrl_tx: Sender<Ctrl>,
     ctrl_rx: Receiver<Ctrl>,
     threads: Vec<Option<JoinHandle<()>>>,
-    record_trace: bool,
 }
 
 impl<M: Send + 'static> Default for Sim<M> {
@@ -952,7 +490,7 @@ impl<M: Send + 'static> Default for Sim<M> {
 impl<M: Send + 'static> Sim<M> {
     /// Create an empty simulation.
     pub fn new() -> Self {
-        let (ctrl_tx, ctrl_rx) = unbounded();
+        let (ctrl_tx, ctrl_rx) = channel();
         Sim {
             kernel: Arc::new(Mutex::new(Kernel {
                 queues: EventQueues::new(),
@@ -961,55 +499,38 @@ impl<M: Send + 'static> Sim<M> {
                 trace: None,
                 events_processed: 0,
                 end_time: SimTime::ZERO,
-                mode: ExecMode::Serial,
                 lookahead: Dur::ZERO,
-                host_threads: 1,
                 grouped: false,
                 cur_horizon: SimTime::ZERO,
-                window: None,
-                windowing: false,
-                sync: Arc::new(WindowSync::new()),
-                ctrl_tx: ctrl_tx.clone(),
+                tail: false,
+                stopping: false,
                 exec: ExecCounters::default(),
             })),
             ctrl_tx,
             ctrl_rx,
             threads: Vec::new(),
-            record_trace: false,
         }
     }
 
     /// Record an event trace in the report (used by determinism tests).
     pub fn record_trace(&mut self, on: bool) {
-        self.record_trace = on;
+        self.kernel.lock().trace = on.then(Vec::new);
     }
 
-    /// Enable parallel host execution: `threads >= 2` selects the
-    /// window-parallel mode (1 keeps the serial coordinator loop).
-    /// `lookahead` must be a lower bound on the virtual latency of any
-    /// message between processes of different groups — pass the network's
-    /// minimum cross-node latency. Runs without assigned groups or with
-    /// zero lookahead fall back to the duty-handoff mode. The simulation
-    /// *result* is bit-identical in every mode; only the host scheduling
-    /// (and [`SimReport::exec`]) changes.
-    pub fn set_parallel(&mut self, threads: usize, lookahead: Dur) {
-        let exec = if threads >= 2 { HostExec::Window } else { HostExec::Serial };
-        self.set_exec(exec, threads, lookahead);
-    }
-
-    /// Select a host execution mode explicitly (the benchmarks use this to
-    /// measure the duty-handoff mode against the window mode).
-    pub fn set_exec(&mut self, exec: HostExec, threads: usize, lookahead: Dur) {
-        let mut k = self.kernel.lock();
-        k.mode = exec;
-        k.host_threads = threads.max(1);
-        k.lookahead = lookahead;
+    /// Declare a lower bound on the virtual latency of any message between
+    /// processes of different groups — pass the network's minimum
+    /// cross-node latency. It sets the horizon up to which the run is
+    /// drained after the last primary process exits (see the module docs);
+    /// zero (the default) stops the run at the exit event.
+    pub fn set_lookahead(&mut self, lookahead: Dur) {
+        self.kernel.lock().lookahead = lookahead;
     }
 
     /// Put `pid` into scheduling group `group`. Processes of one simulated
     /// node (its application and its protocol handler) should share a
     /// group: their mutual traffic has zero latency, while cross-group
-    /// traffic is bounded below by the lookahead.
+    /// traffic is bounded below by the lookahead. Same-instant events
+    /// break ties by the *pushing* process's group.
     pub fn assign_group(&mut self, pid: Pid, group: usize) {
         let mut k = self.kernel.lock();
         k.queues.assign_group(pid, group);
@@ -1040,7 +561,7 @@ impl<M: Send + 'static> Sim<M> {
     where
         F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
     {
-        let (resume_tx, resume_rx) = unbounded();
+        let resume = Arc::new(ResumeCell::new());
         let pid = {
             let mut k = self.kernel.lock();
             let pid = k.procs.len();
@@ -1051,70 +572,51 @@ impl<M: Send + 'static> Sim<M> {
                 gen: 0,
                 clock: SimTime::ZERO,
                 mailbox: VecDeque::new(),
-                resume_tx,
-                panicked: false,
+                resume: Arc::clone(&resume),
             });
             k.queues.add_proc();
             // Initial wake at t=0 so the process starts when the engine runs.
             k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
             pid
         };
-        let ctx = Ctx::new(pid, Arc::clone(&self.kernel), resume_rx);
-        let kernel = Arc::clone(&self.kernel);
-        let ctrl_tx = self.ctrl_tx.clone();
+        let ctx =
+            Ctx::new(pid, Arc::clone(&self.kernel), self.ctrl_tx.clone(), Arc::clone(&resume));
+        let exit = ExitGuard { pid, ctrl_tx: self.ctrl_tx.clone() };
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
+                let _exit = exit;
                 // Wait for the first resume before touching anything.
-                match ctx.wait_first_resume() {
-                    Ok(()) => {
-                        let guard = ExitGuard { pid, kernel, armed: true };
-                        let _ = f(ctx);
-                        guard.disarm_and_exit();
-                    }
-                    Err(Stopped) => {
-                        let _ = ctrl_tx.send(Ctrl::Exited(pid, false));
-                    }
+                if ctx.wait_resume().is_ok() {
+                    let _ = f(ctx);
                 }
             })
             .expect("failed to spawn simulation thread");
+        // Nothing is posted to the cell before `run`, which needs `self`.
+        resume.bind(handle.thread().clone());
         self.threads.push(Some(handle));
         pid
     }
 
     /// Run the simulation to completion.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        if self.record_trace {
-            self.kernel.lock().trace = Some(Vec::new());
-        }
-        let (n_primary, mode, threads) = {
-            let mut k = self.kernel.lock();
-            // The window mode needs real groups and a positive lookahead to
-            // build windows from; degenerate configurations keep the
-            // (equivalent, still multi-threaded) duty-handoff scheduling.
-            if k.mode == ExecMode::Window
-                && (!k.grouped || k.lookahead == Dur::ZERO || k.host_threads < 2)
-            {
-                k.mode = ExecMode::Handoff;
-            }
-            (k.procs.iter().filter(|p| !p.daemon).count(), k.mode, k.host_threads)
-        };
+        let n_primary = self.kernel.lock().procs.iter().filter(|p| !p.daemon).count();
         if n_primary == 0 {
             return Err(SimError::NoPrimaryProcesses);
         }
-        let result = match mode {
-            ExecMode::Serial => self.event_loop_serial(n_primary),
-            ExecMode::Handoff => self.event_loop_handoff(n_primary),
-            ExecMode::Window => self.event_loop_window(n_primary, threads),
-        };
+        let result = self.event_loop(n_primary);
 
         // Stop remaining processes (daemons, or everyone on error).
         self.stop_remaining();
         let join_err = self.join_threads();
+        result?;
+        if let Some(e) = join_err {
+            return Err(e);
+        }
 
         let mut k = self.kernel.lock();
         k.exec.sprint_pops = k.queues.sprint_pops;
-        let report = SimReport {
+        Ok(SimReport {
             end_time: k.end_time,
             proc_clocks: k.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),
             events_processed: k.events_processed,
@@ -1126,68 +628,14 @@ impl<M: Send + 'static> Sim<M> {
                 .map(|p| (p.name.clone(), p.mailbox.len()))
                 .collect(),
             exec: k.exec,
-        };
-        drop(k);
-
-        match result {
-            Ok(()) => {
-                if let Some(e) = join_err {
-                    return Err(e);
-                }
-                Ok(report)
-            }
-            Err(e) => Err(e),
-        }
+        })
     }
 
-    /// The classic coordinator loop: pop one event at a time; on a resume,
-    /// wait for the process to yield back. Once the last primary has
-    /// exited, only the remainder of the current lookahead window is
-    /// drained (nothing at all when the horizon is degenerate).
-    fn event_loop_serial(&mut self, n_primary: usize) -> Result<(), SimError> {
-        let mut live_primary = n_primary;
-        loop {
-            let action = {
-                let mut k = self.kernel.lock();
-                if live_primary == 0 && k.queues.peek_min().is_none_or(|key| key.0 >= k.cur_horizon)
-                {
-                    return Ok(());
-                }
-                match k.pop_next() {
-                    None => {
-                        // No events left: either everything exited, or the
-                        // remaining processes are deadlocked waiting for
-                        // messages that will never arrive.
-                        if live_primary == 0 {
-                            return Ok(());
-                        }
-                        return Err(SimError::Deadlock { blocked: Self::blocked_procs(&k) });
-                    }
-                    Some(ev) => k.apply(ev, None),
-                }
-            };
-            // If the event resumed a process, run it until it yields/exits.
-            if let Some(Resumption::Cross) = action {
-                match self.ctrl_rx.recv().expect("all process threads vanished") {
-                    Ctrl::Yielded(_) => {}
-                    Ctrl::Idle(_) => unreachable!("Idle is never sent in serial mode"),
-                    Ctrl::Adopt(_) => unreachable!("Adopt is never sent on the global channel"),
-                    Ctrl::Exited(xpid, panicked) => {
-                        if let Some(end) = self.note_exit(xpid, panicked, &mut live_primary) {
-                            return end;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The duty-handoff loop: the coordinator only seeds the run and takes
-    /// duty back at exits and idles; between those, the process threads
-    /// drive the kernel themselves (see [`Kernel::drain`] and
-    /// [`Ctx`](crate::Ctx)'s blocking path). The post-exit tail runs
-    /// through the serial loop so the horizon bound applies identically.
-    fn event_loop_handoff(&mut self, n_primary: usize) -> Result<(), SimError> {
+    /// The coordinator's side of the duty protocol: seed the run, then take
+    /// duty back whenever a process exits or finds nothing runnable;
+    /// between those, the process threads drive the kernel themselves (see
+    /// [`Kernel::drain`] and [`Ctx`](crate::Ctx)'s blocking path).
+    fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
         let mut live_primary = n_primary;
         loop {
             let outcome = self.kernel.lock().drain(None);
@@ -1199,269 +647,34 @@ impl<M: Send + 'static> Sim<M> {
                     if live_primary == 0 {
                         return Ok(());
                     }
+                    // No events left but primaries are still blocked:
+                    // they wait for messages that will never arrive.
                     let k = self.kernel.lock();
-                    return Err(SimError::Deadlock { blocked: Self::blocked_procs(&k) });
+                    let blocked = k
+                        .procs
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| p.status != Status::Exited && !p.daemon)
+                        .map(|(i, p)| (i, format!("{} ({:?})", p.name, p.status)))
+                        .collect();
+                    return Err(SimError::Deadlock { blocked });
                 }
-                DrainOutcome::Handoff => {
+                DrainOutcome::Handoff(cell) => {
+                    cell.wake();
                     // Duty circulates among the process threads now; it
                     // comes back with an exit or an idle notification.
-                    match self.ctrl_rx.recv().expect("all process threads vanished") {
-                        Ctrl::Yielded(_) => unreachable!("Yielded is never sent in handoff mode"),
-                        Ctrl::Adopt(_) => {
-                            unreachable!("Adopt is never sent on the global channel")
-                        }
-                        Ctrl::Idle(_) => {}
-                        Ctrl::Exited(xpid, panicked) => {
-                            if let Some(end) = self.note_exit(xpid, panicked, &mut live_primary) {
-                                return end;
-                            }
-                            if live_primary == 0 {
-                                // Drain the rest of the current window
-                                // serially (stopping processes must not
-                                // pick duty back up mid-tail).
-                                self.kernel.lock().mode = ExecMode::Serial;
-                                return self.event_loop_serial_from(0);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Continue the serial loop with `live_primary` already at the given
-    /// count (the handoff loop's quiescence tail).
-    fn event_loop_serial_from(&mut self, live_primary: usize) -> Result<(), SimError> {
-        debug_assert_eq!(live_primary, 0);
-        let mut live = live_primary;
-        loop {
-            let action = {
-                let mut k = self.kernel.lock();
-                if k.queues.peek_min().is_none_or(|key| key.0 >= k.cur_horizon) {
-                    return Ok(());
-                }
-                let ev = k.pop_next().expect("peeked event vanished");
-                k.apply(ev, None)
-            };
-            if let Some(Resumption::Cross) = action {
-                match self.ctrl_rx.recv().expect("all process threads vanished") {
-                    Ctrl::Yielded(_) => {}
-                    Ctrl::Idle(_) => unreachable!("Idle is never sent in serial mode"),
-                    Ctrl::Adopt(_) => unreachable!("Adopt is never sent on the global channel"),
-                    Ctrl::Exited(xpid, panicked) => {
-                        if let Some(end) = self.note_exit(xpid, panicked, &mut live) {
-                            return end;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The window-parallel loop. Each iteration: find the global minimum
-    /// head `T`, set the horizon `H = T + lookahead`, dispatch every group
-    /// whose head is below `H` to the worker pool, and merge the buffered
-    /// cross-group sends, traces and exits at the barrier. See the module
-    /// docs for the determinism argument.
-    fn event_loop_window(&mut self, n_primary: usize, threads: usize) -> Result<(), SimError> {
-        let mut live_primary = n_primary;
-        let sync = {
-            let mut k = self.kernel.lock();
-            k.windowing = true;
-            // The merge index is unused from here on; park the deferred
-            // slot so no head is hidden from the direct scans.
-            if let Some(d) = k.queues.deferred.take() {
-                k.queues.heads.push(Reverse(d));
-            }
-            let sync = Arc::clone(&k.sync);
-            {
-                let mut s = sync.lock();
-                s.group_of = k.queues.group_of.clone();
-                s.positions = vec![KEY_MAX; k.queues.groups.len()];
-                s.windowing = false;
-            }
-            sync.enabled.store(true, Ordering::Release);
-            sync
-        };
-        // One shared channel carries both group adoptions (`Ctrl::Adopt`,
-        // from the coordinator) and duty continuations (`Ctrl::Idle` /
-        // `Ctrl::Exited`, from the groups' processes — active groups'
-        // window routes point here). Workers block *only* on this channel:
-        // a worker that hands duty to a process immediately returns for
-        // the next runnable group instead of waiting for that process, so
-        // a process parked in `ordered()` can never wedge the window by
-        // pinning both its own worker and — transitively — the undispatched
-        // group it is waiting for.
-        let (win_tx, win_rx) = unbounded::<Ctrl>();
-        let (done_tx, done_rx) = unbounded::<usize>();
-        let mut workers = Vec::with_capacity(threads);
-        for wi in 0..threads {
-            let kernel = Arc::clone(&self.kernel);
-            let sync = Arc::clone(&sync);
-            let win_rx = win_rx.clone();
-            let done_tx = done_tx.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("sim-worker-{wi}"))
-                    .spawn(move || worker_loop(kernel, sync, win_rx, done_tx))
-                    .expect("failed to spawn window worker"),
-            );
-        }
-        // The window carcass is recycled across iterations: the barrier
-        // drains only the just-active slots and parks the allocation here,
-        // so a steady-state window allocates nothing per group.
-        let mut spare: Option<WindowState<M>> = None;
-        let result = 'run: loop {
-            // Plan the window: global minimum head + lookahead horizon.
-            let (active, solo) = {
-                let mut k = self.kernel.lock();
-                let n_groups = k.queues.groups.len();
-                let heads: Vec<(usize, EvKey)> =
-                    (0..n_groups).filter_map(|g| k.queues.head_of(g).map(|key| (g, key))).collect();
-                let Some(&(_, t_key)) = heads.iter().min_by_key(|&&(_, key)| key) else {
-                    break 'run if live_primary == 0 {
-                        Ok(())
-                    } else {
-                        Err(SimError::Deadlock { blocked: Self::blocked_procs(&k) })
-                    };
-                };
-                let horizon = t_key.0 + k.lookahead;
-                k.cur_horizon = horizon;
-                let active: Vec<(usize, EvKey)> =
-                    heads.into_iter().filter(|&(_, key)| key.0 < horizon).collect();
-                let solo = active.len() == 1;
-                k.exec.windows += 1;
-                k.exec.max_parallel_groups =
-                    k.exec.max_parallel_groups.max(active.len().min(threads) as u64);
-                let tracing = k.trace.is_some();
-                let mut window =
-                    spare.take().unwrap_or_else(|| WindowState::new(n_groups, horizon, tracing));
-                window.rearm(horizon, active.iter().map(|&(g, _)| g).collect(), solo);
-                if !solo {
-                    // Route the active groups' control traffic to the
-                    // worker pool before anything is dispatched.
-                    for &(g, _) in &active {
-                        window.routes[g] = Some(win_tx.clone());
-                    }
-                }
-                k.window = Some(window);
-                if !solo {
-                    // Solo windows never touch the arbiter: nothing else
-                    // runs, so there is nothing to order against and
-                    // `await_turn` short-circuits on the `multi` gate.
-                    sync.begin_window(&active);
-                }
-                (active, solo)
-            };
-            // Execute it.
-            let mut exits: Vec<(Pid, bool)> = Vec::new();
-            if solo {
-                // A lone runnable group: drive it inline, skipping the
-                // dispatch round trip. The barrier bought no parallelism.
-                let g = active[0].0;
-                self.kernel.lock().exec.barrier_stalls += 1;
-                self.drive_group_inline(g, &mut exits);
-            } else {
-                for &(g, _) in &active {
-                    win_tx.send(Ctrl::Adopt(g)).expect("worker pool vanished");
-                }
-                for _ in 0..active.len() {
-                    done_rx.recv().expect("worker pool vanished");
-                }
-            }
-            // Barrier: merge outboxes and traces, close the window. Only
-            // the active groups' slots can hold anything (inactive groups
-            // neither pop nor push during a window), and `active` is
-            // ascending, so the drain order matches the old full
-            // group-order sweep.
-            {
-                let mut k = self.kernel.lock();
-                let mut w = k.window.take().expect("window vanished at barrier");
-                let mut tagged: Vec<(EvKey, usize, TraceEntry)> = Vec::new();
-                for gi in 0..w.active.len() {
-                    let g = w.active[gi];
-                    w.routes[g] = None;
-                    // Exit order must not depend on worker scheduling: the
-                    // workers filed exits per group, collect them in group
-                    // order (matching the serial coordinator's observation
-                    // order at equal keys).
-                    exits.append(&mut w.exits[g]);
-                    for (key, kind) in w.outboxes[g].drain(..) {
-                        k.queues.insert_plain(key, kind);
-                    }
-                    if let Some(bufs) = &mut w.traces {
-                        // Serial interleaves groups in ascending *envelope*
-                        // order (see [`WindowSync`]), not raw key order:
-                        // tag each entry with its group's running max key
-                        // and in-group index, then sort. Envelope values
-                        // are globally unique keys, so ties only occur
-                        // within one group, where the index restores pop
-                        // order.
-                        let mut env = (SimTime::ZERO, 0u64, 0u64);
-                        for (idx, e) in bufs[g].drain(..).enumerate() {
-                            env = env.max((e.time, e.src, e.seq));
-                            tagged.push((env, idx, e));
-                        }
-                    }
-                }
-                if let Some(trace) = &mut k.trace {
-                    tagged.sort_by_key(|&(env, idx, _)| (env, idx));
-                    trace.extend(tagged.into_iter().map(|(_, _, e)| e));
-                }
-                k.end_time = k.end_time.max(w.max_time);
-                w.active.clear();
-                spare = Some(w);
-                if !solo {
-                    sync.end_window();
-                }
-            }
-            for (pid, panicked) in exits {
-                if let Some(end) = self.note_exit(pid, panicked, &mut live_primary) {
-                    break 'run end;
-                }
-            }
-            if live_primary == 0 {
-                // The run ends with the window the last exit fell into.
-                break 'run Ok(());
-            }
-        };
-        sync.enabled.store(false, Ordering::Release);
-        sync.end_window();
-        drop(win_tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        result
-    }
-
-    /// Drive one group's window from the coordinator thread (single-active
-    /// windows), using the global control channel as the route.
-    fn drive_group_inline(&mut self, g: usize, exits: &mut Vec<(Pid, bool)>) {
-        {
-            let mut k = self.kernel.lock();
-            let tx = self.ctrl_tx.clone();
-            k.window.as_mut().expect("window vanished").routes[g] = Some(tx);
-        }
-        'group: loop {
-            let outcome = self.kernel.lock().drain_window(g, None);
-            match outcome {
-                DrainOutcome::Empty => break 'group,
-                DrainOutcome::SelfResume { .. } => {
-                    unreachable!("the coordinator cannot resume itself")
-                }
-                // Duty is with one of the group's processes; exactly one
-                // continuation comes back per handoff — Idle (group done)
-                // or Exited (re-drain for the group's remaining events).
-                DrainOutcome::Handoff => {
-                    match self.ctrl_rx.recv().expect("all process threads vanished") {
-                        Ctrl::Idle(_) => break 'group,
+                    match self.ctrl_rx.recv().expect("the coordinator holds a sender") {
+                        Ctrl::Idle => {}
                         Ctrl::Exited(pid, panicked) => {
-                            self.kernel.lock().mark_exited(pid, panicked);
-                            exits.push((pid, panicked));
-                        }
-                        Ctrl::Yielded(_) => unreachable!("Yielded is never sent in window mode"),
-                        Ctrl::Adopt(_) => {
-                            unreachable!("Adopt is never sent on the global channel")
+                            let mut k = self.kernel.lock();
+                            let slot = &mut k.procs[pid];
+                            slot.status = Status::Exited;
+                            if panicked {
+                                let name = slot.name.clone();
+                                return Err(SimError::ProcessPanicked { pid, name });
+                            }
+                            live_primary -= usize::from(!slot.daemon);
+                            k.tail = live_primary == 0;
                         }
                     }
                 }
@@ -1469,83 +682,31 @@ impl<M: Send + 'static> Sim<M> {
         }
     }
 
-    /// Record a process exit. Returns `Some(final result)` when the run
-    /// must end right now (a panic), `None` to keep going — reaching zero
-    /// live primaries ends the run at the horizon/barrier, which the
-    /// callers check.
-    fn note_exit(
-        &mut self,
-        xpid: Pid,
-        panicked: bool,
-        live_primary: &mut usize,
-    ) -> Option<Result<(), SimError>> {
-        let mut k = self.kernel.lock();
-        k.mark_exited(xpid, panicked);
-        let slot = &k.procs[xpid];
-        if !slot.daemon {
-            *live_primary -= 1;
-        }
-        let name = slot.name.clone();
-        drop(k);
-        if panicked {
-            return Some(Err(SimError::ProcessPanicked { pid: xpid, name }));
-        }
-        None
-    }
-
-    fn blocked_procs(k: &Kernel<M>) -> Vec<(Pid, String)> {
-        k.procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.status != Status::Exited && !p.daemon)
-            .map(|(i, p)| (i, format!("{} ({:?})", p.name, p.status)))
-            .collect()
-    }
-
+    /// Post `Stop` to every process that has not exited and wait until each
+    /// has. All of them are blocked here (duty is with the coordinator);
+    /// once `stopping` is set a process that blocks again while unwinding
+    /// gets `Stopped` without parking.
     fn stop_remaining(&mut self) {
-        // Every remaining process is blocked (none can be Running here).
-        // Send Stop; a stopped process may yield a few more times while
-        // unwinding through nested calls, so keep answering Stop until it
-        // exits. Unwinding yields must go through the serial path — a
-        // stopping process must not pick duty back up.
-        let pending: Vec<Pid> = {
+        let cells: Vec<Arc<ResumeCell>> = {
             let mut k = self.kernel.lock();
-            k.mode = ExecMode::Serial;
-            k.window = None;
-            k.sync.enabled.store(false, Ordering::Release);
-            k.sync.end_window();
+            k.stopping = true;
             k.procs
                 .iter()
-                .enumerate()
-                .filter(|(_, p)| p.status != Status::Exited)
-                .map(|(i, _)| i)
+                .filter(|p| p.status != Status::Exited)
+                .map(|p| {
+                    p.resume.post(Resume::Stop);
+                    Arc::clone(&p.resume)
+                })
                 .collect()
         };
-        let mut outstanding = pending.len();
-        {
-            let k = self.kernel.lock();
-            for &pid in &pending {
-                let _ = k.procs[pid].resume_tx.send(Resume::Stop);
-            }
-        }
-        // Drain control messages until all stopped processes have exited.
-        let mut fuel: u64 = 1_000_000;
-        while outstanding > 0 && fuel > 0 {
-            fuel -= 1;
-            match self.ctrl_rx.recv() {
-                Ok(Ctrl::Exited(pid, panicked)) => {
-                    let mut k = self.kernel.lock();
-                    k.procs[pid].status = Status::Exited;
-                    k.procs[pid].panicked = panicked;
-                    outstanding -= 1;
-                }
-                Ok(Ctrl::Yielded(pid)) | Ok(Ctrl::Idle(pid)) => {
-                    // A stopping process yielded again; answer Stop again.
-                    let k = self.kernel.lock();
-                    let _ = k.procs[pid].resume_tx.send(Resume::Stop);
-                }
-                Ok(Ctrl::Adopt(_)) => {}
-                Err(_) => break,
+        cells.iter().for_each(|c| c.wake());
+        let mut outstanding = cells.len();
+        while outstanding > 0 {
+            if let Ctrl::Exited(pid, _) =
+                self.ctrl_rx.recv().expect("the coordinator holds a sender")
+            {
+                self.kernel.lock().procs[pid].status = Status::Exited;
+                outstanding -= 1;
             }
         }
     }
@@ -1564,132 +725,24 @@ impl<M: Send + 'static> Sim<M> {
     }
 }
 
-/// One window worker: pull runnable groups off the shared window channel
-/// — fresh adoptions from the coordinator and `Idle`/`Exited`
-/// continuations from duty-holding processes — drive each until it hands
-/// duty onward or completes its window, and report completions to the
-/// barrier.
-///
-/// Workers block **only** on the shared channel, never on a process: when
-/// `drain_window` hands duty to a process the worker simply moves on, and
-/// the process's continuation (routed back to this same channel) is picked
-/// up by whichever worker is free. This keeps every runnable group
-/// runnable even when other groups' processes are parked in
-/// [`WindowSync::await_turn`] — with per-group blocking workers, two
-/// parked duty processes waiting on a still-queued group would deadlock
-/// the window.
-fn worker_loop<M: Send + 'static>(
-    kernel: Arc<Mutex<Kernel<M>>>,
-    sync: Arc<WindowSync>,
-    win_rx: Receiver<Ctrl>,
-    done_tx: Sender<usize>,
-) {
-    while let Ok(msg) = win_rx.recv() {
-        let group = match msg {
-            Ctrl::Adopt(g) => g,
-            Ctrl::Idle(pid) => kernel.lock().group_of(pid),
-            Ctrl::Exited(pid, panicked) => {
-                let mut k = kernel.lock();
-                k.mark_exited(pid, panicked);
-                let g = k.group_of(pid);
-                if let Some(w) = &mut k.window {
-                    w.exits[g].push((pid, panicked));
-                }
-                g
-            }
-            Ctrl::Yielded(_) => unreachable!("Yielded is never sent in window mode"),
-        };
-        match kernel.lock().drain_window(group, None) {
-            DrainOutcome::Empty => {
-                sync.finish_group(group);
-                if done_tx.send(group).is_err() {
-                    return;
-                }
-            }
-            DrainOutcome::SelfResume { .. } => unreachable!("workers cannot resume themselves"),
-            // Duty is with one of the group's processes now; its Idle or
-            // Exited comes back through this channel. Move on.
-            DrainOutcome::Handoff => {}
-        }
-    }
-}
-
 impl<M: Send + 'static> Drop for Sim<M> {
     /// Stop and join any process threads still alive (covers simulations
     /// that are dropped without being run; after `run` this is a no-op).
     fn drop(&mut self) {
-        {
-            let mut k = self.kernel.lock();
-            k.mode = ExecMode::Serial;
-            k.window = None;
-            k.sync.enabled.store(false, Ordering::Release);
-            k.sync.end_window();
-            for p in &k.procs {
-                if p.status != Status::Exited {
-                    let _ = p.resume_tx.send(Resume::Stop);
-                }
-            }
-        }
-        // Answer any further yields from unwinding processes with Stop.
-        loop {
-            match self.ctrl_rx.try_recv() {
-                Ok(Ctrl::Yielded(pid)) | Ok(Ctrl::Idle(pid)) => {
-                    let k = self.kernel.lock();
-                    let _ = k.procs[pid].resume_tx.send(Resume::Stop);
-                }
-                Ok(Ctrl::Exited(..)) | Ok(Ctrl::Adopt(_)) => {}
-                Err(_) => {
-                    if self.threads.iter().all(|t| t.is_none()) {
-                        break;
-                    }
-                    // Join whatever we can; threads answered with Stop will
-                    // exit promptly.
-                    let mut progressed = false;
-                    for h in self.threads.iter_mut() {
-                        if let Some(handle) = h.take() {
-                            if handle.is_finished() {
-                                let _ = handle.join();
-                                progressed = true;
-                            } else {
-                                *h = Some(handle);
-                            }
-                        }
-                    }
-                    if !progressed {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
+        self.stop_remaining();
+        let _ = self.join_threads();
     }
 }
 
-/// Sends `Exited` (through the window route when one is active) when a
-/// process function returns or unwinds.
-struct ExitGuard<M: Send + 'static> {
+/// Sends `Exited` when a process thread finishes, whether its function
+/// returned, unwound, or was stopped before it ever started.
+struct ExitGuard {
     pid: Pid,
-    kernel: Arc<Mutex<Kernel<M>>>,
-    armed: bool,
+    ctrl_tx: Sender<Ctrl>,
 }
 
-impl<M: Send + 'static> ExitGuard<M> {
-    fn notify(&self, panicked: bool) {
-        // The unwinding frames released any kernel guard before this Drop
-        // runs, so taking the lock here is safe.
-        let tx = self.kernel.lock().ctrl_route(self.pid);
-        let _ = tx.send(Ctrl::Exited(self.pid, panicked));
-    }
-
-    fn disarm_and_exit(mut self) {
-        self.armed = false;
-        self.notify(false);
-    }
-}
-
-impl<M: Send + 'static> Drop for ExitGuard<M> {
+impl Drop for ExitGuard {
     fn drop(&mut self) {
-        if self.armed {
-            self.notify(true);
-        }
+        let _ = self.ctrl_tx.send(Ctrl::Exited(self.pid, std::thread::panicking()));
     }
 }

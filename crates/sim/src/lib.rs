@@ -32,10 +32,11 @@
 mod ctx;
 mod engine;
 mod error;
+mod resume;
 mod trace;
 
 pub use ctx::Ctx;
-pub use engine::{ExecCounters, HostExec, Sim, SimReport};
+pub use engine::{ExecCounters, Sim, SimReport};
 pub use error::SimError;
 pub use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};

@@ -1,0 +1,184 @@
+//! The duty-handoff engine seen from outside: runs repeat bit for bit
+//! (report and full kernel trace), the host-execution counters show who
+//! drove the kernel, and the run ends at the lookahead horizon the last
+//! primary exit fell into.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use repseq_sim::{Dur, Sim, SimReport, SimTime};
+
+const LOOKAHEAD: Dur = Dur::from_micros(10);
+
+/// A multi-group workload with real cross-group traffic and staggered
+/// compute: every node sends bursts to two neighbors with at least the
+/// lookahead of latency, while local follow-ups (receive checkpoints)
+/// create same-instant events.
+fn mesh_run() -> SimReport {
+    const N: usize = 8;
+    const ROUNDS: u64 = 20;
+    let mut sim = Sim::<u64>::new();
+    for i in 0..N {
+        let pid = sim.spawn(&format!("node{i}"), move |ctx| {
+            for k in 0..ROUNDS {
+                // Uneven compute so the groups' heads drift apart.
+                ctx.charge(Dur::from_nanos(300 + ((i as u64 * 7 + k * 13) % 11) * 170));
+                let jitter = Dur::from_nanos(((i as u64 * 31 + k * 17) % 7) * 250);
+                let at = ctx.now() + LOOKAHEAD + jitter;
+                ctx.send((i + 1) % N, i as u64 * 1_000 + k, at);
+                ctx.send((i + 3) % N, i as u64 * 1_000_000 + k, at + Dur::from_nanos(40));
+            }
+            let mut sum = 0u64;
+            for _ in 0..2 * ROUNDS {
+                sum = sum.wrapping_mul(31).wrapping_add(ctx.recv()?.msg);
+            }
+            // Fold the receive-order-sensitive checksum into the clock so
+            // any divergence shows up in the report, not just the trace.
+            ctx.charge(Dur::from_nanos(sum % 97));
+            Ok(())
+        });
+        sim.assign_group(pid, i);
+    }
+    sim.set_lookahead(LOOKAHEAD);
+    sim.record_trace(true);
+    sim.run().unwrap()
+}
+
+#[test]
+fn runs_repeat_bit_for_bit() {
+    let a = mesh_run();
+    for _ in 0..3 {
+        let b = mesh_run();
+        assert_eq!(a.end_time, b.end_time);
+        assert_eq!(a.events_processed, b.events_processed);
+        assert_eq!(a.proc_clocks, b.proc_clocks);
+        assert_eq!(a.mailbox_backlog, b.mailbox_backlog);
+        let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
+        assert!(!ta.is_empty());
+        if let Some(d) = repseq_sim::first_divergence(ta, tb) {
+            panic!("traces diverged at {d:?}");
+        }
+        // Who holds duty at each pop follows from the pop order alone, so
+        // even the host-side counters repeat.
+        assert_eq!(a.exec, b.exec);
+    }
+}
+
+#[test]
+fn a_ring_is_one_chain_of_direct_duty_transfers() {
+    const RING: usize = 6;
+    // The token reaches zero at ring0 (hop 42 of a ring of 6), which ends
+    // the run.
+    const HOPS: u32 = 41;
+    let mut sim = Sim::<u32>::new();
+    for i in 0..RING {
+        let next = (i + 1) % RING;
+        let body = move |ctx: repseq_sim::Ctx<u32>| -> Result<(), repseq_sim::Stopped> {
+            if i == 0 {
+                ctx.send(next, HOPS, ctx.now() + Dur::from_micros(2));
+            }
+            loop {
+                let env = ctx.recv()?;
+                if env.msg == 0 {
+                    return Ok(());
+                }
+                ctx.charge(Dur::from_micros(1));
+                ctx.send(next, env.msg - 1, ctx.now() + Dur::from_micros(2));
+            }
+        };
+        if i == 0 {
+            sim.spawn("ring0", body);
+        } else {
+            sim.spawn_daemon(&format!("ring{i}"), body);
+        }
+    }
+    let report = sim.run().unwrap();
+    // Every hop delivery resumes the next process from the previous one's
+    // yield…
+    assert!(report.exec.handoff_switches >= u64::from(HOPS), "{:?}", report.exec);
+    // …and each hop's checkpoint wake (Polling → Waiting) is consumed
+    // inline by whoever holds duty.
+    assert!(report.exec.inline_events >= u64::from(HOPS), "{:?}", report.exec);
+    assert!(report.exec.windows >= report.exec.handoff_switches, "{:?}", report.exec);
+}
+
+#[test]
+fn queued_runs_sprint_past_the_merge_index() {
+    // Several deliveries queued for one process: after the first pop, the
+    // rest of the run is served from the group queue's deferred head
+    // without touching the merge heap.
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("burst-sender", |ctx| {
+        for i in 0..8u32 {
+            ctx.send(1, i, ctx.now() + Dur::from_micros(10 + u64::from(i)));
+        }
+        Ok(())
+    });
+    sim.spawn("burst-receiver", |ctx| {
+        for expect in 0..8u32 {
+            assert_eq!(ctx.recv()?.msg, expect);
+        }
+        Ok(())
+    });
+    let report = sim.run().unwrap();
+    assert!(report.exec.sprint_pops >= 8, "burst run should sprint: {:?}", report.exec);
+}
+
+#[test]
+fn self_resume_needs_no_duty_transfer() {
+    // A lone process sleeping repeatedly: every wake is a self-resume for
+    // the duty holder — the run needs exactly one duty transfer (startup).
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("loner", |ctx| {
+        for _ in 0..10 {
+            ctx.sleep(Dur::from_micros(1))?;
+        }
+        Ok(())
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(report.exec.handoff_switches, 1, "{:?}", report.exec);
+    assert_eq!(report.exec.self_continues, 10, "{:?}", report.exec);
+}
+
+/// One node: a primary that wakes at 100 µs (that pop opens the lookahead
+/// window [100, 110) µs), queues two local deliveries for its daemon — at
+/// 105 µs and at 115 µs — and exits. Returns how many the daemon saw.
+fn tail_run(lookahead: Option<Dur>) -> (u64, SimReport) {
+    let seen = Arc::new(AtomicU64::new(0));
+    let seen2 = Arc::clone(&seen);
+    let mut sim = Sim::<u32>::new();
+    let d = sim.spawn_daemon("daemon", move |ctx| {
+        while ctx.recv().is_ok() {
+            seen2.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(())
+    });
+    let p = sim.spawn("primary", move |ctx| {
+        ctx.sleep(Dur::from_micros(100))?;
+        ctx.send(d, 1, SimTime::from_nanos(105_000));
+        ctx.send(d, 2, SimTime::from_nanos(115_000));
+        Ok(())
+    });
+    if let Some(l) = lookahead {
+        sim.assign_group(d, 0);
+        sim.assign_group(p, 0);
+        sim.set_lookahead(l);
+    }
+    let report = sim.run().unwrap();
+    (seen.load(Ordering::SeqCst), report)
+}
+
+#[test]
+fn the_run_ends_at_the_horizon_the_last_exit_fell_into() {
+    // Grouped with a lookahead: the window the exit fell into is finished,
+    // nothing beyond it runs.
+    let (seen, report) = tail_run(Some(LOOKAHEAD));
+    assert_eq!(seen, 1, "the 105 µs delivery is inside the window, the 115 µs one is not");
+    assert_eq!(report.end_time, SimTime::from_nanos(105_000));
+    assert!(report.mailbox_backlog.is_empty(), "{:?}", report.mailbox_backlog);
+    // No groups, no lookahead: the horizon is degenerate and the run stops
+    // at the exit.
+    let (seen, report) = tail_run(None);
+    assert_eq!(seen, 0);
+    assert_eq!(report.end_time, SimTime::from_nanos(100_000));
+}

@@ -1,7 +1,7 @@
 //! `Ctx::recv_timeout(Dur::ZERO)` must behave *exactly* like
 //! `Ctx::try_recv` under the mailbox fast path: the same envelope at the
-//! same virtual time, no extra checkpoint event in the kernel trace — in
-//! both the serial coordinator loop and the duty-handoff exec mode.
+//! same virtual time, no extra checkpoint event in the kernel trace —
+//! ungrouped and with one group per process.
 
 use std::sync::{Arc, Mutex};
 
@@ -10,7 +10,7 @@ use repseq_sim::{Dur, Sim, SimReport};
 /// Drive a producer/poller pair where the poller drains its mailbox with
 /// either `recv_timeout(Dur::ZERO)` or `try_recv`, logging every poll
 /// outcome with its virtual time. The two variants must be bit-identical.
-fn poll_run(zero_timeout: bool, handoff: bool) -> (SimReport, Vec<String>) {
+fn poll_run(zero_timeout: bool, grouped: bool) -> (SimReport, Vec<String>) {
     let log = Arc::new(Mutex::new(Vec::new()));
     let log2 = Arc::clone(&log);
     let mut sim = Sim::<u32>::new();
@@ -46,8 +46,8 @@ fn poll_run(zero_timeout: bool, handoff: bool) -> (SimReport, Vec<String>) {
         }
         Ok(())
     });
-    if handoff {
-        sim.set_parallel(2, Dur::from_micros(1));
+    if grouped {
+        sim.set_lookahead(Dur::from_micros(1));
         sim.assign_group(0, 0);
         sim.assign_group(1, 1);
     }
@@ -56,10 +56,10 @@ fn poll_run(zero_timeout: bool, handoff: bool) -> (SimReport, Vec<String>) {
     (report, log)
 }
 
-fn assert_identical(handoff: bool) {
-    let (r_try, log_try) = poll_run(false, handoff);
-    let (r_zero, log_zero) = poll_run(true, handoff);
-    assert_eq!(log_try, log_zero, "poll outcomes must match (handoff={handoff})");
+fn assert_identical(grouped: bool) {
+    let (r_try, log_try) = poll_run(false, grouped);
+    let (r_zero, log_zero) = poll_run(true, grouped);
+    assert_eq!(log_try, log_zero, "poll outcomes must match (grouped={grouped})");
     // The poller observed both empty polls and queued-message pops.
     assert!(log_try.iter().any(|l| l.contains("empty")), "{log_try:?}");
     assert!(log_try.iter().any(|l| l.contains("got")), "{log_try:?}");
@@ -68,16 +68,16 @@ fn assert_identical(handoff: bool) {
     // No extra checkpoint event for the zero-timeout variant: identical
     // event count and identical kernel pop order.
     assert_eq!(r_try.events_processed, r_zero.events_processed);
-    assert_eq!(r_try.trace, r_zero.trace, "kernel traces must match (handoff={handoff})");
+    assert_eq!(r_try.trace, r_zero.trace, "kernel traces must match (grouped={grouped})");
 }
 
 #[test]
-fn recv_timeout_zero_equals_try_recv_serial() {
+fn recv_timeout_zero_equals_try_recv_ungrouped() {
     assert_identical(false);
 }
 
 #[test]
-fn recv_timeout_zero_equals_try_recv_handoff() {
+fn recv_timeout_zero_equals_try_recv_grouped() {
     assert_identical(true);
 }
 
@@ -85,30 +85,23 @@ fn recv_timeout_zero_equals_try_recv_handoff() {
 /// `recv_timeout(Dur::ZERO)` through the same fast path as `try_recv`:
 /// same envelope, and virtual time does not move.
 #[test]
-fn queued_message_pops_at_current_time_in_both_modes() {
-    for handoff in [false, true] {
-        for zero_timeout in [false, true] {
-            let mut sim = Sim::<u32>::new();
-            sim.spawn("producer", |ctx| {
-                ctx.send(1, 7, ctx.now() + Dur::from_micros(1));
-                Ok(())
-            });
-            sim.spawn("consumer", move |ctx| {
-                ctx.sleep(Dur::from_micros(5))?;
-                let before = ctx.now();
-                let env = if zero_timeout { ctx.recv_timeout(Dur::ZERO)? } else { ctx.try_recv()? }
-                    .expect("message was already due");
-                assert_eq!(env.msg, 7);
-                assert_eq!(env.from, 0);
-                assert_eq!(ctx.now(), before, "popping a queued message must not advance time");
-                Ok(())
-            });
-            if handoff {
-                sim.set_parallel(2, Dur::from_micros(1));
-                sim.assign_group(0, 0);
-                sim.assign_group(1, 1);
-            }
-            sim.run().unwrap();
-        }
+fn queued_message_pops_at_current_time() {
+    for zero_timeout in [false, true] {
+        let mut sim = Sim::<u32>::new();
+        sim.spawn("producer", |ctx| {
+            ctx.send(1, 7, ctx.now() + Dur::from_micros(1));
+            Ok(())
+        });
+        sim.spawn("consumer", move |ctx| {
+            ctx.sleep(Dur::from_micros(5))?;
+            let before = ctx.now();
+            let env = if zero_timeout { ctx.recv_timeout(Dur::ZERO)? } else { ctx.try_recv()? }
+                .expect("message was already due");
+            assert_eq!(env.msg, 7);
+            assert_eq!(env.from, 0);
+            assert_eq!(ctx.now(), before, "popping a queued message must not advance time");
+            Ok(())
+        });
+        sim.run().unwrap();
     }
 }

@@ -3,10 +3,9 @@
 //! order — `(time, src_group, seq)`, where `src_group` is the scheduling
 //! group of the pushing process and `seq` comes from that group's private
 //! counter. The key is assigned at push from state only the pusher's own
-//! (serialized) execution touches, so it is identical in every host
-//! execution mode — including the window-parallel mode, where worker
-//! threads race in wall-clock time but never in key space. This invariant
-//! is pinned here independently of the engine's internal queue layout.
+//! execution touches, so it never depends on which host thread happened to
+//! hold duty. This invariant is pinned here independently of the engine's
+//! internal queue layout.
 
 use std::sync::Arc;
 
@@ -51,6 +50,45 @@ fn colliding_deliveries_from_multiple_sources_drain_in_seq_order() {
         vec![0, 1, 10, 11, 20, 21],
         "drain order must follow the (time, src_group, seq) tiebreak"
     );
+}
+
+/// The same collision with explicitly assigned groups: two sources in
+/// *different* groups each push a burst that lands at one virtual instant
+/// on a third-group receiver. The pops follow `(time, src_group, seq)` —
+/// by source group in group-id order, each burst in its push order —
+/// whatever the pid order and whoever executed its sends first.
+#[test]
+fn cross_group_ties_break_by_assigned_group_not_by_send_time() {
+    let collide_at = SimTime::from_nanos(40_000);
+    let mut sim = Sim::<u32>::new();
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let got2 = Arc::clone(&got);
+    let rx = sim.spawn("rx", move |ctx| {
+        for _ in 0..4 {
+            got2.lock().push(ctx.recv()?.msg);
+        }
+        Ok(())
+    });
+    let tx_a = sim.spawn("tx_a", move |ctx| {
+        ctx.sleep(Dur::from_micros(1))?;
+        ctx.send(0, 10, collide_at);
+        ctx.send(0, 11, collide_at);
+        Ok(())
+    });
+    let tx_b = sim.spawn("tx_b", move |ctx| {
+        ctx.sleep(Dur::from_micros(5))?;
+        ctx.send(0, 20, collide_at);
+        ctx.send(0, 21, collide_at);
+        Ok(())
+    });
+    // tx_b has the higher pid and sends later, but the lower group: its
+    // burst pops first.
+    sim.assign_group(rx, 0);
+    sim.assign_group(tx_a, 2);
+    sim.assign_group(tx_b, 1);
+    sim.set_lookahead(Dur::from_micros(10));
+    sim.run().unwrap();
+    assert_eq!(*got.lock(), vec![20, 21, 10, 11], "(time, src_group, seq) tiebreak");
 }
 
 /// Same collision, but one copy of the receiver is *busy* past the instant

@@ -63,12 +63,4 @@ pub trait SubstrateCtx<M> {
 
     /// Take an already-delivered message, never blocking.
     fn try_recv(&self) -> Result<Option<Envelope<M>>, Stopped>;
-
-    /// Run `f` in global event order. Only meaningful under the
-    /// simulator's window-parallel host execution, where cross-process
-    /// shared-state updates must happen in deterministic order; every
-    /// other backend just calls `f`.
-    fn ordered<R>(&self, f: impl FnOnce() -> R) -> R {
-        f()
-    }
 }
