@@ -71,8 +71,9 @@ fn native_artifact_records_the_des_gated_comparison() {
     }
 }
 
-/// The committed event-engine artifact must be at the v4 schema: one row
-/// per cluster size with the engine's throughput and duty counters.
+/// The committed event-engine artifact must be at the v5 schema: one row
+/// per cluster size with the engine's throughput and duty counters,
+/// reactor runs included.
 #[test]
 fn host_artifact_records_the_event_engine() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -80,15 +81,16 @@ fn host_artifact_records_the_event_engine() {
         .expect("BENCH_host.json must be committed");
     for key in [
         "\"bench\": \"event_engine\"",
-        "\"schema_version\": 4",
+        "\"schema_version\": 5",
         "\"host_cpus\":",
         "\"nodes\": 256",
         "\"events_per_sec\":",
         "\"handoff_switches\":",
+        "\"reactor_runs\":",
         "\"inline_events\":",
         "\"sprint_pops\":",
     ] {
-        assert!(host.contains(key), "BENCH_host.json v4 must record {key}");
+        assert!(host.contains(key), "BENCH_host.json v5 must record {key}");
     }
 }
 

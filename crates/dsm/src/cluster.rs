@@ -1,5 +1,7 @@
 //! Cluster construction: allocate and preload the shared heap, then launch
-//! one application process and one protocol-handler process per node.
+//! one application process and one protocol handler per node — on the
+//! simulator an application thread plus a handler *reactor* (no thread),
+//! natively two threads.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,7 +13,7 @@ use repseq_sim::{Sim, SimError, SimReport, Stopped};
 use repseq_stats::StatsRef;
 
 use crate::config::DsmConfig;
-use crate::handler::handler_main;
+use crate::handler::Handler;
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
 use crate::pod::Pod;
@@ -197,9 +199,10 @@ impl Cluster {
         }
     }
 
-    /// Launch the cluster: one handler daemon and one application process
-    /// per node (`apps[0]` is the master program), and run the simulation
-    /// to completion.
+    /// Launch the cluster: one handler and one application process per
+    /// node (`apps[0]` is the master program), and run to completion. On
+    /// the simulator that is `n` process threads plus the coordinator: the
+    /// handlers are reactors.
     pub fn launch(self, apps: Vec<AppFn>) -> Result<SimReport, SimError> {
         self.launch_inspect(apps).result
     }
@@ -227,13 +230,7 @@ impl Cluster {
                 Arc::new(Mutex::new(st))
             })
             .collect();
-        let topo = Arc::new(Topology {
-            n,
-            app_pids: (n..2 * n).collect(),
-            handler_pids: (0..n).collect(),
-            stats: Arc::clone(&self.stats),
-            race: self.race.clone(),
-        });
+        let topo = Arc::new(Topology::new(n, Arc::clone(&self.stats), self.race.clone()));
 
         let result = match self.cfg.backend {
             Backend::Sim => Self::run_sim(&self.cfg, self.record_trace, &net, &states, &topo, apps),
@@ -256,14 +253,11 @@ impl Cluster {
         let n = cfg.nodes;
         let mut sim = Sim::<DsmMsg>::new();
         sim.record_trace(record_trace);
-        // Handlers first: pids 0..n-1.
+        // Handlers first: pids 0..n-1. Reactors, not threads — a request
+        // is served on the stack of whichever application holds duty.
         for (i, state) in states.iter().enumerate() {
-            let nic = net.nic(i);
-            let st = Arc::clone(state);
-            let topo2 = Arc::clone(topo);
-            let pid = sim.spawn_daemon(&format!("handler{i}"), move |ctx| {
-                handler_main(NodeCtx::Sim(ctx), nic, st, topo2)
-            });
+            let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(topo));
+            let pid = sim.spawn_reactor(&format!("handler{i}"), handler);
             assert_eq!(pid, topo.handler_pids[i]);
         }
         // Applications: pids n..2n-1.
@@ -292,10 +286,11 @@ impl Cluster {
     }
 
     /// The native launch path: the same processes, pid layout and names as
-    /// [`Cluster::run_sim`], but each on a real OS thread with wall-clock
-    /// time. The network object still routes frames and counts statistics;
-    /// its computed delivery times are accounting only (messages arrive as
-    /// soon as the receiver looks). Traces do not apply.
+    /// [`Cluster::run_sim`], but each — handlers included — on a real OS
+    /// thread with wall-clock time. The network object still routes frames
+    /// and counts statistics; its computed delivery times are accounting
+    /// only (messages arrive as soon as the receiver looks). Traces do not
+    /// apply.
     fn run_native(
         cfg: &ClusterConfig,
         net: &Arc<Network>,
@@ -306,11 +301,18 @@ impl Cluster {
         let mut nat = Native::<DsmMsg>::new();
         // Handlers first: pids 0..n-1, exactly as on the simulator.
         for (i, state) in states.iter().enumerate() {
-            let nic = net.nic(i);
-            let st = Arc::clone(state);
-            let topo2 = Arc::clone(topo);
-            let pid = nat.spawn_daemon(&format!("handler{i}"), move |ctx| {
-                handler_main(NodeCtx::Native(ctx), nic, st, topo2)
+            let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(topo));
+            // No duty holder here to run a reactor on: a thread of its own
+            // does the waiting and calls the same three methods.
+            let pid = nat.spawn_daemon(&format!("handler{i}"), move |ctx| loop {
+                let env = match handler.wait() {
+                    Some(t) => ctx.recv_timeout(t)?,
+                    None => Some(ctx.recv()?),
+                };
+                match env {
+                    Some(env) => handler.on_msg(&ctx, env),
+                    None => handler.on_timeout(&ctx),
+                }
             });
             assert_eq!(pid, topo.handler_pids[i]);
         }

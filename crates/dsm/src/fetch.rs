@@ -218,9 +218,7 @@ impl DsmNode {
                         // the id, proves it cannot answer this fetch. Absorb
                         // it like any other stale duplicate instead of
                         // killing the node.
-                        let Some(owner) =
-                            self.topo.handler_pids.iter().position(|&h| h == env.from)
-                        else {
+                        let Some(owner) = self.topo.node_of_handler(env.from) else {
                             self.topo.stats.on_stale_reply(node);
                             continue;
                         };

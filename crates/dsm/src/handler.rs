@@ -1,68 +1,99 @@
-//! The per-node protocol handler process.
+//! The per-node protocol handler.
 //!
-//! TreadMarks serves remote requests in a signal handler on the
-//! application processor; here each node runs a dedicated handler process
-//! that serves requests serially and shares the node's transmit link with
-//! the application — the two ingredients of the contention behaviour §3
-//! describes. The handler also implements the barrier manager (node 0),
-//! the lock managers, and the receive side of the replicated-section
-//! multicast protocol.
+//! TreadMarks serves remote requests in a SIGIO handler on the application
+//! processor, run to completion. [`Handler`] is written the same way —
+//! "upon receive, do": [`wait`](Handler::wait) says how long it will wait,
+//! [`on_msg`](Handler::on_msg) and [`on_timeout`](Handler::on_timeout)
+//! serve one event each and return. It serves requests serially, its
+//! `charge`s keep it busy in virtual time so requests queue behind it, and
+//! it shares the node's transmit link with the application — the
+//! ingredients of the contention behaviour §3 describes. It also implements
+//! the barrier manager (node 0), the lock managers, and the receive side of
+//! the replicated-section multicast protocol.
+//!
+//! One body, two drivers. On the simulator the handler is a
+//! [`Reactor`]: no OS thread, its callbacks run on whichever application
+//! thread holds duty when a request arrives — the closer model of the
+//! signal handler, and half the host switches. On the native backend,
+//! where there is no duty holder to borrow a stack from,
+//! `Cluster::run_native` drives the same three methods from a receive loop
+//! on a thread of its own. Either way the body sees only a [`SendCtx`] —
+//! nothing in this file can name `recv`, `recv_timeout` or `sleep`, so "a
+//! handler never blocks" is checked by the compiler.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_net::Nic;
-use repseq_sim::Stopped;
+use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx};
 use repseq_stats::MsgClass;
 
 use crate::msg::DsmMsg;
 use crate::runtime::Topology;
 use crate::state::NodeState;
 use crate::strategy::chain;
-use crate::substrate::NodeCtx;
 use crate::sync::{holder_logic, LockAction};
 
-pub(crate) fn handler_main(
-    ctx: NodeCtx,
+/// One node's protocol handler (see the module docs).
+pub(crate) struct Handler {
     nic: Nic,
     st: Arc<Mutex<NodeState>>,
     topo: Arc<Topology>,
-) -> Result<(), Stopped> {
-    let node = nic.node();
-    let n = topo.n;
-    loop {
-        // While a forwarded multicast request is in flight, the master
-        // handler arms a timeout so a lost frame cannot wedge the queue
-        // forever (the requester recovers independently, §5.4.2).
-        let env = {
-            let stall_guard = node == 0 && st.lock().rse.mcast_inflight.is_some();
-            if stall_guard {
-                let t = st.lock().cfg.rse_timeout * 4;
-                match ctx.recv_timeout(t)? {
-                    Some(e) => e,
-                    None => {
-                        let next = {
-                            let mut s = st.lock();
-                            s.rse.mcast_inflight = None;
-                            chain::master_try_start(&mut s)
-                        };
-                        if let Some(msg) = next {
-                            chain::multicast_to_handlers(
-                                &nic,
-                                &ctx,
-                                &topo,
-                                MsgClass::ForwardedRequest,
-                                msg,
-                            );
-                        }
-                        continue;
-                    }
-                }
-            } else {
-                ctx.recv()?
-            }
-        };
+}
 
+impl Reactor<DsmMsg> for Handler {
+    fn wait(&mut self) -> Option<Dur> {
+        Handler::wait(self)
+    }
+
+    fn on_msg(&mut self, ctx: &ReactorCtx<'_, DsmMsg>, env: Envelope<DsmMsg>) {
+        Handler::on_msg(self, ctx, env)
+    }
+
+    fn on_timeout(&mut self, ctx: &ReactorCtx<'_, DsmMsg>) {
+        Handler::on_timeout(self, ctx)
+    }
+}
+
+impl Handler {
+    pub(crate) fn new(nic: Nic, st: Arc<Mutex<NodeState>>, topo: Arc<Topology>) -> Handler {
+        Handler { nic, st, topo }
+    }
+
+    /// How long the next wait may last. While a forwarded multicast
+    /// request is in flight, the master handler bounds it so a lost frame
+    /// cannot wedge the queue forever (the requester recovers
+    /// independently, §5.4.2).
+    pub(crate) fn wait(&self) -> Option<Dur> {
+        if self.nic.node() != 0 {
+            return None;
+        }
+        let s = self.st.lock();
+        s.rse.mcast_inflight.is_some().then(|| s.cfg.rse_timeout * 4)
+    }
+
+    /// The stall guard fired: give up on the in-flight request and start
+    /// the next queued one.
+    pub(crate) fn on_timeout(&self, ctx: &impl SendCtx<DsmMsg>) {
+        let next = {
+            let mut s = self.st.lock();
+            s.rse.mcast_inflight = None;
+            chain::master_try_start(&mut s)
+        };
+        if let Some(msg) = next {
+            self.multicast(ctx, MsgClass::ForwardedRequest, msg);
+        }
+    }
+
+    fn multicast(&self, ctx: &impl SendCtx<DsmMsg>, class: MsgClass, msg: DsmMsg) {
+        chain::multicast_to_handlers(&self.nic, ctx, &self.topo, class, msg);
+    }
+
+    /// Serve one request, to completion.
+    pub(crate) fn on_msg(&self, ctx: &impl SendCtx<DsmMsg>, env: Envelope<DsmMsg>) {
+        let Handler { nic, st, topo } = self;
+        let node = nic.node();
+        let n = topo.n;
         match env.msg {
             // ---- demand diff fetching ----
             DsmMsg::DiffRequest { page, ivxs, reply_to, req_id } => {
@@ -73,10 +104,11 @@ pub(crate) fn handler_main(
                     (service, cost, diffs)
                 };
                 ctx.charge(service + cost);
-                let dst_node = node_of_app(&topo, reply_to);
+                let dst_node =
+                    topo.node_of_app(reply_to).expect("reply target is not an application process");
                 let reply = DsmMsg::DiffReply { page, diffs, req_id };
                 let size = reply.wire_size();
-                nic.unicast(&ctx, dst_node, reply_to, MsgClass::DiffReply, size, reply);
+                nic.unicast(ctx, dst_node, reply_to, MsgClass::DiffReply, size, reply);
             }
 
             // ---- barrier manager (node 0) ----
@@ -108,9 +140,9 @@ pub(crate) fn handler_main(
                     for (q, pid, msg) in departures {
                         let size = msg.wire_size();
                         if q == 0 {
-                            nic.local(&ctx, pid, msg);
+                            nic.local(ctx, pid, msg);
                         } else {
-                            nic.unicast(&ctx, q, pid, MsgClass::Sync, size, msg);
+                            nic.unicast(ctx, q, pid, MsgClass::Sync, size, msg);
                         }
                     }
                 }
@@ -148,7 +180,7 @@ pub(crate) fn handler_main(
                         let msg = DsmMsg::LockAcquire { lock, from, vc, reply_to, forwarded: true };
                         let size = msg.wire_size();
                         nic.unicast(
-                            &ctx,
+                            ctx,
                             target,
                             topo.handler_pids[target],
                             MsgClass::Lock,
@@ -159,8 +191,10 @@ pub(crate) fn handler_main(
                     LockAction::Grant { records, vc } => {
                         let msg = DsmMsg::LockGrant { lock, records, vc };
                         let size = msg.wire_size();
-                        let dst_node = node_of_app(&topo, reply_to);
-                        nic.unicast(&ctx, dst_node, reply_to, MsgClass::Lock, size, msg);
+                        let dst_node = topo
+                            .node_of_app(reply_to)
+                            .expect("reply target is not an application process");
+                        nic.unicast(ctx, dst_node, reply_to, MsgClass::Lock, size, msg);
                     }
                 }
             }
@@ -174,13 +208,7 @@ pub(crate) fn handler_main(
                     chain::master_enqueue(&mut s, page, wanted, requester, epoch)
                 };
                 if let Some(msg) = fwd {
-                    chain::multicast_to_handlers(
-                        &nic,
-                        &ctx,
-                        &topo,
-                        MsgClass::ForwardedRequest,
-                        msg,
-                    );
+                    self.multicast(ctx, MsgClass::ForwardedRequest, msg);
                 }
             }
             DsmMsg::McastForward { page, wanted, requester, req_seq } => {
@@ -195,14 +223,14 @@ pub(crate) fn handler_main(
                         DsmMsg::McastNullAck { .. } => MsgClass::NullAck,
                         _ => MsgClass::DiffReply,
                     };
-                    chain::multicast_to_handlers(&nic, &ctx, &topo, class, msg);
+                    self.multicast(ctx, class, msg);
                 }
             }
             DsmMsg::McastDiffReply { page, diffs, turn, req_seq } => {
-                handle_chain_step(&ctx, &nic, &st, &topo, Some((page, diffs)), turn, req_seq);
+                self.handle_chain_step(ctx, Some((page, diffs)), turn, req_seq);
             }
             DsmMsg::McastNullAck { page: _, turn, req_seq } => {
-                handle_chain_step(&ctx, &nic, &st, &topo, None, turn, req_seq);
+                self.handle_chain_step(ctx, None, turn, req_seq);
             }
             DsmMsg::RecoveryRequest { page, ivxs, requester: _, reply_mcast } => {
                 let served = {
@@ -227,7 +255,7 @@ pub(crate) fn handler_main(
                 debug_assert!(reply_mcast, "recovery replies are always multicast (§5.4.2)");
                 if let Some((msg, cost)) = served {
                     ctx.charge(cost);
-                    chain::multicast_to_handlers(&nic, &ctx, &topo, MsgClass::DiffReply, msg);
+                    self.multicast(ctx, MsgClass::DiffReply, msg);
                 }
             }
 
@@ -271,72 +299,64 @@ pub(crate) fn handler_main(
             other => panic!("handler {node}: unexpected {}", other.kind()),
         }
     }
-}
 
-/// Shared handling for both chain step messages (diff replies and null
-/// acks): incorporate diffs, advance the chain, take our own turn, and at
-/// the master start the next queued request when a chain completes.
-fn handle_chain_step(
-    ctx: &NodeCtx,
-    nic: &Nic,
-    st: &Arc<Mutex<NodeState>>,
-    topo: &Arc<Topology>,
-    diffs: Option<(crate::interval::PageId, Vec<crate::page::DiffEntry>)>,
-    turn: usize,
-    req_seq: u64,
-) {
-    let node = nic.node();
-    let mut to_multicast: Option<(DsmMsg, MsgClass)> = None;
-    let mut wake: Option<crate::interval::PageId> = None;
-    {
-        let mut s = st.lock();
-        ctx.charge(s.cfg.service_overhead);
-        if let Some((page, diffs)) = &diffs {
-            let (cost, w) = chain::incorporate_diffs(&mut s, *page, diffs);
-            ctx.charge(cost);
-            wake = w;
-        }
-        if req_seq != chain::OOB_SEQ {
-            let done = chain::advance_chain(&mut s, req_seq, turn);
-            if done {
-                if node == 0 {
-                    s.rse.mcast_inflight = None;
-                    if let Some(msg) = chain::master_try_start(&mut s) {
-                        to_multicast = Some((msg, MsgClass::ForwardedRequest));
+    /// Shared handling for both chain step messages (diff replies and null
+    /// acks): incorporate diffs, advance the chain, take our own turn, and
+    /// at the master start the next queued request when a chain completes.
+    fn handle_chain_step(
+        &self,
+        ctx: &impl SendCtx<DsmMsg>,
+        diffs: Option<(crate::interval::PageId, Vec<crate::page::DiffEntry>)>,
+        turn: usize,
+        req_seq: u64,
+    ) {
+        let node = self.nic.node();
+        let mut to_multicast: Option<(DsmMsg, MsgClass)> = None;
+        let mut wake: Option<crate::interval::PageId> = None;
+        {
+            let mut s = self.st.lock();
+            ctx.charge(s.cfg.service_overhead);
+            if let Some((page, diffs)) = &diffs {
+                let (cost, w) = chain::incorporate_diffs(&mut s, *page, diffs);
+                ctx.charge(cost);
+                wake = w;
+            }
+            if req_seq != chain::OOB_SEQ {
+                let done = chain::advance_chain(&mut s, req_seq, turn);
+                if done {
+                    if node == 0 {
+                        s.rse.mcast_inflight = None;
+                        if let Some(msg) = chain::master_try_start(&mut s) {
+                            to_multicast = Some((msg, MsgClass::ForwardedRequest));
+                        }
+                    }
+                } else if let Some((msg, cost)) = chain::take_turn(&mut s, req_seq) {
+                    ctx.charge(cost);
+                    let class = match &msg {
+                        DsmMsg::McastNullAck { .. } => MsgClass::NullAck,
+                        _ => MsgClass::DiffReply,
+                    };
+                    to_multicast = Some((msg, class));
+                }
+            } else if wake.is_none() {
+                // Out-of-band recovery reply that did not complete our
+                // copy: a waiting application must still be woken so it
+                // re-evaluates its fetch plan immediately — it may now
+                // recover more, and what is still missing gets
+                // re-requested — instead of sleeping out a full extra
+                // `rse_timeout`.
+                if let Some((page, _)) = &diffs {
+                    if s.rse.waiting_page == Some(*page) {
+                        wake = Some(*page);
                     }
                 }
-            } else if let Some((msg, cost)) = chain::take_turn(&mut s, req_seq) {
-                ctx.charge(cost);
-                let class = match &msg {
-                    DsmMsg::McastNullAck { .. } => MsgClass::NullAck,
-                    _ => MsgClass::DiffReply,
-                };
-                to_multicast = Some((msg, class));
-            }
-        } else if wake.is_none() {
-            // Out-of-band recovery reply that did not complete our copy:
-            // a waiting application must still be woken so it re-evaluates
-            // its fetch plan immediately — it may now recover more, and
-            // what is still missing gets re-requested — instead of
-            // sleeping out a full extra `rse_timeout`.
-            if let Some((page, _)) = &diffs {
-                if s.rse.waiting_page == Some(*page) {
-                    wake = Some(*page);
-                }
             }
         }
+        if let Some(page) = wake {
+            self.nic.local(ctx, self.topo.app_pids[node], DsmMsg::WakePage { page });
+        }
+        if let Some((msg, class)) = to_multicast {
+            self.multicast(ctx, class, msg);
+        }
     }
-    if let Some(page) = wake {
-        nic.local(ctx, topo.app_pids[node], DsmMsg::WakePage { page });
-    }
-    if let Some((msg, class)) = to_multicast {
-        chain::multicast_to_handlers(nic, ctx, topo, class, msg);
-    }
-}
-
-fn node_of_app(topo: &Topology, pid: repseq_sim::Pid) -> usize {
-    topo.app_pids
-        .iter()
-        .position(|&p| p == pid)
-        .expect("reply target is not an application process")
 }

@@ -104,7 +104,9 @@ impl Tlb {
     }
 }
 
-/// Cluster wiring shared by every process: which kernel pid is which.
+/// Cluster wiring shared by every process: which kernel pid is which. The
+/// layout is fixed — handlers take pids `0..n`, applications `n..2n`, on
+/// both backends — so node ↔ pid is arithmetic in either direction.
 pub(crate) struct Topology {
     pub n: usize,
     /// Application process of each node.
@@ -117,6 +119,20 @@ pub(crate) struct Topology {
 }
 
 impl Topology {
+    pub(crate) fn new(n: usize, stats: StatsRef, race: Option<Arc<dyn RaceSink>>) -> Topology {
+        Topology { n, app_pids: (n..2 * n).collect(), handler_pids: (0..n).collect(), stats, race }
+    }
+
+    /// The node whose application process is `pid`, if any.
+    pub(crate) fn node_of_app(&self, pid: Pid) -> Option<NodeId> {
+        (self.n..2 * self.n).contains(&pid).then(|| pid - self.n)
+    }
+
+    /// The node whose protocol handler is `pid`, if any.
+    pub(crate) fn node_of_handler(&self, pid: Pid) -> Option<NodeId> {
+        (pid < self.n).then_some(pid)
+    }
+
     /// Destination list for a multicast to every handler (IP-multicast
     /// loopback included: the sender's own handler receives it too).
     pub(crate) fn all_handlers(&self) -> Vec<(NodeId, Pid)> {

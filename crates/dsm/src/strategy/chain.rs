@@ -2,14 +2,13 @@
 //! master-serialized forwarded requests and the id-ordered reply chain
 //! with null-ack flow control.
 
-use repseq_sim::Dur;
+use repseq_sim::{Dur, SendCtx};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
 use crate::state::NodeState;
 use crate::strategy::rse_state::ChainState;
-use crate::substrate::NodeCtx;
 
 /// Request sequence number used by out-of-band recovery replies.
 pub(crate) const OOB_SEQ: u64 = u64::MAX;
@@ -174,11 +173,11 @@ pub(crate) fn incorporate_diffs(
     (cost, wake)
 }
 
-/// Convenience used by the handler loop to multicast a message to every
-/// handler.
+/// Convenience used by the handler to multicast a message to every
+/// handler. Needs only the non-blocking half of the context.
 pub(crate) fn multicast_to_handlers(
     node_nic: &repseq_net::Nic,
-    ctx: &NodeCtx,
+    ctx: &impl SendCtx<DsmMsg>,
     topo: &crate::runtime::Topology,
     class: MsgClass,
     msg: DsmMsg,

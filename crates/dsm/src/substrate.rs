@@ -1,7 +1,11 @@
 //! The node-side substrate seam: [`NodeCtx`] is the one concrete context
-//! type the protocol layers hold, dispatching to whichever backend the
-//! cluster was launched on — the deterministic DES ([`repseq_sim::Ctx`])
-//! or the wall-clock OS-thread backend ([`repseq_native::NativeCtx`]).
+//! type the *application-side* protocol layers hold, dispatching to
+//! whichever backend the cluster was launched on — the deterministic DES
+//! ([`repseq_sim::Ctx`]) or the wall-clock OS-thread backend
+//! ([`repseq_native::NativeCtx`]). The protocol handler does not get one:
+//! it is written against [`SendCtx`], the non-blocking half, and is handed
+//! a [`repseq_sim::ReactorCtx`] or a `NativeCtx` directly (see
+//! [`crate::handler`]).
 //!
 //! An enum rather than a generic parameter: `DsmNode` appears in boxed
 //! application closures ([`crate::AppFn`]), trait objects
@@ -12,13 +16,13 @@
 //!
 //! The inherent methods mirror [`repseq_sim::Ctx`]'s names and signatures
 //! exactly, so protocol code written against the simulator compiles
-//! unchanged; the [`SubstrateCtx`] impl makes `NodeCtx` usable with the
-//! generic network layer ([`repseq_net::Nic`]) and the shared retry
-//! discipline ([`crate::fetch`]).
+//! unchanged; the [`SendCtx`] impl makes `NodeCtx` usable with the generic
+//! network layer ([`repseq_net::Nic`]) and the [`SubstrateCtx`] impl with
+//! the shared retry discipline ([`crate::fetch`]).
 
 use repseq_native::NativeCtx;
 use repseq_sim::Ctx;
-use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
+use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
 
 use crate::msg::DsmMsg;
 
@@ -110,7 +114,7 @@ impl NodeCtx {
     }
 }
 
-impl SubstrateCtx<DsmMsg> for NodeCtx {
+impl SendCtx<DsmMsg> for NodeCtx {
     fn pid(&self) -> Pid {
         NodeCtx::pid(self)
     }
@@ -126,7 +130,9 @@ impl SubstrateCtx<DsmMsg> for NodeCtx {
     fn send(&self, dst: Pid, msg: DsmMsg, deliver_at: SimTime) {
         NodeCtx::send(self, dst, msg, deliver_at)
     }
+}
 
+impl SubstrateCtx<DsmMsg> for NodeCtx {
     fn sleep(&self, d: Dur) -> Result<(), Stopped> {
         NodeCtx::sleep(self, d)
     }

@@ -1,12 +1,12 @@
 //! Edge cases of the DSM: page-straddling values, degenerate cluster
 //! sizes, allocator behaviour, preloaded images, lock chains across
-//! managers, and big-value round trips.
+//! managers, big-value round trips, and a handler that panics.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_dsm::{impl_pod_struct, Cluster, ClusterConfig, DsmNode, Pod, ShArray};
-use repseq_sim::Stopped;
+use repseq_dsm::{impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, Pod, ShArray};
+use repseq_sim::{Dur, SimError, Stopped};
 use repseq_stats::Stats;
 
 type Apps = Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static>>;
@@ -268,4 +268,35 @@ fn page_span_covers_array() {
     let one: ShArray<u8> = cl.alloc_array(1);
     let (f2, l2) = one.page_span(4096);
     assert_eq!(f2, l2);
+}
+
+/// On the simulator a handler is a reactor: it runs on the thread of
+/// whichever application holds duty when its request arrives. A stray
+/// message that makes it panic must fail the run under the *handler's* pid
+/// and name — not take down, and be blamed on, that application.
+#[test]
+fn a_stray_message_fails_the_run_under_the_handlers_name() {
+    let n = 3;
+    let apps: Apps = (0..n)
+        .map(|_| {
+            Box::new(move |node: DsmNode| {
+                if node.node() == 1 {
+                    // No handler expects a diff *reply*. The raw send
+                    // bypasses the network model, so it keeps the minimum
+                    // cross-node latency itself.
+                    let stray = DsmMsg::DiffReply { page: 0, diffs: Vec::new(), req_id: 1 };
+                    node.ctx().send(2, stray, node.ctx().now() + Dur::from_micros(60));
+                }
+                // Everyone is parked in the barrier when it lands.
+                node.barrier()?;
+                node.ctx().sleep(Dur::from_millis(1))
+            }) as _
+        })
+        .collect();
+    match cluster(n).launch(apps) {
+        Err(SimError::ProcessPanicked { pid, name }) => {
+            assert_eq!((pid, name.as_str()), (2, "handler2"))
+        }
+        other => panic!("expected the handler's panic, got {other:?}"),
+    }
 }

@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use repseq_sim::{SimError, SimReport};
-use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
+use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
 
 /// One process's mailbox: a queue guarded by a mutex, with a condvar the
 /// owner blocks on. Senders enqueue and notify; the stop flag (checked
@@ -172,7 +172,7 @@ impl<M: Send + 'static> NativeCtx<M> {
     }
 }
 
-impl<M: Send + 'static> SubstrateCtx<M> for NativeCtx<M> {
+impl<M: Send + 'static> SendCtx<M> for NativeCtx<M> {
     fn pid(&self) -> Pid {
         NativeCtx::pid(self)
     }
@@ -188,7 +188,9 @@ impl<M: Send + 'static> SubstrateCtx<M> for NativeCtx<M> {
     fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
         NativeCtx::send(self, dst, msg, deliver_at)
     }
+}
 
+impl<M: Send + 'static> SubstrateCtx<M> for NativeCtx<M> {
     fn sleep(&self, d: Dur) -> Result<(), Stopped> {
         NativeCtx::sleep(self, d)
     }

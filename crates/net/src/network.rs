@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_stats::{MsgClass, NodeId, StatsRef};
-use repseq_substrate::{Dur, Pid, SimTime, SubstrateCtx};
+use repseq_substrate::{Dur, Pid, SendCtx, SimTime};
 
 use crate::config::NetConfig;
 use crate::loss::LossState;
@@ -88,11 +88,14 @@ impl Network {
     }
 
     /// Every frame the loss injector dropped so far, in canonical
-    /// `(at, src, dst, pair_seq, multicast)` order. The decisions
-    /// themselves are deterministic (keyed per `(src, dst, medium)` frame
-    /// counters), but under window-parallel host execution the *log append*
-    /// order depends on worker scheduling — sorting by the decision key
-    /// restores a host-invariant view.
+    /// `(at, src, dst, pair_seq, multicast)` order. The decisions are
+    /// deterministic (keyed per `(src, dst, medium)` frame counters) and on
+    /// the simulator one duty holder at a time appends them, so the log
+    /// itself repeats run for run — but in *send* order, and a frame sent
+    /// earlier can be delivered later (about one torture schedule in seven
+    /// logs out of delivery order). Sorting by the decision key gives the
+    /// delivery-time order reports are read in, and a stable view on the
+    /// native backend, where threads append concurrently.
     pub fn loss_events(&self) -> Vec<LossEvent> {
         let mut log = self.drop_log.lock().clone();
         log.sort_by_key(|e| (e.at, e.src, e.dst, e.pair_seq, e.multicast));
@@ -135,10 +138,12 @@ impl Nic {
     /// Generic over the substrate: on the DES the computed delivery time is
     /// honored exactly; on backends without a controllable clock it is an
     /// accounting value and the frame is delivered as soon as the receiver
-    /// looks (see `repseq_substrate::SubstrateCtx::send`).
+    /// looks (see `repseq_substrate::SendCtx::send`). Needs only the
+    /// non-blocking half of the context, so a protocol handler running as a
+    /// reactor can send through it.
     pub fn unicast<M: Send + 'static>(
         &self,
-        ctx: &impl SubstrateCtx<M>,
+        ctx: &impl SendCtx<M>,
         dst_node: NodeId,
         dst: Pid,
         class: MsgClass,
@@ -190,7 +195,7 @@ impl Nic {
     /// statistics, as in the paper. Returns the delivery time.
     pub fn multicast<M: Clone + Send + 'static>(
         &self,
-        ctx: &impl SubstrateCtx<M>,
+        ctx: &impl SendCtx<M>,
         dsts: &[(NodeId, Pid)],
         class: MsgClass,
         payload_bytes: u64,
@@ -217,7 +222,7 @@ impl Nic {
     /// stays lossy — that is what the §5.4.2 recovery path is for.
     pub fn multicast_reliable<M: Clone + Send + 'static>(
         &self,
-        ctx: &impl SubstrateCtx<M>,
+        ctx: &impl SendCtx<M>,
         dsts: &[(NodeId, Pid)],
         class: MsgClass,
         payload_bytes: u64,
@@ -239,7 +244,7 @@ impl Nic {
     /// network cost and no statistics (e.g. the protocol handler waking the
     /// application after completing a page). Delivered at the current
     /// instant.
-    pub fn local<M: Send + 'static>(&self, ctx: &impl SubstrateCtx<M>, dst: Pid, msg: M) {
+    pub fn local<M: Send + 'static>(&self, ctx: &impl SendCtx<M>, dst: Pid, msg: M) {
         ctx.send(dst, msg, ctx.now());
     }
 

@@ -7,8 +7,48 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::engine::{Ctrl, DrainOutcome, EventKind, Kernel, Status};
+use crate::reactor::drive;
 use crate::resume::{Resume, ResumeCell};
-use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
+use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
+
+/// A running process's own view of its virtual clock (nanoseconds):
+/// authoritative while the process runs, written back to the kernel when
+/// it waits. Shared by thread processes ([`Ctx`]) and reactors
+/// ([`ReactorCtx`](crate::ReactorCtx)).
+pub(crate) struct LocalClock {
+    clock: Cell<u64>,
+    /// Compute time charged since the last flush.
+    pending: Cell<u64>,
+}
+
+impl LocalClock {
+    pub(crate) fn new(at: SimTime) -> Self {
+        LocalClock { clock: Cell::new(at.nanos()), pending: Cell::new(0) }
+    }
+
+    /// Adopt the virtual time of a resume.
+    fn set(&self, at: SimTime) {
+        self.clock.set(at.nanos());
+    }
+
+    #[inline]
+    pub(crate) fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.clock.get() + self.pending.get())
+    }
+
+    #[inline]
+    pub(crate) fn charge(&self, d: Dur) {
+        self.pending.set(self.pending.get() + d.nanos());
+    }
+
+    /// Fold pending charge into the clock and return the new instant.
+    pub(crate) fn flush(&self) -> SimTime {
+        let c = self.clock.get() + self.pending.get();
+        self.clock.set(c);
+        self.pending.set(0);
+        SimTime::from_nanos(c)
+    }
+}
 
 /// Handle through which a simulated process observes and affects virtual
 /// time. One `Ctx` exists per process and is not shareable.
@@ -27,11 +67,7 @@ pub struct Ctx<M: Send + 'static> {
     ctrl_tx: Sender<Ctrl>,
     /// Where this process's thread parks while it is blocked.
     resume: Arc<ResumeCell>,
-    /// Local copy of the process clock (nanoseconds); authoritative while
-    /// the process runs, written back to the kernel at yields.
-    clock: Cell<u64>,
-    /// Compute time charged since the last yield.
-    pending: Cell<u64>,
+    clock: LocalClock,
 }
 
 impl<M: Send + 'static> Ctx<M> {
@@ -41,7 +77,7 @@ impl<M: Send + 'static> Ctx<M> {
         ctrl_tx: Sender<Ctrl>,
         resume: Arc<ResumeCell>,
     ) -> Self {
-        Ctx { pid, kernel, ctrl_tx, resume, clock: Cell::new(0), pending: Cell::new(0) }
+        Ctx { pid, kernel, ctrl_tx, resume, clock: LocalClock::new(SimTime::ZERO) }
     }
 
     /// Park until resumed (the first time: until the engine first schedules
@@ -50,7 +86,7 @@ impl<M: Send + 'static> Ctx<M> {
     pub(crate) fn wait_resume(&self) -> Result<bool, Stopped> {
         match self.resume.wait() {
             Resume::Go { at, timed_out } => {
-                self.clock.set(at.nanos());
+                self.clock.set(at);
                 Ok(timed_out)
             }
             Resume::Stop => Err(Stopped),
@@ -67,33 +103,26 @@ impl<M: Send + 'static> Ctx<M> {
     /// charged since the last yield.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.get() + self.pending.get())
+        self.clock.now()
     }
 
     /// Account for `d` of local computation. Free at wall-clock level: the
     /// charge is folded into the clock at the next yield point.
     #[inline]
     pub fn charge(&self, d: Dur) {
-        self.pending.set(self.pending.get() + d.nanos());
+        self.clock.charge(d);
     }
 
     /// Schedule delivery of `msg` to `dst` at `deliver_at` (virtual time).
     /// The delivery time is computed by the caller — in this workspace, by
     /// the network model, which accounts for link occupancy. Never yields.
     pub fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
-        let at = deliver_at.max(self.now());
-        let mut k = self.kernel.lock();
-        debug_assert!(dst < k.procs.len(), "send to unknown pid {dst}");
-        k.push_event(
-            self.pid,
-            at,
-            EventKind::Deliver { dst, env: Envelope { from: self.pid, at, msg } },
-        );
+        self.kernel.lock().send(self.pid, dst, msg, deliver_at.max(self.now()));
     }
 
     /// Sleep for `d` of virtual time (plus any pending charge).
     pub fn sleep(&self, d: Dur) -> Result<(), Stopped> {
-        let wake_at = self.flushed_clock() + d;
+        let wake_at = self.clock.flush() + d;
         self.block(|k, pid| {
             let gen = k.bump_gen(pid);
             k.procs[pid].status = Status::Sleeping;
@@ -114,7 +143,7 @@ impl<M: Send + 'static> Ctx<M> {
 
     /// Receive the next message, or `None` if none arrives within `d`.
     pub fn recv_timeout(&self, d: Dur) -> Result<Option<Envelope<M>>, Stopped> {
-        let deadline = self.flushed_clock() + d;
+        let deadline = self.clock.flush() + d;
         self.recv_deadline(Some(deadline))
     }
 
@@ -122,12 +151,12 @@ impl<M: Send + 'static> Ctx<M> {
     /// the current instant. (Still a yield point: the kernel must process
     /// deliveries up to the current clock.)
     pub fn try_recv(&self) -> Result<Option<Envelope<M>>, Stopped> {
-        let deadline = self.flushed_clock();
+        let deadline = self.clock.flush();
         self.recv_deadline(Some(deadline))
     }
 
     fn recv_deadline(&self, deadline: Option<SimTime>) -> Result<Option<Envelope<M>>, Stopped> {
-        let at = self.flushed_clock();
+        let at = self.clock.flush();
         // Fast path: a message already in the mailbox was delivered at or
         // before this process's last resume, so it can be consumed right
         // now without a checkpoint event or a yield. Only one process per
@@ -141,31 +170,12 @@ impl<M: Send + 'static> Ctx<M> {
                 return Ok(Some(env));
             }
         }
-        let timed_out = self.block(|k, pid| {
-            let gen = k.bump_gen(pid);
-            k.procs[pid].status = Status::Polling { deadline };
-            // Checkpoint wake at the current clock: by the time it pops, all
-            // deliveries up to this instant are in the mailbox.
-            k.push_event(pid, at, EventKind::Wake { pid, gen });
-            if let Some(dl) = deadline {
-                if dl > at {
-                    k.push_event(pid, dl, EventKind::Wake { pid, gen });
-                }
-            }
-        })?;
+        let timed_out = self.block(|k, pid| k.begin_recv(pid, at, deadline))?;
         if timed_out {
             return Ok(None);
         }
         let mut k = self.kernel.lock();
         Ok(k.procs[self.pid].mailbox.pop_front())
-    }
-
-    /// Fold pending charge into the clock and return the new instant.
-    fn flushed_clock(&self) -> SimTime {
-        let c = self.clock.get() + self.pending.get();
-        self.clock.set(c);
-        self.pending.set(0);
-        SimTime::from_nanos(c)
     }
 
     /// Yield to the engine. `setup` runs under the kernel lock and must set
@@ -175,27 +185,34 @@ impl<M: Send + 'static> Ctx<M> {
     /// The yielding process keeps *duty*: still under the kernel lock, it
     /// pops and applies events itself. If one of them resumes this very
     /// process it returns immediately — zero host context switches; if it
-    /// resumes another process, duty moves there directly — one switch,
-    /// issued after the lock is dropped; if nothing is runnable, duty
-    /// returns to the coordinator for the termination check.
+    /// resumes a reactor, this thread runs the reactor's callback and
+    /// drains on; if it resumes another thread process, duty moves there
+    /// directly — one switch, issued after the lock is dropped; if nothing
+    /// is runnable, duty returns to the coordinator for the termination
+    /// check.
     fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<bool, Stopped> {
-        let c = self.flushed_clock();
+        let c = self.clock.flush();
         let mut k = self.kernel.lock();
         if k.stopping {
             return Err(Stopped);
         }
         k.procs[self.pid].clock = c;
         setup(&mut k, self.pid);
-        let outcome = k.drain(Some(self.pid));
-        drop(k);
-        match outcome {
+        let ctrl = match drive(&self.kernel, k, Some(self.pid)) {
             DrainOutcome::SelfResume { at, timed_out } => {
-                self.clock.set(at.nanos());
+                self.clock.set(at);
                 return Ok(timed_out);
             }
-            DrainOutcome::Handoff(next) => next.wake(),
-            DrainOutcome::Empty => self.ctrl_tx.send(Ctrl::Idle).map_err(|_| Stopped)?,
-        }
+            DrainOutcome::Handoff(next) => {
+                next.wake();
+                return self.wait_resume();
+            }
+            DrainOutcome::Empty => Ctrl::Idle,
+            // The reactor died on this thread, but it is the reactor that
+            // failed: report it under its own pid and wait to be stopped.
+            DrainOutcome::ReactorPanicked(pid) => Ctrl::Exited(pid, true),
+        };
+        self.ctrl_tx.send(ctrl).map_err(|_| Stopped)?;
         self.wait_resume()
     }
 }
@@ -205,7 +222,7 @@ impl<M: Send + 'static> Ctx<M> {
 /// written against [`SubstrateCtx`] (the fetch layer's retry loop, the
 /// conformance suite) drives virtual time exactly like code written
 /// against `Ctx` directly.
-impl<M: Send + 'static> SubstrateCtx<M> for Ctx<M> {
+impl<M: Send + 'static> SendCtx<M> for Ctx<M> {
     fn pid(&self) -> Pid {
         Ctx::pid(self)
     }
@@ -221,7 +238,9 @@ impl<M: Send + 'static> SubstrateCtx<M> for Ctx<M> {
     fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
         Ctx::send(self, dst, msg, deliver_at)
     }
+}
 
+impl<M: Send + 'static> SubstrateCtx<M> for Ctx<M> {
     fn sleep(&self, d: Dur) -> Result<(), Stopped> {
         Ctx::sleep(self, d)
     }

@@ -1,12 +1,14 @@
 //! The discrete-event kernel.
 //!
-//! Every simulated process is an OS thread that cooperates with the engine:
-//! processes interact with the kernel only through [`Ctx`](crate::Ctx) —
-//! charging compute time, sending messages with an explicit delivery time
-//! (computed by the network layer), and blocking receives. `send` never
-//! yields; `recv`/`sleep` do. Local computation between yields is free in
-//! wall-clock terms (no context switch) and is folded into the process clock
-//! at the next yield point.
+//! A simulated process is either an OS thread that cooperates with the
+//! engine or a [`Reactor`] — a daemon with no thread at all, whose
+//! callbacks run to completion on whichever thread holds duty (see
+//! [`crate::reactor`]). Thread processes interact with the kernel only
+//! through [`Ctx`](crate::Ctx) — charging compute time, sending messages
+//! with an explicit delivery time (computed by the network layer), and
+//! blocking receives. `send` never yields; `recv`/`sleep` do. Local
+//! computation between yields is free in wall-clock terms (no context
+//! switch) and is folded into the process clock at the next yield point.
 //!
 //! The engine applies events in ascending `(time, src_group, seq)` order,
 //! so each run is bit-for-bit deterministic — a property the reproduced
@@ -34,7 +36,10 @@
 //!   receive checkpoints, stale wakes) are applied inline;
 //! * an event that resumes the duty holder itself just returns — no host
 //!   switch at all;
-//! * an event that resumes another process posts a `Go` into that
+//! * an event that resumes a reactor moves no duty either: the holder
+//!   drops the kernel lock, runs the reactor's callback on its own stack
+//!   until the reactor waits again, re-locks and drains on;
+//! * an event that resumes another thread process posts a `Go` into that
 //!   process's [`ResumeCell`] and hands duty to it. The `unpark` is issued
 //!   only *after* the kernel lock is released: a thread woken under the
 //!   lock would run straight into it and be descheduled a second time;
@@ -42,7 +47,7 @@
 //!   coordinator thread (the caller of [`Sim::run`]), which checks for
 //!   termination or deadlock and otherwise drains on.
 //!
-//! One host switch per cross-process resume, none otherwise.
+//! One host switch per resume of another *thread*, none otherwise.
 //!
 //! # End of run
 //!
@@ -62,6 +67,7 @@ use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::error::SimError;
+use crate::reactor::{drive, Cause, Reactor, ReactorRun};
 use crate::resume::{Resume, ResumeCell};
 use crate::trace::TraceEntry;
 use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
@@ -236,6 +242,15 @@ pub(crate) enum Status {
     Exited,
 }
 
+/// Who executes a process when an event resumes it.
+pub(crate) enum Exec<M> {
+    /// Its own OS thread, parked on this cell while the process is blocked.
+    Thread(Arc<ResumeCell>),
+    /// Whoever holds duty. `None` while the reactor is out running (and
+    /// for good once it has panicked).
+    Reactor(Option<Box<dyn Reactor<M>>>),
+}
+
 pub(crate) struct ProcSlot<M> {
     pub name: String,
     pub daemon: bool,
@@ -245,7 +260,7 @@ pub(crate) struct ProcSlot<M> {
     pub gen: u64,
     pub clock: SimTime,
     pub mailbox: VecDeque<Envelope<M>>,
-    pub resume: Arc<ResumeCell>,
+    pub exec: Exec<M>,
 }
 
 /// Host-execution counters for one run (see the module docs). These
@@ -254,22 +269,28 @@ pub(crate) struct ProcSlot<M> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Duty bursts: maximal runs of consecutive events popped by one duty
-    /// holder before duty moved or the queue ran dry.
+    /// holder before one of them resumed a process (itself, a reactor or
+    /// another thread) or the queue ran dry.
     pub windows: u64,
     /// Pops served straight from the last group's queue, bypassing the
     /// merge index (consecutive same-node events).
     pub sprint_pops: u64,
-    /// Duty transfers: resumes of a process other than the duty holder —
-    /// one host thread switch each.
+    /// Duty transfers: resumes of a *thread* process other than the duty
+    /// holder — one host thread switch each. (Reactor resumes never count
+    /// here: they move no duty.)
     pub handoff_switches: u64,
     /// Resumes where the duty holder resumed *itself* — no host switch.
     pub self_continues: u64,
+    /// Resumes of a reactor, served inline on the duty holder's stack — no
+    /// host switch. Every resume is exactly one of `handoff_switches`,
+    /// `self_continues` and `reactor_runs`.
+    pub reactor_runs: u64,
     /// Events applied without resuming anyone (deliveries to busy
     /// processes, checkpoint wakes, stale wakes).
     pub inline_events: u64,
 }
 
-/// What a [`Kernel::drain`] call ended with.
+/// How a stretch of duty ([`drive`]) ended.
 pub(crate) enum DrainOutcome {
     /// No runnable events left while this drainer held duty.
     Empty,
@@ -279,6 +300,16 @@ pub(crate) enum DrainOutcome {
     Handoff(Arc<ResumeCell>),
     /// The draining process resumed itself (only when `me` was given).
     SelfResume { at: SimTime, timed_out: bool },
+    /// A reactor's callback panicked on the drainer's stack; the run is
+    /// over and fails under the *reactor's* pid.
+    ReactorPanicked(Pid),
+}
+
+/// What one [`Kernel::drain`] call ended with: duty is done here, or a
+/// reactor is due and must be run with the kernel lock released.
+pub(crate) enum Step<M> {
+    Done(DrainOutcome),
+    React(ReactorRun<M>),
 }
 
 pub(crate) struct Kernel<M> {
@@ -327,6 +358,27 @@ impl<M> Kernel<M> {
     pub(crate) fn bump_gen(&mut self, pid: Pid) -> u64 {
         self.procs[pid].gen += 1;
         self.procs[pid].gen
+    }
+
+    /// Schedule delivery of `msg` from `from` into `dst`'s mailbox at `at`.
+    pub(crate) fn send(&mut self, from: Pid, dst: Pid, msg: M, at: SimTime) {
+        debug_assert!(dst < self.procs.len(), "send to unknown pid {dst}");
+        self.push_event(from, at, EventKind::Deliver { dst, env: Envelope { from, at, msg } });
+    }
+
+    /// Put `pid`, whose flushed clock reads `at`, into a receive wait —
+    /// the one way a process waits for a message, thread or reactor.
+    pub(crate) fn begin_recv(&mut self, pid: Pid, at: SimTime, deadline: Option<SimTime>) {
+        let gen = self.bump_gen(pid);
+        self.procs[pid].status = Status::Polling { deadline };
+        // Checkpoint wake at the current clock: by the time it pops, all
+        // deliveries up to this instant are in the mailbox.
+        self.push_event(pid, at, EventKind::Wake { pid, gen });
+        if let Some(dl) = deadline {
+            if dl > at {
+                self.push_event(pid, dl, EventKind::Wake { pid, gen });
+            }
+        }
     }
 
     /// Pop the globally next runnable event and do the per-event
@@ -391,10 +443,12 @@ impl<M> Kernel<M> {
     }
 
     /// Drive the kernel while holding duty: pop and apply events until one
-    /// resumes a process (duty moves to it) or nothing runnable is left.
-    /// `me` is the duty-holding process — resumed in place instead of
-    /// through its cell — or `None` for the coordinator.
-    pub(crate) fn drain(&mut self, me: Option<Pid>) -> DrainOutcome {
+    /// resumes a process or nothing runnable is left. `me` is the
+    /// duty-holding process — resumed in place instead of through its cell
+    /// — or `None` for the coordinator. A resumed reactor comes back as
+    /// [`Step::React`]: the caller ([`drive`]) runs it with the lock
+    /// released and calls `drain` again.
+    pub(crate) fn drain(&mut self, me: Option<Pid>) -> Step<M> {
         let mut popped = false;
         while let Some(ev) = self.pop_next() {
             popped = true;
@@ -405,20 +459,39 @@ impl<M> Kernel<M> {
             };
             let slot = &mut self.procs[pid];
             debug_assert!(slot.clock <= at, "process resumed into its past");
+            // A reactor never sleeps: its only timer wake is the one that
+            // starts it.
+            let starting = slot.status == Status::Sleeping;
             slot.gen += 1; // invalidate any other pending wakes
             slot.status = Status::Running;
             slot.clock = at;
             self.exec.windows += 1;
             if me == Some(pid) {
                 self.exec.self_continues += 1;
-                return DrainOutcome::SelfResume { at, timed_out };
+                return Step::Done(DrainOutcome::SelfResume { at, timed_out });
             }
-            slot.resume.post(Resume::Go { at, timed_out });
-            self.exec.handoff_switches += 1;
-            return DrainOutcome::Handoff(Arc::clone(&slot.resume));
+            return match &mut slot.exec {
+                Exec::Thread(cell) => {
+                    cell.post(Resume::Go { at, timed_out });
+                    self.exec.handoff_switches += 1;
+                    Step::Done(DrainOutcome::Handoff(Arc::clone(cell)))
+                }
+                Exec::Reactor(reactor) => {
+                    self.exec.reactor_runs += 1;
+                    let cause = if timed_out {
+                        Cause::Timeout
+                    } else if starting {
+                        Cause::Start
+                    } else {
+                        Cause::Msg(slot.mailbox.pop_front().expect("resumed for a message"))
+                    };
+                    let reactor = reactor.take().expect("a running reactor was resumed");
+                    Step::React(ReactorRun { pid, at, cause, reactor })
+                }
+            };
         }
         self.exec.windows += u64::from(popped);
-        DrainOutcome::Empty
+        Step::Done(DrainOutcome::Empty)
     }
 }
 
@@ -427,7 +500,8 @@ impl<M> Kernel<M> {
 pub(crate) enum Ctrl {
     /// A duty-holding process found nothing runnable.
     Idle,
-    /// The process function returned or unwound.
+    /// The process function returned or unwound — or a reactor's callback
+    /// panicked on the sending thread (`panicked`, the reactor's pid).
     Exited(Pid, /*panicked*/ bool),
 }
 
@@ -478,6 +552,7 @@ pub struct Sim<M: Send + 'static> {
     kernel: Arc<Mutex<Kernel<M>>>,
     ctrl_tx: Sender<Ctrl>,
     ctrl_rx: Receiver<Ctrl>,
+    /// Indexed by pid; `None` for a reactor (and for a joined thread).
     threads: Vec<Option<JoinHandle<()>>>,
 }
 
@@ -557,28 +632,43 @@ impl<M: Send + 'static> Sim<M> {
         self.spawn_inner(name, true, f)
     }
 
+    /// Spawn a reactor: a daemon with a pid, group, mailbox and virtual
+    /// clock like any other, but no OS thread — its callbacks run on
+    /// whichever thread holds duty when an event resumes it (see
+    /// [`Reactor`]). In virtual time it is indistinguishable from a
+    /// [`spawn_daemon`](Sim::spawn_daemon) loop of `recv`/`recv_timeout`:
+    /// same events, same keys, same trace.
+    pub fn spawn_reactor(&mut self, name: &str, reactor: impl Reactor<M>) -> Pid {
+        let pid = self.add_proc(name, true, Exec::Reactor(Some(Box::new(reactor))));
+        self.threads.push(None);
+        pid
+    }
+
+    /// Register a process slot and its initial wake.
+    fn add_proc(&mut self, name: &str, daemon: bool, exec: Exec<M>) -> Pid {
+        let mut k = self.kernel.lock();
+        let pid = k.procs.len();
+        k.procs.push(ProcSlot {
+            name: name.to_string(),
+            daemon,
+            status: Status::Sleeping,
+            gen: 0,
+            clock: SimTime::ZERO,
+            mailbox: VecDeque::new(),
+            exec,
+        });
+        k.queues.add_proc();
+        // Initial wake at t=0 so the process starts when the engine runs.
+        k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
+        pid
+    }
+
     fn spawn_inner<F>(&mut self, name: &str, daemon: bool, f: F) -> Pid
     where
         F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
     {
         let resume = Arc::new(ResumeCell::new());
-        let pid = {
-            let mut k = self.kernel.lock();
-            let pid = k.procs.len();
-            k.procs.push(ProcSlot {
-                name: name.to_string(),
-                daemon,
-                status: Status::Sleeping,
-                gen: 0,
-                clock: SimTime::ZERO,
-                mailbox: VecDeque::new(),
-                resume: Arc::clone(&resume),
-            });
-            k.queues.add_proc();
-            // Initial wake at t=0 so the process starts when the engine runs.
-            k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
-            pid
-        };
+        let pid = self.add_proc(name, daemon, Exec::Thread(Arc::clone(&resume)));
         let ctx =
             Ctx::new(pid, Arc::clone(&self.kernel), self.ctrl_tx.clone(), Arc::clone(&resume));
         let exit = ExitGuard { pid, ctrl_tx: self.ctrl_tx.clone() };
@@ -638,10 +728,13 @@ impl<M: Send + 'static> Sim<M> {
     fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
         let mut live_primary = n_primary;
         loop {
-            let outcome = self.kernel.lock().drain(None);
-            match outcome {
+            match drive(&self.kernel, self.kernel.lock(), None) {
                 DrainOutcome::SelfResume { .. } => {
                     unreachable!("the coordinator cannot resume itself")
+                }
+                DrainOutcome::ReactorPanicked(pid) => {
+                    let name = self.kernel.lock().procs[pid].name.clone();
+                    return Err(SimError::ProcessPanicked { pid, name });
                 }
                 DrainOutcome::Empty => {
                     if live_primary == 0 {
@@ -682,10 +775,11 @@ impl<M: Send + 'static> Sim<M> {
         }
     }
 
-    /// Post `Stop` to every process that has not exited and wait until each
-    /// has. All of them are blocked here (duty is with the coordinator);
-    /// once `stopping` is set a process that blocks again while unwinding
-    /// gets `Stopped` without parking.
+    /// Post `Stop` to every thread process that has not exited and wait
+    /// until each has. All of them are blocked here (duty is with the
+    /// coordinator); once `stopping` is set a process that blocks again
+    /// while unwinding gets `Stopped` without parking. Reactors have
+    /// nothing to stop: nobody drains any more, so they never run again.
     fn stop_remaining(&mut self) {
         let cells: Vec<Arc<ResumeCell>> = {
             let mut k = self.kernel.lock();
@@ -693,9 +787,12 @@ impl<M: Send + 'static> Sim<M> {
             k.procs
                 .iter()
                 .filter(|p| p.status != Status::Exited)
-                .map(|p| {
-                    p.resume.post(Resume::Stop);
-                    Arc::clone(&p.resume)
+                .filter_map(|p| match &p.exec {
+                    Exec::Thread(cell) => {
+                        cell.post(Resume::Stop);
+                        Some(Arc::clone(cell))
+                    }
+                    Exec::Reactor(_) => None,
                 })
                 .collect()
         };

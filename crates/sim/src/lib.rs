@@ -18,8 +18,20 @@
 //! * [`Ctx::recv`] / [`Ctx::recv_timeout`] / [`Ctx::sleep`] — blocking
 //!   operations that yield to the engine.
 //!
+//! A process that only ever reacts — a protocol handler: wait for a
+//! request, serve it, wait again — needs no thread of its own. It is a
+//! [`Reactor`] ([`Sim::spawn_reactor`]): a daemon with a pid, a mailbox and
+//! a clock like any other, whose callbacks run to completion on whichever
+//! host thread is driving the kernel when an event resumes it. That is the
+//! closer model of TreadMarks, which serves a remote request in a SIGIO
+//! handler on the application's processor — and it costs no host thread
+//! switch, where a handler thread costs one in and one out. A reactor is
+//! handed a [`ReactorCtx`], which has `charge` and `send` but nothing that
+//! blocks. In virtual time the two kinds of daemon are indistinguishable:
+//! same events, same keys, same trace.
+//!
 //! The primitive *types* (virtual time, process ids, envelopes, the
-//! [`SubstrateCtx`] contract) live in
+//! [`SendCtx`] / [`SubstrateCtx`] contract) live in
 //! `repseq-substrate` and are re-exported here under their historical
 //! paths; this engine is the seam's deterministic backend, and
 //! `repseq-native` is the wall-clock one.
@@ -32,11 +44,13 @@
 mod ctx;
 mod engine;
 mod error;
+mod reactor;
 mod resume;
 mod trace;
 
 pub use ctx::Ctx;
 pub use engine::{ExecCounters, Sim, SimReport};
 pub use error::SimError;
-pub use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
+pub use reactor::{Reactor, ReactorCtx};
+pub use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};

@@ -6,30 +6,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 use repseq_sim::{Ctx, Dur, Sim, SimError, SimTime, Stopped};
 
-/// Run `f` on its own thread and fail if it has not finished in `secs`.
-fn watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(v) => {
-            worker.join().expect("worker finished cleanly");
-            v
-        }
-        // The worker hung up without a value: it panicked; surface that.
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(worker.join().expect_err("worker dropped its sender"))
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("no result after {secs} s: a wake-up was lost")
-        }
-    }
-}
+mod common;
+use common::watchdog;
 
 #[test]
 fn ring_of_64_processes_passes_200k_hops() {

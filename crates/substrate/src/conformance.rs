@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::ctx::{Pid, SubstrateCtx};
+use crate::ctx::{Pid, SendCtx, SubstrateCtx};
 use crate::error::Stopped;
 use crate::time::Dur;
 

@@ -20,11 +20,14 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// What a process can do on whatever substrate it runs on: the ~dozen
-/// primitives the DSM protocol actually uses. The simulator's
-/// `Ctx<M>`, the native backend's `NativeCtx<M>` and the protocol's
-/// backend-dispatching `NodeCtx` all implement this, so code like the
-/// fetch layer's retry loop can be written once against the trait.
+/// The non-blocking half of the substrate contract: everything a
+/// run-to-completion body may do — identify itself, read the clock, spend
+/// modeled CPU time and send. A protocol handler gets only this half (on
+/// the simulator it is a reactor running on whichever thread holds duty,
+/// see `repseq_sim::Reactor`), so "a handler cannot block" is a fact of
+/// its signature: `recv`, `recv_timeout` and `sleep` are not nameable
+/// through it. The network layer (`repseq_net::Nic`) needs no more than
+/// this either.
 ///
 /// Contract notes a backend must honor:
 ///
@@ -33,12 +36,8 @@ pub struct Envelope<M> {
 ///   controllable clock; backends without one (the native threads)
 ///   deliver as soon as the receiver looks, which the protocol tolerates
 ///   because its timeout/retry discipline never assumes a minimum
-///   latency;
-/// * `recv_timeout(d)` returns `Ok(None)` only after at least `d` has
-///   passed with no deliverable message;
-/// * once the substrate stops (all primaries exited, or a peer failed),
-///   every blocking call returns `Err(Stopped)`.
-pub trait SubstrateCtx<M> {
+///   latency.
+pub trait SendCtx<M> {
     /// This process's identifier.
     fn pid(&self) -> Pid;
 
@@ -51,7 +50,22 @@ pub trait SubstrateCtx<M> {
 
     /// Send `msg` to process `dst`, available to it at `deliver_at`.
     fn send(&self, dst: Pid, msg: M, deliver_at: SimTime);
+}
 
+/// What a process with a stack of its own can do on whatever substrate it
+/// runs on: the non-blocking half ([`SendCtx`]) plus the blocking rest.
+/// The simulator's `Ctx<M>`, the native backend's `NativeCtx<M>` and the
+/// protocol's backend-dispatching `NodeCtx` all implement this, so code
+/// like the fetch layer's retry loop can be written once against the
+/// trait.
+///
+/// Contract notes a backend must honor, beyond [`SendCtx`]'s:
+///
+/// * `recv_timeout(d)` returns `Ok(None)` only after at least `d` has
+///   passed with no deliverable message;
+/// * once the substrate stops (all primaries exited, or a peer failed),
+///   every blocking call returns `Err(Stopped)`.
+pub trait SubstrateCtx<M>: SendCtx<M> {
     /// Block for `d`.
     fn sleep(&self, d: Dur) -> Result<(), Stopped>;
 

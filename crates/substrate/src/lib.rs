@@ -4,9 +4,12 @@
 //! primitives from whatever it runs on: a process identity, a clock, a
 //! way to spend modeled CPU time, per-process message send/receive with
 //! timeout, and sleep. This crate owns those primitives as plain types
-//! ([`SimTime`], [`Dur`], [`Pid`], [`Envelope`], [`Stopped`]) plus the
-//! [`SubstrateCtx`] trait that names the contract, so the protocol can be
-//! written once and executed on two very different substrates:
+//! ([`SimTime`], [`Dur`], [`Pid`], [`Envelope`], [`Stopped`]) plus the two
+//! traits that name the contract — [`SendCtx`], the non-blocking half a
+//! run-to-completion protocol handler is confined to, and [`SubstrateCtx`],
+//! which adds the blocking calls of a process with its own stack — so the
+//! protocol can be written once and executed on two very different
+//! substrates:
 //!
 //! * the **deterministic discrete-event simulation** (`repseq-sim`), where
 //!   time is virtual, `charge` advances the process clock by the paper's
@@ -31,6 +34,6 @@ mod time;
 
 pub mod conformance;
 
-pub use ctx::{Envelope, Pid, SubstrateCtx};
+pub use ctx::{Envelope, Pid, SendCtx, SubstrateCtx};
 pub use error::Stopped;
 pub use time::{Dur, SimTime};

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Symbolise a tools/prof/sampler.c dump and print self / inclusive shares.
+
+    tools/prof/report.py prof.out [--top 30] [--match REGEX ...]
+
+self = samples whose innermost function is F; incl = samples with F anywhere
+on the stack (inlined frames count, via `addr2line -i`). Each --match prints
+the inclusive share of all functions matching the regex, counted once per
+sample — e.g. --match 'futex' --match 'push_event|drain|EventQueues'.
+"""
+import argparse
+import bisect
+import collections
+import re
+import subprocess
+
+
+def load(path):
+    """Executable mappings as (lo, hi, load bias, file), and the samples."""
+    maps, base, samples = [], {}, []
+    for line in open(path):
+        if line.startswith("M "):
+            f = line.split()
+            if len(f) >= 7 and f[6].startswith("/"):
+                lo, hi = (int(x, 16) for x in f[1].split("-"))
+                base[f[6]] = min(lo, base.get(f[6], lo))
+                if "x" in f[2]:
+                    maps.append((lo, hi, f[6]))
+        elif line.startswith("S"):
+            samples.append([int(a, 16) for a in line.split()[1:]])
+    return sorted((lo, hi, bias(f, base[f]), f) for lo, hi, f in maps), samples
+
+
+def bias(path, lowest_mapping):
+    """What to subtract from a run-time address to get the ELF's own: the
+    load address for a PIE or shared object (ET_DYN), nothing for ET_EXEC."""
+    with open(path, "rb") as f:
+        return lowest_mapping if f.read(18)[16:18] == b"\x03\x00" else 0
+
+
+def symbolise(maps, samples):
+    """address -> list of function names, innermost inlined frame first."""
+    starts = [m[0] for m in maps]
+    by_file = collections.defaultdict(set)
+    for stack in samples:
+        for depth, addr in enumerate(stack):
+            i = bisect.bisect_right(starts, addr) - 1
+            if i >= 0 and addr < maps[i][1]:
+                _, _, bias, path = maps[i]
+                # A return address points after the call: look up the call.
+                by_file[path].add((addr, addr - bias - (1 if depth else 0)))
+    names = {}
+    for path, addrs in by_file.items():
+        addrs = sorted(addrs)
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-C", "-i", "-e", path] + [hex(o) for _, o in addrs],
+            capture_output=True, text=True, check=True).stdout.splitlines()
+        chains, cur = [], None
+        for k, line in enumerate(out):
+            if line.startswith("0x"):
+                cur = []
+                chains.append(cur)
+                base = k
+            elif (k - base) % 2 == 1:  # function line; the next is file:line
+                cur.append(line if line != "??" else f"?? ({path.rsplit('/', 1)[-1]})")
+        for (addr, _), chain in zip(addrs, chains):
+            names[addr] = chain
+    return names
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("dump")
+    ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--match", action="append", default=[])
+    args = ap.parse_args()
+    maps, samples = load(args.dump)
+    names = symbolise(maps, samples)
+    self_n, incl_n = collections.Counter(), collections.Counter()
+    matched = collections.Counter()
+    for stack in samples:
+        funcs = [f for a in stack for f in names.get(a, ["?? (unmapped)"])]
+        if not funcs:
+            continue
+        self_n[funcs[0]] += 1
+        for f in set(funcs):
+            incl_n[f] += 1
+        for pat in args.match:
+            matched[pat] += any(re.search(pat, f) for f in funcs)
+    total = max(len(samples), 1)
+    print(f"{len(samples)} samples")
+    for pat in args.match:
+        print(f"  match {pat!r}: {100 * matched[pat] / total:5.1f} % inclusive")
+    for title, table in (("self", self_n), ("inclusive", incl_n)):
+        print(f"\n{title:>9} %  function")
+        for f, n in table.most_common(args.top):
+            print(f"  {100 * n / total:7.1f}    {f}")
+
+
+if __name__ == "__main__":
+    main()
