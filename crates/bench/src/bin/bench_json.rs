@@ -53,11 +53,12 @@ const SAMPLES: usize = 15;
 /// wall-clock numbers are legible as single-core or parallel runs.
 const SCHEMA_VERSION: u32 = 3;
 
-/// `BENCH_host.json` alone is at v5: one row per cluster size for the one
-/// event engine, with `reactor_runs` beside `handoff_switches` (v4 ran the
+/// `BENCH_host.json` alone is at v6: one row per cluster size for the one
+/// event engine, with `reactor_runs` beside `handoff_switches` (v5 also had
+/// `sprint_pops`, a counter of the sharded event store; v4 ran the
 /// protocol handlers as threads; v3 had serial / duty-handoff /
 /// window-parallel columns — their last numbers are in DESIGN.md §8).
-const HOST_SCHEMA_VERSION: u32 = 5;
+const HOST_SCHEMA_VERSION: u32 = 6;
 
 /// Execute independent sweep points on scoped host worker threads,
 /// returning results in input order regardless of completion order.
@@ -588,13 +589,13 @@ fn write_bench_host(
     let _ = writeln!(s, "  \"bodies\": {bodies},");
     let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
     s.push_str(
-        "  \"note\": \"Barnes-Hut (RSE) per cluster size under the one event engine (duty handoff). events_per_sec = kernel events / host wall seconds; handoff_switches = resumes of another thread process, one host thread switch each; reactor_runs = resumes of a protocol handler, served inline on the duty holder's stack with no switch (v4 and earlier ran handlers as threads and counted those under handoff_switches); inline_events = events that resumed nobody, sprint_pops = pops that bypassed the merge index. Run pinned to one CPU (taskset -c <cpu>, host_cpus then reads 1): one duty token cannot use a second core, and an unpinned run times the scheduler's cross-core wake-ups\",\n",
+        "  \"note\": \"Barnes-Hut (RSE) per cluster size under the one event engine (duty handoff). events_per_sec = kernel events / host wall seconds; handoff_switches = resumes of another thread process, one host thread switch each; reactor_runs = resumes of a protocol handler, served inline on the duty holder's stack with no switch (v4 and earlier ran handlers as threads and counted those under handoff_switches); inline_events = events that resumed nobody. Run pinned to one CPU (taskset -c <cpu>, host_cpus then reads 1): one duty token cannot use a second core, and an unpinned run times the scheduler's cross-core wake-ups\",\n",
     );
     s.push_str("  \"clusters\": [\n");
     for (i, r) in runs.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"nodes\": {}, \"host_wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"handoff_switches\": {}, \"reactor_runs\": {}, \"inline_events\": {}, \"sprint_pops\": {}}}{}",
+            "    {{\"nodes\": {}, \"host_wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"handoff_switches\": {}, \"reactor_runs\": {}, \"inline_events\": {}}}{}",
             r.nodes,
             r.wall_s,
             r.events,
@@ -602,7 +603,6 @@ fn write_bench_host(
             r.exec.handoff_switches,
             r.exec.reactor_runs,
             r.exec.inline_events,
-            r.exec.sprint_pops,
             if i + 1 < runs.len() { "," } else { "" }
         );
     }
@@ -740,15 +740,14 @@ fn main() {
     let host_runs: Vec<HostRun> = host_nodes.iter().map(|&hn| host_run(hn, &host_cfg)).collect();
     for r in &host_runs {
         println!(
-            "  {:>3} nodes  {:>8.3}s  {:>10.0} ev/s   ({} events: {} switches, {} reactor runs, {} inline, {} sprint pops)",
+            "  {:>3} nodes  {:>8.3}s  {:>10.0} ev/s   ({} events: {} switches, {} reactor runs, {} inline)",
             r.nodes,
             r.wall_s,
             r.events_per_sec(),
             r.events,
             r.exec.handoff_switches,
             r.exec.reactor_runs,
-            r.exec.inline_events,
-            r.exec.sprint_pops
+            r.exec.inline_events
         );
     }
     write_bench_host(scale, host_cfg.n_bodies, &host_runs, &commit)

@@ -71,7 +71,7 @@ fn native_artifact_records_the_des_gated_comparison() {
     }
 }
 
-/// The committed event-engine artifact must be at the v5 schema: one row
+/// The committed event-engine artifact must be at the v6 schema: one row
 /// per cluster size with the engine's throughput and duty counters,
 /// reactor runs included.
 #[test]
@@ -81,16 +81,15 @@ fn host_artifact_records_the_event_engine() {
         .expect("BENCH_host.json must be committed");
     for key in [
         "\"bench\": \"event_engine\"",
-        "\"schema_version\": 5",
+        "\"schema_version\": 6",
         "\"host_cpus\":",
         "\"nodes\": 256",
         "\"events_per_sec\":",
         "\"handoff_switches\":",
         "\"reactor_runs\":",
         "\"inline_events\":",
-        "\"sprint_pops\":",
     ] {
-        assert!(host.contains(key), "BENCH_host.json v5 must record {key}");
+        assert!(host.contains(key), "BENCH_host.json v6 must record {key}");
     }
 }
 

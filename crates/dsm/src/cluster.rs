@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_native::Native;
+use repseq_native::{Native, NativeError};
 use repseq_net::{NetConfig, Network};
 use repseq_sim::{Sim, SimError, SimReport, Stopped};
 use repseq_stats::StatsRef;
@@ -330,6 +330,22 @@ impl Cluster {
             });
             assert_eq!(pid, topo.app_pids[i]);
         }
-        nat.run()
+        // The one place the native backend's result takes the simulator's
+        // shape, so everything above reports both the same way: every
+        // process clock reads the end of the run, no trace, no counters.
+        match nat.run() {
+            Ok(r) => Ok(SimReport {
+                end_time: r.end_time,
+                proc_clocks: r.names.into_iter().map(|n| (n, r.end_time)).collect(),
+                events_processed: r.deliveries,
+                trace: None,
+                mailbox_backlog: r.mailbox_backlog,
+                exec: Default::default(),
+            }),
+            Err(NativeError::ProcessPanicked { pid, name }) => {
+                Err(SimError::ProcessPanicked { pid, name })
+            }
+            Err(NativeError::NoPrimaryProcesses) => Err(SimError::NoPrimaryProcesses),
+        }
     }
 }

@@ -14,9 +14,10 @@
 //!
 //! The API deliberately mirrors `repseq_sim::Sim`: spawn primaries and
 //! daemons (pids assigned densely in spawn order), then [`Native::run`]
-//! drives everything to completion and synthesizes a
-//! [`SimReport`] so the layers above can reuse
-//! their reporting paths. Daemons are stopped — their pending blocking
+//! drives everything to completion and returns a [`NativeReport`] in plain
+//! substrate types (the crate does not link the simulator; `repseq-dsm`
+//! converts the report once so the layers above reuse their reporting
+//! paths). Daemons are stopped — their pending blocking
 //! call returns [`Stopped`] — once every primary has exited, or
 //! immediately if any thread panics.
 
@@ -29,7 +30,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
-use repseq_sim::{SimError, SimReport};
 use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
 
 /// One process's mailbox: a queue guarded by a mutex, with a condvar the
@@ -55,7 +55,7 @@ struct Shared<M> {
     /// Wall-clock origin of the run; `now()` is the elapsed time since it.
     epoch: Instant,
     /// Total messages delivered (the native analogue of the kernel's
-    /// events-processed counter, reported in the synthesized report).
+    /// events-processed counter, reported as [`NativeReport::deliveries`]).
     deliveries: AtomicU64,
 }
 
@@ -216,8 +216,44 @@ struct ProcSpec<M> {
     body: ProcFn<M>,
 }
 
+/// Summary of a completed native run.
+#[derive(Debug)]
+pub struct NativeReport {
+    /// Wall-clock length of the run.
+    pub end_time: SimTime,
+    /// Process names, by pid.
+    pub names: Vec<String>,
+    /// Total messages delivered.
+    pub deliveries: u64,
+    /// Messages still sitting in process inboxes when the run ended, as
+    /// `(process name, count)` for each non-empty inbox.
+    pub mailbox_backlog: Vec<(String, usize)>,
+}
+
+/// A failed native run.
+#[derive(Debug)]
+pub enum NativeError {
+    /// A process thread panicked; the panic message is on stderr.
+    ProcessPanicked { pid: Pid, name: String },
+    /// `run` was called with no primary processes.
+    NoPrimaryProcesses,
+}
+
+impl std::fmt::Display for NativeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NativeError::ProcessPanicked { pid, name } => {
+                write!(f, "native process #{pid} `{name}` panicked")
+            }
+            NativeError::NoPrimaryProcesses => write!(f, "native run has no primary processes"),
+        }
+    }
+}
+
+impl std::error::Error for NativeError {}
+
 /// A native run under construction: the wall-clock counterpart of
-/// [`repseq_sim::Sim`]. Spawn processes, then [`run`](Native::run).
+/// `repseq_sim::Sim`. Spawn processes, then [`run`](Native::run).
 pub struct Native<M: Send + 'static> {
     procs: Vec<ProcSpec<M>>,
 }
@@ -262,12 +298,12 @@ impl<M: Send + 'static> Native<M> {
     }
 
     /// Run every process on its own OS thread, wait for the primaries,
-    /// stop the daemons, and synthesize a report. Process names and the
+    /// stop the daemons, and report. Process names and the
     /// mailbox-backlog listing match the simulator's conventions so the
     /// validation layers above can treat both backends uniformly.
-    pub fn run(self) -> Result<SimReport, SimError> {
+    pub fn run(self) -> Result<NativeReport, NativeError> {
         if !self.procs.iter().any(|p| !p.daemon) {
-            return Err(SimError::NoPrimaryProcesses);
+            return Err(NativeError::NoPrimaryProcesses);
         }
         let shared = Arc::new(Shared {
             inboxes: (0..self.procs.len()).map(|_| Arc::new(Inbox::new())).collect(),
@@ -315,9 +351,9 @@ impl<M: Send + 'static> Native<M> {
             let _ = h.join();
         }
         if let Some((pid, name)) = panicked.lock().take() {
-            return Err(SimError::ProcessPanicked { pid, name });
+            return Err(NativeError::ProcessPanicked { pid, name });
         }
-        let end = shared.now();
+        let end_time = shared.now();
         let mailbox_backlog = names
             .iter()
             .enumerate()
@@ -326,14 +362,8 @@ impl<M: Send + 'static> Native<M> {
                 (n > 0).then(|| (name.clone(), n))
             })
             .collect();
-        Ok(SimReport {
-            end_time: end,
-            proc_clocks: names.into_iter().map(|n| (n, end)).collect(),
-            events_processed: shared.deliveries.load(Ordering::Relaxed),
-            trace: None,
-            mailbox_backlog,
-            exec: Default::default(),
-        })
+        let deliveries = shared.deliveries.load(Ordering::Relaxed);
+        Ok(NativeReport { end_time, names, deliveries, mailbox_backlog })
     }
 }
 
@@ -357,7 +387,7 @@ mod tests {
             Ok(())
         });
         let report = nat.run().expect("run completes");
-        assert_eq!(report.events_processed, 2);
+        assert_eq!(report.deliveries, 2);
         assert!(report.mailbox_backlog.is_empty());
     }
 
@@ -384,7 +414,7 @@ mod tests {
             }
         });
         match nat.run() {
-            Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "boom"),
+            Err(NativeError::ProcessPanicked { name, .. }) => assert_eq!(name, "boom"),
             other => panic!("expected ProcessPanicked, got {other:?}"),
         }
     }

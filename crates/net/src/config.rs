@@ -1,6 +1,6 @@
 //! Network configuration.
 
-use repseq_sim::Dur;
+use repseq_substrate::Dur;
 
 /// Parameters of the simulated cluster interconnect.
 ///

@@ -18,12 +18,13 @@
 //!
 //! # Event order
 //!
-//! Pending events live in per-*group* ordered queues (a group is normally
-//! one simulated node: its application and protocol-handler processes) with
-//! a lazy merge index over the group heads — see [`EventQueues`]. Event keys
-//! are `(time, src_group, seq)` where `src_group` is the scheduling group of
-//! the *pushing* process and `seq` is drawn from that group's private
-//! counter, so a key depends only on what the pusher itself did.
+//! Pending events live in one ordered map keyed `(time, src_group, seq)`:
+//! pushing is `insert`, popping is `pop_first`. `src_group` is the
+//! scheduling group of the *pushing* process (a group is normally one
+//! simulated node: its application and protocol-handler processes) and
+//! `seq` is drawn from that group's private counter, so a key depends only
+//! on what the pusher itself did. Regrouping a process changes the keys of
+//! its *later* pushes; events already pending keep theirs.
 //!
 //! # The event engine: duty handoff
 //!
@@ -57,8 +58,7 @@
 //! no groups or zero lookahead the horizon is degenerate and the run stops
 //! at the exit event.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -85,145 +85,11 @@ pub(crate) enum EventKind<M> {
     Deliver { dst: Pid, env: Envelope<M> },
 }
 
-impl<M> EventKind<M> {
-    /// The process an event is routed to (and whose group queues it).
-    fn target(&self) -> Pid {
-        match self {
-            EventKind::Wake { pid, .. } => *pid,
-            EventKind::Deliver { dst, .. } => *dst,
-        }
-    }
-}
-
 pub(crate) struct Event<M> {
     pub time: SimTime,
     pub src: u64,
     pub seq: u64,
     pub kind: EventKind<M>,
-}
-
-/// Sharded pending-event store: one ordered map per group plus a lazy merge
-/// index over the group heads.
-///
-/// Invariant: for every non-empty group, either the merge heap contains an
-/// entry carrying the group's current head key, or that head is the
-/// `deferred` slot. The heap may additionally hold *stale* entries — keys
-/// already consumed — which are strictly smaller than their group's live
-/// head and are skipped at pop. Pops therefore always yield the global
-/// minimum key.
-///
-/// The `deferred` slot is the sprint optimization: after popping from group
-/// `g`, `g`'s next head is withheld from the heap. If it is still the
-/// global minimum at the next pop (true for any run of consecutive events
-/// on one node), it is consumed with two `BTreeMap` operations and no heap
-/// traffic at all.
-struct EventQueues<M> {
-    groups: Vec<BTreeMap<EvKey, EventKind<M>>>,
-    heads: BinaryHeap<Reverse<(EvKey, usize)>>,
-    deferred: Option<(EvKey, usize)>,
-    /// pid → group index. Each process starts in its own group;
-    /// [`Sim::assign_group`] merges the processes of one simulated node.
-    group_of: Vec<usize>,
-    sprint_pops: u64,
-}
-
-impl<M> EventQueues<M> {
-    fn new() -> Self {
-        EventQueues {
-            groups: Vec::new(),
-            heads: BinaryHeap::new(),
-            deferred: None,
-            group_of: Vec::new(),
-            sprint_pops: 0,
-        }
-    }
-
-    /// Register a new process in a fresh group of its own.
-    fn add_proc(&mut self) {
-        self.group_of.push(self.groups.len());
-        self.groups.push(BTreeMap::new());
-    }
-
-    /// Move `pid` (and its pending events) to `group`.
-    fn assign_group(&mut self, pid: Pid, group: usize) {
-        while self.groups.len() <= group {
-            self.groups.push(BTreeMap::new());
-        }
-        let old = self.group_of[pid];
-        if old == group {
-            return;
-        }
-        if let Some(d) = self.deferred.take() {
-            self.heads.push(Reverse(d));
-        }
-        self.group_of[pid] = group;
-        let moved: Vec<EvKey> = self.groups[old]
-            .iter()
-            .filter(|(_, kind)| kind.target() == pid)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in moved {
-            let kind = self.groups[old].remove(&key).expect("key just seen");
-            self.groups[group].insert(key, kind);
-        }
-        // Re-announce both heads; redundant entries are skipped as stale.
-        for g in [old, group] {
-            if let Some((&k, _)) = self.groups[g].first_key_value() {
-                self.heads.push(Reverse((k, g)));
-            }
-        }
-    }
-
-    fn push(&mut self, key: EvKey, kind: EventKind<M>) {
-        let g = self.group_of[kind.target()];
-        let new_head = self.groups[g].first_key_value().is_none_or(|(&k, _)| key < k);
-        let dup = self.groups[g].insert(key, kind);
-        debug_assert!(dup.is_none(), "duplicate event key");
-        if new_head {
-            match self.deferred {
-                // The deferred slot covered this group's old head; it must
-                // track the new, smaller one.
-                Some((_, dg)) if dg == g => self.deferred = Some((key, g)),
-                _ => self.heads.push(Reverse((key, g))),
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event<M>> {
-        if let Some((dk, dg)) = self.deferred.take() {
-            // Sprint: stale heap entries only under-estimate other groups'
-            // heads, so `dk <= top` conservatively proves the deferred head
-            // is still the global minimum.
-            if self.heads.peek().is_none_or(|&Reverse((tk, _))| dk <= tk) {
-                self.sprint_pops += 1;
-                return Some(self.take(dk, dg));
-            }
-            self.heads.push(Reverse((dk, dg)));
-        }
-        loop {
-            let Reverse((key, g)) = self.heads.pop()?;
-            if self.groups[g].first_key_value().map(|(&k, _)| k) == Some(key) {
-                return Some(self.take(key, g));
-            }
-            // Stale: this key was consumed earlier (or migrated); skip.
-        }
-    }
-
-    fn take(&mut self, key: EvKey, g: usize) -> Event<M> {
-        let kind = self.groups[g].remove(&key).expect("head vanished");
-        debug_assert!(self.deferred.is_none());
-        if let Some((&next, _)) = self.groups[g].first_key_value() {
-            self.deferred = Some((next, g));
-        }
-        Event { time: key.0, src: key.1, seq: key.2, kind }
-    }
-
-    /// Exact global minimum key, by scanning the group heads. Used only on
-    /// the quiescence tail after the last primary exit, where the lazy
-    /// index may be arbitrarily stale.
-    fn peek_min(&self) -> Option<EvKey> {
-        self.groups.iter().filter_map(|g| g.first_key_value().map(|(&k, _)| k)).min()
-    }
 }
 
 /// What a blocked process is waiting for.
@@ -272,8 +138,10 @@ pub struct ExecCounters {
     /// holder before one of them resumed a process (itself, a reactor or
     /// another thread) or the queue ran dry.
     pub windows: u64,
-    /// Pops served straight from the last group's queue, bypassing the
-    /// merge index (consecutive same-node events).
+    /// Always 0: the sharded event store this counted fast-path pops of is
+    /// gone. The field stays only because `benchmark/src/metrics.rs` reads
+    /// it; the next benchmark PR drops `sim.sprint_pops` from
+    /// `BENCHMARK.json` and `metrics.rs`, and then this field.
     pub sprint_pops: u64,
     /// Duty transfers: resumes of a *thread* process other than the duty
     /// holder — one host thread switch each. (Reactor resumes never count
@@ -313,11 +181,16 @@ pub(crate) enum Step<M> {
 }
 
 pub(crate) struct Kernel<M> {
-    queues: EventQueues<M>,
+    /// Every pending event, in pop order.
+    events: BTreeMap<EvKey, EventKind<M>>,
+    /// pid → group index. Each process starts in its own group;
+    /// [`Sim::assign_group`] merges the processes of one simulated node.
+    group_of: Vec<usize>,
     pub procs: Vec<ProcSlot<M>>,
     /// Per-source-group event sequence counters (index = group id at push
-    /// time). Each group's pushes are serialized by its own execution, so
-    /// the counters depend on nothing but that execution.
+    /// time; sized where groups are registered). Each group's pushes are
+    /// serialized by its own execution, so the counters depend on nothing
+    /// but that execution.
     seqs: Vec<u64>,
     trace: Option<Vec<TraceEntry>>,
     /// Count of popped events, for the report.
@@ -346,13 +219,11 @@ impl<M> Kernel<M> {
     /// Schedule an event pushed by process `src`. The key is formed from
     /// `src`'s group and that group's sequence counter.
     pub(crate) fn push_event(&mut self, src: Pid, time: SimTime, kind: EventKind<M>) {
-        let sg = self.queues.group_of[src];
-        if self.seqs.len() <= sg {
-            self.seqs.resize(sg + 1, 0);
-        }
+        let sg = self.group_of[src];
         let seq = self.seqs[sg];
         self.seqs[sg] += 1;
-        self.queues.push((time, sg as u64, seq), kind);
+        let dup = self.events.insert((time, sg as u64, seq), kind);
+        debug_assert!(dup.is_none(), "duplicate event key");
     }
 
     pub(crate) fn bump_gen(&mut self, pid: Pid) -> u64 {
@@ -384,10 +255,12 @@ impl<M> Kernel<M> {
     /// Pop the globally next runnable event and do the per-event
     /// bookkeeping.
     fn pop_next(&mut self) -> Option<Event<M>> {
-        if self.tail && self.queues.peek_min().is_none_or(|key| key.0 >= self.cur_horizon) {
+        let horizon = self.cur_horizon;
+        if self.tail && self.events.first_key_value().is_none_or(|(key, _)| key.0 >= horizon) {
             return None;
         }
-        let ev = self.queues.pop()?;
+        let ((time, src, seq), kind) = self.events.pop_first()?;
+        let ev = Event { time, src, seq, kind };
         debug_assert!(ev.time >= self.end_time, "kernel time went backwards");
         self.end_time = self.end_time.max(ev.time);
         self.events_processed += 1;
@@ -568,7 +441,8 @@ impl<M: Send + 'static> Sim<M> {
         let (ctrl_tx, ctrl_rx) = channel();
         Sim {
             kernel: Arc::new(Mutex::new(Kernel {
-                queues: EventQueues::new(),
+                events: BTreeMap::new(),
+                group_of: Vec::new(),
                 procs: Vec::new(),
                 seqs: Vec::new(),
                 trace: None,
@@ -608,7 +482,10 @@ impl<M: Send + 'static> Sim<M> {
     /// break ties by the *pushing* process's group.
     pub fn assign_group(&mut self, pid: Pid, group: usize) {
         let mut k = self.kernel.lock();
-        k.queues.assign_group(pid, group);
+        k.group_of[pid] = group;
+        if k.seqs.len() <= group {
+            k.seqs.resize(group + 1, 0);
+        }
         k.grouped = true;
     }
 
@@ -657,7 +534,10 @@ impl<M: Send + 'static> Sim<M> {
             mailbox: VecDeque::new(),
             exec,
         });
-        k.queues.add_proc();
+        // A fresh group of its own: the next unused group index.
+        let group = k.seqs.len();
+        k.group_of.push(group);
+        k.seqs.push(0);
         // Initial wake at t=0 so the process starts when the engine runs.
         k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
         pid
@@ -705,7 +585,6 @@ impl<M: Send + 'static> Sim<M> {
         }
 
         let mut k = self.kernel.lock();
-        k.exec.sprint_pops = k.queues.sprint_pops;
         Ok(SimReport {
             end_time: k.end_time,
             proc_clocks: k.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),

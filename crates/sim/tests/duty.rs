@@ -103,10 +103,9 @@ fn a_ring_is_one_chain_of_direct_duty_transfers() {
 }
 
 #[test]
-fn queued_runs_sprint_past_the_merge_index() {
-    // Several deliveries queued for one process: after the first pop, the
-    // rest of the run is served from the group queue's deferred head
-    // without touching the merge heap.
+fn a_queued_burst_arrives_in_send_order() {
+    // Eight deliveries queued for one receiver before it first runs: they
+    // pop — and are received — in the order of their delivery times.
     let mut sim = Sim::<u32>::new();
     sim.spawn("burst-sender", |ctx| {
         for i in 0..8u32 {
@@ -120,8 +119,7 @@ fn queued_runs_sprint_past_the_merge_index() {
         }
         Ok(())
     });
-    let report = sim.run().unwrap();
-    assert!(report.exec.sprint_pops >= 8, "burst run should sprint: {:?}", report.exec);
+    sim.run().unwrap();
 }
 
 #[test]
@@ -143,10 +141,25 @@ fn self_resume_needs_no_duty_transfer() {
 /// One node: a primary that wakes at 100 µs (that pop opens the lookahead
 /// window [100, 110) µs), queues two local deliveries for its daemon — at
 /// 105 µs and at 115 µs — and exits. Returns how many the daemon saw.
-fn tail_run(lookahead: Option<Dur>) -> (u64, SimReport) {
+///
+/// `bystanders` more nodes, each a daemon in a group of its own, sleep
+/// until 101 µs + i × 250 ns: their wakes are pending in as many groups,
+/// on both sides of the horizon, when the tail begins. Also returns how
+/// many of them woke.
+fn tail_run(lookahead: Option<Dur>, bystanders: usize) -> (u64, u64, SimReport) {
     let seen = Arc::new(AtomicU64::new(0));
     let seen2 = Arc::clone(&seen);
+    let woken = Arc::new(AtomicU64::new(0));
     let mut sim = Sim::<u32>::new();
+    for i in 0..bystanders {
+        let woken = Arc::clone(&woken);
+        let b = sim.spawn_daemon(&format!("bystander{i}"), move |ctx| {
+            ctx.sleep(Dur::from_nanos(101_000 + i as u64 * 250))?;
+            woken.fetch_add(1, Ordering::SeqCst);
+            ctx.recv().map(drop)
+        });
+        sim.assign_group(b, 1 + i);
+    }
     let d = sim.spawn_daemon("daemon", move |ctx| {
         while ctx.recv().is_ok() {
             seen2.fetch_add(1, Ordering::SeqCst);
@@ -165,20 +178,30 @@ fn tail_run(lookahead: Option<Dur>) -> (u64, SimReport) {
         sim.set_lookahead(l);
     }
     let report = sim.run().unwrap();
-    (seen.load(Ordering::SeqCst), report)
+    (seen.load(Ordering::SeqCst), woken.load(Ordering::SeqCst), report)
 }
 
 #[test]
 fn the_run_ends_at_the_horizon_the_last_exit_fell_into() {
     // Grouped with a lookahead: the window the exit fell into is finished,
     // nothing beyond it runs.
-    let (seen, report) = tail_run(Some(LOOKAHEAD));
+    let (seen, _, report) = tail_run(Some(LOOKAHEAD), 0);
     assert_eq!(seen, 1, "the 105 µs delivery is inside the window, the 115 µs one is not");
     assert_eq!(report.end_time, SimTime::from_nanos(105_000));
     assert!(report.mailbox_backlog.is_empty(), "{:?}", report.mailbox_backlog);
     // No groups, no lookahead: the horizon is degenerate and the run stops
     // at the exit.
-    let (seen, report) = tail_run(None);
+    let (seen, _, report) = tail_run(None, 0);
     assert_eq!(seen, 0);
     assert_eq!(report.end_time, SimTime::from_nanos(100_000));
+}
+
+#[test]
+fn the_horizon_holds_with_64_groups() {
+    let (seen, woken, report) = tail_run(Some(LOOKAHEAD), 63);
+    assert_eq!(seen, 1, "the 105 µs delivery is inside the window, the 115 µs one is not");
+    // 101 µs + i × 250 ns < 110 µs for i < 36; the last of those ends the run.
+    assert_eq!(woken, 36);
+    assert_eq!(report.end_time, SimTime::from_nanos(109_750));
+    assert!(report.mailbox_backlog.is_empty(), "{:?}", report.mailbox_backlog);
 }
