@@ -240,16 +240,18 @@ pub(crate) fn run_once(
     RunArtifacts { outcome, snaps, expected, name, stats: stats.snapshot(), backend: cfg.backend }
 }
 
-/// First violated invariant of a finished run, if any, as a one-paragraph
-/// description for the failure report.
-fn validate(art: &RunArtifacts) -> Option<String> {
+/// First violated invariant of a finished run, if any: a one-paragraph
+/// description for the failure report and — for an oracle violation — the
+/// node whose copy was wrong.
+fn validate(art: &RunArtifacts) -> Option<(String, Option<usize>)> {
+    let other = |why| Some((why, None));
     let report = match &art.outcome.result {
-        Err(e) => return Some(format!("simulation failed: {e:?}")),
+        Err(e) => return other(format!("simulation failed: {e:?}")),
         Ok(r) => r,
     };
     for probe in &art.outcome.probes {
         if !probe.is_quiescent() {
-            return Some(format!("node {} not quiescent after the run: {probe:?}", probe.node));
+            return other(format!("node {} not quiescent after the run: {probe:?}", probe.node));
         }
     }
     // On the DES, an application mailbox with undelivered messages at exit
@@ -262,17 +264,19 @@ fn validate(art: &RunArtifacts) -> Option<String> {
         let stuck: Vec<_> =
             report.mailbox_backlog.iter().filter(|(name, _)| name.starts_with("app")).collect();
         if !stuck.is_empty() {
-            return Some(format!("undelivered application messages at exit: {stuck:?}"));
+            return other(format!("undelivered application messages at exit: {stuck:?}"));
         }
     }
-    if let Some(v) = check_snapshots(&art.snaps, &art.expected) {
-        return Some(format!(
-            "coherence violation: node {} page {} byte {} is {:#04x}, reference says {:#04x} \
-             (checkpoint after phase {})",
-            v.node, v.page, v.offset, v.actual, v.expected, v.phase
-        ));
+    let v = check_snapshots(&art.snaps, &art.expected)?;
+    let mut why = format!(
+        "coherence violation: node {} page {} byte {} is {:#04x}, reference says {:#04x} \
+         (checkpoint after phase {}); page {}'s slot on every node at exit:",
+        v.node, v.page, v.offset, v.actual, v.expected, v.phase, v.page
+    );
+    for (q, slot) in art.outcome.page_slots(v.page).iter().enumerate() {
+        why.push_str(&format!("\n    slot[{q}]: {slot}"));
     }
-    None
+    Some((why, Some(v.node)))
 }
 
 /// Run one schedule of a workload. On success returns what it contributed
@@ -285,19 +289,18 @@ pub fn run_schedule(
     sched: Schedule,
 ) -> Result<ScheduleOutcome, String> {
     let art = run_once(build, cfg, sched.loss(), false, None);
-    if let Some(why) = validate(&art) {
+    if let Some((why, node)) = validate(&art) {
         // Deterministic engine: the traced re-runs reproduce the failure
-        // and the clean twin exactly.
-        let lossy = run_once(build, cfg, sched.loss(), true, None);
-        let clean = run_once(build, cfg, None, true, None);
-        return Err(report::render_failure(
-            art.name,
-            cfg,
-            sched,
-            &why,
-            &lossy.outcome,
-            &clean.outcome,
-        ));
+        // and the clean twin exactly. A native run reproduces nothing and
+        // records no trace: its report is the failing run's own outcome.
+        let reruns = (cfg.backend == Backend::Sim).then(|| {
+            (run_once(build, cfg, sched.loss(), true, None), run_once(build, cfg, None, true, None))
+        });
+        let (lossy, clean) = match &reruns {
+            Some((lossy, clean)) => (&lossy.outcome, &clean.outcome),
+            None => (&art.outcome, &art.outcome),
+        };
+        return Err(report::render_failure(art.name, cfg, sched, &why, node, lossy, clean));
     }
     let report = art.outcome.result.as_ref().expect("validated runs have a report");
     Ok(ScheduleOutcome {
@@ -322,7 +325,7 @@ pub fn run_schedule_instrumented(
 ) -> Result<InstrumentedOutcome, String> {
     let sink = detector.clone().map(|d| d as Arc<dyn RaceSink>);
     let art = run_once(build, cfg, sched.loss(), false, sink);
-    if let Some(why) = validate(&art) {
+    if let Some((why, _)) = validate(&art) {
         return Err(format!("instrumented schedule failed: {why}"));
     }
     let report = art.outcome.result.as_ref().expect("validated runs have a report");

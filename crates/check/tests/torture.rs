@@ -135,8 +135,11 @@ fn torture_sweep_master_push_shard1() {
 /// The coherence oracle must catch the divergence; this pins the
 /// generation counter as the mechanism that keeps the TLB coherent (a
 /// passing run here would mean the fast path is not actually guarded).
+/// The report of a coherence violation — and only that report — goes on to
+/// print the divergent page's slot on every node; the expected text pins
+/// that too.
 #[test]
-#[should_panic(expected = "coherence violation")]
+#[should_panic(expected = "'s slot on every node at exit:\n    slot[0]: Some(PageMeta {")]
 fn broken_generation_bump_is_caught_by_the_oracle() {
     let cfg = HarnessConfig { nodes: 4, break_generation_bumps: true, ..HarnessConfig::default() };
     let clean = [Schedule { seed: 0, drop_per_mille: 0, unicast: false }];

@@ -3,7 +3,6 @@
 //! simulator an application thread plus a handler *reactor* (no thread),
 //! natively two threads.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -71,7 +70,9 @@ pub type AppFn = Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static
 pub struct Cluster {
     cfg: ClusterConfig,
     stats: StatsRef,
-    initial: HashMap<PageId, Vec<u8>>,
+    /// The shared segment, spanning the whole heap until launch cuts it
+    /// to what was allocated; preloads write straight into it.
+    segment: SharedSegment,
     alloc_next: u64,
     record_trace: bool,
     race: Option<Arc<dyn RaceSink>>,
@@ -90,6 +91,15 @@ pub struct LaunchOutcome {
     /// `(at, src, dst, pair_seq, multicast)` order (host-invariant; see
     /// [`repseq_net::Network::loss_events`]).
     pub loss_events: Vec<repseq_net::LossEvent>,
+    states: Vec<Arc<Mutex<NodeState>>>,
+}
+
+impl LaunchOutcome {
+    /// Every node's page-table slot for page `p` as the run left it
+    /// (rendered [`crate::PageMeta`]s), for a failure report to print.
+    pub fn page_slots(&self, p: PageId) -> Vec<String> {
+        self.states.iter().map(|s| format!("{:?}", s.lock().data.pages.get(p as usize))).collect()
+    }
 }
 
 impl Cluster {
@@ -98,10 +108,11 @@ impl Cluster {
         assert!(cfg.nodes >= 1);
         assert_eq!(cfg.net.nodes, cfg.nodes, "network and cluster node counts must agree");
         assert_eq!(stats.n_nodes(), cfg.nodes, "stats registry sized for a different cluster");
+        let segment = SharedSegment::new(cfg.dsm.page_size, cfg.dsm.heap_pages as usize);
         Cluster {
             cfg,
             stats,
-            initial: HashMap::new(),
+            segment,
             // Address 0 is reserved so that a zero handle is recognizably
             // uninitialized.
             alloc_next: 64,
@@ -169,7 +180,7 @@ impl Cluster {
         let mut buf = vec![0u8; T::SIZE];
         for (i, v) in vals.iter().enumerate() {
             v.write_to(&mut buf);
-            self.preload_bytes(arr.addr(i), &buf);
+            self.segment.write(arr.addr(i), &buf);
         }
     }
 
@@ -177,26 +188,12 @@ impl Cluster {
     pub fn preload_at<T: Pod>(&mut self, arr: ShArray<T>, i: usize, v: T) {
         let mut buf = vec![0u8; T::SIZE];
         v.write_to(&mut buf);
-        self.preload_bytes(arr.addr(i), &buf);
+        self.segment.write(arr.addr(i), &buf);
     }
 
     /// Preload a shared variable.
     pub fn preload_var<T: Pod>(&mut self, var: ShVar<T>, v: T) {
         self.preload_at(var.as_array(), 0, v);
-    }
-
-    fn preload_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let ps = self.cfg.dsm.page_size;
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let a = addr + off as u64;
-            let p = (a / ps as u64) as PageId;
-            let in_page = (a % ps as u64) as usize;
-            let chunk = (ps - in_page).min(bytes.len() - off);
-            let page = self.initial.entry(p).or_insert_with(|| vec![0u8; ps]);
-            page[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
-            off += chunk;
-        }
     }
 
     /// Launch the cluster: one handler and one application process per
@@ -210,23 +207,21 @@ impl Cluster {
     /// Like [`Cluster::launch`], but additionally returns per-node protocol
     /// probes and the loss log for post-run invariant checking — the entry
     /// point `repseq-check` uses.
-    pub fn launch_inspect(self, apps: Vec<AppFn>) -> LaunchOutcome {
+    pub fn launch_inspect(mut self, apps: Vec<AppFn>) -> LaunchOutcome {
         let n = self.cfg.nodes;
         assert_eq!(apps.len(), n, "need exactly one application per node");
         let net = Network::new(self.cfg.net.clone(), Arc::clone(&self.stats));
-        // Shared-segment size in pages: every allocation so far. Sizes the
-        // twin pool — a segment-wide fault burst must recycle, not
-        // allocate.
+        // Shared-segment size in pages: every allocation so far. Sizes each
+        // node's page table and twin pool.
         let seg_pages = self.alloc_next.div_ceil(self.cfg.dsm.page_size as u64) as usize;
         // The one shared segment both substrates seed node memory from
         // (see [`SharedSegment`]): identical initial bytes whichever
         // backend runs the program.
-        let segment = SharedSegment::new(self.cfg.dsm.page_size, seg_pages.max(1), &self.initial);
-        let initial: Arc<HashMap<PageId, Arc<[u8]>>> = segment.page_map();
+        self.segment.truncate(seg_pages);
+        let segment = Arc::new(self.segment);
         let states: Vec<Arc<Mutex<NodeState>>> = (0..n)
             .map(|i| {
-                let mut st = NodeState::new(i, n, self.cfg.dsm.clone(), Arc::clone(&initial));
-                st.size_twin_pool(seg_pages);
+                let st = NodeState::new(i, n, self.cfg.dsm.clone(), Arc::clone(&segment));
                 Arc::new(Mutex::new(st))
             })
             .collect();
@@ -237,7 +232,7 @@ impl Cluster {
             Backend::Native => Self::run_native(&self.cfg, &net, &states, &topo, apps),
         };
         let probes = states.iter().map(|s| s.lock().rse_probe()).collect();
-        LaunchOutcome { result, probes, loss_events: net.loss_events() }
+        LaunchOutcome { result, probes, loss_events: net.loss_events(), states }
     }
 
     /// The simulated launch path: spawn every process into a DES, group

@@ -58,7 +58,7 @@ impl NodeState {
             // notice so elections and fault logic treat own intervals as
             // covered.
             page.valid_at.set(node, ivx);
-            self.rse.valid_changed.insert(p);
+            self.mark_valid_changed(p);
             // The written page was re-protected; it stays valid and
             // readable, so only writable translations go stale.
             self.bump_page_write_prot_gen(p);
@@ -163,8 +163,8 @@ mod tests {
         let cost = st.apply_records(vec![rec], &vc);
         assert!(cost > Dur::ZERO, "diff creation must be charged");
         // apply_records closed our interval (ivx 1 of node 1) first.
-        assert!(st.data.diffs.contains_key(&(7, 1, 1)));
         let page = st.page_mut(7);
+        assert!(page.diffs.contains_key(&(1, 1)));
         assert!(!page.valid);
         assert!(page.twin.is_none());
     }

@@ -1,15 +1,16 @@
-//! The data plane: page contents, twins, diffs, the twin buffer pool and
-//! software-TLB revocation (the protection generation).
+//! The data plane: the page table — page contents, twins, cached diffs —
+//! plus the twin buffer pool and software-TLB revocation (the protection
+//! generation).
 //!
-//! This layer owns *the bytes*: materializing pages from the initial
-//! image, twinning on write faults, lazy diff creation and application,
-//! the diff cache, and every protection change that must invalidate the
-//! application process's software TLB. It consults the consistency layer
-//! for what a copy is missing (`missing_notices` against the interval
-//! store) but never mutates interval or vector-clock state beyond the
-//! coverage stamp (`valid_at`) of its own pages.
+//! This layer owns *the page table* and the bytes behind it: one
+//! [`PageMeta`] slot per page of the shared segment, indexed by page
+//! number. Materializing pages from the segment, twinning on write faults,
+//! lazy diff creation and application, the per-page diff cache, and every
+//! protection change that must invalidate the application process's
+//! software TLB happen here. It reads the interval store to order the
+//! diffs a copy is missing but never mutates interval or vector-clock
+//! state beyond the coverage stamp (`valid_at`) of its own pages.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,15 +20,17 @@ use repseq_stats::{host, NodeId};
 use crate::diff::Diff;
 use crate::interval::PageId;
 use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta};
+use crate::shmem::SharedSegment;
+use crate::vc::Vc;
 
-/// Twin-pool cap for nodes whose cluster never called
-/// [`NodeState::size_twin_pool`] (unit tests, hand-built states). Clusters
-/// size the pool from the shared-segment page count instead, since a full
-/// sweep over the segment can twin every page of it.
+/// Twin-pool cap for nodes with no segment to size it from (unit tests,
+/// hand-built states). Clusters size the pool from the shared-segment page
+/// count instead ([`DataPlane::new`]), since a full sweep over the segment
+/// can twin every page of it.
 const TWIN_POOL_DEFAULT_CAP: usize = 64;
 
-/// Most buffers [`NodeState::size_twin_pool`] prewarms eagerly; beyond
-/// this, first-touch allocation is cheaper than the up-front memory.
+/// Most buffers [`DataPlane::new`] prewarms eagerly; beyond this,
+/// first-touch allocation is cheaper than the up-front memory.
 const TWIN_POOL_PREWARM_MAX: usize = 256;
 
 /// Cluster-wide prewarm budget in pages (32 MiB at 4 KiB pages), split
@@ -151,11 +154,10 @@ impl GenTable {
 
 /// Page/twin/diff state: one node's local memory.
 pub(crate) struct DataPlane {
-    pub(crate) pages: HashMap<PageId, PageMeta>,
-    /// Diff cache: local creations and remote fetches, never evicted
-    /// (garbage collection is out of scope, see DESIGN.md). One record can
-    /// be keyed under several intervals it covers.
-    pub(crate) diffs: HashMap<(PageId, NodeId, u32), DiffEntry>,
+    /// The page table, indexed by `PageId`: one slot per page of the
+    /// shared segment, sized at launch. Only a hand-built state (unit
+    /// tests: an empty segment) grows it, on first touch.
+    pub(crate) pages: Vec<PageMeta>,
     /// Pages with a twin (writes not yet diffed).
     pub(crate) dirty_pages: Vec<PageId>,
     /// Recycled page-sized buffers for twins: every write fault needs a
@@ -164,8 +166,8 @@ pub(crate) struct DataPlane {
     /// here when a twin is consumed by diff creation or dropped at
     /// replicated-section exit. Capped at `twin_pool_cap`.
     pub(crate) twin_pool: Vec<Box<[u8]>>,
-    /// Pool cap: the shared-segment page count once the cluster calls
-    /// [`NodeState::size_twin_pool`], [`TWIN_POOL_DEFAULT_CAP`] otherwise.
+    /// Pool cap: the shared-segment page count, or
+    /// [`TWIN_POOL_DEFAULT_CAP`] if that is larger.
     pub(crate) twin_pool_cap: usize,
     /// Per-page protection generations: bumped for a page at every
     /// protection *revocation* or out-of-band content change that could
@@ -180,20 +182,39 @@ pub(crate) struct DataPlane {
     /// unrelated entry. Shared (`Arc`) because the handler process mutates
     /// protections while the TLB lives with the application process.
     pub(crate) prot_gen: Arc<GenTable>,
-    /// Initial page images (shared, written before the run starts).
-    pub(crate) initial: Arc<HashMap<PageId, Arc<[u8]>>>,
+    /// The cluster's shared segment: the initial image, written before
+    /// the run starts. A slot copies its page out when it first needs
+    /// bytes of its own.
+    pub(crate) segment: Arc<SharedSegment>,
+    /// The zero timestamp every untouched slot's `valid_at` shares.
+    pub(crate) zero: Vc,
 }
 
 impl DataPlane {
-    pub(crate) fn new(initial: Arc<HashMap<PageId, Arc<[u8]>>>) -> DataPlane {
+    /// One node's data plane over `segment`, whose page count sizes the
+    /// page table and the twin pool: a segment-wide fault burst (one twin
+    /// per page) must recycle rather than allocate, so the cap tracks the
+    /// segment size, and the pool is prewarmed so even the first burst
+    /// hits. The prewarm is bounded two ways — per node
+    /// (`TWIN_POOL_PREWARM_MAX`) and cluster-wide
+    /// (`TWIN_POOL_PREWARM_BUDGET` split over `n` nodes) — so scaling the
+    /// node count does not scale the eagerly committed host memory with
+    /// it. The *cap* still tracks the full segment: buffers recycled after
+    /// the first burst are kept, so steady-state hits do not depend on the
+    /// prewarm bound.
+    pub(crate) fn new(n: usize, page_size: usize, segment: Arc<SharedSegment>) -> DataPlane {
+        let zero = Vc::zero(n);
+        let seg_pages = segment.pages();
+        let share = (TWIN_POOL_PREWARM_BUDGET / n.max(1)).max(TWIN_POOL_DEFAULT_CAP);
+        let warm = seg_pages.min(TWIN_POOL_PREWARM_MAX).min(share);
         DataPlane {
-            pages: HashMap::new(),
-            diffs: HashMap::new(),
+            pages: (0..seg_pages).map(|_| PageMeta::new(zero.clone())).collect(),
             dirty_pages: Vec::new(),
-            twin_pool: Vec::new(),
-            twin_pool_cap: TWIN_POOL_DEFAULT_CAP,
+            twin_pool: (0..warm).map(|_| vec![0u8; page_size].into_boxed_slice()).collect(),
+            twin_pool_cap: seg_pages.max(TWIN_POOL_DEFAULT_CAP),
             prot_gen: Arc::new(GenTable::new()),
-            initial,
+            segment,
+            zero,
         }
     }
 }
@@ -201,24 +222,26 @@ impl DataPlane {
 use crate::state::NodeState;
 
 impl NodeState {
-    /// The page contents, materialized from the initial image on first
+    /// The page contents, materialized from the shared segment on first
     /// touch.
     pub fn page_data(&mut self, p: PageId) -> &mut [u8] {
-        let ps = self.cfg.page_size;
-        let initial = Arc::clone(&self.data.initial);
-        let n = self.n;
-        let page = self.data.pages.entry(p).or_insert_with(|| PageMeta::new(n));
-        page.materialize(ps, initial.get(&p))
+        self.materialized(p).slice_mut()
     }
 
     /// A shared handle to the page contents (materialized on first touch),
     /// for the software TLB and the page guards.
     pub(crate) fn page_buf(&mut self, p: PageId) -> PageBuf {
+        self.materialized(p).clone()
+    }
+
+    fn materialized(&mut self, p: PageId) -> &PageBuf {
         let ps = self.cfg.page_size;
-        let initial = Arc::clone(&self.data.initial);
-        let n = self.n;
-        let page = self.data.pages.entry(p).or_insert_with(|| PageMeta::new(n));
-        page.buf(ps, initial.get(&p)).clone()
+        self.page_mut(p);
+        let DataPlane { pages, segment, .. } = &mut self.data;
+        let page = &mut pages[p as usize];
+        // The segment is consulted only for a page with no bytes yet.
+        let image = if page.data.is_none() { segment.page(p) } else { None };
+        page.buf(ps, image)
     }
 
     /// The node-wide protection-change counter: the monotone total of all
@@ -262,30 +285,15 @@ impl NodeState {
         self.data.prot_gen.bump_page_write(p);
     }
 
-    /// Size the twin pool for a shared segment of `seg_pages` pages: a
-    /// segment-wide fault burst (one twin per page) must recycle rather
-    /// than allocate, so the cap tracks the segment size, and the pool is
-    /// prewarmed so even the first burst hits. The prewarm is bounded two
-    /// ways — per node (`TWIN_POOL_PREWARM_MAX`) and cluster-wide
-    /// (`TWIN_POOL_PREWARM_BUDGET` split over `n` nodes) — so scaling
-    /// the node count does not scale the eagerly committed host memory
-    /// with it. The *cap* still tracks the full segment: buffers recycled
-    /// after the first burst are kept, so steady-state hits do not depend
-    /// on the prewarm bound.
-    pub fn size_twin_pool(&mut self, seg_pages: usize) {
-        self.data.twin_pool_cap = seg_pages.max(TWIN_POOL_DEFAULT_CAP);
-        let share = (TWIN_POOL_PREWARM_BUDGET / self.n.max(1)).max(TWIN_POOL_DEFAULT_CAP);
-        let warm = seg_pages.min(TWIN_POOL_PREWARM_MAX).min(share);
-        let ps = self.cfg.page_size;
-        while self.data.twin_pool.len() < warm {
-            self.data.twin_pool.push(vec![0u8; ps].into_boxed_slice());
-        }
-    }
-
-    /// This node's view of page `p`, created on demand.
+    /// This node's slot for page `p`.
     pub fn page_mut(&mut self, p: PageId) -> &mut PageMeta {
-        let n = self.n;
-        self.data.pages.entry(p).or_insert_with(|| PageMeta::new(n))
+        let DataPlane { pages, segment, zero, .. } = &mut self.data;
+        if p as usize >= pages.len() {
+            // A launched cluster sized the table for its whole segment.
+            debug_assert_eq!(segment.pages(), 0, "page {p} is outside the shared segment");
+            pages.resize_with(p as usize + 1, || PageMeta::new(zero.clone()));
+        }
+        &mut pages[p as usize]
     }
 
     /// Create the diff for a twinned page (lazy diff creation, §5.1).
@@ -294,7 +302,7 @@ impl NodeState {
     pub(crate) fn create_own_diff(&mut self, p: PageId) -> Dur {
         let node = self.node;
         let mut cost = self.cfg.diff_create_cost();
-        let page = self.data.pages.get_mut(&p).expect("diffing unknown page");
+        let page = &mut self.data.pages[p as usize];
         let mut twin = page.twin.take().expect("diffing a page without a twin");
         let data = page.data.as_ref().expect("twinned page must be materialized").slice();
         let timer = host::start();
@@ -310,20 +318,20 @@ impl NodeState {
             // the current interval stays separable — reusing the buffer of
             // the twin just consumed instead of cloning the page.
             cost += self.cfg.twin_cost();
-            let page = self.data.pages.get_mut(&p).unwrap();
+            let page = &mut self.data.pages[p as usize];
             twin.copy_from_slice(page.data.as_ref().unwrap().slice());
             page.twin = Some(twin);
             // stays writable and in the dirty set
         } else {
             pool_recycle(&mut self.data.twin_pool, self.data.twin_pool_cap, twin);
-            let page = self.data.pages.get_mut(&p).unwrap();
-            page.writable = false;
+            self.data.pages[p as usize].writable = false;
             self.data.dirty_pages.retain(|&q| q != p);
             self.bump_page_write_prot_gen(p); // write permission revoked, still readable
         }
         let record = Arc::new(DiffRecord { owner: node, covers: ivxs.clone(), diff });
+        let page = &mut self.data.pages[p as usize];
         for ivx in ivxs {
-            self.data.diffs.insert((p, node, ivx), Arc::clone(&record));
+            page.diffs.insert((node, ivx), Arc::clone(&record));
         }
         cost
     }
@@ -336,18 +344,16 @@ impl NodeState {
     pub fn write_fault(&mut self, p: PageId) -> Dur {
         let mut cost = self.cfg.fault_overhead;
         let in_rse = self.rse.active;
-        let rse_protected = self.data.pages.get(&p).map(|pg| pg.rse_protected).unwrap_or(false);
-        if in_rse && rse_protected {
+        if in_rse && self.page_mut(p).rse_protected {
             // First write to a dirty page inside a replicated section:
             // create the pre-section diff before the page may change
             // (§5.3), then fall through to re-twin.
             cost += self.create_own_diff(p);
         }
-        let need_twin = self.data.pages.get(&p).map(|pg| pg.twin.is_none()).unwrap_or(true);
-        if need_twin {
+        if self.page_mut(p).twin.is_none() {
             cost += self.cfg.twin_cost();
             self.page_data(p); // materialize before twinning
-            let page = self.data.pages.get_mut(&p).unwrap();
+            let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid, "write fault on an invalid page");
             let twin = pool_take(&mut self.data.twin_pool, page.data.as_ref().unwrap().slice());
             page.twin = Some(twin);
@@ -355,7 +361,7 @@ impl NodeState {
                 self.data.dirty_pages.push(p);
             }
         }
-        let page = self.data.pages.get_mut(&p).unwrap();
+        let page = &mut self.data.pages[p as usize];
         page.writable = true;
         if in_rse {
             if !page.rse_dirty {
@@ -387,14 +393,16 @@ impl NodeState {
     }
 
     /// Group the needed notices that are not already in the diff cache by
-    /// owner: the requests an ordinary page fault sends (in parallel, to
-    /// each last writer).
-    pub(crate) fn fetch_plan(&mut self, p: PageId) -> HashMap<NodeId, Vec<u32>> {
+    /// owner, ascending: the requests an ordinary page fault sends (in
+    /// parallel, to each last writer).
+    pub(crate) fn fetch_plan(&mut self, p: PageId) -> Vec<(NodeId, Vec<u32>)> {
         let needed = self.needed_notices(p);
-        let mut plan: HashMap<NodeId, Vec<u32>> = HashMap::new();
-        for &(owner, ivx) in &needed {
-            if !self.data.diffs.contains_key(&(p, owner, ivx)) {
-                plan.entry(owner).or_default().push(ivx);
+        let cached = &self.data.pages[p as usize].diffs;
+        let mut plan: Vec<(NodeId, Vec<u32>)> = Vec::new();
+        for &(owner, ivx) in needed.iter().filter(|&key| !cached.contains_key(key)) {
+            match plan.binary_search_by_key(&owner, |e| e.0) {
+                Ok(i) => plan[i].1.push(ivx),
+                Err(i) => plan.insert(i, (owner, vec![ivx])),
             }
         }
         self.recycle_notices(needed);
@@ -409,10 +417,9 @@ impl NodeState {
         // Collect the distinct records behind the needed notices.
         let mut records: Vec<(u64, DiffEntry)> = self.scratch.diff_batch.take();
         for &(owner, ivx) in &needed {
-            let rec = self
-                .data
+            let rec = self.data.pages[p as usize]
                 .diffs
-                .get(&(p, owner, ivx))
+                .get(&(owner, ivx))
                 .unwrap_or_else(|| panic!("diff ({p},{owner},{ivx}) not cached"))
                 .clone();
             if records.iter().any(|(_, r)| Arc::ptr_eq(r, &rec)) {
@@ -438,10 +445,7 @@ impl NodeState {
             .sort_by(|a, b| (a.0, a.1.owner, a.1.covers[0]).cmp(&(b.0, b.1.owner, b.1.covers[0])));
         let mut cost = Dur::ZERO;
         let node = self.node;
-        let page_size = self.cfg.page_size;
-        let initial = Arc::clone(&self.data.initial);
-        let page = self.page_mut(p);
-        let data = page.materialize(page_size, initial.get(&p));
+        let data = self.page_data(p);
         let payload: u64 = records.iter().map(|(_, rec)| rec.diff.payload_bytes()).sum();
         // One fused pass over the page instead of one pass per record;
         // the modeled cost still charges every record's full payload, as
@@ -466,10 +470,10 @@ impl NodeState {
             let o = rec.owner;
             valid_at.set(o, valid_at.get(o).max(rec.max_ivx()));
         }
-        let page = self.data.pages.get_mut(&p).unwrap();
+        let page = &mut self.data.pages[p as usize];
         page.valid = true;
         page.valid_at = valid_at;
-        self.rse.valid_changed.insert(p);
+        self.mark_valid_changed(p);
         // The handler may have applied these diffs while the application
         // process was blocked elsewhere: its TLB must re-check validity.
         self.bump_page_prot_gen(p);
@@ -487,16 +491,15 @@ impl NodeState {
         let mut cost = Dur::ZERO;
         let mut out: Vec<DiffEntry> = Vec::new();
         for &ivx in ivxs {
-            if !self.data.diffs.contains_key(&(p, node, ivx)) {
+            if !self.page_mut(p).diffs.contains_key(&(node, ivx)) {
                 // Lazy creation: must still have the twin.
-                let page = self.data.pages.get(&p);
                 assert!(
-                    page.map(|pg| pg.twin.is_some()).unwrap_or(false),
+                    self.data.pages[p as usize].twin.is_some(),
                     "node {node}: diff ({p},{ivx}) requested but neither cached nor creatable"
                 );
                 cost += self.create_own_diff(p);
             }
-            let rec = self.data.diffs.get(&(p, node, ivx)).unwrap().clone();
+            let rec = self.data.pages[p as usize].diffs[&(node, ivx)].clone();
             if !out.iter().any(|r| Arc::ptr_eq(r, &rec)) {
                 out.push(rec);
             }
@@ -507,9 +510,10 @@ impl NodeState {
     /// Record fetched diffs in the cache, keyed under every interval each
     /// record covers.
     pub(crate) fn cache_diffs(&mut self, p: PageId, entries: &[DiffEntry]) {
+        let cache = &mut self.page_mut(p).diffs;
         for rec in entries {
             for &ivx in &rec.covers {
-                self.data.diffs.entry((p, rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
+                cache.entry((rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
             }
         }
     }
@@ -518,33 +522,29 @@ impl NodeState {
     /// valid locally).
     pub(crate) fn can_complete(&mut self, p: PageId) -> bool {
         let needed = self.needed_notices(p);
-        let complete =
-            needed.iter().all(|&(owner, ivx)| self.data.diffs.contains_key(&(p, owner, ivx)));
+        let cached = &self.data.pages[p as usize].diffs;
+        let complete = needed.iter().all(|key| cached.contains_key(key));
         self.recycle_notices(needed);
         complete
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
     /// the local copy is invalid. Read-only: unlike `page_data`, an
-    /// untouched page is *not* materialized into the page table — the lazy
-    /// initial image is copied out instead — so inspection never perturbs
-    /// protocol state.
+    /// untouched page is *not* materialized (and a hand-built state's
+    /// table not grown) — the segment's image is copied out instead — so
+    /// inspection never perturbs protocol state.
     pub fn inspect_page(&self, p: PageId) -> Option<Vec<u8>> {
-        match self.data.pages.get(&p) {
-            Some(pg) if !pg.valid => None,
-            Some(pg) => Some(match &pg.data {
-                Some(d) => d.slice().to_vec(),
-                None => self.initial_image(p),
-            }),
-            None => Some(self.initial_image(p)),
+        let slot = self.data.pages.get(p as usize);
+        if slot.is_some_and(|pg| !pg.valid) {
+            return None;
         }
-    }
-
-    fn initial_image(&self, p: PageId) -> Vec<u8> {
-        match self.data.initial.get(&p) {
-            Some(img) => img.to_vec(),
-            None => vec![0u8; self.cfg.page_size],
-        }
+        Some(match slot.and_then(|pg| pg.data.as_ref()) {
+            Some(d) => d.slice().to_vec(),
+            None => match self.data.segment.page(p) {
+                Some(img) => img.to_vec(),
+                None => vec![0u8; self.cfg.page_size],
+            },
+        })
     }
 }
 
@@ -566,10 +566,8 @@ mod tests {
         st.close_interval();
         assert_eq!(st.page_mut(3).own_undiffed, vec![1, 2]);
         st.create_own_diff(3);
-        assert!(st.data.diffs.contains_key(&(3, 0, 1)));
-        assert!(st.data.diffs.contains_key(&(3, 0, 2)));
-        assert!(Arc::ptr_eq(&st.data.diffs[&(3, 0, 1)], &st.data.diffs[&(3, 0, 2)]));
         let page = st.page_mut(3);
+        assert!(Arc::ptr_eq(&page.diffs[&(0, 1)], &page.diffs[&(0, 2)]));
         assert!(page.twin.is_none() && !page.writable);
         assert!(st.data.dirty_pages.is_empty());
     }
@@ -577,20 +575,40 @@ mod tests {
     #[test]
     fn fetch_plan_groups_missing_by_owner() {
         let mut st = state(2, 3);
-        for (owner, ivx) in [(0u32, 1u32), (0, 2), (1, 1)] {
+        // Notices arrive in no particular owner order; the plan is sorted.
+        for (owner, ivx) in [(1u32, 1u32), (0, 1), (0, 2)] {
             let mut vcfix = Vc::zero(3);
             vcfix.set(owner as usize, ivx);
             let rec = IntervalRecord::new(owner as usize, ivx, vcfix.clone(), vec![9]);
             st.apply_records(vec![rec], &vcfix);
         }
         // Cache one of them: plan must exclude it.
-        st.data.diffs.insert(
-            (9, 0, 1),
+        st.page_mut(9).diffs.insert(
+            (0, 1),
             Arc::new(DiffRecord { owner: 0, covers: vec![1], diff: Diff::default() }),
         );
-        let plan = st.fetch_plan(9);
-        assert_eq!(plan[&0], vec![2]);
-        assert_eq!(plan[&1], vec![1]);
+        assert_eq!(st.fetch_plan(9), vec![(0, vec![2]), (1, vec![1])]);
+    }
+
+    #[test]
+    fn only_hand_built_tables_grow_and_inspection_never_touches_one() {
+        // Hand-built (no segment): the table grows to the page touched.
+        let mut st = state(0, 2);
+        assert!(st.data.pages.is_empty());
+        st.page_mut(40);
+        assert_eq!(st.data.pages.len(), 41);
+        // Over a segment the table is presized, and `inspect_page` reads
+        // an untouched page's image straight from the segment: no slot is
+        // created or materialized, inside the table or beyond it.
+        let cfg = DsmConfig { page_size: 64, ..DsmConfig::default() };
+        let mut seg = SharedSegment::new(64, 4);
+        seg.write(2 * 64, &[7; 64]);
+        let st = NodeState::new(0, 2, cfg, Arc::new(seg));
+        assert_eq!(st.data.pages.len(), 4);
+        assert_eq!(st.inspect_page(2), Some(vec![7; 64]));
+        assert_eq!(st.inspect_page(3), Some(vec![0; 64]));
+        assert_eq!(st.inspect_page(9), Some(vec![0; 64]));
+        assert!(st.data.pages.iter().all(|pg| pg.data.is_none()));
     }
 
     #[test]
@@ -613,12 +631,12 @@ mod tests {
         a[0] = 1;
         let mut b = base.clone();
         b[0] = 2;
-        st.data.diffs.insert(
-            (4, 0, 1),
+        st.page_mut(4).diffs.insert(
+            (0, 1),
             Arc::new(DiffRecord { owner: 0, covers: vec![1], diff: Diff::create(&base, &a) }),
         );
-        st.data.diffs.insert(
-            (4, 1, 1),
+        st.page_mut(4).diffs.insert(
+            (1, 1),
             Arc::new(DiffRecord { owner: 1, covers: vec![1], diff: Diff::create(&a, &b) }),
         );
         assert!(st.can_complete(4));

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use repseq_sim::{Dur, Stopped};
+use repseq_sim::{Dur, SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::MsgClass;
 
 use crate::interval::{IntervalRecord, PageId};

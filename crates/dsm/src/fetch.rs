@@ -9,9 +9,7 @@
 //! or a dead peer, not bad luck). [`RetryTimer`] is that shared
 //! discipline; [`classify_reply`] is the shared stale-reply absorption.
 
-use std::collections::HashSet;
-
-use repseq_sim::{Dur, Envelope, Stopped, SubstrateCtx};
+use repseq_sim::{Dur, Envelope, SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::config::DsmConfig;
@@ -158,24 +156,28 @@ impl DsmNode {
                 (plan, st.fresh_req_id())
             };
             requested = true;
-            let mut owners: Vec<NodeId> = plan.keys().copied().collect();
-            owners.sort_unstable();
-            let mut outstanding: HashSet<NodeId> = HashSet::new();
-            for &owner in &owners {
-                let ivxs = plan[&owner].clone();
-                debug_assert_ne!(owner, node, "own diffs are always cached");
-                let msg = DsmMsg::DiffRequest { page: p, ivxs, reply_to: self.ctx.pid(), req_id };
+            // The plan's owners still owing a reply. Resends repeat an
+            // outstanding owner's original interval list.
+            let mut outstanding = plan;
+            let request = |(owner, ivxs): &(NodeId, Vec<u32>)| {
+                debug_assert_ne!(*owner, node, "own diffs are always cached");
+                let msg = DsmMsg::DiffRequest {
+                    page: p,
+                    ivxs: ivxs.clone(),
+                    reply_to: self.ctx.pid(),
+                    req_id,
+                };
                 let size = msg.wire_size();
                 self.nic.unicast(
                     &self.ctx,
-                    owner,
-                    self.topo.handler_pids[owner],
+                    *owner,
+                    self.topo.handler_pids[*owner],
                     MsgClass::DiffRequest,
                     size,
                     msg,
                 );
-                outstanding.insert(owner);
-            }
+            };
+            outstanding.iter().for_each(request);
             // The unicast transport is logically reliable (TreadMarks ran
             // its own reliability layer over UDP): when loss injection is
             // allowed to touch diff frames, that layer is this resend loop.
@@ -189,23 +191,7 @@ impl DsmNode {
                 })? {
                     Some(env) => env,
                     None => {
-                        for &owner in owners.iter().filter(|o| outstanding.contains(o)) {
-                            let msg = DsmMsg::DiffRequest {
-                                page: p,
-                                ivxs: plan[&owner].clone(),
-                                reply_to: self.ctx.pid(),
-                                req_id,
-                            };
-                            let size = msg.wire_size();
-                            self.nic.unicast(
-                                &self.ctx,
-                                owner,
-                                self.topo.handler_pids[owner],
-                                MsgClass::DiffRequest,
-                                size,
-                                msg,
-                            );
-                        }
+                        outstanding.iter().for_each(request);
                         continue;
                     }
                 };
@@ -224,7 +210,7 @@ impl DsmNode {
                         };
                         let mut st = self.st.lock();
                         st.cache_diffs(p, &diffs);
-                        outstanding.remove(&owner);
+                        outstanding.retain(|e| e.0 != owner);
                     }
                     ReplyClass::Stale => {
                         // Reply to an aborted fetch: count it, drop it.

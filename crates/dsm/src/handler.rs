@@ -283,7 +283,7 @@ impl Handler {
                     // demand-fetches exactly those diffs onto this base.)
                     meta.valid =
                         meta.notices.iter().all(|&(owner, ivx)| meta.valid_at.covers(owner, ivx));
-                    s.rse.valid_changed.insert(page);
+                    s.mark_valid_changed(page);
                     // Content changed underneath any cached translation.
                     s.bump_page_prot_gen(page);
                 }

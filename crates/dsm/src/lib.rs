@@ -25,7 +25,7 @@
 //! | layer | module | owns |
 //! |---|---|---|
 //! | consistency | `vc`, `interval`, `consistency` | vector clocks, intervals, write notices |
-//! | data plane | `page`, `diff`, `dataplane` | pages, twins, diff cache, twin pool, TLB revocation |
+//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: contents, twin, notices, cached diffs, valid notices), twin pool, TLB revocation |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | fork/join, task payloads, the slave loop |

@@ -1,9 +1,14 @@
 //! Per-node page state: the software analogue of the VM page table plus
-//! the TreadMarks bookkeeping (twin, write notices, valid timestamp).
+//! the TreadMarks bookkeeping (twin, write notices, valid timestamp,
+//! cached diffs) and the replicated-section columns (§5.4.1 valid notices
+//! of the peers, request and recovery-reply memory). One [`PageMeta`] is
+//! one slot of the table `crate::dataplane` indexes by page number.
 
 use std::cell::UnsafeCell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use repseq_sim::SimTime;
 use repseq_stats::NodeId;
 
 use crate::diff::Diff;
@@ -81,8 +86,8 @@ impl std::fmt::Debug for PageBuf {
     }
 }
 
-/// One node's view of one shared page.
-#[derive(Debug)]
+/// One node's view of one shared page: its slot of the node's page table,
+/// holding everything the protocol knows about the page.
 pub struct PageMeta {
     /// Page contents. `None` means the page still holds its initial image
     /// (materialized lazily on first write or diff application).
@@ -112,66 +117,122 @@ pub struct PageMeta {
     /// first write inside the section must create the pre-section diff
     /// before the page may change.
     pub rse_protected: bool,
+    /// This page's diff cache, keyed `(owner, interval)`: local creations
+    /// and remote fetches, never evicted (garbage collection is out of
+    /// scope, see DESIGN.md). One record can be keyed under several
+    /// intervals it covers.
+    pub(crate) diffs: BTreeMap<(NodeId, u32), DiffEntry>,
+    /// The peers' valid notices for this page (§5.4.1), as exchanged: a
+    /// stamp every node is known to hold (section retirement makes the
+    /// page valid everywhere at the entry time — common knowledge, stored
+    /// once rather than once per peer) ...
+    pub(crate) peers_valid_at: Option<Vc>,
+    /// ... overridden by what each peer has announced since, ascending by
+    /// node. See [`PageMeta::peer_valid_at`].
+    pub(crate) peer_announced: Vec<(NodeId, Vc)>,
+    /// Own valid notice changed since the last exchange (the page is on
+    /// the `RseState::valid_changed` worklist).
+    pub(crate) valid_changed: bool,
+    /// A multicast request for this page went out in the current
+    /// replicated section (worklist: `RseState::requested`).
+    pub(crate) requested: bool,
+    /// Owner side (§5.4.2 recovery): the time of the last out-of-band
+    /// reply this handler multicast for the page, and the union of the
+    /// interval indices those replies served. Recovery replies go to
+    /// every handler, so one reply serves every concurrent requester;
+    /// when a delayed request or chain makes all ~n waiters time out at
+    /// once, this memory lets the owner answer the first request and
+    /// suppress the other n-1 identical ones (see the handler's
+    /// `RecoveryRequest` arm) instead of multicasting n copies — the
+    /// flow-control improvement §8 of the paper calls for. Cleared at
+    /// section entry (worklist: `RseState::oob_replied`); bounded by the
+    /// timeout window so lost replies are still re-served on the
+    /// requester's next retry.
+    pub(crate) oob_reply: Option<(SimTime, Vec<u32>)>,
 }
 
 impl PageMeta {
     /// A fresh page view: valid, read-only, holding the initial image.
-    pub fn new(n_nodes: usize) -> PageMeta {
+    /// `zero` is the cluster's zero timestamp; every slot's clone shares
+    /// its buffer, so an untouched slot owns no heap memory.
+    pub fn new(zero: Vc) -> PageMeta {
         PageMeta {
             data: None,
             twin: None,
             writable: false,
             valid: true,
-            valid_at: Vc::zero(n_nodes),
+            valid_at: zero,
             notices: Vec::new(),
             own_undiffed: Vec::new(),
             written_cur: false,
             rse_dirty: false,
             rse_protected: false,
+            diffs: BTreeMap::new(),
+            peers_valid_at: None,
+            peer_announced: Vec::new(),
+            valid_changed: false,
+            requested: false,
+            oob_reply: None,
         }
     }
 
-    /// Materialize the page contents, starting from `initial` (or zeros).
-    pub fn materialize(&mut self, page_size: usize, initial: Option<&Arc<[u8]>>) -> &mut [u8] {
-        self.buf(page_size, initial).slice_mut()
-    }
-
-    /// Materialize and return the shared handle to the page contents.
-    pub fn buf(&mut self, page_size: usize, initial: Option<&Arc<[u8]>>) -> &PageBuf {
-        if self.data.is_none() {
-            let bytes = match initial {
+    /// Materialize the page contents, starting from `image` (or zeros),
+    /// and return the shared handle to them.
+    pub fn buf(&mut self, page_size: usize, image: Option<&[u8]>) -> &PageBuf {
+        self.data.get_or_insert_with(|| {
+            PageBuf::new(match image {
                 Some(img) => {
                     debug_assert_eq!(img.len(), page_size);
-                    img.to_vec().into_boxed_slice()
+                    img.into()
                 }
                 None => vec![0u8; page_size].into_boxed_slice(),
-            };
-            self.data = Some(PageBuf::new(bytes));
+            })
+        })
+    }
+
+    /// Node `q`'s valid notice for this page as last exchanged: what `q`
+    /// announced since the page was last retired by a replicated section,
+    /// else the retirement stamp, else `None` (never valid-noticed: zero).
+    /// Every node computes the same answer from the same exchanges, which
+    /// is what makes the requester election identical everywhere.
+    pub fn peer_valid_at(&self, q: NodeId) -> Option<&Vc> {
+        match self.peer_announced.binary_search_by_key(&q, |e| e.0) {
+            Ok(i) => Some(&self.peer_announced[i].1),
+            Err(_) => self.peers_valid_at.as_ref(),
         }
-        self.data.as_ref().unwrap()
     }
 
-    /// Write notices not yet incorporated in the local copy: the fetch set
-    /// of a page fault.
-    pub fn missing_notices(&self) -> Vec<(NodeId, u32)> {
-        self.notices
-            .iter()
-            .copied()
-            .filter(|&(owner, ivx)| !self.valid_at.covers(owner, ivx))
-            .collect()
+    /// Record node `q`'s announced valid notice (a valid-notice exchange).
+    pub(crate) fn announce_peer_valid(&mut self, q: NodeId, vc: Vc) {
+        match self.peer_announced.binary_search_by_key(&q, |e| e.0) {
+            Ok(i) => self.peer_announced[i].1 = vc,
+            Err(i) => self.peer_announced.insert(i, (q, vc)),
+        }
     }
+}
 
-    /// Would a node whose valid notice for this page is `valid_at` fault,
-    /// given this page's notices? (Used for requester election, §5.4.1 —
-    /// every node evaluates this with every other node's exchanged valid
-    /// notice.)
-    pub fn faults_with(&self, valid_at: &Vc) -> bool {
-        self.notices.iter().any(|&(owner, ivx)| !valid_at.covers(owner, ivx))
-    }
-
-    /// The notices a node with valid notice `valid_at` is missing.
-    pub fn missing_with(&self, valid_at: &Vc) -> Vec<(NodeId, u32)> {
-        self.notices.iter().copied().filter(|&(owner, ivx)| !valid_at.covers(owner, ivx)).collect()
+impl std::fmt::Debug for PageMeta {
+    /// The whole slot on one line for failure reports: page bytes, twin
+    /// and diff payloads are elided to presence and cache keys.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageMeta")
+            .field("data", &self.data)
+            .field("twin", &self.twin.is_some())
+            .field("writable", &self.writable)
+            .field("valid", &self.valid)
+            .field("valid_at", &self.valid_at)
+            .field("notices", &self.notices)
+            .field("own_undiffed", &self.own_undiffed)
+            .field("written_cur", &self.written_cur)
+            .field("rse_dirty", &self.rse_dirty)
+            .field("rse_protected", &self.rse_protected)
+            .field("diffs", &self.diffs.keys().collect::<Vec<_>>())
+            .field("peers_valid_at", &self.peers_valid_at)
+            .field("peer_announced", &self.peer_announced)
+            .field("valid_changed", &self.valid_changed)
+            .field("requested", &self.requested)
+            .field("oob_reply", &self.oob_reply)
+            .finish()
     }
 }
 
@@ -207,39 +268,16 @@ mod tests {
 
     #[test]
     fn fresh_page_is_valid_readonly_zero() {
-        let mut p = PageMeta::new(2);
+        let mut p = PageMeta::new(Vc::zero(2));
         assert!(p.valid && !p.writable);
-        let data = p.materialize(64, None);
+        let data = p.buf(64, None).slice();
         assert!(data.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn materialize_uses_initial_image() {
-        let img: Arc<[u8]> = vec![7u8; 16].into();
-        let mut p = PageMeta::new(2);
-        let data = p.materialize(16, Some(&img));
+        let mut p = PageMeta::new(Vc::zero(2));
+        let data = p.buf(16, Some(&[7u8; 16])).slice();
         assert!(data.iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn missing_notices_respects_valid_at() {
-        let mut p = PageMeta::new(3);
-        p.notices = vec![(0, 1), (0, 2), (1, 1)];
-        p.valid_at.set(0, 1);
-        assert_eq!(p.missing_notices(), vec![(0, 2), (1, 1)]);
-        p.valid_at.set(0, 2);
-        p.valid_at.set(1, 1);
-        assert!(p.missing_notices().is_empty());
-    }
-
-    #[test]
-    fn faults_with_models_other_nodes() {
-        let mut p = PageMeta::new(2);
-        p.notices = vec![(0, 3)];
-        let mut fresh = Vc::zero(2);
-        assert!(p.faults_with(&fresh));
-        fresh.set(0, 3);
-        assert!(!p.faults_with(&fresh));
-        assert_eq!(p.missing_with(&Vc::zero(2)), vec![(0, 3)]);
     }
 }

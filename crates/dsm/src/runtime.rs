@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_net::Nic;
-use repseq_sim::{Dur, Pid, Stopped};
+use repseq_sim::{Dur, Pid, SendCtx, Stopped};
 use repseq_stats::{host, NodeId, StatsRef};
 
 use crate::dataplane::GenTable;

@@ -19,12 +19,9 @@
 //! cached across synchronization (the borrow-scoped closure API makes that
 //! structurally impossible).
 
-use std::collections::HashMap;
+use repseq_sim::Stopped;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::Arc;
-
-use repseq_sim::Stopped;
 
 use crate::interval::PageId;
 use crate::page::PageBuf;
@@ -339,82 +336,70 @@ impl<T: Pod> ShArray<T> {
 
 /// The shared segment: one contiguous, page-granular backing for the
 /// cluster's entire shared address space, holding the preloaded initial
-/// image. Both launch paths build one at launch and seed every node's
-/// pages from it, so a simulated and a native run of the same program
-/// start from byte-identical memory:
+/// image — once per cluster. `Cluster::preload_*` write straight into it,
+/// launch cuts it to the allocated size, and every node holds the same
+/// `Arc<SharedSegment>`, copying a page out of it the first time it needs
+/// bytes of its own. A simulated and a native run of the same program
+/// therefore start from byte-identical memory:
 ///
 /// * on the DES the segment is bookkeeping — each node's software page
-///   table copies its initial pages out of it (exactly the bytes the old
-///   per-page preload map carried, so simulation fingerprints are
-///   unchanged);
+///   table copies its initial pages out of it;
 /// * on the native backend the segment *is* the process-shared memory the
 ///   OS threads start from: one allocation in the one address space all
 ///   node threads share, the analogue of the `mmap`'d segment a real DSM
 ///   would carve its pages out of.
 ///
-/// Pages never named by a preload read as zeros, matching the zero-filled
-/// pages the page table materializes on first touch.
+/// Like that `mmap`, the segment has an extent (`pages`) and backs only
+/// what was written: the bytes up to the highest preloaded page. Pages no
+/// preload named read as zeros.
 pub struct SharedSegment {
     page_size: usize,
-    /// Contiguous backing, `pages * page_size` bytes, page `p` at byte
-    /// offset `p * page_size`.
-    bytes: Box<[u8]>,
-    /// Pages that carry preloaded (possibly zero) initial contents, in
-    /// ascending order.
-    preloaded: Vec<PageId>,
+    pages: usize,
+    /// The written prefix, whole pages; page `p` at offset `p * page_size`.
+    bytes: Vec<u8>,
 }
 
 impl SharedSegment {
-    /// Build a segment of `pages` pages, copying in the preloaded image.
-    /// Every preloaded page must be exactly one `page_size` run and fall
-    /// inside the segment.
-    pub fn new(
-        page_size: usize,
-        pages: usize,
-        initial: &HashMap<PageId, Vec<u8>>,
-    ) -> SharedSegment {
+    /// A zero-filled segment of `pages` pages.
+    pub fn new(page_size: usize, pages: usize) -> SharedSegment {
         assert!(page_size > 0, "page size must be positive");
-        let mut bytes = vec![0u8; pages * page_size].into_boxed_slice();
-        let mut preloaded: Vec<PageId> = initial.keys().copied().collect();
-        preloaded.sort_unstable();
-        for (&p, data) in initial {
-            assert_eq!(data.len(), page_size, "preloaded page {p} is not page-sized");
-            assert!((p as usize) < pages, "preloaded page {p} outside the {pages}-page segment");
-            let off = p as usize * page_size;
-            bytes[off..off + page_size].copy_from_slice(data);
-        }
-        SharedSegment { page_size, bytes, preloaded }
-    }
-
-    /// The page size the segment was built with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
+        SharedSegment { page_size, pages, bytes: Vec::new() }
     }
 
     /// Number of pages in the segment.
     pub fn pages(&self) -> usize {
-        self.bytes.len() / self.page_size
+        self.pages
     }
 
-    /// The bytes of page `p`.
-    pub fn page_bytes(&self, p: PageId) -> &[u8] {
+    /// Preload `src` at byte address `addr`, which must fall inside the
+    /// segment.
+    pub fn write(&mut self, addr: u64, src: &[u8]) {
+        let end = addr as usize + src.len();
+        assert!(
+            end <= self.pages * self.page_size,
+            "preload of {addr}..{end} outside the {}-page segment",
+            self.pages
+        );
+        if end > self.bytes.len() {
+            self.bytes.resize(end.next_multiple_of(self.page_size), 0);
+        }
+        self.bytes[addr as usize..end].copy_from_slice(src);
+    }
+
+    /// Cut the segment to its first `pages` pages (launch: everything
+    /// allocated).
+    pub fn truncate(&mut self, pages: usize) {
+        self.pages = pages;
+        self.bytes.truncate(pages * self.page_size);
+    }
+
+    /// The initial image of page `p`, or `None` if it is all zeros (never
+    /// written, or outside the segment): the caller zero-fills, which
+    /// leaves a node's copy of a zero page to be committed lazily by the
+    /// allocator instead of by a copy.
+    pub fn page(&self, p: PageId) -> Option<&[u8]> {
         let off = p as usize * self.page_size;
-        &self.bytes[off..off + self.page_size]
-    }
-
-    /// The pages that carry preloaded initial contents.
-    pub fn preloaded_pages(&self) -> &[PageId] {
-        &self.preloaded
-    }
-
-    /// The initial image in the shape the per-node page tables consume:
-    /// exactly the preloaded pages, each an `Arc`'d snapshot of the
-    /// segment's bytes. Every node shares the one set of `Arc`s (the
-    /// segment is the single backing store; nodes copy-on-first-touch).
-    pub fn page_map(&self) -> Arc<HashMap<PageId, Arc<[u8]>>> {
-        Arc::new(
-            self.preloaded.iter().map(|&p| (p, Arc::<[u8]>::from(self.page_bytes(p)))).collect(),
-        )
+        self.bytes.get(off..off + self.page_size).filter(|img| img.iter().any(|&b| b != 0))
     }
 }
 
@@ -465,39 +450,37 @@ mod tests {
     #[test]
     fn shared_segment_copies_preload_and_zero_fills_the_rest() {
         let ps = 64;
-        let mut initial = HashMap::new();
-        initial.insert(2u32, vec![0xAB; ps]);
-        let seg = SharedSegment::new(ps, 4, &initial);
+        let mut seg = SharedSegment::new(ps, 16);
+        seg.write(2 * ps as u64, &[0xAB; 64]);
+        seg.truncate(4);
         assert_eq!(seg.pages(), 4);
-        assert_eq!(seg.page_size(), ps);
-        assert!(seg.page_bytes(2).iter().all(|&b| b == 0xAB));
-        assert!(seg.page_bytes(0).iter().all(|&b| b == 0));
-        assert!(seg.page_bytes(3).iter().all(|&b| b == 0));
-        assert_eq!(seg.preloaded_pages(), &[2]);
+        assert!(seg.page(2).unwrap().iter().all(|&b| b == 0xAB));
+        assert_eq!(seg.page(0), None);
+        assert_eq!(seg.page(3), None);
+        assert_eq!(seg.page(4), None, "beyond the segment reads as zeros too");
     }
 
     #[test]
-    fn shared_segment_page_map_matches_the_preload_exactly() {
+    fn shared_segment_page_matches_the_preload_exactly() {
         let ps = 32;
-        let mut initial = HashMap::new();
-        initial.insert(0u32, (0..ps as u8).map(|b| b.wrapping_mul(3)).collect());
-        initial.insert(5u32, vec![7; ps]);
-        let seg = SharedSegment::new(ps, 8, &initial);
-        let map = seg.page_map();
-        // Exactly the preloaded pages — never-touched pages stay absent so
-        // the page table's lazy zero-fill path is identical to the old
-        // direct per-page map (simulation fingerprints depend on it).
-        assert_eq!(map.len(), 2);
-        for (p, data) in &initial {
-            assert_eq!(&map[p][..], &data[..], "page {p} bytes must round-trip");
-        }
+        let img: Vec<u8> = (0..ps as u8).map(|b| b.wrapping_mul(3) | 1).collect();
+        let mut seg = SharedSegment::new(ps, 8);
+        seg.write(0, &img);
+        // A preload may straddle pages: one contiguous copy, no chunking.
+        seg.write(5 * ps as u64 - 4, &[7; 8]);
+        assert_eq!(seg.page(0).unwrap(), &img[..], "page 0 bytes must round-trip");
+        assert_eq!(&seg.page(4).unwrap()[ps - 4..], &[7; 4]);
+        assert_eq!(&seg.page(5).unwrap()[..5], &[7, 7, 7, 7, 0]);
+        // Exactly the preloaded pages carry an image — never-named pages
+        // stay `None` so the page table's lazy zero-fill path is the one
+        // they always took (resident set and fingerprints depend on it).
+        let named: Vec<PageId> = (0..8).filter(|&p| seg.page(p).is_some()).collect();
+        assert_eq!(named, vec![0, 4, 5]);
     }
 
     #[test]
     #[should_panic(expected = "outside the")]
     fn shared_segment_rejects_out_of_range_preload() {
-        let mut initial = HashMap::new();
-        initial.insert(9u32, vec![0; 16]);
-        SharedSegment::new(16, 4, &initial);
+        SharedSegment::new(16, 4).write(9 * 16, &[0; 16]);
     }
 }

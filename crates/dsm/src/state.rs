@@ -8,7 +8,6 @@
 //! return the virtual-time cost for the caller to charge; state methods
 //! never touch the network — the runtime and handler layers do that.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use repseq_stats::NodeId;
@@ -19,7 +18,7 @@ use crate::consistency::Consistency;
 use crate::dataplane::DataPlane;
 use crate::exec::ExecState;
 use crate::fetch::FetchState;
-use crate::interval::PageId;
+use crate::shmem::SharedSegment;
 use crate::strategy::RseState;
 use crate::sync::SyncState;
 
@@ -56,18 +55,15 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    pub fn new(
-        node: NodeId,
-        n: usize,
-        cfg: DsmConfig,
-        initial: Arc<HashMap<PageId, Arc<[u8]>>>,
-    ) -> NodeState {
+    /// A node's state over the cluster's shared `segment`. A hand-built
+    /// state (unit tests) passes an empty one: its table grows on touch.
+    pub fn new(node: NodeId, n: usize, cfg: DsmConfig, segment: Arc<SharedSegment>) -> NodeState {
         NodeState {
             node,
             n,
-            cfg,
             con: Consistency::new(n),
-            data: DataPlane::new(initial),
+            data: DataPlane::new(n, cfg.page_size, segment),
+            cfg,
             rse: RseState::new(n),
             sync: SyncState::new(),
             exec: ExecState::new(n),
@@ -81,18 +77,20 @@ impl NodeState {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+    use crate::interval::PageId;
 
     pub(crate) fn state(node: NodeId, n: usize) -> NodeState {
-        NodeState::new(node, n, DsmConfig::default(), Arc::new(HashMap::new()))
+        let cfg = DsmConfig::default();
+        let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
+        NodeState::new(node, n, cfg, segment)
     }
 
     /// Simulate a local write for tests: the write-fault dance plus the
     /// actual byte store.
     pub(crate) fn fake_write(st: &mut NodeState, p: PageId, offset: usize, val: u8) {
-        let (valid, writable) =
-            st.data.pages.get(&p).map(|pg| (pg.valid, pg.writable)).unwrap_or((true, false));
-        assert!(valid, "fake_write on an invalid page");
-        if !writable {
+        let page = st.page_mut(p);
+        assert!(page.valid, "fake_write on an invalid page");
+        if !page.writable {
             st.write_fault(p);
         }
         st.page_data(p)[offset] = val;

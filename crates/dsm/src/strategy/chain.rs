@@ -193,14 +193,10 @@ pub(crate) fn multicast_to_handlers(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-    use std::sync::Arc;
-
     use super::*;
-    use crate::config::DsmConfig;
 
     fn state_with_chain(n: usize, req_seq: u64) -> NodeState {
-        let mut st = NodeState::new(1, n, DsmConfig::default(), Arc::new(HashMap::new()));
+        let mut st = crate::state::testutil::state(1, n);
         st.rse.chains.insert(
             req_seq,
             ChainState { page: 7, wanted: Vec::new(), requester: 0, next_turn: 0, holes: 0 },

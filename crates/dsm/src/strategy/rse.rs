@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use repseq_sim::Stopped;
+use repseq_sim::{SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::exec::{Task, TaskFn};
@@ -58,7 +58,7 @@ impl DsmNode {
                 DsmMsg::ValidNoticeReply { from, delta } => {
                     let mut st = self.st.lock();
                     for (p, vc) in delta {
-                        st.rse.valid_known[from].insert(p, vc.clone());
+                        st.page_mut(p).announce_peer_valid(from, vc.clone());
                         table.push((from, p, vc));
                     }
                     pending -= 1;
@@ -199,9 +199,10 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
             return Ok(());
         }
         let (requester, wanted) = st.elect_requester(p);
-        let send = requester == me && !st.rse.requested.contains(&p);
+        let send = requester == me && !st.page_mut(p).requested;
         if send {
-            st.rse.requested.insert(p);
+            st.page_mut(p).requested = true;
+            st.rse.requested.push(p);
         }
         st.rse.waiting_page = Some(p);
         let epoch = st.rse.section_epoch;
@@ -328,15 +329,8 @@ fn send_recovery_requests(node: &DsmNode, p: PageId, me: NodeId) {
         st.rse.recovery_rounds += 1;
         st.fetch_plan(p)
     };
-    let mut owners: Vec<NodeId> = plan.keys().copied().collect();
-    owners.sort_unstable();
-    for owner in owners {
-        let msg = DsmMsg::RecoveryRequest {
-            page: p,
-            ivxs: plan[&owner].clone(),
-            requester: me,
-            reply_mcast: true,
-        };
+    for (owner, ivxs) in plan {
+        let msg = DsmMsg::RecoveryRequest { page: p, ivxs, requester: me, reply_mcast: true };
         let size = msg.wire_size();
         node.nic.unicast(
             node.ctx(),

@@ -1,9 +1,11 @@
 //! Replicated-sequential-execution state: everything a node tracks for
-//! §5.2–§5.4 — section membership, valid-notice tables, reply chains and
-//! the master's multicast serialization — plus the read-only probes
-//! `repseq-check` asserts over.
+//! §5.2–§5.4 — section membership, reply chains and the master's
+//! multicast serialization — plus the read-only probes `repseq-check`
+//! asserts over. What is per page (the peers' valid notices, "already
+//! requested", the recovery-reply memory) is a column of the page table;
+//! this struct keeps the worklists naming the slots to visit.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use repseq_sim::{Dur, SimTime};
 use repseq_stats::NodeId;
@@ -81,14 +83,13 @@ pub(crate) struct RseState {
     pub(crate) entry_vc: Vc,
     /// Pages written during the current replicated section.
     pub(crate) dirty: Vec<PageId>,
-    /// Valid notices of every node, from the exchanges at replicated-
-    /// section entry. `valid_known[q][page]` is node `q`'s valid notice.
-    pub(crate) valid_known: Vec<HashMap<PageId, Vc>>,
-    /// Own pages whose valid notice changed since the last exchange.
-    pub(crate) valid_changed: HashSet<PageId>,
+    /// Own pages whose valid notice changed since the last exchange:
+    /// the worklist behind the slots' `valid_changed` flag. An entry whose
+    /// flag was cleared since (the page was retired) is stale and skipped.
+    pub(crate) valid_changed: Vec<PageId>,
     /// Pages this node has already sent a multicast request for, in the
-    /// current replicated section.
-    pub(crate) requested: HashSet<PageId>,
+    /// current replicated section (slot flag `requested`; reset at exit).
+    pub(crate) requested: Vec<PageId>,
     /// Page the application process is blocked on (handler wakes it).
     pub(crate) waiting_page: Option<PageId>,
     /// Active reply chains, by request sequence number.
@@ -116,18 +117,8 @@ pub(crate) struct RseState {
     /// requesters — before the master's fork loop has even returned, and
     /// those requests must be queued, not dropped as zombies.
     pub(crate) section_epoch: u64,
-    /// Owner side (§5.4.2 recovery): for each page, the time of the last
-    /// out-of-band reply this handler multicast, and the union of the
-    /// interval indices those replies served. Recovery replies go to
-    /// every handler, so one reply serves every concurrent requester;
-    /// when a delayed request or chain makes all ~n waiters time out at
-    /// once, this memory lets the owner answer the first request and
-    /// suppress the other n-1 identical ones (see the handler's
-    /// `RecoveryRequest` arm) instead of multicasting n copies — the
-    /// flow-control improvement §8 of the paper calls for. Cleared at
-    /// section entry; bounded by the timeout window so lost replies are
-    /// still re-served on the requester's next retry.
-    pub(crate) oob_replies: HashMap<PageId, (SimTime, Vec<u32>)>,
+    /// Pages whose slot holds an `oob_reply`, to clear at section entry.
+    pub(crate) oob_replied: Vec<PageId>,
     /// Master only (§5.4.2): queued forwarded requests ...
     pub(crate) mcast_queue: VecDeque<QueuedRequest>,
     /// ... and the sequence number of the one in flight, if any.
@@ -141,16 +132,15 @@ impl RseState {
             active: false,
             entry_vc: Vc::zero(n),
             dirty: Vec::new(),
-            valid_known: vec![HashMap::new(); n],
-            valid_changed: HashSet::new(),
-            requested: HashSet::new(),
+            valid_changed: Vec::new(),
+            requested: Vec::new(),
             waiting_page: None,
             chains: HashMap::new(),
             chain_holes: 0,
             recovery_rounds: 0,
             chain_turns: 0,
             section_epoch: 0,
-            oob_replies: HashMap::new(),
+            oob_replied: Vec::new(),
             mcast_queue: VecDeque::new(),
             mcast_inflight: None,
             mcast_next_seq: 0,
@@ -168,12 +158,13 @@ impl NodeState {
         self.rse.section_epoch += 1;
         self.rse.entry_vc = self.con.vc.clone();
         self.rse.dirty.clear();
-        self.rse.requested.clear();
         // Replies multicast in an earlier section may not cover the diffs
         // this section's faults will ask for.
-        self.rse.oob_replies.clear();
-        for &p in &self.data.dirty_pages.clone() {
-            let page = self.page_mut(p);
+        for p in self.rse.oob_replied.drain(..) {
+            self.data.pages[p as usize].oob_reply = None;
+        }
+        for &p in &self.data.dirty_pages {
+            let page = &mut self.data.pages[p as usize];
             debug_assert!(page.twin.is_some());
             page.writable = false;
             page.rse_protected = true;
@@ -193,8 +184,8 @@ impl NodeState {
     pub fn exit_replicated(&mut self) {
         assert!(self.rse.active);
         self.rse.active = false;
-        for &p in &self.data.dirty_pages.clone() {
-            let page = self.page_mut(p);
+        for &p in &self.data.dirty_pages {
+            let page = &mut self.data.pages[p as usize];
             if page.rse_protected {
                 // Back to the normal post-interval-close state: twinned and
                 // write-protected, so the next write faults and lands in
@@ -203,37 +194,34 @@ impl NodeState {
                 page.writable = false;
             }
         }
-        let entry_vc = self.rse.entry_vc.clone();
-        let retired = std::mem::take(&mut self.rse.dirty);
-        for &p in &retired {
-            if let Some(twin) = self.page_mut(p).twin.take() {
+        for p in std::mem::take(&mut self.rse.dirty) {
+            let page = &mut self.data.pages[p as usize];
+            if let Some(twin) = page.twin.take() {
                 pool_recycle(&mut self.data.twin_pool, self.data.twin_pool_cap, twin);
             }
-            let page = self.page_mut(p);
             page.writable = false;
             page.rse_dirty = false;
             page.valid = true;
-            page.valid_at = entry_vc.clone();
+            page.valid_at = self.rse.entry_vc.clone();
+            // Pages retired by a replicated section are valid on *every*
+            // node by construction — each node executed the same writes
+            // at the same vector time — so their validity is common
+            // knowledge. Record it locally, as the one stamp every peer
+            // holds, instead of re-announcing it (with O(n) vector clocks
+            // per entry, from all n nodes) in the next valid-notice
+            // exchange: at hundreds of nodes those redundant notices
+            // dominated the section's wire traffic.
+            page.valid_changed = false;
+            page.peers_valid_at = Some(self.rse.entry_vc.clone());
+            page.peer_announced.clear();
             // Section retirement re-protected the page written in it; the
             // retired copy stays valid, so reads may keep their entries.
             self.bump_page_write_prot_gen(p);
         }
-        // Pages retired by a replicated section are valid on *every* node
-        // by construction — each node executed the same writes at the same
-        // vector time — so their validity is common knowledge. Record it
-        // locally for all peers instead of re-announcing it (with O(n)
-        // vector clocks per entry, from all n nodes) in the next
-        // valid-notice exchange: at hundreds of nodes those redundant
-        // notices dominated the section's wire traffic.
-        let n = self.n;
-        for &p in &retired {
-            self.rse.valid_changed.remove(&p);
-            for q in 0..n {
-                self.rse.valid_known[q].insert(p, entry_vc.clone());
-            }
-        }
         self.rse.waiting_page = None;
-        self.rse.requested.clear();
+        for p in self.rse.requested.drain(..) {
+            self.data.pages[p as usize].requested = false;
+        }
         // Every fault of the section has been satisfied by now (SeqDone /
         // SeqGo have been exchanged), so any chain still tracked was wedged
         // by loss and will never advance: its requester already completed
@@ -262,12 +250,16 @@ impl NodeState {
         now: SimTime,
         window: Dur,
     ) -> bool {
-        if let Some((at, served)) = self.rse.oob_replies.get(&page) {
+        self.page_mut(page);
+        let reply = &mut self.data.pages[page as usize].oob_reply;
+        if let Some((at, served)) = reply {
             if now - *at <= window && ivxs.iter().all(|i| served.contains(i)) {
                 return false;
             }
+        } else {
+            self.rse.oob_replied.push(page);
         }
-        let entry = self.rse.oob_replies.entry(page).or_default();
+        let entry = reply.get_or_insert_with(Default::default);
         entry.0 = now;
         for &i in ivxs {
             if !entry.1.contains(&i) {
@@ -277,30 +269,37 @@ impl NodeState {
         true
     }
 
-    /// This node's valid-notice delta since the last exchange (§5.4.1).
-    pub(crate) fn take_valid_delta(&mut self) -> Vec<(PageId, Vc)> {
+    /// Page `p`'s own valid notice changed: announce it at the next
+    /// exchange.
+    pub(crate) fn mark_valid_changed(&mut self, p: PageId) {
+        let page = self.page_mut(p);
+        if !page.valid_changed {
+            page.valid_changed = true;
+            self.rse.valid_changed.push(p);
+        }
+    }
+
+    /// This node's valid-notice delta since the last exchange (§5.4.1),
+    /// ascending by page.
+    pub fn take_valid_delta(&mut self) -> Vec<(PageId, Vc)> {
+        let pages = &mut self.data.pages;
         let mut out: Vec<(PageId, Vc)> = self
             .rse
             .valid_changed
-            .drain()
-            .map(|p| {
-                let vc = self.data.pages.get(&p).map(|pg| pg.valid_at.clone());
-                (p, vc)
+            .drain(..)
+            .filter_map(|p| {
+                let page = &mut pages[p as usize];
+                std::mem::take(&mut page.valid_changed).then(|| (p, page.valid_at.clone()))
             })
-            .filter_map(|(p, vc)| vc.map(|vc| (p, vc)))
             .collect();
         out.sort_by_key(|(p, _)| *p);
-        // Mirror into our own slot of the exchanged table.
-        for (p, vc) in &out {
-            self.rse.valid_known[self.node].insert(*p, vc.clone());
-        }
         out
     }
 
-    /// Merge exchanged valid-notice deltas into the table.
-    pub(crate) fn merge_valid_deltas(&mut self, deltas: &[(NodeId, PageId, Vc)]) {
+    /// Merge exchanged valid-notice deltas into the page table.
+    pub fn merge_valid_deltas(&mut self, deltas: &[(NodeId, PageId, Vc)]) {
         for (q, p, vc) in deltas {
-            self.rse.valid_known[*q].insert(*p, vc.clone());
+            self.page_mut(*p).announce_peer_valid(*q, vc.clone());
         }
     }
 
@@ -321,16 +320,16 @@ impl NodeState {
         // escapes into the multicast request message, so it stays owned.
         let mut notices = self.scratch.notices.take();
         notices.extend_from_slice(&self.page_mut(p).notices);
-        let zero = Vc::zero(n);
+        let page = &self.data.pages[p as usize];
         let mut requester = None;
         let mut wanted: Vec<(NodeId, u32)> = Vec::new();
         for q in 0..n {
             let valid_q = if q == me {
                 // Our own live valid notice (identical to what we exchanged,
                 // plus deterministic updates all nodes replay identically).
-                self.data.pages.get(&p).map(|pg| &pg.valid_at).unwrap_or(&zero)
+                &page.valid_at
             } else {
-                self.rse.valid_known[q].get(&p).unwrap_or(&zero)
+                page.peer_valid_at(q).unwrap_or(&self.data.zero)
             };
             for &(o, i) in notices.iter() {
                 if valid_q.covers(o, i) {
@@ -364,7 +363,7 @@ impl NodeState {
             })
             .collect();
         chains.sort_by_key(|c| c.req_seq);
-        let mut rse_requested: Vec<PageId> = self.rse.requested.iter().copied().collect();
+        let mut rse_requested = self.rse.requested.clone();
         rse_requested.sort_unstable();
         RseProbe {
             node: self.node,
@@ -413,7 +412,7 @@ mod tests {
         let ps = st.cfg.page_size;
         {
             let page = st.page_mut(8);
-            let data = page.materialize(ps, None).to_vec();
+            let data = page.buf(ps, None).slice().to_vec();
             page.twin = Some(data.into_boxed_slice());
             page.writable = true;
             page.rse_dirty = true;
@@ -485,11 +484,11 @@ mod tests {
         // both. Node 2 (us) missing both.
         let mut v0 = Vc::zero(4);
         v0.set(0, 1);
-        st.rse.valid_known[0].insert(3, v0);
+        st.merge_valid_deltas(&[(0, 3, v0)]);
         let mut v1 = Vc::zero(4);
         v1.set(0, 1);
         v1.set(1, 1);
-        st.rse.valid_known[1].insert(3, v1);
+        st.merge_valid_deltas(&[(1, 3, v1)]);
         // node 3: no entry → zero.
         let (req, wanted) = st.elect_requester(3);
         assert_eq!(req, 0, "lowest faulting node requests");
@@ -531,13 +530,11 @@ mod tests {
         assert!(delta[0].1.covers(1, 1));
         // Drained: next delta is empty.
         assert!(st.take_valid_delta().is_empty());
-        // Mirrored into own table slot.
-        assert!(st.rse.valid_known[1].contains_key(&2));
         // Merging into another node's state.
         let mut other = state(0, 2);
         let table: Vec<(NodeId, PageId, Vc)> =
             delta.into_iter().map(|(p, vc)| (1usize, p, vc)).collect();
         other.merge_valid_deltas(&table);
-        assert!(other.rse.valid_known[1][&2].covers(1, 1));
+        assert!(other.page_mut(2).peer_valid_at(1).unwrap().covers(1, 1));
     }
 }

@@ -14,11 +14,10 @@
 //! hot paths go through one branch whose arms are both inlined, and the
 //! per-message work on either backend dwarfs the jump.
 //!
-//! The inherent methods mirror [`repseq_sim::Ctx`]'s names and signatures
-//! exactly, so protocol code written against the simulator compiles
-//! unchanged; the [`SendCtx`] impl makes `NodeCtx` usable with the generic
-//! network layer ([`repseq_net::Nic`]) and the [`SubstrateCtx`] impl with
-//! the shared retry discipline ([`crate::fetch`]).
+//! Protocol code calls the primitives through [`SendCtx`] (the
+//! non-blocking half, all the generic network layer [`repseq_net::Nic`]
+//! asks for) and [`SubstrateCtx`] (the blocking half, which the shared
+//! retry discipline in [`crate::fetch`] is written against).
 
 use repseq_native::NativeCtx;
 use repseq_sim::Ctx;
@@ -37,115 +36,84 @@ pub enum NodeCtx {
 }
 
 impl NodeCtx {
-    /// This process's id.
+    /// The current time: virtual on the DES, wall-clock nanoseconds since
+    /// launch on the native backend. The one primitive that is also
+    /// inherent: applications and harnesses read the clock off
+    /// [`crate::DsmNode::ctx`] without importing a trait.
     #[inline]
-    pub fn pid(&self) -> Pid {
+    pub fn now(&self) -> SimTime {
+        SendCtx::now(self)
+    }
+}
+
+impl SendCtx<DsmMsg> for NodeCtx {
+    #[inline]
+    fn pid(&self) -> Pid {
         match self {
             NodeCtx::Sim(c) => c.pid(),
             NodeCtx::Native(c) => c.pid(),
         }
     }
 
-    /// The current time: virtual on the DES, wall-clock nanoseconds since
-    /// launch on the native backend.
     #[inline]
-    pub fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         match self {
             NodeCtx::Sim(c) => c.now(),
             NodeCtx::Native(c) => c.now(),
         }
     }
 
-    /// Account for local computation (a no-op on the native backend,
-    /// where real computation takes real time).
+    /// A no-op on the native backend, where real computation takes real
+    /// time.
     #[inline]
-    pub fn charge(&self, d: Dur) {
+    fn charge(&self, d: Dur) {
         match self {
             NodeCtx::Sim(c) => c.charge(d),
             NodeCtx::Native(c) => c.charge(d),
         }
     }
 
-    /// Send `msg` to process `dst` for delivery at `deliver_at` (delivered
-    /// as soon as the receiver looks, on backends without a controllable
-    /// clock).
+    /// Delivered as soon as the receiver looks, on backends without a
+    /// controllable clock.
     #[inline]
-    pub fn send(&self, dst: Pid, msg: DsmMsg, deliver_at: SimTime) {
+    fn send(&self, dst: Pid, msg: DsmMsg, deliver_at: SimTime) {
         match self {
             NodeCtx::Sim(c) => c.send(dst, msg, deliver_at),
             NodeCtx::Native(c) => c.send(dst, msg, deliver_at),
         }
     }
+}
 
-    /// Block for `d`.
+impl SubstrateCtx<DsmMsg> for NodeCtx {
     #[inline]
-    pub fn sleep(&self, d: Dur) -> Result<(), Stopped> {
+    fn sleep(&self, d: Dur) -> Result<(), Stopped> {
         match self {
             NodeCtx::Sim(c) => c.sleep(d),
             NodeCtx::Native(c) => c.sleep(d),
         }
     }
 
-    /// Block until a message arrives.
     #[inline]
-    pub fn recv(&self) -> Result<Envelope<DsmMsg>, Stopped> {
+    fn recv(&self) -> Result<Envelope<DsmMsg>, Stopped> {
         match self {
             NodeCtx::Sim(c) => c.recv(),
             NodeCtx::Native(c) => c.recv(),
         }
     }
 
-    /// Block until a message arrives or `d` elapses.
     #[inline]
-    pub fn recv_timeout(&self, d: Dur) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
+    fn recv_timeout(&self, d: Dur) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
         match self {
             NodeCtx::Sim(c) => c.recv_timeout(d),
             NodeCtx::Native(c) => c.recv_timeout(d),
         }
     }
 
-    /// Take an already-delivered message, never blocking.
     #[inline]
-    pub fn try_recv(&self) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
+    fn try_recv(&self) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
         match self {
             NodeCtx::Sim(c) => c.try_recv(),
             NodeCtx::Native(c) => c.try_recv(),
         }
-    }
-}
-
-impl SendCtx<DsmMsg> for NodeCtx {
-    fn pid(&self) -> Pid {
-        NodeCtx::pid(self)
-    }
-
-    fn now(&self) -> SimTime {
-        NodeCtx::now(self)
-    }
-
-    fn charge(&self, d: Dur) {
-        NodeCtx::charge(self, d)
-    }
-
-    fn send(&self, dst: Pid, msg: DsmMsg, deliver_at: SimTime) {
-        NodeCtx::send(self, dst, msg, deliver_at)
-    }
-}
-
-impl SubstrateCtx<DsmMsg> for NodeCtx {
-    fn sleep(&self, d: Dur) -> Result<(), Stopped> {
-        NodeCtx::sleep(self, d)
-    }
-
-    fn recv(&self) -> Result<Envelope<DsmMsg>, Stopped> {
-        NodeCtx::recv(self)
-    }
-
-    fn recv_timeout(&self, d: Dur) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
-        NodeCtx::recv_timeout(self, d)
-    }
-
-    fn try_recv(&self) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
-        NodeCtx::try_recv(self)
     }
 }

@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use repseq_sim::{Pid, Stopped};
+use repseq_sim::{Pid, SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::interval::IntervalRecord;

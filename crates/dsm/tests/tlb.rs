@@ -19,12 +19,12 @@
 
 #![allow(clippy::type_complexity)]
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{
-    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Vc,
+    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, SharedSegment,
+    Vc,
 };
 use repseq_sim::Stopped;
 use repseq_stats::{host, Stats};
@@ -33,8 +33,14 @@ use repseq_stats::{host, Stats};
 // Generation-bump unit tests
 // ---------------------------------------------------------------
 
+/// A hand-built state: no segment, so the page table grows on touch.
+fn mk_state_with(cfg: DsmConfig) -> NodeState {
+    let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
+    NodeState::new(0, 2, cfg, segment)
+}
+
 fn mk_state() -> NodeState {
-    NodeState::new(0, 2, DsmConfig::default(), Arc::new(HashMap::new()))
+    mk_state_with(DsmConfig::default())
 }
 
 fn gen(st: &NodeState) -> u64 {
@@ -113,7 +119,7 @@ fn replicated_entry_and_exit_bump_generation() {
 #[test]
 fn break_flag_suppresses_every_bump() {
     let cfg = DsmConfig { tlb_break_generation_bumps: true, ..DsmConfig::default() };
-    let mut st = NodeState::new(0, 2, cfg, Arc::new(HashMap::new()));
+    let mut st = mk_state_with(cfg);
     write_page(&mut st, 3);
     st.close_interval();
     st.enter_replicated();

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Symbolise a tools/prof/sampler.c dump and print self / inclusive shares.
 
-    tools/prof/report.py prof.out [--top 30] [--match REGEX ...]
+    tools/prof/report.py prof.out [--top 30] [--match REGEX ...] [--by-caller REGEX ...]
 
 self = samples whose innermost function is F; incl = samples with F anywhere
 on the stack (inlined frames count, via `addr2line -i`). Each --match prints
 the inclusive share of all functions matching the regex, counted once per
 sample — e.g. --match 'futex' --match 'push_event|drain|EventQueues'.
+Each --by-caller splits such a share by who pays for it: a matching sample is
+charged to the first `repseq` function outside its innermost matching frame —
+e.g. --by-caller 'sip|hash' names the protocol functions that hash.
 """
 import argparse
 import bisect
@@ -73,11 +76,13 @@ def main():
     ap.add_argument("dump")
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--match", action="append", default=[])
+    ap.add_argument("--by-caller", action="append", default=[])
     args = ap.parse_args()
     maps, samples = load(args.dump)
     names = symbolise(maps, samples)
     self_n, incl_n = collections.Counter(), collections.Counter()
     matched = collections.Counter()
+    callers = {pat: collections.Counter() for pat in args.by_caller}
     for stack in samples:
         funcs = [f for a in stack for f in names.get(a, ["?? (unmapped)"])]
         if not funcs:
@@ -87,10 +92,19 @@ def main():
             incl_n[f] += 1
         for pat in args.match:
             matched[pat] += any(re.search(pat, f) for f in funcs)
+        for pat, table in callers.items():
+            hit = next((k for k, f in enumerate(funcs) if re.search(pat, f)), None)
+            if hit is not None:
+                outer = (f for f in funcs[hit:] if "repseq" in f and not re.search(pat, f))
+                table[next(outer, "(no repseq caller)")] += 1
     total = max(len(samples), 1)
     print(f"{len(samples)} samples")
     for pat in args.match:
         print(f"  match {pat!r}: {100 * matched[pat] / total:5.1f} % inclusive")
+    for pat, table in callers.items():
+        print(f"\n{pat!r} by first repseq caller: {100 * sum(table.values()) / total:5.1f} %")
+        for f, n in table.most_common(args.top):
+            print(f"  {100 * n / total:7.1f}    {f}")
     for title, table in (("self", self_n), ("inclusive", incl_n)):
         print(f"\n{title:>9} %  function")
         for f, n in table.most_common(args.top):
