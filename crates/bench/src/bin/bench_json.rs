@@ -58,6 +58,8 @@ const SCHEMA_VERSION: u32 = 3;
 /// `sprint_pops`, a counter of the sharded event store; v4 ran the
 /// protocol handlers as threads; v3 had serial / duty-handoff /
 /// window-parallel columns — their last numbers are in DESIGN.md §8).
+/// Still v6 on the coroutine engine (PR 17): same fields, same counts —
+/// what a `handoff_switch` costs changed, not what it counts.
 const HOST_SCHEMA_VERSION: u32 = 6;
 
 /// Execute independent sweep points on scoped host worker threads,
@@ -589,7 +591,7 @@ fn write_bench_host(
     let _ = writeln!(s, "  \"bodies\": {bodies},");
     let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
     s.push_str(
-        "  \"note\": \"Barnes-Hut (RSE) per cluster size under the one event engine (duty handoff). events_per_sec = kernel events / host wall seconds; handoff_switches = resumes of another thread process, one host thread switch each; reactor_runs = resumes of a protocol handler, served inline on the duty holder's stack with no switch (v4 and earlier ran handlers as threads and counted those under handoff_switches); inline_events = events that resumed nobody. Run pinned to one CPU (taskset -c <cpu>, host_cpus then reads 1): one duty token cannot use a second core, and an unpinned run times the scheduler's cross-core wake-ups\",\n",
+        "  \"note\": \"Barnes-Hut (RSE) per cluster size under the one event engine (duty handoff). events_per_sec = kernel events / host wall seconds; handoff_switches = resumes of another coroutine process, one user-space stack switch each (a host thread switch each until PR 17, when processes were OS threads; same count); reactor_runs = resumes of a protocol handler, served inline on the duty holder's stack with no switch (v4 and earlier ran handlers as threads and counted those under handoff_switches); inline_events = events that resumed nobody. The whole simulation is one OS thread, so pinning changes nothing and host_cpus only describes the host\",\n",
     );
     s.push_str("  \"clusters\": [\n");
     for (i, r) in runs.iter().enumerate() {

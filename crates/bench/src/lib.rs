@@ -48,9 +48,10 @@ pub fn nodes_from_env() -> usize {
 
 /// CPUs available to this process (the affinity mask counts: 1 under
 /// `taskset -c <cpu>`). Every BENCH artifact records this so a reader can
-/// tell whether wall-clock numbers were measured pinned to one core — what
-/// the DES wants, one duty token cannot use a second — or with real
-/// parallelism, which the native backend's throughput needs.
+/// tell whether wall-clock numbers were measured pinned to one core or
+/// with real parallelism, which the native backend's throughput needs.
+/// (A DES run is one thread and reads the same either way; artifacts from
+/// the thread-per-process engine, before PR 17, did not.)
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

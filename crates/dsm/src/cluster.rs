@@ -1,7 +1,7 @@
 //! Cluster construction: allocate and preload the shared heap, then launch
 //! one application process and one protocol handler per node — on the
-//! simulator an application thread plus a handler *reactor* (no thread),
-//! natively two threads.
+//! simulator an application coroutine plus a handler *reactor* (no stack
+//! of its own), all on the caller's thread; natively two threads.
 
 use std::sync::Arc;
 
@@ -198,8 +198,8 @@ impl Cluster {
 
     /// Launch the cluster: one handler and one application process per
     /// node (`apps[0]` is the master program), and run to completion. On
-    /// the simulator that is `n` process threads plus the coordinator: the
-    /// handlers are reactors.
+    /// the simulator that is `n` coroutine stacks on the calling thread:
+    /// the handlers are reactors.
     pub fn launch(self, apps: Vec<AppFn>) -> Result<SimReport, SimError> {
         self.launch_inspect(apps).result
     }
@@ -248,7 +248,7 @@ impl Cluster {
         let n = cfg.nodes;
         let mut sim = Sim::<DsmMsg>::new();
         sim.record_trace(record_trace);
-        // Handlers first: pids 0..n-1. Reactors, not threads — a request
+        // Handlers first: pids 0..n-1. Reactors, not coroutines — a request
         // is served on the stack of whichever application holds duty.
         for (i, state) in states.iter().enumerate() {
             let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(topo));

@@ -12,9 +12,9 @@
 //! the replicated-section multicast protocol.
 //!
 //! One body, two drivers. On the simulator the handler is a
-//! [`Reactor`]: no OS thread, its callbacks run on whichever application
-//! thread holds duty when a request arrives — the closer model of the
-//! signal handler, and half the host switches. On the native backend,
+//! [`Reactor`]: no stack of its own, its callbacks run on whichever
+//! application process holds duty when a request arrives — the closer
+//! model of the signal handler, and half the switches. On the native backend,
 //! where there is no duty holder to borrow a stack from,
 //! `Cluster::run_native` drives the same three methods from a receive loop
 //! on a thread of its own. Either way the body sees only a [`SendCtx`] —

@@ -1,19 +1,18 @@
 //! The process-side handle to the simulation kernel.
 
 use std::cell::Cell;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::engine::{Ctrl, DrainOutcome, EventKind, Kernel, Status};
+use crate::coro::{switch, Coroutine};
+use crate::engine::{DrainOutcome, EventKind, Kernel, Resume, Status};
 use crate::reactor::drive;
-use crate::resume::{Resume, ResumeCell};
 use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
 
 /// A running process's own view of its virtual clock (nanoseconds):
 /// authoritative while the process runs, written back to the kernel when
-/// it waits. Shared by thread processes ([`Ctx`]) and reactors
+/// it waits. Shared by coroutine processes ([`Ctx`]) and reactors
 /// ([`ReactorCtx`](crate::ReactorCtx)).
 pub(crate) struct LocalClock {
     clock: Cell<u64>,
@@ -57,34 +56,36 @@ impl LocalClock {
 ///
 /// `charge` and `send` never yield to the engine; `recv`, `recv_timeout`,
 /// `try_recv` and `sleep` do. **Never hold a lock shared with another
-/// simulated process across a yielding call** — the other process would
-/// block on the lock at OS level without yielding in virtual time, and the
+/// simulated process across a yielding call** — every process of a
+/// simulation runs on the one thread that called `Sim::run`, so the other
+/// process would wait at OS level for a lock its own thread holds, and the
 /// simulation would hang.
+///
+/// A blocking call made while the process is unwinding from a panic (from
+/// a destructor) returns [`Stopped`] at once: the run is failing, and the
+/// panic bookkeeping of the one thread cannot follow a switch to another
+/// process.
 pub struct Ctx<M: Send + 'static> {
     pid: Pid,
     kernel: Arc<Mutex<Kernel<M>>>,
-    /// How duty returns to the coordinator when nothing is runnable.
-    ctrl_tx: Sender<Ctrl>,
-    /// Where this process's thread parks while it is blocked.
-    resume: Arc<ResumeCell>,
+    /// The stack this process runs on: what it switches *from* when it
+    /// gives duty away.
+    me: Arc<Coroutine>,
     clock: LocalClock,
 }
 
 impl<M: Send + 'static> Ctx<M> {
-    pub(crate) fn new(
-        pid: Pid,
-        kernel: Arc<Mutex<Kernel<M>>>,
-        ctrl_tx: Sender<Ctrl>,
-        resume: Arc<ResumeCell>,
-    ) -> Self {
-        Ctx { pid, kernel, ctrl_tx, resume, clock: LocalClock::new(SimTime::ZERO) }
+    pub(crate) fn new(pid: Pid, kernel: Arc<Mutex<Kernel<M>>>, me: Arc<Coroutine>) -> Self {
+        Ctx { pid, kernel, me, clock: LocalClock::new(SimTime::ZERO) }
     }
 
-    /// Park until resumed (the first time: until the engine first schedules
-    /// this process); adopt the resume's virtual time as the clock. Returns
-    /// whether the resume is a receive timeout.
-    pub(crate) fn wait_resume(&self) -> Result<bool, Stopped> {
-        match self.resume.wait() {
+    /// Just switched to (the first time: when the engine first schedules
+    /// this process): take the resume posted for this process and adopt
+    /// its virtual time as the clock. Returns whether the resume is a
+    /// receive timeout.
+    pub(crate) fn take_resume(&self) -> Result<bool, Stopped> {
+        let resume = self.kernel.lock().take_resume(self.pid);
+        match resume {
             Resume::Go { at, timed_out } => {
                 self.clock.set(at);
                 Ok(timed_out)
@@ -185,35 +186,38 @@ impl<M: Send + 'static> Ctx<M> {
     /// The yielding process keeps *duty*: still under the kernel lock, it
     /// pops and applies events itself. If one of them resumes this very
     /// process it returns immediately — zero host context switches; if it
-    /// resumes a reactor, this thread runs the reactor's callback and
-    /// drains on; if it resumes another thread process, duty moves there
-    /// directly — one switch, issued after the lock is dropped; if nothing
-    /// is runnable, duty returns to the coordinator for the termination
-    /// check.
+    /// resumes a reactor, this process runs the reactor's callback on its
+    /// own stack and drains on; if it resumes another coroutine process,
+    /// duty moves there directly — one stack switch, made after the lock
+    /// is dropped; if nothing is runnable, duty returns to the coordinator
+    /// for the termination check.
     fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<bool, Stopped> {
         let c = self.clock.flush();
         let mut k = self.kernel.lock();
-        if k.stopping {
+        if k.stopping || std::thread::panicking() {
             return Err(Stopped);
         }
         k.procs[self.pid].clock = c;
         setup(&mut k, self.pid);
-        let ctrl = match drive(&self.kernel, k, Some(self.pid)) {
+        let next = match drive(&self.kernel, k, Some(self.pid)) {
             DrainOutcome::SelfResume { at, timed_out } => {
                 self.clock.set(at);
                 return Ok(timed_out);
             }
-            DrainOutcome::Handoff(next) => {
-                next.wake();
-                return self.wait_resume();
-            }
-            DrainOutcome::Empty => Ctrl::Idle,
-            // The reactor died on this thread, but it is the reactor that
+            DrainOutcome::Handoff(next) => Some(next),
+            DrainOutcome::Empty => None,
+            // The reactor died on this stack, but it is the reactor that
             // failed: report it under its own pid and wait to be stopped.
-            DrainOutcome::ReactorPanicked(pid) => Ctrl::Exited(pid, true),
+            DrainOutcome::ReactorPanicked(pid) => {
+                self.kernel.lock().exited = Some((pid, true));
+                None
+            }
         };
-        self.ctrl_tx.send(ctrl).map_err(|_| Stopped)?;
-        self.wait_resume()
+        // Whoever runs next will want the kernel lock, on this same thread.
+        debug_assert!(self.kernel.try_lock().is_some(), "switching away under the kernel lock");
+        let to = next.as_deref().map_or(self.me.home(), Coroutine::context);
+        switch(self.me.context(), to);
+        self.take_resume()
     }
 }
 

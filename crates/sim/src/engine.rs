@@ -1,14 +1,16 @@
 //! The discrete-event kernel.
 //!
-//! A simulated process is either an OS thread that cooperates with the
-//! engine or a [`Reactor`] — a daemon with no thread at all, whose
-//! callbacks run to completion on whichever thread holds duty (see
-//! [`crate::reactor`]). Thread processes interact with the kernel only
-//! through [`Ctx`](crate::Ctx) — charging compute time, sending messages
-//! with an explicit delivery time (computed by the network layer), and
-//! blocking receives. `send` never yields; `recv`/`sleep` do. Local
-//! computation between yields is free in wall-clock terms (no context
-//! switch) and is folded into the process clock at the next yield point.
+//! A simulated process is either a stackful coroutine (`crate::coro`: a
+//! stack of its own, no thread) that cooperates with the engine, or a
+//! [`Reactor`] — a daemon without even a stack, whose callbacks run to
+//! completion on whichever stack holds duty (see [`crate::reactor`]). The
+//! whole simulation runs on the one OS thread that called [`Sim::run`].
+//! Coroutine processes interact with the kernel only through
+//! [`Ctx`](crate::Ctx) — charging compute time, sending messages with an
+//! explicit delivery time (computed by the network layer), and blocking
+//! receives. `send` never yields; `recv`/`sleep` do. Local computation
+//! between yields is free in wall-clock terms (no context switch) and is
+//! folded into the process clock at the next yield point.
 //!
 //! The engine applies events in ascending `(time, src_group, seq)` order,
 //! so each run is bit-for-bit deterministic — a property the reproduced
@@ -28,9 +30,9 @@
 //!
 //! # The event engine: duty handoff
 //!
-//! Exactly one host thread at a time holds *duty* — the right to pop and
-//! apply events — so execution is serialized and the pop order is the key
-//! order. Duty moves without a scheduler in the middle:
+//! Exactly one flow of control at a time holds *duty* — the right to pop
+//! and apply events — so execution is serialized and the pop order is the
+//! key order. Duty moves without a scheduler in the middle:
 //!
 //! * a process that blocks keeps duty and pops events itself, under the
 //!   kernel lock. Events that resume nobody (deliveries to busy processes,
@@ -40,15 +42,15 @@
 //! * an event that resumes a reactor moves no duty either: the holder
 //!   drops the kernel lock, runs the reactor's callback on its own stack
 //!   until the reactor waits again, re-locks and drains on;
-//! * an event that resumes another thread process posts a `Go` into that
-//!   process's [`ResumeCell`] and hands duty to it. The `unpark` is issued
-//!   only *after* the kernel lock is released: a thread woken under the
-//!   lock would run straight into it and be descheduled a second time;
+//! * an event that resumes another coroutine process posts a `Go` for it
+//!   and hands duty to it: the holder drops the kernel lock and switches
+//!   stacks — a register swap in user space, no system call (a coroutine
+//!   that switched away holding the lock would deadlock the one thread);
 //! * when the queue runs dry, or the process exits, duty returns to the
-//!   coordinator thread (the caller of [`Sim::run`]), which checks for
-//!   termination or deadlock and otherwise drains on.
+//!   coordinator (the caller of [`Sim::run`], on its own stack), which
+//!   checks for termination or deadlock and otherwise drains on.
 //!
-//! One host switch per resume of another *thread*, none otherwise.
+//! One stack switch per resume of another *coroutine*, none otherwise.
 //!
 //! # End of run
 //!
@@ -59,16 +61,15 @@
 //! at the exit event.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
+use crate::coro::{switch, Context, Coroutine};
 use crate::ctx::Ctx;
 use crate::error::SimError;
 use crate::reactor::{drive, Cause, Reactor, ReactorRun};
-use crate::resume::{Resume, ResumeCell};
 use crate::trace::TraceEntry;
 use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
 
@@ -108,10 +109,22 @@ pub(crate) enum Status {
     Exited,
 }
 
+/// How a suspended coroutine process is told to continue: posted into its
+/// slot under the kernel lock by whoever is about to switch to it.
+pub(crate) enum Resume {
+    /// Continue at virtual time `at`; `timed_out` tells a receive that its
+    /// deadline fired.
+    Go { at: SimTime, timed_out: bool },
+    /// The run is over: the pending blocking call returns `Stopped`.
+    Stop,
+}
+
 /// Who executes a process when an event resumes it.
 pub(crate) enum Exec<M> {
-    /// Its own OS thread, parked on this cell while the process is blocked.
-    Thread(Arc<ResumeCell>),
+    /// Its own stack, suspended while the process is blocked. `resume` is
+    /// what it finds when it is switched to: posted just before, taken
+    /// first thing after, so at most one is ever pending.
+    Coroutine { coro: Arc<Coroutine>, resume: Option<Resume> },
     /// Whoever holds duty. `None` while the reactor is out running (and
     /// for good once it has panicked).
     Reactor(Option<Box<dyn Reactor<M>>>),
@@ -136,21 +149,21 @@ pub(crate) struct ProcSlot<M> {
 pub struct ExecCounters {
     /// Duty bursts: maximal runs of consecutive events popped by one duty
     /// holder before one of them resumed a process (itself, a reactor or
-    /// another thread) or the queue ran dry.
+    /// another coroutine) or the queue ran dry.
     pub windows: u64,
     /// Always 0: the sharded event store this counted fast-path pops of is
     /// gone. The field stays only because `benchmark/src/metrics.rs` reads
     /// it; the next benchmark PR drops `sim.sprint_pops` from
     /// `BENCHMARK.json` and `metrics.rs`, and then this field.
     pub sprint_pops: u64,
-    /// Duty transfers: resumes of a *thread* process other than the duty
-    /// holder — one host thread switch each. (Reactor resumes never count
-    /// here: they move no duty.)
+    /// Duty transfers: resumes of a *coroutine* process other than the duty
+    /// holder — one stack switch each. (Reactor resumes never count here:
+    /// they move no duty.)
     pub handoff_switches: u64,
-    /// Resumes where the duty holder resumed *itself* — no host switch.
+    /// Resumes where the duty holder resumed *itself* — no switch.
     pub self_continues: u64,
     /// Resumes of a reactor, served inline on the duty holder's stack — no
-    /// host switch. Every resume is exactly one of `handoff_switches`,
+    /// switch. Every resume is exactly one of `handoff_switches`,
     /// `self_continues` and `reactor_runs`.
     pub reactor_runs: u64,
     /// Events applied without resuming anyone (deliveries to busy
@@ -162,10 +175,9 @@ pub struct ExecCounters {
 pub(crate) enum DrainOutcome {
     /// No runnable events left while this drainer held duty.
     Empty,
-    /// Duty belongs to the process owning this cell: its `Go` is posted;
-    /// the caller must [`wake`](ResumeCell::wake) it once it has dropped
-    /// the kernel lock.
-    Handoff(Arc<ResumeCell>),
+    /// Duty belongs to the process on this coroutine: its `Go` is posted;
+    /// the caller switches to it, now that the kernel lock is dropped.
+    Handoff(Arc<Coroutine>),
     /// The draining process resumed itself (only when `me` was given).
     SelfResume { at: SimTime, timed_out: bool },
     /// A reactor's callback panicked on the drainer's stack; the run is
@@ -212,6 +224,11 @@ pub(crate) struct Kernel<M> {
     tail: bool,
     /// The run is over; every blocking call returns `Stopped`.
     pub stopping: bool,
+    /// Why duty came back to the coordinator, written just before the
+    /// switch to it: a process function returned or unwound — or a
+    /// reactor's callback panicked on the writer's stack — as `(pid,
+    /// panicked)`; `None` when the duty holder found nothing runnable.
+    pub exited: Option<(Pid, bool)>,
     exec: ExecCounters,
 }
 
@@ -238,7 +255,7 @@ impl<M> Kernel<M> {
     }
 
     /// Put `pid`, whose flushed clock reads `at`, into a receive wait —
-    /// the one way a process waits for a message, thread or reactor.
+    /// the one way a process waits for a message, coroutine or reactor.
     pub(crate) fn begin_recv(&mut self, pid: Pid, at: SimTime, deadline: Option<SimTime>) {
         let gen = self.bump_gen(pid);
         self.procs[pid].status = Status::Polling { deadline };
@@ -315,10 +332,19 @@ impl<M> Kernel<M> {
         }
     }
 
+    /// Take the resume posted for coroutine process `pid`, which has just
+    /// been switched to.
+    pub(crate) fn take_resume(&mut self, pid: Pid) -> Resume {
+        match &mut self.procs[pid].exec {
+            Exec::Coroutine { resume, .. } => resume.take().expect("switched to with no resume"),
+            Exec::Reactor(_) => unreachable!("a reactor has no stack to switch to"),
+        }
+    }
+
     /// Drive the kernel while holding duty: pop and apply events until one
     /// resumes a process or nothing runnable is left. `me` is the
-    /// duty-holding process — resumed in place instead of through its cell
-    /// — or `None` for the coordinator. A resumed reactor comes back as
+    /// duty-holding process — resumed in place, without a switch — or
+    /// `None` for the coordinator. A resumed reactor comes back as
     /// [`Step::React`]: the caller ([`drive`]) runs it with the lock
     /// released and calls `drain` again.
     pub(crate) fn drain(&mut self, me: Option<Pid>) -> Step<M> {
@@ -344,10 +370,11 @@ impl<M> Kernel<M> {
                 return Step::Done(DrainOutcome::SelfResume { at, timed_out });
             }
             return match &mut slot.exec {
-                Exec::Thread(cell) => {
-                    cell.post(Resume::Go { at, timed_out });
+                Exec::Coroutine { coro, resume } => {
+                    debug_assert!(resume.is_none(), "a second resume for one block");
+                    *resume = Some(Resume::Go { at, timed_out });
                     self.exec.handoff_switches += 1;
-                    Step::Done(DrainOutcome::Handoff(Arc::clone(cell)))
+                    Step::Done(DrainOutcome::Handoff(Arc::clone(coro)))
                 }
                 Exec::Reactor(reactor) => {
                     self.exec.reactor_runs += 1;
@@ -366,16 +393,6 @@ impl<M> Kernel<M> {
         self.exec.windows += u64::from(popped);
         Step::Done(DrainOutcome::Empty)
     }
-}
-
-/// Control messages from process threads back to the coordinator: how duty
-/// returns to it.
-pub(crate) enum Ctrl {
-    /// A duty-holding process found nothing runnable.
-    Idle,
-    /// The process function returned or unwound — or a reactor's callback
-    /// panicked on the sending thread (`panicked`, the reactor's pid).
-    Exited(Pid, /*panicked*/ bool),
 }
 
 /// Summary of a completed simulation run.
@@ -423,10 +440,9 @@ pub struct SimReport {
 /// ```
 pub struct Sim<M: Send + 'static> {
     kernel: Arc<Mutex<Kernel<M>>>,
-    ctrl_tx: Sender<Ctrl>,
-    ctrl_rx: Receiver<Ctrl>,
-    /// Indexed by pid; `None` for a reactor (and for a joined thread).
-    threads: Vec<Option<JoinHandle<()>>>,
+    /// The coordinator's context — the caller of [`run`](Sim::run), or of
+    /// `drop` — while a process holds duty: every coroutine's `home`.
+    home: Arc<Context>,
 }
 
 impl<M: Send + 'static> Default for Sim<M> {
@@ -438,7 +454,6 @@ impl<M: Send + 'static> Default for Sim<M> {
 impl<M: Send + 'static> Sim<M> {
     /// Create an empty simulation.
     pub fn new() -> Self {
-        let (ctrl_tx, ctrl_rx) = channel();
         Sim {
             kernel: Arc::new(Mutex::new(Kernel {
                 events: BTreeMap::new(),
@@ -453,11 +468,10 @@ impl<M: Send + 'static> Sim<M> {
                 cur_horizon: SimTime::ZERO,
                 tail: false,
                 stopping: false,
+                exited: None,
                 exec: ExecCounters::default(),
             })),
-            ctrl_tx,
-            ctrl_rx,
-            threads: Vec::new(),
+            home: Arc::new(Context::running()),
         }
     }
 
@@ -510,21 +524,21 @@ impl<M: Send + 'static> Sim<M> {
     }
 
     /// Spawn a reactor: a daemon with a pid, group, mailbox and virtual
-    /// clock like any other, but no OS thread — its callbacks run on
-    /// whichever thread holds duty when an event resumes it (see
+    /// clock like any other, but no stack of its own — its callbacks run on
+    /// whichever stack holds duty when an event resumes it (see
     /// [`Reactor`]). In virtual time it is indistinguishable from a
     /// [`spawn_daemon`](Sim::spawn_daemon) loop of `recv`/`recv_timeout`:
     /// same events, same keys, same trace.
     pub fn spawn_reactor(&mut self, name: &str, reactor: impl Reactor<M>) -> Pid {
-        let pid = self.add_proc(name, true, Exec::Reactor(Some(Box::new(reactor))));
-        self.threads.push(None);
-        pid
+        self.add_proc(name, true, |_| Exec::Reactor(Some(Box::new(reactor))))
     }
 
-    /// Register a process slot and its initial wake.
-    fn add_proc(&mut self, name: &str, daemon: bool, exec: Exec<M>) -> Pid {
+    /// Register a process slot — `exec` is told the pid it is for — and
+    /// its initial wake.
+    fn add_proc(&mut self, name: &str, daemon: bool, exec: impl FnOnce(Pid) -> Exec<M>) -> Pid {
         let mut k = self.kernel.lock();
         let pid = k.procs.len();
+        let exec = exec(pid);
         k.procs.push(ProcSlot {
             name: name.to_string(),
             daemon,
@@ -547,28 +561,33 @@ impl<M: Send + 'static> Sim<M> {
     where
         F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
     {
-        let resume = Arc::new(ResumeCell::new());
-        let pid = self.add_proc(name, daemon, Exec::Thread(Arc::clone(&resume)));
-        let ctx =
-            Ctx::new(pid, Arc::clone(&self.kernel), self.ctrl_tx.clone(), Arc::clone(&resume));
-        let exit = ExitGuard { pid, ctrl_tx: self.ctrl_tx.clone() };
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                let _exit = exit;
-                // Wait for the first resume before touching anything.
-                if ctx.wait_resume().is_ok() {
-                    let _ = f(ctx);
-                }
-            })
-            .expect("failed to spawn simulation thread");
-        // Nothing is posted to the cell before `run`, which needs `self`.
-        resume.bind(handle.thread().clone());
-        self.threads.push(Some(handle));
-        pid
+        let (kernel, home) = (Arc::clone(&self.kernel), Arc::clone(&self.home));
+        self.add_proc(name, daemon, move |pid| {
+            // The body runs when the coroutine is first switched to: by a
+            // `Go`, which starts the process, or by a `Stop` (the run
+            // ended, or the `Sim` was dropped, before it ever ran), which
+            // only drops `f`. Either way everything it owns — `f`, the
+            // `Ctx`, this `kernel` handle — is dropped by the time it
+            // returns, as it must be: the frame that called it is
+            // abandoned, never unwound. (Until it is entered the kernel
+            // owns the coroutine and the body a kernel handle;
+            // `stop_remaining` enters every coroutine, so that cycle never
+            // outlives the `Sim`.)
+            let coro = Coroutine::new(home, move |me| {
+                let ctx = Ctx::new(pid, Arc::clone(&kernel), me);
+                let panicked = catch_unwind(AssertUnwindSafe(move || {
+                    if ctx.take_resume().is_ok() {
+                        let _ = f(ctx);
+                    }
+                }))
+                .is_err();
+                kernel.lock().exited = Some((pid, panicked));
+            });
+            Exec::Coroutine { coro, resume: None }
+        })
     }
 
-    /// Run the simulation to completion.
+    /// Run the simulation to completion, on the calling thread.
     pub fn run(mut self) -> Result<SimReport, SimError> {
         let n_primary = self.kernel.lock().procs.iter().filter(|p| !p.daemon).count();
         if n_primary == 0 {
@@ -577,10 +596,9 @@ impl<M: Send + 'static> Sim<M> {
         let result = self.event_loop(n_primary);
 
         // Stop remaining processes (daemons, or everyone on error).
-        self.stop_remaining();
-        let join_err = self.join_threads();
+        let stop_err = self.stop_remaining();
         result?;
-        if let Some(e) = join_err {
+        if let Some(e) = stop_err {
             return Err(e);
         }
 
@@ -600,9 +618,17 @@ impl<M: Send + 'static> Sim<M> {
         })
     }
 
+    /// Switch to `coro` and return when duty comes back to the coordinator,
+    /// with the reason: a process exit (or a reactor panic) as `(pid,
+    /// panicked)`, or `None` if a duty holder found nothing runnable.
+    fn lend_duty(&self, coro: &Coroutine) -> Option<(Pid, bool)> {
+        switch(&self.home, coro.context());
+        self.kernel.lock().exited.take()
+    }
+
     /// The coordinator's side of the duty protocol: seed the run, then take
     /// duty back whenever a process exits or finds nothing runnable;
-    /// between those, the process threads drive the kernel themselves (see
+    /// between those, the processes drive the kernel themselves (see
     /// [`Kernel::drain`] and [`Ctx`](crate::Ctx)'s blocking path).
     fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
         let mut live_primary = n_primary;
@@ -631,70 +657,61 @@ impl<M: Send + 'static> Sim<M> {
                         .collect();
                     return Err(SimError::Deadlock { blocked });
                 }
-                DrainOutcome::Handoff(cell) => {
-                    cell.wake();
-                    // Duty circulates among the process threads now; it
-                    // comes back with an exit or an idle notification.
-                    match self.ctrl_rx.recv().expect("the coordinator holds a sender") {
-                        Ctrl::Idle => {}
-                        Ctrl::Exited(pid, panicked) => {
-                            let mut k = self.kernel.lock();
-                            let slot = &mut k.procs[pid];
-                            slot.status = Status::Exited;
-                            if panicked {
-                                let name = slot.name.clone();
-                                return Err(SimError::ProcessPanicked { pid, name });
-                            }
-                            live_primary -= usize::from(!slot.daemon);
-                            k.tail = live_primary == 0;
+                DrainOutcome::Handoff(coro) => {
+                    // Duty circulates among the processes now; it comes
+                    // back with an exit, or when nothing is runnable.
+                    if let Some((pid, panicked)) = self.lend_duty(&coro) {
+                        let mut k = self.kernel.lock();
+                        let slot = &mut k.procs[pid];
+                        slot.status = Status::Exited;
+                        if panicked {
+                            let name = slot.name.clone();
+                            return Err(SimError::ProcessPanicked { pid, name });
                         }
+                        live_primary -= usize::from(!slot.daemon);
+                        k.tail = live_primary == 0;
                     }
                 }
             }
         }
     }
 
-    /// Post `Stop` to every thread process that has not exited and wait
-    /// until each has. All of them are blocked here (duty is with the
-    /// coordinator); once `stopping` is set a process that blocks again
-    /// while unwinding gets `Stopped` without parking. Reactors have
-    /// nothing to stop: nobody drains any more, so they never run again.
-    fn stop_remaining(&mut self) {
-        let cells: Vec<Arc<ResumeCell>> = {
+    /// Run every coroutine process that has not exited to its end: post
+    /// `Stop` and switch to it, one after the other. All of them are
+    /// suspended here (duty is with the coordinator) — in a blocking call,
+    /// which returns `Stopped`, or not yet started, in which case the
+    /// process function is dropped unrun; once `stopping` is set a process
+    /// that blocks again on its way out gets `Stopped` without a switch, so
+    /// each comes straight back. Reactors have nothing to stop: nobody
+    /// drains any more, so they never run again. After this no frame is
+    /// left on any stack, and dropping the kernel unmaps them. Returns the
+    /// first process that panicked on its way out, if any did.
+    fn stop_remaining(&mut self) -> Option<SimError> {
+        let live: Vec<(Pid, Arc<Coroutine>)> = {
             let mut k = self.kernel.lock();
             k.stopping = true;
             k.procs
-                .iter()
-                .filter(|p| p.status != Status::Exited)
-                .filter_map(|p| match &p.exec {
-                    Exec::Thread(cell) => {
-                        cell.post(Resume::Stop);
-                        Some(Arc::clone(cell))
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, p)| p.status != Status::Exited)
+                .filter_map(|(pid, p)| match &mut p.exec {
+                    Exec::Coroutine { coro, resume } => {
+                        *resume = Some(Resume::Stop);
+                        Some((pid, Arc::clone(coro)))
                     }
                     Exec::Reactor(_) => None,
                 })
                 .collect()
         };
-        cells.iter().for_each(|c| c.wake());
-        let mut outstanding = cells.len();
-        while outstanding > 0 {
-            if let Ctrl::Exited(pid, _) =
-                self.ctrl_rx.recv().expect("the coordinator holds a sender")
-            {
-                self.kernel.lock().procs[pid].status = Status::Exited;
-                outstanding -= 1;
-            }
-        }
-    }
-
-    fn join_threads(&mut self) -> Option<SimError> {
         let mut err = None;
-        for (pid, h) in self.threads.iter_mut().enumerate() {
-            if let Some(h) = h.take() {
-                if h.join().is_err() && err.is_none() {
-                    let name = self.kernel.lock().procs[pid].name.clone();
-                    err = Some(SimError::ProcessPanicked { pid, name });
-                }
+        for (pid, coro) in live {
+            let exited = self.lend_duty(&coro);
+            debug_assert_eq!(exited.map(|(p, _)| p), Some(pid), "a stopped process exits");
+            let mut k = self.kernel.lock();
+            let slot = &mut k.procs[pid];
+            slot.status = Status::Exited;
+            if exited.is_some_and(|(_, panicked)| panicked) && err.is_none() {
+                err = Some(SimError::ProcessPanicked { pid, name: slot.name.clone() });
             }
         }
         err
@@ -702,23 +719,9 @@ impl<M: Send + 'static> Sim<M> {
 }
 
 impl<M: Send + 'static> Drop for Sim<M> {
-    /// Stop and join any process threads still alive (covers simulations
-    /// that are dropped without being run; after `run` this is a no-op).
+    /// Run any process still alive to its end (covers simulations that are
+    /// dropped without being run; after `run` this is a no-op).
     fn drop(&mut self) {
-        self.stop_remaining();
-        let _ = self.join_threads();
-    }
-}
-
-/// Sends `Exited` when a process thread finishes, whether its function
-/// returned, unwound, or was stopped before it ever started.
-struct ExitGuard {
-    pid: Pid,
-    ctrl_tx: Sender<Ctrl>,
-}
-
-impl Drop for ExitGuard {
-    fn drop(&mut self) {
-        let _ = self.ctrl_tx.send(Ctrl::Exited(self.pid, std::thread::panicking()));
+        let _ = self.stop_remaining();
     }
 }

@@ -14,7 +14,10 @@ pub enum SimError {
     /// No events remain but primary processes are still blocked: the modeled
     /// system is deadlocked. Lists the blocked primary processes.
     Deadlock { blocked: Vec<(Pid, String)> },
-    /// A process thread panicked; the panic message is on stderr.
+    /// A process panicked — its function, or a reactor's callback — and the
+    /// panic was caught at the process boundary. The panic message is on
+    /// stderr, where it names the *thread that called `Sim::run`* (every
+    /// process runs on it); `pid` and `name` name the process.
     ProcessPanicked { pid: Pid, name: String },
     /// `run` was called on a simulation with no primary processes.
     NoPrimaryProcesses,

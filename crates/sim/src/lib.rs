@@ -2,12 +2,17 @@
 //!
 //! This crate is the foundation of the PPoPP'01 reproduction: a
 //! process-oriented discrete-event simulator in which each simulated node of
-//! the cluster runs as a cooperatively scheduled OS thread in *virtual*
-//! time. The engine always runs the process with the globally minimal next
-//! event time, so execution is fully serialized and **bit-for-bit
+//! the cluster runs as a cooperatively scheduled stackful coroutine in
+//! *virtual* time — a stack of its own, but no OS thread: a whole
+//! simulation runs on the thread that calls [`Sim::run`], and handing
+//! control from one process to the next is a register swap in user space
+//! (`coro.rs`, the crate's one `unsafe` module; x86_64 Linux only). The
+//! engine always runs the process with the globally minimal next event
+//! time, so execution is fully serialized and **bit-for-bit
 //! deterministic** — the property the reproduced paper requires of
 //! sequential sections, and the property that makes every experiment in
-//! this repository reproducible.
+//! this repository reproducible. Independent simulations share nothing, so
+//! they scale across cores the plain way: one thread each.
 //!
 //! Layers above build on three primitives:
 //!
@@ -19,13 +24,13 @@
 //!   operations that yield to the engine.
 //!
 //! A process that only ever reacts — a protocol handler: wait for a
-//! request, serve it, wait again — needs no thread of its own. It is a
+//! request, serve it, wait again — needs no stack of its own. It is a
 //! [`Reactor`] ([`Sim::spawn_reactor`]): a daemon with a pid, a mailbox and
 //! a clock like any other, whose callbacks run to completion on whichever
-//! host thread is driving the kernel when an event resumes it. That is the
+//! stack is driving the kernel when an event resumes it. That is the
 //! closer model of TreadMarks, which serves a remote request in a SIGIO
-//! handler on the application's processor — and it costs no host thread
-//! switch, where a handler thread costs one in and one out. A reactor is
+//! handler on the application's processor — and it costs no switch at
+//! all, where a handler coroutine costs one in and one out. A reactor is
 //! handed a [`ReactorCtx`], which has `charge` and `send` but nothing that
 //! blocks. In virtual time the two kinds of daemon are indistinguishable:
 //! same events, same keys, same trace.
@@ -41,11 +46,11 @@
 
 #![warn(unreachable_pub)]
 
+mod coro;
 mod ctx;
 mod engine;
 mod error;
 mod reactor;
-mod resume;
 mod trace;
 
 pub use ctx::Ctx;

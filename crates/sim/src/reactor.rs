@@ -4,13 +4,13 @@
 //! `loop { recv … }`. A [`Reactor`] is that loop turned inside out: the
 //! engine owns the waiting and calls [`on_msg`](Reactor::on_msg) /
 //! [`on_timeout`](Reactor::on_timeout) when an event resumes the process,
-//! on whichever host thread holds duty at that moment — the process that
-//! is blocked in [`Ctx`](crate::Ctx) and draining, or the coordinator. No
-//! OS thread, no resume cell, no host switch in or out. This is the closer
+//! on whichever stack holds duty at that moment — the process that is
+//! blocked in [`Ctx`](crate::Ctx) and draining, or the coordinator. No
+//! stack of its own, no switch in or out. This is the closer
 //! model of what TreadMarks does: a SIGIO handler on the application's
 //! processor, run to completion.
 //!
-//! # Equivalence with a thread daemon
+//! # Equivalence with a coroutine daemon
 //!
 //! A reactor waits *exactly* as `recv`/`recv_timeout` do: a message
 //! already in the mailbox is consumed on the spot (the fast path),
@@ -18,7 +18,7 @@
 //! deadline wake are pushed by the same kernel routine, under the same
 //! pid and group. Its [`charge`](ReactorCtx::charge) moves its own clock,
 //! so it is busy in virtual time and requests still queue behind it. Every
-//! push therefore carries the key the thread loop would have given it, the
+//! push therefore carries the key the daemon's loop would have given it, the
 //! pop order is the key order, and traces, `events_processed`,
 //! `proc_clocks` and `mailbox_backlog` are bit-identical; only the
 //! host-side [`ExecCounters`](crate::ExecCounters) differ.
@@ -31,14 +31,14 @@ use crate::ctx::LocalClock;
 use crate::engine::{DrainOutcome, Exec, Kernel, Status, Step};
 use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime};
 
-/// A daemon process without a thread (see the module docs), registered
+/// A daemon process without a stack (see the module docs), registered
 /// with [`Sim::spawn_reactor`](crate::Sim::spawn_reactor).
 ///
 /// A callback gets a [`ReactorCtx`] — the non-blocking half of a process
 /// context — so it *cannot* block: there is no `recv` or `sleep` to call.
 /// A panic in a callback fails the run as
 /// [`SimError::ProcessPanicked`](crate::SimError::ProcessPanicked) under
-/// the reactor's own pid and name, whichever thread it was running on.
+/// the reactor's own pid and name, whichever process was hosting it.
 ///
 /// ```
 /// use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, Sim};
@@ -162,7 +162,7 @@ pub(crate) struct ReactorRun<M> {
 
 impl<M: 'static> ReactorRun<M> {
     /// Run the reactor, kernel lock released, until it has to wait: the
-    /// thread loop `loop { recv…; handle }` from one block to the next.
+    /// daemon loop `loop { recv…; handle }` from one block to the next.
     /// Returns with the lock taken, the wait scheduled and the reactor
     /// back in its slot.
     fn run(self, kernel: &Mutex<Kernel<M>>) -> MutexGuard<'_, Kernel<M>> {
@@ -193,9 +193,10 @@ impl<M: 'static> ReactorRun<M> {
 }
 
 /// Hold duty: drain the kernel, running every reactor that comes due on
-/// this stack, until duty moves to a thread process, this process resumes
+/// this stack, until duty moves to a coroutine process, this process resumes
 /// itself, nothing is runnable — or a reactor panics. The kernel lock
-/// (`k`) is released on return, so the caller may wake a handoff target.
+/// (`k`) is released on return, so the caller may switch to a handoff
+/// target.
 pub(crate) fn drive<'k, M: 'static>(
     kernel: &'k Mutex<Kernel<M>>,
     mut k: MutexGuard<'k, Kernel<M>>,
@@ -208,8 +209,8 @@ pub(crate) fn drive<'k, M: 'static>(
         };
         drop(k);
         let pid = run.pid;
-        // The reactor runs on somebody else's thread: contain its panic so
-        // it is reported as the reactor's, not as the host thread's.
+        // The reactor runs on somebody else's stack: contain its panic so
+        // it is reported as the reactor's, not as its host's.
         match catch_unwind(AssertUnwindSafe(|| run.run(kernel))) {
             Ok(guard) => k = guard,
             Err(_) => {

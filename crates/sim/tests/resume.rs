@@ -1,121 +1,64 @@
-//! The resume cell under stress: every way a wake-up could be lost or
-//! misread — long handoff chains, a resume posted before the target thread
-//! has ever run, spurious `park` returns, the final `Stop`, a panic while
-//! everyone else is parked. Each test runs under a watchdog, so a lost
-//! wake-up fails the test instead of hanging the suite.
+//! The coroutine transport under stress: long handoff chains, the final
+//! `Stop`, a panic while everyone else is suspended — and what a process
+//! on a stack of its own, on the caller's thread, must still be able to
+//! do: drop what it owns however it ends, take a backtrace, recurse deep,
+//! run a simulation of its own, share the host with another simulation,
+//! change threads before it starts. (`stacks.rs` has the two tests that
+//! need a process to themselves.) The tests that could hang run under a
+//! watchdog, so a lost resume fails the test instead of the suite.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::backtrace::Backtrace;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 
-use repseq_sim::{Ctx, Dur, Sim, SimError, SimTime, Stopped};
+use repseq_sim::{Ctx, Dur, Sim, SimError, SimReport, SimTime, Stopped, TraceEntry};
 
 mod common;
 use common::watchdog;
+#[path = "common/endings.rs"]
+mod endings;
+
+/// A ring of `ring` processes passing one token `hops` times; whoever
+/// receives the last hop is the one primary and ends the run.
+fn ring_run(ring: usize, hops: u64) -> SimReport {
+    let mut sim = Sim::<u64>::new();
+    for i in 0..ring {
+        let next = (i + 1) % ring;
+        let body = move |ctx: Ctx<u64>| -> Result<(), Stopped> {
+            if i == 0 {
+                ctx.send(next, hops - 1, ctx.now() + Dur::from_micros(1));
+            }
+            loop {
+                let left = ctx.recv()?.msg;
+                if left == 0 {
+                    return Ok(());
+                }
+                ctx.send(next, left - 1, ctx.now() + Dur::from_micros(1));
+            }
+        };
+        if i == (hops as usize) % ring {
+            sim.spawn(&format!("ring{i}"), body);
+        } else {
+            sim.spawn_daemon(&format!("ring{i}"), body);
+        }
+    }
+    sim.record_trace(true);
+    sim.run().expect("ring completes")
+}
 
 #[test]
 fn ring_of_64_processes_passes_200k_hops() {
-    const RING: usize = 64;
     const HOPS: u64 = 200_000;
-    let report = watchdog(300, || {
-        let mut sim = Sim::<u64>::new();
-        for i in 0..RING {
-            let next = (i + 1) % RING;
-            let body = move |ctx: Ctx<u64>| -> Result<(), Stopped> {
-                if i == 0 {
-                    ctx.send(next, HOPS - 1, ctx.now() + Dur::from_micros(1));
-                }
-                loop {
-                    let left = ctx.recv()?.msg;
-                    if left == 0 {
-                        return Ok(());
-                    }
-                    ctx.send(next, left - 1, ctx.now() + Dur::from_micros(1));
-                }
-            };
-            // Whoever receives the last hop ends the run.
-            if i == (HOPS as usize) % RING {
-                sim.spawn(&format!("ring{i}"), body);
-            } else {
-                sim.spawn_daemon(&format!("ring{i}"), body);
-            }
-        }
-        sim.run().expect("ring completes")
-    });
+    let report = watchdog(300, || ring_run(64, HOPS));
     assert_eq!(report.end_time, SimTime::from_nanos(HOPS * 1_000));
     assert!(report.exec.handoff_switches >= HOPS, "{:?}", report.exec);
     assert!(report.mailbox_backlog.is_empty());
 }
 
-/// `run` right after `spawn`: the coordinator posts the first resumes
-/// while the process threads may not have executed a single instruction.
-/// The cell holds the post and the sticky unpark token holds the wake.
-#[test]
-fn run_may_race_process_thread_startup() {
-    watchdog(120, || {
-        for round in 0..300 {
-            let started = Arc::new(AtomicUsize::new(0));
-            let mut sim = Sim::<u32>::new();
-            for i in 0..16 {
-                let started = Arc::clone(&started);
-                sim.spawn(&format!("p{i}"), move |ctx| {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    ctx.sleep(Dur::from_nanos(i + 1))
-                });
-            }
-            sim.run().expect("run completes");
-            assert_eq!(started.load(Ordering::SeqCst), 16, "round {round}");
-        }
-    });
-}
-
-/// A third party unparks the process threads continuously: every `park`
-/// may return with nothing posted, and the cell must look again instead of
-/// taking the return for a resume.
-#[test]
-fn spurious_unparks_are_not_resumes() {
-    const ROUNDS: u32 = 20_000;
-    watchdog(300, || {
-        let done = Arc::new(AtomicBool::new(false));
-        let (handle_tx, handle_rx) = mpsc::channel::<std::thread::Thread>();
-        let pest = {
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut victims = Vec::new();
-                while !done.load(Ordering::Acquire) {
-                    victims.extend(handle_rx.try_iter());
-                    victims.iter().for_each(std::thread::Thread::unpark);
-                    std::thread::yield_now();
-                }
-            })
-        };
-        let mut sim = Sim::<u32>::new();
-        let tx = handle_tx.clone();
-        sim.spawn("ping", move |ctx| {
-            tx.send(std::thread::current()).expect("pest alive");
-            for i in 0..ROUNDS {
-                ctx.send(1, i, ctx.now() + Dur::from_micros(1));
-                assert_eq!(ctx.recv()?.msg, i + 1);
-            }
-            Ok(())
-        });
-        sim.spawn("pong", move |ctx| {
-            handle_tx.send(std::thread::current()).expect("pest alive");
-            for i in 0..ROUNDS {
-                assert_eq!(ctx.recv()?.msg, i);
-                ctx.send(0, i + 1, ctx.now() + Dur::from_micros(1));
-            }
-            Ok(())
-        });
-        let report = sim.run();
-        done.store(true, Ordering::Release);
-        pest.join().expect("pest exits");
-        let report = report.expect("ping-pong completes");
-        assert_eq!(report.end_time, SimTime::from_nanos(u64::from(ROUNDS) * 2_000));
-    });
-}
-
-/// Daemons parked in every kind of blocking call when the last primary
-/// exits all get `Stop`, see `Stopped`, and are joined by `run`.
+/// Daemons suspended in every kind of blocking call when the last primary
+/// exits all get `Stop`, see `Stopped`, and have run to their end by the
+/// time `run` returns.
 #[test]
 fn parked_daemons_receive_stop_at_end_of_run() {
     let stopped = watchdog(120, || {
@@ -130,7 +73,7 @@ fn parked_daemons_receive_stop_at_end_of_run() {
                     _ => ctx.recv_timeout(Dur::from_secs(3600)).map(drop),
                 };
                 assert_eq!(r, Err(Stopped));
-                // Blocking again while unwinding is refused, not parked.
+                // Blocking again on the way out is refused, not switched.
                 assert_eq!(ctx.sleep(Dur::from_micros(1)), Err(Stopped));
                 stopped.fetch_add(1, Ordering::SeqCst);
                 r
@@ -143,9 +86,10 @@ fn parked_daemons_receive_stop_at_end_of_run() {
     assert_eq!(stopped, 30);
 }
 
-/// A process panics while the others are parked: `run` reports it, stops
-/// the rest, and has joined every thread by the time it returns — each
-/// process closure holds a clone of `alive`, and none is left.
+/// A process panics while the others are suspended: `run` reports it,
+/// stops the rest, and has run every one of them to its end by the time it
+/// returns — each process closure holds a clone of `alive`, and none is
+/// left.
 #[test]
 fn a_panic_among_parked_processes_is_reported_and_everyone_is_joined() {
     let (err, holders) = watchdog(120, || {
@@ -171,5 +115,182 @@ fn a_panic_among_parked_processes_is_reported_and_everyone_is_joined() {
         SimError::ProcessPanicked { name, .. } => assert_eq!(name, "doomed"),
         other => panic!("expected ProcessPanicked, got {other:?}"),
     }
-    assert_eq!(holders, 1, "a process thread outlived run()");
+    assert_eq!(holders, 1, "a process outlived run()");
+}
+
+/// An exiting coroutine abandons its last frame instead of returning from
+/// it, and a stopped one is unwound by `Stopped`, not by the OS: whatever
+/// the ending, what the closure captured and what a suspended frame held
+/// are dropped exactly once.
+#[test]
+fn every_ending_drops_what_the_process_owned_exactly_once() {
+    for drops in endings::every_ending() {
+        let started = !drops.ending.starts_with("never starts");
+        assert_eq!((drops.captured, drops.local), (1, usize::from(started)), "{drops:?}");
+    }
+}
+
+/// A process that panics unwinds on the one thread every other process
+/// runs on. A destructor that blocks on the way must not switch away in
+/// mid-unwind: it is told `Stopped`, and the panic is reported as usual.
+#[test]
+fn a_blocking_call_while_unwinding_is_refused() {
+    struct BlocksOnDrop<'a>(&'a Ctx<u32>, mpsc::Sender<Result<(), Stopped>>);
+    impl Drop for BlocksOnDrop<'_> {
+        fn drop(&mut self) {
+            self.1.send(self.0.sleep(Dur::from_micros(1))).unwrap();
+        }
+    }
+    let (tx, rx) = mpsc::channel();
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("bystander", |ctx| ctx.sleep(Dur::from_micros(10)));
+    sim.spawn("doomed", move |ctx| {
+        drop(BlocksOnDrop(&ctx, tx.clone()));
+        let _guard = BlocksOnDrop(&ctx, tx);
+        panic!("boom (expected by the test)");
+    });
+    endings::expect_panic_of("doomed", sim.run());
+    let seen: Vec<_> = rx.try_iter().collect();
+    assert_eq!(seen, [Ok(()), Err(Stopped)], "before the panic, then during the unwind");
+}
+
+/// The unwinder walks a process's stack to the coroutine's entry frame and
+/// stops there: the capture returns (it does not run off the mapping), it
+/// names this function, and the entry frame is the last one it names.
+#[test]
+fn a_backtrace_inside_a_process_ends_at_the_entry_frame() {
+    let (tx, rx) = mpsc::channel();
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("tracer", move |ctx| {
+        // Resumed by a switch at least once, not just entered.
+        ctx.send(1, 5, ctx.now() + Dur::from_micros(1));
+        assert_eq!(ctx.recv()?.msg, 5);
+        tx.send(Backtrace::force_capture().to_string()).unwrap();
+        Ok(())
+    });
+    sim.spawn_daemon("peer", |ctx| loop {
+        let env = ctx.recv()?;
+        ctx.send(env.from, env.msg, ctx.now() + Dur::from_micros(1));
+    });
+    sim.run().expect("run completes");
+    let trace = rx.recv().unwrap();
+    assert!(trace.contains("a_backtrace_inside_a_process_ends_at_the_entry_frame"), "{trace}");
+    let last = trace.lines().rev().find(|l| !l.trim_start().starts_with("at ")).unwrap();
+    assert!(last.contains("repseq_sim_coro_entry"), "{trace}");
+}
+
+/// A coroutine's stack is as deep as a spawned thread's: a recursion that
+/// holds 900 KiB of frames, and blocks at the bottom of it, completes.
+#[test]
+fn a_process_can_hold_900_kib_of_frames_across_a_switch() {
+    const HOLD: usize = 900 << 10;
+    /// Recurse until `HOLD` bytes lie between `top` and this frame, block
+    /// there, and report the depth reached.
+    fn dive(ctx: &Ctx<u32>, top: usize) -> Result<usize, Stopped> {
+        let pad = black_box([0u8; 1024]);
+        let held = top - pad.as_ptr() as usize;
+        let reached = if held >= HOLD {
+            ctx.sleep(Dur::from_micros(1))?;
+            held
+        } else {
+            dive(ctx, top)?
+        };
+        black_box(&pad);
+        Ok(reached)
+    }
+    let (tx, rx) = mpsc::channel();
+    let mut sim = Sim::<u32>::new();
+    for name in ["diver0", "diver1"] {
+        let tx = tx.clone();
+        sim.spawn(name, move |ctx| {
+            let top = 0u8;
+            tx.send(dive(&ctx, &top as *const u8 as usize)?).unwrap();
+            Ok(())
+        });
+    }
+    sim.run().expect("run completes");
+    let reached: Vec<usize> = rx.try_iter().collect();
+    assert_eq!(reached.len(), 2);
+    assert!(reached.iter().all(|&held| held >= HOLD), "{reached:?}");
+}
+
+/// The switch keeps no per-thread or global "current coroutine": a process
+/// can build and run a whole simulation (whose coordinator is then this
+/// process's stack), read its report, and carry on in its own.
+#[test]
+fn a_process_can_run_an_inner_sim() {
+    let (tx, rx) = mpsc::channel();
+    let mut outer = Sim::<u64>::new();
+    outer.spawn("host", move |ctx| {
+        ctx.send(1, 1, ctx.now() + Dur::from_micros(1));
+        let before = ctx.recv()?.msg;
+        let inner = ring_run(5, 1_000);
+        ctx.send(1, 2, ctx.now() + Dur::from_micros(1));
+        let after = ctx.recv()?.msg;
+        tx.send((before, inner.end_time, after, ctx.now())).unwrap();
+        Ok(())
+    });
+    outer.spawn_daemon("echo", |ctx| loop {
+        let env = ctx.recv()?;
+        ctx.send(env.from, env.msg * 10, ctx.now() + Dur::from_micros(1));
+    });
+    let report = outer.run().expect("outer run completes");
+    let (before, inner_end, after, host_clock) = rx.recv().unwrap();
+    assert_eq!((before, after), (10, 20));
+    assert_eq!(inner_end, SimTime::from_nanos(1_000_000));
+    // The inner run cost the outer process no virtual time.
+    assert_eq!(host_clock, SimTime::from_nanos(4_000));
+    assert_eq!(report.end_time, SimTime::from_nanos(4_000));
+}
+
+/// Two simulations running at the same time on two OS threads are each
+/// the run they are alone.
+#[test]
+fn two_sims_on_two_threads_trace_as_they_do_alone() {
+    const SHAPES: [(usize, u64); 2] = [(8, 30_000), (13, 30_011)];
+    let trace = |(ring, hops): (usize, u64)| -> Vec<TraceEntry> {
+        ring_run(ring, hops).trace.expect("tracing is on")
+    };
+    let alone = SHAPES.map(trace);
+    let start = Barrier::new(2);
+    let together = std::thread::scope(|s| {
+        let runs = SHAPES.map(|shape| {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                trace(shape)
+            })
+        });
+        runs.map(|r| r.join().expect("run completes"))
+    });
+    for (a, t) in alone.iter().zip(&together) {
+        assert!(a.len() > 60_000);
+        assert_eq!(repseq_sim::first_divergence(a, t), None);
+    }
+}
+
+/// A `Sim` is `Send`, and one built here runs there: nothing about a
+/// coroutine that has not started belongs to the thread that mapped it.
+#[test]
+fn a_sim_built_on_one_thread_runs_on_another() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Sim<u32>>();
+    assert_send::<Sim<Box<dyn std::any::Any + Send>>>();
+
+    let builder = std::thread::current().id();
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("ping", |ctx| {
+        for i in 0..100 {
+            ctx.send(1, i, ctx.now() + Dur::from_micros(1));
+            assert_eq!(ctx.recv()?.msg, i + 1);
+        }
+        Ok(())
+    });
+    sim.spawn_daemon("pong", move |ctx| loop {
+        assert_ne!(std::thread::current().id(), builder);
+        let env = ctx.recv()?;
+        ctx.send(env.from, env.msg + 1, ctx.now() + Dur::from_micros(1));
+    });
+    let report = std::thread::spawn(move || sim.run()).join().expect("runner exits");
+    assert_eq!(report.expect("run completes").end_time, SimTime::from_nanos(200_000));
 }

@@ -23,7 +23,7 @@ pub struct Envelope<M> {
 /// The non-blocking half of the substrate contract: everything a
 /// run-to-completion body may do — identify itself, read the clock, spend
 /// modeled CPU time and send. A protocol handler gets only this half (on
-/// the simulator it is a reactor running on whichever thread holds duty,
+/// the simulator it is a reactor running on whichever process holds duty,
 /// see `repseq_sim::Reactor`), so "a handler cannot block" is a fact of
 /// its signature: `recv`, `recv_timeout` and `sleep` are not nameable
 /// through it. The network layer (`repseq_net::Nic`) needs no more than
