@@ -5,48 +5,31 @@
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
 use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
 use repseq_apps::kernels::{ContentionKernel, KernelConfig};
-use repseq_core::{RunConfig, Runtime, SeqMode};
-use repseq_dsm::ClusterConfig;
+use repseq_core::{RunConfig, Runtime};
 use repseq_stats::StatsSnapshot;
 
-fn run_bh(mode: SeqMode, n: usize, cfg: BhConfig) -> (BhResult, StatsSnapshot) {
-    let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
+fn run_bh(rc: RunConfig, cfg: BhConfig) -> (BhResult, StatsSnapshot) {
+    let mut rt = Runtime::new(rc);
     let app = BarnesHut::setup(&mut rt, cfg);
     let stats = rt.stats();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("barnes-hut run failed");
-    let r = out.lock().take().unwrap();
+    let (r, _) = rt.run_value(move |team| app.run(team)).expect("barnes-hut run failed");
     (r, stats.snapshot())
 }
 
-fn run_ilink(mode: SeqMode, n: usize, cfg: IlinkConfig) -> (IlinkResult, StatsSnapshot) {
-    let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
+fn run_ilink(rc: RunConfig, cfg: IlinkConfig) -> (IlinkResult, StatsSnapshot) {
+    let mut rt = Runtime::new(rc);
     let app = Ilink::setup(&mut rt, cfg);
     let stats = rt.stats();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("ilink run failed");
-    let r = out.lock().take().unwrap();
+    let (r, _) = rt.run_value(move |team| app.run(team)).expect("ilink run failed");
     (r, stats.snapshot())
 }
 
 #[test]
 fn barnes_hut_modes_agree_and_traffic_shifts() {
     let cfg = BhConfig::tiny();
-    let (orig, s_orig) = run_bh(SeqMode::MasterOnly, 4, cfg.clone());
-    let (opt, s_opt) = run_bh(SeqMode::Replicated, 4, cfg.clone());
-    let (bc, s_bc) = run_bh(SeqMode::MasterOnlyBroadcast, 4, cfg);
+    let (orig, s_orig) = run_bh(RunConfig::original(4), cfg.clone());
+    let (opt, s_opt) = run_bh(RunConfig::optimized(4), cfg.clone());
+    let (bc, s_bc) = run_bh(RunConfig::broadcast(4), cfg);
     assert_eq!(orig, opt, "replication must not change the physics");
     assert_eq!(orig, bc, "broadcast must not change the physics");
     assert!(orig.interactions > 0);
@@ -71,9 +54,9 @@ fn barnes_hut_modes_agree_and_traffic_shifts() {
 #[test]
 fn barnes_hut_physics_is_node_count_independent() {
     let cfg = BhConfig::tiny();
-    let (r1, _) = run_bh(SeqMode::MasterOnly, 1, cfg.clone());
-    let (r4, _) = run_bh(SeqMode::Replicated, 4, cfg.clone());
-    let (r3, _) = run_bh(SeqMode::MasterOnly, 3, cfg);
+    let (r1, _) = run_bh(RunConfig::original(1), cfg.clone());
+    let (r4, _) = run_bh(RunConfig::optimized(4), cfg.clone());
+    let (r3, _) = run_bh(RunConfig::original(3), cfg);
     assert_eq!(r1, r4, "1-node and 4-node runs must agree bit-for-bit");
     assert_eq!(r1, r3);
 }
@@ -81,7 +64,7 @@ fn barnes_hut_physics_is_node_count_independent() {
 #[test]
 fn barnes_hut_positions_actually_move() {
     let cfg = BhConfig::tiny();
-    let (r, _) = run_bh(SeqMode::Replicated, 2, cfg.clone());
+    let (r, _) = run_bh(RunConfig::optimized(2), cfg.clone());
     // Compare against the checksum of the untouched initial conditions.
     let bodies = repseq_apps::barnes_hut::plummer::plummer_model(cfg.n_bodies, cfg.seed);
     let mut initial = 0.0f64;
@@ -96,8 +79,8 @@ fn barnes_hut_positions_actually_move() {
 #[test]
 fn ilink_modes_agree_and_optimized_wins() {
     let cfg = IlinkConfig::tiny();
-    let (orig, s_orig) = run_ilink(SeqMode::MasterOnly, 4, cfg.clone());
-    let (opt, s_opt) = run_ilink(SeqMode::Replicated, 4, cfg);
+    let (orig, s_orig) = run_ilink(RunConfig::original(4), cfg.clone());
+    let (opt, s_opt) = run_ilink(RunConfig::optimized(4), cfg);
     assert_eq!(orig, opt, "likelihood must be identical across modes");
     assert!(orig.parallel_updates > 0, "the if clause must trigger parallel updates");
     assert!(orig.sequential_updates > 0, "and sequential ones");
@@ -125,23 +108,15 @@ fn ilink_modes_agree_and_optimized_wins() {
 
 #[test]
 fn contention_kernel_modes_agree() {
-    let run = |mode| {
-        let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(4), seq_mode: mode });
+    let run = |rc| {
+        let mut rt = Runtime::new(rc);
         let k = ContentionKernel::setup(&mut rt, KernelConfig::default());
         let stats = rt.stats();
-        let out = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
-        let out2 = std::sync::Arc::clone(&out);
-        rt.run(move |team| {
-            let c = k.run(team)?;
-            *out2.lock() = c;
-            Ok(())
-        })
-        .unwrap();
-        let c = *out.lock();
+        let (c, _) = rt.run_value(move |team| k.run(team)).unwrap();
         (c, stats.snapshot())
     };
-    let (c_orig, s_orig) = run(SeqMode::MasterOnly);
-    let (c_opt, s_opt) = run(SeqMode::Replicated);
+    let (c_orig, s_orig) = run(RunConfig::original(4));
+    let (c_opt, s_opt) = run(RunConfig::optimized(4));
     assert_eq!(c_orig, c_opt);
     // The replicated kernel's parallel phase fetches nothing for the data
     // block; only the tiny false-shared per-node sums page still moves.

@@ -12,51 +12,14 @@
 use repseq_apps::barnes_hut::BarnesHut;
 use repseq_apps::ilink::Ilink;
 use repseq_bench::*;
-use repseq_core::{RunConfig, Runtime, SeqMode};
-use repseq_dsm::{ClusterConfig, FlowControl};
+use repseq_core::RunConfig;
+use repseq_dsm::FlowControl;
 
-fn run_bh_fc(
-    n: usize,
-    cfg: repseq_apps::barnes_hut::BhConfig,
-    fc: FlowControl,
-) -> RunOutcome<repseq_apps::barnes_hut::BhResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.dsm.flow_control = fc;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: SeqMode::Replicated });
-    let app = BarnesHut::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-fn run_ilink_fc(
-    n: usize,
-    cfg: repseq_apps::ilink::IlinkConfig,
-    fc: FlowControl,
-) -> RunOutcome<repseq_apps::ilink::IlinkResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.dsm.flow_control = fc;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: SeqMode::Replicated });
-    let app = Ilink::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
+/// The optimized system on `n` nodes under flow control `fc`.
+fn optimized(n: usize, fc: FlowControl) -> RunConfig {
+    let mut rc = RunConfig::optimized(n);
+    rc.cluster.dsm.flow_control = fc;
+    rc
 }
 
 fn main() {
@@ -65,13 +28,15 @@ fn main() {
     println!("Flow-control ablation on {n} nodes ({scale:?} scale)\n");
 
     let bh_cfg = bh_config(scale);
-    let bh_ser = run_bh_fc(n, bh_cfg.clone(), FlowControl::Serialized);
-    let bh_con = run_bh_fc(n, bh_cfg, FlowControl::Concurrent);
+    let bh = |fc| run(optimized(n, fc), |rt| BarnesHut::setup(rt, bh_cfg.clone()), BarnesHut::run);
+    let bh_ser = bh(FlowControl::Serialized);
+    let bh_con = bh(FlowControl::Concurrent);
     assert_eq!(bh_ser.result, bh_con.result, "flow control must not change the physics");
 
     let il_cfg = ilink_config(scale);
-    let il_ser = run_ilink_fc(n, il_cfg.clone(), FlowControl::Serialized);
-    let il_con = run_ilink_fc(n, il_cfg, FlowControl::Concurrent);
+    let ilink = |fc| run(optimized(n, fc), |rt| Ilink::setup(rt, il_cfg.clone()), Ilink::run);
+    let il_ser = ilink(FlowControl::Serialized);
+    let il_con = ilink(FlowControl::Concurrent);
     assert_eq!(
         il_ser.result.likelihood, il_con.result.likelihood,
         "flow control must not change the likelihood"

@@ -13,8 +13,9 @@
 //! i.e. "about half of the improvement stems from contention elimination
 //! and the other half from broadcasting the particles."
 
+use repseq_apps::barnes_hut::BarnesHut;
 use repseq_bench::*;
-use repseq_core::SeqMode;
+use repseq_core::RunConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,11 +26,12 @@ fn main() {
         cfg.n_bodies, n
     );
 
-    let orig = run_barnes(SeqMode::MasterOnly, n, cfg.clone());
+    let bh = |rc| run(rc, |rt| BarnesHut::setup(rt, cfg.clone()), BarnesHut::run);
+    let orig = bh(RunConfig::original(n));
     println!("  original run done");
-    let bc = run_barnes(SeqMode::MasterOnlyBroadcast, n, cfg.clone());
+    let bc = bh(RunConfig::broadcast(n));
     println!("  broadcast run done");
-    let opt = run_barnes(SeqMode::Replicated, n, cfg);
+    let opt = bh(RunConfig::optimized(n));
     println!("  optimized run done");
 
     assert_eq!(orig.result, bc.result, "broadcast must not change the physics");

@@ -3,8 +3,10 @@
 //! grows with the node count, so replication's advantage should widen).
 //! The paper evaluates only 32 nodes; this sweep adds the curve.
 
+use repseq_apps::barnes_hut::BarnesHut;
+use repseq_apps::ilink::Ilink;
 use repseq_bench::*;
-use repseq_core::SeqMode;
+use repseq_core::RunConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -21,15 +23,17 @@ fn main() {
         "app", "nodes", "orig time (s)", "opt time (s)", "orig spdup", "opt spdup"
     );
 
-    let bh_seq = run_barnes(SeqMode::MasterOnly, 1, bh_cfg.clone());
-    let il_seq = run_ilink(SeqMode::MasterOnly, 1, il_cfg.clone());
+    let bh = |rc| run(rc, |rt| BarnesHut::setup(rt, bh_cfg.clone()), BarnesHut::run);
+    let ilink = |rc| run(rc, |rt| Ilink::setup(rt, il_cfg.clone()), Ilink::run);
+    let bh_seq = bh(RunConfig::original(1));
+    let il_seq = ilink(RunConfig::original(1));
     let bh_base = bh_seq.snap.total_time.as_secs_f64();
     let il_base = il_seq.snap.total_time.as_secs_f64();
 
     let mut widening = Vec::new();
     for &n in sweep {
-        let o = run_barnes(SeqMode::MasterOnly, n, bh_cfg.clone());
-        let r = run_barnes(SeqMode::Replicated, n, bh_cfg.clone());
+        let o = bh(RunConfig::original(n));
+        let r = bh(RunConfig::optimized(n));
         assert_eq!(o.result, r.result);
         let (to, tr) = (o.snap.total_time.as_secs_f64(), r.snap.total_time.as_secs_f64());
         println!(
@@ -45,8 +49,8 @@ fn main() {
     }
     println!();
     for &n in sweep {
-        let o = run_ilink(SeqMode::MasterOnly, n, il_cfg.clone());
-        let r = run_ilink(SeqMode::Replicated, n, il_cfg.clone());
+        let o = ilink(RunConfig::original(n));
+        let r = ilink(RunConfig::optimized(n));
         assert_eq!(o.result.likelihood, r.result.likelihood);
         let (to, tr) = (o.snap.total_time.as_secs_f64(), r.snap.total_time.as_secs_f64());
         println!(

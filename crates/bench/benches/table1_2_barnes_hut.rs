@@ -6,8 +6,9 @@
 //! preserves the shapes at 8192 bodies. `REPSEQ_NODES` overrides the node
 //! count (paper: 32).
 
+use repseq_apps::barnes_hut::BarnesHut;
 use repseq_bench::*;
-use repseq_core::SeqMode;
+use repseq_core::RunConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,11 +20,12 @@ fn main() {
         cfg.n_bodies, cfg.timesteps, n
     );
 
-    let seq = run_barnes(SeqMode::MasterOnly, 1, cfg.clone());
+    let bh = |rc| run(rc, |rt| BarnesHut::setup(rt, cfg.clone()), BarnesHut::run);
+    let seq = bh(RunConfig::original(1));
     println!("  sequential run done: {} interactions", seq.result.interactions);
-    let orig = run_barnes(SeqMode::MasterOnly, n, cfg.clone());
+    let orig = bh(RunConfig::original(n));
     println!("  original run done");
-    let opt = run_barnes(SeqMode::Replicated, n, cfg);
+    let opt = bh(RunConfig::optimized(n));
     println!("  optimized run done");
 
     assert_eq!(seq.result, orig.result, "systems must agree on the physics");

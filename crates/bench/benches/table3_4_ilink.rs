@@ -5,8 +5,9 @@
 //! `REPSEQ_SCALE=full` runs 180 outer iterations as the paper's CLP input
 //! requires; the default scale runs 24.
 
+use repseq_apps::ilink::Ilink;
 use repseq_bench::*;
-use repseq_core::SeqMode;
+use repseq_core::RunConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -18,14 +19,15 @@ fn main() {
         cfg.n_families, cfg.genarray_len, cfg.iterations, n
     );
 
-    let seq = run_ilink(SeqMode::MasterOnly, 1, cfg.clone());
+    let ilink = |rc| run(rc, |rt| Ilink::setup(rt, cfg.clone()), Ilink::run);
+    let seq = ilink(RunConfig::original(1));
     println!(
         "  sequential run done: {} parallel-eligible / {} small updates",
         seq.result.parallel_updates, seq.result.sequential_updates
     );
-    let orig = run_ilink(SeqMode::MasterOnly, n, cfg.clone());
+    let orig = ilink(RunConfig::original(n));
     println!("  original run done");
-    let opt = run_ilink(SeqMode::Replicated, n, cfg);
+    let opt = ilink(RunConfig::optimized(n));
     println!("  optimized run done");
 
     // Across node counts the per-node partial sums reassociate, so the

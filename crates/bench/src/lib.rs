@@ -10,17 +10,22 @@
 //! `REPSEQ_NODES=<n>` (default 32, as in the paper). `full` is the paper's
 //! problem size and takes a while; `default` preserves the shapes at
 //! laptop scale.
+//!
+//! Every harness runs its applications through one function, [`run`]. The
+//! committed `BENCH_*.json` are built by [`artifacts`] (deterministic:
+//! virtual times and counts, no knobs) and by the `bench_native` binary
+//! (wall clock), both over the one JSON writer here, [`Json`].
 
-use std::sync::Arc;
+use std::fmt::Write as _;
 
-use parking_lot::Mutex;
-use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
-use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
-use repseq_apps::kv::{KvConfig, KvResult, KvStore};
-use repseq_core::{RunConfig, Runtime, SeqMode};
-use repseq_dsm::{Backend, ClusterConfig};
-use repseq_sim::{Dur, SimReport};
+use repseq_apps::barnes_hut::BhConfig;
+use repseq_apps::ilink::IlinkConfig;
+use repseq_apps::kv::KvConfig;
+use repseq_core::{RunConfig, Runtime, Stopped, Team};
+use repseq_sim::Dur;
 use repseq_stats::{Section, StatsSnapshot};
+
+pub mod artifacts;
 
 /// Benchmark scale, from `REPSEQ_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +52,20 @@ pub fn nodes_from_env() -> usize {
 }
 
 /// CPUs available to this process (the affinity mask counts: 1 under
-/// `taskset -c <cpu>`). Every BENCH artifact records this so a reader can
-/// tell whether wall-clock numbers were measured pinned to one core or
-/// with real parallelism, which the native backend's throughput needs.
-/// (A DES run is one thread and reads the same either way; artifacts from
-/// the thread-per-process engine, before PR 17, did not.)
+/// `taskset -c <cpu>`). `BENCH_native.json`, the one wall-clock artifact,
+/// records this so a reader can tell whether its numbers were measured
+/// pinned to one core or with the real parallelism the native backend's
+/// throughput needs.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// The source the artifacts were generated from: the short git tree hash
-/// of `HEAD`, plus `+dirty` if the working tree differs from it. (A commit
-/// hash would be stale by construction — artifacts are written before the
-/// commit that carries them exists.) "unknown" outside a git checkout.
+/// The source `BENCH_native.json` was generated from: the short git tree
+/// hash of `HEAD`, plus `+dirty` if the working tree differs from it. (A
+/// commit hash would be stale by construction — the artifact is written
+/// before the commit that carries it exists.) "unknown" outside a git
+/// checkout. The deterministic artifacts carry no stamp: they are a pure
+/// function of the source, so git history is their provenance.
 pub fn tree_stamp() -> String {
     let git = |args: &[&str]| {
         let out = std::process::Command::new("git").args(args).output().ok()?;
@@ -106,157 +112,26 @@ pub struct RunOutcome<R> {
     pub snap: StatsSnapshot,
 }
 
-/// Run Barnes-Hut under `mode` on `n` nodes.
-pub fn run_barnes(mode: SeqMode, n: usize, cfg: BhConfig) -> RunOutcome<BhResult> {
-    run_barnes_config(mode, n, cfg, true)
-}
-
-/// Like [`run_barnes`], but with the software TLB explicitly enabled or
-/// disabled — the bench harness runs both and asserts the simulated
-/// results are identical (the fast path must be invisible to virtual
-/// time).
-pub fn run_barnes_config(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    tlb_enabled: bool,
-) -> RunOutcome<BhResult> {
-    run_barnes_report(mode, n, cfg, tlb_enabled).0
-}
-
-/// Like [`run_barnes_config`], but also returns the kernel's [`SimReport`]
-/// — the host-execution bench derives events/sec and the duty counters
-/// from it.
-pub fn run_barnes_report(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    tlb_enabled: bool,
-) -> (RunOutcome<BhResult>, SimReport) {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.dsm.tlb_enabled = tlb_enabled;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = BarnesHut::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let report = rt
-        .run(move |team| {
-            let r = app.run(team)?;
-            *out2.lock() = Some(r);
-            Ok(())
-        })
-        .expect("barnes-hut run failed");
-    let result = out.lock().take().unwrap();
-    (RunOutcome { result, snap: stats.snapshot() }, report)
-}
-
-/// Run Barnes-Hut under `mode` on `n` nodes on the given substrate. On
-/// [`Backend::Native`] the statistics snapshot's *times* are wall-clock
-/// and the message counts include wall-clock-timeout resends; the
-/// physics result is backend-invariant.
-pub fn run_barnes_on(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    backend: Backend,
-) -> RunOutcome<BhResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.backend = backend;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = BarnesHut::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("barnes-hut run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run Ilink under `mode` on `n` nodes on the given substrate (see
-/// [`run_barnes_on`] for what is and is not backend-invariant).
-pub fn run_ilink_on(
-    mode: SeqMode,
-    n: usize,
-    cfg: IlinkConfig,
-    backend: Backend,
-) -> RunOutcome<IlinkResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.backend = backend;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = Ilink::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("ilink run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run the KV-serving workload under `mode` on `n` nodes on the given
-/// substrate. On [`Backend::Native`] the latency percentiles and
-/// throughput in the result are over the wall clock; the served values
-/// (`read_xor`), table fingerprint, trace hash and request counts are
+/// Run one application: `setup` allocates and preloads it on a fresh
+/// runtime, `body` runs it as the master program (`BarnesHut::run`,
+/// `Ilink::run`, `KvStore::run`). Everything else about the run — node
+/// count, strategy, substrate, TLB, flow control — is `cfg`'s. On
+/// `Backend::Native` the snapshot's *times* are wall-clock and its message
+/// counts include wall-clock-timeout resends; the application results are
 /// backend-invariant.
-pub fn run_kv_on(mode: SeqMode, n: usize, cfg: KvConfig, backend: Backend) -> RunOutcome<KvResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.backend = backend;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = KvStore::setup(&mut rt, cfg);
+pub fn run<A, R>(
+    cfg: RunConfig,
+    setup: impl FnOnce(&mut Runtime) -> A,
+    body: impl FnOnce(&A, &Team) -> Result<R, Stopped> + Send + 'static,
+) -> RunOutcome<R>
+where
+    A: Send + 'static,
+    R: Send + 'static,
+{
+    let mut rt = Runtime::new(cfg);
+    let app = setup(&mut rt);
     let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("kv run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run the KV-serving workload under `mode` on `n` nodes.
-pub fn run_kv(mode: SeqMode, n: usize, cfg: KvConfig) -> RunOutcome<KvResult> {
-    let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
-    let app = KvStore::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("kv run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run Ilink under `mode` on `n` nodes.
-pub fn run_ilink(mode: SeqMode, n: usize, cfg: IlinkConfig) -> RunOutcome<IlinkResult> {
-    let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
-    let app = Ilink::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("ilink run failed");
-    let result = out.lock().take().unwrap();
+    let (result, _) = rt.run_value(move |team| body(&app, team)).expect("run failed");
     RunOutcome { result, snap: stats.snapshot() }
 }
 
@@ -417,10 +292,154 @@ pub fn print_host_counters(title: &str, h: &repseq_stats::HostCounters) {
         "scratch:     {:>10} hits   {:>10} misses  ({} small-vector allocations avoided)",
         h.scratch_pool_hits, h.scratch_pool_misses, h.scratch_pool_hits,
     );
-    let tlb_total = h.tlb_hits + h.tlb_misses;
-    let tlb_rate = if tlb_total == 0 { 0.0 } else { 100.0 * h.tlb_hits as f64 / tlb_total as f64 };
     println!(
-        "softw. TLB:  {:>10} hits   {:>10} misses  ({tlb_rate:.1}% of accesses skip the page walk)",
-        h.tlb_hits, h.tlb_misses,
+        "softw. TLB:  {:>10} hits   {:>10} misses  ({:.1}% of accesses skip the page walk)",
+        h.tlb_hits,
+        h.tlb_misses,
+        100.0 * hit_rate(h.tlb_hits, h.tlb_misses),
     );
+}
+
+/// `hits / (hits + misses)`; 1 when nothing was counted.
+pub fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 1.0,
+        total => hits as f64 / total as f64,
+    }
+}
+
+/// A JSON value whose rendering is a pure function of the value: object
+/// keys keep the order they were given in and every float prints with a
+/// stated number of decimals, so an artifact built from deterministic
+/// values is deterministic bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Str(String),
+    Int(u64),
+    /// A finite float and the number of decimals it prints with.
+    Fixed(f64, usize),
+    Arr(Vec<Json>),
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// A `u64` as 16 hex digits (fingerprints, XORs).
+    pub fn hex(v: u64) -> Json {
+        Json::Str(format!("{v:#018x}"))
+    }
+
+    /// The document: two-space indentation, one member per line, a final
+    /// newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Str(s) => write_json_str(out, s),
+            Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Fixed(v, decimals) => {
+                assert!(v.is_finite(), "JSON has no spelling for {v}");
+                let _ = write!(out, "{v:.decimals$}");
+            }
+            Json::Arr(items) => {
+                write_members(out, depth, ['[', ']'], items, |out, item| {
+                    item.write(out, depth + 1)
+                });
+            }
+            Json::Obj(fields) => {
+                write_members(out, depth, ['{', '}'], fields, |out, (key, value)| {
+                    write_json_str(out, key);
+                    out.push_str(": ");
+                    value.write(out, depth + 1);
+                });
+            }
+        }
+    }
+}
+
+fn write_members<T>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    members: &[T],
+    mut write: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, member) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        write(out, member);
+    }
+    if !members.is_empty() {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
+}
+
+fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Write `value` to `file` in the current directory.
+pub fn write_artifact(file: &str, value: &Json) {
+    std::fs::write(file, value.render()).unwrap_or_else(|e| panic!("writing {file}: {e}"));
+    println!("wrote {file}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Json;
+
+    #[test]
+    fn rendering_is_a_pure_function_of_the_value() {
+        let doc = Json::Obj(vec![
+            ("zeta", Json::str("say \"hi\"\\\n\tbell\u{7}")),
+            ("alpha", Json::Int(u64::MAX)),
+            ("third", Json::Fixed(1.0 / 3.0, 3)),
+            ("whole", Json::Fixed(2.0, 4)),
+            ("list", Json::Arr(vec![Json::Fixed(0.2, 2), Json::hex(0xbeef), Json::Arr(vec![])])),
+        ]);
+        let text = doc.render();
+        assert_eq!(
+            text,
+            r#"{
+  "zeta": "say \"hi\"\\\n\tbell\u0007",
+  "alpha": 18446744073709551615,
+  "third": 0.333,
+  "whole": 2.0000,
+  "list": [
+    0.20,
+    "0x000000000000beef",
+    []
+  ]
+}
+"#
+        );
+        assert_eq!(text, doc.render(), "the same value renders to the same bytes");
+    }
 }

@@ -1,62 +1,59 @@
-//! Committed benchmark-trajectory artifacts must be self-describing:
-//! every `BENCH_*.json` at the repository root carries the schema version
-//! and the commit it was generated at, so trajectory tooling can line up
-//! formats and provenance across the history without guessing.
+//! The committed `BENCH_*.json` at the repository root. Three are
+//! deterministic — a pure function of the source, so they can be held to
+//! it byte for byte; `BENCH_native.json` is wall-clock and is held to its
+//! shape and its provenance fields.
 
 use std::path::PathBuf;
 
+const DETERMINISTIC: [&str; 3] = ["BENCH_table1.json", "BENCH_modes.json", "BENCH_kv.json"];
+
+fn committed(file: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file} must be committed: {e}"))
+}
+
+/// A stale artifact fails here, not in a reader's head: what the emitter
+/// would write for `BENCH_table1.json` is what is committed. This must stay
+/// the only simulation in this test binary — the data-plane counts in the
+/// value come from `repseq_stats::host`'s process-global atomics, and tests
+/// of one binary share a process.
 #[test]
-fn every_bench_artifact_carries_schema_version_and_commit() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut found = Vec::new();
-    for entry in std::fs::read_dir(&root).expect("repo root readable") {
-        let path = entry.expect("dir entry").path();
-        let name = match path.file_name().and_then(|n| n.to_str()) {
-            Some(n) => n.to_owned(),
-            None => continue,
-        };
-        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
-            continue;
+fn committed_table1_is_what_the_emitter_writes() {
+    assert_eq!(
+        repseq_bench::artifacts::table1().render(),
+        committed("BENCH_table1.json"),
+        "BENCH_table1.json is stale: run `cargo run --release -p repseq-bench --bin bench_json` \
+         from the repository root and commit the result"
+    );
+}
+
+/// Host time — and the stamp and CPU count that only host time needs —
+/// lives in `benchmark/`, not in the deterministic artifacts. The `_ns`
+/// keys that stay are virtual latencies.
+#[test]
+fn deterministic_artifacts_carry_no_host_fields() {
+    for file in DETERMINISTIC {
+        for line in committed(file).lines() {
+            let Some((key, _)) = line.trim_start().split_once("\": ") else { continue };
+            let key = key.trim_start_matches('"');
+            let host_time = key.ends_with("_ns") && !["p50_ns", "p99_ns", "p999_ns"].contains(&key);
+            assert!(
+                !["commit", "host_cpus", "host_wall_s"].contains(&key) && !host_time,
+                "{file} carries the host field {key:?}"
+            );
         }
-        let text = std::fs::read_to_string(&path).expect("artifact readable");
-        let has_key =
-            |key: &str| text.lines().any(|l| l.trim_start().starts_with(&format!("\"{key}\":")));
-        assert!(has_key("schema_version"), "{name} is missing \"schema_version\"");
-        assert!(has_key("commit"), "{name} is missing \"commit\"");
-        assert!(!text.contains("\"commit\": \"\""), "{name} has an empty \"commit\" field");
-        assert!(
-            has_key("host_cpus"),
-            "{name} is missing \"host_cpus\" — wall-clock numbers must be legible as \
-             single-core or parallel runs"
-        );
-        found.push(name);
     }
-    found.sort();
-    assert!(
-        found.len() >= 7,
-        "expected the committed BENCH artifacts (diff, mmu, table1, modes, host, kv, native), \
-         found {found:?}"
-    );
-    assert!(
-        found.iter().any(|n| n == "BENCH_kv.json"),
-        "the KV serving sweep artifact must be committed, found {found:?}"
-    );
-    assert!(
-        found.iter().any(|n| n == "BENCH_native.json"),
-        "the native-substrate artifact must be committed, found {found:?}"
-    );
 }
 
 /// The native-substrate artifact must carry the strategy comparison and
 /// the KV sweep, with the DES-equality gate's provenance fields.
 #[test]
 fn native_artifact_records_the_des_gated_comparison() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let native = std::fs::read_to_string(root.join("BENCH_native.json"))
-        .expect("BENCH_native.json must be committed");
+    let native = committed("BENCH_native.json");
     for key in [
         "\"bench\": \"native_substrate\"",
         "\"backend\": \"native\"",
+        "\"commit\":",
         "\"host_cpus\":",
         "\"strategy_comparison\":",
         "\"kv_sweep\":",
@@ -68,28 +65,6 @@ fn native_artifact_records_the_des_gated_comparison() {
         "\"read_xor\":",
     ] {
         assert!(native.contains(key), "BENCH_native.json must record {key}");
-    }
-}
-
-/// The committed event-engine artifact must be at the v6 schema: one row
-/// per cluster size with the engine's throughput and duty counters,
-/// reactor runs included.
-#[test]
-fn host_artifact_records_the_event_engine() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let host = std::fs::read_to_string(root.join("BENCH_host.json"))
-        .expect("BENCH_host.json must be committed");
-    for key in [
-        "\"bench\": \"event_engine\"",
-        "\"schema_version\": 6",
-        "\"host_cpus\":",
-        "\"nodes\": 256",
-        "\"events_per_sec\":",
-        "\"handoff_switches\":",
-        "\"reactor_runs\":",
-        "\"inline_events\":",
-    ] {
-        assert!(host.contains(key), "BENCH_host.json v6 must record {key}");
     }
 }
 

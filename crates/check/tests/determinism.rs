@@ -7,9 +7,6 @@
 
 mod support;
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_apps::kv::{KvConfig, KvStore};
 use repseq_check::{rse_kernel, run_schedule_instrumented, HarnessConfig, Schedule};
@@ -28,16 +25,8 @@ fn kv_trace_and_run_repeat_exactly() {
         let kv = KvStore::setup(&mut rt, KvConfig::tiny());
         let trace_hash = kv.trace_hash();
         let stats = rt.stats();
-        let result = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&result);
-        let report = rt
-            .run(move |team| {
-                *slot.lock() = Some(kv.run(team)?);
-                Ok(())
-            })
-            .expect("run must complete");
+        let (r, report) = rt.run_value(move |team| kv.run(team)).expect("run must complete");
         assert!(report.exec.handoff_switches > 0, "{:?}", report.exec);
-        let r = result.lock().take().expect("result recorded");
         (trace_hash, render(&report, &stats.snapshot(), &format!("{r:?}")))
     };
     let first = run();

@@ -18,7 +18,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
 use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
 use repseq_apps::kv::{KvConfig, KvResult, KvStore};
@@ -97,15 +96,7 @@ fn run_bh(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> BhResult {
         rt.set_race_sink(d as Arc<dyn RaceSink>);
     }
     let bh = BarnesHut::setup(&mut rt, BhConfig::tiny());
-    let result: Arc<Mutex<Option<BhResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    rt.run(move |team| {
-        *slot.lock() = Some(bh.run(team)?);
-        Ok(())
-    })
-    .expect("BH run must complete");
-    let r = result.lock().take().expect("BH result recorded");
-    r
+    rt.run_value(move |team| bh.run(team)).expect("BH run must complete").0
 }
 
 fn run_ilink(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> IlinkResult {
@@ -114,15 +105,7 @@ fn run_ilink(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> IlinkResult {
         rt.set_race_sink(d as Arc<dyn RaceSink>);
     }
     let il = Ilink::setup(&mut rt, IlinkConfig::tiny());
-    let result: Arc<Mutex<Option<IlinkResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    rt.run(move |team| {
-        *slot.lock() = Some(il.run(team)?);
-        Ok(())
-    })
-    .expect("Ilink run must complete");
-    let r = result.lock().take().expect("Ilink result recorded");
-    r
+    rt.run_value(move |team| il.run(team)).expect("Ilink run must complete").0
 }
 
 fn run_kv(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> KvResult {
@@ -131,15 +114,7 @@ fn run_kv(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> KvResult {
         rt.set_race_sink(d as Arc<dyn RaceSink>);
     }
     let kv = KvStore::setup(&mut rt, KvConfig::tiny());
-    let result: Arc<Mutex<Option<KvResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    rt.run(move |team| {
-        *slot.lock() = Some(kv.run(team)?);
-        Ok(())
-    })
-    .expect("KV run must complete");
-    let r = result.lock().take().expect("KV result recorded");
-    r
+    rt.run_value(move |team| kv.run(team)).expect("KV run must complete").0
 }
 
 /// The three run-mode constructors the three-way comparison sweeps.

@@ -21,9 +21,7 @@
 mod support;
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig};
 use repseq_apps::ilink::{Ilink, IlinkConfig};
 use repseq_check::{
@@ -42,15 +40,7 @@ fn pin_bh(name: &str, cfg: RunConfig) {
     let mut rt = Runtime::new(cfg);
     let bh = BarnesHut::setup(&mut rt, BhConfig::tiny());
     let stats = rt.stats();
-    let result = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(bh.run(team)?);
-            Ok(())
-        })
-        .expect("BH pin run must complete");
-    let r = result.lock().take().expect("BH result recorded");
+    let (r, report) = rt.run_value(move |team| bh.run(team)).expect("BH pin run must complete");
     check_pin(name, &render(&report, &stats.snapshot(), &format!("{r:?}")));
 }
 
@@ -58,15 +48,7 @@ fn pin_ilink(name: &str, cfg: RunConfig) {
     let mut rt = Runtime::new(cfg);
     let il = Ilink::setup(&mut rt, IlinkConfig::tiny());
     let stats = rt.stats();
-    let result = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(il.run(team)?);
-            Ok(())
-        })
-        .expect("Ilink pin run must complete");
-    let r = result.lock().take().expect("Ilink result recorded");
+    let (r, report) = rt.run_value(move |team| il.run(team)).expect("Ilink pin run must complete");
     check_pin(name, &render(&report, &stats.snapshot(), &format!("{r:?}")));
 }
 

@@ -21,7 +21,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
 use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
@@ -30,7 +29,7 @@ use repseq_check::{
     kitchen_sink, rse_kernel, run_schedule_instrumented, HarnessConfig, RaceDetector, RaceReport,
     Schedule,
 };
-use repseq_core::{RunConfig, Runtime};
+use repseq_core::{RunConfig, Runtime, Stopped, Team};
 use repseq_dsm::{
     AccessKind, Cluster, ClusterConfig, DsmNode, RaceConfig, RaceSink, ShArray, Task,
 };
@@ -237,22 +236,20 @@ fn detector_for(cfg: &RunConfig) -> Arc<RaceDetector> {
     ))
 }
 
-fn run_bh(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (BhResult, AppFingerprint) {
+/// Run one application under `cfg`, observed by `det` if given.
+fn run_app<A: Send + 'static, R: Send + 'static>(
+    cfg: RunConfig,
+    det: Option<Arc<RaceDetector>>,
+    setup: impl FnOnce(&mut Runtime) -> A,
+    body: impl FnOnce(&A, &Team) -> Result<R, Stopped> + Send + 'static,
+) -> (R, AppFingerprint) {
     let mut rt = Runtime::new(cfg);
     if let Some(d) = det {
         rt.set_race_sink(d as Arc<dyn RaceSink>);
     }
-    let bh = BarnesHut::setup(&mut rt, BhConfig::tiny());
+    let app = setup(&mut rt);
     let stats = rt.stats();
-    let result: Arc<Mutex<Option<BhResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(bh.run(team)?);
-            Ok(())
-        })
-        .expect("BH run must complete");
-    let r = result.lock().take().expect("BH result recorded");
+    let (r, report) = rt.run_value(move |team| body(&app, team)).expect("run must complete");
     let fp = AppFingerprint {
         end_time: report.end_time,
         proc_clocks: report.proc_clocks,
@@ -260,56 +257,18 @@ fn run_bh(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (BhResult, AppFinge
         stats: stats.snapshot(),
     };
     (r, fp)
+}
+
+fn run_bh(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (BhResult, AppFingerprint) {
+    run_app(cfg, det, |rt| BarnesHut::setup(rt, BhConfig::tiny()), BarnesHut::run)
 }
 
 fn run_ilink(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (IlinkResult, AppFingerprint) {
-    let mut rt = Runtime::new(cfg);
-    if let Some(d) = det {
-        rt.set_race_sink(d as Arc<dyn RaceSink>);
-    }
-    let il = Ilink::setup(&mut rt, IlinkConfig::tiny());
-    let stats = rt.stats();
-    let result: Arc<Mutex<Option<IlinkResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(il.run(team)?);
-            Ok(())
-        })
-        .expect("Ilink run must complete");
-    let r = result.lock().take().expect("Ilink result recorded");
-    let fp = AppFingerprint {
-        end_time: report.end_time,
-        proc_clocks: report.proc_clocks,
-        events: report.events_processed,
-        stats: stats.snapshot(),
-    };
-    (r, fp)
+    run_app(cfg, det, |rt| Ilink::setup(rt, IlinkConfig::tiny()), Ilink::run)
 }
 
 fn run_kv(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (KvResult, AppFingerprint) {
-    let mut rt = Runtime::new(cfg);
-    if let Some(d) = det {
-        rt.set_race_sink(d as Arc<dyn RaceSink>);
-    }
-    let kv = KvStore::setup(&mut rt, KvConfig::tiny());
-    let stats = rt.stats();
-    let result: Arc<Mutex<Option<KvResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(kv.run(team)?);
-            Ok(())
-        })
-        .expect("KV run must complete");
-    let r = result.lock().take().expect("KV result recorded");
-    let fp = AppFingerprint {
-        end_time: report.end_time,
-        proc_clocks: report.proc_clocks,
-        events: report.events_processed,
-        stats: stats.snapshot(),
-    };
-    (r, fp)
+    run_app(cfg, det, |rt| KvStore::setup(rt, KvConfig::tiny()), KvStore::run)
 }
 
 /// Write the report JSON where the CI `race-certify` job collects

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, Pod, ShArray, ShVar};
 use repseq_sim::{SimError, SimReport, Stopped};
 use repseq_stats::{Stats, StatsRef};
@@ -148,18 +149,33 @@ impl Runtime {
     where
         F: FnOnce(&Team) -> Result<(), Stopped> + Send + 'static,
     {
+        self.run_value(program).map(|((), report)| report)
+    }
+
+    /// [`Runtime::run`], returning what the master program returned next to
+    /// the report: the one place a run's result crosses from the master's
+    /// process back to the caller.
+    pub fn run_value<T, F>(self, program: F) -> Result<(T, SimReport), SimError>
+    where
+        T: Send + 'static,
+        F: FnOnce(&Team) -> Result<T, Stopped> + Send + 'static,
+    {
         let n = self.cluster.config().nodes;
         let mode = self.mode;
         let stats = Arc::clone(&self.stats);
+        let slot = Arc::new(Mutex::new(None));
+        let out = Arc::clone(&slot);
         let mut apps: Vec<repseq_dsm::AppFn> = Vec::new();
         apps.push(Box::new(move |node: DsmNode| {
             let team = Team::new(node, mode, stats);
-            program(&team)?;
+            *out.lock() = Some(program(&team)?);
             team.node().shutdown_slaves()
         }));
         for _ in 1..n {
             apps.push(Box::new(|node: DsmNode| node.slave_loop()));
         }
-        self.cluster.launch(apps)
+        let report = self.cluster.launch(apps)?;
+        let value = slot.lock().take().expect("a run that succeeded ran the master program");
+        Ok((value, report))
     }
 }

@@ -447,13 +447,15 @@ impl NodeState {
         let node = self.node;
         let data = self.page_data(p);
         let payload: u64 = records.iter().map(|(_, rec)| rec.diff.payload_bytes()).sum();
-        // One fused pass over the page instead of one pass per record;
-        // the modeled cost still charges every record's full payload, as
-        // a real DSM would copy it.
         let timer = host::start();
-        let applied = Diff::apply_fused(records.iter().map(|(_, rec)| &rec.diff), data);
+        let mut first_err = None;
+        for (_, rec) in &records {
+            if let Err(e) = rec.diff.apply(data) {
+                first_err.get_or_insert(e);
+            }
+        }
         host::record_diff_apply(timer, payload);
-        if let Err(e) = applied {
+        if let Some(e) = first_err {
             // A run outside the page means a corrupted or mis-sized diff.
             // The in-bounds runs were applied; keep the node running on
             // its best-effort copy rather than tearing the cluster down.
@@ -614,9 +616,9 @@ mod tests {
     #[test]
     fn apply_cached_diffs_orders_by_happened_before() {
         let ps = DsmConfig::default().page_size;
-        // Node 0 writes byte 0 = 1 in interval 1, then (after node 1 saw
-        // it) node 1 writes byte 0 = 2 in its interval 1. Node 2 must end
-        // with 2.
+        // Node 0 writes bytes 4..20 = 1 in interval 1, then (after node 1
+        // saw it) node 1 writes bytes 0..10 = 2 in its interval 1. On
+        // node 2 the later writer wins where the two overlap.
         let mut st = state(2, 3);
         let mut vc01 = Vc::zero(3);
         vc01.set(0, 1);
@@ -625,12 +627,11 @@ mod tests {
         let r0 = IntervalRecord::new(0, 1, vc01.clone(), vec![4]);
         let r1 = IntervalRecord::new(1, 1, vc11.clone(), vec![4]);
         st.apply_records(vec![r0, r1], &vc11);
-        // Diffs: node 0 wrote 1, node 1 wrote 2 at the same offset.
         let base = vec![0u8; ps];
         let mut a = base.clone();
-        a[0] = 1;
-        let mut b = base.clone();
-        b[0] = 2;
+        a[4..20].fill(1);
+        let mut b = a.clone();
+        b[0..10].fill(2);
         st.page_mut(4).diffs.insert(
             (0, 1),
             Arc::new(DiffRecord { owner: 0, covers: vec![1], diff: Diff::create(&base, &a) }),
@@ -643,7 +644,10 @@ mod tests {
         st.apply_cached_diffs(4);
         let page = st.page_mut(4);
         assert!(page.valid);
-        assert_eq!(page.data.as_ref().unwrap().slice()[0], 2);
+        let data = page.data.as_ref().unwrap().slice();
+        assert_eq!(&data[0..10], &[2; 10]);
+        assert_eq!(&data[10..20], &[1; 10]);
+        assert!(data[20..].iter().all(|&x| x == 0));
     }
 
     #[test]

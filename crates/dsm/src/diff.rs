@@ -145,8 +145,7 @@ impl Diff {
     }
 
     /// The scalar reference implementation of [`Diff::create`]: one byte
-    /// at a time. Kept as the equivalence oracle for the chunked path and
-    /// as the baseline the perf harness measures speedups against.
+    /// at a time. Kept as the equivalence oracle for the chunked path.
     pub fn create_scalar(twin: &[u8], page: &[u8]) -> Diff {
         assert_eq!(twin.len(), page.len(), "twin and page must be the same size");
         let n = page.len();
@@ -201,79 +200,6 @@ impl Diff {
         }
     }
 
-    /// Apply several diffs in order with a single fused pass: each page
-    /// byte is written at most once, by the **last** diff in `diffs` that
-    /// modifies it — observationally identical to applying the diffs
-    /// sequentially (proptested below), but without re-touching bytes
-    /// that a later diff overwrites anyway. The win is largest on the
-    /// common fault shape where consecutive intervals of an iterative
-    /// application rewrote the same regions, so earlier diffs are almost
-    /// entirely shadowed.
-    ///
-    /// Walks the diffs in reverse. The last diff needs no bookkeeping at
-    /// all (it always wins), so a single-diff call costs the same as
-    /// [`Diff::apply`]; earlier diffs consult a written-byte bitmap, one
-    /// `u64` word per 64 page bytes. When the combined payload is small
-    /// (a few sparse diffs), the shadowing can save at most a couple of
-    /// page copies' worth of work — less than the bitmap costs — so the
-    /// diffs are simply applied sequentially. Out-of-bounds runs are
-    /// skipped and reported like in [`Diff::apply`].
-    pub fn apply_fused<'a, I>(diffs: I, page: &mut [u8]) -> Result<(), DiffError>
-    where
-        I: IntoIterator<Item = &'a Diff>,
-        I::IntoIter: DoubleEndedIterator + Clone,
-    {
-        let iter = diffs.into_iter();
-        let payload: u64 = iter.clone().map(|d| d.payload_bytes()).sum();
-        if payload <= 2 * page.len() as u64 {
-            let mut err: Option<DiffError> = None;
-            for diff in iter {
-                merge_err(&mut err, diff.apply(page).err());
-            }
-            return match err {
-                None => Ok(()),
-                Some(e) => Err(e),
-            };
-        }
-        let mut rev = iter.rev();
-        let Some(last) = rev.next() else { return Ok(()) };
-        let mut err = last.apply(page).err();
-        // Bitmap of written page bytes plus the count of bytes still
-        // unwritten; built lazily on the second diff. When the count hits
-        // zero every remaining diff is fully shadowed and the pass ends —
-        // the dense iterative case degenerates to one page write total.
-        // (Runs of fully-shadowed diffs are not bounds-checked: they
-        // contribute no bytes.)
-        let mut written: Option<(Vec<u64>, usize)> = None;
-        for diff in rev {
-            let (bitmap, remaining) = written.get_or_insert_with(|| {
-                let mut bm = vec![0u64; page.len().div_ceil(64)];
-                mark_runs(&mut bm, last, page.len());
-                let marked: u64 = bm.iter().map(|w| w.count_ones() as u64).sum();
-                (bm, page.len() - marked as usize)
-            });
-            if *remaining == 0 {
-                break;
-            }
-            for run in diff.runs.iter() {
-                let start = run.offset as usize;
-                let Some(end) = start.checked_add(run.len as usize) else {
-                    note_bad(&mut err, page.len(), run);
-                    continue;
-                };
-                if end > page.len() {
-                    note_bad(&mut err, page.len(), run);
-                    continue;
-                }
-                apply_run_uncovered(page, &diff.payload, run, bitmap, remaining);
-            }
-        }
-        match err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     /// True if the diff carries no modifications.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
@@ -313,81 +239,6 @@ fn note_bad(err: &mut Option<DiffError>, page_len: usize, run: &Run) {
     match err {
         Some(e) => e.bad_runs += 1,
         None => *err = Some(DiffError { page_len, bad_runs: 1, first_bad: (run.offset, run.len) }),
-    }
-}
-
-/// Fold a later error into the accumulated one (first bad run wins the
-/// `first_bad` slot, counts add up).
-fn merge_err(err: &mut Option<DiffError>, new: Option<DiffError>) {
-    match (err.as_mut(), new) {
-        (Some(e), Some(n)) => e.bad_runs += n.bad_runs,
-        (None, Some(n)) => *err = Some(n),
-        _ => {}
-    }
-}
-
-/// Set the written bits for every in-bounds run of `diff`.
-fn mark_runs(bm: &mut [u64], diff: &Diff, page_len: usize) {
-    for run in diff.runs.iter() {
-        let start = run.offset as usize;
-        let Some(end) = start.checked_add(run.len as usize) else { continue };
-        if end > page_len {
-            continue; // the run was skipped, not written
-        }
-        let (mut i, end) = (start, end);
-        while i < end {
-            let w = i / 64;
-            let hi = end.min((w + 1) * 64);
-            bm[w] |= word_mask(i % 64, hi - i);
-            i = hi;
-        }
-    }
-}
-
-/// The bitmap word mask covering `n_bits` bits starting at `lo_bit`.
-#[inline(always)]
-fn word_mask(lo_bit: usize, n_bits: usize) -> u64 {
-    if n_bits == 64 {
-        !0
-    } else {
-        ((1u64 << n_bits) - 1) << lo_bit
-    }
-}
-
-/// Copy the bytes of an (in-bounds) `run` whose bits in `bitmap` are still
-/// clear into `page`, set them, and decrement `remaining` by the bytes
-/// newly written. Works one bitmap word (64 page bytes) at a time:
-/// fully-unwritten segments take one `copy_from_slice`, fully-written
-/// segments are skipped, mixed words go bit by bit.
-fn apply_run_uncovered(
-    page: &mut [u8],
-    payload: &[u8],
-    run: &Run,
-    bitmap: &mut [u64],
-    remaining: &mut usize,
-) {
-    let start = run.offset as usize;
-    let end = start + run.len as usize;
-    let base = run.payload_off as usize;
-    let mut i = start;
-    while i < end {
-        let w = i / 64;
-        let hi = end.min((w + 1) * 64);
-        let mask = word_mask(i % 64, hi - i);
-        let unwritten = mask & !bitmap[w];
-        if unwritten == mask {
-            page[i..hi].copy_from_slice(&payload[base + (i - start)..base + (hi - start)]);
-        } else if unwritten != 0 {
-            let mut bits = unwritten;
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                page[idx] = payload[base + (idx - start)];
-                bits &= bits - 1;
-            }
-        }
-        bitmap[w] |= mask;
-        *remaining -= unwritten.count_ones() as usize;
-        i = hi;
     }
 }
 
@@ -529,31 +380,6 @@ mod tests {
         assert_eq!(err.first_bad, (60, 10));
         assert_eq!(small[3], 7);
         assert!(small[4..].iter().all(|&b| b == 0), "no partial writes");
-        // Fused apply reports the same.
-        let mut small = vec![0u8; 64];
-        let err = Diff::apply_fused([&d], &mut small).unwrap_err();
-        assert_eq!(err.bad_runs, 2);
-        assert_eq!(small[3], 7);
-    }
-
-    #[test]
-    fn fused_apply_last_writer_wins() {
-        let base = vec![0u8; 32];
-        let mut v1 = base.clone();
-        v1[4..20].fill(1);
-        let mut v2 = base.clone();
-        v2[0..10].fill(2);
-        let d1 = Diff::create(&base, &v1);
-        let d2 = Diff::create(&base, &v2);
-        // Sequential order d1 then d2: d2 wins on [0,10).
-        let mut fused = base.clone();
-        Diff::apply_fused([&d1, &d2], &mut fused).unwrap();
-        let mut seq = base.clone();
-        d1.apply(&mut seq).unwrap();
-        d2.apply(&mut seq).unwrap();
-        assert_eq!(fused, seq);
-        assert_eq!(&fused[0..10], &[2; 10]);
-        assert_eq!(&fused[10..20], &[1; 10]);
     }
 
     #[test]
@@ -564,36 +390,6 @@ mod tests {
         page[40] = 1;
         let d = Diff::create(&twin, &page);
         assert_eq!(d.wire_size(), 8 + 2 * (8 + 1));
-    }
-
-    #[test]
-    fn word_mask_covers_ranges() {
-        assert_eq!(word_mask(0, 64), !0);
-        assert_eq!(word_mask(0, 1), 1);
-        assert_eq!(word_mask(63, 1), 1 << 63);
-        assert_eq!(word_mask(4, 3), 0b111 << 4);
-    }
-
-    #[test]
-    fn fused_apply_crosses_bitmap_words() {
-        // Runs straddling the 64-byte bitmap-word boundary, partially
-        // shadowed by a later diff.
-        let base = vec![0u8; 200];
-        let mut v1 = base.clone();
-        v1[30..170].fill(1); // spans words 0..3
-        let mut v2 = base.clone();
-        v2[60..70].fill(2); // straddles the word 0/1 boundary
-        let d1 = Diff::create(&base, &v1);
-        let d2 = Diff::create(&base, &v2);
-        let mut fused = base.clone();
-        Diff::apply_fused([&d1, &d2], &mut fused).unwrap();
-        let mut seq = base.clone();
-        d1.apply(&mut seq).unwrap();
-        d2.apply(&mut seq).unwrap();
-        assert_eq!(fused, seq);
-        assert_eq!(&fused[60..70], &[2; 10]);
-        assert_eq!(&fused[30..60], &[1; 30]);
-        assert_eq!(&fused[70..170], &[1; 100]);
     }
 
     proptest::proptest! {
@@ -651,37 +447,6 @@ mod tests {
             let fast = Diff::create(twin, page);
             let scalar = Diff::create_scalar(twin, page);
             proptest::prop_assert_eq!(fast, scalar);
-        }
-
-        /// Fused multi-diff apply is equivalent to applying the same diffs
-        /// sequentially, including overlapping runs (last writer wins).
-        #[test]
-        fn prop_fused_equals_sequential(
-            base in proptest::collection::vec(0u8..4, 1..200),
-            steps in proptest::collection::vec(
-                proptest::collection::vec((0usize..200, 0u8..4), 0..16), 0..6),
-        ) {
-            // Build a chain of page versions; diff k is version k vs k+1,
-            // so consecutive diffs overlap freely.
-            let mut diffs = Vec::new();
-            let mut cur = base.clone();
-            for step in steps {
-                let mut next = cur.clone();
-                for (pos, val) in step {
-                    let pos = pos % next.len();
-                    next[pos] = val;
-                }
-                diffs.push(Diff::create(&cur, &next));
-                cur = next;
-            }
-            let mut seq = base.clone();
-            for d in &diffs {
-                d.apply(&mut seq).unwrap();
-            }
-            let mut fused = base.clone();
-            Diff::apply_fused(diffs.iter(), &mut fused).unwrap();
-            proptest::prop_assert_eq!(&fused, &seq);
-            proptest::prop_assert_eq!(&fused, &cur, "chain must reconstruct the last version");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use repseq::apps::barnes_hut::{BarnesHut, BhConfig};
-use repseq::core::{RunConfig, Runtime, SeqMode};
+use repseq::core::{RunConfig, Runtime};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -16,28 +16,17 @@ fn main() {
     println!("Barnes-Hut: {bodies} bodies, {nodes} nodes, {steps} timesteps\n");
 
     let mut outcomes = Vec::new();
-    for (label, mode) in [
-        ("Original (master-only sequential)", SeqMode::MasterOnly),
-        ("Broadcast ablation", SeqMode::MasterOnlyBroadcast),
-        ("Optimized (replicated sequential)", SeqMode::Replicated),
+    for (label, rc) in [
+        ("Original (master-only sequential)", RunConfig::original(nodes)),
+        ("Broadcast ablation", RunConfig::broadcast(nodes)),
+        ("Optimized (replicated sequential)", RunConfig::optimized(nodes)),
     ] {
         let mut cfg = BhConfig::scaled(bodies);
         cfg.timesteps = steps;
-        let mut rt = Runtime::new(RunConfig {
-            cluster: repseq::dsm::ClusterConfig::paper(nodes),
-            seq_mode: mode,
-        });
+        let mut rt = Runtime::new(rc);
         let app = BarnesHut::setup(&mut rt, cfg);
         let stats = rt.stats();
-        let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-        let out2 = std::sync::Arc::clone(&out);
-        rt.run(move |team| {
-            let r = app.run(team)?;
-            *out2.lock() = Some(r);
-            Ok(())
-        })
-        .expect("simulation failed");
-        let result = out.lock().take().unwrap();
+        let (result, _) = rt.run_value(move |team| app.run(team)).expect("simulation failed");
         let snap = stats.snapshot();
         println!(
             "{label}\n  total {:>8.2} s   sequential {:>7.2} s   parallel {:>7.2} s",

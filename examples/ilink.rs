@@ -6,7 +6,7 @@
 //! ```
 
 use repseq::apps::ilink::{Ilink, IlinkConfig};
-use repseq::core::{RunConfig, Runtime, SeqMode};
+use repseq::core::{RunConfig, Runtime};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -19,25 +19,14 @@ fn main() {
     );
 
     let mut results = Vec::new();
-    for (label, mode) in [
-        ("Original (master-only sequential)", SeqMode::MasterOnly),
-        ("Optimized (replicated sequential)", SeqMode::Replicated),
+    for (label, rc) in [
+        ("Original (master-only sequential)", RunConfig::original(nodes)),
+        ("Optimized (replicated sequential)", RunConfig::optimized(nodes)),
     ] {
-        let mut rt = Runtime::new(RunConfig {
-            cluster: repseq::dsm::ClusterConfig::paper(nodes),
-            seq_mode: mode,
-        });
+        let mut rt = Runtime::new(rc);
         let app = Ilink::setup(&mut rt, cfg.clone());
         let stats = rt.stats();
-        let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-        let out2 = std::sync::Arc::clone(&out);
-        rt.run(move |team| {
-            let r = app.run(team)?;
-            *out2.lock() = Some(r);
-            Ok(())
-        })
-        .expect("simulation failed");
-        let r = out.lock().take().unwrap();
+        let (r, _) = rt.run_value(move |team| app.run(team)).expect("simulation failed");
         let snap = stats.snapshot();
         println!(
             "{label}\n  total {:>8.3} s   sequential {:>7.3} s   parallel {:>7.3} s",

@@ -10,24 +10,20 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use repseq::core::{RunConfig, Runtime, SeqMode, Worker};
+use repseq::core::{RunConfig, Runtime, Team, Worker};
 use repseq::dsm::ShArray;
 use repseq::sim::Dur;
 
-fn run(mode: SeqMode) -> (u64, repseq::stats::StatsSnapshot) {
-    let nodes = 16;
-    let mut rt = Runtime::new(RunConfig {
-        cluster: repseq::dsm::ClusterConfig::paper(nodes),
-        seq_mode: mode,
-    });
+const NODES: usize = 16;
+
+fn run(cfg: RunConfig) -> (u64, repseq::stats::StatsSnapshot) {
+    let mut rt = Runtime::new(cfg);
     // 32 pages of shared data plus a per-node result slot.
     let data: ShArray<u64> = rt.alloc_array_page_aligned(32 * 512);
-    let sums: ShArray<u64> = rt.alloc_array_page_aligned(nodes);
+    let sums: ShArray<u64> = rt.alloc_array_page_aligned(NODES);
     let stats = rt.stats();
 
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
+    let program = move |team: &Team| {
         team.start_measurement();
         for iter in 0..3u64 {
             // Sequential section: rewrite everything (master-only under
@@ -50,18 +46,16 @@ fn run(mode: SeqMode) -> (u64, repseq::stats::StatsSnapshot) {
         for q in 0..team.n_nodes() {
             check = check.wrapping_add(sums.get(team.node(), q)?);
         }
-        *out2.lock() = check;
-        Ok(())
-    })
-    .expect("simulation failed");
-    let check = *out.lock();
+        Ok(check)
+    };
+    let (check, _) = rt.run_value(program).expect("simulation failed");
     (check, stats.snapshot())
 }
 
 fn main() {
     println!("repseq quickstart: 16 simulated nodes, 3 iterations\n");
-    let (c_orig, orig) = run(SeqMode::MasterOnly);
-    let (c_opt, opt) = run(SeqMode::Replicated);
+    let (c_orig, orig) = run(RunConfig::original(NODES));
+    let (c_opt, opt) = run(RunConfig::optimized(NODES));
     assert_eq!(c_orig, c_opt, "both systems must compute the same result");
 
     println!("{:<34} {:>12} {:>12}", "", "Original", "Replicated");

@@ -2,9 +2,6 @@
 //! DSM → runtime → applications) through the facade crate, mixing features
 //! that the per-crate suites exercise separately.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use repseq::core::{RunConfig, Runtime, SeqMode, Worker};
 use repseq::dsm::{ClusterConfig, ShArray};
 use repseq::sim::Dur;
@@ -19,61 +16,56 @@ fn kitchen_sink_program() {
         let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
         let grid: ShArray<u64> = rt.alloc_array_page_aligned(n * 128);
         let ticket = rt.alloc_var::<u64>();
-        let out = Arc::new(Mutex::new((0u64, 0u64)));
-        let out2 = Arc::clone(&out);
-        rt.run(move |team| {
-            team.start_measurement();
-            // Replicated/sequential init.
-            team.sequential(move |nd| {
-                for i in 0..grid.len() {
-                    grid.set(nd, i, i as u64)?;
-                }
-                Ok(())
-            })?;
-            // Parallel phase with internal barrier and a lock-protected
-            // ticket counter.
-            team.parallel(move |nd| {
-                for i in nd.my_block(grid.len()) {
-                    let v = grid.get(nd, i)?;
-                    grid.set(nd, i, v * 2)?;
-                }
-                nd.barrier()?;
-                // After the barrier, read a neighbour's block.
-                let other = (nd.node() + 1) % nd.n_nodes();
-                let i = other * 128;
-                assert_eq!(grid.get(nd, i)?, (i as u64) * 2);
-                nd.lock(9)?;
-                let t = ticket.get(nd)?;
-                nd.charge(Dur::from_micros(3));
-                ticket.set(nd, t + 1)?;
-                nd.unlock(9)?;
-                Ok(())
-            })?;
-            // Conditional parallelism.
-            for round in 0..2 {
-                if round == 0 {
-                    team.parallel_for_cyclic(64, move |nd, i| {
+        let ((tickets, probe), _) = rt
+            .run_value(move |team| {
+                team.start_measurement();
+                // Replicated/sequential init.
+                team.sequential(move |nd| {
+                    for i in 0..grid.len() {
+                        grid.set(nd, i, i as u64)?;
+                    }
+                    Ok(())
+                })?;
+                // Parallel phase with internal barrier and a lock-protected
+                // ticket counter.
+                team.parallel(move |nd| {
+                    for i in nd.my_block(grid.len()) {
                         let v = grid.get(nd, i)?;
-                        grid.set(nd, i, v + 1)
-                    })?;
-                } else {
-                    team.sequential(move |nd| {
-                        for i in 0..64 {
+                        grid.set(nd, i, v * 2)?;
+                    }
+                    nd.barrier()?;
+                    // After the barrier, read a neighbour's block.
+                    let other = (nd.node() + 1) % nd.n_nodes();
+                    let i = other * 128;
+                    assert_eq!(grid.get(nd, i)?, (i as u64) * 2);
+                    nd.lock(9)?;
+                    let t = ticket.get(nd)?;
+                    nd.charge(Dur::from_micros(3));
+                    ticket.set(nd, t + 1)?;
+                    nd.unlock(9)?;
+                    Ok(())
+                })?;
+                // Conditional parallelism.
+                for round in 0..2 {
+                    if round == 0 {
+                        team.parallel_for_cyclic(64, move |nd, i| {
                             let v = grid.get(nd, i)?;
-                            grid.set(nd, i, v + 1)?;
-                        }
-                        Ok(())
-                    })?;
+                            grid.set(nd, i, v + 1)
+                        })?;
+                    } else {
+                        team.sequential(move |nd| {
+                            for i in 0..64 {
+                                let v = grid.get(nd, i)?;
+                                grid.set(nd, i, v + 1)?;
+                            }
+                            Ok(())
+                        })?;
+                    }
                 }
-            }
-            team.end_measurement();
-            let tickets = ticket.get(team.node())?;
-            let probe = grid.get(team.node(), 10)?;
-            *out2.lock() = (tickets, probe);
-            Ok(())
-        })
-        .unwrap();
-        let (tickets, probe) = *out.lock();
+                team.end_measurement();
+                Ok((ticket.get(team.node())?, grid.get(team.node(), 10)?))
+            })
+            .unwrap();
         assert_eq!(tickets, n as u64, "{mode:?}: every node took the lock once");
         assert_eq!(probe, 10 * 2 + 2, "{mode:?}: grid[10] = 10*2 + two increments");
     }
@@ -85,10 +77,7 @@ fn kitchen_sink_program() {
 fn end_to_end_runs_are_reproducible() {
     let run = || {
         let n = 4;
-        let mut rt = Runtime::new(RunConfig {
-            cluster: ClusterConfig::paper(n),
-            seq_mode: SeqMode::Replicated,
-        });
+        let mut rt = Runtime::new(RunConfig::optimized(n));
         let app = repseq::apps::barnes_hut::BarnesHut::setup(
             &mut rt,
             repseq::apps::barnes_hut::BhConfig::tiny(),
@@ -155,16 +144,7 @@ fn lossy_multicast_does_not_corrupt_applications() {
             &mut rt,
             repseq::apps::barnes_hut::BhConfig::tiny(),
         );
-        let out = Arc::new(Mutex::new(None));
-        let out2 = Arc::clone(&out);
-        rt.run(move |team| {
-            let r = app.run(team)?;
-            *out2.lock() = Some(r);
-            Ok(())
-        })
-        .unwrap();
-        let r = out.lock().take().unwrap();
-        r
+        rt.run_value(move |team| app.run(team)).unwrap().0
     };
     let clean = run(None);
     let lossy = run(Some(repseq::net::LossConfig::multicast_only(150, 99)));
