@@ -1,29 +1,31 @@
-//! Emit the deterministic artifacts — `BENCH_table1.json`,
-//! `BENCH_modes.json`, `BENCH_kv.json` — into the current directory:
+//! Emit the deterministic artifacts — the six `BENCH_*.json` of
+//! `repseq_bench::artifacts::ARTIFACTS` — into the current directory, and
+//! render every table in them between its `<!-- bench_json:NAME -->` and
+//! `<!-- /bench_json -->` markers in `EXPERIMENTS.md`:
 //!
 //! ```text
 //! cargo run --release -p repseq-bench --bin bench_json && git diff --exit-code
 //! ```
 //!
-//! Every value in them is a virtual time or a count
-//! (`repseq_bench::artifacts` builds and gates them), so a run from the
-//! repository root that leaves `git status` clean is the proof the
-//! committed files describe the committed code. There is nothing to
-//! configure: the sizes are the committed ones, about five seconds in all.
+//! Every value is a virtual time or a count, and every shape the
+//! reproduction claims of the paper is an assertion on the way (a broken
+//! one exits non-zero, EXPERIMENTS.md untouched), so a run from the
+//! repository root that leaves `git status` clean is the proof that the
+//! committed files and the document describe the committed code. There is
+//! nothing to configure: the sizes are the committed ones, ≈ 20 s in all.
 
-use repseq_bench::{artifacts, write_artifact, Json};
+use repseq_bench::{artifacts::ARTIFACTS, splice_tables, write_artifact};
 
-/// A file name and the function that builds what goes in it.
-type Artifact = (&'static str, fn() -> Json);
-
-const ARTIFACTS: [Artifact; 3] = [
-    ("BENCH_table1.json", artifacts::table1),
-    ("BENCH_modes.json", artifacts::modes),
-    ("BENCH_kv.json", artifacts::kv),
-];
+const DOCUMENT: &str = "EXPERIMENTS.md";
 
 fn main() {
+    let mut doc = std::fs::read_to_string(DOCUMENT)
+        .unwrap_or_else(|e| panic!("{DOCUMENT}: {e} (run from the repository root)"));
     for (file, build) in ARTIFACTS {
-        write_artifact(file, &build());
+        let value = build();
+        write_artifact(file, &value);
+        doc = splice_tables(doc, &value).unwrap_or_else(|e| panic!("{DOCUMENT}: {e}"));
     }
+    std::fs::write(DOCUMENT, doc).unwrap_or_else(|e| panic!("writing {DOCUMENT}: {e}"));
+    println!("wrote {DOCUMENT}");
 }

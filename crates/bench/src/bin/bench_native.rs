@@ -29,13 +29,10 @@
 
 use std::time::Instant;
 
-use repseq_apps::barnes_hut::{BarnesHut, BhResult};
-use repseq_apps::ilink::{Ilink, IlinkResult};
-use repseq_apps::kv::{KvResult, KvStore};
-use repseq_bench::{
-    bh_config, host_cpus, ilink_config, kv_config, run, tree_stamp, write_artifact, Json,
-    RunOutcome, Scale,
-};
+use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
+use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
+use repseq_apps::kv::{KvConfig, KvResult, KvStore};
+use repseq_bench::{host_cpus, run, tree_stamp, write_artifact, Json, RunOutcome};
 use repseq_core::{RunConfig, SeqMode};
 use repseq_dsm::{Backend, ClusterConfig};
 
@@ -132,11 +129,10 @@ fn kv_point(n: usize, runs: &Runs<KvResult>) -> Json {
 }
 
 fn main() {
-    // Wall-clock throughput at Tiny problem sizes: the point is the
+    // Wall-clock throughput at tiny problem sizes: the point is the
     // substrate comparison, not problem-size scaling (the DES artifacts
     // own that axis).
-    let scale = Scale::Tiny;
-    let (bh_cfg, il_cfg, kv_cfg) = (bh_config(scale), ilink_config(scale), kv_config(scale));
+    let (bh_cfg, il_cfg, kv_cfg) = (BhConfig::tiny(), IlinkConfig::tiny(), KvConfig::tiny());
 
     let mut apps = Vec::new();
     let mut kv = Vec::new();
@@ -178,7 +174,7 @@ fn main() {
         ("schema_version", Json::Int(SCHEMA_VERSION)),
         ("commit", Json::Str(tree_stamp())),
         ("host_cpus", Json::Int(host_cpus() as u64)),
-        ("scale", Json::Str(format!("{scale:?}"))),
+        ("scale", Json::str("Tiny")),
         ("backend", Json::str("native")),
         (
             "note",

@@ -1,55 +1,23 @@
-//! # repseq-bench — harnesses regenerating the paper's evaluation
+//! # repseq-bench — the paper's evaluation as committed artifacts
 //!
-//! One bench target per table of PPoPP'01 §6, plus the two in-text
-//! ablations and a scalability extension. Each harness runs the relevant
-//! application under the Sequential (1 node), Original and Optimized
-//! systems and prints the paper's rows with the paper's published values
-//! alongside the measured ones.
+//! Every table of PPoPP'01 §6, the two in-text ablations, a node-count
+//! sweep and the two extensions (§2 strategy comparison, KV serving) is a
+//! function in [`artifacts`] from nothing to a [`Json`] value: virtual
+//! times and counts, the paper's published value beside each measured one,
+//! every shape the reproduction claims an assertion. The `bench_json`
+//! binary writes them as the `BENCH_*.json` at the repository root and
+//! renders their tables into EXPERIMENTS.md ([`Json::markdown`],
+//! [`splice_tables`]); `bench_native` writes the one wall-clock artifact. There
+//! is nothing to configure: the sizes are the committed ones.
 //!
-//! Scale control: `REPSEQ_SCALE=tiny|default|full` (default `default`) and
-//! `REPSEQ_NODES=<n>` (default 32, as in the paper). `full` is the paper's
-//! problem size and takes a while; `default` preserves the shapes at
-//! laptop scale.
-//!
-//! Every harness runs its applications through one function, [`run`]. The
-//! committed `BENCH_*.json` are built by [`artifacts`] (deterministic:
-//! virtual times and counts, no knobs) and by the `bench_native` binary
-//! (wall clock), both over the one JSON writer here, [`Json`].
+//! Every harness runs its applications through one function, [`run`].
 
 use std::fmt::Write as _;
 
-use repseq_apps::barnes_hut::BhConfig;
-use repseq_apps::ilink::IlinkConfig;
-use repseq_apps::kv::KvConfig;
 use repseq_core::{RunConfig, Runtime, Stopped, Team};
-use repseq_sim::Dur;
-use repseq_stats::{Section, StatsSnapshot};
+use repseq_stats::StatsSnapshot;
 
 pub mod artifacts;
-
-/// Benchmark scale, from `REPSEQ_SCALE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    Tiny,
-    Default,
-    Full,
-}
-
-impl Scale {
-    /// Read the scale from the environment.
-    pub fn from_env() -> Scale {
-        match std::env::var("REPSEQ_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("tiny") => Scale::Tiny,
-            _ => Scale::Default,
-        }
-    }
-}
-
-/// Node count, from `REPSEQ_NODES` (default 32, the paper's cluster).
-pub fn nodes_from_env() -> usize {
-    std::env::var("REPSEQ_NODES").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
-}
 
 /// CPUs available to this process (the affinity mask counts: 1 under
 /// `taskset -c <cpu>`). `BENCH_native.json`, the one wall-clock artifact,
@@ -77,33 +45,6 @@ pub fn tree_stamp() -> String {
         Some(format!("{tree}{}", if dirty { "+dirty" } else { "" }))
     };
     stamp().unwrap_or_else(|| "unknown".into())
-}
-
-/// The Barnes-Hut configuration for a scale.
-pub fn bh_config(scale: Scale) -> BhConfig {
-    match scale {
-        Scale::Full => BhConfig::paper(),
-        Scale::Default => BhConfig::scaled(8_192),
-        Scale::Tiny => BhConfig::tiny(),
-    }
-}
-
-/// The Ilink configuration for a scale.
-pub fn ilink_config(scale: Scale) -> IlinkConfig {
-    match scale {
-        Scale::Full => IlinkConfig::paper(),
-        Scale::Default => IlinkConfig::scaled(16),
-        Scale::Tiny => IlinkConfig::tiny(),
-    }
-}
-
-/// The KV-serving configuration for a scale.
-pub fn kv_config(scale: Scale) -> KvConfig {
-    match scale {
-        Scale::Full => KvConfig::paper(),
-        Scale::Default => KvConfig::scaled(1024),
-        Scale::Tiny => KvConfig::tiny(),
-    }
 }
 
 /// One measured system run.
@@ -135,171 +76,6 @@ where
     RunOutcome { result, snap: stats.snapshot() }
 }
 
-fn secs(d: Dur) -> f64 {
-    d.as_secs_f64()
-}
-
-/// Print a Table-1/Table-3 style execution-time table.
-///
-/// `paper` carries the paper's published values (same row order) for
-/// side-by-side comparison; pass `None` for rows the paper does not report.
-pub fn print_time_table(
-    title: &str,
-    seq: &StatsSnapshot,
-    orig: &StatsSnapshot,
-    opt: &StatsSnapshot,
-    paper: &[[Option<f64>; 3]; 5],
-) {
-    let seq_total = secs(seq.total_time);
-    let rows: [(&str, [f64; 3]); 5] = [
-        ("Total time (sec.)", [seq_total, secs(orig.total_time), secs(opt.total_time)]),
-        (
-            "Total speedup",
-            [1.0, seq_total / secs(orig.total_time), seq_total / secs(opt.total_time)],
-        ),
-        (
-            "Sequential time (sec.)",
-            [secs(seq.seq_time()), secs(orig.seq_time()), secs(opt.seq_time())],
-        ),
-        (
-            "Parallel time (sec.)",
-            [secs(seq.par_time()), secs(orig.par_time()), secs(opt.par_time())],
-        ),
-        (
-            "Parallel speedup",
-            [
-                1.0,
-                secs(seq.par_time()) / secs(orig.par_time()).max(1e-12),
-                secs(seq.par_time()) / secs(opt.par_time()).max(1e-12),
-            ],
-        ),
-    ];
-    println!("\n=== {title} ===");
-    println!(
-        "{:<26} {:>12} {:>12} {:>12}   | paper: {:>9} {:>9} {:>9}",
-        "", "Sequential", "Original", "Optimized", "Seq", "Orig", "Opt"
-    );
-    for (i, (label, vals)) in rows.iter().enumerate() {
-        let p = paper[i];
-        println!(
-            "{:<26} {:>12.2} {:>12.2} {:>12.2}   | {:>16} {:>9} {:>9}",
-            label,
-            vals[0],
-            vals[1],
-            vals[2],
-            p[0].map(|v| format!("{v:.1}")).unwrap_or_else(|| "-".into()),
-            p[1].map(|v| format!("{v:.1}")).unwrap_or_else(|| "-".into()),
-            p[2].map(|v| format!("{v:.1}")).unwrap_or_else(|| "-".into()),
-        );
-    }
-}
-
-/// Print a Table-2/Table-4 style communication-statistics table.
-pub fn print_stats_table(
-    title: &str,
-    orig: &StatsSnapshot,
-    opt: &StatsSnapshot,
-    paper: &[[Option<f64>; 2]; 10],
-) {
-    let row = |snap: &StatsSnapshot| -> [f64; 10] {
-        let total = snap.total_agg();
-        let seq = snap.seq_agg();
-        let par = snap.par_agg();
-        [
-            total.messages as f64,
-            total.bytes as f64 / 1024.0,
-            seq.diff_messages as f64,
-            seq.diff_bytes as f64 / 1024.0,
-            snap.max_node_diff_requests(Section::Sequential) as f64,
-            seq.avg_response().map(|d| d.as_millis_f64()).unwrap_or(0.0),
-            par.diff_messages as f64,
-            par.diff_bytes as f64 / 1024.0,
-            snap.avg_node_diff_requests(Section::Parallel),
-            par.avg_response().map(|d| d.as_millis_f64()).unwrap_or(0.0),
-        ]
-    };
-    let labels = [
-        "Total messages",
-        "      data (KB)",
-        "Seq  diff messages",
-        "     diff data (KB)",
-        "     diff requests",
-        "     avg response (ms)",
-        "Par  diff messages",
-        "     diff data (KB)",
-        "     avg diff requests",
-        "     avg response (ms)",
-    ];
-    let o = row(orig);
-    let p = row(opt);
-    println!("\n=== {title} ===");
-    println!(
-        "{:<24} {:>14} {:>14}   | paper: {:>12} {:>12}",
-        "", "Original", "Optimized", "Orig", "Opt"
-    );
-    for i in 0..10 {
-        let pp = paper[i];
-        println!(
-            "{:<24} {:>14.2} {:>14.2}   | {:>20} {:>12}",
-            labels[i],
-            o[i],
-            p[i],
-            pp[0].map(|v| format!("{v}")).unwrap_or_else(|| "-".into()),
-            pp[1].map(|v| format!("{v}")).unwrap_or_else(|| "-".into()),
-        );
-    }
-}
-
-/// A compact shape check: direction of change between two measured values,
-/// printed as reproduced/not.
-pub fn shape_check(label: &str, holds: bool) {
-    println!("  [{}] {label}", if holds { "ok" } else { "MISMATCH" });
-}
-
-/// Print the host-side diff-engine counters (`repseq_stats::host`)
-/// accumulated across the runs: the wall-clock time the simulator itself
-/// spent creating and applying diffs — as opposed to the *simulated* times
-/// in the tables above — plus the page allocations the twin pool avoided.
-pub fn print_host_counters(title: &str, h: &repseq_stats::HostCounters) {
-    let per = |ns: u64, calls: u64| if calls == 0 { 0.0 } else { ns as f64 / calls as f64 };
-    let rate = |bytes: u64, ns: u64| {
-        if ns == 0 {
-            0.0
-        } else {
-            bytes as f64 / (ns as f64 / 1e9) / 1e9
-        }
-    };
-    println!("\n--- Host diff engine ({title}) ---");
-    println!(
-        "diff create: {:>10} calls  {:>10.1} ns/call  {:>8.2} GB/s scanned ({} bytes)",
-        h.diff_create_calls,
-        per(h.diff_create_ns, h.diff_create_calls),
-        rate(h.diff_create_bytes, h.diff_create_ns),
-        h.diff_create_bytes,
-    );
-    println!(
-        "diff apply:  {:>10} calls  {:>10.1} ns/call  {:>8.2} GB/s copied  ({} bytes)",
-        h.diff_apply_calls,
-        per(h.diff_apply_ns, h.diff_apply_calls),
-        rate(h.diff_apply_bytes, h.diff_apply_ns),
-        h.diff_apply_bytes,
-    );
-    println!(
-        "twin pool:   {:>10} hits   {:>10} misses  ({} page allocations avoided)",
-        h.twin_pool_hits, h.twin_pool_misses, h.twin_pool_hits,
-    );
-    println!(
-        "scratch:     {:>10} hits   {:>10} misses  ({} small-vector allocations avoided)",
-        h.scratch_pool_hits, h.scratch_pool_misses, h.scratch_pool_hits,
-    );
-    println!(
-        "softw. TLB:  {:>10} hits   {:>10} misses  ({:.1}% of accesses skip the page walk)",
-        h.tlb_hits,
-        h.tlb_misses,
-        100.0 * hit_rate(h.tlb_hits, h.tlb_misses),
-    );
-}
-
 /// `hits / (hits + misses)`; 1 when nothing was counted.
 pub fn hit_rate(hits: u64, misses: u64) -> f64 {
     match hits + misses {
@@ -314,6 +90,9 @@ pub fn hit_rate(hits: u64, misses: u64) -> f64 {
 /// values is deterministic bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
+    /// No value: a row the paper does not report, a response time nothing
+    /// was measured for.
+    Null,
     Str(String),
     Int(u64),
     /// A finite float and the number of decimals it prints with.
@@ -333,8 +112,8 @@ impl Json {
         Json::Str(format!("{v:#018x}"))
     }
 
-    /// The document: two-space indentation, one member per line, a final
-    /// newline.
+    /// The document: two-space indentation, one member per line (an array
+    /// of scalars on one), a final newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -342,8 +121,50 @@ impl Json {
         out
     }
 
+    /// An array of same-keyed objects as a markdown table, one line per
+    /// row with no alignment padding (a changed value changes its own line
+    /// only). The first row's keys head the columns, `_` read as a space;
+    /// numbers print as they do in the JSON but for a `,` between
+    /// thousands, an array as `a / b / c`, and `null` as `–`.
+    pub fn markdown(&self) -> String {
+        fn fields(row: &Json) -> &[(&'static str, Json)] {
+            let Json::Obj(fields) = row else { panic!("a table row is an object, not {row:?}") };
+            fields
+        }
+        let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+        let Json::Arr(rows) = self else { panic!("a table is an array of rows, not {self:?}") };
+        let head = fields(rows.first().expect("a table has a row"));
+        let mut out = line(head.iter().map(|(key, _)| key.replace('_', " ")).collect());
+        out += &line(vec!["---".into(); head.len()]);
+        for row in rows {
+            out += &line(fields(row).iter().map(|(_, value)| value.cell()).collect());
+        }
+        out
+    }
+
+    /// This value as one cell of [`Json::markdown`].
+    pub(crate) fn cell(&self) -> String {
+        match self {
+            Json::Null => "–".into(),
+            Json::Str(s) => s.clone(),
+            Json::Arr(items) => items.iter().map(Json::cell).collect::<Vec<_>>().join(" / "),
+            Json::Obj(_) => panic!("a table cell is not an object: {self:?}"),
+            number => {
+                let mut out = String::new();
+                number.write(&mut out, 0);
+                // 5106237.5 reads 5,106,237.5
+                let int_len = out.find('.').unwrap_or(out.len());
+                for i in (1..int_len).rev().skip(2).step_by(3) {
+                    out.insert(i, ',');
+                }
+                out
+            }
+        }
+    }
+
     fn write(&self, out: &mut String, depth: usize) {
         match self {
+            Json::Null => out.push_str("null"),
             Json::Str(s) => write_json_str(out, s),
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
@@ -351,6 +172,15 @@ impl Json {
             Json::Fixed(v, decimals) => {
                 assert!(v.is_finite(), "JSON has no spelling for {v}");
                 let _ = write!(out, "{v:.decimals$}");
+            }
+            // An array of scalars — a table cell — stays on its line.
+            Json::Arr(items) if !items.iter().any(|i| matches!(i, Json::Arr(_) | Json::Obj(_))) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "" } else { ", " });
+                    item.write(out, depth);
+                }
+                out.push(']');
             }
             Json::Arr(items) => {
                 write_members(out, depth, ['[', ']'], items, |out, item| {
@@ -405,6 +235,33 @@ fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `doc` with `body` put in place of whatever stands between the line
+/// `<!-- bench_json:NAME -->` and the next `<!-- /bench_json -->`. A
+/// document that does not hold exactly that pair is an error, not
+/// something to append to.
+pub fn splice(doc: &str, name: &str, body: &str) -> Result<String, String> {
+    const CLOSE: &str = "<!-- /bench_json -->";
+    let open = format!("<!-- bench_json:{name} -->\n");
+    let start = doc.find(&open).ok_or(format!("no marker {}", open.trim_end()))? + open.len();
+    let len = doc[start..].find(CLOSE).ok_or(format!("marker {name} is never closed"))?;
+    if doc[start..start + len].contains("<!-- bench_json:") {
+        return Err(format!("marker {name} is not closed before the next one opens"));
+    }
+    Ok(format!("{}{body}{}", &doc[..start], &doc[start + len..]))
+}
+
+/// `doc` with every member of `artifact`'s `tables` object (if it has one)
+/// rendered between the markers of that name.
+pub fn splice_tables(mut doc: String, artifact: &Json) -> Result<String, String> {
+    let Json::Obj(fields) = artifact else { return Ok(doc) };
+    if let Some((_, Json::Obj(tables))) = fields.iter().find(|(key, _)| *key == "tables") {
+        for (name, rows) in tables {
+            doc = splice(&doc, name, &rows.markdown())?;
+        }
+    }
+    Ok(doc)
+}
+
 /// Write `value` to `file` in the current directory.
 pub fn write_artifact(file: &str, value: &Json) {
     std::fs::write(file, value.render()).unwrap_or_else(|e| panic!("writing {file}: {e}"));
@@ -423,6 +280,7 @@ mod tests {
             ("third", Json::Fixed(1.0 / 3.0, 3)),
             ("whole", Json::Fixed(2.0, 4)),
             ("list", Json::Arr(vec![Json::Fixed(0.2, 2), Json::hex(0xbeef), Json::Arr(vec![])])),
+            ("cell", Json::Arr(vec![Json::Null, Json::Fixed(0.2, 2), Json::Int(7)])),
         ]);
         let text = doc.render();
         assert_eq!(
@@ -436,10 +294,34 @@ mod tests {
     0.20,
     "0x000000000000beef",
     []
-  ]
+  ],
+  "cell": [null, 0.20, 7]
 }
 "#
         );
         assert_eq!(text, doc.render(), "the same value renders to the same bytes");
+    }
+
+    #[test]
+    fn a_table_renders_one_unpadded_line_per_row() {
+        let row = |label: &str, paper: Json, measured: f64| {
+            let measured = Json::Arr(vec![Json::Fixed(measured, 2), Json::Int(1_234_567)]);
+            Json::Obj(vec![
+                ("row", Json::str(label)),
+                ("paper_value", paper),
+                ("measured", measured),
+            ])
+        };
+        let table = Json::Arr(vec![
+            row("Total time (s)", Json::Fixed(53.6, 1), 4.2249),
+            row("a much longer label than the first", Json::Null, 1234.5),
+        ]);
+        assert_eq!(
+            table.markdown(),
+            "| row | paper value | measured |\n\
+             | --- | --- | --- |\n\
+             | Total time (s) | 53.6 | 4.22 / 1,234,567 |\n\
+             | a much longer label than the first | – | 1,234.50 / 1,234,567 |\n"
+        );
     }
 }

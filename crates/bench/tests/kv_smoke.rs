@@ -1,12 +1,12 @@
 //! End-to-end smoke of the KV-serving workload: the final-state gates must
 //! hold across all three sequential-section strategies at a small scale.
 
-use repseq_apps::kv::{KvResult, KvStore};
-use repseq_bench::{kv_config, run, Scale};
+use repseq_apps::kv::{KvConfig, KvResult, KvStore};
+use repseq_bench::run;
 use repseq_core::RunConfig;
 
 fn run_kv(rc: RunConfig) -> KvResult {
-    run(rc, |rt| KvStore::setup(rt, kv_config(Scale::Tiny)), KvStore::run).result
+    run(rc, |rt| KvStore::setup(rt, KvConfig::tiny()), KvStore::run).result
 }
 
 #[test]

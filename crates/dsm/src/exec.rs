@@ -124,9 +124,9 @@ impl DsmNode {
         Ok(())
     }
 
-    /// Slave: park until the master forks a task. Valid-notice requests and
-    /// tables (the exchange preceding a replicated section) are answered
-    /// transparently while parked.
+    /// Slave: park until the master forks a task. Valid-notice requests (the
+    /// exchange preceding a replicated section) are answered transparently
+    /// while parked.
     pub fn wait_fork(&self) -> Result<ParkEvent, Stopped> {
         let node = self.node();
         loop {
@@ -151,10 +151,6 @@ impl DsmNode {
                     let size = msg.wire_size();
                     self.ctx.charge(self.sync_cost());
                     self.nic.unicast(&self.ctx, 0, reply_to, MsgClass::ValidNotice, size, msg);
-                }
-                DsmMsg::ValidNoticeTable { deltas } => {
-                    self.st.lock().merge_valid_deltas(&deltas);
-                    self.ctx.charge(self.sync_cost());
                 }
                 DsmMsg::WakePage { .. } | DsmMsg::DiffReply { .. } => {}
                 other => panic!("node {node}: unexpected {} while parked", other.kind()),
