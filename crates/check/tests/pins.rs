@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig};
 use repseq_apps::ilink::{Ilink, IlinkConfig};
+use repseq_apps::kv::{KvConfig, KvStore};
 use repseq_check::{
     kitchen_sink, rse_kernel, run_schedule_instrumented, Builder, HarnessConfig, Schedule,
 };
@@ -31,6 +32,7 @@ use repseq_core::{RunConfig, Runtime};
 use support::{check_pin, render, render_stats};
 
 const PIN_NODES: usize = 8;
+const KV_PIN_NODES: usize = 4;
 
 // ---------------------------------------------------------------------
 // Application pins: Barnes-Hut and Ilink under both pre-existing modes
@@ -52,6 +54,29 @@ fn pin_ilink(name: &str, cfg: RunConfig) {
     check_pin(name, &render(&report, &stats.snapshot(), &format!("{r:?}")));
 }
 
+/// KV at 4 nodes, recorded on PR 21's tree (before the record bodies
+/// became page runs). `throughput_rps` is `total`'s reciprocal and
+/// `trace_hash` a function of the seed alone, so neither is rendered.
+fn pin_kv(name: &str, cfg: RunConfig) {
+    let mut rt = Runtime::new(cfg);
+    let kv = KvStore::setup(&mut rt, KvConfig::tiny());
+    let stats = rt.stats();
+    let (r, report) = rt.run_value(move |team| kv.run(team)).expect("KV pin run must complete");
+    let result = format!(
+        "fingerprint={:#018x} read_xor={:#018x} reads={} writes={} p50_ns={} p99_ns={} \
+         p999_ns={} total_ns={}",
+        r.fingerprint,
+        r.read_xor,
+        r.reads,
+        r.writes,
+        r.p50_ns,
+        r.p99_ns,
+        r.p999_ns,
+        r.total.nanos()
+    );
+    check_pin(name, &render(&report, &stats.snapshot(), &result));
+}
+
 #[test]
 fn barnes_hut_master_only_matches_pre_refactor_pin() {
     pin_bh("bh_master_only", RunConfig::original(PIN_NODES));
@@ -70,6 +95,21 @@ fn ilink_master_only_matches_pre_refactor_pin() {
 #[test]
 fn ilink_rse_matches_pre_refactor_pin() {
     pin_ilink("ilink_rse", RunConfig::optimized(PIN_NODES));
+}
+
+#[test]
+fn kv_master_only_matches_element_wise_pin() {
+    pin_kv("kv_master_only", RunConfig::original(KV_PIN_NODES));
+}
+
+#[test]
+fn kv_rse_matches_element_wise_pin() {
+    pin_kv("kv_rse", RunConfig::optimized(KV_PIN_NODES));
+}
+
+#[test]
+fn kv_master_push_matches_element_wise_pin() {
+    pin_kv("kv_master_push", RunConfig::master_push(KV_PIN_NODES));
 }
 
 // ---------------------------------------------------------------------
