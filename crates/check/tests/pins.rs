@@ -35,7 +35,8 @@ const PIN_NODES: usize = 8;
 const KV_PIN_NODES: usize = 4;
 
 // ---------------------------------------------------------------------
-// Application pins: Barnes-Hut and Ilink under both pre-existing modes
+// Application pins: Barnes-Hut and Ilink under both pre-existing modes,
+// KV under all three strategies
 // ---------------------------------------------------------------------
 
 fn pin_bh(name: &str, cfg: RunConfig) {

@@ -5,7 +5,7 @@
 //! (barrier/locks), [`crate::exec`] (fork/join) and [`crate::strategy`]
 //! (sequential-section execution) — as further `impl DsmNode` blocks.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -156,10 +156,24 @@ pub struct DsmNode {
     /// The software TLB. `RefCell`: the application process is the only
     /// borrower, and no borrow is held across a yielding call.
     pub(crate) tlb: RefCell<Tlb>,
-    pub(crate) tlb_enabled: bool,
+    tlb_enabled: bool,
+    /// Accesses served without the locked walk, and accesses that took
+    /// it. Plain per-node counts: a shared-memory access executes no
+    /// `lock`-prefixed instruction to be counted.
+    tlb_hits: Cell<u64>,
+    tlb_misses: Cell<u64>,
     /// Race-detection sink (cloned off the topology); `None` costs one
     /// branch per access and nothing else.
     pub(crate) race: Option<Arc<dyn RaceSink>>,
+}
+
+/// The application process owns its `DsmNode`, so the handle goes when the
+/// process ends — returned, `Stopped` or unwinding, on either backend —
+/// and takes the node's TLB counts to the process-wide host counters.
+impl Drop for DsmNode {
+    fn drop(&mut self) {
+        host::tlb_fold(self.tlb_hits.get(), self.tlb_misses.get());
+    }
 }
 
 impl DsmNode {
@@ -184,6 +198,8 @@ impl DsmNode {
             prot_gen,
             tlb: RefCell::new(Tlb::new()),
             tlb_enabled,
+            tlb_hits: Cell::new(0),
+            tlb_misses: Cell::new(0),
             race,
         }
     }
@@ -283,57 +299,51 @@ impl DsmNode {
     // time for (valid reads, valid+writable writes), so enabling the TLB
     // cannot change simulated time or message counts.
 
-    /// Run `f` over the page bytes if the TLB has a current read mapping.
+    /// The one TLB probe: run `f` over the cached contents handle of page
+    /// `p` if the TLB is on and holds a current mapping — for `write`, a
+    /// *writable* one stamped with the page's current write generation —
+    /// and count the hit.
     #[inline]
-    fn tlb_read<R>(&self, p: PageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    fn tlb_probe<R>(&self, p: PageId, write: bool, f: impl FnOnce(&PageBuf) -> R) -> Option<R> {
         if !self.tlb_enabled {
             return None;
         }
         let gen = self.prot_gen.page_read(p);
         let tlb = self.tlb.borrow();
-        match tlb.lookup(p, gen) {
-            Some(e) => {
-                host::tlb_hit();
-                Some(f(e.buf.slice()))
-            }
-            None => None,
-        }
-    }
-
-    /// Run `f` over the page bytes if the TLB has a current *writable*
-    /// mapping.
-    #[inline]
-    fn tlb_write<R>(&self, p: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Option<R> {
-        if !self.tlb_enabled {
+        let e = tlb.lookup(p, gen)?;
+        if write && !(e.writable && e.wgen == self.prot_gen.page_write(p)) {
             return None;
         }
-        let gen = self.prot_gen.page_read(p);
-        let tlb = self.tlb.borrow();
-        match tlb.lookup(p, gen) {
-            Some(e) if e.writable && e.wgen == self.prot_gen.page_write(p) => {
-                host::tlb_hit();
-                Some(f(e.buf.slice_mut()))
-            }
-            _ => None,
+        self.count_tlb_hits(1);
+        Some(f(&e.buf))
+    }
+
+    /// `n` accesses skipped the locked walk. A plain add — the application
+    /// process is the only writer; `Drop` folds the total.
+    #[inline]
+    fn count_tlb_hits(&self, n: u64) {
+        self.tlb_hits.set(self.tlb_hits.get() + n);
+    }
+
+    /// A page-run guard serves `count` element accesses from the one
+    /// translation its acquisition just resolved (and counted): each after
+    /// the first skips the walk exactly like a TLB hit.
+    #[inline]
+    pub(crate) fn count_run(&self, count: usize) {
+        if self.tlb_enabled {
+            self.count_tlb_hits(count as u64 - 1);
         }
     }
 
-    /// A clone of the cached contents handle, if the TLB has a current
-    /// mapping with the required permission.
+    /// Resolve page `p` from the TLB or count the miss that sends the
+    /// caller down the locked walk.
     #[inline]
     fn tlb_buf(&self, p: PageId, write: bool) -> Option<PageBuf> {
-        if !self.tlb_enabled {
-            return None;
+        let buf = self.tlb_probe(p, write, PageBuf::clone);
+        if buf.is_none() && self.tlb_enabled {
+            self.tlb_misses.set(self.tlb_misses.get() + 1);
         }
-        let gen = self.prot_gen.page_read(p);
-        let tlb = self.tlb.borrow();
-        match tlb.lookup(p, gen) {
-            Some(e) if !write || (e.writable && e.wgen == self.prot_gen.page_write(p)) => {
-                host::tlb_hit();
-                Some(e.buf.clone())
-            }
-            _ => None,
-        }
+        buf
     }
 
     /// Install a translation filled under the current generation.
@@ -358,9 +368,6 @@ impl DsmNode {
         if let Some(buf) = self.tlb_buf(p, false) {
             return Ok(buf);
         }
-        if self.tlb_enabled {
-            host::tlb_miss();
-        }
         loop {
             {
                 let mut st = self.st.lock();
@@ -383,9 +390,6 @@ impl DsmNode {
     pub(crate) fn page_for_write(&self, p: PageId) -> Result<PageBuf, Stopped> {
         if let Some(buf) = self.tlb_buf(p, true) {
             return Ok(buf);
-        }
-        if self.tlb_enabled {
-            host::tlb_miss();
         }
         loop {
             {
@@ -422,7 +426,8 @@ impl DsmNode {
             // intermediate buffer, no span loop.
             self.race_access(addr, T::SIZE, AccessKind::Read);
             let p = (addr / ps) as PageId;
-            if let Some(v) = self.tlb_read(p, |data| T::read_from(&data[off..off + T::SIZE])) {
+            let hit = self.tlb_probe(p, false, |b| T::read_from(&b.slice()[off..off + T::SIZE]));
+            if let Some(v) = hit {
                 return Ok(v);
             }
             let buf = self.page_for_read(p)?;
@@ -441,7 +446,9 @@ impl DsmNode {
         if off + T::SIZE <= self.page_size {
             self.race_access(addr, T::SIZE, AccessKind::Write);
             let p = (addr / ps) as PageId;
-            if let Some(()) = self.tlb_write(p, |data| v.write_to(&mut data[off..off + T::SIZE])) {
+            let hit =
+                self.tlb_probe(p, true, |b| v.write_to(&mut b.slice_mut()[off..off + T::SIZE]));
+            if hit.is_some() {
                 return Ok(());
             }
             let buf = self.page_for_write(p)?;

@@ -44,6 +44,16 @@ pub struct PageSlice<T: Pod> {
 }
 
 impl<T: Pod> PageSlice<T> {
+    fn new(
+        buf: PageBuf,
+        byte_off: usize,
+        first: usize,
+        count: usize,
+        tap: Option<AccessTap>,
+    ) -> Self {
+        PageSlice { buf, byte_off, first, count, tap, _t: PhantomData }
+    }
+
     /// Global array index of the run's first element.
     pub fn first_index(&self) -> usize {
         self.first
@@ -71,50 +81,25 @@ impl<T: Pod> PageSlice<T> {
     }
 }
 
-/// A write guard over one single-page run of elements. Writes go straight
-/// to the page bytes — the write fault (twin creation, §5.3 pre-diff) was
-/// taken when the guard was created.
+/// A write guard over one single-page run of elements: a [`PageSlice`]
+/// (it derefs to one, for `first_index`, `len` and `get`) that can also
+/// store. Writes go straight to the page bytes — the write fault (twin
+/// creation, §5.3 pre-diff) was taken when the guard was created.
 pub struct PageSliceMut<T: Pod> {
-    buf: PageBuf,
-    byte_off: usize,
-    first: usize,
-    count: usize,
-    /// Run backed by a detached copy (page-straddling element); written
-    /// back through the MMU after the closure if `written`.
-    detached: Option<u64>,
+    run: PageSlice<T>,
+    /// Whether the closure stored anything: a detached run (the copy of a
+    /// page-straddling element) is written back through the MMU only then.
     written: bool,
-    /// Race-detection tap over the run (None when no sink is installed).
-    tap: Option<AccessTap>,
-    _t: PhantomData<fn() -> T>,
+}
+
+impl<T: Pod> std::ops::Deref for PageSliceMut<T> {
+    type Target = PageSlice<T>;
+    fn deref(&self) -> &PageSlice<T> {
+        &self.run
+    }
 }
 
 impl<T: Pod> PageSliceMut<T> {
-    /// Global array index of the run's first element.
-    pub fn first_index(&self) -> usize {
-        self.first
-    }
-
-    /// Elements in the run.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True if the run is empty (never produced by `with_slices_mut`).
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Read the `k`-th element of the run.
-    #[inline]
-    pub fn get(&self, k: usize) -> T {
-        assert!(k < self.count, "run index {k} out of bounds ({} elements)", self.count);
-        if let Some(tap) = &self.tap {
-            tap.element(k, T::SIZE, AccessKind::Read);
-        }
-        let off = self.byte_off + k * T::SIZE;
-        T::read_from(&self.buf.slice()[off..off + T::SIZE])
-    }
-
     /// Write the `k`-th element of the run.
     #[inline]
     pub fn set(&mut self, k: usize, v: T) {
@@ -197,34 +182,15 @@ impl<T: Pod> ShArray<T> {
                 let mut bytes = vec![0u8; T::SIZE];
                 // `read_bytes` records the access; no tap on the run.
                 node.read_bytes(a, &mut bytes)?;
-                let run = PageSlice {
-                    buf: PageBuf::new(bytes.into_boxed_slice()),
-                    byte_off: 0,
-                    first: i,
-                    count: 1,
-                    tap: None,
-                    _t: PhantomData,
-                };
+                let run = PageSlice::new(PageBuf::new(bytes.into_boxed_slice()), 0, i, 1, None);
                 f(&run)?;
                 i += 1;
             } else {
                 let count = ((ps - in_page) / T::SIZE).min(range.end - i);
                 let p = (a / ps as u64) as PageId;
                 let buf = node.page_for_read(p)?;
-                if node.tlb_enabled && count > 1 {
-                    // The run serves `count` element accesses from the one
-                    // translation just resolved; each after the first skips
-                    // the walk exactly like a TLB hit.
-                    repseq_stats::host::tlb_hits_bulk(count as u64 - 1);
-                }
-                let run = PageSlice {
-                    buf,
-                    byte_off: in_page,
-                    first: i,
-                    count,
-                    tap: node.race_tap(a),
-                    _t: PhantomData,
-                };
+                node.count_run(count);
+                let run = PageSlice::new(buf, in_page, i, count, node.race_tap(a));
                 f(&run)?;
                 i += count;
             }
@@ -256,42 +222,26 @@ impl<T: Pod> ShArray<T> {
                 // the tap records what the closure actually touches, and
                 // the write-back below re-uses its record.
                 node.read_bytes_quiet(a, &mut bytes)?;
-                let mut run = PageSliceMut {
-                    buf: PageBuf::new(bytes.into_boxed_slice()),
-                    byte_off: 0,
-                    first: i,
-                    count: 1,
-                    detached: Some(a),
-                    written: false,
-                    tap: node.race_tap(a),
-                    _t: PhantomData,
-                };
+                let run = PageSlice::new(
+                    PageBuf::new(bytes.into_boxed_slice()),
+                    0,
+                    i,
+                    1,
+                    node.race_tap(a),
+                );
+                let mut run = PageSliceMut { run, written: false };
                 f(&mut run)?;
-                if let Some(addr) = run.detached {
-                    if run.written {
-                        node.write_bytes_quiet(addr, run.buf.slice())?;
-                    }
+                if run.written {
+                    node.write_bytes_quiet(a, run.buf.slice())?;
                 }
                 i += 1;
             } else {
                 let count = ((ps - in_page) / T::SIZE).min(range.end - i);
                 let p = (a / ps as u64) as PageId;
                 let buf = node.page_for_write(p)?;
-                if node.tlb_enabled && count > 1 {
-                    // As in `with_slices`: the guard amortizes one walk over
-                    // the whole run.
-                    repseq_stats::host::tlb_hits_bulk(count as u64 - 1);
-                }
-                let mut run = PageSliceMut {
-                    buf,
-                    byte_off: in_page,
-                    first: i,
-                    count,
-                    detached: None,
-                    written: false,
-                    tap: node.race_tap(a),
-                    _t: PhantomData,
-                };
+                node.count_run(count);
+                let run = PageSlice::new(buf, in_page, i, count, node.race_tap(a));
+                let mut run = PageSliceMut { run, written: false };
                 f(&mut run)?;
                 i += count;
             }

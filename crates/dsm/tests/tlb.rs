@@ -15,7 +15,11 @@
 //! * an invariance test runs the same workload with the TLB on and off and
 //!   requires bit-identical virtual time, message and byte counts — the
 //!   fast path is a host-time optimization and must be invisible to the
-//!   simulation.
+//!   simulation;
+//! * count tests hold the hit, miss and fault counts of a page-run guard
+//!   to the element-wise walk of the same range, and find every node's
+//!   counts in `host::snapshot()` the moment the run returns — nodes count
+//!   in plain fields of their own and fold them when their process ends.
 
 #![allow(clippy::type_complexity)]
 
@@ -23,10 +27,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{
-    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, SharedSegment,
-    Vc,
+    AppFn, Backend, Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId,
+    Pod, ShArray, SharedSegment, Vc,
 };
-use repseq_sim::Stopped;
+use repseq_sim::{SimError, Stopped};
 use repseq_stats::{host, Stats};
 
 // ---------------------------------------------------------------
@@ -133,6 +137,15 @@ fn break_flag_suppresses_every_bump() {
 
 const N: usize = 3;
 
+/// The host counters are process-global and `cargo test` runs this file's
+/// tests on parallel threads: every test that launches a cluster holds
+/// this lock, so a snapshot delta is one run's counts.
+static HOST_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_run_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    HOST_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The §5.3 torture shape on the guard path: a parallel phase dirties
 /// pages element-wise (warming writable TLB entries), then a replicated
 /// section rewrites the same pages through `with_slices_mut`, then the
@@ -219,6 +232,7 @@ fn golden_53(len: usize) -> Vec<u64> {
 
 #[test]
 fn replicated_bulk_writes_take_the_53_fault_path() {
+    let _alone = one_run_at_a_time();
     let (vals, _, _) = run_53_bulk(true);
     let want = golden_53(vals[0].len());
     for (node, v) in vals.iter().enumerate() {
@@ -232,6 +246,7 @@ fn replicated_bulk_writes_take_the_53_fault_path() {
 
 #[test]
 fn tlb_is_invisible_to_virtual_time() {
+    let _alone = one_run_at_a_time();
     let before = host::snapshot();
     let (vals_on, rep_on, snap_on) = run_53_bulk(true);
     let hits = host::snapshot().since(&before).tlb_hits;
@@ -246,4 +261,239 @@ fn tlb_is_invisible_to_virtual_time() {
     assert_eq!(a.messages, b.messages, "message counts must be identical");
     assert_eq!(a.bytes, b.bytes, "byte counts must be identical");
     assert_eq!(a.page_faults, b.page_faults, "fault counts must be identical");
+}
+
+// ---------------------------------------------------------------
+// Count preservation: guards against the element-wise walk
+// ---------------------------------------------------------------
+
+/// Read `range` of `arr` one element at a time, or as page runs.
+fn read_walk<T: Pod>(
+    nd: &DsmNode,
+    arr: ShArray<T>,
+    range: std::ops::Range<usize>,
+    bulk: bool,
+    mut f: impl FnMut(usize, T),
+) -> Result<(), Stopped> {
+    if !bulk {
+        for i in range {
+            f(i, arr.get(nd, i)?);
+        }
+        return Ok(());
+    }
+    arr.with_slices(nd, range, |run| {
+        for k in 0..run.len() {
+            f(run.first_index() + k, run.get(k));
+        }
+        Ok(())
+    })
+}
+
+/// Write `f(i)` to every element of `range`, element-wise or as page runs.
+fn write_walk<T: Pod>(
+    nd: &DsmNode,
+    arr: ShArray<T>,
+    range: std::ops::Range<usize>,
+    bulk: bool,
+    f: impl Fn(usize) -> T,
+) -> Result<(), Stopped> {
+    if !bulk {
+        for i in range {
+            arr.set(nd, i, f(i))?;
+        }
+        return Ok(());
+    }
+    arr.with_slices_mut(nd, range, |run| {
+        for k in 0..run.len() {
+            run.set(k, f(run.first_index() + k));
+        }
+        Ok(())
+    })
+}
+
+/// What a run cost: TLB hits and misses (from `host::snapshot()`, taken
+/// as soon as the launch returned), page faults, and a checksum of what
+/// the walk read.
+#[derive(Debug, PartialEq)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    faults: u64,
+    sum: u64,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Span {
+    /// Three whole pages of `u64`.
+    WholePages,
+    /// Three pages' worth of `u64` starting in the middle of a page.
+    MidPage,
+    /// Three pages of 24-byte elements, some straddling a page boundary.
+    Straddling,
+}
+
+/// Node 1 writes both arrays element-wise (so the master's copies go
+/// invalid at the join), then the master walks `span` — reading it, or
+/// rewriting it — element-wise or through the guards. Everything but the
+/// master's walk is the same code in both variants, so equal counts for
+/// the run are equal counts for the walk. Also returns how many elements
+/// of the span straddle a page boundary.
+fn run_walk(span: Span, write: bool, bulk: bool, tlb_enabled: bool) -> (Counts, u64) {
+    let stats = Stats::new(2);
+    let mut ccfg = ClusterConfig::paper(2);
+    ccfg.dsm.tlb_enabled = tlb_enabled;
+    let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
+    let ps = cl.config().dsm.page_size;
+    let per_page = ps / 8;
+    let words = cl.alloc_array_page_aligned::<u64>(4 * per_page);
+    let triples = cl.alloc_array_page_aligned::<[u64; 3]>(3 * ps / 24);
+    let straddlers = match span {
+        Span::Straddling => {
+            (0..triples.len()).filter(|&i| triples.addr(i) as usize % ps + 24 > ps).count() as u64
+        }
+        _ => 0,
+    };
+    let sum = Arc::new(Mutex::new(0u64));
+
+    let sum_m = Arc::clone(&sum);
+    let master = move |node: DsmNode| -> Result<(), Stopped> {
+        node.run_parallel(move |nd| {
+            if nd.node() == 1 {
+                write_walk(nd, words, 0..words.len(), false, |i| i as u64 * 7)?;
+                write_walk(nd, triples, 0..triples.len(), false, |i| [i as u64, 1, 2])?;
+            }
+            Ok(())
+        })?;
+        let mut acc = 0u64;
+        let range = match span {
+            Span::WholePages => 0..3 * per_page,
+            Span::MidPage => per_page / 2..3 * per_page + per_page / 2,
+            Span::Straddling => 0..triples.len(),
+        };
+        match (span, write) {
+            (Span::Straddling, false) => read_walk(&node, triples, range, bulk, |i, v| {
+                acc = acc.wrapping_mul(31).wrapping_add(v[0] ^ v[1] ^ v[2] ^ i as u64)
+            })?,
+            (Span::Straddling, true) => {
+                write_walk(&node, triples, range, bulk, |i| [3, i as u64, 4])?
+            }
+            (_, false) => read_walk(&node, words, range, bulk, |i, v| {
+                acc = acc.wrapping_mul(31).wrapping_add(v ^ i as u64)
+            })?,
+            (_, true) => write_walk(&node, words, range, bulk, |i| i as u64 + 1)?,
+        }
+        *sum_m.lock() = acc;
+        node.shutdown_slaves()
+    };
+    let apps: Vec<AppFn> = vec![Box::new(master), Box::new(|node: DsmNode| node.slave_loop())];
+    let before = host::snapshot();
+    cl.launch(apps).expect("simulation must complete");
+    let host = host::snapshot().since(&before);
+    let faults = stats.snapshot().total_agg_with_startup().page_faults;
+    let sum = *sum.lock();
+    (Counts { hits: host.tlb_hits, misses: host.tlb_misses, faults, sum }, straddlers)
+}
+
+/// The count preservation `dsm.dataplane.tlb_hit_rate` and the emitter's
+/// hit-rate floor rely on: a guard reports one hit per element after the
+/// first of each page run, the acquisition probe reports itself, and the
+/// fault is taken once per page — exactly what the element-wise walk of
+/// the same range reports.
+#[test]
+fn a_page_run_counts_what_the_element_wise_walk_counts() {
+    let _alone = one_run_at_a_time();
+    for span in [Span::WholePages, Span::MidPage, Span::Straddling] {
+        for write in [false, true] {
+            let (elem, straddlers) = run_walk(span, write, false, true);
+            let (run, _) = run_walk(span, write, true, true);
+            assert!(elem.hits > 1000 && elem.faults >= 3, "{span:?}: the walk must do work");
+            assert_eq!(elem.faults, run.faults, "{span:?} write={write}: one fault per page");
+            assert_eq!(elem.sum, run.sum, "{span:?}: both walks read the same values");
+            if write && straddlers > 0 {
+                // A mutable guard pre-fills a straddling element with its
+                // current value (two more probes, one per page, that the
+                // element-wise store does not make) before the closure
+                // runs; every other access is counted alike.
+                assert!(straddlers >= 2, "the 24-byte span must straddle");
+                assert_eq!(run.hits + run.misses, elem.hits + elem.misses + 2 * straddlers);
+            } else {
+                assert_eq!(elem, run, "{span:?} write={write}");
+            }
+        }
+    }
+}
+
+/// With the TLB off nothing is a hit and nothing is a miss: every access
+/// takes the locked walk and none is counted, whichever way it is made.
+#[test]
+fn a_disabled_tlb_folds_no_hits_and_no_misses() {
+    let _alone = one_run_at_a_time();
+    for bulk in [false, true] {
+        let (c, _) = run_walk(Span::MidPage, true, bulk, false);
+        assert_eq!((c.hits, c.misses), (0, 0), "bulk={bulk}");
+        assert!(c.faults >= 3);
+    }
+}
+
+// ---------------------------------------------------------------
+// The fold: counts are in `host::snapshot()` when the run returns
+// ---------------------------------------------------------------
+
+const FOLD_NODES: usize = 4;
+const FOLD_READS: usize = 64;
+
+/// Every node reads `FOLD_READS` preloaded elements of one page (valid
+/// everywhere, never written: one miss and `FOLD_READS - 1` hits a node,
+/// on either substrate). Then the run ends well — or node 1 panics inside
+/// a parallel section, which ends every other node's process by `Stopped`.
+/// Returns the run's result and the host counters it added.
+fn run_fold(backend: Backend, die: bool) -> (Result<(), SimError>, host::HostCounters) {
+    let stats = Stats::new(FOLD_NODES);
+    let mut ccfg = ClusterConfig::paper(FOLD_NODES);
+    ccfg.backend = backend;
+    let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
+    let arr = cl.alloc_array_page_aligned::<u64>(FOLD_READS);
+    cl.preload(arr, &vec![5u64; FOLD_READS]);
+    let master = move |node: DsmNode| -> Result<(), Stopped> {
+        node.run_parallel(move |nd| {
+            for i in 0..FOLD_READS {
+                assert_eq!(arr.get(nd, i)?, 5);
+            }
+            Ok(())
+        })?;
+        if die {
+            node.run_parallel(|nd| {
+                assert!(nd.node() != 1, "node 1 dies on purpose");
+                Ok(())
+            })?;
+        }
+        node.shutdown_slaves()
+    };
+    let mut apps: Vec<AppFn> = vec![Box::new(master)];
+    for _ in 1..FOLD_NODES {
+        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
+    }
+    let before = host::snapshot();
+    let result = cl.launch(apps).map(|_| ());
+    (result, host::snapshot().since(&before))
+}
+
+#[test]
+fn every_node_folds_its_counts_before_the_run_returns() {
+    let _alone = one_run_at_a_time();
+    let (n, reads) = (FOLD_NODES as u64, FOLD_READS as u64);
+    for backend in [Backend::Sim, Backend::Native] {
+        let (result, host) = run_fold(backend, false);
+        result.expect("the clean run completes");
+        assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n), "{backend:?}");
+
+        // Node 1 unwinds, the rest are ended by `Stopped` wherever they
+        // were blocked: all four handles still go, and fold.
+        let (result, host) = run_fold(backend, true);
+        match result {
+            Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "app1"),
+            other => panic!("{backend:?}: expected app1 to panic, got {other:?}"),
+        }
+        assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n), "{backend:?}");
+    }
 }

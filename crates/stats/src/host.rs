@@ -6,11 +6,12 @@
 //! bench harness can report how fast the data plane actually runs and
 //! track that trajectory across commits (see DESIGN.md §Performance).
 //!
-//! The counters are process-global atomics: cheap enough to stay enabled
-//! unconditionally, and aggregated across every simulated node (the
-//! interesting figure is total host work, not its per-node split). They
-//! never feed back into the simulation — virtual time is computed from the
-//! cost model alone, so determinism is unaffected.
+//! The counters are process-global atomics, aggregated across every
+//! simulated node (the interesting figure is total host work, not its
+//! per-node split) and bumped per *event* — a diff, a pool take. The one
+//! per-*access* pair, the TLB's, is kept by each node in plain fields and
+//! arrives here once, by [`tlb_fold`]. Nothing feeds back into the
+//! simulation — virtual time is computed from the cost model alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -79,25 +80,14 @@ pub fn scratch_pool_miss() {
     SCRATCH_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A shared-memory access was served from the software TLB (mutex and
-/// page walk skipped).
-pub fn tlb_hit() {
-    TLB_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A shared-memory access missed the software TLB and took the locked
-/// page walk (possibly faulting).
-pub fn tlb_miss() {
-    TLB_MISSES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// `n` shared-memory accesses were served from one held translation (a
-/// page-run guard): the walk was skipped for each of them, exactly as a
-/// hardware TLB would report one hit per access in the bulk loop. The
-/// guard's *acquisition* probe reports itself separately via
-/// [`tlb_hit`]/[`tlb_miss`].
-pub fn tlb_hits_bulk(n: u64) {
-    TLB_HITS.fetch_add(n, Ordering::Relaxed);
+/// One node's software-TLB counts, folded in when its application
+/// process ends: `hits` accesses were served from a cached translation or
+/// from a page-run guard's held one (mutex and page walk skipped, one hit
+/// per element as a hardware TLB would report), `misses` took the locked
+/// walk (possibly faulting).
+pub fn tlb_fold(hits: u64, misses: u64) {
+    TLB_HITS.fetch_add(hits, Ordering::Relaxed);
+    TLB_MISSES.fetch_add(misses, Ordering::Relaxed);
 }
 
 /// The race detector checked one shadow granule against an access.
@@ -231,8 +221,7 @@ mod tests {
         scratch_pool_hit();
         scratch_pool_hit();
         scratch_pool_miss();
-        tlb_hit();
-        tlb_miss();
+        tlb_fold(1, 1);
         race_check();
         race_check();
         race_found();

@@ -10,6 +10,12 @@ sample — e.g. --match 'futex' --match 'push_event|drain|EventQueues'.
 Each --by-caller splits such a share by who pays for it: a matching sample is
 charged to the first `repseq` function outside its innermost matching frame —
 e.g. --by-caller 'sip|hash' names the protocol functions that hash.
+A frame resolved in an ELF other than the profiled executable carries that
+file's name (`libc.so.6:__default_morecore`): libc ships without local
+symbols, so such a name is the nearest *export* below the address and not a
+callee anyone called — on glibc 2.36 `__default_morecore` is the allocator's
+internal paths and `__nss_database_lookup` the memmove/memset family.
+Regexes search, so they match either way.
 """
 import argparse
 import bisect
@@ -19,19 +25,21 @@ import subprocess
 
 
 def load(path):
-    """Executable mappings as (lo, hi, load bias, file), and the samples."""
-    maps, base, samples = [], {}, []
+    """Executable mappings as (lo, hi, load bias, file), the samples, and
+    the profiled executable (the first file `/proc/self/maps` lists)."""
+    maps, base, samples, exe = [], {}, [], None
     for line in open(path):
         if line.startswith("M "):
             f = line.split()
             if len(f) >= 7 and f[6].startswith("/"):
+                exe = exe or f[6]
                 lo, hi = (int(x, 16) for x in f[1].split("-"))
                 base[f[6]] = min(lo, base.get(f[6], lo))
                 if "x" in f[2]:
                     maps.append((lo, hi, f[6]))
         elif line.startswith("S"):
             samples.append([int(a, 16) for a in line.split()[1:]])
-    return sorted((lo, hi, bias(f, base[f]), f) for lo, hi, f in maps), samples
+    return sorted((lo, hi, bias(f, base[f]), f) for lo, hi, f in maps), samples, exe
 
 
 def bias(path, lowest_mapping):
@@ -41,8 +49,9 @@ def bias(path, lowest_mapping):
         return lowest_mapping if f.read(18)[16:18] == b"\x03\x00" else 0
 
 
-def symbolise(maps, samples):
-    """address -> list of function names, innermost inlined frame first."""
+def symbolise(maps, samples, exe):
+    """address -> list of function names, innermost inlined frame first;
+    names from any file but `exe` are prefixed with the file's name."""
     starts = [m[0] for m in maps]
     by_file = collections.defaultdict(set)
     for stack in samples:
@@ -59,13 +68,15 @@ def symbolise(maps, samples):
             ["addr2line", "-a", "-f", "-C", "-i", "-e", path] + [hex(o) for _, o in addrs],
             capture_output=True, text=True, check=True).stdout.splitlines()
         chains, cur = [], None
+        file = path.rsplit("/", 1)[-1]
+        tag = "" if path == exe else file + ":"
         for k, line in enumerate(out):
             if line.startswith("0x"):
                 cur = []
                 chains.append(cur)
                 base = k
             elif (k - base) % 2 == 1:  # function line; the next is file:line
-                cur.append(line if line != "??" else f"?? ({path.rsplit('/', 1)[-1]})")
+                cur.append(tag + line if line != "??" else f"?? ({file})")
         for (addr, _), chain in zip(addrs, chains):
             names[addr] = chain
     return names
@@ -78,8 +89,8 @@ def main():
     ap.add_argument("--match", action="append", default=[])
     ap.add_argument("--by-caller", action="append", default=[])
     args = ap.parse_args()
-    maps, samples = load(args.dump)
-    names = symbolise(maps, samples)
+    maps, samples, exe = load(args.dump)
+    names = symbolise(maps, samples, exe)
     self_n, incl_n = collections.Counter(), collections.Counter()
     matched = collections.Counter()
     callers = {pat: collections.Counter() for pat in args.by_caller}
