@@ -17,6 +17,17 @@
 //! ```text
 //! REPSEQ_PIN_REGEN=1 cargo test -p repseq-check --release --test pins
 //! ```
+//!
+//! in a commit that holds nothing else, and say which lines moved. The one
+//! regeneration on record (PR 23) moved `events_processed:` alone — the
+//! count of queue pops, which is how the host drives a run, not what the
+//! run computes: the engine stopped queueing receive checkpoints that find
+//! nothing and deadlines that are not reached. Every virtual-time field
+//! stayed, which this prints 0 for:
+//!
+//! ```text
+//! git diff -U0 <parent> -- crates/check/tests/pins | grep '^[+-][^+-]' | grep -vc events_processed
+//! ```
 
 mod support;
 

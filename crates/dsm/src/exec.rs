@@ -337,12 +337,4 @@ impl DsmNode {
         }
         Ok(())
     }
-
-    /// The page span of an address range (helper for `broadcast_pages`).
-    pub fn pages_of_range(&self, start_addr: u64, bytes: u64) -> std::ops::RangeInclusive<PageId> {
-        let ps = self.page_size as u64;
-        let first = (start_addr / ps) as PageId;
-        let last = ((start_addr + bytes.max(1) - 1) / ps) as PageId;
-        first..=last
-    }
 }

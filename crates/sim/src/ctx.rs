@@ -81,14 +81,13 @@ impl<M: Send + 'static> Ctx<M> {
 
     /// Just switched to (the first time: when the engine first schedules
     /// this process): take the resume posted for this process and adopt
-    /// its virtual time as the clock. Returns whether the resume is a
-    /// receive timeout.
-    pub(crate) fn take_resume(&self) -> Result<bool, Stopped> {
+    /// its virtual time as the clock.
+    pub(crate) fn take_resume(&self) -> Result<(), Stopped> {
         let resume = self.kernel.lock().take_resume(self.pid);
         match resume {
-            Resume::Go { at, timed_out } => {
+            Resume::Go { at } => {
                 self.clock.set(at);
-                Ok(timed_out)
+                Ok(())
             }
             Resume::Stop => Err(Stopped),
         }
@@ -125,11 +124,9 @@ impl<M: Send + 'static> Ctx<M> {
     pub fn sleep(&self, d: Dur) -> Result<(), Stopped> {
         let wake_at = self.clock.flush() + d;
         self.block(|k, pid| {
-            let gen = k.bump_gen(pid);
             k.procs[pid].status = Status::Sleeping;
-            k.push_event(pid, wake_at, EventKind::Wake { pid, gen });
-        })?;
-        Ok(())
+            k.push_event(pid, wake_at, EventKind::Wake { pid });
+        })
     }
 
     /// Receive the next message, blocking in virtual time until one is
@@ -160,28 +157,21 @@ impl<M: Send + 'static> Ctx<M> {
         let at = self.clock.flush();
         // Fast path: a message already in the mailbox was delivered at or
         // before this process's last resume, so it can be consumed right
-        // now without a checkpoint event or a yield. Only one process per
+        // now without a checkpoint or a yield. Only one process per
         // group runs at a time and deliveries are applied in global
         // (time, src_group, seq) order, so the mailbox front is exactly
-        // what the checkpoint path would return — minus a checkpoint event
+        // what the checkpoint path would return — minus a checkpoint key
         // and a drain per received burst message.
-        {
-            let mut k = self.kernel.lock();
-            if let Some(env) = k.procs[self.pid].mailbox.pop_front() {
-                return Ok(Some(env));
-            }
+        if let Some(env) = self.kernel.lock().procs[self.pid].mailbox.pop_front() {
+            return Ok(Some(env));
         }
-        let timed_out = self.block(|k, pid| k.begin_recv(pid, at, deadline))?;
-        if timed_out {
-            return Ok(None);
-        }
-        let mut k = self.kernel.lock();
-        Ok(k.procs[self.pid].mailbox.pop_front())
+        self.block(|k, pid| k.begin_recv(pid, at, deadline))?;
+        // Only the deadline resumes a receive without a message.
+        Ok(self.kernel.lock().procs[self.pid].mailbox.pop_front())
     }
 
     /// Yield to the engine. `setup` runs under the kernel lock and must set
-    /// this process's status and schedule any wake events. Returns whether
-    /// the resume is a receive timeout.
+    /// this process's status and schedule any wake events.
     ///
     /// The yielding process keeps *duty*: still under the kernel lock, it
     /// pops and applies events itself. If one of them resumes this very
@@ -191,7 +181,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// duty moves there directly — one stack switch, made after the lock
     /// is dropped; if nothing is runnable, duty returns to the coordinator
     /// for the termination check.
-    fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<bool, Stopped> {
+    fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<(), Stopped> {
         let c = self.clock.flush();
         let mut k = self.kernel.lock();
         if k.stopping || std::thread::panicking() {
@@ -200,9 +190,9 @@ impl<M: Send + 'static> Ctx<M> {
         k.procs[self.pid].clock = c;
         setup(&mut k, self.pid);
         let next = match drive(&self.kernel, k, Some(self.pid)) {
-            DrainOutcome::SelfResume { at, timed_out } => {
+            DrainOutcome::SelfResume { at } => {
                 self.clock.set(at);
-                return Ok(timed_out);
+                return Ok(());
             }
             DrainOutcome::Handoff(next) => Some(next),
             DrainOutcome::Empty => None,

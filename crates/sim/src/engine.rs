@@ -20,13 +20,21 @@
 //!
 //! # Event order
 //!
-//! Pending events live in one ordered map keyed `(time, src_group, seq)`:
-//! pushing is `insert`, popping is `pop_first`. `src_group` is the
+//! Pending events are keyed `(time, src_group, seq)`. `src_group` is the
 //! scheduling group of the *pushing* process (a group is normally one
 //! simulated node: its application and protocol-handler processes) and
 //! `seq` is drawn from that group's private counter, so a key depends only
 //! on what the pusher itself did. Regrouping a process changes the keys of
 //! its *later* pushes; events already pending keep theirs.
+//!
+//! The keys sit in a min-heap, each beside the slab slot of its payload
+//! (keys are unique, so the heap pops in exactly the ascending key order);
+//! the armed receive deadlines — at most one per process — in a small
+//! ordered set that competes with the heap by key. Only what will do
+//! something is pending (`Kernel::begin_recv`): a receive checkpoint draws
+//! its key when the wait begins but is queued only once a delivery gives it
+//! something to find, and a deadline is disarmed when anything else resumes
+//! its process. No popped event is stale.
 //!
 //! # The event engine: duty handoff
 //!
@@ -35,8 +43,8 @@
 //! key order. Duty moves without a scheduler in the middle:
 //!
 //! * a process that blocks keeps duty and pops events itself, under the
-//!   kernel lock. Events that resume nobody (deliveries to busy processes,
-//!   receive checkpoints, stale wakes) are applied inline;
+//!   kernel lock. Events that resume nobody (deliveries to a process that
+//!   is busy or whose receive checkpoint is still ahead) are applied inline;
 //! * an event that resumes the duty holder itself just returns — no host
 //!   switch at all;
 //! * an event that resumes a reactor moves no duty either: the holder
@@ -60,7 +68,8 @@
 //! no groups or zero lookahead the horizon is degenerate and the run stops
 //! at the exit event.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -70,7 +79,7 @@ use crate::coro::{switch, Context, Coroutine};
 use crate::ctx::Ctx;
 use crate::error::SimError;
 use crate::reactor::{drive, Cause, Reactor, ReactorRun};
-use crate::trace::TraceEntry;
+use crate::trace::{TraceClass, TraceEntry};
 use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
 
 /// Event key: `(delivery time, source group, per-source-group sequence)`.
@@ -79,18 +88,11 @@ use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
 pub(crate) type EvKey = (SimTime, u64, u64);
 
 pub(crate) enum EventKind<M> {
-    /// Wake a process (timer expiry or receive checkpoint). Stale if the
-    /// process generation has moved on.
-    Wake { pid: Pid, gen: u64 },
+    /// Wake a process: its start, the end of a sleep, a receive checkpoint
+    /// with something to find, or a receive deadline — never a stale one.
+    Wake { pid: Pid },
     /// Deliver a message into a mailbox.
     Deliver { dst: Pid, env: Envelope<M> },
-}
-
-pub(crate) struct Event<M> {
-    pub time: SimTime,
-    pub src: u64,
-    pub seq: u64,
-    pub kind: EventKind<M>,
 }
 
 /// What a blocked process is waiting for.
@@ -100,11 +102,10 @@ pub(crate) enum Status {
     Running,
     /// Waiting for a timer.
     Sleeping,
-    /// Yielded for a receive; the checkpoint wake will inspect the mailbox.
-    Polling { deadline: Option<SimTime> },
-    /// Mailbox was empty at the checkpoint; waiting for a delivery
-    /// (and possibly a timeout).
-    Waiting { deadline: Option<SimTime> },
+    /// In a receive wait ([`Kernel::begin_recv`]): `checkpoint` is its key
+    /// while no wake is queued for it (once the pop front is past it, the
+    /// process just waits for a delivery), `deadline` the key it times out at.
+    Receiving { checkpoint: Option<EvKey>, deadline: Option<EvKey> },
     /// Finished.
     Exited,
 }
@@ -112,9 +113,9 @@ pub(crate) enum Status {
 /// How a suspended coroutine process is told to continue: posted into its
 /// slot under the kernel lock by whoever is about to switch to it.
 pub(crate) enum Resume {
-    /// Continue at virtual time `at`; `timed_out` tells a receive that its
-    /// deadline fired.
-    Go { at: SimTime, timed_out: bool },
+    /// Continue at virtual time `at`. (A receive that finds its mailbox
+    /// still empty has timed out: nothing else resumes it without a message.)
+    Go { at: SimTime },
     /// The run is over: the pending blocking call returns `Stopped`.
     Stop,
 }
@@ -134,9 +135,6 @@ pub(crate) struct ProcSlot<M> {
     pub name: String,
     pub daemon: bool,
     pub status: Status,
-    /// Bumped on every resume; wake events carry the generation at which
-    /// they were scheduled so stale wakes are ignored.
-    pub gen: u64,
     pub clock: SimTime,
     pub mailbox: VecDeque<Envelope<M>>,
     pub exec: Exec<M>,
@@ -166,8 +164,8 @@ pub struct ExecCounters {
     /// switch. Every resume is exactly one of `handoff_switches`,
     /// `self_continues` and `reactor_runs`.
     pub reactor_runs: u64,
-    /// Events applied without resuming anyone (deliveries to busy
-    /// processes, checkpoint wakes, stale wakes).
+    /// Events applied without resuming anyone: deliveries to a process that
+    /// is busy or still has its receive checkpoint ahead of it.
     pub inline_events: u64,
 }
 
@@ -179,7 +177,7 @@ pub(crate) enum DrainOutcome {
     /// the caller switches to it, now that the kernel lock is dropped.
     Handoff(Arc<Coroutine>),
     /// The draining process resumed itself (only when `me` was given).
-    SelfResume { at: SimTime, timed_out: bool },
+    SelfResume { at: SimTime },
     /// A reactor's callback panicked on the drainer's stack; the run is
     /// over and fails under the *reactor's* pid.
     ReactorPanicked(Pid),
@@ -193,8 +191,15 @@ pub(crate) enum Step<M> {
 }
 
 pub(crate) struct Kernel<M> {
-    /// Every pending event, in pop order.
-    events: BTreeMap<EvKey, EventKind<M>>,
+    /// The pending events: keys in a min-heap, payloads in a slab — ordering
+    /// moves 32-byte entries, and a push allocates nothing at the run's peak.
+    heap: BinaryHeap<Reverse<(EvKey, u32)>>,
+    slab: Vec<Option<EventKind<M>>>,
+    /// Vacant slab slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Armed receive deadlines — at most one per process, disarmed when
+    /// anything else resumes it. They compete with the heap by key.
+    timers: BTreeSet<(EvKey, Pid)>,
     /// pid → group index. Each process starts in its own group;
     /// [`Sim::assign_group`] merges the processes of one simulated node.
     group_of: Vec<usize>,
@@ -207,8 +212,9 @@ pub(crate) struct Kernel<M> {
     trace: Option<Vec<TraceEntry>>,
     /// Count of popped events, for the report.
     events_processed: u64,
-    /// Virtual time of the last popped event.
-    end_time: SimTime,
+    /// The pop front: the largest key popped so far (pop times never
+    /// decrease; within one instant a later push may still pop below it).
+    front: EvKey,
     /// Lower bound on the virtual latency of any cross-group message;
     /// defines the horizon that bounds the quiescence tail.
     lookahead: Dur,
@@ -233,19 +239,38 @@ pub(crate) struct Kernel<M> {
 }
 
 impl<M> Kernel<M> {
-    /// Schedule an event pushed by process `src`. The key is formed from
+    /// Draw the key of an event pushed by process `src` for `time`: from
     /// `src`'s group and that group's sequence counter.
-    pub(crate) fn push_event(&mut self, src: Pid, time: SimTime, kind: EventKind<M>) {
+    fn next_key(&mut self, src: Pid, time: SimTime) -> EvKey {
         let sg = self.group_of[src];
         let seq = self.seqs[sg];
         self.seqs[sg] += 1;
-        let dup = self.events.insert((time, sg as u64, seq), kind);
-        debug_assert!(dup.is_none(), "duplicate event key");
+        (time, sg as u64, seq)
     }
 
-    pub(crate) fn bump_gen(&mut self, pid: Pid) -> u64 {
-        self.procs[pid].gen += 1;
-        self.procs[pid].gen
+    /// Schedule an event pushed by process `src`.
+    pub(crate) fn push_event(&mut self, src: Pid, time: SimTime, kind: EventKind<M>) {
+        let key = self.next_key(src, time);
+        self.queue(key, kind);
+    }
+
+    fn queue(&mut self, key: EvKey, kind: EventKind<M>) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+        });
+        self.slab[slot as usize] = Some(kind);
+        self.heap.push(Reverse((key, slot)));
+    }
+
+    /// The lowest pending key, and whether it is a timer's.
+    fn first(&self) -> Option<(EvKey, bool)> {
+        let queued = self.heap.peek().map(|&Reverse((key, _))| (key, false));
+        let timer = self.timers.first().map(|&(key, _)| (key, true));
+        match (queued, timer) {
+            (Some(queued), Some(timer)) => Some(queued.min(timer)),
+            (queued, timer) => queued.or(timer),
+        }
     }
 
     /// Schedule delivery of `msg` from `from` into `dst`'s mailbox at `at`.
@@ -256,69 +281,72 @@ impl<M> Kernel<M> {
 
     /// Put `pid`, whose flushed clock reads `at`, into a receive wait —
     /// the one way a process waits for a message, coroutine or reactor.
+    ///
+    /// The wait's *checkpoint* is the key drawn here at the current clock:
+    /// once the pop front is past it, every delivery up to this instant is
+    /// in the mailbox. One that finds nothing only turns "still to be
+    /// checked" into "waiting", which the key and the front tell as well, so
+    /// no wake is queued until a delivery below the key gives it something
+    /// to find ([`Kernel::apply`]). The deadline's key is drawn next.
     pub(crate) fn begin_recv(&mut self, pid: Pid, at: SimTime, deadline: Option<SimTime>) {
-        let gen = self.bump_gen(pid);
-        self.procs[pid].status = Status::Polling { deadline };
-        // Checkpoint wake at the current clock: by the time it pops, all
-        // deliveries up to this instant are in the mailbox.
-        self.push_event(pid, at, EventKind::Wake { pid, gen });
-        if let Some(dl) = deadline {
-            if dl > at {
-                self.push_event(pid, dl, EventKind::Wake { pid, gen });
-            }
+        let key = self.next_key(pid, at);
+        // Queued at once where the front cannot tell: a zero-length wait's
+        // checkpoint *is* its timeout, and a key behind the front (same
+        // instant, a higher group popped) waits for what is pending below it.
+        let queued = deadline == Some(at)
+            || (key < self.front && self.first().is_some_and(|(first, _)| first < key));
+        if queued {
+            self.queue(key, EventKind::Wake { pid });
         }
+        let timer = deadline.filter(|&dl| dl > at).map(|dl| self.next_key(pid, dl));
+        self.timers.extend(timer.map(|timer| (timer, pid)));
+        let deadline = timer.or(deadline.and(Some(key)));
+        self.procs[pid].status =
+            Status::Receiving { checkpoint: (!queued).then_some(key), deadline };
     }
 
     /// Pop the globally next runnable event and do the per-event
     /// bookkeeping.
-    fn pop_next(&mut self) -> Option<Event<M>> {
-        let horizon = self.cur_horizon;
-        if self.tail && self.events.first_key_value().is_none_or(|(key, _)| key.0 >= horizon) {
-            return None;
-        }
-        let ((time, src, seq), kind) = self.events.pop_first()?;
-        let ev = Event { time, src, seq, kind };
-        debug_assert!(ev.time >= self.end_time, "kernel time went backwards");
-        self.end_time = self.end_time.max(ev.time);
+    fn pop_next(&mut self) -> Option<(EvKey, EventKind<M>)> {
+        let (key, timer) =
+            self.first().filter(|(key, _)| !self.tail || key.0 < self.cur_horizon)?;
+        let kind = if timer {
+            EventKind::Wake { pid: self.timers.pop_first()?.1 }
+        } else {
+            let Reverse((_, slot)) = self.heap.pop()?;
+            self.free.push(slot);
+            self.slab[slot as usize].take().expect("a heap entry owns its slot")
+        };
+        debug_assert!(key.0 >= self.front.0, "kernel time went backwards");
+        self.front = self.front.max(key);
         self.events_processed += 1;
-        if self.grouped && self.lookahead != Dur::ZERO && ev.time >= self.cur_horizon {
-            self.cur_horizon = ev.time + self.lookahead;
+        if self.grouped && self.lookahead != Dur::ZERO && key.0 >= self.cur_horizon {
+            self.cur_horizon = key.0 + self.lookahead;
         }
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry::from_event(&ev));
+            let (pid, class) = match kind {
+                EventKind::Wake { pid } => (pid, TraceClass::Wake),
+                EventKind::Deliver { dst, .. } => (dst, TraceClass::Deliver),
+            };
+            trace.push(TraceEntry { time: key.0, src: key.1, seq: key.2, pid, class });
         }
-        Some(ev)
+        Some((key, kind))
     }
 
-    /// Apply a popped event. Returns the process it resumed, if any, and
-    /// whether that resume is a timeout.
-    fn apply(&mut self, ev: Event<M>) -> Option<(Pid, bool)> {
-        match ev.kind {
-            EventKind::Wake { pid, gen } => {
+    /// Apply a popped event. Returns the process it resumed, if any.
+    fn apply(&mut self, key: EvKey, kind: EventKind<M>) -> Option<Pid> {
+        match kind {
+            EventKind::Wake { pid } => {
                 let slot = &mut self.procs[pid];
-                if slot.gen != gen {
-                    return None; // stale wake
-                }
                 match slot.status {
-                    Status::Sleeping => Some((pid, false)),
-                    Status::Polling { deadline } => {
-                        if !slot.mailbox.is_empty() {
-                            Some((pid, false))
-                        } else if deadline == Some(ev.time) {
-                            // Zero-length timeout: the checkpoint *is* the
-                            // deadline.
-                            Some((pid, true))
-                        } else {
-                            slot.status = Status::Waiting { deadline };
-                            None
-                        }
+                    // The timer, or a queued checkpoint that found nothing:
+                    // a zero-length wait's is its timeout, any other is past.
+                    Status::Receiving { deadline, .. } if slot.mailbox.is_empty() => {
+                        slot.status = Status::Receiving { checkpoint: Some(key), deadline };
+                        (deadline == Some(key)).then_some(pid)
                     }
-                    Status::Waiting { deadline } => {
-                        // Only the deadline wake is still live for a waiter.
-                        debug_assert_eq!(deadline, Some(ev.time));
-                        Some((pid, true))
-                    }
-                    Status::Running | Status::Exited => None,
+                    Status::Sleeping | Status::Receiving { .. } => Some(pid),
+                    _ => unreachable!("a wake outlived the wait that armed it"),
                 }
             }
             EventKind::Deliver { dst, env } => {
@@ -327,9 +355,30 @@ impl<M> Kernel<M> {
                     return None; // message to a dead process is dropped
                 }
                 slot.mailbox.push_back(env);
-                matches!(slot.status, Status::Waiting { .. }).then_some((dst, false))
+                match slot.status {
+                    // The checkpoint would have popped first and found
+                    // nothing: the process is waiting for this.
+                    Status::Receiving { checkpoint: Some(key), .. } if self.front >= key => {
+                        Some(dst)
+                    }
+                    // Below the checkpoint, which now has something to find:
+                    // queue it, at the key it was always going to have.
+                    Status::Receiving { checkpoint: Some(key), deadline } => {
+                        slot.status = Status::Receiving { checkpoint: None, deadline };
+                        self.queue(key, EventKind::Wake { pid: dst });
+                        None
+                    }
+                    _ => None, // busy, or its queued checkpoint will find it
+                }
             }
         }
+    }
+
+    /// Every armed timer is the deadline of a process still in that wait.
+    fn timers_are_live(&self) -> bool {
+        self.timers.iter().all(|&(timer, pid)| {
+            matches!(self.procs[pid].status, Status::Receiving { deadline, .. } if deadline == Some(timer))
+        })
     }
 
     /// Take the resume posted for coroutine process `pid`, which has just
@@ -349,10 +398,10 @@ impl<M> Kernel<M> {
     /// released and calls `drain` again.
     pub(crate) fn drain(&mut self, me: Option<Pid>) -> Step<M> {
         let mut popped = false;
-        while let Some(ev) = self.pop_next() {
+        while let Some((key, kind)) = self.pop_next() {
             popped = true;
-            let at = ev.time;
-            let Some((pid, timed_out)) = self.apply(ev) else {
+            let at = key.0;
+            let Some(pid) = self.apply(key, kind) else {
                 self.exec.inline_events += 1;
                 continue;
             };
@@ -361,29 +410,29 @@ impl<M> Kernel<M> {
             // A reactor never sleeps: its only timer wake is the one that
             // starts it.
             let starting = slot.status == Status::Sleeping;
-            slot.gen += 1; // invalidate any other pending wakes
+            if let Status::Receiving { deadline: Some(timer), .. } = slot.status {
+                self.timers.remove(&(timer, pid)); // disarmed, unless it just fired
+            }
             slot.status = Status::Running;
             slot.clock = at;
             self.exec.windows += 1;
             if me == Some(pid) {
                 self.exec.self_continues += 1;
-                return Step::Done(DrainOutcome::SelfResume { at, timed_out });
+                return Step::Done(DrainOutcome::SelfResume { at });
             }
             return match &mut slot.exec {
                 Exec::Coroutine { coro, resume } => {
                     debug_assert!(resume.is_none(), "a second resume for one block");
-                    *resume = Some(Resume::Go { at, timed_out });
+                    *resume = Some(Resume::Go { at });
                     self.exec.handoff_switches += 1;
                     Step::Done(DrainOutcome::Handoff(Arc::clone(coro)))
                 }
                 Exec::Reactor(reactor) => {
                     self.exec.reactor_runs += 1;
-                    let cause = if timed_out {
-                        Cause::Timeout
-                    } else if starting {
+                    let cause = if starting {
                         Cause::Start
                     } else {
-                        Cause::Msg(slot.mailbox.pop_front().expect("resumed for a message"))
+                        slot.mailbox.pop_front().map_or(Cause::Timeout, Cause::Msg)
                     };
                     let reactor = reactor.take().expect("a running reactor was resumed");
                     Step::React(ReactorRun { pid, at, cause, reactor })
@@ -456,13 +505,16 @@ impl<M: Send + 'static> Sim<M> {
     pub fn new() -> Self {
         Sim {
             kernel: Arc::new(Mutex::new(Kernel {
-                events: BTreeMap::new(),
+                heap: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                timers: BTreeSet::new(),
                 group_of: Vec::new(),
                 procs: Vec::new(),
                 seqs: Vec::new(),
                 trace: None,
                 events_processed: 0,
-                end_time: SimTime::ZERO,
+                front: (SimTime::ZERO, 0, 0),
                 lookahead: Dur::ZERO,
                 grouped: false,
                 cur_horizon: SimTime::ZERO,
@@ -543,7 +595,6 @@ impl<M: Send + 'static> Sim<M> {
             name: name.to_string(),
             daemon,
             status: Status::Sleeping,
-            gen: 0,
             clock: SimTime::ZERO,
             mailbox: VecDeque::new(),
             exec,
@@ -553,7 +604,7 @@ impl<M: Send + 'static> Sim<M> {
         k.group_of.push(group);
         k.seqs.push(0);
         // Initial wake at t=0 so the process starts when the engine runs.
-        k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
+        k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid });
         pid
     }
 
@@ -594,6 +645,7 @@ impl<M: Send + 'static> Sim<M> {
             return Err(SimError::NoPrimaryProcesses);
         }
         let result = self.event_loop(n_primary);
+        debug_assert!(self.kernel.lock().timers_are_live(), "a timer outlived its wait");
 
         // Stop remaining processes (daemons, or everyone on error).
         let stop_err = self.stop_remaining();
@@ -604,7 +656,7 @@ impl<M: Send + 'static> Sim<M> {
 
         let mut k = self.kernel.lock();
         Ok(SimReport {
-            end_time: k.end_time,
+            end_time: k.front.0,
             proc_clocks: k.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),
             events_processed: k.events_processed,
             trace: k.trace.take(),

@@ -14,9 +14,9 @@
 //!
 //! A reactor waits *exactly* as `recv`/`recv_timeout` do: a message
 //! already in the mailbox is consumed on the spot (the fast path),
-//! otherwise the same checkpoint wake at its flushed clock and the same
-//! deadline wake are pushed by the same kernel routine, under the same
-//! pid and group. Its [`charge`](ReactorCtx::charge) moves its own clock,
+//! otherwise the same kernel routine draws the same checkpoint key at its
+//! flushed clock and arms the same deadline timer, under the same pid and
+//! group. Its [`charge`](ReactorCtx::charge) moves its own clock,
 //! so it is busy in virtual time and requests still queue behind it. Every
 //! push therefore carries the key the daemon's loop would have given it, the
 //! pop order is the key order, and traces, `events_processed`,

@@ -1,6 +1,5 @@
 //! Event traces for determinism testing.
 
-use crate::engine::{Event, EventKind};
 use repseq_substrate::{Pid, SimTime};
 
 /// What kind of kernel event a trace entry records.
@@ -32,14 +31,6 @@ pub struct TraceEntry {
 }
 
 impl TraceEntry {
-    pub(crate) fn from_event<M>(ev: &Event<M>) -> Self {
-        let (pid, class) = match &ev.kind {
-            EventKind::Wake { pid, .. } => (*pid, TraceClass::Wake),
-            EventKind::Deliver { dst, .. } => (*dst, TraceClass::Deliver),
-        };
-        TraceEntry { time: ev.time, src: ev.src, seq: ev.seq, pid, class }
-    }
-
     /// True for a message delivery, false for a wake.
     pub fn is_delivery(&self) -> bool {
         self.class == TraceClass::Deliver
@@ -63,14 +54,6 @@ pub struct Divergence {
 /// the first kernel event at which a lossy schedule departed from a clean
 /// run of the same workload.
 pub fn first_divergence(a: &[TraceEntry], b: &[TraceEntry]) -> Option<Divergence> {
-    let n = a.len().min(b.len());
-    for i in 0..n {
-        if a[i] != b[i] {
-            return Some(Divergence { index: i, a: Some(a[i]), b: Some(b[i]) });
-        }
-    }
-    if a.len() != b.len() {
-        return Some(Divergence { index: n, a: a.get(n).copied(), b: b.get(n).copied() });
-    }
-    None
+    let index = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
+    Some(Divergence { index, a: a.get(index).copied(), b: b.get(index).copied() })
 }

@@ -96,9 +96,12 @@ fn a_ring_is_one_chain_of_direct_duty_transfers() {
     // Every hop delivery resumes the next process from the previous one's
     // yield…
     assert!(report.exec.handoff_switches >= u64::from(HOPS), "{:?}", report.exec);
-    // …and each hop's checkpoint wake (Polling → Waiting) is consumed
-    // inline by whoever holds duty.
-    assert!(report.exec.inline_events >= u64::from(HOPS), "{:?}", report.exec);
+    // …and a hop is that one event: the receive checkpoint of a process
+    // whose mailbox is empty is never queued, so nothing is applied inline
+    // and the run is the hop deliveries (tokens HOPS down to 0) plus the
+    // start wakes.
+    assert_eq!(report.exec.inline_events, 0, "{:?}", report.exec);
+    assert_eq!(report.events_processed, u64::from(HOPS) + 1 + RING as u64);
     assert!(report.exec.windows >= report.exec.handoff_switches, "{:?}", report.exec);
 }
 

@@ -264,7 +264,9 @@ fn two_sims_on_two_threads_trace_as_they_do_alone() {
         runs.map(|r| r.join().expect("run completes"))
     });
     for (a, t) in alone.iter().zip(&together) {
-        assert!(a.len() > 60_000);
+        // One event per hop: a ring process waits with an empty mailbox, so
+        // its receive checkpoint is never queued and only the delivery is.
+        assert!(a.len() > 30_000);
         assert_eq!(repseq_sim::first_divergence(a, t), None);
     }
 }

@@ -170,11 +170,6 @@ impl Stats {
         i.section_entered_at = Some(now);
     }
 
-    /// The section currently being executed.
-    pub fn current_section(&self) -> Section {
-        self.inner.lock().current
-    }
-
     /// Record a frame sent by `node`. Multicast frames are reported once.
     pub fn on_message(&self, node: NodeId, class: MsgClass, bytes: u64) {
         let mut i = self.inner.lock();
@@ -342,6 +337,6 @@ mod tests {
         s.on_diff_stall(1, Dur::from_micros(30));
         let snap = s.snapshot();
         assert_eq!(snap.nodes[2].sections[3].page_faults, 2);
-        assert_eq!(snap.max_node_diff_stall(Section::Parallel), Dur::from_micros(30));
+        assert_eq!(snap.nodes[1].sections[3].diff_stall, Dur::from_micros(30));
     }
 }

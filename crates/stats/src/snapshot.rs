@@ -162,13 +162,6 @@ impl StatsSnapshot {
         self.nodes.iter().map(|n| f(&n.sections[section_idx(s)])).collect()
     }
 
-    /// Per-node page-fault counts for the `Seq` rows; the paper reports the
-    /// master's count (Original) or the worst node's (Optimized), i.e. the
-    /// maximum.
-    pub fn max_node_page_faults_seq(&self) -> u64 {
-        self.fold_seq(|c| c.page_faults).into_iter().max().unwrap_or(0)
-    }
-
     /// Maximum over nodes of diff requests in section `s`.
     pub fn max_node_diff_requests(&self, s: Section) -> u64 {
         match s {
@@ -187,12 +180,6 @@ impl StatsSnapshot {
         }
         let v = self.fold_one(s, |c| c.diff_requests);
         v.iter().sum::<u64>() as f64 / self.nodes.len() as f64
-    }
-
-    /// Worst per-node time stalled in diff requests in section `s` (the
-    /// paper's "the slowest thread spends N seconds in diff requests").
-    pub fn max_node_diff_stall(&self, s: Section) -> Dur {
-        self.fold_one(s, |c| c.diff_stall).into_iter().max().unwrap_or(Dur::ZERO)
     }
 
     /// Total time spent exchanging valid notices, maximized over nodes (the
