@@ -14,9 +14,8 @@
 //! label is the `shape` cell of the row it is about; beyond those, the
 //! systems agree on the physics, the TLB is invisible to the simulation,
 //! RSE beats MasterPush on the contended tree and MasterOnly on skewed KV
-//! serving, and the twin pool and TLB hit rates (counts, from
-//! `repseq_stats::host`'s process-global atomics — run `table1_2` and
-//! `modes` one at a time per process) stay above their floors.
+//! serving, and the twin pool and TLB hit rates (counts, each run's own
+//! `Stats::host`) stay above their floors.
 
 use std::fmt::Arguments;
 
@@ -25,7 +24,7 @@ use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
 use repseq_apps::kv::{KvConfig, KvResult, KvStore};
 use repseq_core::RunConfig;
 use repseq_dsm::FlowControl;
-use repseq_stats::{host, Section, StatsSnapshot};
+use repseq_stats::{Section, StatsSnapshot};
 
 use crate::{hit_rate, run, Json, RunOutcome};
 
@@ -181,11 +180,12 @@ fn stats_column(s: &StatsSnapshot) -> [f64; 11] {
 /// on 32 nodes — with the data plane's counts over the three runs.
 pub fn table1_2() -> Json {
     let cfg = bh_config();
-    let before = host::snapshot();
     let seq = run_bh(RunConfig::original(1), &cfg);
     let orig = run_bh(RunConfig::original(NODES), &cfg);
     let opt = run_bh(RunConfig::optimized(NODES), &cfg);
-    let h = host::snapshot().since(&before);
+    let mut h = seq.host;
+    h += orig.host;
+    h += opt.host;
     assert_eq!(seq.result, orig.result, "systems must agree on the physics");
     assert_eq!(seq.result, opt.result, "systems must agree on the physics");
     // Set-associativity, per-page generations and guard amortization should
@@ -511,11 +511,12 @@ pub fn scaling() -> Json {
 /// sheer smallness.
 pub fn modes() -> Json {
     let cfg = bh_config();
-    let before = host::snapshot();
     let orig = run_bh(RunConfig::original(NODES), &cfg);
     let push = run_bh(RunConfig::master_push(NODES), &cfg);
     let rse = run_bh(RunConfig::optimized(NODES), &cfg);
-    let h = host::snapshot().since(&before);
+    let mut h = orig.host;
+    h += push.host;
+    h += rse.host;
     assert_eq!(orig.result, push.result, "strategies must agree on the physics");
     assert_eq!(orig.result, rse.result, "strategies must agree on the physics");
     assert!(

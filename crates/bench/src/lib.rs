@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 
 use repseq_core::{RunConfig, Runtime, Stopped, Team};
-use repseq_stats::StatsSnapshot;
+use repseq_stats::{HostCounters, StatsSnapshot};
 
 pub mod artifacts;
 
@@ -51,6 +51,8 @@ pub fn tree_stamp() -> String {
 pub struct RunOutcome<R> {
     pub result: R,
     pub snap: StatsSnapshot,
+    /// The run's host-side data-plane counts (`Stats::host`).
+    pub host: HostCounters,
 }
 
 /// Run one application: `setup` allocates and preloads it on a fresh
@@ -73,7 +75,7 @@ where
     let app = setup(&mut rt);
     let stats = rt.stats();
     let (result, _) = rt.run_value(move |team| body(&app, team)).expect("run failed");
-    RunOutcome { result, snap: stats.snapshot() }
+    RunOutcome { result, snap: stats.snapshot(), host: stats.host() }
 }
 
 /// `hits / (hits + misses)`; 1 when nothing was counted.

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{AccessKind, PageId, RaceConfig, RaceSink, SyncEdge, Vc};
-use repseq_stats::{host, NodeId};
+use repseq_stats::NodeId;
 
 /// One side of a reported race: who accessed, from where, and the clock
 /// that failed to cover the other side.
@@ -562,7 +562,6 @@ impl Inner {
             // clock covers the writer's epoch.
             if let Some(w) = &granule.write {
                 checks += 1;
-                host::race_check();
                 if w.performer != performer && clock.get(w.performer) < w.clock.get(w.performer) {
                     found = Some(AccessRecord {
                         node: w.node,
@@ -581,7 +580,6 @@ impl Inner {
                         continue;
                     }
                     checks += 1;
-                    host::race_check();
                     if clock.get(q) < r.clock.get(q) {
                         found = Some(AccessRecord {
                             node: r.node,
@@ -641,7 +639,6 @@ impl Inner {
         first: AccessRecord,
     ) {
         self.races_found += 1;
-        host::race_found();
         let g = self.cfg.granule as u64;
         let addr = gi * g;
         let page = (addr / self.cfg.page_size as u64) as PageId;

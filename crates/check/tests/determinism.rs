@@ -3,7 +3,9 @@
 //! over loss seeds, drop rates and sequential-section strategies. Which
 //! host thread holds duty when, and how the scheduler interleaves the
 //! others' wake-ups, differs between two runs of one process; nothing in a
-//! report, a statistics snapshot or a fingerprint may.
+//! report, a statistics snapshot or a fingerprint may. Nor may what else
+//! the process is simulating at the time: a run's host-side counts are its
+//! cluster's own.
 
 mod support;
 
@@ -12,6 +14,7 @@ use repseq_apps::kv::{KvConfig, KvStore};
 use repseq_check::{rse_kernel, run_schedule_instrumented, HarnessConfig, Schedule};
 use repseq_core::{RunConfig, Runtime};
 use repseq_dsm::SeqExecMode;
+use repseq_stats::HostCounters;
 use support::render;
 
 /// The trace uses counter-based hashing (no host RNG, no iteration-order
@@ -32,6 +35,45 @@ fn kv_trace_and_run_repeat_exactly() {
     let first = run();
     for _ in 0..2 {
         assert_eq!(first, run(), "the KV run diverged from its previous run");
+    }
+}
+
+/// Two different clusters simulated at the same time, one thread each,
+/// each report the data-plane counts they report alone (the two host
+/// *times* aside): no counter is shared between runs. Each round starts
+/// behind a barrier so the runs overlap; a failed run is a `None`, never a
+/// panic that would leave the other thread at the barrier.
+#[test]
+fn concurrent_clusters_count_only_their_own_host_work() {
+    const ROUNDS: usize = 4;
+    fn host_of(rc: RunConfig) -> Option<HostCounters> {
+        let mut rt = Runtime::new(rc);
+        let kv = KvStore::setup(&mut rt, KvConfig::tiny());
+        let stats = rt.stats();
+        rt.run_value(move |team| kv.run(team)).ok()?;
+        Some(HostCounters { diff_create_ns: 0, diff_apply_ns: 0, ..stats.host() })
+    }
+    let configs = [RunConfig::optimized(8), RunConfig::original(4)];
+    let alone = configs.clone().map(host_of);
+    assert_ne!(alone[0], alone[1], "the two clusters must do different work");
+    for h in alone {
+        assert_ne!(h.expect("run must complete"), HostCounters::default());
+    }
+    let start = std::sync::Barrier::new(configs.len());
+    let together = std::thread::scope(|s| {
+        let start = &start;
+        let threads = configs.map(|rc| {
+            s.spawn(move || {
+                [(); ROUNDS].map(|()| {
+                    start.wait();
+                    host_of(rc.clone())
+                })
+            })
+        });
+        threads.map(|t| t.join().expect("a run's failure is a None"))
+    });
+    for (alone, rounds) in alone.into_iter().zip(together) {
+        assert_eq!(rounds, [alone; ROUNDS], "a run counted another cluster's work");
     }
 }
 

@@ -15,7 +15,7 @@
 //! (`give` clears), so virtual time, messages and bytes are bit-identical
 //! with the arena disabled.
 
-use repseq_stats::NodeId;
+use repseq_stats::{HostCounters, NodeId};
 
 use crate::page::DiffEntry;
 
@@ -38,16 +38,17 @@ impl<T> Default for BufPool<T> {
 
 impl<T> BufPool<T> {
     /// An empty vector, reusing a recycled allocation when one is banked.
-    /// Reports a hit (allocation saved) or miss to the host-side counters,
-    /// so the bench harness can show how much churn the arena absorbs.
-    pub(crate) fn take(&mut self) -> Vec<T> {
+    /// Counts a hit (allocation saved) or miss in the node's `host`
+    /// counters, so the bench harness can show how much churn the arena
+    /// absorbs.
+    pub(crate) fn take(&mut self, host: &mut HostCounters) -> Vec<T> {
         match self.free.pop() {
             Some(v) => {
-                repseq_stats::host::scratch_pool_hit();
+                host.scratch_pool_hits += 1;
                 v
             }
             None => {
-                repseq_stats::host::scratch_pool_miss();
+                host.scratch_pool_misses += 1;
                 Vec::new()
             }
         }
@@ -82,12 +83,14 @@ mod tests {
     #[test]
     fn take_reuses_given_allocation() {
         let mut pool: BufPool<u32> = BufPool::default();
-        let mut v = pool.take();
+        let mut host = HostCounters::default();
+        let mut v = pool.take(&mut host);
         v.extend([1, 2, 3]);
         let cap = v.capacity();
         let ptr = v.as_ptr();
         pool.give(v);
-        let v2 = pool.take();
+        let v2 = pool.take(&mut host);
+        assert_eq!((host.scratch_pool_misses, host.scratch_pool_hits), (1, 1));
         assert!(v2.is_empty(), "recycled buffers come back cleared");
         assert_eq!(v2.capacity(), cap);
         assert_eq!(v2.as_ptr(), ptr, "the allocation itself is reused");

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use repseq_native::{Native, NativeError};
 use repseq_net::{NetConfig, Network};
 use repseq_sim::{Sim, SimError, SimReport, Stopped};
-use repseq_stats::StatsRef;
+use repseq_stats::{HostCounters, StatsRef};
 
 use crate::config::DsmConfig;
 use crate::handler::Handler;
@@ -231,6 +231,13 @@ impl Cluster {
             Backend::Sim => Self::run_sim(&self.cfg, self.record_trace, &net, &states, &topo, apps),
             Backend::Native => Self::run_native(&self.cfg, &net, &states, &topo, apps),
         };
+        // However the run ended, every application process has ended and
+        // dropped its `DsmNode`: the nodes' host counts are final.
+        let mut host = HostCounters::default();
+        for s in &states {
+            host += s.lock().host;
+        }
+        self.stats.fold_host(host);
         let probes = states.iter().map(|s| s.lock().rse_probe()).collect();
         LaunchOutcome { result, probes, loss_events: net.loss_events(), states }
     }

@@ -13,9 +13,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use repseq_sim::Dur;
-use repseq_stats::{host, NodeId};
+use repseq_stats::{HostCounters, NodeId};
 
 use crate::diff::Diff;
 use crate::interval::PageId;
@@ -42,18 +43,23 @@ const TWIN_POOL_PREWARM_MAX: usize = 256;
 /// twin-pool hit rate stays ≥ 0.90 (pinned by `twin_pool_256.rs`).
 const TWIN_POOL_PREWARM_BUDGET: usize = 8192;
 
-/// Take a page buffer from `pool` (or allocate) and fill it with `src`.
-/// Free functions rather than methods so callers can hold a `&mut` into
-/// the page table at the same time (disjoint field borrows).
-pub(crate) fn pool_take(pool: &mut Vec<Box<[u8]>>, src: &[u8]) -> Box<[u8]> {
+/// Take a page buffer from `pool` (or allocate) and fill it with `src`,
+/// counting the hit or miss in `host`. Free functions rather than methods
+/// so callers can hold a `&mut` into the page table at the same time
+/// (disjoint field borrows).
+pub(crate) fn pool_take(
+    pool: &mut Vec<Box<[u8]>>,
+    host: &mut HostCounters,
+    src: &[u8],
+) -> Box<[u8]> {
     match pool.pop() {
         Some(mut buf) if buf.len() == src.len() => {
-            host::twin_pool_hit();
+            host.twin_pool_hits += 1;
             buf.copy_from_slice(src);
             buf
         }
         _ => {
-            host::twin_pool_miss();
+            host.twin_pool_misses += 1;
             src.to_vec().into_boxed_slice()
         }
     }
@@ -305,9 +311,9 @@ impl NodeState {
         let page = &mut self.data.pages[p as usize];
         let mut twin = page.twin.take().expect("diffing a page without a twin");
         let data = page.data.as_ref().expect("twinned page must be materialized").slice();
-        let timer = host::start();
+        let timer = Instant::now();
         let diff = Diff::create(&twin, data);
-        host::record_diff_create(timer, 2 * data.len() as u64);
+        self.host.diff_created(timer, 2 * data.len() as u64);
         let ivxs = std::mem::take(&mut page.own_undiffed);
         let written_cur = page.written_cur;
         page.rse_protected = false;
@@ -355,7 +361,8 @@ impl NodeState {
             self.page_data(p); // materialize before twinning
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid, "write fault on an invalid page");
-            let twin = pool_take(&mut self.data.twin_pool, page.data.as_ref().unwrap().slice());
+            let src = page.data.as_ref().unwrap().slice();
+            let twin = pool_take(&mut self.data.twin_pool, &mut self.host, src);
             page.twin = Some(twin);
             if !in_rse {
                 self.data.dirty_pages.push(p);
@@ -380,7 +387,7 @@ impl NodeState {
     /// [`NodeState::recycle_notices`] when done (dropping it instead is
     /// only a missed reuse, never an error).
     pub(crate) fn needed_notices(&mut self, p: PageId) -> Vec<(NodeId, u32)> {
-        let mut buf = self.scratch.notices.take();
+        let mut buf = self.scratch.notices.take(&mut self.host);
         let page = &*self.page_mut(p);
         buf.extend(page.notices.iter().copied().filter(|&(o, i)| !page.valid_at.covers(o, i)));
         buf
@@ -415,7 +422,7 @@ impl NodeState {
     pub(crate) fn apply_cached_diffs(&mut self, p: PageId) -> Dur {
         let needed = self.needed_notices(p);
         // Collect the distinct records behind the needed notices.
-        let mut records: Vec<(u64, DiffEntry)> = self.scratch.diff_batch.take();
+        let mut records: Vec<(u64, DiffEntry)> = self.scratch.diff_batch.take(&mut self.host);
         for &(owner, ivx) in &needed {
             let rec = self.data.pages[p as usize]
                 .diffs
@@ -447,14 +454,14 @@ impl NodeState {
         let node = self.node;
         let data = self.page_data(p);
         let payload: u64 = records.iter().map(|(_, rec)| rec.diff.payload_bytes()).sum();
-        let timer = host::start();
+        let timer = Instant::now();
         let mut first_err = None;
         for (_, rec) in &records {
             if let Err(e) = rec.diff.apply(data) {
                 first_err.get_or_insert(e);
             }
         }
-        host::record_diff_apply(timer, payload);
+        self.host.diffs_applied(timer, payload);
         if let Some(e) = first_err {
             // A run outside the page means a corrupted or mis-sized diff.
             // The in-bounds runs were applied; keep the node running on

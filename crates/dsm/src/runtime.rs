@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use repseq_net::Nic;
 use repseq_sim::{Dur, Pid, SendCtx, Stopped};
-use repseq_stats::{host, NodeId, StatsRef};
+use repseq_stats::{NodeId, StatsRef};
 
 use crate::dataplane::GenTable;
 use crate::interval::PageId;
@@ -169,10 +169,13 @@ pub struct DsmNode {
 
 /// The application process owns its `DsmNode`, so the handle goes when the
 /// process ends — returned, `Stopped` or unwinding, on either backend —
-/// and takes the node's TLB counts to the process-wide host counters.
+/// and leaves its TLB counts with the node's other host counters, before
+/// the cluster sums them.
 impl Drop for DsmNode {
     fn drop(&mut self) {
-        host::tlb_fold(self.tlb_hits.get(), self.tlb_misses.get());
+        let host = &mut self.st.lock().host;
+        host.tlb_hits += self.tlb_hits.get();
+        host.tlb_misses += self.tlb_misses.get();
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use repseq_stats::NodeId;
+use repseq_stats::{HostCounters, NodeId};
 
 use crate::arena::ScratchArena;
 use crate::config::DsmConfig;
@@ -52,6 +52,10 @@ pub struct NodeState {
     pub(crate) fetch: FetchState,
     /// Recycled scratch buffers for the fault hot path.
     pub(crate) scratch: ScratchArena,
+    /// This node's host-side data-plane counts: plain fields bumped through
+    /// the `&mut` a site already holds, summed by the cluster when the run
+    /// returns ([`repseq_stats::Stats::host`]).
+    pub(crate) host: HostCounters,
 }
 
 impl NodeState {
@@ -69,6 +73,7 @@ impl NodeState {
             exec: ExecState::new(n),
             fetch: FetchState::new(),
             scratch: ScratchArena::default(),
+            host: HostCounters::default(),
         }
     }
 }

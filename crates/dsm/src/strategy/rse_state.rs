@@ -318,7 +318,7 @@ impl NodeState {
         // the old per-node `collect` allocated n short-lived vectors per
         // election, a steady drumbeat at hundreds of nodes. `wanted` itself
         // escapes into the multicast request message, so it stays owned.
-        let mut notices = self.scratch.notices.take();
+        let mut notices = self.scratch.notices.take(&mut self.host);
         notices.extend_from_slice(&self.page_mut(p).notices);
         let page = &self.data.pages[p as usize];
         let mut requester = None;

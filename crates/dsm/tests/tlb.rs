@@ -18,8 +18,8 @@
 //!   simulation;
 //! * count tests hold the hit, miss and fault counts of a page-run guard
 //!   to the element-wise walk of the same range, and find every node's
-//!   counts in `host::snapshot()` the moment the run returns — nodes count
-//!   in plain fields of their own and fold them when their process ends.
+//!   counts in the run's own `stats.host()` the moment the run returns —
+//!   nodes count in plain fields of their own, which the cluster sums.
 
 #![allow(clippy::type_complexity)]
 
@@ -31,7 +31,7 @@ use repseq_dsm::{
     Pod, ShArray, SharedSegment, Vc,
 };
 use repseq_sim::{SimError, Stopped};
-use repseq_stats::{host, Stats};
+use repseq_stats::{HostCounters, Stats};
 
 // ---------------------------------------------------------------
 // Generation-bump unit tests
@@ -137,15 +137,6 @@ fn break_flag_suppresses_every_bump() {
 
 const N: usize = 3;
 
-/// The host counters are process-global and `cargo test` runs this file's
-/// tests on parallel threads: every test that launches a cluster holds
-/// this lock, so a snapshot delta is one run's counts.
-static HOST_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn one_run_at_a_time() -> std::sync::MutexGuard<'static, ()> {
-    HOST_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The §5.3 torture shape on the guard path: a parallel phase dirties
 /// pages element-wise (warming writable TLB entries), then a replicated
 /// section rewrites the same pages through `with_slices_mut`, then the
@@ -154,7 +145,7 @@ fn one_run_at_a_time() -> std::sync::MutexGuard<'static, ()> {
 /// entries would skip the §5.3 pre-section diff and corrupt the merge).
 fn run_53_bulk(
     tlb_enabled: bool,
-) -> (Vec<Vec<u64>>, repseq_sim::SimReport, repseq_stats::StatsSnapshot) {
+) -> (Vec<Vec<u64>>, repseq_sim::SimReport, repseq_stats::StatsSnapshot, HostCounters) {
     let stats = Stats::new(N);
     let mut ccfg = ClusterConfig::paper(N);
     ccfg.dsm.tlb_enabled = tlb_enabled;
@@ -213,7 +204,7 @@ fn run_53_bulk(
     }
     let report = cl.launch(apps).expect("simulation must complete");
     let vals = std::mem::take(&mut *out.lock());
-    (vals, report, stats.snapshot())
+    (vals, report, stats.snapshot(), stats.host())
 }
 
 /// The ideal machine for `run_53_bulk`.
@@ -232,8 +223,7 @@ fn golden_53(len: usize) -> Vec<u64> {
 
 #[test]
 fn replicated_bulk_writes_take_the_53_fault_path() {
-    let _alone = one_run_at_a_time();
-    let (vals, _, _) = run_53_bulk(true);
+    let (vals, ..) = run_53_bulk(true);
     let want = golden_53(vals[0].len());
     for (node, v) in vals.iter().enumerate() {
         assert_eq!(
@@ -246,13 +236,10 @@ fn replicated_bulk_writes_take_the_53_fault_path() {
 
 #[test]
 fn tlb_is_invisible_to_virtual_time() {
-    let _alone = one_run_at_a_time();
-    let before = host::snapshot();
-    let (vals_on, rep_on, snap_on) = run_53_bulk(true);
-    let hits = host::snapshot().since(&before).tlb_hits;
-    assert!(hits > 0, "the workload must actually exercise the TLB fast path");
+    let (vals_on, rep_on, snap_on, host_on) = run_53_bulk(true);
+    assert!(host_on.tlb_hits > 0, "the workload must actually exercise the TLB fast path");
 
-    let (vals_off, rep_off, snap_off) = run_53_bulk(false);
+    let (vals_off, rep_off, snap_off, _) = run_53_bulk(false);
     assert_eq!(vals_on, vals_off, "contents must not depend on the fast path");
     assert_eq!(rep_on.end_time, rep_off.end_time, "virtual end time must be identical");
     assert_eq!(rep_on.proc_clocks, rep_off.proc_clocks, "per-process clocks must be identical");
@@ -311,9 +298,8 @@ fn write_walk<T: Pod>(
     })
 }
 
-/// What a run cost: TLB hits and misses (from `host::snapshot()`, taken
-/// as soon as the launch returned), page faults, and a checksum of what
-/// the walk read.
+/// What a run cost: TLB hits and misses (from the run's `stats.host()`),
+/// page faults, and a checksum of what the walk read.
 #[derive(Debug, PartialEq)]
 struct Counts {
     hits: u64,
@@ -386,9 +372,8 @@ fn run_walk(span: Span, write: bool, bulk: bool, tlb_enabled: bool) -> (Counts, 
         node.shutdown_slaves()
     };
     let apps: Vec<AppFn> = vec![Box::new(master), Box::new(|node: DsmNode| node.slave_loop())];
-    let before = host::snapshot();
     cl.launch(apps).expect("simulation must complete");
-    let host = host::snapshot().since(&before);
+    let host = stats.host();
     let faults = stats.snapshot().total_agg_with_startup().page_faults;
     let sum = *sum.lock();
     (Counts { hits: host.tlb_hits, misses: host.tlb_misses, faults, sum }, straddlers)
@@ -401,7 +386,6 @@ fn run_walk(span: Span, write: bool, bulk: bool, tlb_enabled: bool) -> (Counts, 
 /// the same range reports.
 #[test]
 fn a_page_run_counts_what_the_element_wise_walk_counts() {
-    let _alone = one_run_at_a_time();
     for span in [Span::WholePages, Span::MidPage, Span::Straddling] {
         for write in [false, true] {
             let (elem, straddlers) = run_walk(span, write, false, true);
@@ -427,7 +411,6 @@ fn a_page_run_counts_what_the_element_wise_walk_counts() {
 /// takes the locked walk and none is counted, whichever way it is made.
 #[test]
 fn a_disabled_tlb_folds_no_hits_and_no_misses() {
-    let _alone = one_run_at_a_time();
     for bulk in [false, true] {
         let (c, _) = run_walk(Span::MidPage, true, bulk, false);
         assert_eq!((c.hits, c.misses), (0, 0), "bulk={bulk}");
@@ -436,7 +419,7 @@ fn a_disabled_tlb_folds_no_hits_and_no_misses() {
 }
 
 // ---------------------------------------------------------------
-// The fold: counts are in `host::snapshot()` when the run returns
+// The fold: counts are in `stats.host()` when the run returns
 // ---------------------------------------------------------------
 
 const FOLD_NODES: usize = 4;
@@ -446,8 +429,8 @@ const FOLD_READS: usize = 64;
 /// everywhere, never written: one miss and `FOLD_READS - 1` hits a node,
 /// on either substrate). Then the run ends well — or node 1 panics inside
 /// a parallel section, which ends every other node's process by `Stopped`.
-/// Returns the run's result and the host counters it added.
-fn run_fold(backend: Backend, die: bool) -> (Result<(), SimError>, host::HostCounters) {
+/// Returns the run's result and its host counters.
+fn run_fold(backend: Backend, die: bool) -> (Result<(), SimError>, HostCounters) {
     let stats = Stats::new(FOLD_NODES);
     let mut ccfg = ClusterConfig::paper(FOLD_NODES);
     ccfg.backend = backend;
@@ -473,14 +456,12 @@ fn run_fold(backend: Backend, die: bool) -> (Result<(), SimError>, host::HostCou
     for _ in 1..FOLD_NODES {
         apps.push(Box::new(|node: DsmNode| node.slave_loop()));
     }
-    let before = host::snapshot();
     let result = cl.launch(apps).map(|_| ());
-    (result, host::snapshot().since(&before))
+    (result, stats.host())
 }
 
 #[test]
 fn every_node_folds_its_counts_before_the_run_returns() {
-    let _alone = one_run_at_a_time();
     let (n, reads) = (FOLD_NODES as u64, FOLD_READS as u64);
     for backend in [Backend::Sim, Backend::Native] {
         let (result, host) = run_fold(backend, false);

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use repseq_substrate::{Dur, SimTime};
 
+use crate::host::{self, HostCounters};
 use crate::snapshot::{NodeSnapshot, SectionCounters, StatsSnapshot};
 
 /// Index of a simulated cluster node (not a kernel pid — each node owns two
@@ -77,12 +78,6 @@ impl MsgClass {
     }
 }
 
-#[derive(Debug, Default, Clone)]
-pub(crate) struct NodeCounters {
-    /// Per-section counters, indexed by `section_idx`.
-    pub sections: [SectionCounters; 4],
-}
-
 pub(crate) fn section_idx(s: Section) -> usize {
     match s {
         Section::Startup => 0,
@@ -93,7 +88,7 @@ pub(crate) fn section_idx(s: Section) -> usize {
 }
 
 struct Inner {
-    nodes: Vec<NodeCounters>,
+    nodes: Vec<NodeSnapshot>,
     current: Section,
     /// Wall (virtual) time accumulated per section kind, from the master's
     /// timeline.
@@ -105,6 +100,8 @@ struct Inner {
     /// and are discarded, as the paper's counters cover only the timed
     /// execution.
     frozen: bool,
+    /// The nodes' host-side data-plane counts, summed when the run returned.
+    host: HostCounters,
 }
 
 /// The statistics registry for one simulated run. Shared by every layer via
@@ -122,13 +119,14 @@ impl Stats {
     pub fn new(n_nodes: usize) -> StatsRef {
         Arc::new(Stats {
             inner: Mutex::new(Inner {
-                nodes: vec![NodeCounters::default(); n_nodes],
+                nodes: vec![NodeSnapshot::default(); n_nodes],
                 current: Section::Startup,
                 section_time: [Dur::ZERO; 4],
                 section_entered_at: None,
                 total_started_at: None,
                 total_time: Dur::ZERO,
                 frozen: false,
+                host: HostCounters::default(),
             }),
         })
     }
@@ -159,9 +157,13 @@ impl Stats {
     }
 
     /// Enter a program section at virtual time `now`. Closes the previous
-    /// section's timer. Called by the master runtime only.
+    /// section's timer. Called by the master runtime only. A section
+    /// entered after [`Stats::end_measurement`] is outside the measured run.
     pub fn set_section(&self, s: Section, now: SimTime) {
         let mut i = self.inner.lock();
+        if i.frozen {
+            return;
+        }
         if let Some(t0) = i.section_entered_at.take() {
             let idx = section_idx(i.current);
             i.section_time[idx] += now - t0;
@@ -170,87 +172,84 @@ impl Stats {
         i.section_entered_at = Some(now);
     }
 
+    /// Apply `f` to `node`'s counters of the current section, unless the
+    /// measured run has ended.
+    fn count(&self, node: NodeId, f: impl FnOnce(&mut SectionCounters)) {
+        let mut i = self.inner.lock();
+        if !i.frozen {
+            let s = section_idx(i.current);
+            f(&mut i.nodes[node].sections[s]);
+        }
+    }
+
     /// Record a frame sent by `node`. Multicast frames are reported once.
     pub fn on_message(&self, node: NodeId, class: MsgClass, bytes: u64) {
-        let mut i = self.inner.lock();
-        if i.frozen {
-            return;
-        }
-        let s = i.current;
-        let c = &mut i.nodes[node].sections[section_idx(s)];
-        c.messages += 1;
-        c.bytes += bytes;
-        if class.is_diff_message() {
-            c.diff_messages += 1;
-            c.diff_bytes += bytes;
-        }
-        match class {
-            MsgClass::NullAck => c.null_acks += 1,
-            MsgClass::ForwardedRequest => c.forwarded_requests += 1,
-            MsgClass::ValidNotice => c.valid_notice_msgs += 1,
-            _ => {}
-        }
+        self.count(node, |c| {
+            c.messages += 1;
+            c.bytes += bytes;
+            if class.is_diff_message() {
+                c.diff_messages += 1;
+                c.diff_bytes += bytes;
+            }
+            match class {
+                MsgClass::NullAck => c.null_acks += 1,
+                MsgClass::ForwardedRequest => c.forwarded_requests += 1,
+                MsgClass::ValidNotice => c.valid_notice_msgs += 1,
+                _ => {}
+            }
+        });
     }
 
     /// Record a stale diff reply absorbed by `node` (a resend-race
     /// duplicate, or a reply whose fetch was already retired).
     pub fn on_stale_reply(&self, node: NodeId) {
-        let mut i = self.inner.lock();
-        if i.frozen {
-            return;
-        }
-        let s = i.current;
-        i.nodes[node].sections[section_idx(s)].stale_replies += 1;
+        self.count(node, |c| c.stale_replies += 1);
     }
 
     /// Record a page fault taken by `node`.
     pub fn on_page_fault(&self, node: NodeId) {
-        let mut i = self.inner.lock();
-        if i.frozen {
-            return;
-        }
-        let s = i.current;
-        i.nodes[node].sections[section_idx(s)].page_faults += 1;
+        self.count(node, |c| c.page_faults += 1);
     }
 
     /// Record one diff-request operation issued by `node` (a fault that had
     /// to fetch diffs), and its response time once served.
     pub fn on_diff_request_complete(&self, node: NodeId, response: Dur) {
-        let mut i = self.inner.lock();
-        if i.frozen {
-            return;
-        }
-        let s = i.current;
-        let c = &mut i.nodes[node].sections[section_idx(s)];
-        c.diff_requests += 1;
-        c.response_time_total += response;
+        self.count(node, |c| {
+            c.diff_requests += 1;
+            c.response_time_total += response;
+        });
     }
 
     /// Record virtual time `node` spent stalled waiting for diff replies.
     pub fn on_diff_stall(&self, node: NodeId, stall: Dur) {
-        let mut i = self.inner.lock();
-        if i.frozen {
-            return;
-        }
-        let s = i.current;
-        i.nodes[node].sections[section_idx(s)].diff_stall += stall;
+        self.count(node, |c| c.diff_stall += stall);
     }
 
     /// Record time spent exchanging valid notices (RSE entry overhead).
     pub fn on_valid_notice_time(&self, node: NodeId, d: Dur) {
-        let mut i = self.inner.lock();
-        if i.frozen {
-            return;
-        }
-        let s = i.current;
-        i.nodes[node].sections[section_idx(s)].valid_notice_time += d;
+        self.count(node, |c| c.valid_notice_time += d);
+    }
+
+    /// Add the host-side counts a finished run's nodes kept. Called by the
+    /// cluster, once, when the run returns.
+    pub fn fold_host(&self, run: HostCounters) {
+        self.inner.lock().host += run;
+        host::fold(run);
+    }
+
+    /// The host-side data-plane counts of this registry's run: zero until
+    /// the run returns. Outside [`StatsSnapshot`] on purpose — two of the
+    /// fields are host *time*, and the detector-invariance and
+    /// substrate-equality gates compare snapshots with `==`.
+    pub fn host(&self) -> HostCounters {
+        self.inner.lock().host
     }
 
     /// Take an immutable snapshot for reporting.
     pub fn snapshot(&self) -> StatsSnapshot {
         let i = self.inner.lock();
         StatsSnapshot {
-            nodes: i.nodes.iter().map(|n| NodeSnapshot { sections: n.sections.clone() }).collect(),
+            nodes: i.nodes.clone(),
             section_time: i.section_time,
             total_time: i.total_time,
         }
@@ -273,6 +272,20 @@ mod tests {
         assert_eq!(snap.seq_time(), Dur::from_nanos(2_000));
         assert_eq!(snap.par_time(), Dur::from_nanos(4_000));
         assert_eq!(snap.total_time, Dur::from_nanos(6_000));
+    }
+
+    #[test]
+    fn sections_after_end_of_measurement_are_not_timed() {
+        let s = Stats::new(1);
+        s.start_measurement(SimTime::from_nanos(0));
+        s.set_section(Section::Sequential, SimTime::from_nanos(0));
+        s.end_measurement(SimTime::from_nanos(1_000));
+        s.set_section(Section::Parallel, SimTime::from_nanos(2_000));
+        s.set_section(Section::Sequential, SimTime::from_nanos(9_000));
+        s.set_section(Section::Parallel, SimTime::from_nanos(10_000));
+        let snap = s.snapshot();
+        assert!(snap.seq_time() + snap.par_time() <= snap.total_time);
+        assert_eq!(snap.par_time(), Dur::ZERO);
     }
 
     #[test]

@@ -59,8 +59,9 @@ impl SectionCounters {
     }
 }
 
-/// Per-node snapshot (indexed by `Section`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One node's counters, live in the registry and in a snapshot (indexed by
+/// `Section`).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot {
     pub sections: [SectionCounters; 4],
 }
