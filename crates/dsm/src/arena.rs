@@ -1,10 +1,10 @@
 //! Recycled scratch buffers for per-fault churn.
 //!
-//! Every page fault walks the page's missing write notices several times —
-//! planning the fetch, checking completability, applying cached diffs —
-//! and each walk used to allocate (and immediately free) a fresh vector.
-//! On a fault-heavy run that is a steady allocator drumbeat on the hottest
-//! path of the simulator. Each node instead keeps a small arena of emptied
+//! A page fault walks the page's missing write notices more than once —
+//! planning the fetch, applying cached diffs — and each walk used to
+//! allocate (and immediately free) a fresh vector. On a fault-heavy run
+//! that is a steady allocator drumbeat on the hottest path of the
+//! simulator. Each node instead keeps a small arena of emptied
 //! buffers: a walk takes one (retaining its previous capacity), fills it,
 //! and hands it back when done. This is the small-object complement to the
 //! page-sized twin pool in [`crate::dataplane`].
@@ -68,9 +68,8 @@ impl<T> BufPool<T> {
 /// One node's scratch arena, grouped by buffer shape.
 #[derive(Default)]
 pub(crate) struct ScratchArena {
-    /// `(owner, interval)` notice lists: fetch planning, completability
-    /// checks, diff application, and the per-page write-notice walk of the
-    /// §5.4.1 requester election on the valid-notice exchange path.
+    /// `(owner, interval)` notice lists: fetch planning and diff
+    /// application.
     pub(crate) notices: BufPool<(NodeId, u32)>,
     /// Weighted diff batches assembled by `apply_cached_diffs`.
     pub(crate) diff_batch: BufPool<(u64, DiffEntry)>,

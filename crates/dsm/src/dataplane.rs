@@ -337,7 +337,8 @@ impl NodeState {
         let record = Arc::new(DiffRecord { owner: node, covers: ivxs.clone(), diff });
         let page = &mut self.data.pages[p as usize];
         for ivx in ivxs {
-            page.diffs.insert((node, ivx), Arc::clone(&record));
+            let held = page.diffs.insert((node, ivx), Arc::clone(&record));
+            debug_assert!(held.is_none(), "node {node}: interval {ivx} of page {p} diffed twice");
         }
         cost
     }
@@ -382,9 +383,10 @@ impl NodeState {
         cost
     }
 
-    /// The write notices this node's copy of `p` is missing. The returned
-    /// buffer comes from the node's scratch arena — hand it back with
-    /// [`NodeState::recycle_notices`] when done (dropping it instead is
+    /// The write notices this node's copy of `p` is missing, for
+    /// [`NodeState::fetch_plan`] and [`NodeState::apply_cached_diffs`]. The
+    /// returned buffer comes from the node's scratch arena — hand it back
+    /// with [`NodeState::recycle_notices`] when done (dropping it instead is
     /// only a missed reuse, never an error).
     pub(crate) fn needed_notices(&mut self, p: PageId) -> Vec<(NodeId, u32)> {
         let mut buf = self.scratch.notices.take(&mut self.host);
@@ -421,17 +423,13 @@ impl NodeState {
     /// Returns the modeled cost.
     pub(crate) fn apply_cached_diffs(&mut self, p: PageId) -> Dur {
         let needed = self.needed_notices(p);
-        // Collect the distinct records behind the needed notices.
+        // The records behind the needed notices, once per notice.
         let mut records: Vec<(u64, DiffEntry)> = self.scratch.diff_batch.take(&mut self.host);
+        let cached = &self.data.pages[p as usize].diffs;
         for &(owner, ivx) in &needed {
-            let rec = self.data.pages[p as usize]
-                .diffs
+            let rec = cached
                 .get(&(owner, ivx))
-                .unwrap_or_else(|| panic!("diff ({p},{owner},{ivx}) not cached"))
-                .clone();
-            if records.iter().any(|(_, r)| Arc::ptr_eq(r, &rec)) {
-                continue;
-            }
+                .unwrap_or_else(|| panic!("diff ({p},{owner},{ivx}) not cached"));
             // Sort key: the vector time of the *earliest* covered interval,
             // in a linear extension of happened-before (dominated
             // timestamps have strictly smaller weights). The earliest
@@ -444,12 +442,13 @@ impl NodeState {
             // race-free program, byte-disjoint).
             let key_ivx = rec.covers[0];
             debug_assert!(key_ivx <= self.con.intervals.known(owner));
-            let weight = self.con.intervals.get(owner, key_ivx).vc.weight();
-            records.push((weight, rec));
+            records.push((self.con.intervals.get(owner, key_ivx).weight, Arc::clone(rec)));
         }
         self.recycle_notices(needed);
-        records
-            .sort_by(|a, b| (a.0, a.1.owner, a.1.covers[0]).cmp(&(b.0, b.1.owner, b.1.covers[0])));
+        // `(owner, covers[0])` names one record, so a record keyed under
+        // several needed notices sorts into adjacent copies of itself.
+        records.sort_unstable_by_key(|(w, rec)| (*w, rec.owner, rec.covers[0]));
+        records.dedup_by(|a, b| Arc::ptr_eq(&a.1, &b.1));
         let mut cost = Dur::ZERO;
         let node = self.node;
         let data = self.page_data(p);
@@ -500,15 +499,18 @@ impl NodeState {
         let mut cost = Dur::ZERO;
         let mut out: Vec<DiffEntry> = Vec::new();
         for &ivx in ivxs {
-            if !self.page_mut(p).diffs.contains_key(&(node, ivx)) {
-                // Lazy creation: must still have the twin.
-                assert!(
-                    self.data.pages[p as usize].twin.is_some(),
-                    "node {node}: diff ({p},{ivx}) requested but neither cached nor creatable"
-                );
-                cost += self.create_own_diff(p);
-            }
-            let rec = self.data.pages[p as usize].diffs[&(node, ivx)].clone();
+            let rec = match self.page_mut(p).diffs.get(&(node, ivx)) {
+                Some(rec) => Arc::clone(rec),
+                None => {
+                    // Lazy creation: must still have the twin.
+                    assert!(
+                        self.data.pages[p as usize].twin.is_some(),
+                        "node {node}: diff ({p},{ivx}) requested but neither cached nor creatable"
+                    );
+                    cost += self.create_own_diff(p);
+                    Arc::clone(&self.data.pages[p as usize].diffs[&(node, ivx)])
+                }
+            };
             if !out.iter().any(|r| Arc::ptr_eq(r, &rec)) {
                 out.push(rec);
             }
@@ -517,24 +519,30 @@ impl NodeState {
     }
 
     /// Record fetched diffs in the cache, keyed under every interval each
-    /// record covers.
+    /// record covers. A key already held is held by the same record: the
+    /// owner creates one record per interval and serves it from its cache.
     pub(crate) fn cache_diffs(&mut self, p: PageId, entries: &[DiffEntry]) {
         let cache = &mut self.page_mut(p).diffs;
         for rec in entries {
             for &ivx in &rec.covers {
-                cache.entry((rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
+                let held = cache.entry((rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
+                debug_assert!(Arc::ptr_eq(held, rec), "two records for ({p},{},{ivx})", rec.owner);
             }
         }
     }
 
     /// True if every needed diff for `p` is cached (the page can be made
-    /// valid locally).
+    /// valid locally). The notices are walked newest first: a reply chain
+    /// delivers the writers in ascending order, so the first needed notice
+    /// missing from the cache is usually the chain's next turn, met after a
+    /// few probes rather than after the page's whole history.
     pub(crate) fn can_complete(&mut self, p: PageId) -> bool {
-        let needed = self.needed_notices(p);
-        let cached = &self.data.pages[p as usize].diffs;
-        let complete = needed.iter().all(|key| cached.contains_key(key));
-        self.recycle_notices(needed);
-        complete
+        let page = self.page_mut(p);
+        let (cached, valid_at) = (&page.diffs, &page.valid_at);
+        page.notices
+            .iter()
+            .rev()
+            .all(|&(o, i)| valid_at.covers(o, i) || cached.contains_key(&(o, i)))
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
@@ -562,8 +570,104 @@ mod tests {
     use super::*;
     use crate::config::DsmConfig;
     use crate::interval::IntervalRecord;
-    use crate::state::testutil::{fake_write, state};
+    use crate::state::testutil::{fake_write, random_page, state, PAGE};
+    use crate::strategy::chain::incorporate_diffs;
     use crate::vc::Vc;
+
+    /// The previous `can_complete`, kept as the reference: materialise the
+    /// needed notices oldest first, then probe the cache for each.
+    fn can_complete_ref(st: &mut NodeState, p: PageId) -> bool {
+        let needed = st.needed_notices(p);
+        let cached = &st.data.pages[p as usize].diffs;
+        let complete = needed.iter().all(|key| cached.contains_key(key));
+        st.recycle_notices(needed);
+        complete
+    }
+
+    /// The previous `apply_cached_diffs`, kept as the reference down to the
+    /// bytes and the valid notice it leaves: a quadratic dedup, a timestamp
+    /// summed per record per apply, a stable sort.
+    fn apply_cached_diffs_ref(st: &mut NodeState, p: PageId) {
+        let needed = st.needed_notices(p);
+        let mut records: Vec<(u64, DiffEntry)> = Vec::new();
+        for &(owner, ivx) in &needed {
+            let rec = st.data.pages[p as usize].diffs.get(&(owner, ivx)).unwrap().clone();
+            if records.iter().any(|(_, r)| Arc::ptr_eq(r, &rec)) {
+                continue;
+            }
+            records.push((Vc::weight(&st.con.intervals.get(owner, rec.covers[0]).vc), rec));
+        }
+        records
+            .sort_by(|a, b| (a.0, a.1.owner, a.1.covers[0]).cmp(&(b.0, b.1.owner, b.1.covers[0])));
+        let mut valid_at = st.con.vc.clone();
+        for (_, rec) in &records {
+            rec.diff.apply(st.page_data(p)).unwrap();
+            valid_at.set(rec.owner, valid_at.get(rec.owner).max(rec.max_ivx()));
+        }
+        st.page_mut(p).valid_at = valid_at;
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Completion is exact against the references on random pages: the
+        /// same answer as records arrive one by one, then the same bytes
+        /// and valid notice once all of them are cached.
+        #[test]
+        fn completion_matches_the_reference(seed in 0u64..u64::MAX) {
+            let (mut st, records) = random_page(seed);
+            let (mut old, old_records) = random_page(seed);
+            for (rec, old_rec) in records.iter().zip(&old_records) {
+                proptest::prop_assert_eq!(st.can_complete(PAGE), can_complete_ref(&mut old, PAGE));
+                st.cache_diffs(PAGE, std::slice::from_ref(rec));
+                old.cache_diffs(PAGE, std::slice::from_ref(old_rec));
+            }
+            proptest::prop_assert!(st.can_complete(PAGE) && can_complete_ref(&mut old, PAGE));
+            st.apply_cached_diffs(PAGE);
+            apply_cached_diffs_ref(&mut old, PAGE);
+            proptest::prop_assert_eq!(st.page_data(PAGE), old.page_data(PAGE));
+            proptest::prop_assert_eq!(&st.page_mut(PAGE).valid_at, &old.page_mut(PAGE).valid_at);
+        }
+    }
+
+    /// A reply chain of four writers (the reader, node 0, among them)
+    /// delivered turn by turn through `incorporate_diffs`: the page stays
+    /// invalid until the last turn, which completes it with the reference's
+    /// bytes and wakes the waiting application. Nodes 3, 2, 1 wrote in that
+    /// order, each after seeing its predecessor: against the owner order
+    /// the chain delivers in, the later writer wins where writes overlap.
+    #[test]
+    fn a_chain_completes_the_page_on_its_last_turn() {
+        let chain = || {
+            let mut st = state(0, 4);
+            fake_write(&mut st, PAGE, 0, 9);
+            st.close_interval();
+            let (mut vc, mut base) = (st.con.vc.clone(), vec![0u8; st.cfg.page_size]);
+            let mut turns = vec![Vec::new(); 4];
+            for q in (1..4).rev() {
+                vc.set(q, 1);
+                let mut page = base.clone();
+                page[q..q + 8].fill(q as u8);
+                let diff = Diff::create(&base, &page);
+                turns[q].push(Arc::new(DiffRecord { owner: q, covers: vec![1], diff }));
+                st.apply_records(vec![IntervalRecord::new(q, 1, vc.clone(), vec![PAGE])], &vc);
+                base = page;
+            }
+            turns[0].push(Arc::clone(&st.page_mut(PAGE).diffs[&(0, 1)]));
+            (st, turns)
+        };
+        let ((mut st, turns), (mut old, old_turns)) = (chain(), chain());
+        st.rse.waiting_page = Some(PAGE);
+        for (turn, diffs) in turns.iter().enumerate() {
+            let (_, wake) = incorporate_diffs(&mut st, PAGE, diffs);
+            assert_eq!(st.page_mut(PAGE).valid, turn == 3, "after turn {turn}");
+            assert_eq!(wake, (turn == 3).then_some(PAGE));
+        }
+        old_turns.iter().for_each(|diffs| old.cache_diffs(PAGE, diffs));
+        apply_cached_diffs_ref(&mut old, PAGE);
+        assert_eq!(st.page_data(PAGE), old.page_data(PAGE));
+        assert_eq!(st.page_data(PAGE)[..12], [9, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 0]);
+    }
 
     #[test]
     fn own_diff_covers_all_undiffed_intervals() {
@@ -618,43 +722,6 @@ mod tests {
         assert_eq!(st.inspect_page(3), Some(vec![0; 64]));
         assert_eq!(st.inspect_page(9), Some(vec![0; 64]));
         assert!(st.data.pages.iter().all(|pg| pg.data.is_none()));
-    }
-
-    #[test]
-    fn apply_cached_diffs_orders_by_happened_before() {
-        let ps = DsmConfig::default().page_size;
-        // Node 0 writes bytes 4..20 = 1 in interval 1, then (after node 1
-        // saw it) node 1 writes bytes 0..10 = 2 in its interval 1. On
-        // node 2 the later writer wins where the two overlap.
-        let mut st = state(2, 3);
-        let mut vc01 = Vc::zero(3);
-        vc01.set(0, 1);
-        let mut vc11 = vc01.clone();
-        vc11.set(1, 1); // node 1's interval knows node 0's
-        let r0 = IntervalRecord::new(0, 1, vc01.clone(), vec![4]);
-        let r1 = IntervalRecord::new(1, 1, vc11.clone(), vec![4]);
-        st.apply_records(vec![r0, r1], &vc11);
-        let base = vec![0u8; ps];
-        let mut a = base.clone();
-        a[4..20].fill(1);
-        let mut b = a.clone();
-        b[0..10].fill(2);
-        st.page_mut(4).diffs.insert(
-            (0, 1),
-            Arc::new(DiffRecord { owner: 0, covers: vec![1], diff: Diff::create(&base, &a) }),
-        );
-        st.page_mut(4).diffs.insert(
-            (1, 1),
-            Arc::new(DiffRecord { owner: 1, covers: vec![1], diff: Diff::create(&a, &b) }),
-        );
-        assert!(st.can_complete(4));
-        st.apply_cached_diffs(4);
-        let page = st.page_mut(4);
-        assert!(page.valid);
-        let data = page.data.as_ref().unwrap().slice();
-        assert_eq!(&data[0..10], &[2; 10]);
-        assert_eq!(&data[10..20], &[1; 10]);
-        assert!(data[20..].iter().all(|&x| x == 0));
     }
 
     #[test]

@@ -27,6 +27,9 @@ pub type PageId = u32;
 pub struct IntervalData {
     /// The interval's vector timestamp.
     pub vc: Vc,
+    /// `vc.weight()`, summed once here: diff application sorts every
+    /// record it applies by the weight of the record's first interval.
+    pub weight: u64,
     /// Pages modified during the interval (write notices), ascending.
     pub pages: Vec<PageId>,
 }
@@ -47,19 +50,8 @@ pub struct IntervalRecord {
 impl IntervalRecord {
     /// Build a record, wrapping the payload for sharing.
     pub fn new(owner: NodeId, ivx: u32, vc: Vc, pages: Vec<PageId>) -> IntervalRecord {
-        IntervalRecord { owner, ivx, data: Arc::new(IntervalData { vc, pages }) }
-    }
-
-    /// The interval's vector timestamp.
-    #[inline]
-    pub fn vc(&self) -> &Vc {
-        &self.data.vc
-    }
-
-    /// Pages modified during the interval (write notices).
-    #[inline]
-    pub fn pages(&self) -> &[PageId] {
-        &self.data.pages
+        let weight = vc.weight();
+        IntervalRecord { owner, ivx, data: Arc::new(IntervalData { vc, weight, pages }) }
     }
 
     /// Approximate wire size in bytes (the wire carries the payload, not
@@ -105,7 +97,9 @@ impl IntervalStore {
             rec.owner,
             have + 1
         );
-        debug_assert_eq!(rec.data.vc.get(rec.owner), rec.ivx, "vc[owner] must equal the index");
+        let IntervalData { vc, weight, .. } = &*rec.data;
+        debug_assert_eq!(vc.get(rec.owner), rec.ivx, "vc[owner] must equal the index");
+        debug_assert_eq!(*weight, vc.weight(), "the weight is the timestamp's");
         self.per_owner[rec.owner].push(rec.data);
         true
     }
@@ -204,7 +198,7 @@ mod tests {
         let b = s.records_unknown_to(&zeros);
         assert!(Arc::ptr_eq(&a[0].data, &b[0].data));
         let stored = s.get(0, 1);
-        assert_eq!(stored.pages, a[0].pages());
+        assert_eq!(stored.pages, a[0].data.pages);
         // Cloning a record is an Arc bump too.
         let c = a[0].clone();
         assert!(Arc::ptr_eq(&c.data, &a[0].data));

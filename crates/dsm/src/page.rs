@@ -247,7 +247,9 @@ impl std::fmt::Debug for PageMeta {
 pub struct DiffRecord {
     pub owner: NodeId,
     /// Ascending interval indices of `owner` whose write notices this diff
-    /// satisfies.
+    /// satisfies. An owner's records for one page cover disjoint intervals
+    /// (diff creation drains the undiffed list), so `(owner, covers[0])`
+    /// names exactly one record.
     pub covers: Vec<u32>,
     pub diff: Diff,
 }

@@ -81,8 +81,14 @@ impl NodeState {
 /// Shared helpers for the layer modules' unit tests.
 #[cfg(test)]
 pub(crate) mod testutil {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
-    use crate::interval::PageId;
+    use crate::diff::Diff;
+    use crate::interval::{IntervalRecord, PageId};
+    use crate::page::{DiffEntry, DiffRecord};
+    use crate::vc::Vc;
 
     pub(crate) fn state(node: NodeId, n: usize) -> NodeState {
         let cfg = DsmConfig::default();
@@ -99,5 +105,60 @@ pub(crate) mod testutil {
             st.write_fault(p);
         }
         st.page_data(p)[offset] = val;
+    }
+
+    /// The page [`random_page`] builds.
+    pub(crate) const PAGE: PageId = 3;
+
+    /// A random [`PAGE`] on a reader among 2–8 nodes, drawn from `seed`: up
+    /// to 24 remote intervals learned through `apply_records`, two in three
+    /// writing the page, each after its owner's last and one random earlier
+    /// interval; their diffs as records of one or more intervals of an owner
+    /// (a page re-twinned between requests) over overlapping bytes; random
+    /// valid and peer notices; half the records cached. Returns them all.
+    pub(crate) fn random_page(seed: u64) -> (NodeState, Vec<DiffEntry>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..9usize);
+        let mut st = state(rng.gen_range(0..n), n);
+        let (mut last, mut seen) = (vec![Vc::zero(n); n], vec![Vc::zero(n)]);
+        let (zeros, mut records) = (vec![0u8; st.cfg.page_size], Vec::<DiffRecord>::new());
+        for _ in 0..rng.gen_range(1..25usize) {
+            let (q, writes) = ((st.node + rng.gen_range(1..n)) % n, rng.gen_range(0..3u8) > 0);
+            let ivx = st.con.intervals.known(q) + 1;
+            last[q].merge(&seen[rng.gen_range(0..seen.len())]);
+            last[q].set(q, ivx);
+            let (vc, pages) = (last[q].clone(), if writes { vec![PAGE] } else { Vec::new() });
+            st.apply_records(vec![IntervalRecord::new(q, ivx, vc.clone(), pages)], &vc);
+            seen.push(vc);
+            match records.iter_mut().rev().find(|r| r.owner == q) {
+                Some(r) if writes && rng.gen::<bool>() => r.covers.push(ivx),
+                _ if writes => {
+                    let (at, mut page) = (rng.gen_range(0..48usize), zeros.clone());
+                    page[at..at + rng.gen_range(1..16usize)].fill(records.len() as u8 + 1);
+                    let diff = Diff::create(&zeros, &page);
+                    records.push(DiffRecord { owner: q, covers: vec![ivx], diff });
+                }
+                _ => {}
+            }
+        }
+        let records: Vec<DiffEntry> = records.into_iter().map(Arc::new).collect();
+        let ceil: Vec<u32> = (0..n).map(|q| st.con.intervals.known(q) + 1).collect();
+        let stamp = |rng: &mut SmallRng| {
+            let mut vc = Vc::zero(n);
+            (0..n).for_each(|q| vc.set(q, rng.gen_range(0..ceil[q])));
+            vc
+        };
+        let page = st.page_mut(PAGE);
+        page.valid_at = stamp(&mut rng);
+        page.peers_valid_at = rng.gen::<bool>().then(|| stamp(&mut rng));
+        for q in 0..n {
+            if rng.gen::<bool>() {
+                page.announce_peer_valid(q, stamp(&mut rng));
+            }
+        }
+        for rec in records.iter().filter(|_| rng.gen::<bool>()) {
+            st.cache_diffs(PAGE, std::slice::from_ref(rec));
+        }
+        (st, records)
     }
 }

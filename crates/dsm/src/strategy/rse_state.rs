@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 use repseq_sim::{Dur, SimTime};
 use repseq_stats::NodeId;
 
-use crate::dataplane::pool_recycle;
+use crate::dataplane::{pool_recycle, DataPlane};
 use crate::interval::PageId;
 use crate::state::NodeState;
 use crate::vc::Vc;
@@ -309,41 +309,30 @@ impl NodeState {
     /// of them. The faulting node with the lowest identifier requests the
     /// union. Returns `(requester, union_of_missing)`.
     pub(crate) fn elect_requester(&mut self, p: PageId) -> (NodeId, Vec<(NodeId, u32)>) {
-        let n = self.n;
-        let me = self.node;
-        // Walk the page's write notices against every node's exchanged
-        // valid notice. The snapshot buffer comes from the scratch arena
-        // (`page.notices` cannot be borrowed across `self` accesses below),
-        // and each node's missing set is folded into `wanted` in place —
-        // the old per-node `collect` allocated n short-lived vectors per
-        // election, a steady drumbeat at hundreds of nodes. `wanted` itself
-        // escapes into the multicast request message, so it stays owned.
-        let mut notices = self.scratch.notices.take(&mut self.host);
-        notices.extend_from_slice(&self.page_mut(p).notices);
-        let page = &self.data.pages[p as usize];
-        let mut requester = None;
+        let (n, me) = (self.n, self.node);
+        self.page_mut(p);
+        let DataPlane { pages, zero, .. } = &self.data;
+        let page = &pages[p as usize];
+        // Every node's valid notice, resolved once: our own live one
+        // (identical to what we exchanged, plus deterministic updates all
+        // nodes replay identically), else the one last exchanged.
+        let stamps: Vec<&Vc> = (0..n)
+            .map(|q| if q == me { &page.valid_at } else { page.peer_valid_at(q).unwrap_or(zero) })
+            .collect();
+        // One pass over the notices, which hold each interval once: a
+        // notice some node misses is wanted, and the lowest node missing
+        // any notice requests.
+        let mut requester = n;
         let mut wanted: Vec<(NodeId, u32)> = Vec::new();
-        for q in 0..n {
-            let valid_q = if q == me {
-                // Our own live valid notice (identical to what we exchanged,
-                // plus deterministic updates all nodes replay identically).
-                &page.valid_at
-            } else {
-                page.peer_valid_at(q).unwrap_or(&self.data.zero)
-            };
-            for &(o, i) in notices.iter() {
-                if valid_q.covers(o, i) {
-                    continue;
-                }
-                requester.get_or_insert(q);
-                if !wanted.contains(&(o, i)) {
-                    wanted.push((o, i));
-                }
+        for &(o, i) in &page.notices {
+            if let Some(q) = stamps.iter().position(|vc| !vc.covers(o, i)) {
+                requester = requester.min(q);
+                wanted.push((o, i));
             }
         }
-        self.scratch.notices.give(notices);
-        wanted.sort();
-        (requester.expect("election on a page nobody faults on"), wanted)
+        assert!(requester < n, "election on a page nobody faults on");
+        wanted.sort_unstable();
+        (requester, wanted)
     }
 
     /// A read-only snapshot of the replicated-section protocol state, for
@@ -384,7 +373,42 @@ mod tests {
     use repseq_stats::NodeId;
 
     use super::*;
-    use crate::state::testutil::{fake_write, state};
+    use crate::state::testutil::{fake_write, random_page, state, PAGE};
+
+    /// The previous `elect_requester`, kept as the reference: node by node
+    /// over every notice, a linear `contains` per missing one. `None` where
+    /// no node faults.
+    fn elect_requester_ref(st: &mut NodeState, p: PageId) -> Option<(NodeId, Vec<(NodeId, u32)>)> {
+        st.page_mut(p);
+        let (page, zero) = (&st.data.pages[p as usize], &st.data.zero);
+        let (mut requester, mut union) = (None, Vec::new());
+        for q in 0..st.n {
+            let own = &page.valid_at;
+            let valid_q = if q == st.node { own } else { page.peer_valid_at(q).unwrap_or(zero) };
+            for &(o, i) in page.notices.iter().filter(|&&(o, i)| !valid_q.covers(o, i)) {
+                requester.get_or_insert(q);
+                if !union.contains(&(o, i)) {
+                    union.push((o, i));
+                }
+            }
+        }
+        union.sort();
+        requester.map(|q| (q, union))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The one-pass election elects the reference's requester and
+        /// wants the reference's diffs on random pages (`random_page`).
+        #[test]
+        fn election_matches_the_reference(seed in 0u64..u64::MAX) {
+            let (mut st, _) = random_page(seed);
+            if let Some(elected) = elect_requester_ref(&mut st, PAGE) {
+                proptest::prop_assert_eq!(st.elect_requester(PAGE), elected);
+            }
+        }
+    }
 
     #[test]
     fn rse_entry_protects_dirty_pages_and_exit_restores() {

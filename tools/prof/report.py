@@ -16,18 +16,26 @@ symbols, so such a name is the nearest *export* below the address and not a
 callee anyone called — on glibc 2.36 `__default_morecore` is the allocator's
 internal paths and `__nss_database_lookup` the memmove/memset family.
 Regexes search, so they match either way.
+The dump is read against the files it mapped, so profile a copy of the
+binary that no build overwrites; a file rebuilt since the run (another inode
+at its path) stops the report with its name instead of misreading it.
 """
 import argparse
 import bisect
 import collections
+import os
 import re
 import subprocess
+import sys
 
 
 def load(path):
     """Executable mappings as (lo, hi, load bias, file), the samples, and
-    the profiled executable (the first file `/proc/self/maps` lists)."""
-    maps, base, samples, exe = [], {}, [], None
+    the profiled executable (the first file `/proc/self/maps` lists).
+    Exits naming the file if one the dump mapped is no longer the file at
+    its path: a rebuild writes a new inode there, and symbolising the old
+    addresses against it would print a confident, wrong table."""
+    maps, base, samples, exe, inode = [], {}, [], None, {}
     for line in open(path):
         if line.startswith("M "):
             f = line.split()
@@ -35,10 +43,16 @@ def load(path):
                 exe = exe or f[6]
                 lo, hi = (int(x, 16) for x in f[1].split("-"))
                 base[f[6]] = min(lo, base.get(f[6], lo))
+                inode[f[6]] = int(f[5])
                 if "x" in f[2]:
                     maps.append((lo, hi, f[6]))
         elif line.startswith("S"):
             samples.append([int(a, 16) for a in line.split()[1:]])
+    for file in sorted({f for _, _, f in maps}):
+        now = os.stat(file).st_ino if os.path.exists(file) else None
+        if now != inode[file]:
+            sys.exit(f"{file} is not the file that was profiled (inode {inode[file]}, now "
+                     f"{now}): it was rebuilt or replaced. Profile a copy that stays put.")
     return sorted((lo, hi, bias(f, base[f]), f) for lo, hi, f in maps), samples, exe
 
 
