@@ -1,10 +1,11 @@
 //! The data plane: the page table — page contents, twins, cached diffs —
-//! plus the twin buffer pool and software-TLB revocation (the protection
-//! generation).
+//! plus the pool of released twins and software-TLB revocation (the
+//! protection generation).
 //!
 //! This layer owns *the page table* and the bytes behind it: one
 //! [`PageMeta`] slot per page of the shared segment, indexed by page
-//! number. Materializing pages from the segment, twinning on write faults,
+//! number. Materializing pages from the segment, twinning on write faults
+//! (outside replicated sections: a replicated write is diffed by nobody),
 //! lazy diff creation and application, the per-page diff cache, and every
 //! protection change that must invalidate the application process's
 //! software TLB happen here. It reads the interval store to order the
@@ -24,34 +25,11 @@ use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta};
 use crate::shmem::SharedSegment;
 use crate::vc::Vc;
 
-/// Twin-pool cap for nodes with no segment to size it from (unit tests,
-/// hand-built states). Clusters size the pool from the shared-segment page
-/// count instead ([`DataPlane::new`]), since a full sweep over the segment
-/// can twin every page of it.
-const TWIN_POOL_DEFAULT_CAP: usize = 64;
-
-/// Most buffers [`DataPlane::new`] prewarms eagerly; beyond this,
-/// first-touch allocation is cheaper than the up-front memory.
-const TWIN_POOL_PREWARM_MAX: usize = 256;
-
-/// Cluster-wide prewarm budget in pages (32 MiB at 4 KiB pages), split
-/// evenly across nodes. Prewarming is per node, so without the split a
-/// 256-node cluster would eagerly commit `256 × TWIN_POOL_PREWARM_MAX`
-/// pages before the run even starts. Each node's share never drops below
-/// [`TWIN_POOL_DEFAULT_CAP`]: enough to cover the whole segment of the
-/// scaled-down workloads that large host runs actually use, so their
-/// twin-pool hit rate stays ≥ 0.90 (pinned by `twin_pool_256.rs`).
-const TWIN_POOL_PREWARM_BUDGET: usize = 8192;
-
 /// Take a page buffer from `pool` (or allocate) and fill it with `src`,
-/// counting the hit or miss in `host`. Free functions rather than methods
-/// so callers can hold a `&mut` into the page table at the same time
-/// (disjoint field borrows).
-pub(crate) fn pool_take(
-    pool: &mut Vec<Box<[u8]>>,
-    host: &mut HostCounters,
-    src: &[u8],
-) -> Box<[u8]> {
+/// counting the hit or miss in `host`. A free function rather than a
+/// method so callers can hold a `&mut` into the page table at the same
+/// time (disjoint field borrows).
+fn pool_take(pool: &mut Vec<Box<[u8]>>, host: &mut HostCounters, src: &[u8]) -> Box<[u8]> {
     match pool.pop() {
         Some(mut buf) if buf.len() == src.len() => {
             host.twin_pool_hits += 1;
@@ -62,13 +40,6 @@ pub(crate) fn pool_take(
             host.twin_pool_misses += 1;
             src.to_vec().into_boxed_slice()
         }
-    }
-}
-
-/// Return a page buffer to `pool` for reuse.
-pub(crate) fn pool_recycle(pool: &mut Vec<Box<[u8]>>, cap: usize, buf: Box<[u8]>) {
-    if pool.len() < cap {
-        pool.push(buf);
     }
 }
 
@@ -166,15 +137,14 @@ pub(crate) struct DataPlane {
     pub(crate) pages: Vec<PageMeta>,
     /// Pages with a twin (writes not yet diffed).
     pub(crate) dirty_pages: Vec<PageId>,
-    /// Recycled page-sized buffers for twins: every write fault needs a
-    /// page copy, and the steady state of a fault-heavy run would
-    /// otherwise allocate and free one page per fault. Buffers return
-    /// here when a twin is consumed by diff creation or dropped at
-    /// replicated-section exit. Capped at `twin_pool_cap`.
+    /// Released twins, for reuse: a write fault on a page without a twin
+    /// copies the page into one, and the steady state of a fault-heavy
+    /// run would otherwise allocate and free one page per fault. A twin
+    /// comes back here when diff creation consumes it; a write inside a
+    /// replicated section takes none (§5.3). Nothing is prewarmed, so a
+    /// node allocates only when the pool is empty and never holds more
+    /// buffers than it once had twins live at a time.
     pub(crate) twin_pool: Vec<Box<[u8]>>,
-    /// Pool cap: the shared-segment page count, or
-    /// [`TWIN_POOL_DEFAULT_CAP`] if that is larger.
-    pub(crate) twin_pool_cap: usize,
     /// Per-page protection generations: bumped for a page at every
     /// protection *revocation* or out-of-band content change that could
     /// make a cached translation of it stale — interval close, invalidation
@@ -198,26 +168,13 @@ pub(crate) struct DataPlane {
 
 impl DataPlane {
     /// One node's data plane over `segment`, whose page count sizes the
-    /// page table and the twin pool: a segment-wide fault burst (one twin
-    /// per page) must recycle rather than allocate, so the cap tracks the
-    /// segment size, and the pool is prewarmed so even the first burst
-    /// hits. The prewarm is bounded two ways — per node
-    /// (`TWIN_POOL_PREWARM_MAX`) and cluster-wide
-    /// (`TWIN_POOL_PREWARM_BUDGET` split over `n` nodes) — so scaling the
-    /// node count does not scale the eagerly committed host memory with
-    /// it. The *cap* still tracks the full segment: buffers recycled after
-    /// the first burst are kept, so steady-state hits do not depend on the
-    /// prewarm bound.
-    pub(crate) fn new(n: usize, page_size: usize, segment: Arc<SharedSegment>) -> DataPlane {
+    /// page table. The twin pool starts empty.
+    pub(crate) fn new(n: usize, segment: Arc<SharedSegment>) -> DataPlane {
         let zero = Vc::zero(n);
-        let seg_pages = segment.pages();
-        let share = (TWIN_POOL_PREWARM_BUDGET / n.max(1)).max(TWIN_POOL_DEFAULT_CAP);
-        let warm = seg_pages.min(TWIN_POOL_PREWARM_MAX).min(share);
         DataPlane {
-            pages: (0..seg_pages).map(|_| PageMeta::new(zero.clone())).collect(),
+            pages: (0..segment.pages()).map(|_| PageMeta::new(zero.clone())).collect(),
             dirty_pages: Vec::new(),
-            twin_pool: (0..warm).map(|_| vec![0u8; page_size].into_boxed_slice()).collect(),
-            twin_pool_cap: seg_pages.max(TWIN_POOL_DEFAULT_CAP),
+            twin_pool: Vec::new(),
             prot_gen: Arc::new(GenTable::new()),
             segment,
             zero,
@@ -323,13 +280,14 @@ impl NodeState {
             // notice does not exist yet. Re-twin immediately so the rest of
             // the current interval stays separable — reusing the buffer of
             // the twin just consumed instead of cloning the page.
+            debug_assert!(!self.rse.active, "node {node}: re-twin of page {p} in a section");
             cost += self.cfg.twin_cost();
             let page = &mut self.data.pages[p as usize];
             twin.copy_from_slice(page.data.as_ref().unwrap().slice());
             page.twin = Some(twin);
             // stays writable and in the dirty set
         } else {
-            pool_recycle(&mut self.data.twin_pool, self.data.twin_pool_cap, twin);
+            self.data.twin_pool.push(twin);
             self.data.pages[p as usize].writable = false;
             self.data.dirty_pages.retain(|&q| q != p);
             self.bump_page_write_prot_gen(p); // write permission revoked, still readable
@@ -344,18 +302,31 @@ impl NodeState {
     }
 
     /// Handle a write fault on a *valid* page: create the twin if the page
-    /// has none (and, during a replicated section, the §5.3 pre-section
-    /// diff first). A page re-protected at an interval close keeps its
-    /// twin; the fault only re-enables writing and records the page in the
-    /// new interval's write set. Returns the cost to charge.
+    /// has none. A page re-protected at an interval close keeps its twin;
+    /// the fault only re-enables writing and records the page in the new
+    /// interval's write set. Inside a replicated section no twin is made:
+    /// every node applies the same writes, which produce no write notice
+    /// and no diff (§5.3). A dirty page's pre-section diff is created
+    /// first, and the section's first write fault on a page is charged the
+    /// twin all the same, so virtual time does not depend on the copy.
+    /// Returns the cost to charge.
     pub fn write_fault(&mut self, p: PageId) -> Dur {
         let mut cost = self.cfg.fault_overhead;
-        let in_rse = self.rse.active;
-        if in_rse && self.page_mut(p).rse_protected {
-            // First write to a dirty page inside a replicated section:
-            // create the pre-section diff before the page may change
-            // (§5.3), then fall through to re-twin.
-            cost += self.create_own_diff(p);
+        if self.rse.active {
+            if self.page_mut(p).rse_protected {
+                // Create the pre-section diff before the page may change.
+                cost += self.create_own_diff(p);
+            }
+            self.page_data(p); // materialize: the write lands in the page
+            let page = &mut self.data.pages[p as usize];
+            debug_assert!(page.valid && page.twin.is_none(), "write fault on page {p}");
+            page.writable = true;
+            if !page.rse_dirty {
+                cost += self.cfg.twin_cost();
+                page.rse_dirty = true;
+                self.rse.dirty.push(p);
+            }
+            return cost;
         }
         if self.page_mut(p).twin.is_none() {
             cost += self.cfg.twin_cost();
@@ -365,18 +336,11 @@ impl NodeState {
             let src = page.data.as_ref().unwrap().slice();
             let twin = pool_take(&mut self.data.twin_pool, &mut self.host, src);
             page.twin = Some(twin);
-            if !in_rse {
-                self.data.dirty_pages.push(p);
-            }
+            self.data.dirty_pages.push(p);
         }
         let page = &mut self.data.pages[p as usize];
         page.writable = true;
-        if in_rse {
-            if !page.rse_dirty {
-                page.rse_dirty = true;
-                self.rse.dirty.push(p);
-            }
-        } else if !page.written_cur {
+        if !page.written_cur {
             page.written_cur = true;
             self.con.cur_writes.push(p);
         }

@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 use repseq_sim::{Dur, SimTime};
 use repseq_stats::NodeId;
 
-use crate::dataplane::{pool_recycle, DataPlane};
+use crate::dataplane::DataPlane;
 use crate::interval::PageId;
 use crate::state::NodeState;
 use crate::vc::Vc;
@@ -151,9 +151,11 @@ impl RseState {
 impl NodeState {
     /// Enter a replicated section: write-protect every dirty page so lazy
     /// diff creation cannot leak replicated writes (§5.3), and snapshot the
-    /// entry vector time (identical on every node after the fork).
+    /// entry vector time (identical on every node after the fork). Every
+    /// way in closes the interval first, so no diff inside re-twins.
     pub fn enter_replicated(&mut self) {
         assert!(!self.rse.active, "nested replicated sections are not supported");
+        debug_assert!(self.con.cur_writes.is_empty(), "section entered mid-interval");
         self.rse.active = true;
         self.rse.section_epoch += 1;
         self.rse.entry_vc = self.con.vc.clone();
@@ -179,8 +181,8 @@ impl NodeState {
     /// Leave a replicated section: unprotect the dirty pages that were
     /// never written (§5.3: "the remaining write-protected dirty pages are
     /// unprotected and returned to their normal state") and retire the
-    /// pages written during the section — their twins are dropped, they
-    /// stay valid everywhere, and they produce no write notices.
+    /// pages written during the section — they hold no twin, stay valid
+    /// everywhere, and produce no write notices.
     pub fn exit_replicated(&mut self) {
         assert!(self.rse.active);
         self.rse.active = false;
@@ -196,9 +198,7 @@ impl NodeState {
         }
         for p in std::mem::take(&mut self.rse.dirty) {
             let page = &mut self.data.pages[p as usize];
-            if let Some(twin) = page.twin.take() {
-                pool_recycle(&mut self.data.twin_pool, self.data.twin_pool_cap, twin);
-            }
+            debug_assert!(page.twin.is_none(), "page {p} retired with a twin");
             page.writable = false;
             page.rse_dirty = false;
             page.valid = true;
@@ -432,12 +432,10 @@ mod tests {
     fn rse_dirty_pages_retire_silently() {
         let mut st = state(0, 2);
         st.enter_replicated();
-        // Simulate a replicated write (the runtime layer does this dance).
-        let ps = st.cfg.page_size;
+        // Simulate a replicated write (the runtime layer does this dance):
+        // writable and section-dirty, with no twin.
         {
             let page = st.page_mut(8);
-            let data = page.buf(ps, None).slice().to_vec();
-            page.twin = Some(data.into_boxed_slice());
             page.writable = true;
             page.rse_dirty = true;
         }

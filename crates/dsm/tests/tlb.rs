@@ -109,6 +109,7 @@ fn irrelevant_records_do_not_bump() {
 fn replicated_entry_and_exit_bump_generation() {
     let mut st = mk_state();
     write_page(&mut st, 7);
+    st.close_interval(); // the runtime enters a section between intervals
     let g0 = gen(&st);
     // §5.3: entry write-protects the dirty page — a writable TLB entry
     // from before the section would skip the pre-section diff.

@@ -2,7 +2,14 @@
 """Symbolise a tools/prof/sampler.c dump and print self / inclusive shares.
 
     tools/prof/report.py prof.out [--top 30] [--match REGEX ...] [--by-caller REGEX ...]
+                                  [--layers [--wall S]]
 
+--layers charges every sample to exactly one layer of the map in
+tools/prof/layers: the layer of its innermost first-party frame, or `other`.
+The rows are disjoint and sum to 100 %; a sample whose stack starts in
+libc's memmove family or its allocator is also counted in that row's
+`memmove` or `allocator` sub-row. --wall S (the profiled run's wall_s, one
+repetition) adds seconds per repetition.
 self = samples whose innermost function is F; incl = samples with F anywhere
 on the stack (inlined frames count, via `addr2line -i`). Each --match prints
 the inclusive share of all functions matching the regex, counted once per
@@ -23,10 +30,19 @@ at its path) stops the report with its name instead of misreading it.
 import argparse
 import bisect
 import collections
+import functools
+import itertools
 import os
 import re
 import subprocess
 import sys
+
+LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "layers")
+# Sub-rows: a libc leaf (a frame resolved in libc names the nearest export,
+# see above) under whichever layer the sample is charged to.
+LIBC_LEAF = re.compile(r"libc[\w.-]*:")
+SUB_ROWS = (("memmove", re.compile(r"nss_database|memmove|memcpy|memset")),
+            ("allocator", re.compile(r"malloc|free|realloc|morecore")))
 
 
 def load(path):
@@ -96,20 +112,111 @@ def symbolise(maps, samples, exe):
     return names
 
 
+def load_layers(path=LAYERS):
+    """The ordered `(regex, layer)` rules of a layer map (`REGEX -> LAYER`
+    a line, `#` comments)."""
+    with open(path) as f:
+        lines = [line.strip() for line in f]
+    rules = [line.rsplit(" -> ", 1) for line in lines if line and not line.startswith("#")]
+    return [(re.compile(regex.strip()), layer.strip()) for regex, layer in rules]
+
+
+def close(name, i):
+    """Index of the `>` that closes the `<` at `name[i]` (the `>` of an
+    arrow `->` closes nothing), or the end of `name`."""
+    depth = 0
+    for k in range(i, len(name)):
+        if name[k] == "<":
+            depth += 1
+        elif name[k] == ">" and name[k - 1] != "-":
+            depth -= 1
+            if depth == 0:
+                return k
+    return len(name)
+
+
+@functools.lru_cache(maxsize=None)
+def own_path(name):
+    """The path a frame's layer is read from. `<T as Trait>::f` (and v0's
+    `<T>::f`) is T's, `drop_in_place<T>` is T's, and otherwise generic
+    arguments and `<impl T>` segments are dropped, so that
+    `m::<impl T>::f` is module m's and `Kernel<M>::drain` is `Kernel`'s."""
+    if name.startswith("<"):
+        inner, depth = name[1:close(name, 0)], 0
+        for k, c in enumerate(inner):
+            depth += (c == "<") - (c == ">" and inner[k - 1] != "-")
+            if depth == 0 and inner.startswith(" as ", k):
+                inner = inner[:k]
+                break
+        return own_path(re.sub(r"^(&|mut |dyn |\*const |\*mut )+", "", inner.strip()))
+    m = re.match(r"(core|std)::ptr::drop_in_place<", name)
+    if m:
+        return own_path(name[m.end():close(name, m.end() - 1)])
+    out, k = [], 0
+    while k < len(name):
+        if name[k] == "<":
+            k = close(name, k) + 1
+        else:
+            out.append(name[k])
+            k += 1
+    return re.sub(r"(::)+", "::", "".join(out))
+
+
+def layer_of(name, rules):
+    """The layer of the first rule matching the frame's own path, or None
+    for a frame that is not first-party."""
+    path = own_path(name)
+    return next((layer for regex, layer in rules if regex.search(path)), None)
+
+
+def charge(funcs, rules):
+    """`(layer, sub-row)` of one sample, `funcs` innermost first: the layer
+    of the innermost first-party frame (`other` if none), and the sub-row
+    of the innermost frame that names one among the libc frames the stack
+    starts with (None if none does)."""
+    layer = next(filter(None, (layer_of(f, rules) for f in funcs)), "other")
+    leaves = itertools.takewhile(LIBC_LEAF.match, funcs)
+    return layer, next((sub for f in leaves for sub, regex in SUB_ROWS if regex.search(f)), None)
+
+
+def print_layers(table, rules, wall):
+    """The layer rows in map order, then `other`, each with its non-empty
+    sub-rows; seconds per repetition too if `wall` is given."""
+    total = max(sum(table.values()), 1)
+    layers = list(dict.fromkeys(layer for _, layer in rules)) + ["other"]
+
+    def row(label, n):
+        secs = f"  {wall * n / total:8.3f}" if wall else ""
+        print(f"  {label:<14} {100 * n / total:6.1f} %{secs}")
+
+    print(f"\n  {'layer':<14} {'share':>8}" + ("  s/rep" if wall else ""))
+    for layer in layers:
+        row(layer, sum(n for (l, _), n in table.items() if l == layer))
+        for sub, _ in SUB_ROWS:
+            if table[(layer, sub)]:
+                row("  " + sub, table[(layer, sub)])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("dump")
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--match", action="append", default=[])
     ap.add_argument("--by-caller", action="append", default=[])
+    ap.add_argument("--layers", action="store_true")
+    ap.add_argument("--wall", type=float)
     args = ap.parse_args()
     maps, samples, exe = load(args.dump)
     names = symbolise(maps, samples, exe)
     self_n, incl_n = collections.Counter(), collections.Counter()
     matched = collections.Counter()
     callers = {pat: collections.Counter() for pat in args.by_caller}
+    rules = load_layers() if args.layers else []
+    layers = collections.Counter()
     for stack in samples:
         funcs = [f for a in stack for f in names.get(a, ["?? (unmapped)"])]
+        if args.layers:
+            layers[charge(funcs, rules)] += 1
         if not funcs:
             continue
         self_n[funcs[0]] += 1
@@ -124,6 +231,8 @@ def main():
                 table[next(outer, "(no repseq caller)")] += 1
     total = max(len(samples), 1)
     print(f"{len(samples)} samples")
+    if args.layers:
+        print_layers(layers, rules, args.wall)
     for pat in args.match:
         print(f"  match {pat!r}: {100 * matched[pat] / total:5.1f} % inclusive")
     for pat, table in callers.items():
