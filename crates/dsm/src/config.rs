@@ -64,6 +64,8 @@ pub struct DsmConfig {
     pub sync_overhead: Dur,
     /// Receive timeout before the replicated-section recovery path kicks in
     /// (§5.4.2: "a rather expensive mechanism ... almost never invoked").
+    /// Also the parallel-section fetch timer's initial value and floor:
+    /// that timer learns each node's fetch time and backs off.
     pub rse_timeout: Dur,
     /// Maximum §5.4.2 recovery rounds for one fault before the node gives
     /// up with a diagnostic panic. Every round re-requests every missing

