@@ -316,13 +316,8 @@ impl DsmNode {
                 DsmMsg::PageBroadcast { page: p, data, vc: st.con.vc.clone() }
             };
             let size = msg.wire_size();
-            let dsts: Vec<_> = self
-                .topo
-                .all_handlers()
-                .into_iter()
-                .filter(|&(node, _)| node != self.node())
-                .collect();
-            let at = self.nic.multicast(&self.ctx, &dsts, MsgClass::Broadcast, size, msg);
+            let dsts = &self.topo.all_handlers()[1..];
+            let at = self.nic.multicast(&self.ctx, dsts, MsgClass::Broadcast, size, msg);
             last_delivery = last_delivery.max(at);
             sent += 1;
         }

@@ -10,7 +10,11 @@
 //! the shared stale-reply absorption. The replicated fetch waits the fixed
 //! `rse_timeout`; the parallel fetch's timer is RFC 6298's: it starts from
 //! the node's learned fetch time and doubles on every timeout, so a reply
-//! that is slow, not lost, is not asked for again and again.
+//! that is slow, not lost, is not asked for again and again. A timeout
+//! before any owner has answered resends to the first outstanding owner
+//! only, a probe (RFC 6298 §5.4 retransmits the earliest unacknowledged
+//! segment, not the window); one after an answer resends to every owner
+//! still outstanding.
 
 use repseq_sim::{Dur, Envelope, SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::{MsgClass, NodeId};
@@ -190,15 +194,7 @@ impl DsmNode {
                     reply_to: self.ctx.pid(),
                     req_id,
                 };
-                let size = msg.wire_size();
-                self.nic.unicast(
-                    &self.ctx,
-                    *owner,
-                    self.topo.handler_pids[*owner],
-                    MsgClass::DiffRequest,
-                    size,
-                    msg,
-                );
+                self.to_handler(*owner, MsgClass::DiffRequest, msg);
             };
             outstanding.iter().for_each(request);
             // The unicast transport is logically reliable (TreadMarks ran
@@ -209,6 +205,10 @@ impl DsmNode {
                 let timeout = st.fetch.first_wait(st.cfg.rse_timeout);
                 RetryTimer { timeout, ..RetryTimer::from_cfg(&st.cfg) }
             };
+            // Until some owner answers, silence is more likely a queue at
+            // the owners than loss: a timeout probes the first outstanding
+            // owner only. Once one has answered, it resends to all.
+            let mut heard = false;
             while !outstanding.is_empty() {
                 let env = match timer.recv(&self.ctx, |retries| {
                     format!(
@@ -218,7 +218,8 @@ impl DsmNode {
                 })? {
                     Some(env) => env,
                     None => {
-                        outstanding.iter().for_each(request);
+                        let probe = if heard { outstanding.len() } else { 1 };
+                        outstanding[..probe].iter().for_each(request);
                         continue;
                     }
                 };
@@ -238,6 +239,7 @@ impl DsmNode {
                         let mut st = self.st.lock();
                         st.cache_diffs(p, &diffs);
                         outstanding.retain(|e| e.0 != owner);
+                        heard = true;
                     }
                     ReplyClass::Stale => {
                         // Reply to an aborted fetch: count it, drop it.

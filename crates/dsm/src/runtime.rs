@@ -11,10 +11,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use repseq_net::Nic;
 use repseq_sim::{Dur, Pid, SendCtx, Stopped};
-use repseq_stats::{NodeId, StatsRef};
+use repseq_stats::{MsgClass, NodeId, StatsRef};
 
 use crate::dataplane::GenTable;
 use crate::interval::PageId;
+use crate::msg::DsmMsg;
 use crate::page::PageBuf;
 use crate::pod::Pod;
 use crate::race::{AccessKind, AccessTap, RaceSink, SyncEdge};
@@ -113,6 +114,8 @@ pub(crate) struct Topology {
     pub app_pids: Vec<Pid>,
     /// Protocol-handler process of each node.
     pub handler_pids: Vec<Pid>,
+    /// `(node, handler pid)` of every node, in node order.
+    handlers: Vec<(NodeId, Pid)>,
     pub stats: StatsRef,
     /// Race-detection sink, if one was installed on the cluster.
     pub race: Option<Arc<dyn RaceSink>>,
@@ -120,7 +123,9 @@ pub(crate) struct Topology {
 
 impl Topology {
     pub(crate) fn new(n: usize, stats: StatsRef, race: Option<Arc<dyn RaceSink>>) -> Topology {
-        Topology { n, app_pids: (n..2 * n).collect(), handler_pids: (0..n).collect(), stats, race }
+        let handler_pids: Vec<Pid> = (0..n).collect();
+        let handlers = handler_pids.iter().copied().enumerate().collect();
+        Topology { n, app_pids: (n..2 * n).collect(), handler_pids, handlers, stats, race }
     }
 
     /// The node whose application process is `pid`, if any.
@@ -134,9 +139,10 @@ impl Topology {
     }
 
     /// Destination list for a multicast to every handler (IP-multicast
-    /// loopback included: the sender's own handler receives it too).
-    pub(crate) fn all_handlers(&self) -> Vec<(NodeId, Pid)> {
-        self.handler_pids.iter().copied().enumerate().collect()
+    /// loopback included: the sender's own handler receives it too), in
+    /// node order: `[1..]` is every handler but the master's.
+    pub(crate) fn all_handlers(&self) -> &[(NodeId, Pid)] {
+        &self.handlers
     }
 }
 
@@ -220,6 +226,18 @@ impl DsmNode {
     /// True on the master node.
     pub fn is_master(&self) -> bool {
         self.node() == 0
+    }
+
+    /// Send `msg` to node `q`'s protocol handler: delivered at once with no
+    /// network cost if `q` is this node, else a unicast of class `class`.
+    pub(crate) fn to_handler(&self, q: NodeId, class: MsgClass, msg: DsmMsg) {
+        let pid = self.topo.handler_pids[q];
+        if q == self.node() {
+            self.nic.local(&self.ctx, pid, msg);
+        } else {
+            let size = msg.wire_size();
+            self.nic.unicast(&self.ctx, q, pid, class, size, msg);
+        }
     }
 
     /// The substrate context (for charging application compute time, raw

@@ -183,7 +183,7 @@ pub(crate) fn multicast_to_handlers(
     msg: DsmMsg,
 ) {
     let size = msg.wire_size();
-    node_nic.multicast(ctx, &topo.all_handlers(), class, size, msg);
+    node_nic.multicast(ctx, topo.all_handlers(), class, size, msg);
 }
 
 // =================================================================

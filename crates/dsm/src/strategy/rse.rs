@@ -78,9 +78,8 @@ impl DsmNode {
         //    and must not overtake the table.
         let msg = DsmMsg::ValidNoticeTable { deltas: table.into() };
         let size = msg.wire_size();
-        let dsts: Vec<_> =
-            self.topo.all_handlers().into_iter().filter(|&(node, _)| node != 0).collect();
-        let at = self.nic.multicast_reliable(&self.ctx, &dsts, MsgClass::ValidNotice, size, msg);
+        let dsts = &self.topo.all_handlers()[1..];
+        let at = self.nic.multicast_reliable(&self.ctx, dsts, MsgClass::ValidNotice, size, msg);
         let service = self.st.lock().cfg.service_overhead;
         let resume_at = at + service * 2;
         let now = self.ctx.now();
@@ -220,19 +219,7 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
         // frames of the section entry — at ~200 nodes that is seconds of
         // virtual delay, during which every other node times out and
         // fires §5.4.2 recovery at full strength.
-        if me == 0 {
-            node.nic.local(node.ctx(), node.topo.handler_pids[0], msg);
-        } else {
-            let size = msg.wire_size();
-            node.nic.unicast(
-                node.ctx(),
-                0,
-                node.topo.handler_pids[0],
-                MsgClass::DiffRequest,
-                size,
-                msg,
-            );
-        }
+        node.to_handler(0, MsgClass::DiffRequest, msg);
     }
     let mut timer = RetryTimer::from_cfg(&node.st.lock().cfg);
     let mut seen_turns = node.st.lock().rse.chain_turns;
@@ -331,15 +318,7 @@ fn send_recovery_requests(node: &DsmNode, p: PageId, me: NodeId) {
     };
     for (owner, ivxs) in plan {
         let msg = DsmMsg::RecoveryRequest { page: p, ivxs, requester: me, reply_mcast: true };
-        let size = msg.wire_size();
-        node.nic.unicast(
-            node.ctx(),
-            owner,
-            node.topo.handler_pids[owner],
-            MsgClass::DiffRequest,
-            size,
-            msg,
-        );
+        node.to_handler(owner, MsgClass::DiffRequest, msg);
     }
 }
 

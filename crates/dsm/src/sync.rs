@@ -102,13 +102,7 @@ impl DsmNode {
             }
         };
         self.ctx.charge(self.sync_cost());
-        let size = msg.wire_size();
-        if node == 0 {
-            // The manager lives on this node: no network traffic.
-            self.nic.local(&self.ctx, self.topo.handler_pids[0], msg);
-        } else {
-            self.nic.unicast(&self.ctx, 0, self.topo.handler_pids[0], MsgClass::Sync, size, msg);
-        }
+        self.to_handler(0, MsgClass::Sync, msg);
         loop {
             let env = self.ctx.recv()?;
             match env.msg {
@@ -172,21 +166,8 @@ impl DsmNode {
                 forwarded: false,
             }
         };
-        let mgr = self.lock_manager(l);
-        let size = msg.wire_size();
         self.ctx.charge(self.sync_cost());
-        if mgr == node {
-            self.nic.local(&self.ctx, self.topo.handler_pids[mgr], msg);
-        } else {
-            self.nic.unicast(
-                &self.ctx,
-                mgr,
-                self.topo.handler_pids[mgr],
-                MsgClass::Lock,
-                size,
-                msg,
-            );
-        }
+        self.to_handler(self.lock_manager(l), MsgClass::Lock, msg);
         loop {
             let env = self.ctx.recv()?;
             match env.msg {

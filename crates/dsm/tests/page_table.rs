@@ -1,7 +1,8 @@
 //! The page table as the one home of per-page protocol state: the peers'
 //! valid notices as a common stamp plus exceptions, the `valid_changed`
 //! worklist, the presized table of a launched cluster, the resend path of
-//! the sorted fetch plan, and the one shared segment behind both backends.
+//! the sorted fetch plan (its probe before any reply, its recovery under
+//! loss), and the one shared segment behind both backends.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -9,11 +10,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_dsm::{
-    AppFn, Backend, Cluster, ClusterConfig, DsmConfig, DsmNode, NodeState, PageId, ShArray,
-    SharedSegment, Vc,
+    AppFn, Backend, Cluster, ClusterConfig, DsmConfig, DsmNode, LaunchOutcome, NodeState, PageId,
+    ShArray, SharedSegment, Vc,
 };
+use repseq_net::LossConfig;
 use repseq_sim::{Dur, SubstrateCtx};
-use repseq_stats::{Section, Stats};
+use repseq_stats::{MsgClass, Section, Stats};
 
 const N: usize = 4;
 const ME: usize = 1;
@@ -202,17 +204,13 @@ fn a_launched_cluster_never_grows_its_page_tables() {
     assert_eq!(outcome.page_slots(last + 1), vec!["None"; n]);
 }
 
-/// A fetch whose owners answer at different speeds: the resend after a
-/// timeout goes to exactly the owners still outstanding, with the interval
-/// list the plan first asked them for. Node 1's small diff is back well
-/// inside the timeout (set mid-way between the two replies' arrival), node
-/// 2's whole-page one is not, so only node 2 is asked again.
-#[test]
-fn resend_asks_only_the_owners_still_outstanding() {
+/// Node 0 reads one page that nodes 1 and 2 wrote: node 1 one word (a
+/// small diff), node 2 the rest (a whole-page one). So one fetch asks two
+/// owners, node 1 first in plan order. Returns the run's outcome and each
+/// node's diff frames.
+fn two_owner_fetch(cfg: ClusterConfig) -> (LaunchOutcome, Vec<u64>) {
     let n = 3;
     let stats = Stats::new(n);
-    let mut cfg = ClusterConfig::paper(n);
-    cfg.dsm.rse_timeout = Dur::from_micros(600);
     let mut cl = Cluster::new(cfg, Arc::clone(&stats));
     let arr: ShArray<u64> = cl.alloc_array_page_aligned(512);
     let sum = Arc::new(Mutex::new(0u64));
@@ -245,13 +243,60 @@ fn resend_asks_only_the_owners_still_outstanding() {
             }) as AppFn
         })
         .collect();
-    cl.launch(apps).expect("run completes");
+    let outcome = cl.launch_inspect(apps);
+    outcome.result.as_ref().expect("run completes");
     assert_eq!(*sum.lock(), 7 + (1..512).sum::<u64>());
     let snap = stats.snapshot();
-    let diff_frames = |q: usize| snap.nodes[q].section(Section::Startup).diff_messages;
-    assert_eq!(diff_frames(1), 1, "node 1 answered once and was not asked again");
-    assert_eq!(diff_frames(2), 2, "node 2 was slow: asked again, answered twice");
-    assert_eq!(diff_frames(0), 3, "two requests and the one resend");
+    let frames = (0..n).map(|q| snap.nodes[q].section(Section::Startup).diff_messages).collect();
+    (outcome, frames)
+}
+
+fn with_timeout(us: u64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::paper(3);
+    cfg.dsm.rse_timeout = Dur::from_micros(us);
+    cfg
+}
+
+/// A fetch whose owners answer at different speeds: the resend after a
+/// timeout goes to exactly the owners still outstanding, with the interval
+/// list the plan first asked them for. Node 1's small diff is back well
+/// inside the timeout (set mid-way between the two replies' arrival), node
+/// 2's whole-page one is not, so only node 2 is asked again.
+#[test]
+fn resend_asks_only_the_owners_still_outstanding() {
+    let (_, frames) = two_owner_fetch(with_timeout(600));
+    // Node 0: two requests and the one resend. Node 1 answered once and
+    // was not asked again; node 2 was slow: asked again, answered twice.
+    assert_eq!(frames, [3, 1, 2]);
+}
+
+/// A timeout below both owners' replies (node 1's lands near 160 µs, node
+/// 2's near 800 µs). Before any reply a timeout probes the first owner in
+/// plan order only: at 100 µs node 1 alone is asked again. Node 2 is asked
+/// again only once node 1 has answered, at 300 and at 700 µs.
+#[test]
+fn a_timeout_before_any_reply_probes_the_first_owner_only() {
+    let (_, frames) = two_owner_fetch(with_timeout(100));
+    // Node 0: two requests, the probe and two resends to node 2.
+    assert_eq!(frames, [5, 2, 3]);
+}
+
+/// Unicast loss that drops both of a two-owner fetch's first requests, and
+/// later frames of the same fetch: the probes and resends still complete
+/// it within `rse_max_retries` (the run would panic otherwise). Seed pinned
+/// by scanning.
+#[test]
+fn a_fetch_whose_first_requests_are_all_dropped_still_completes() {
+    let mut cfg = with_timeout(100);
+    cfg.net.loss = Some(LossConfig { drop_per_mille: 500, seed: 22, unicast: true });
+    let (outcome, _) = two_owner_fetch(cfg);
+    let dropped = |dst| {
+        outcome
+            .loss_events
+            .iter()
+            .any(|e| (e.src, e.dst, e.pair_seq, e.class) == (0, dst, 0, MsgClass::DiffRequest))
+    };
+    assert!(dropped(1) && dropped(2), "loss log: {:?}", outcome.loss_events);
 }
 
 /// Both backends read a preloaded page and a never-preloaded page of the
