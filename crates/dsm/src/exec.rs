@@ -1,18 +1,71 @@
-//! The execution layer: fork/join plumbing (Tmk_fork / Tmk_join), the
-//! slave scheduler loop, parallel sections, and the hand-inserted page
-//! broadcast used by the `MasterOnlyBroadcast` ablation and the
-//! `MasterPush` strategy.
+//! The execution layer: the one receive every application-side wait goes
+//! through, fork/join plumbing (Tmk_fork / Tmk_join), the slave scheduler
+//! loop, parallel sections, and the hand-inserted page broadcast used by
+//! the `MasterOnlyBroadcast` ablation and the `MasterPush` strategy.
 
+use std::fmt;
 use std::sync::Arc;
 
-use repseq_sim::{Dur, SendCtx, Stopped, SubstrateCtx};
-use repseq_stats::MsgClass;
+use repseq_sim::{Dur, Envelope, SendCtx, Stopped, SubstrateCtx};
+use repseq_stats::{MsgClass, NodeId};
 
 use crate::interval::{IntervalRecord, PageId};
 use crate::msg::{DsmMsg, TaskPayload};
 use crate::race::SyncEdge;
 use crate::runtime::DsmNode;
 use crate::vc::Vc;
+
+/// What a node is waiting for when a message arrives, as a protocol
+/// violation names it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Waiting {
+    Barrier,
+    Lock(u32),
+    Fetch(PageId),
+    Multicast(PageId),
+    Parked,
+    Joins,
+    ValidNotices,
+    SeqDone,
+    SeqGo,
+    /// The protocol handler, between requests.
+    Handler,
+}
+
+impl fmt::Display for Waiting {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Waiting::Barrier => write!(f, "at a barrier"),
+            Waiting::Lock(l) => write!(f, "while acquiring lock {l}"),
+            Waiting::Fetch(p) => write!(f, "while fetching page {p}"),
+            Waiting::Multicast(p) => write!(f, "waiting for multicast diffs of page {p}"),
+            Waiting::Parked => write!(f, "while parked"),
+            Waiting::Joins => write!(f, "while joining"),
+            Waiting::ValidNotices => write!(f, "during the valid-notice exchange"),
+            Waiting::SeqDone => write!(f, "ending a replicated section"),
+            Waiting::SeqGo => write!(f, "awaiting SeqGo"),
+            Waiting::Handler => write!(f, "in the protocol handler"),
+        }
+    }
+}
+
+/// What a wait makes of one message (see [`DsmNode::recv_until`]).
+pub(crate) enum Step<T> {
+    /// The message ends the wait with this value.
+    Done(T),
+    /// The message was consumed; keep waiting.
+    Wait,
+    /// Not this wait's message: the shared straggler rule decides.
+    Other(DsmMsg),
+}
+
+/// The one place a message that no wait-state accepts stops a node. Only
+/// a protocol bug (or a forged message) gets here: every straggler the
+/// lossy transport and the resend layer can produce is absorbed by the
+/// rule in [`DsmNode::recv_until`].
+pub(crate) fn protocol_violation(node: NodeId, waiting: Waiting, msg: &DsmMsg) -> ! {
+    panic!("node {node}: unexpected {} {waiting}", msg.kind())
+}
 
 /// Fork/join bookkeeping (master side, plus what each node knows the
 /// master knows).
@@ -39,13 +92,6 @@ impl ExecState {
             pending_seqdone: 0,
         }
     }
-}
-
-/// What a parked slave observed (see [`DsmNode::wait_fork`]).
-pub enum ParkEvent {
-    /// A fork: run this task. `replicated` marks a replicated sequential
-    /// section.
-    Task { task: TaskPayload, replicated: bool },
 }
 
 /// A task function shipped at a fork — the analogue of the
@@ -75,30 +121,53 @@ impl Task {
 }
 
 impl DsmNode {
-    /// Absorb messages that can legally arrive while an application process
-    /// is blocked on something else: early joins and SeqDone signals from
-    /// fast slaves (buffered for `wait_joins` / `end_replicated_master`)
-    /// and stale page wakeups. Returns true if the message was absorbed.
-    pub(crate) fn absorb_stray(&self, msg: DsmMsg) -> bool {
-        match msg {
-            DsmMsg::Join { from, vc, records } => {
-                self.st.lock().exec.pending_joins.push((from, vc, records));
-                true
+    /// The one receive of every application-side wait. Each message is
+    /// offered to `take` first. One it hands back is a straggler, which the
+    /// lossy transport and the resend layer can land in any wait, and one
+    /// rule absorbs it: an early join or SeqDone from a fast slave is
+    /// buffered for `wait_joins` / `end_replicated_master`, a page wakeup
+    /// is dropped, and a diff reply is counted stale (a fetch's `take`
+    /// accepts its own reply, so any other is a duplicate whose original
+    /// won the race). Anything else is a [`protocol_violation`]. `None`
+    /// means `timeout` passed with no message; each message restarts the
+    /// full `timeout`.
+    pub(crate) fn recv_until<T>(
+        &self,
+        waiting: Waiting,
+        timeout: Option<Dur>,
+        mut take: impl FnMut(Envelope<DsmMsg>) -> Step<T>,
+    ) -> Result<Option<T>, Stopped> {
+        loop {
+            let env = match timeout {
+                None => self.ctx.recv()?,
+                Some(d) => match self.ctx.recv_timeout(d)? {
+                    Some(env) => env,
+                    None => return Ok(None),
+                },
+            };
+            match take(env) {
+                Step::Done(v) => return Ok(Some(v)),
+                Step::Wait | Step::Other(DsmMsg::WakePage { .. }) => {}
+                Step::Other(DsmMsg::Join { from, vc, records }) => {
+                    self.st.lock().exec.pending_joins.push((from, vc, records))
+                }
+                Step::Other(DsmMsg::SeqDone { .. }) => self.st.lock().exec.pending_seqdone += 1,
+                Step::Other(DsmMsg::DiffReply { .. }) => {
+                    self.topo.stats.on_stale_reply(self.node())
+                }
+                Step::Other(msg) => protocol_violation(self.node(), waiting, &msg),
             }
-            DsmMsg::SeqDone { .. } => {
-                self.st.lock().exec.pending_seqdone += 1;
-                true
-            }
-            DsmMsg::WakePage { .. } => true,
-            // A duplicate reply from the resend layer whose original won
-            // the race: only fetch loops consume replies (matched by
-            // req_id), so outside one a reply is always stale.
-            DsmMsg::DiffReply { .. } => {
-                self.topo.stats.on_stale_reply(self.node());
-                true
-            }
-            _ => false,
         }
+    }
+
+    /// [`DsmNode::recv_until`] with no deadline.
+    pub(crate) fn recv_for<T>(
+        &self,
+        waiting: Waiting,
+        take: impl FnMut(Envelope<DsmMsg>) -> Step<T>,
+    ) -> Result<T, Stopped> {
+        let v = self.recv_until(waiting, None, take)?;
+        Ok(v.expect("a wait with no deadline ends only with a value"))
     }
 
     /// Master: fork `task` to every slave, shipping each the interval
@@ -124,38 +193,36 @@ impl DsmNode {
         Ok(())
     }
 
-    /// Slave: park until the master forks a task. Valid-notice requests (the
-    /// exchange preceding a replicated section) are answered transparently
-    /// while parked.
-    pub fn wait_fork(&self) -> Result<ParkEvent, Stopped> {
+    /// Slave: park until the master forks a task, and return it with
+    /// whether it is a replicated sequential section. Valid-notice requests
+    /// (the exchange preceding a replicated section) are answered
+    /// transparently while parked.
+    fn wait_fork(&self) -> Result<(TaskPayload, bool), Stopped> {
         let node = self.node();
-        loop {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::Fork { records, vc, task, replicated } => {
-                    let cost = {
-                        let mut st = self.st.lock();
-                        let c = st.apply_records(records, &vc);
-                        st.exec.master_known = vc;
-                        c
-                    };
-                    self.ctx.charge(cost + self.sync_cost());
-                    self.race_sync(SyncEdge::ForkRecv);
-                    return Ok(ParkEvent::Task { task, replicated });
-                }
-                DsmMsg::ValidNoticeRequest { reply_to } => {
-                    let msg = {
-                        let mut st = self.st.lock();
-                        DsmMsg::ValidNoticeReply { from: node, delta: st.take_valid_delta() }
-                    };
-                    let size = msg.wire_size();
-                    self.ctx.charge(self.sync_cost());
-                    self.nic.unicast(&self.ctx, 0, reply_to, MsgClass::ValidNotice, size, msg);
-                }
-                DsmMsg::WakePage { .. } | DsmMsg::DiffReply { .. } => {}
-                other => panic!("node {node}: unexpected {} while parked", other.kind()),
+        self.recv_for(Waiting::Parked, |env| match env.msg {
+            DsmMsg::Fork { records, vc, task, replicated } => {
+                let cost = {
+                    let mut st = self.st.lock();
+                    let c = st.apply_records(records, &vc);
+                    st.exec.master_known = vc;
+                    c
+                };
+                self.ctx.charge(cost + self.sync_cost());
+                self.race_sync(SyncEdge::ForkRecv);
+                Step::Done((task, replicated))
             }
-        }
+            DsmMsg::ValidNoticeRequest { reply_to } => {
+                let msg = {
+                    let mut st = self.st.lock();
+                    DsmMsg::ValidNoticeReply { from: node, delta: st.take_valid_delta() }
+                };
+                let size = msg.wire_size();
+                self.ctx.charge(self.sync_cost());
+                self.nic.unicast(&self.ctx, 0, reply_to, MsgClass::ValidNotice, size, msg);
+                Step::Wait
+            }
+            other => Step::Other(other),
+        })
     }
 
     /// Slave: signal completion of the forked task to the master, shipping
@@ -178,48 +245,32 @@ impl DsmNode {
 
     /// Master: wait for every slave's join and merge their consistency
     /// information. Joins that arrived while the master was blocked
-    /// elsewhere (buffered by `absorb_stray`) are consumed first.
+    /// elsewhere (buffered by the receive's straggler rule) are consumed
+    /// first.
     pub fn wait_joins(&self) -> Result<(), Stopped> {
         assert!(self.is_master());
-        let mut pending = self.topo.n - 1;
-        {
+        let buffered = {
             let mut st = self.st.lock();
             st.close_interval();
-            let buffered = std::mem::take(&mut st.exec.pending_joins);
-            drop(st);
-            for (from, vc, records) in buffered {
-                let cost = {
-                    let mut st = self.st.lock();
-                    let c = st.apply_records(records, &vc);
-                    st.exec.peer_vcs[from] = vc;
-                    c
-                };
-                self.ctx.charge(cost + self.sync_cost());
-                self.race_sync(SyncEdge::JoinRecv { from });
-                pending -= 1;
-            }
-        }
-        while pending > 0 {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::Join { from, vc, records } => {
-                    let cost = {
-                        let mut st = self.st.lock();
-                        let c = st.apply_records(records, &vc);
-                        st.exec.peer_vcs[from] = vc;
-                        c
-                    };
-                    self.ctx.charge(cost + self.sync_cost());
-                    self.race_sync(SyncEdge::JoinRecv { from });
-                    pending -= 1;
-                }
-                // Stale wakeups, and duplicate replies from the resend
-                // layer whose originals won the race (the fetch they
-                // answered already completed), drift into any later
-                // receive loop at large node counts.
-                DsmMsg::WakePage { .. } | DsmMsg::DiffReply { .. } => {}
-                other => panic!("master: unexpected {} while joining", other.kind()),
-            }
+            std::mem::take(&mut st.exec.pending_joins)
+        };
+        let join = |(from, vc, records): (NodeId, Vc, Vec<IntervalRecord>)| {
+            let cost = {
+                let mut st = self.st.lock();
+                let c = st.apply_records(records, &vc);
+                st.exec.peer_vcs[from] = vc;
+                c
+            };
+            self.ctx.charge(cost + self.sync_cost());
+            self.race_sync(SyncEdge::JoinRecv { from });
+        };
+        let pending = self.topo.n - 1 - buffered.len();
+        buffered.into_iter().for_each(&join);
+        for _ in 0..pending {
+            join(self.recv_for(Waiting::Joins, |env| match env.msg {
+                DsmMsg::Join { from, vc, records } => Step::Done((from, vc, records)),
+                other => Step::Other(other),
+            })?);
         }
         Ok(())
     }
@@ -239,7 +290,7 @@ impl DsmNode {
     pub fn slave_loop(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
         loop {
-            let ParkEvent::Task { task, replicated } = self.wait_fork()?;
+            let (task, replicated) = self.wait_fork()?;
             let task = task.downcast_ref::<Task>().expect("unknown fork payload type");
             match task {
                 Task::Shutdown => return Ok(()),
@@ -331,5 +382,18 @@ impl DsmNode {
             self.ctx.sleep(resume_at - now)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one diagnostic names the node, what it was waiting for and the
+    /// message no wait-state accepts.
+    #[test]
+    #[should_panic(expected = "node 3: unexpected SeqGo while acquiring lock 5")]
+    fn a_protocol_violation_names_the_wait_state() {
+        protocol_violation(3, Waiting::Lock(5), &DsmMsg::SeqGo)
     }
 }

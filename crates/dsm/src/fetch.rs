@@ -6,8 +6,9 @@
 //! retry discipline: count a retry on every unproductive wakeup, and fail
 //! loudly with full diagnostics once the budget is exhausted (an
 //! unconverged fetch points at a protocol bug or a dead peer, not bad
-//! luck). [`RetryTimer`] is that shared discipline; [`classify_reply`] is
-//! the shared stale-reply absorption. The replicated fetch waits the fixed
+//! luck). [`RetryTimer`] is that shared discipline; a stale reply is
+//! absorbed by the rule of the one receive every wait goes through,
+//! [`DsmNode::recv_until`]. The replicated fetch waits the fixed
 //! `rse_timeout`; the parallel fetch's timer is RFC 6298's: it starts from
 //! the node's learned fetch time and doubles on every timeout, so a reply
 //! that is slow, not lost, is not asked for again and again. A timeout
@@ -16,13 +17,13 @@
 //! segment, not the window); one after an answer resends to every owner
 //! still outstanding.
 
-use repseq_sim::{Dur, Envelope, SendCtx, Stopped, SubstrateCtx};
+use repseq_sim::{Dur, SendCtx, Stopped};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::config::DsmConfig;
+use crate::exec::{Step, Waiting};
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
-use crate::page::DiffEntry;
 use crate::runtime::DsmNode;
 use crate::strategy;
 
@@ -80,33 +81,18 @@ impl RetryTimer {
         RetryTimer { timeout: cfg.rse_timeout, max_retries: cfg.rse_max_retries, retries: 0 }
     }
 
-    /// The configured wait, for callers that drive `recv_timeout` directly
-    /// (the replicated fetch re-checks completability before deciding a
-    /// timeout was unproductive).
+    /// The current wait: virtual on the DES, a real wall-clock timeout on
+    /// the native backend — the same resend discipline drives both.
     pub(crate) fn timeout(&self) -> Dur {
         self.timeout
     }
 
-    /// Wait for the next message with the retry timeout. `None` means the
-    /// wait timed out and a retry was recorded — the caller resends — and
-    /// the next wait is twice as long (saturating); `describe` renders the
-    /// panic diagnostic if the budget is exhausted. Generic over the
-    /// substrate: the wait is virtual on the DES and a real wall-clock
-    /// timeout on the native backend — the same resend discipline drives
-    /// both.
-    pub(crate) fn recv(
-        &mut self,
-        ctx: &impl SubstrateCtx<DsmMsg>,
-        describe: impl FnOnce(u32) -> String,
-    ) -> Result<Option<Envelope<DsmMsg>>, Stopped> {
-        match ctx.recv_timeout(self.timeout)? {
-            Some(env) => Ok(Some(env)),
-            None => {
-                self.note_retry(describe);
-                self.timeout = Dur::from_nanos(self.timeout.nanos().saturating_mul(2));
-                Ok(None)
-            }
-        }
+    /// A wait timed out with nothing to show for it: record a retry — the
+    /// caller resends — and double the next wait (saturating). `describe`
+    /// renders the panic diagnostic if the budget is exhausted.
+    pub(crate) fn timed_out(&mut self, describe: impl FnOnce(u32) -> String) {
+        self.note_retry(describe);
+        self.timeout = Dur::from_nanos(self.timeout.nanos().saturating_mul(2));
     }
 
     /// Record an unproductive round (timeout, or a wakeup after which the
@@ -116,30 +102,6 @@ impl RetryTimer {
         if self.retries > self.max_retries {
             panic!("{}", describe(self.max_retries));
         }
-    }
-}
-
-/// What a message received inside a fetch loop means for that fetch.
-pub(crate) enum ReplyClass {
-    /// The reply to the outstanding request: cache these diffs.
-    Matching(Vec<DiffEntry>),
-    /// A reply to a request this fetch already gave up on (the resend
-    /// layer's duplicate whose original won the race): drop silently.
-    Stale,
-    /// Not a diff reply at all; the caller absorbs or rejects it.
-    Other(DsmMsg),
-}
-
-/// Classify a message received while a fetch for (`want_page`, `req_id`)
-/// is outstanding.
-pub(crate) fn classify_reply(msg: DsmMsg, want_page: PageId, req_id: u64) -> ReplyClass {
-    match msg {
-        DsmMsg::DiffReply { page, diffs, req_id: rid } if rid == req_id => {
-            debug_assert_eq!(page, want_page);
-            ReplyClass::Matching(diffs)
-        }
-        DsmMsg::DiffReply { .. } => ReplyClass::Stale,
-        other => ReplyClass::Other(other),
     }
 }
 
@@ -210,47 +172,40 @@ impl DsmNode {
             // owner only. Once one has answered, it resends to all.
             let mut heard = false;
             while !outstanding.is_empty() {
-                let env = match timer.recv(&self.ctx, |retries| {
-                    format!(
-                        "node {node}: diff fetch for page {p} incomplete after \
-                         {retries} resends (owners still outstanding: {outstanding:?})"
-                    )
-                })? {
-                    Some(env) => env,
-                    None => {
-                        let probe = if heard { outstanding.len() } else { 1 };
-                        outstanding[..probe].iter().for_each(request);
-                        continue;
-                    }
-                };
-                match classify_reply(env.msg, p, req_id) {
-                    ReplyClass::Matching(diffs) => {
-                        // A reply from a pid that is not a protocol handler
-                        // is a straggler from a *retired* exchange (e.g. an
-                        // RSE out-of-band reply sent by an app process whose
-                        // req_seq collides with our req_id): the sender, not
-                        // the id, proves it cannot answer this fetch. Absorb
-                        // it like any other stale duplicate instead of
-                        // killing the node.
-                        let Some(owner) = self.topo.node_of_handler(env.from) else {
-                            self.topo.stats.on_stale_reply(node);
-                            continue;
-                        };
-                        let mut st = self.st.lock();
-                        st.cache_diffs(p, &diffs);
-                        outstanding.retain(|e| e.0 != owner);
-                        heard = true;
-                    }
-                    ReplyClass::Stale => {
-                        // Reply to an aborted fetch: count it, drop it.
-                        self.topo.stats.on_stale_reply(node);
-                    }
-                    ReplyClass::Other(other) => {
-                        if !self.absorb_stray(other) {
-                            panic!("node {node}: unexpected message while fetching page {p}");
+                // Only this fetch's reply is taken. A reply carrying another
+                // id answers an earlier fetch (the resend layer's duplicate
+                // whose original won the race); one from a pid that is not
+                // a protocol handler is a straggler from a *retired*
+                // exchange (e.g. an RSE out-of-band reply sent by an app
+                // process whose req_seq collides with our req_id) — the
+                // sender, not the id, proves it cannot answer this fetch.
+                // Both are handed back, and counted stale.
+                let reply =
+                    self.recv_until(Waiting::Fetch(p), Some(timer.timeout()), |env| {
+                        match (env.msg, self.topo.node_of_handler(env.from)) {
+                            (DsmMsg::DiffReply { page, diffs, req_id: rid }, Some(owner))
+                                if rid == req_id =>
+                            {
+                                debug_assert_eq!(page, p);
+                                Step::Done((owner, diffs))
+                            }
+                            (other, _) => Step::Other(other),
                         }
-                    }
-                }
+                    })?;
+                let Some((owner, diffs)) = reply else {
+                    timer.timed_out(|retries| {
+                        format!(
+                            "node {node}: diff fetch for page {p} incomplete after \
+                             {retries} resends (owners still outstanding: {outstanding:?})"
+                        )
+                    });
+                    let probe = if heard { outstanding.len() } else { 1 };
+                    outstanding[..probe].iter().for_each(request);
+                    continue;
+                };
+                self.st.lock().cache_diffs(p, &diffs);
+                outstanding.retain(|e| e.0 != owner);
+                heard = true;
             }
         }
         if requested {
@@ -274,27 +229,6 @@ mod tests {
     fn reply(page: PageId, req_id: u64) -> DsmMsg {
         let rec = Arc::new(DiffRecord { owner: 1, covers: vec![1], diff: Diff::default() });
         DsmMsg::DiffReply { page, diffs: vec![rec], req_id }
-    }
-
-    /// The PR-2 deadlock fix depends on resent requests reusing the same
-    /// req_id and duplicate replies being dropped: a reply carrying any
-    /// other id is stale, whatever page it names.
-    #[test]
-    fn stale_replies_are_absorbed_not_matched() {
-        // The reply to the outstanding request matches.
-        assert!(
-            matches!(classify_reply(reply(7, 3), 7, 3), ReplyClass::Matching(d) if d.len() == 1)
-        );
-        // A duplicate of an *earlier* fetch's reply (old req_id) is stale —
-        // even for the same page.
-        assert!(matches!(classify_reply(reply(7, 2), 7, 3), ReplyClass::Stale));
-        // A reply to a later, aborted fetch likewise.
-        assert!(matches!(classify_reply(reply(9, 99), 7, 3), ReplyClass::Stale));
-        // Non-reply traffic is handed back for stray absorption.
-        assert!(matches!(
-            classify_reply(DsmMsg::WakePage { page: 7 }, 7, 3),
-            ReplyClass::Other(DsmMsg::WakePage { page: 7 })
-        ));
     }
 
     /// The retry budget counts unproductive rounds and panics with the
@@ -325,12 +259,12 @@ mod tests {
     }
 
     /// The resend discipline `fetch_normal` composes out of [`RetryTimer`]
-    /// and [`classify_reply`], driven end to end in a scripted simulation:
+    /// and its `req_id` match, driven end to end in a scripted simulation:
     ///
     /// * back-to-back timeouts each resend with the **same** `req_id` as the
     ///   original request (the PR-2 deadlock fix);
-    /// * the duplicate reply produced by a resend race is classified stale
-    ///   by a *later* fetch and absorbed without consuming retry budget;
+    /// * the duplicate reply produced by a resend race is not taken by a
+    ///   *later* fetch and is absorbed without consuming retry budget;
     /// * the first timeout waits exactly the configured interval and the
     ///   second twice that (the backoff), so event-queue restructuring that
     ///   reordered the deadline wake against the late reply would surface
@@ -366,24 +300,22 @@ mod tests {
                 let mut timer = RetryTimer::from_cfg(&cfg_f);
                 let mut resent_at = Vec::new();
                 loop {
-                    let env = match timer.recv(&ctx, |r| format!("fetch gave up after {r}"))? {
-                        Some(env) => env,
-                        None => {
-                            // Unproductive round: resend, reusing req_id.
-                            resent_at.push(ctx.now() - t0);
-                            request(&ctx, req_id);
-                            continue;
-                        }
+                    let Some(env) = ctx.recv_timeout(timer.timeout())? else {
+                        // Unproductive round: resend, reusing req_id.
+                        timer.timed_out(|r| format!("fetch gave up after {r}"));
+                        resent_at.push(ctx.now() - t0);
+                        request(&ctx, req_id);
+                        continue;
                     };
-                    match classify_reply(env.msg, 7, req_id) {
-                        ReplyClass::Matching(diffs) => {
+                    match env.msg {
+                        DsmMsg::DiffReply { diffs, req_id: rid, .. } if rid == req_id => {
                             assert_eq!(diffs.len(), 1);
                             break Ok(resent_at);
                         }
-                        ReplyClass::Stale => {
+                        DsmMsg::DiffReply { .. } => {
                             stale_f.fetch_add(1, Ordering::SeqCst);
                         }
-                        ReplyClass::Other(m) => panic!("unexpected message {}", m.kind()),
+                        m => panic!("unexpected message {}", m.kind()),
                     }
                 }
             };

@@ -28,6 +28,7 @@ use repseq_net::Nic;
 use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx};
 use repseq_stats::MsgClass;
 
+use crate::exec::{protocol_violation, Waiting};
 use crate::msg::DsmMsg;
 use crate::runtime::Topology;
 use crate::state::NodeState;
@@ -294,9 +295,7 @@ impl Handler {
                 ctx.charge(s.cfg.sync_overhead);
                 s.merge_valid_deltas(&deltas);
             }
-
-            DsmMsg::WakePage { .. } => { /* stale local wakeup */ }
-            other => panic!("handler {node}: unexpected {}", other.kind()),
+            other => protocol_violation(node, Waiting::Handler, &other),
         }
     }
 

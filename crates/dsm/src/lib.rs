@@ -28,7 +28,7 @@
 //! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: contents, twin, notices, cached diffs, valid notices), twin pool, TLB revocation |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
-//! | exec | `exec` | fork/join, task payloads, the slave loop |
+//! | exec | `exec` | the one receive of every wait, fork/join, task payloads, the slave loop |
 //! | strategy | `strategy` | how sequential sections execute ([`SeqExecStrategy`]) |
 //! | substrate | `substrate`, `shmem` | the [`NodeCtx`] backend dispatch (DES vs native threads) and the process-shared page segment |
 //! | runtime | `runtime`, `handler`, `cluster` | processes, NICs, the software TLB, message dispatch, backend selection |
@@ -62,7 +62,7 @@ mod vc;
 pub use cluster::{AppFn, Backend, Cluster, ClusterConfig, LaunchOutcome};
 pub use config::{DsmConfig, FlowControl, SeqExecMode};
 pub use diff::{Diff, DiffError, DiffRun};
-pub use exec::{ParkEvent, Task, TaskFn};
+pub use exec::{Task, TaskFn};
 pub use interval::{IntervalData, IntervalRecord, IntervalStore, PageId};
 pub use msg::{DsmMsg, TaskPayload};
 pub use page::{DiffEntry, PageBuf, PageMeta};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use repseq_sim::{SendCtx, Stopped, SubstrateCtx};
 use repseq_stats::{MsgClass, NodeId};
 
-use crate::exec::{Task, TaskFn};
+use crate::exec::{Step, Task, TaskFn, Waiting};
 use crate::fetch::RetryTimer;
 use crate::interval::PageId;
 use crate::msg::{DsmMsg, TaskPayload};
@@ -51,22 +51,15 @@ impl DsmNode {
             let mut st = self.st.lock();
             st.take_valid_delta().into_iter().map(|(p, vc)| (0usize, p, vc)).collect()
         };
-        let mut pending = n - 1;
-        while pending > 0 {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::ValidNoticeReply { from, delta } => {
-                    let mut st = self.st.lock();
-                    for (p, vc) in delta {
-                        st.page_mut(p).announce_peer_valid(from, vc.clone());
-                        table.push((from, p, vc));
-                    }
-                    pending -= 1;
-                }
-                // Stale wakeups and duplicate diff replies (resends whose
-                // originals won the race) are harmless stragglers.
-                DsmMsg::WakePage { .. } | DsmMsg::DiffReply { .. } => {}
-                other => panic!("master: unexpected {} during valid-notice exchange", other.kind()),
+        for _ in 1..n {
+            let (from, delta) = self.recv_for(Waiting::ValidNotices, |env| match env.msg {
+                DsmMsg::ValidNoticeReply { from, delta } => Step::Done((from, delta)),
+                other => Step::Other(other),
+            })?;
+            let mut st = self.st.lock();
+            for (p, vc) in delta {
+                st.page_mut(p).announce_peer_valid(from, vc.clone());
+                table.push((from, p, vc));
             }
         }
         table.sort_by_key(|(q, p, _)| (*q, *p));
@@ -120,21 +113,14 @@ impl DsmNode {
         assert!(self.is_master());
         self.race_sync(crate::race::SyncEdge::RseExitArrive);
         let n = self.topo.n;
-        let mut pending = n - 1;
-        {
-            // SeqDone signals that arrived while the master was blocked in
-            // its own replicated fault were buffered.
-            let mut st = self.st.lock();
-            pending -= st.exec.pending_seqdone;
-            st.exec.pending_seqdone = 0;
-        }
-        while pending > 0 {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::SeqDone { .. } => pending -= 1,
-                DsmMsg::WakePage { .. } | DsmMsg::DiffReply { .. } => {}
-                other => panic!("master: unexpected {} ending replicated section", other.kind()),
-            }
+        // SeqDone signals that arrived while the master was blocked in its
+        // own replicated fault were buffered.
+        let buffered = std::mem::take(&mut self.st.lock().exec.pending_seqdone);
+        for _ in buffered..n - 1 {
+            self.recv_for(Waiting::SeqDone, |env| match env.msg {
+                DsmMsg::SeqDone { .. } => Step::Done(()),
+                other => Step::Other(other),
+            })?;
         }
         // The release is identical for every slave: one multicast, not n-1
         // serialized unicasts. The master blocks until delivery — its next
@@ -166,14 +152,10 @@ impl DsmNode {
         let size = msg.wire_size();
         self.ctx.charge(self.sync_cost());
         self.nic.unicast(&self.ctx, 0, self.topo.app_pids[0], MsgClass::Sync, size, msg);
-        loop {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::SeqGo => break,
-                DsmMsg::WakePage { .. } | DsmMsg::DiffReply { .. } => {}
-                other => panic!("node {node}: unexpected {} awaiting SeqGo", other.kind()),
-            }
-        }
+        self.recv_for(Waiting::SeqGo, |env| match env.msg {
+            DsmMsg::SeqGo => Step::Done(()),
+            other => Step::Other(other),
+        })?;
         self.st.lock().exit_replicated();
         self.race_sync(crate::race::SyncEdge::RseExitDepart);
         Ok(())
@@ -224,62 +206,47 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
     let mut timer = RetryTimer::from_cfg(&node.st.lock().cfg);
     let mut seen_turns = node.st.lock().rse.chain_turns;
     loop {
-        match node.ctx().recv_timeout(timer.timeout())? {
-            Some(env) => match env.msg {
-                DsmMsg::WakePage { page } if page == p => {
-                    if try_complete(node, p) {
-                        break;
-                    }
-                    // An out-of-band recovery reply arrived but our copy
-                    // still cannot complete — it covered someone else's
-                    // missing diffs, or only part of ours. Recovery replies
-                    // are multicast, so at large node counts every waiting
-                    // node is woken by every OTHER requester's recovery
-                    // round; charging the retry budget (or re-sending our
-                    // own recovery requests) here turns the budget into a
-                    // wakeup counter and the recovery path into an O(n²)
-                    // request storm. Just keep waiting: our own requests
-                    // are already in flight, and the §5.4.2 timeout below
-                    // re-sends them if they are genuinely lost.
-                }
-                DsmMsg::WakePage { page } => {
-                    debug_assert_ne!(page, p); // handled above
-                }
-                other => {
-                    if !node.absorb_stray(other) {
-                        panic!(
-                            "node {me}: unexpected message waiting for multicast diffs of page {p}"
-                        );
-                    }
-                }
-            },
-            None => {
-                // §5.4.2 recovery: "When a thread times out on receive, it
-                // sends out a request asking for its missing diffs
-                // regardless of other threads ... and the replies are
-                // multicast to all threads."
-                //
-                // Re-check completability first: the diffs may all have
-                // arrived without a wakeup reaching us, and a resend loop
-                // with an empty fetch plan would otherwise re-arm forever
-                // sending nothing.
-                if try_complete(node, p) {
-                    break;
-                }
-                // A slow chain is not a dead chain: if our handler accepted
-                // new chain turns since the last check, the serialized reply
-                // machinery is still delivering — which at hundreds of nodes
-                // routinely takes longer than `rse_timeout` even on a
-                // lossless network. Recovery is for chains that went silent.
-                let turns = node.st.lock().rse.chain_turns;
-                if turns != seen_turns {
-                    seen_turns = turns;
-                    continue;
-                }
-                timer.note_retry(|max| recovery_diagnostic(node, p, me, max));
-                send_recovery_requests(node, p, me);
-            }
+        let woken =
+            node.recv_until(Waiting::Multicast(p), Some(timer.timeout()), |env| match env.msg {
+                DsmMsg::WakePage { page } if page == p => Step::Done(()),
+                other => Step::Other(other),
+            })?;
+        // After a timeout, re-check completability too: the diffs may all
+        // have arrived without a wakeup reaching us, and a resend loop with
+        // an empty fetch plan would otherwise re-arm forever sending
+        // nothing.
+        if try_complete(node, p) {
+            break;
         }
+        if woken.is_some() {
+            // An out-of-band recovery reply arrived but our copy still
+            // cannot complete — it covered someone else's missing diffs, or
+            // only part of ours. Recovery replies are multicast, so at large
+            // node counts every waiting node is woken by every OTHER
+            // requester's recovery round; charging the retry budget (or
+            // re-sending our own recovery requests) here turns the budget
+            // into a wakeup counter and the recovery path into an O(n²)
+            // request storm. Just keep waiting: our own requests are
+            // already in flight, and the §5.4.2 timeout below re-sends them
+            // if they are genuinely lost.
+            continue;
+        }
+        // §5.4.2 recovery: "When a thread times out on receive, it sends
+        // out a request asking for its missing diffs regardless of other
+        // threads ... and the replies are multicast to all threads."
+        //
+        // A slow chain is not a dead chain: if our handler accepted new
+        // chain turns since the last check, the serialized reply machinery
+        // is still delivering — which at hundreds of nodes routinely takes
+        // longer than `rse_timeout` even on a lossless network. Recovery is
+        // for chains that went silent.
+        let turns = node.st.lock().rse.chain_turns;
+        if turns != seen_turns {
+            seen_turns = turns;
+            continue;
+        }
+        timer.note_retry(|max| recovery_diagnostic(node, p, me, max));
+        send_recovery_requests(node, p, me);
     }
     let waited = node.ctx().now() - t0;
     node.topo.stats.on_diff_stall(me, waited);

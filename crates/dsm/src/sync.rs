@@ -5,9 +5,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use repseq_sim::{Pid, SendCtx, Stopped, SubstrateCtx};
+use repseq_sim::{Pid, SendCtx, Stopped};
 use repseq_stats::{MsgClass, NodeId};
 
+use crate::exec::{Step, Waiting};
 use crate::interval::IntervalRecord;
 use crate::msg::DsmMsg;
 use crate::race::SyncEdge;
@@ -103,27 +104,19 @@ impl DsmNode {
         };
         self.ctx.charge(self.sync_cost());
         self.to_handler(0, MsgClass::Sync, msg);
-        loop {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::BarrierDepart { records, vc } => {
-                    let cost = {
-                        let mut st = self.st.lock();
-                        let c = st.apply_records(records, &vc);
-                        st.exec.master_known = vc;
-                        c
-                    };
-                    self.ctx.charge(cost + self.sync_cost());
-                    self.race_sync(SyncEdge::BarrierDepart);
-                    return Ok(());
-                }
-                other => {
-                    if !self.absorb_stray(other) {
-                        panic!("node {node}: unexpected message at barrier");
-                    }
-                }
-            }
-        }
+        let (records, vc) = self.recv_for(Waiting::Barrier, |env| match env.msg {
+            DsmMsg::BarrierDepart { records, vc } => Step::Done((records, vc)),
+            other => Step::Other(other),
+        })?;
+        let cost = {
+            let mut st = self.st.lock();
+            let c = st.apply_records(records, &vc);
+            st.exec.master_known = vc;
+            c
+        };
+        self.ctx.charge(cost + self.sync_cost());
+        self.race_sync(SyncEdge::BarrierDepart);
+        Ok(())
     }
 
     // ---------------------------------------------------------------
@@ -168,29 +161,23 @@ impl DsmNode {
         };
         self.ctx.charge(self.sync_cost());
         self.to_handler(self.lock_manager(l), MsgClass::Lock, msg);
-        loop {
-            let env = self.ctx.recv()?;
-            match env.msg {
-                DsmMsg::LockGrant { lock, records, vc } => {
-                    debug_assert_eq!(lock, l);
-                    let cost = {
-                        let mut st = self.st.lock();
-                        let c = st.apply_records(records, &vc);
-                        st.sync.lock_held.insert(l);
-                        st.sync.lock_token.insert(l);
-                        c
-                    };
-                    self.ctx.charge(cost + self.sync_cost());
-                    self.race_sync(SyncEdge::LockAcquire { lock: l });
-                    return Ok(());
-                }
-                other => {
-                    if !self.absorb_stray(other) {
-                        panic!("node {node}: unexpected message while acquiring lock");
-                    }
-                }
+        let (records, vc) = self.recv_for(Waiting::Lock(l), |env| match env.msg {
+            DsmMsg::LockGrant { lock, records, vc } => {
+                debug_assert_eq!(lock, l);
+                Step::Done((records, vc))
             }
-        }
+            other => Step::Other(other),
+        })?;
+        let cost = {
+            let mut st = self.st.lock();
+            let c = st.apply_records(records, &vc);
+            st.sync.lock_held.insert(l);
+            st.sync.lock_token.insert(l);
+            c
+        };
+        self.ctx.charge(cost + self.sync_cost());
+        self.race_sync(SyncEdge::LockAcquire { lock: l });
+        Ok(())
     }
 
     /// Release a lock (a release access: closes the interval). If another

@@ -1,7 +1,7 @@
 //! Edge cases of the DSM: page-straddling values, degenerate cluster
 //! sizes, allocator behaviour, preloaded images, lock chains across
-//! managers, big-value round trips, a forged diff reply, and a handler
-//! that panics.
+//! managers, big-value round trips, forged stragglers in every wait, and
+//! a handler or an application that panics on a message it cannot accept.
 
 use std::sync::Arc;
 
@@ -361,5 +361,100 @@ fn a_stray_message_fails_the_run_under_the_handlers_name() {
             assert_eq!((pid, name.as_str()), (2, "handler2"))
         }
         other => panic!("expected the handler's panic, got {other:?}"),
+    }
+}
+
+/// Every wait absorbs stragglers by one rule — a duplicate diff reply is
+/// counted stale, a late page wakeup dropped — not only the barrier, the
+/// lock and the fetches. One of each is forged to land while the target
+/// application waits in each other state; the run must complete with
+/// every mailbox empty and count the forged reply.
+#[test]
+fn stale_replies_are_counted_in_every_wait() {
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Wait {
+        Parked,
+        Joins,
+        ValidNotices,
+        SeqGo,
+        SeqDone,
+    }
+    let n = 2;
+    // To node `to`'s application (pids n..2n); the raw send bypasses the
+    // network model, so it keeps the minimum cross-node latency itself.
+    let forge = move |node: &DsmNode, to: usize| {
+        let at = node.ctx().now() + Dur::from_micros(60);
+        node.ctx().send(n + to, DsmMsg::DiffReply { page: 0, diffs: Vec::new(), req_id: 0 }, at);
+        node.ctx().send(n + to, DsmMsg::WakePage { page: 0 }, at);
+    };
+    // The forger stays busy long after they land, so the target still waits.
+    let linger = |node: &DsmNode| node.ctx().sleep(Dur::from_millis(1));
+    for wait in [Wait::Parked, Wait::Joins, Wait::ValidNotices, Wait::SeqGo, Wait::SeqDone] {
+        let stats = Stats::new(n);
+        let apps: Apps = vec![
+            Box::new(move |node: DsmNode| {
+                if wait == Wait::Parked {
+                    forge(&node, 1);
+                    linger(&node)?;
+                }
+                node.run_parallel(move |nd| match (wait, nd.node()) {
+                    (Wait::Joins, 1) => {
+                        forge(nd, 0);
+                        linger(nd)
+                    }
+                    _ => Ok(()),
+                })?;
+                // Between sections every slave is parked: the master forges
+                // its own stragglers, just before the exchange.
+                if wait == Wait::ValidNotices {
+                    forge(&node, 0);
+                }
+                node.run_replicated(move |nd| match (wait, nd.node()) {
+                    // Forged once the slave has finished its copy of the
+                    // body and awaits SeqGo.
+                    (Wait::SeqGo, 0) => {
+                        linger(nd)?;
+                        forge(nd, 1);
+                        linger(nd)
+                    }
+                    (Wait::SeqDone, 1) => {
+                        forge(nd, 0);
+                        linger(nd)
+                    }
+                    _ => Ok(()),
+                })?;
+                node.shutdown_slaves()
+            }),
+            Box::new(|node: DsmNode| node.slave_loop()),
+        ];
+        let cl = Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats));
+        let report = cl.launch(apps).unwrap_or_else(|e| panic!("{wait:?}: {e:?}"));
+        assert!(report.mailbox_backlog.is_empty(), "{wait:?}: {:?}", report.mailbox_backlog);
+        let stale = stats.snapshot().total_agg_with_startup().stale_replies;
+        assert_eq!(stale, 1, "{wait:?}: the forged reply must be counted stale");
+    }
+}
+
+/// A message that no wait-state accepts fails the run under the name of
+/// the application that received it: here a SeqGo while at a barrier.
+#[test]
+fn a_message_no_wait_accepts_fails_the_run_under_the_apps_name() {
+    let n = 2;
+    let apps: Apps = (0..n)
+        .map(|_| {
+            Box::new(move |node: DsmNode| {
+                if node.node() == 1 {
+                    node.ctx().send(n, DsmMsg::SeqGo, node.ctx().now() + Dur::from_micros(60));
+                }
+                node.barrier()?;
+                node.ctx().sleep(Dur::from_millis(1))
+            }) as _
+        })
+        .collect();
+    match cluster(n).launch(apps) {
+        Err(SimError::ProcessPanicked { pid, name }) => {
+            assert_eq!((pid, name.as_str()), (n, "app0"))
+        }
+        other => panic!("expected app0's panic, got {other:?}"),
     }
 }
