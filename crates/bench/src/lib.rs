@@ -7,8 +7,8 @@
 //! every shape the reproduction claims an assertion. The `bench_json`
 //! binary writes them as the `BENCH_*.json` at the repository root and
 //! renders their tables into EXPERIMENTS.md ([`Json::markdown`],
-//! [`splice_tables`]); `bench_native` writes the one wall-clock artifact. There
-//! is nothing to configure: the sizes are the committed ones.
+//! [`splice_tables`]). There is nothing to configure: the sizes are the
+//! committed ones.
 //!
 //! Every harness runs its applications through one function, [`run`].
 
@@ -18,34 +18,6 @@ use repseq_core::{RunConfig, Runtime, Stopped, Team};
 use repseq_stats::{HostCounters, StatsSnapshot};
 
 pub mod artifacts;
-
-/// CPUs available to this process (the affinity mask counts: 1 under
-/// `taskset -c <cpu>`). `BENCH_native.json`, the one wall-clock artifact,
-/// records this so a reader can tell whether its numbers were measured
-/// pinned to one core or with the real parallelism the native backend's
-/// throughput needs.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The source `BENCH_native.json` was generated from: the short git tree
-/// hash of `HEAD`, plus `+dirty` if the working tree differs from it. (A
-/// commit hash would be stale by construction — the artifact is written
-/// before the commit that carries it exists.) "unknown" outside a git
-/// checkout. The deterministic artifacts carry no stamp: they are a pure
-/// function of the source, so git history is their provenance.
-pub fn tree_stamp() -> String {
-    let git = |args: &[&str]| {
-        let out = std::process::Command::new("git").args(args).output().ok()?;
-        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    let stamp = || {
-        let tree = git(&["rev-parse", "--short", "HEAD^{tree}"]).filter(|t| !t.is_empty())?;
-        let dirty = !git(&["status", "--porcelain"])?.is_empty();
-        Some(format!("{tree}{}", if dirty { "+dirty" } else { "" }))
-    };
-    stamp().unwrap_or_else(|| "unknown".into())
-}
 
 /// One measured system run.
 pub struct RunOutcome<R> {
@@ -58,10 +30,7 @@ pub struct RunOutcome<R> {
 /// Run one application: `setup` allocates and preloads it on a fresh
 /// runtime, `body` runs it as the master program (`BarnesHut::run`,
 /// `Ilink::run`, `KvStore::run`). Everything else about the run — node
-/// count, strategy, substrate, TLB, flow control — is `cfg`'s. On
-/// `Backend::Native` the snapshot's *times* are wall-clock and its message
-/// counts include wall-clock-timeout resends; the application results are
-/// backend-invariant.
+/// count, strategy, TLB, flow control — is `cfg`'s.
 pub fn run<A, R>(
     cfg: RunConfig,
     setup: impl FnOnce(&mut Runtime) -> A,

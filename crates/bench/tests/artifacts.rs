@@ -1,8 +1,7 @@
 //! The committed `BENCH_*.json` at the repository root. Those of
 //! `artifacts::ARTIFACTS` are deterministic — a pure function of the
 //! source, so they can be held to it byte for byte, and EXPERIMENTS.md to
-//! their tables; `BENCH_native.json` is wall-clock and is held to its
-//! shape and its provenance fields.
+//! their tables.
 
 use std::path::PathBuf;
 
@@ -19,12 +18,11 @@ fn committed(file: &str) -> String {
 }
 
 /// One list: every file the emitter writes is at the root, and every
-/// `BENCH_*.json` there is one the emitter (or `bench_native`) still
-/// writes — an artifact whose generator was deleted fails here.
+/// `BENCH_*.json` there is one the emitter still writes — an artifact
+/// whose generator was deleted fails here.
 #[test]
 fn the_emitter_writes_every_artifact_at_the_root() {
     let mut listed: Vec<String> = ARTIFACTS.iter().map(|(file, _)| file.to_string()).collect();
-    listed.push("BENCH_native.json".into());
     listed.sort();
     let mut at_root: Vec<String> = std::fs::read_dir(root())
         .expect("the repository root")
@@ -83,40 +81,4 @@ fn deterministic_artifacts_carry_no_host_fields() {
             );
         }
     }
-}
-
-/// The native-substrate artifact must carry the strategy comparison and
-/// the KV sweep, with the DES-equality gate's provenance fields.
-#[test]
-fn native_artifact_records_the_des_gated_comparison() {
-    let native = committed("BENCH_native.json");
-    for key in [
-        "\"bench\": \"native_substrate\"",
-        "\"backend\": \"native\"",
-        "\"commit\":",
-        "\"host_cpus\":",
-        "\"strategy_comparison\":",
-        "\"kv_sweep\":",
-        "\"master_only\":",
-        "\"master_push\":",
-        "\"rse\":",
-        "\"wall_s\":",
-        "\"throughput_rps\":",
-        "\"read_xor\":",
-    ] {
-        assert!(native.contains(key), "BENCH_native.json must record {key}");
-    }
-}
-
-/// Artifacts are written before the commit that carries them exists, so a
-/// commit hash would be stale by construction: the stamp is the tree hash
-/// of `HEAD`, `+dirty` when the working tree differs from it.
-#[test]
-fn the_stamp_names_a_tree_and_its_dirtiness() {
-    let stamp = repseq_bench::tree_stamp();
-    let tree = stamp.strip_suffix("+dirty").unwrap_or(&stamp);
-    assert!(
-        stamp == "unknown" || (tree.len() >= 7 && tree.chars().all(|c| c.is_ascii_hexdigit())),
-        "unexpected stamp {stamp:?}"
-    );
 }

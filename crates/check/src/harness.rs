@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{
-    AppFn, Backend, Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqExecMode,
+    AppFn, Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqExecMode,
 };
 use repseq_net::LossConfig;
 use repseq_sim::{Dur, SimTime, Stopped};
@@ -60,11 +60,6 @@ pub struct HarnessConfig {
     /// phases run under. The oracle and the invariant checks are
     /// strategy-agnostic, so the same sweep grid tortures every strategy.
     pub seq_exec: SeqExecMode,
-    /// Which substrate the cluster runs on. The coherence oracle and the
-    /// race detector are substrate-agnostic, so the same sweep validates
-    /// both; fingerprints and loss schedules are meaningful only on
-    /// [`Backend::Sim`].
-    pub backend: Backend,
 }
 
 impl Default for HarnessConfig {
@@ -74,7 +69,6 @@ impl Default for HarnessConfig {
             rse_timeout: Dur::from_millis(20),
             break_generation_bumps: false,
             seq_exec: SeqExecMode::Rse,
-            backend: Backend::Sim,
         }
     }
 }
@@ -110,7 +104,6 @@ pub(crate) struct RunArtifacts {
     pub expected: Expected,
     pub name: &'static str,
     pub stats: StatsSnapshot,
-    pub backend: Backend,
 }
 
 /// The determinism-relevant residue of one run: everything the simulator
@@ -188,7 +181,6 @@ pub(crate) fn run_once(
     ccfg.dsm.rse_timeout = cfg.rse_timeout;
     ccfg.dsm.tlb_break_generation_bumps = cfg.break_generation_bumps;
     ccfg.dsm.seq_exec = cfg.seq_exec;
-    ccfg.backend = cfg.backend;
     let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
     cl.record_trace(trace);
     if let Some(sink) = race {
@@ -237,35 +229,27 @@ pub(crate) fn run_once(
     }
     let outcome = cl.launch_inspect(apps);
     let snaps = std::mem::take(&mut *collector.lock());
-    RunArtifacts { outcome, snaps, expected, name, stats: stats.snapshot(), backend: cfg.backend }
+    RunArtifacts { outcome, snaps, expected, name, stats: stats.snapshot() }
 }
 
 /// First violated invariant of a finished run, if any: a one-paragraph
-/// description for the failure report and — for an oracle violation — the
-/// node whose copy was wrong.
-fn validate(art: &RunArtifacts) -> Option<(String, Option<usize>)> {
-    let other = |why| Some((why, None));
+/// description for the failure report.
+fn validate(art: &RunArtifacts) -> Option<String> {
     let report = match &art.outcome.result {
-        Err(e) => return other(format!("simulation failed: {e:?}")),
+        Err(e) => return Some(format!("simulation failed: {e:?}")),
         Ok(r) => r,
     };
     for probe in &art.outcome.probes {
         if !probe.is_quiescent() {
-            return other(format!("node {} not quiescent after the run: {probe:?}", probe.node));
+            return Some(format!("node {} not quiescent after the run: {probe:?}", probe.node));
         }
     }
-    // On the DES, an application mailbox with undelivered messages at exit
-    // means protocol traffic was lost without recovery — a bug. On the
-    // native backend the same condition is routine: wall-clock timeout
-    // resends race the original replies, and a duplicate that arrives
-    // after its fetch completed can still be in the mailbox when the
-    // program exits. Only the simulator's quiescent exit is asserted.
-    if art.backend == Backend::Sim {
-        let stuck: Vec<_> =
-            report.mailbox_backlog.iter().filter(|(name, _)| name.starts_with("app")).collect();
-        if !stuck.is_empty() {
-            return other(format!("undelivered application messages at exit: {stuck:?}"));
-        }
+    // An application mailbox with undelivered messages at exit means
+    // protocol traffic was lost without recovery.
+    let stuck: Vec<_> =
+        report.mailbox_backlog.iter().filter(|(name, _)| name.starts_with("app")).collect();
+    if !stuck.is_empty() {
+        return Some(format!("undelivered application messages at exit: {stuck:?}"));
     }
     let v = check_snapshots(&art.snaps, &art.expected)?;
     let mut why = format!(
@@ -276,7 +260,7 @@ fn validate(art: &RunArtifacts) -> Option<(String, Option<usize>)> {
     for (q, slot) in art.outcome.page_slots(v.page).iter().enumerate() {
         why.push_str(&format!("\n    slot[{q}]: {slot}"));
     }
-    Some((why, Some(v.node)))
+    Some(why)
 }
 
 /// Run one schedule of a workload. On success returns what it contributed
@@ -289,18 +273,12 @@ pub fn run_schedule(
     sched: Schedule,
 ) -> Result<ScheduleOutcome, String> {
     let art = run_once(build, cfg, sched.loss(), false, None);
-    if let Some((why, node)) = validate(&art) {
+    if let Some(why) = validate(&art) {
         // Deterministic engine: the traced re-runs reproduce the failure
-        // and the clean twin exactly. A native run reproduces nothing and
-        // records no trace: its report is the failing run's own outcome.
-        let reruns = (cfg.backend == Backend::Sim).then(|| {
-            (run_once(build, cfg, sched.loss(), true, None), run_once(build, cfg, None, true, None))
-        });
-        let (lossy, clean) = match &reruns {
-            Some((lossy, clean)) => (&lossy.outcome, &clean.outcome),
-            None => (&art.outcome, &art.outcome),
-        };
-        return Err(report::render_failure(art.name, cfg, sched, &why, node, lossy, clean));
+        // and the clean twin exactly.
+        let lossy = run_once(build, cfg, sched.loss(), true, None).outcome;
+        let clean = run_once(build, cfg, None, true, None).outcome;
+        return Err(report::render_failure(art.name, cfg, sched, &why, &lossy, &clean));
     }
     let report = art.outcome.result.as_ref().expect("validated runs have a report");
     Ok(ScheduleOutcome {
@@ -325,7 +303,7 @@ pub fn run_schedule_instrumented(
 ) -> Result<InstrumentedOutcome, String> {
     let sink = detector.clone().map(|d| d as Arc<dyn RaceSink>);
     let art = run_once(build, cfg, sched.loss(), false, sink);
-    if let Some((why, _)) = validate(&art) {
+    if let Some(why) = validate(&art) {
         return Err(format!("instrumented schedule failed: {why}"));
     }
     let report = art.outcome.result.as_ref().expect("validated runs have a report");

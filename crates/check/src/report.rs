@@ -2,7 +2,7 @@
 //! invariant, say *which* kernel event first diverged from a clean run of
 //! the same workload, and which loss decision is to blame.
 
-use repseq_dsm::{Backend, LaunchOutcome};
+use repseq_dsm::LaunchOutcome;
 use repseq_net::LossEvent;
 use repseq_sim::{first_divergence, TraceEntry};
 
@@ -31,17 +31,14 @@ fn fmt_trace_entry(e: &TraceEntry) -> String {
 }
 
 /// Render the full failure report for one schedule: the violated invariant,
-/// the protocol probes, the tail of the loss log (on the native backend,
-/// where no re-run reproduces the schedule: every dropped frame to or from
-/// `node`, the one whose copy went wrong), and — when both the failing run and
-/// its lossless twin carry traces — the first divergent kernel event plus
-/// the last loss decision at or before it.
+/// the protocol probes, the tail of the loss log, and — when both the
+/// failing run and its lossless twin carry traces — the first divergent
+/// kernel event plus the last loss decision at or before it.
 pub fn render_failure(
     workload: &str,
     cfg: &HarnessConfig,
     sched: Schedule,
     why: &str,
-    node: Option<usize>,
     lossy: &LaunchOutcome,
     clean: &LaunchOutcome,
 ) -> String {
@@ -56,18 +53,9 @@ pub fn render_failure(
         out.push_str(&format!("  probe[{}]: {probe:?}\n", probe.node));
     }
     let drops = &lossy.loss_events;
-    let shown: Vec<&LossEvent> = match (cfg.backend, node) {
-        (Backend::Native, Some(q)) => {
-            out.push_str(&format!("  {} frames dropped; all of node {q}'s:\n", drops.len()));
-            drops.iter().filter(|e| e.src == q || e.dst == q).collect()
-        }
-        _ => {
-            let last = drops.len().min(10);
-            out.push_str(&format!("  {} frames dropped; last {last}:\n", drops.len()));
-            drops[drops.len() - last..].iter().collect()
-        }
-    };
-    for e in shown {
+    let last = drops.len().min(10);
+    out.push_str(&format!("  {} frames dropped; last {last}:\n", drops.len()));
+    for e in &drops[drops.len() - last..] {
         out.push_str(&format!("    {}\n", fmt_loss_event(e)));
     }
     let traces = match (&lossy.result, &clean.result) {

@@ -13,7 +13,7 @@ use repseq_dsm::SeqExecMode;
 
 /// Run one seed-shard of a sweep and report its wall-clock time. The
 /// sweeps are sharded into separate `#[test]` functions so
-/// `--test-threads` parallelizes the 208-schedule grid across cores; run
+/// `--test-threads` parallelizes the grids across cores; run
 /// with `--nocapture` to see the per-shard timings.
 fn shard(
     name: &str,
@@ -79,25 +79,26 @@ fn torture_sweep_rse_kernel_shard3() {
 }
 
 /// The full-feature mix (locks, cross-block reads, cyclic updates) across
-/// a smaller grid at a different node count (2 × 20 = the original
-/// 40-schedule grid).
+/// a smaller grid at a different node count (2 × 30 schedules). The 100 ‰
+/// rate covers the one coherence violation ever seen off the simulator:
+/// kitchen_sink, 4 nodes, seed 1, 100 ‰ multicast loss (HISTORY.md).
 #[test]
 fn torture_sweep_kitchen_sink_shard0() {
     let cfg = HarnessConfig { nodes: 4, ..HarnessConfig::default() };
-    shard("kitchen_sink/0", kitchen_sink, &cfg, 0..5, &[150, 350]);
+    shard("kitchen_sink/0", kitchen_sink, &cfg, 0..5, &[100, 150, 350]);
 }
 
 #[test]
 fn torture_sweep_kitchen_sink_shard1() {
     let cfg = HarnessConfig { nodes: 4, ..HarnessConfig::default() };
-    shard("kitchen_sink/1", kitchen_sink, &cfg, 5..10, &[150, 350]);
+    shard("kitchen_sink/1", kitchen_sink, &cfg, 5..10, &[100, 150, 350]);
 }
 
 /// The KV serving loop under loss: per-shard replicated write sections
 /// interleaved with cyclic read serving, the shape where a stale hot page
 /// served to a read is a silent wrong answer rather than a crash. Every
 /// schedule must still converge to reference memory (2 × 20-schedule
-/// grid, mirroring the kitchen-sink shards).
+/// grid).
 #[test]
 fn torture_sweep_kv_serving_shard0() {
     let cfg = HarnessConfig { nodes: 4, ..HarnessConfig::default() };

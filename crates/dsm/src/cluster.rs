@@ -1,12 +1,11 @@
 //! Cluster construction: allocate and preload the shared heap, then launch
-//! one application process and one protocol handler per node — on the
-//! simulator an application coroutine plus a handler *reactor* (no stack
-//! of its own), all on the caller's thread; natively two threads.
+//! one application process and one protocol handler per node — an
+//! application coroutine plus a handler *reactor* (no stack of its own),
+//! all on the caller's thread.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_native::{Native, NativeError};
 use repseq_net::{NetConfig, Network};
 use repseq_sim::{Sim, SimError, SimReport, Stopped};
 use repseq_stats::{HostCounters, StatsRef};
@@ -21,22 +20,8 @@ use crate::runtime::{DsmNode, Topology};
 use crate::shmem::{ShArray, ShVar, SharedSegment};
 use crate::state::NodeState;
 use crate::strategy::RseProbe;
-use crate::substrate::NodeCtx;
 
-/// Which substrate the cluster's processes run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Deterministic discrete-event simulation: virtual time, modeled
-    /// network and CPU costs, bit-identical fingerprints.
-    #[default]
-    Sim,
-    /// Real OS threads, wall-clock time, shared memory in-process. No
-    /// fingerprints — correctness is gated by the coherence oracle and
-    /// the race detector; trace recording is ignored.
-    Native,
-}
-
-/// Everything needed to build a DSM cluster (simulated or native).
+/// Everything needed to build a DSM cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of nodes.
@@ -45,19 +30,12 @@ pub struct ClusterConfig {
     pub dsm: DsmConfig,
     /// Interconnect parameters.
     pub net: NetConfig,
-    /// The substrate the cluster runs on (default: the simulator).
-    pub backend: Backend,
 }
 
 impl ClusterConfig {
     /// The paper's testbed shape for `n` nodes.
     pub fn paper(n: usize) -> Self {
-        ClusterConfig {
-            nodes: n,
-            dsm: DsmConfig::default(),
-            net: NetConfig::paper(n),
-            backend: Backend::Sim,
-        }
+        ClusterConfig { nodes: n, dsm: DsmConfig::default(), net: NetConfig::paper(n) }
     }
 }
 
@@ -197,9 +175,8 @@ impl Cluster {
     }
 
     /// Launch the cluster: one handler and one application process per
-    /// node (`apps[0]` is the master program), and run to completion. On
-    /// the simulator that is `n` coroutine stacks on the calling thread:
-    /// the handlers are reactors.
+    /// node (`apps[0]` is the master program), and run to completion: `n`
+    /// coroutine stacks on the calling thread, the handlers being reactors.
     pub fn launch(self, apps: Vec<AppFn>) -> Result<SimReport, SimError> {
         self.launch_inspect(apps).result
     }
@@ -214,9 +191,8 @@ impl Cluster {
         // Shared-segment size in pages: every allocation so far. Sizes each
         // node's page table and twin pool.
         let seg_pages = self.alloc_next.div_ceil(self.cfg.dsm.page_size as u64) as usize;
-        // The one shared segment both substrates seed node memory from
-        // (see [`SharedSegment`]): identical initial bytes whichever
-        // backend runs the program.
+        // The one shared segment every node seeds its memory from (see
+        // [`SharedSegment`]).
         self.segment.truncate(seg_pages);
         let segment = Arc::new(self.segment);
         let states: Vec<Arc<Mutex<NodeState>>> = (0..n)
@@ -227,10 +203,38 @@ impl Cluster {
             .collect();
         let topo = Arc::new(Topology::new(n, Arc::clone(&self.stats), self.race.clone()));
 
-        let result = match self.cfg.backend {
-            Backend::Sim => Self::run_sim(&self.cfg, self.record_trace, &net, &states, &topo, apps),
-            Backend::Native => Self::run_native(&self.cfg, &net, &states, &topo, apps),
-        };
+        let mut sim = Sim::<DsmMsg>::new();
+        sim.record_trace(self.record_trace);
+        // Handlers first: pids 0..n-1. Reactors, not coroutines — a request
+        // is served on the stack of whichever application holds duty.
+        for (i, state) in states.iter().enumerate() {
+            let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(&topo));
+            let pid = sim.spawn_reactor(&format!("handler{i}"), handler);
+            assert_eq!(pid, topo.handler_pids[i]);
+        }
+        // Applications: pids n..2n-1.
+        for (i, app) in apps.into_iter().enumerate() {
+            let nic = net.nic(i);
+            let st = Arc::clone(&states[i]);
+            let topo2 = Arc::clone(&topo);
+            let page_size = self.cfg.dsm.page_size;
+            let tlb_enabled = self.cfg.dsm.tlb_enabled;
+            let pid = sim.spawn(&format!("app{i}"), move |ctx| {
+                let node = DsmNode::new(ctx, nic, st, topo2, page_size, tlb_enabled);
+                app(node)
+            });
+            assert_eq!(pid, topo.app_pids[i]);
+        }
+        // Group each node's two processes together, with the network's
+        // minimum cross-node latency as the lookahead: event keys carry the
+        // pusher's group (same-instant ties break by node), and the
+        // post-exit quiescence tail is bounded by the lookahead horizon.
+        sim.set_lookahead(self.cfg.net.min_cross_latency());
+        for i in 0..n {
+            sim.assign_group(topo.handler_pids[i], i);
+            sim.assign_group(topo.app_pids[i], i);
+        }
+        let result = sim.run();
         // However the run ended, every application process has ended and
         // dropped its `DsmNode`: the nodes' host counts are final.
         let mut host = HostCounters::default();
@@ -240,114 +244,5 @@ impl Cluster {
         self.stats.fold_host(host);
         let probes = states.iter().map(|s| s.lock().rse_probe()).collect();
         LaunchOutcome { result, probes, loss_events: net.loss_events(), states }
-    }
-
-    /// The simulated launch path: spawn every process into a DES, group
-    /// per node, run to completion.
-    fn run_sim(
-        cfg: &ClusterConfig,
-        record_trace: bool,
-        net: &Arc<Network>,
-        states: &[Arc<Mutex<NodeState>>],
-        topo: &Arc<Topology>,
-        apps: Vec<AppFn>,
-    ) -> Result<SimReport, SimError> {
-        let n = cfg.nodes;
-        let mut sim = Sim::<DsmMsg>::new();
-        sim.record_trace(record_trace);
-        // Handlers first: pids 0..n-1. Reactors, not coroutines — a request
-        // is served on the stack of whichever application holds duty.
-        for (i, state) in states.iter().enumerate() {
-            let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(topo));
-            let pid = sim.spawn_reactor(&format!("handler{i}"), handler);
-            assert_eq!(pid, topo.handler_pids[i]);
-        }
-        // Applications: pids n..2n-1.
-        for (i, app) in apps.into_iter().enumerate() {
-            let nic = net.nic(i);
-            let st = Arc::clone(&states[i]);
-            let topo2 = Arc::clone(topo);
-            let page_size = cfg.dsm.page_size;
-            let tlb_enabled = cfg.dsm.tlb_enabled;
-            let pid = sim.spawn(&format!("app{i}"), move |ctx| {
-                let node = DsmNode::new(NodeCtx::Sim(ctx), nic, st, topo2, page_size, tlb_enabled);
-                app(node)
-            });
-            assert_eq!(pid, topo.app_pids[i]);
-        }
-        // Group each node's two processes together, with the network's
-        // minimum cross-node latency as the lookahead: event keys carry the
-        // pusher's group (same-instant ties break by node), and the
-        // post-exit quiescence tail is bounded by the lookahead horizon.
-        sim.set_lookahead(cfg.net.min_cross_latency());
-        for i in 0..n {
-            sim.assign_group(topo.handler_pids[i], i);
-            sim.assign_group(topo.app_pids[i], i);
-        }
-        sim.run()
-    }
-
-    /// The native launch path: the same processes, pid layout and names as
-    /// [`Cluster::run_sim`], but each — handlers included — on a real OS
-    /// thread with wall-clock time. The network object still routes frames
-    /// and counts statistics; its computed delivery times are accounting
-    /// only (messages arrive as soon as the receiver looks). Traces do not
-    /// apply.
-    fn run_native(
-        cfg: &ClusterConfig,
-        net: &Arc<Network>,
-        states: &[Arc<Mutex<NodeState>>],
-        topo: &Arc<Topology>,
-        apps: Vec<AppFn>,
-    ) -> Result<SimReport, SimError> {
-        let mut nat = Native::<DsmMsg>::new();
-        // Handlers first: pids 0..n-1, exactly as on the simulator.
-        for (i, state) in states.iter().enumerate() {
-            let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(topo));
-            // No duty holder here to run a reactor on: a thread of its own
-            // does the waiting and calls the same three methods.
-            let pid = nat.spawn_daemon(&format!("handler{i}"), move |ctx| loop {
-                let env = match handler.wait() {
-                    Some(t) => ctx.recv_timeout(t)?,
-                    None => Some(ctx.recv()?),
-                };
-                match env {
-                    Some(env) => handler.on_msg(&ctx, env),
-                    None => handler.on_timeout(&ctx),
-                }
-            });
-            assert_eq!(pid, topo.handler_pids[i]);
-        }
-        // Applications: pids n..2n-1.
-        for (i, app) in apps.into_iter().enumerate() {
-            let nic = net.nic(i);
-            let st = Arc::clone(&states[i]);
-            let topo2 = Arc::clone(topo);
-            let page_size = cfg.dsm.page_size;
-            let tlb_enabled = cfg.dsm.tlb_enabled;
-            let pid = nat.spawn(&format!("app{i}"), move |ctx| {
-                let node =
-                    DsmNode::new(NodeCtx::Native(ctx), nic, st, topo2, page_size, tlb_enabled);
-                app(node)
-            });
-            assert_eq!(pid, topo.app_pids[i]);
-        }
-        // The one place the native backend's result takes the simulator's
-        // shape, so everything above reports both the same way: every
-        // process clock reads the end of the run, no trace, no counters.
-        match nat.run() {
-            Ok(r) => Ok(SimReport {
-                end_time: r.end_time,
-                proc_clocks: r.names.into_iter().map(|n| (n, r.end_time)).collect(),
-                events_processed: r.deliveries,
-                trace: None,
-                mailbox_backlog: r.mailbox_backlog,
-                exec: Default::default(),
-            }),
-            Err(NativeError::ProcessPanicked { pid, name }) => {
-                Err(SimError::ProcessPanicked { pid, name })
-            }
-            Err(NativeError::NoPrimaryProcesses) => Err(SimError::NoPrimaryProcesses),
-        }
     }
 }

@@ -6,7 +6,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use repseq_sim::{Dur, Envelope, SendCtx, Stopped, SubstrateCtx};
+use repseq_sim::{Dur, Envelope, Stopped};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::interval::{IntervalRecord, PageId};

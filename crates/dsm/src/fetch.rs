@@ -17,7 +17,7 @@
 //! segment, not the window); one after an answer resends to every owner
 //! still outstanding.
 
-use repseq_sim::{Dur, SendCtx, Stopped};
+use repseq_sim::{Dur, Stopped};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::config::DsmConfig;
@@ -81,8 +81,7 @@ impl RetryTimer {
         RetryTimer { timeout: cfg.rse_timeout, max_retries: cfg.rse_max_retries, retries: 0 }
     }
 
-    /// The current wait: virtual on the DES, a real wall-clock timeout on
-    /// the native backend — the same resend discipline drives both.
+    /// The current wait, in virtual time.
     pub(crate) fn timeout(&self) -> Dur {
         self.timeout
     }

@@ -11,15 +11,12 @@
 //! the barrier manager (node 0), the lock managers, and the receive side of
 //! the replicated-section multicast protocol.
 //!
-//! One body, two drivers. On the simulator the handler is a
-//! [`Reactor`]: no stack of its own, its callbacks run on whichever
-//! application process holds duty when a request arrives — the closer
-//! model of the signal handler, and half the switches. On the native backend,
-//! where there is no duty holder to borrow a stack from,
-//! `Cluster::run_native` drives the same three methods from a receive loop
-//! on a thread of its own. Either way the body sees only a [`SendCtx`] —
-//! nothing in this file can name `recv`, `recv_timeout` or `sleep`, so "a
-//! handler never blocks" is checked by the compiler.
+//! The handler is a [`Reactor`]: no stack of its own, its callbacks run
+//! on whichever application process holds duty when a request arrives —
+//! the closer model of the signal handler, and half the switches. The body
+//! sees only a [`SendCtx`] — nothing in this file can name `recv`,
+//! `recv_timeout` or `sleep`, so "a handler never blocks" is checked by the
+//! compiler.
 
 use std::sync::Arc;
 
@@ -65,7 +62,7 @@ impl Handler {
     /// request is in flight, the master handler bounds it so a lost frame
     /// cannot wedge the queue forever (the requester recovers
     /// independently, §5.4.2).
-    pub(crate) fn wait(&self) -> Option<Dur> {
+    fn wait(&self) -> Option<Dur> {
         if self.nic.node() != 0 {
             return None;
         }
@@ -75,7 +72,7 @@ impl Handler {
 
     /// The stall guard fired: give up on the in-flight request and start
     /// the next queued one.
-    pub(crate) fn on_timeout(&self, ctx: &impl SendCtx<DsmMsg>) {
+    fn on_timeout(&self, ctx: &impl SendCtx<DsmMsg>) {
         let next = {
             let mut s = self.st.lock();
             s.rse.mcast_inflight = None;
@@ -91,7 +88,7 @@ impl Handler {
     }
 
     /// Serve one request, to completion.
-    pub(crate) fn on_msg(&self, ctx: &impl SendCtx<DsmMsg>, env: Envelope<DsmMsg>) {
+    fn on_msg(&self, ctx: &impl SendCtx<DsmMsg>, env: Envelope<DsmMsg>) {
         let Handler { nic, st, topo } = self;
         let node = nic.node();
         let n = topo.n;

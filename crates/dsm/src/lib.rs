@@ -30,8 +30,8 @@
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, task payloads, the slave loop |
 //! | strategy | `strategy` | how sequential sections execute ([`SeqExecStrategy`]) |
-//! | substrate | `substrate`, `shmem` | the [`NodeCtx`] backend dispatch (DES vs native threads) and the process-shared page segment |
-//! | runtime | `runtime`, `handler`, `cluster` | processes, NICs, the software TLB, message dispatch, backend selection |
+//! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context, and the shared page segment |
+//! | runtime | `runtime`, `handler`, `cluster` | processes, NICs, the software TLB, message dispatch, cluster launch |
 
 // Everything not in the `pub use` façade below is crate-internal; the
 // lint keeps `pub` from silently outliving its re-export.
@@ -59,7 +59,7 @@ mod substrate;
 mod sync;
 mod vc;
 
-pub use cluster::{AppFn, Backend, Cluster, ClusterConfig, LaunchOutcome};
+pub use cluster::{AppFn, Cluster, ClusterConfig, LaunchOutcome};
 pub use config::{DsmConfig, FlowControl, SeqExecMode};
 pub use diff::{Diff, DiffError, DiffRun};
 pub use exec::{Task, TaskFn};

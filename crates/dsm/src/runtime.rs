@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_net::Nic;
-use repseq_sim::{Dur, Pid, SendCtx, Stopped};
+use repseq_sim::{Dur, Pid, Stopped};
 use repseq_stats::{MsgClass, NodeId, StatsRef};
 
 use crate::dataplane::GenTable;
@@ -106,8 +106,8 @@ impl Tlb {
 }
 
 /// Cluster wiring shared by every process: which kernel pid is which. The
-/// layout is fixed — handlers take pids `0..n`, applications `n..2n`, on
-/// both backends — so node ↔ pid is arithmetic in either direction.
+/// layout is fixed — handlers take pids `0..n`, applications `n..2n` — so
+/// node ↔ pid is arithmetic in either direction.
 pub(crate) struct Topology {
     pub n: usize,
     /// Application process of each node.
@@ -174,9 +174,9 @@ pub struct DsmNode {
 }
 
 /// The application process owns its `DsmNode`, so the handle goes when the
-/// process ends — returned, `Stopped` or unwinding, on either backend —
-/// and leaves its TLB counts with the node's other host counters, before
-/// the cluster sums them.
+/// process ends — returned, `Stopped` or unwinding — and leaves its TLB
+/// counts with the node's other host counters, before the cluster sums
+/// them.
 impl Drop for DsmNode {
     fn drop(&mut self) {
         let host = &mut self.st.lock().host;

@@ -289,15 +289,8 @@ impl<T: Pod> ShArray<T> {
 /// image — once per cluster. `Cluster::preload_*` write straight into it,
 /// launch cuts it to the allocated size, and every node holds the same
 /// `Arc<SharedSegment>`, copying a page out of it the first time it needs
-/// bytes of its own. A simulated and a native run of the same program
-/// therefore start from byte-identical memory:
-///
-/// * on the DES the segment is bookkeeping — each node's software page
-///   table copies its initial pages out of it;
-/// * on the native backend the segment *is* the process-shared memory the
-///   OS threads start from: one allocation in the one address space all
-///   node threads share, the analogue of the `mmap`'d segment a real DSM
-///   would carve its pages out of.
+/// bytes of its own — the analogue of the `mmap`'d segment a real DSM
+/// carves its pages out of.
 ///
 /// Like that `mmap`, the segment has an extent (`pages`) and backs only
 /// what was written: the bytes up to the highest preloaded page. Pages no

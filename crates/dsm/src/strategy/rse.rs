@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use repseq_sim::{SendCtx, Stopped, SubstrateCtx};
+use repseq_sim::Stopped;
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::exec::{Step, Task, TaskFn, Waiting};

@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use repseq_sim::{Pid, SendCtx, Stopped};
+use repseq_sim::{Pid, Stopped};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::exec::{Step, Waiting};

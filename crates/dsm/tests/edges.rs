@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, ShArray};
-use repseq_sim::{Dur, SendCtx, SimError, Stopped, SubstrateCtx};
+use repseq_sim::{Dur, SimError, Stopped};
 use repseq_stats::Stats;
 
 type Apps = Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static>>;

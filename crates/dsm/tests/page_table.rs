@@ -2,7 +2,7 @@
 //! valid notices as a common stamp plus exceptions, the `valid_changed`
 //! worklist, the presized table of a launched cluster, the resend path of
 //! the sorted fetch plan (its probe before any reply, its recovery under
-//! loss), and the one shared segment behind both backends.
+//! loss), and the one shared segment every node is seeded from.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -10,11 +10,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_dsm::{
-    AppFn, Backend, Cluster, ClusterConfig, DsmConfig, DsmNode, LaunchOutcome, NodeState, PageId,
-    ShArray, SharedSegment, Vc,
+    AppFn, Cluster, ClusterConfig, DsmConfig, DsmNode, LaunchOutcome, NodeState, PageId, ShArray,
+    SharedSegment, Vc,
 };
 use repseq_net::LossConfig;
-use repseq_sim::{Dur, SubstrateCtx};
+use repseq_sim::Dur;
 use repseq_stats::{MsgClass, Section, Stats};
 
 const N: usize = 4;
@@ -166,11 +166,9 @@ fn valid_changed_worklist_edges() {
     assert_eq!(delta[0].1, st.page_mut(3).valid_at);
 }
 
-fn cluster(n: usize, backend: Backend) -> (Cluster, Arc<Stats>) {
+fn cluster(n: usize) -> (Cluster, Arc<Stats>) {
     let stats = Stats::new(n);
-    let mut cfg = ClusterConfig::paper(n);
-    cfg.backend = backend;
-    (Cluster::new(cfg, Arc::clone(&stats)), stats)
+    (Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats)), stats)
 }
 
 /// A launched cluster sizes every node's table for the whole segment: the
@@ -180,7 +178,7 @@ fn cluster(n: usize, backend: Backend) -> (Cluster, Arc<Stats>) {
 #[test]
 fn a_launched_cluster_never_grows_its_page_tables() {
     let n = 2;
-    let (mut cl, _) = cluster(n, Backend::Sim);
+    let (mut cl, _) = cluster(n);
     let arr: ShArray<u64> = cl.alloc_array_page_aligned(3 * 512);
     let last = arr.page_span(cl.config().dsm.page_size).1;
     let apps: Vec<AppFn> = (0..n)
@@ -299,36 +297,34 @@ fn a_fetch_whose_first_requests_are_all_dropped_still_completes() {
     assert!(dropped(1) && dropped(2), "loss log: {:?}", outcome.loss_events);
 }
 
-/// Both backends read a preloaded page and a never-preloaded page of the
-/// one shared segment correctly, and a write to one node's copy of either
-/// never reaches the segment the other nodes start from.
+/// A preloaded page and a never-preloaded page of the one shared segment
+/// read back correctly, and a write to one node's copy of either never
+/// reaches the segment the other nodes start from.
 #[test]
-fn preloaded_and_untouched_pages_read_back_on_both_backends() {
-    for backend in [Backend::Sim, Backend::Native] {
-        let n = 3;
-        let (mut cl, _) = cluster(n, backend);
-        let arr: ShArray<u64> = cl.alloc_array_page_aligned(2 * 512);
-        let vals: Vec<u64> = (0..512).map(|k| k * 3 + 1).collect();
-        cl.preload(arr, &vals);
-        let apps: Vec<AppFn> = (0..n)
-            .map(|_| {
-                Box::new(move |nd: DsmNode| {
-                    // Node 2 dirties its private copies first: nobody
-                    // synchronizes with it before reading, so the others
-                    // must still see the initial image.
-                    if nd.node() == 2 {
-                        arr.set(&nd, 5, 99)?;
-                        arr.set(&nd, 512 + 5, 99)?;
-                    } else {
-                        for k in (0..512).step_by(31) {
-                            assert_eq!(arr.get(&nd, k)?, k as u64 * 3 + 1, "preloaded page");
-                            assert_eq!(arr.get(&nd, 512 + k)?, 0, "never-preloaded page");
-                        }
+fn preloaded_and_untouched_pages_read_back() {
+    let n = 3;
+    let (mut cl, _) = cluster(n);
+    let arr: ShArray<u64> = cl.alloc_array_page_aligned(2 * 512);
+    let vals: Vec<u64> = (0..512).map(|k| k * 3 + 1).collect();
+    cl.preload(arr, &vals);
+    let apps: Vec<AppFn> = (0..n)
+        .map(|_| {
+            Box::new(move |nd: DsmNode| {
+                // Node 2 dirties its private copies first: nobody
+                // synchronizes with it before reading, so the others must
+                // still see the initial image.
+                if nd.node() == 2 {
+                    arr.set(&nd, 5, 99)?;
+                    arr.set(&nd, 512 + 5, 99)?;
+                } else {
+                    for k in (0..512).step_by(31) {
+                        assert_eq!(arr.get(&nd, k)?, k as u64 * 3 + 1, "preloaded page");
+                        assert_eq!(arr.get(&nd, 512 + k)?, 0, "never-preloaded page");
                     }
-                    Ok(())
-                }) as AppFn
-            })
-            .collect();
-        cl.launch(apps).unwrap_or_else(|e| panic!("{backend:?}: {e:?}"));
-    }
+                }
+                Ok(())
+            }) as AppFn
+        })
+        .collect();
+    cl.launch(apps).expect("run completes");
 }

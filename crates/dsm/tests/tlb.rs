@@ -27,8 +27,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{
-    AppFn, Backend, Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId,
-    Pod, ShArray, SharedSegment, Vc,
+    AppFn, Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod,
+    ShArray, SharedSegment, Vc,
 };
 use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
@@ -427,15 +427,13 @@ const FOLD_NODES: usize = 4;
 const FOLD_READS: usize = 64;
 
 /// Every node reads `FOLD_READS` preloaded elements of one page (valid
-/// everywhere, never written: one miss and `FOLD_READS - 1` hits a node,
-/// on either substrate). Then the run ends well — or node 1 panics inside
+/// everywhere, never written: one miss and `FOLD_READS - 1` hits a
+/// node). Then the run ends well — or node 1 panics inside
 /// a parallel section, which ends every other node's process by `Stopped`.
 /// Returns the run's result and its host counters.
-fn run_fold(backend: Backend, die: bool) -> (Result<(), SimError>, HostCounters) {
+fn run_fold(die: bool) -> (Result<(), SimError>, HostCounters) {
     let stats = Stats::new(FOLD_NODES);
-    let mut ccfg = ClusterConfig::paper(FOLD_NODES);
-    ccfg.backend = backend;
-    let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
+    let mut cl = Cluster::new(ClusterConfig::paper(FOLD_NODES), Arc::clone(&stats));
     let arr = cl.alloc_array_page_aligned::<u64>(FOLD_READS);
     cl.preload(arr, &vec![5u64; FOLD_READS]);
     let master = move |node: DsmNode| -> Result<(), Stopped> {
@@ -462,20 +460,18 @@ fn run_fold(backend: Backend, die: bool) -> (Result<(), SimError>, HostCounters)
 }
 
 #[test]
-fn every_node_folds_its_counts_before_the_run_returns() {
+fn every_node_folds_its_counts_whether_the_run_ends_well_or_not() {
     let (n, reads) = (FOLD_NODES as u64, FOLD_READS as u64);
-    for backend in [Backend::Sim, Backend::Native] {
-        let (result, host) = run_fold(backend, false);
-        result.expect("the clean run completes");
-        assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n), "{backend:?}");
+    let (result, host) = run_fold(false);
+    result.expect("the clean run completes");
+    assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n));
 
-        // Node 1 unwinds, the rest are ended by `Stopped` wherever they
-        // were blocked: all four handles still go, and fold.
-        let (result, host) = run_fold(backend, true);
-        match result {
-            Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "app1"),
-            other => panic!("{backend:?}: expected app1 to panic, got {other:?}"),
-        }
-        assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n), "{backend:?}");
+    // Node 1 unwinds, the rest are ended by `Stopped` wherever they were
+    // blocked: all four handles still go, and fold.
+    let (result, host) = run_fold(true);
+    match result {
+        Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "app1"),
+        other => panic!("expected app1 to panic, got {other:?}"),
     }
+    assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n));
 }

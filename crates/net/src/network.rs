@@ -94,8 +94,7 @@ impl Network {
     /// itself repeats run for run — but in *send* order, and a frame sent
     /// earlier can be delivered later (about one torture schedule in seven
     /// logs out of delivery order). Sorting by the decision key gives the
-    /// delivery-time order reports are read in, and a stable view on the
-    /// native backend, where threads append concurrently.
+    /// delivery-time order reports are read in.
     pub fn loss_events(&self) -> Vec<LossEvent> {
         let mut log = self.drop_log.lock().clone();
         log.sort_by_key(|e| (e.at, e.src, e.dst, e.pair_seq, e.multicast));
@@ -135,11 +134,8 @@ impl Nic {
     /// software send overhead; never yields. Returns the delivery time
     /// (even if the frame is then lost).
     ///
-    /// Generic over the substrate: on the DES the computed delivery time is
-    /// honored exactly; on backends without a controllable clock it is an
-    /// accounting value and the frame is delivered as soon as the receiver
-    /// looks (see `repseq_substrate::SendCtx::send`). Needs only the
-    /// non-blocking half of the context, so a protocol handler running as a
+    /// Needs only the non-blocking half of the context
+    /// (`repseq_substrate::SendCtx`), so a protocol handler running as a
     /// reactor can send through it.
     pub fn unicast<M: Send + 'static>(
         &self,

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use crate::coro::{switch, Coroutine};
 use crate::engine::{DrainOutcome, EventKind, Kernel, Resume, Status};
 use crate::reactor::drive;
-use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
+use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped};
 
 /// A running process's own view of its virtual clock (nanoseconds):
 /// authoritative while the process runs, written back to the kernel when
@@ -211,11 +211,9 @@ impl<M: Send + 'static> Ctx<M> {
     }
 }
 
-/// The simulator is one backend of the substrate seam: every trait
-/// primitive forwards to the inherent method of the same name, so code
-/// written against [`SubstrateCtx`] (the fetch layer's retry loop, the
-/// conformance suite) drives virtual time exactly like code written
-/// against `Ctx` directly.
+/// Every primitive forwards to the inherent method of the same name, so a
+/// process's own context serves wherever a [`SendCtx`] is asked for (the
+/// network layer's `Nic`).
 impl<M: Send + 'static> SendCtx<M> for Ctx<M> {
     fn pid(&self) -> Pid {
         Ctx::pid(self)
@@ -231,23 +229,5 @@ impl<M: Send + 'static> SendCtx<M> for Ctx<M> {
 
     fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
         Ctx::send(self, dst, msg, deliver_at)
-    }
-}
-
-impl<M: Send + 'static> SubstrateCtx<M> for Ctx<M> {
-    fn sleep(&self, d: Dur) -> Result<(), Stopped> {
-        Ctx::sleep(self, d)
-    }
-
-    fn recv(&self) -> Result<Envelope<M>, Stopped> {
-        Ctx::recv(self)
-    }
-
-    fn recv_timeout(&self, d: Dur) -> Result<Option<Envelope<M>>, Stopped> {
-        Ctx::recv_timeout(self, d)
-    }
-
-    fn try_recv(&self) -> Result<Option<Envelope<M>>, Stopped> {
-        Ctx::try_recv(self)
     }
 }

@@ -36,10 +36,10 @@
 //! same events, same keys, same trace.
 //!
 //! The primitive *types* (virtual time, process ids, envelopes, the
-//! [`SendCtx`] / [`SubstrateCtx`] contract) live in
-//! `repseq-substrate` and are re-exported here under their historical
-//! paths; this engine is the seam's deterministic backend, and
-//! `repseq-native` is the wall-clock one.
+//! non-blocking [`SendCtx`] half that [`Ctx`] and [`ReactorCtx`] share)
+//! live in `repseq-substrate`, so the network model and the statistics
+//! registry can use them without linking the engine; they are re-exported
+//! here under their historical paths.
 //!
 //! See `DESIGN.md` at the repository root for how this engine substitutes
 //! for the paper's 32-node Ethernet cluster.
@@ -57,5 +57,5 @@ pub use ctx::Ctx;
 pub use engine::{ExecCounters, Sim, SimReport};
 pub use error::SimError;
 pub use reactor::{Reactor, ReactorCtx};
-pub use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped, SubstrateCtx};
+pub use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};

@@ -239,8 +239,8 @@ impl Stats {
 
     /// The host-side data-plane counts of this registry's run: zero until
     /// the run returns. Outside [`StatsSnapshot`] on purpose — two of the
-    /// fields are host *time*, and the detector-invariance and
-    /// substrate-equality gates compare snapshots with `==`.
+    /// fields are host *time*, and the detector-invariance gates compare
+    /// snapshots with `==`.
     pub fn host(&self) -> HostCounters {
         self.inner.lock().host
     }

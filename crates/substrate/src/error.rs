@@ -1,8 +1,8 @@
 //! The one error a substrate primitive can return.
 
-/// The substrate is shutting down (in the simulation: every primary
-/// process has exited; natively: the run is over or a peer panicked).
-/// Returned from blocking calls so processes can unwind cleanly.
+/// The simulation is shutting down: every primary process has exited, or
+/// a process failed. Returned from blocking calls so processes can unwind
+/// cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stopped;
 

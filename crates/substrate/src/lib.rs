@@ -1,30 +1,16 @@
-//! # repseq-substrate — the substrate seam
+//! # repseq-substrate — the primitives below the simulator
 //!
-//! The DSM protocol (`repseq-dsm`, `repseq-core`) needs only a dozen
-//! primitives from whatever it runs on: a process identity, a clock, a
-//! way to spend modeled CPU time, per-process message send/receive with
-//! timeout, and sleep. This crate owns those primitives as plain types
-//! ([`SimTime`], [`Dur`], [`Pid`], [`Envelope`], [`Stopped`]) plus the two
-//! traits that name the contract — [`SendCtx`], the non-blocking half a
-//! run-to-completion protocol handler is confined to, and [`SubstrateCtx`],
-//! which adds the blocking calls of a process with its own stack — so the
-//! protocol can be written once and executed on two very different
-//! substrates:
+//! The plain types every layer shares — [`SimTime`], [`Dur`], [`Pid`],
+//! [`Envelope`], [`Stopped`] — and [`SendCtx`], the non-blocking half of a
+//! process context: identify yourself, read the clock, spend modeled CPU
+//! time, send. Two contexts implement it, the simulator's coroutine
+//! process (`repseq_sim::Ctx`) and its run-to-completion reactor
+//! (`repseq_sim::ReactorCtx`), and the network model (`repseq_net::Nic`)
+//! and the protocol handler are written against it.
 //!
-//! * the **deterministic discrete-event simulation** (`repseq-sim`), where
-//!   time is virtual, `charge` advances the process clock by the paper's
-//!   modeled costs, and every run is bit-identical;
-//! * the **native backend** (`repseq-native`), where each process is a
-//!   real OS thread, time is the wall clock, `charge` is a no-op (real
-//!   work takes real time), and timeouts are real timeouts.
-//!
-//! `repseq-sim` re-exports everything here under its old paths, so code
-//! written against the simulator compiles unchanged.
-//!
-//! The [`conformance`] module is the trait's executable specification: a
-//! suite of substrate-independent checks (timeout ordering, envelope
-//! integrity, sleep monotonicity, daemon shutdown, message-built barrier
-//! reuse and lock fairness) that every backend must pass.
+//! The crate exists so that the network model and the statistics registry
+//! can name time and envelopes without linking the event engine.
+//! `repseq-sim` re-exports everything here under its old paths.
 
 #![warn(unreachable_pub)]
 
@@ -32,8 +18,6 @@ mod ctx;
 mod error;
 mod time;
 
-pub mod conformance;
-
-pub use ctx::{Envelope, Pid, SendCtx, SubstrateCtx};
+pub use ctx::{Envelope, Pid, SendCtx};
 pub use error::Stopped;
 pub use time::{Dur, SimTime};
