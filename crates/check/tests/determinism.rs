@@ -1,8 +1,8 @@
 //! Run-to-run determinism of what `tests/pins/` does not pin: the KV
 //! serving run and its zipfian trace, and torture schedules drawn at random
 //! over loss seeds, drop rates and sequential-section strategies. Which
-//! host thread holds duty when, and how the scheduler interleaves the
-//! others' wake-ups, differs between two runs of one process; nothing in a
+//! host thread runs a cluster, and how the scheduler interleaves it with
+//! the others, differs between two runs of one process; nothing in a
 //! report, a statistics snapshot or a fingerprint may. Nor may what else
 //! the process is simulating at the time: a run's host-side counts are its
 //! cluster's own.

@@ -206,7 +206,7 @@ impl Cluster {
         let mut sim = Sim::<DsmMsg>::new();
         sim.record_trace(self.record_trace);
         // Handlers first: pids 0..n-1. Reactors, not coroutines — a request
-        // is served on the stack of whichever application holds duty.
+        // is served on the simulator's coordinator, with no switch.
         for (i, state) in states.iter().enumerate() {
             let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(&topo));
             let pid = sim.spawn_reactor(&format!("handler{i}"), handler);

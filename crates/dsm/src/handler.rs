@@ -12,17 +12,16 @@
 //! the replicated-section multicast protocol.
 //!
 //! The handler is a [`Reactor`]: no stack of its own, its callbacks run
-//! on whichever application process holds duty when a request arrives —
-//! the closer model of the signal handler, and half the switches. The body
-//! sees only a [`SendCtx`] — nothing in this file can name `recv`,
-//! `recv_timeout` or `sleep`, so "a handler never blocks" is checked by the
-//! compiler.
+//! on the simulator's coordinator when a request arrives — the closer
+//! model of the signal handler, and no switch. The body sees only a
+//! [`ReactorCtx`] — nothing in this file can name `recv`, `recv_timeout`
+//! or `sleep`, so "a handler never blocks" is checked by the compiler.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_net::Nic;
-use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx};
+use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx};
 use repseq_stats::MsgClass;
 
 use crate::exec::{protocol_violation, Waiting};
@@ -40,29 +39,11 @@ pub(crate) struct Handler {
 }
 
 impl Reactor<DsmMsg> for Handler {
-    fn wait(&mut self) -> Option<Dur> {
-        Handler::wait(self)
-    }
-
-    fn on_msg(&mut self, ctx: &ReactorCtx<'_, DsmMsg>, env: Envelope<DsmMsg>) {
-        Handler::on_msg(self, ctx, env)
-    }
-
-    fn on_timeout(&mut self, ctx: &ReactorCtx<'_, DsmMsg>) {
-        Handler::on_timeout(self, ctx)
-    }
-}
-
-impl Handler {
-    pub(crate) fn new(nic: Nic, st: Arc<Mutex<NodeState>>, topo: Arc<Topology>) -> Handler {
-        Handler { nic, st, topo }
-    }
-
     /// How long the next wait may last. While a forwarded multicast
     /// request is in flight, the master handler bounds it so a lost frame
     /// cannot wedge the queue forever (the requester recovers
     /// independently, §5.4.2).
-    fn wait(&self) -> Option<Dur> {
+    fn wait(&mut self) -> Option<Dur> {
         if self.nic.node() != 0 {
             return None;
         }
@@ -72,7 +53,7 @@ impl Handler {
 
     /// The stall guard fired: give up on the in-flight request and start
     /// the next queued one.
-    fn on_timeout(&self, ctx: &impl SendCtx<DsmMsg>) {
+    fn on_timeout(&mut self, ctx: &ReactorCtx<'_, DsmMsg>) {
         let next = {
             let mut s = self.st.lock();
             s.rse.mcast_inflight = None;
@@ -83,13 +64,9 @@ impl Handler {
         }
     }
 
-    fn multicast(&self, ctx: &impl SendCtx<DsmMsg>, class: MsgClass, msg: DsmMsg) {
-        chain::multicast_to_handlers(&self.nic, ctx, &self.topo, class, msg);
-    }
-
     /// Serve one request, to completion.
-    fn on_msg(&self, ctx: &impl SendCtx<DsmMsg>, env: Envelope<DsmMsg>) {
-        let Handler { nic, st, topo } = self;
+    fn on_msg(&mut self, ctx: &ReactorCtx<'_, DsmMsg>, env: Envelope<DsmMsg>) {
+        let Handler { nic, st, topo } = &*self;
         let node = nic.node();
         let n = topo.n;
         match env.msg {
@@ -295,13 +272,23 @@ impl Handler {
             other => protocol_violation(node, Waiting::Handler, &other),
         }
     }
+}
+
+impl Handler {
+    pub(crate) fn new(nic: Nic, st: Arc<Mutex<NodeState>>, topo: Arc<Topology>) -> Handler {
+        Handler { nic, st, topo }
+    }
+
+    fn multicast(&self, ctx: &ReactorCtx<'_, DsmMsg>, class: MsgClass, msg: DsmMsg) {
+        chain::multicast_to_handlers(&self.nic, ctx, &self.topo, class, msg);
+    }
 
     /// Shared handling for both chain step messages (diff replies and null
     /// acks): incorporate diffs, advance the chain, take our own turn, and
     /// at the master start the next queued request when a chain completes.
     fn handle_chain_step(
         &self,
-        ctx: &impl SendCtx<DsmMsg>,
+        ctx: &ReactorCtx<'_, DsmMsg>,
         diffs: Option<(crate::interval::PageId, Vec<crate::page::DiffEntry>)>,
         turn: usize,
         req_seq: u64,

@@ -333,10 +333,10 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
     );
 }
 
-/// On the simulator a handler is a reactor: it runs on the thread of
-/// whichever application holds duty when its request arrives. A stray
+/// On the simulator a handler is a reactor: it runs on the coordinator's
+/// stack, on the thread every application of the cluster runs on. A stray
 /// message that makes it panic must fail the run under the *handler's* pid
-/// and name — not take down, and be blamed on, that application.
+/// and name — not take down, and be blamed on, an application.
 #[test]
 fn a_stray_message_fails_the_run_under_the_handlers_name() {
     let n = 3;

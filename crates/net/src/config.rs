@@ -1,6 +1,6 @@
 //! Network configuration.
 
-use repseq_substrate::Dur;
+use repseq_sim::Dur;
 
 /// Parameters of the simulated cluster interconnect.
 ///

@@ -19,8 +19,8 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use repseq_sim::{Dur, Pid, SendCtx, SimTime};
 use repseq_stats::{MsgClass, NodeId, StatsRef};
-use repseq_substrate::{Dur, Pid, SendCtx, SimTime};
 
 use crate::config::NetConfig;
 use crate::loss::LossState;
@@ -90,7 +90,7 @@ impl Network {
     /// Every frame the loss injector dropped so far, in canonical
     /// `(at, src, dst, pair_seq, multicast)` order. The decisions are
     /// deterministic (keyed per `(src, dst, medium)` frame counters) and on
-    /// the simulator one duty holder at a time appends them, so the log
+    /// the simulator one process at a time appends them, so the log
     /// itself repeats run for run — but in *send* order, and a frame sent
     /// earlier can be delivered later (about one torture schedule in seven
     /// logs out of delivery order). Sorting by the decision key gives the
@@ -135,7 +135,7 @@ impl Nic {
     /// (even if the frame is then lost).
     ///
     /// Needs only the non-blocking half of the context
-    /// (`repseq_substrate::SendCtx`), so a protocol handler running as a
+    /// (`repseq_sim::SendCtx`), so a protocol handler running as a
     /// reactor can send through it.
     pub fn unicast<M: Send + 'static>(
         &self,

@@ -1,15 +1,20 @@
 //! Stackful coroutines: what a simulated process runs on.
 //!
-//! A [`Coroutine`] is a private stack plus the saved stack pointer of
-//! whatever is suspended on it. [`switch`] saves the caller's callee-saved
-//! registers on the caller's stack, parks its stack pointer in the
-//! caller's [`Context`], and continues the target where *it* last called
-//! `switch` — or, the first time, in the entry frame, which runs the body
-//! and then leaves for the coroutine's `home` context for good. There is no
-//! scheduler, no thread and no process-global state in here: every context
-//! involved in one simulation lives on the OS thread that called
+//! A [`Coroutine`] is a private stack plus the saved stack pointers of
+//! whatever is suspended on it and of whoever resumed it. A switch saves
+//! the caller's callee-saved registers on the caller's stack, parks its
+//! stack pointer in the caller's [`Context`], and continues the target
+//! where *it* last switched — or, the first time, in the entry frame,
+//! which runs the body and then leaves for good. Every switch carries one
+//! value: [`Coroutine::resume`] hands the coroutine a `D` and gets back a
+//! `U`, [`Coroutine::suspend`] hands its resumer a `U` and gets back the
+//! next `D`, and the body's return value is its last `U`. The values are
+//! owned, so nothing the two sides exchange is borrowed across a switch:
+//! each side gives up what it sends and owns what it receives. There is
+//! no scheduler, no thread and no process-global state in here: every
+//! context involved in one simulation lives on the OS thread that called
 //! [`Sim::run`](crate::Sim::run), and control moves only where the
-//! engine's duty protocol sends it.
+//! engine's coordinator sends it.
 //!
 //! This is the one module of the crate with `unsafe` code and foreign
 //! declarations (CI's `lint` job holds the rest of `src/` to that), so its
@@ -44,11 +49,10 @@
 
 use std::ffi::c_void;
 use std::io;
+use std::mem::ManuallyDrop;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
@@ -81,15 +85,18 @@ extern "C" {
     fn munmap(addr: *mut c_void, len: usize) -> i32;
 
     /// Push the six callee-saved registers, store the stack pointer to
-    /// `*save`, load `to` as the stack pointer, pop six registers, return.
-    fn repseq_sim_coro_switch(save: *mut *mut u8, to: *mut u8);
+    /// `*save`, load `to` as the stack pointer, pop six registers, return
+    /// `value` — on the other side, where the switch that suspended `to`
+    /// returns it.
+    fn repseq_sim_coro_switch(save: *mut *mut u8, to: *mut u8, value: *mut u8) -> *mut u8;
     /// Where a fresh stack's first `ret` lands; only its address is used.
     fn repseq_sim_coro_entry();
 }
 
 // System V x86_64: rbp, rbx and r12–r15 are the callee-saved registers;
 // everything else is dead across a call, which is what `switch` looks like
-// to its caller. The x87 control word and MXCSR control bits are
+// to its caller. `value` travels in rdx, which nothing in between touches,
+// and leaves in rax. The x87 control word and MXCSR control bits are
 // callee-saved too, but Rust code never changes them (doing so is
 // undefined behaviour), so every context holds the same values and
 // nothing needs saving. The CFI keeps a backtrace taken by a signal
@@ -120,14 +127,16 @@ std::arch::global_asm!(
     "pop r12; .cfi_adjust_cfa_offset -8; .cfi_restore r12",
     "pop rbx; .cfi_adjust_cfa_offset -8; .cfi_restore rbx",
     "pop rbp; .cfi_adjust_cfa_offset -8; .cfi_restore rbp",
+    "mov rax, rdx",
     "ret",
     ".cfi_endproc",
     ".size repseq_sim_coro_switch, . - repseq_sim_coro_switch",
     "",
     // Entered by the `ret` of the first switch to a fresh stack, with the
     // registers that switch popped from the frame `Coroutine::new` wrote:
-    // r12 is the `*const Coroutine`. The stack pointer is 16-byte aligned
-    // here, as the ABI wants it at a call.
+    // r12 is the `*const Coroutine`, r13 its `coroutine_main`, and rdx
+    // still the switch's value. The stack pointer is 16-byte aligned here,
+    // as the ABI wants it at a call.
     ".p2align 4",
     ".globl repseq_sim_coro_entry",
     ".hidden repseq_sim_coro_entry",
@@ -136,17 +145,19 @@ std::arch::global_asm!(
     ".cfi_startproc",
     ".cfi_undefined rip",
     "mov rdi, r12",
-    "call {main}",
+    "mov rsi, rdx",
+    "call r13",
     "ud2",
     ".cfi_endproc",
     ".size repseq_sim_coro_entry, . - repseq_sim_coro_entry",
-    main = sym coroutine_main,
 );
 
 /// Words in the frame `repseq_sim_coro_switch` pops: r15, r14, r13, r12,
 /// rbx, rbp, return address.
 const FRAME_WORDS: usize = 7;
-/// Index of r12 in that frame.
+/// Index of r13 in that frame.
+const FRAME_R13: usize = 2;
+/// Index of r12.
 const FRAME_R12: usize = 3;
 /// Index of the return address.
 const FRAME_RET: usize = 6;
@@ -213,10 +224,9 @@ fn this_thread() -> usize {
 /// owner is running — and for good once it has finished — so a context can
 /// be switched to exactly once per suspension.
 ///
-/// The fields are atomics only to be `Sync` without an `unsafe impl`: the
-/// duty protocol never has two threads near one context, so every access
-/// is `Relaxed`.
-pub(crate) struct Context {
+/// The fields are atomics only to be `Sync` without an `unsafe impl`:
+/// one thread runs a whole simulation, so every access is `Relaxed`.
+struct Context {
     sp: AtomicPtr<u8>,
     /// The thread that suspended here; 0 for a coroutine that has not
     /// started (it may start anywhere: its body is `Send`).
@@ -224,12 +234,6 @@ pub(crate) struct Context {
 }
 
 impl Context {
-    /// The context of code that is running now and was never suspended:
-    /// what the caller of [`Sim::run`](crate::Sim::run) switches *from*.
-    pub(crate) fn running() -> Context {
-        Context::new(ptr::null_mut())
-    }
-
     fn new(sp: *mut u8) -> Context {
         Context { sp: AtomicPtr::new(sp), thread: AtomicUsize::new(0) }
     }
@@ -248,17 +252,20 @@ impl Context {
     }
 }
 
-/// Suspend the running code into `from` and continue `to`. Returns when
-/// something switches back to `from`.
+/// Suspend the running code into `from`, continue `to` and hand it
+/// `value`; returns the value of whatever switches back to `from`.
 ///
-/// `from` must be the caller's own context (the engine passes the running
-/// process's, or the coordinator's); `to` must be suspended, which is
-/// checked.
-pub(crate) fn switch(from: &Context, to: &Context) {
-    debug_assert!(from.sp.load(Ordering::Relaxed).is_null(), "switch from a suspended context");
+/// `from` must be the caller's own context and `to` must be suspended,
+/// which is checked before anything moves. The caller names `R`, so the
+/// two sides of every suspension must agree on the types that cross it:
+/// [`Coroutine::resume`] and [`Coroutine::suspend`] (and the entry frame)
+/// are the only callers, each sending what the other receives.
+fn switch<T, R>(from: &Context, to: &Context, value: T) -> R {
     let here = this_thread();
     let sp = to.take(here);
+    debug_assert!(from.sp.load(Ordering::Relaxed).is_null(), "switch from a suspended context");
     from.thread.store(here, Ordering::Relaxed);
+    let mut value = ManuallyDrop::new(value);
     // SAFETY: `sp` was stored by this very call on another stack, or laid
     // out by `Coroutine::new`, and `take` hands each such value out once,
     // so it points at a seven-word switch frame that is still in place, on
@@ -268,40 +275,48 @@ pub(crate) fn switch(from: &Context, to: &Context) {
     // stack of a caller suspended right here. `from.sp` is a valid place
     // for the write. The asm preserves every callee-saved register for
     // this caller and clobbers only what a C call may.
-    unsafe { repseq_sim_coro_switch(from.sp.as_ptr(), sp) };
+    let got =
+        unsafe { repseq_sim_coro_switch(from.sp.as_ptr(), sp, ptr::addr_of_mut!(value).cast()) };
+    // SAFETY: `got` is the `value` of the switch that continued this one,
+    // a `ManuallyDrop<R>` in the frame of a caller that is now suspended
+    // in that switch and cannot run — nor its frame go — before something
+    // switches back to it, which is after this read. Its owner never
+    // touches it again, so the read moves it here.
+    ManuallyDrop::into_inner(unsafe { got.cast::<ManuallyDrop<R>>().read() })
 }
 
 /// What a coroutine runs: called once, on the coroutine's stack, with a
-/// handle to the coroutine itself (whose [`context`](Coroutine::context)
-/// is what the body switches *from*). It must not unwind (the engine's
-/// bodies catch their process's panic).
-type Body = Box<dyn FnOnce(Arc<Coroutine>) + Send>;
+/// handle to the coroutine itself (what the body [`suspend`]s through) and
+/// the first [`resume`]'s value; what it returns goes to the last one. It
+/// must not unwind (the engine's bodies catch their process's panic).
+///
+/// [`resume`]: Coroutine::resume
+/// [`suspend`]: Coroutine::suspend
+type Body<D, U> = Box<dyn FnOnce(Arc<Coroutine<D, U>>, D) -> U + Send>;
 
-/// A body and the stack it runs on.
-pub(crate) struct Coroutine {
+/// A body and the stack it runs on; it is resumed with `D`s and suspends
+/// with `U`s.
+pub(crate) struct Coroutine<D, U> {
     context: Context,
-    /// Where the coroutine goes when its body is done.
-    home: Arc<Context>,
+    /// Whoever resumed it, suspended in `resume` while it runs.
+    caller: Context,
     /// Taken by the entry frame.
-    body: Mutex<Option<Body>>,
+    body: Mutex<Option<Body<D, U>>>,
     /// The body has returned: no frame on `stack` will run again.
     finished: AtomicBool,
     stack: Option<Stack>,
 }
 
-impl Coroutine {
+impl<D, U> Coroutine<D, U> {
     /// Map a stack and prepare `body` to start on it at the first
-    /// [`switch`] to [`context`](Self::context). When `body` returns the
-    /// coroutine switches to `home` and is never resumed. Panics if the
-    /// stack cannot be mapped.
+    /// [`resume`](Self::resume). Panics if the stack cannot be mapped.
     ///
-    /// A coroutine that is never switched to never drops `body`, and one
-    /// that is dropped before its body has finished leaks its stack: the
-    /// engine enters every coroutine it made and runs it to its end.
+    /// A coroutine that is never resumed never drops `body`, and one that
+    /// is dropped before its body has finished leaks its stack: the
+    /// engine resumes every coroutine it made until it finishes.
     pub(crate) fn new(
-        home: Arc<Context>,
-        body: impl FnOnce(Arc<Coroutine>) + Send + 'static,
-    ) -> Arc<Coroutine> {
+        body: impl FnOnce(Arc<Coroutine<D, U>>, D) -> U + Send + 'static,
+    ) -> Arc<Coroutine<D, U>> {
         let stack = Stack::map().expect("failed to map a coroutine stack");
         // At the top (page-aligned) with 16 bytes to spare, so that the
         // stack pointer is 16-byte aligned once the frame is popped and
@@ -312,35 +327,46 @@ impl Coroutine {
             unsafe { stack.base.as_ptr().add(STACK_SIZE).cast::<usize>().sub(FRAME_WORDS + 2) };
         let co = Arc::new(Coroutine {
             context: Context::new(frame.cast()),
-            home,
-            body: Mutex::new(Some(Box::new(body))),
+            caller: Context::new(ptr::null_mut()),
+            body: Mutex::new(Some(Box::new(body) as Body<D, U>)),
             finished: AtomicBool::new(false),
             stack: Some(stack),
         });
+        let main: extern "C" fn(*const Coroutine<D, U>, *mut u8) -> ! = coroutine_main::<D, U>;
         // SAFETY: inside the frame (above); nothing else points into the
         // fresh mapping. Every other word of the frame is zero as mapped,
         // rbp included, which ends a frame-pointer walk. The `Arc`'s
         // address is stable and outlives every run of the entry frame (see
-        // `coroutine_main`).
+        // `coroutine_main`), and `main` is the entry for exactly this `D`
+        // and `U`.
         unsafe {
             frame.add(FRAME_R12).write(Arc::as_ptr(&co) as usize);
+            frame.add(FRAME_R13).write(main as usize);
             frame.add(FRAME_RET).write(repseq_sim_coro_entry as *const () as usize);
         }
         co
     }
 
-    /// The context to [`switch`] to (and, from inside the body, from).
-    pub(crate) fn context(&self) -> &Context {
-        &self.context
+    /// Continue the coroutine — start it, the first time — handing it
+    /// `value`, and return what it hands back: a [`suspend`]'s value, or
+    /// its body's result. Panics, having run nothing, if the coroutine is
+    /// running, has finished, or was suspended on another thread.
+    ///
+    /// [`suspend`]: Self::suspend
+    pub(crate) fn resume(&self, value: D) -> U {
+        switch(&self.caller, &self.context, value)
     }
 
-    /// The context this coroutine leaves for when its body is done.
-    pub(crate) fn home(&self) -> &Context {
-        &self.home
+    /// From inside the body: switch back to whoever resumed the coroutine,
+    /// handing it `value`, and return the value of the next
+    /// [`resume`](Self::resume). Panics, having run nothing, unless called
+    /// on the coroutine's own stack while it runs.
+    pub(crate) fn suspend(&self, value: U) -> D {
+        switch(&self.context, &self.caller, value)
     }
 }
 
-impl Drop for Coroutine {
+impl<D, U> Drop for Coroutine<D, U> {
     fn drop(&mut self) {
         if !*self.finished.get_mut() {
             // Frames whose destructors have not run may still be on the
@@ -351,31 +377,40 @@ impl Drop for Coroutine {
     }
 }
 
-/// The Rust half of the entry frame: run the body, then leave for good.
-extern "C" fn coroutine_main(co: *const Coroutine) -> ! {
+/// The Rust half of the entry frame: take the first value, run the body,
+/// then leave for good with its result.
+extern "C" fn coroutine_main<D, U>(co: *const Coroutine<D, U>, first: *mut u8) -> ! {
     // SAFETY: `co` is the `Arc`'s own pointer, written by `Coroutine::new`.
-    // This code runs only inside a chain of `switch` calls that began with
-    // one given a `&Context` borrowed from that `Arc`'s `Coroutine`; that
-    // caller is suspended in its call, borrow alive, until this coroutine
-    // (or one further down the chain) switches back to it. The count is
-    // raised for the second owner `from_raw` creates.
-    let (co, me) = unsafe {
+    // This code runs only inside a chain of switches that began with a
+    // `resume` borrowing that `Arc`'s `Coroutine`; that caller is
+    // suspended in its call, borrow alive, until this coroutine (or one
+    // further down the chain) switches back to it. The count is raised for
+    // the second owner `from_raw` creates. `first` is the `ManuallyDrop<D>`
+    // of that `resume`, read once, as `switch` reads one.
+    let (co, me, first) = unsafe {
         Arc::increment_strong_count(co);
-        (&*co, Arc::from_raw(co))
+        (&*co, Arc::from_raw(co), first.cast::<ManuallyDrop<D>>().read())
     };
-    let body = co.body.lock().take().expect("a coroutine is entered once");
-    // An unwind out of `body` would abort here: this is an `extern "C"` fn.
-    body(me);
-    // Nothing owned is alive in this frame any more (`body` and `me` were
-    // consumed by the call): it is abandoned, not returned from, so nothing
-    // in it would ever be dropped.
+    let body = co
+        .body
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take()
+        .expect("a coroutine is entered once");
+    // An unwind out of `body` would abort here: this is an `extern "C" fn`.
+    let mut last = ManuallyDrop::new(body(me, ManuallyDrop::into_inner(first)));
+    // Nothing owned is alive in this frame any more but `last`, which the
+    // resumer moves out (`body` and `me` were consumed by the call): the
+    // frame is abandoned, not returned from, so nothing in it would ever
+    // be dropped.
     co.finished.store(true, Ordering::Relaxed);
-    let home = co.home.take(this_thread());
+    let caller = co.caller.take(this_thread());
     let mut abandoned = ptr::null_mut();
     // SAFETY: as in `switch`; the stack pointer saved into `abandoned` is
     // never used, so this frame is never resumed, and the mapping under it
-    // stays until `Coroutine::drop` runs on some other stack.
-    unsafe { repseq_sim_coro_switch(&mut abandoned, home) };
+    // — with `last` in it, which the resumer reads at once — stays until
+    // `Coroutine::drop` runs on some other stack.
+    unsafe { repseq_sim_coro_switch(&mut abandoned, caller, ptr::addr_of_mut!(last).cast()) };
     unreachable!("a finished coroutine was resumed")
 }
 
@@ -384,49 +419,43 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// A coroutine that switches home once in mid-body, then finishes.
-    fn two_step(home: &Arc<Context>, steps: &Arc<AtomicUsize>) -> Arc<Coroutine> {
-        let steps = Arc::clone(steps);
-        Coroutine::new(Arc::clone(home), move |me| {
-            steps.fetch_add(1, Ordering::SeqCst);
-            switch(me.context(), me.home());
-            steps.fetch_add(1, Ordering::SeqCst);
+    /// A coroutine that adds what it is resumed with: it suspends with the
+    /// first value doubled, then finishes with the sum of both.
+    fn two_step() -> Arc<Coroutine<u64, u64>> {
+        Coroutine::new(|me, first| {
+            let second = me.suspend(2 * first);
+            first + second
         })
     }
 
     #[test]
     fn a_context_is_switched_to_only_while_suspended() {
-        let home = Arc::new(Context::running());
-        let steps = Arc::new(AtomicUsize::new(0));
-        let co = two_step(&home, &steps);
-        switch(&home, co.context());
-        switch(&home, co.context());
-        assert_eq!(steps.load(Ordering::SeqCst), 2);
-        // Finished: nothing is suspended there any more. Nor in `home`,
-        // which is running.
-        for dead in [co.context(), &*home] {
-            let spare = Context::running();
-            let err = catch_unwind(AssertUnwindSafe(|| switch(&spare, dead))).unwrap_err();
-            assert!(err.downcast_ref::<&str>().unwrap().contains("not suspended"));
-        }
+        let co = two_step();
+        assert_eq!(co.resume(5), 10);
+        assert_eq!(co.resume(7), 12);
+        // Finished: nothing is suspended there any more.
+        let err = catch_unwind(AssertUnwindSafe(|| co.resume(1))).unwrap_err();
+        assert!(err.downcast_ref::<&str>().unwrap().contains("not suspended"));
+        // Nor in a coroutine that is running: it cannot resume itself.
+        let selfish: Arc<Coroutine<(), bool>> = Coroutine::new(|me, ()| {
+            catch_unwind(AssertUnwindSafe(|| me.resume(()))).is_err_and(|err| {
+                err.downcast_ref::<&str>().is_some_and(|m| m.contains("not suspended"))
+            })
+        });
+        assert!(selfish.resume(()));
     }
 
     #[test]
     fn what_one_thread_suspended_another_cannot_continue() {
-        let home = Arc::new(Context::running());
-        let steps = Arc::new(AtomicUsize::new(0));
-        let co = two_step(&home, &steps);
-        switch(&home, co.context());
-        assert_eq!(steps.load(Ordering::SeqCst), 1);
+        let co = two_step();
+        assert_eq!(co.resume(5), 10);
         // As if another thread had suspended it (no address is 1): refused,
         // and nothing ran. (`resume.rs` builds a `Sim` here and runs it
         // there, which is fine: nothing had been suspended yet.)
-        let suspended_on = co.context().thread.swap(1, Ordering::Relaxed);
-        let err = catch_unwind(AssertUnwindSafe(|| switch(&home, co.context()))).unwrap_err();
+        let suspended_on = co.context.thread.swap(1, Ordering::Relaxed);
+        let err = catch_unwind(AssertUnwindSafe(|| co.resume(7))).unwrap_err();
         assert!(err.downcast_ref::<&str>().unwrap().contains("another thread"));
-        assert_eq!(steps.load(Ordering::SeqCst), 1);
-        co.context().thread.store(suspended_on, Ordering::Relaxed);
-        switch(&home, co.context());
-        assert_eq!(steps.load(Ordering::SeqCst), 2);
+        co.context.thread.store(suspended_on, Ordering::Relaxed);
+        assert_eq!(co.resume(7), 12);
     }
 }

@@ -1,14 +1,55 @@
-//! The process-side handle to the simulation kernel.
+//! The process side: what a process is and holds, and what it hands the
+//! coordinator when it switches back.
 
-use std::cell::Cell;
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
+use crate::coro::Coroutine;
+use crate::error::Stopped;
+use crate::time::{Dur, SimTime};
 
-use crate::coro::{switch, Coroutine};
-use crate::engine::{DrainOutcome, EventKind, Kernel, Resume, Status};
-use crate::reactor::drive;
-use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped};
+/// Identifier of a process (index into the simulator's process table),
+/// assigned densely in spawn order.
+pub type Pid = usize;
+
+/// A message in flight or in a mailbox.
+#[derive(Debug)]
+pub struct Envelope<M> {
+    /// Sending process.
+    pub from: Pid,
+    /// Virtual time at which the message became available to the
+    /// receiver.
+    pub at: SimTime,
+    /// Payload.
+    pub msg: M,
+}
+
+/// The non-blocking half of a process context: everything a
+/// run-to-completion body may do — identify itself, read the clock, spend
+/// modeled CPU time and send. A protocol handler gets only this half (it
+/// is a [`Reactor`](crate::Reactor), handed a
+/// [`ReactorCtx`](crate::ReactorCtx)), so "a handler cannot block" is a
+/// fact of its signature: `recv`, `recv_timeout` and `sleep` are not
+/// nameable through it. The network layer (`repseq_net::Nic`) needs no
+/// more than this either.
+///
+/// `now` is monotone non-decreasing within a process, and a message sent
+/// is delivered no earlier than `deliver_at`.
+pub trait SendCtx<M> {
+    /// This process's identifier.
+    fn pid(&self) -> Pid;
+
+    /// The current virtual time as observed by this process.
+    fn now(&self) -> SimTime;
+
+    /// Spend `d` of modeled CPU time: advances this process's clock.
+    fn charge(&self, d: Dur);
+
+    /// Send `msg` to process `dst`, available to it at `deliver_at`.
+    fn send(&self, dst: Pid, msg: M, deliver_at: SimTime);
+}
 
 /// A running process's own view of its virtual clock (nanoseconds):
 /// authoritative while the process runs, written back to the kernel when
@@ -49,6 +90,54 @@ impl LocalClock {
     }
 }
 
+/// The messages a running process has sent, in the order sent, each with
+/// its destination: the run's one send buffer, lent to whichever process
+/// runs and queued by the coordinator when it switches back.
+pub(crate) type Sends<M> = Vec<(Pid, Envelope<M>)>;
+
+/// What moves with control: a coroutine process's mailbox and the run's
+/// send buffer, lent to it with its `Go` and handed back at its next
+/// switch. While it runs nothing else of the simulation does, so nothing
+/// else needs either.
+pub(crate) struct Lent<M> {
+    pub(crate) mailbox: VecDeque<Envelope<M>>,
+    pub(crate) sends: Sends<M>,
+}
+
+impl<M> Default for Lent<M> {
+    fn default() -> Self {
+        Lent { mailbox: VecDeque::new(), sends: Vec::new() }
+    }
+}
+
+/// What the coordinator hands a coroutine process it switches to.
+pub(crate) enum Down<M> {
+    /// Continue at virtual time `at`. (A receive that finds its mailbox
+    /// still empty has timed out: nothing else resumes it without a message.)
+    Go { at: SimTime, lent: Lent<M> },
+    /// The run is over: the pending blocking call returns `Stopped`.
+    Stop,
+}
+
+/// What a coroutine process hands the coordinator when it switches back.
+pub(crate) enum Up<M> {
+    /// It waits, from virtual time `at`.
+    Wait { at: SimTime, wait: Wait, lent: Lent<M> },
+    /// Its function returned, or unwound if `panicked`.
+    Exit { panicked: bool, lent: Lent<M> },
+}
+
+/// What a coroutine process waits for.
+pub(crate) enum Wait {
+    /// The end of a sleep.
+    Sleep { until: SimTime },
+    /// A message, or the deadline if there is one.
+    Recv { deadline: Option<SimTime> },
+}
+
+/// The stack a coroutine process runs on.
+pub(crate) type Process<M> = Coroutine<Down<M>, Up<M>>;
+
 /// Handle through which a simulated process observes and affects virtual
 /// time. One `Ctx` exists per process and is not shareable.
 ///
@@ -67,29 +156,59 @@ impl LocalClock {
 /// process.
 pub struct Ctx<M: Send + 'static> {
     pid: Pid,
-    kernel: Arc<Mutex<Kernel<M>>>,
-    /// The stack this process runs on: what it switches *from* when it
-    /// gives duty away.
-    me: Arc<Coroutine>,
+    /// The stack this process runs on: what it suspends through.
+    me: Arc<Process<M>>,
     clock: LocalClock,
+    lent: RefCell<Lent<M>>,
+    /// Told `Stop`: every later blocking call returns `Stopped` at once.
+    stopped: Cell<bool>,
+    /// Where `drop` leaves what the process holds, for its exit to hand
+    /// back: the function it was given to may end before the process does.
+    left: Arc<Mutex<Option<Lent<M>>>>,
 }
 
 impl<M: Send + 'static> Ctx<M> {
-    pub(crate) fn new(pid: Pid, kernel: Arc<Mutex<Kernel<M>>>, me: Arc<Coroutine>) -> Self {
-        Ctx { pid, kernel, me, clock: LocalClock::new(SimTime::ZERO) }
+    /// A coroutine process's whole life, on its own stack: take the first
+    /// resume — a `Go` runs `f` under `catch_unwind`, a `Stop` only drops
+    /// it — and return the exit. Everything it owns is dropped by the time
+    /// it returns, as it must be: the frame that called it is abandoned,
+    /// never unwound.
+    pub(crate) fn main<F>(pid: Pid, me: Arc<Process<M>>, first: Down<M>, f: F) -> Up<M>
+    where
+        F: FnOnce(Ctx<M>) -> Result<(), Stopped>,
+    {
+        let left = Arc::new(Mutex::new(None));
+        let ctx = Ctx {
+            pid,
+            me,
+            clock: LocalClock::new(SimTime::ZERO),
+            lent: RefCell::default(),
+            stopped: Cell::new(false),
+            left: Arc::clone(&left),
+        };
+        let panicked = catch_unwind(AssertUnwindSafe(move || {
+            if ctx.adopt(first).is_ok() {
+                let _ = f(ctx);
+            }
+        }))
+        .is_err();
+        let lent = left.lock().unwrap_or_else(PoisonError::into_inner).take();
+        Up::Exit { panicked, lent: lent.unwrap_or_default() }
     }
 
-    /// Just switched to (the first time: when the engine first schedules
-    /// this process): take the resume posted for this process and adopt
-    /// its virtual time as the clock.
-    pub(crate) fn take_resume(&self) -> Result<(), Stopped> {
-        let resume = self.kernel.lock().take_resume(self.pid);
+    /// Switched to: adopt the resume's virtual time and what it lends, or
+    /// learn that the run is over.
+    fn adopt(&self, resume: Down<M>) -> Result<(), Stopped> {
         match resume {
-            Resume::Go { at } => {
+            Down::Go { at, lent } => {
                 self.clock.set(at);
+                *self.lent.borrow_mut() = lent;
                 Ok(())
             }
-            Resume::Stop => Err(Stopped),
+            Down::Stop => {
+                self.stopped.set(true);
+                Err(Stopped)
+            }
         }
     }
 
@@ -117,16 +236,14 @@ impl<M: Send + 'static> Ctx<M> {
     /// The delivery time is computed by the caller — in this workspace, by
     /// the network model, which accounts for link occupancy. Never yields.
     pub fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
-        self.kernel.lock().send(self.pid, dst, msg, deliver_at.max(self.now()));
+        let env = Envelope { from: self.pid, at: deliver_at.max(self.now()), msg };
+        self.lent.borrow_mut().sends.push((dst, env));
     }
 
     /// Sleep for `d` of virtual time (plus any pending charge).
     pub fn sleep(&self, d: Dur) -> Result<(), Stopped> {
-        let wake_at = self.clock.flush() + d;
-        self.block(|k, pid| {
-            k.procs[pid].status = Status::Sleeping;
-            k.push_event(pid, wake_at, EventKind::Wake { pid });
-        })
+        let until = self.clock.flush() + d;
+        self.block(Wait::Sleep { until })
     }
 
     /// Receive the next message, blocking in virtual time until one is
@@ -154,60 +271,39 @@ impl<M: Send + 'static> Ctx<M> {
     }
 
     fn recv_deadline(&self, deadline: Option<SimTime>) -> Result<Option<Envelope<M>>, Stopped> {
-        let at = self.clock.flush();
         // Fast path: a message already in the mailbox was delivered at or
         // before this process's last resume, so it can be consumed right
         // now without a checkpoint or a yield. Only one process per
         // group runs at a time and deliveries are applied in global
         // (time, src_group, seq) order, so the mailbox front is exactly
         // what the checkpoint path would return — minus a checkpoint key
-        // and a drain per received burst message.
-        if let Some(env) = self.kernel.lock().procs[self.pid].mailbox.pop_front() {
+        // and a switch per received burst message.
+        if let Some(env) = self.lent.borrow_mut().mailbox.pop_front() {
             return Ok(Some(env));
         }
-        self.block(|k, pid| k.begin_recv(pid, at, deadline))?;
+        self.block(Wait::Recv { deadline })?;
         // Only the deadline resumes a receive without a message.
-        Ok(self.kernel.lock().procs[self.pid].mailbox.pop_front())
+        Ok(self.lent.borrow_mut().mailbox.pop_front())
     }
 
-    /// Yield to the engine. `setup` runs under the kernel lock and must set
-    /// this process's status and schedule any wake events.
-    ///
-    /// The yielding process keeps *duty*: still under the kernel lock, it
-    /// pops and applies events itself. If one of them resumes this very
-    /// process it returns immediately — zero host context switches; if it
-    /// resumes a reactor, this process runs the reactor's callback on its
-    /// own stack and drains on; if it resumes another coroutine process,
-    /// duty moves there directly — one stack switch, made after the lock
-    /// is dropped; if nothing is runnable, duty returns to the coordinator
-    /// for the termination check.
-    fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<(), Stopped> {
-        let c = self.clock.flush();
-        let mut k = self.kernel.lock();
-        if k.stopping || std::thread::panicking() {
+    /// Yield to the engine: switch to the coordinator with what this
+    /// process holds and what it waits for, and return when it is resumed.
+    /// The coordinator queues the sends, begins the wait and pops on;
+    /// nothing else of this process's group runs in between, so every send
+    /// draws the key it would have drawn at the moment it was made.
+    fn block(&self, wait: Wait) -> Result<(), Stopped> {
+        if self.stopped.get() || std::thread::panicking() {
             return Err(Stopped);
         }
-        k.procs[self.pid].clock = c;
-        setup(&mut k, self.pid);
-        let next = match drive(&self.kernel, k, Some(self.pid)) {
-            DrainOutcome::SelfResume { at } => {
-                self.clock.set(at);
-                return Ok(());
-            }
-            DrainOutcome::Handoff(next) => Some(next),
-            DrainOutcome::Empty => None,
-            // The reactor died on this stack, but it is the reactor that
-            // failed: report it under its own pid and wait to be stopped.
-            DrainOutcome::ReactorPanicked(pid) => {
-                self.kernel.lock().exited = Some((pid, true));
-                None
-            }
-        };
-        // Whoever runs next will want the kernel lock, on this same thread.
-        debug_assert!(self.kernel.try_lock().is_some(), "switching away under the kernel lock");
-        let to = next.as_deref().map_or(self.me.home(), Coroutine::context);
-        switch(self.me.context(), to);
-        self.take_resume()
+        let at = self.clock.flush();
+        let lent = self.lent.take();
+        self.adopt(self.me.suspend(Up::Wait { at, wait, lent }))
+    }
+}
+
+impl<M: Send + 'static> Drop for Ctx<M> {
+    fn drop(&mut self) {
+        *self.left.lock().unwrap_or_else(PoisonError::into_inner) = Some(self.lent.take());
     }
 }
 

@@ -3,7 +3,7 @@
 //! A simulated process is either a stackful coroutine (`crate::coro`: a
 //! stack of its own, no thread) that cooperates with the engine, or a
 //! [`Reactor`] — a daemon without even a stack, whose callbacks run to
-//! completion on whichever stack holds duty (see [`crate::reactor`]). The
+//! completion on the coordinator's stack (see [`crate::reactor`]). The
 //! whole simulation runs on the one OS thread that called [`Sim::run`].
 //! Coroutine processes interact with the kernel only through
 //! [`Ctx`](crate::Ctx) — charging compute time, sending messages with an
@@ -36,29 +36,27 @@
 //! something to find, and a deadline is disarmed when anything else resumes
 //! its process. No popped event is stale.
 //!
-//! # The event engine: duty handoff
+//! # One coordinator pops
 //!
-//! Exactly one flow of control at a time holds *duty* — the right to pop
-//! and apply events — so execution is serialized and the pop order is the
-//! key order. Duty moves without a scheduler in the middle:
+//! [`Sim`] owns the kernel, and its run loop — on the stack of the caller
+//! of [`Sim::run`] — is the only code that pops: it pops and applies events
+//! until one resumes a process, runs that process until it waits again,
+//! and pops on.
 //!
-//! * a process that blocks keeps duty and pops events itself, under the
-//!   kernel lock. Events that resume nobody (deliveries to a process that
-//!   is busy or whose receive checkpoint is still ahead) are applied inline;
-//! * an event that resumes the duty holder itself just returns — no host
-//!   switch at all;
-//! * an event that resumes a reactor moves no duty either: the holder
-//!   drops the kernel lock, runs the reactor's callback on its own stack
-//!   until the reactor waits again, re-locks and drains on;
-//! * an event that resumes another coroutine process posts a `Go` for it
-//!   and hands duty to it: the holder drops the kernel lock and switches
-//!   stacks — a register swap in user space, no system call (a coroutine
-//!   that switched away holding the lock would deadlock the one thread);
-//! * when the queue runs dry, or the process exits, duty returns to the
-//!   coordinator (the caller of [`Sim::run`], on its own stack), which
-//!   checks for termination or deadlock and otherwise drains on.
+//! * events that resume nobody (deliveries to a process that is busy or
+//!   whose receive checkpoint is still ahead) are applied inline;
+//! * an event that resumes a reactor runs the reactor's callback on the
+//!   coordinator's stack until it waits again;
+//! * an event that resumes a coroutine process switches to it with a `Go`
+//!   that lends it its mailbox and the run's send buffer. It runs until it
+//!   switches back with what it did — it waits (`Wait`) or it is done
+//!   (`Exit`), handing both back — and the coordinator queues its sends,
+//!   begins its wait and pops on.
 //!
-//! One stack switch per resume of another *coroutine*, none otherwise.
+//! A running process touches no kernel state, and nothing else of the
+//! simulation runs between its `Go` and its switch back, so each of its
+//! sends draws the key it would have drawn the moment it was made. When
+//! the queue runs dry the coordinator checks for termination or deadlock.
 //!
 //! # End of run
 //!
@@ -68,19 +66,19 @@
 //! no groups or zero lookahead the horizon is degenerate and the run stops
 //! at the exit event.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::mem::take;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::coro::{switch, Context, Coroutine};
-use crate::ctx::Ctx;
-use crate::error::SimError;
-use crate::reactor::{drive, Cause, Reactor, ReactorRun};
+use crate::coro::Coroutine;
+use crate::ctx::{Ctx, Down, Envelope, Lent, Pid, Process, Sends, Up, Wait};
+use crate::error::{SimError, Stopped};
+use crate::reactor::{Cause, Reactor, ReactorCtx};
+use crate::time::{Dur, SimTime};
 use crate::trace::{TraceClass, TraceEntry};
-use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
 
 /// Event key: `(delivery time, source group, per-source-group sequence)`.
 /// Assigned at push from the pushing process's group counter; the global
@@ -98,9 +96,9 @@ pub(crate) enum EventKind<M> {
 /// What a blocked process is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
-    /// Currently executing (it holds duty).
+    /// Currently executing.
     Running,
-    /// Waiting for a timer.
+    /// Waiting for a timer (or, never run yet, for its start).
     Sleeping,
     /// In a receive wait ([`Kernel::begin_recv`]): `checkpoint` is its key
     /// while no wake is queued for it (once the pop front is past it, the
@@ -110,24 +108,12 @@ pub(crate) enum Status {
     Exited,
 }
 
-/// How a suspended coroutine process is told to continue: posted into its
-/// slot under the kernel lock by whoever is about to switch to it.
-pub(crate) enum Resume {
-    /// Continue at virtual time `at`. (A receive that finds its mailbox
-    /// still empty has timed out: nothing else resumes it without a message.)
-    Go { at: SimTime },
-    /// The run is over: the pending blocking call returns `Stopped`.
-    Stop,
-}
-
 /// Who executes a process when an event resumes it.
 pub(crate) enum Exec<M> {
-    /// Its own stack, suspended while the process is blocked. `resume` is
-    /// what it finds when it is switched to: posted just before, taken
-    /// first thing after, so at most one is ever pending.
-    Coroutine { coro: Arc<Coroutine>, resume: Option<Resume> },
-    /// Whoever holds duty. `None` while the reactor is out running (and
-    /// for good once it has panicked).
+    /// Its own stack, suspended while the process waits.
+    Coroutine(Arc<Process<M>>),
+    /// The coordinator's stack. `None` while the reactor runs (and for good
+    /// once it has panicked).
     Reactor(Option<Box<dyn Reactor<M>>>),
 }
 
@@ -136,6 +122,7 @@ pub(crate) struct ProcSlot<M> {
     pub daemon: bool,
     pub status: Status,
     pub clock: SimTime,
+    /// Empty while a coroutine process runs: it holds its mailbox then.
     pub mailbox: VecDeque<Envelope<M>>,
     pub exec: Exec<M>,
 }
@@ -143,51 +130,22 @@ pub(crate) struct ProcSlot<M> {
 /// Host-execution counters for one run (see the module docs). These
 /// describe how the *host* drove the simulation — they are not part of the
 /// simulation result and are excluded from determinism fingerprints.
+/// Every popped event is exactly one of `handoff_switches`,
+/// `reactor_runs` and `inline_events`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Duty bursts: maximal runs of consecutive events popped by one duty
-    /// holder before one of them resumed a process (itself, a reactor or
-    /// another coroutine) or the queue ran dry.
-    pub windows: u64,
     /// Always 0: the sharded event store this counted fast-path pops of is
     /// gone. The field stays only because `benchmark/src/metrics.rs` reads
     /// it; the next benchmark PR drops `sim.sprint_pops` from
     /// `BENCHMARK.json` and `metrics.rs`, and then this field.
     pub sprint_pops: u64,
-    /// Duty transfers: resumes of a *coroutine* process other than the duty
-    /// holder — one stack switch each. (Reactor resumes never count here:
-    /// they move no duty.)
+    /// Resumes of a coroutine process: one switch to it and one back each.
     pub handoff_switches: u64,
-    /// Resumes where the duty holder resumed *itself* — no switch.
-    pub self_continues: u64,
-    /// Resumes of a reactor, served inline on the duty holder's stack — no
-    /// switch. Every resume is exactly one of `handoff_switches`,
-    /// `self_continues` and `reactor_runs`.
+    /// Resumes of a reactor, served on the coordinator's stack — no switch.
     pub reactor_runs: u64,
     /// Events applied without resuming anyone: deliveries to a process that
     /// is busy or still has its receive checkpoint ahead of it.
     pub inline_events: u64,
-}
-
-/// How a stretch of duty ([`drive`]) ended.
-pub(crate) enum DrainOutcome {
-    /// No runnable events left while this drainer held duty.
-    Empty,
-    /// Duty belongs to the process on this coroutine: its `Go` is posted;
-    /// the caller switches to it, now that the kernel lock is dropped.
-    Handoff(Arc<Coroutine>),
-    /// The draining process resumed itself (only when `me` was given).
-    SelfResume { at: SimTime },
-    /// A reactor's callback panicked on the drainer's stack; the run is
-    /// over and fails under the *reactor's* pid.
-    ReactorPanicked(Pid),
-}
-
-/// What one [`Kernel::drain`] call ended with: duty is done here, or a
-/// reactor is due and must be run with the kernel lock released.
-pub(crate) enum Step<M> {
-    Done(DrainOutcome),
-    React(ReactorRun<M>),
 }
 
 pub(crate) struct Kernel<M> {
@@ -209,6 +167,9 @@ pub(crate) struct Kernel<M> {
     /// serialized by its own execution, so the counters depend on nothing
     /// but that execution.
     seqs: Vec<u64>,
+    /// The run's one send buffer, lent to whichever process runs and
+    /// queued — in the order the sends were made — when it is back.
+    sends: Sends<M>,
     trace: Option<Vec<TraceEntry>>,
     /// Count of popped events, for the report.
     events_processed: u64,
@@ -228,17 +189,10 @@ pub(crate) struct Kernel<M> {
     /// Every primary has exited: only events below `cur_horizon` remain
     /// runnable.
     tail: bool,
-    /// The run is over; every blocking call returns `Stopped`.
-    pub stopping: bool,
-    /// Why duty came back to the coordinator, written just before the
-    /// switch to it: a process function returned or unwound — or a
-    /// reactor's callback panicked on the writer's stack — as `(pid,
-    /// panicked)`; `None` when the duty holder found nothing runnable.
-    pub exited: Option<(Pid, bool)>,
     exec: ExecCounters,
 }
 
-impl<M> Kernel<M> {
+impl<M: 'static> Kernel<M> {
     /// Draw the key of an event pushed by process `src` for `time`: from
     /// `src`'s group and that group's sequence counter.
     fn next_key(&mut self, src: Pid, time: SimTime) -> EvKey {
@@ -249,7 +203,7 @@ impl<M> Kernel<M> {
     }
 
     /// Schedule an event pushed by process `src`.
-    pub(crate) fn push_event(&mut self, src: Pid, time: SimTime, kind: EventKind<M>) {
+    fn push_event(&mut self, src: Pid, time: SimTime, kind: EventKind<M>) {
         let key = self.next_key(src, time);
         self.queue(key, kind);
     }
@@ -273,10 +227,13 @@ impl<M> Kernel<M> {
         }
     }
 
-    /// Schedule delivery of `msg` from `from` into `dst`'s mailbox at `at`.
-    pub(crate) fn send(&mut self, from: Pid, dst: Pid, msg: M, at: SimTime) {
-        debug_assert!(dst < self.procs.len(), "send to unknown pid {dst}");
-        self.push_event(from, at, EventKind::Deliver { dst, env: Envelope { from, at, msg } });
+    /// Queue the deliveries process `from` sent while it ran, in the order
+    /// it sent them, leaving `sends` empty.
+    fn queue_sends(&mut self, from: Pid, sends: &mut Sends<M>) {
+        for (dst, env) in sends.drain(..) {
+            debug_assert!(dst < self.procs.len(), "send to unknown pid {dst}");
+            self.push_event(from, env.at, EventKind::Deliver { dst, env });
+        }
     }
 
     /// Put `pid`, whose flushed clock reads `at`, into a receive wait —
@@ -288,7 +245,7 @@ impl<M> Kernel<M> {
     /// checked" into "waiting", which the key and the front tell as well, so
     /// no wake is queued until a delivery below the key gives it something
     /// to find ([`Kernel::apply`]). The deadline's key is drawn next.
-    pub(crate) fn begin_recv(&mut self, pid: Pid, at: SimTime, deadline: Option<SimTime>) {
+    fn begin_recv(&mut self, pid: Pid, at: SimTime, deadline: Option<SimTime>) {
         let key = self.next_key(pid, at);
         // Queued at once where the front cannot tell: a zero-length wait's
         // checkpoint *is* its timeout, and a key behind the front (same
@@ -381,25 +338,11 @@ impl<M> Kernel<M> {
         })
     }
 
-    /// Take the resume posted for coroutine process `pid`, which has just
-    /// been switched to.
-    pub(crate) fn take_resume(&mut self, pid: Pid) -> Resume {
-        match &mut self.procs[pid].exec {
-            Exec::Coroutine { resume, .. } => resume.take().expect("switched to with no resume"),
-            Exec::Reactor(_) => unreachable!("a reactor has no stack to switch to"),
-        }
-    }
-
-    /// Drive the kernel while holding duty: pop and apply events until one
-    /// resumes a process or nothing runnable is left. `me` is the
-    /// duty-holding process — resumed in place, without a switch — or
-    /// `None` for the coordinator. A resumed reactor comes back as
-    /// [`Step::React`]: the caller ([`drive`]) runs it with the lock
-    /// released and calls `drain` again.
-    pub(crate) fn drain(&mut self, me: Option<Pid>) -> Step<M> {
-        let mut popped = false;
+    /// Pop and apply events until one resumes a process, and mark it
+    /// running at the event's time. Returns it, the time, and the status
+    /// it was resumed from; `None` once nothing runnable is left.
+    fn drain(&mut self) -> Option<(Pid, SimTime, Status)> {
         while let Some((key, kind)) = self.pop_next() {
-            popped = true;
             let at = key.0;
             let Some(pid) = self.apply(key, kind) else {
                 self.exec.inline_events += 1;
@@ -407,40 +350,105 @@ impl<M> Kernel<M> {
             };
             let slot = &mut self.procs[pid];
             debug_assert!(slot.clock <= at, "process resumed into its past");
-            // A reactor never sleeps: its only timer wake is the one that
-            // starts it.
-            let starting = slot.status == Status::Sleeping;
-            if let Status::Receiving { deadline: Some(timer), .. } = slot.status {
+            let from = slot.status;
+            if let Status::Receiving { deadline: Some(timer), .. } = from {
                 self.timers.remove(&(timer, pid)); // disarmed, unless it just fired
             }
             slot.status = Status::Running;
             slot.clock = at;
-            self.exec.windows += 1;
-            if me == Some(pid) {
-                self.exec.self_continues += 1;
-                return Step::Done(DrainOutcome::SelfResume { at });
-            }
-            return match &mut slot.exec {
-                Exec::Coroutine { coro, resume } => {
-                    debug_assert!(resume.is_none(), "a second resume for one block");
-                    *resume = Some(Resume::Go { at });
-                    self.exec.handoff_switches += 1;
-                    Step::Done(DrainOutcome::Handoff(Arc::clone(coro)))
-                }
-                Exec::Reactor(reactor) => {
-                    self.exec.reactor_runs += 1;
-                    let cause = if starting {
-                        Cause::Start
-                    } else {
-                        slot.mailbox.pop_front().map_or(Cause::Timeout, Cause::Msg)
-                    };
-                    let reactor = reactor.take().expect("a running reactor was resumed");
-                    Step::React(ReactorRun { pid, at, cause, reactor })
-                }
-            };
+            return Some((pid, at, from));
         }
-        self.exec.windows += u64::from(popped);
-        Step::Done(DrainOutcome::Empty)
+        None
+    }
+
+    /// Switch to coroutine process `pid`, resumed at `at`, lending it its
+    /// mailbox and the send buffer, and take back what it did when it
+    /// switches back: its wait is begun, or `Some(panicked)` says it exited.
+    fn run_coroutine(&mut self, pid: Pid, at: SimTime) -> Option<bool> {
+        self.exec.handoff_switches += 1;
+        let slot = &mut self.procs[pid];
+        let lent = Lent { mailbox: take(&mut slot.mailbox), sends: take(&mut self.sends) };
+        let Exec::Coroutine(process) = &slot.exec else { unreachable!("a reactor has no stack") };
+        match process.resume(Down::Go { at, lent }) {
+            Up::Wait { at, wait, lent } => {
+                self.take_back(pid, lent);
+                self.procs[pid].clock = at;
+                match wait {
+                    Wait::Sleep { until } => {
+                        self.procs[pid].status = Status::Sleeping;
+                        self.push_event(pid, until, EventKind::Wake { pid });
+                    }
+                    Wait::Recv { deadline } => self.begin_recv(pid, at, deadline),
+                }
+                None
+            }
+            Up::Exit { panicked, lent } => {
+                self.take_back(pid, lent);
+                self.procs[pid].status = Status::Exited;
+                Some(panicked)
+            }
+        }
+    }
+
+    /// What process `pid` was lent comes back: its sends are queued and
+    /// its mailbox is returned to its slot.
+    fn take_back(&mut self, pid: Pid, lent: Lent<M>) {
+        let Lent { mailbox, mut sends } = lent;
+        self.queue_sends(pid, &mut sends);
+        self.sends = sends;
+        self.procs[pid].mailbox = mailbox;
+    }
+
+    /// Run reactor `pid`, resumed at `at` from status `from`, until it has
+    /// to wait: the daemon loop `loop { recv…; handle }` from one block to
+    /// the next. Its sends are queued after each callback. A panic in a
+    /// callback is contained here and fails the run under the reactor's
+    /// own pid.
+    fn run_reactor(&mut self, pid: Pid, at: SimTime, from: Status) -> Result<(), SimError> {
+        self.exec.reactor_runs += 1;
+        let slot = &mut self.procs[pid];
+        let Exec::Reactor(parked) = &mut slot.exec else { unreachable!("not a reactor") };
+        let mut reactor = parked.take().expect("a running reactor was resumed");
+        // A reactor never sleeps: its only timer wake is the one that
+        // starts it.
+        let mut cause = match from {
+            Status::Sleeping => Cause::Start,
+            _ => slot.mailbox.pop_front().map_or(Cause::Timeout, Cause::Msg),
+        };
+        let sends = RefCell::new(take(&mut self.sends));
+        let ctx = ReactorCtx::new(pid, at, &sends);
+        let ran = catch_unwind(AssertUnwindSafe(|| loop {
+            match cause {
+                Cause::Start => {}
+                Cause::Msg(env) => reactor.on_msg(&ctx, env),
+                Cause::Timeout => reactor.on_timeout(&ctx),
+            }
+            let at = ctx.clock.flush();
+            let deadline = reactor.wait().map(|d| at + d);
+            self.queue_sends(pid, &mut *sends.borrow_mut());
+            // The receive fast path: a message already queued (delivered
+            // while the reactor was busy) is taken without an event.
+            match self.procs[pid].mailbox.pop_front() {
+                Some(env) => cause = Cause::Msg(env),
+                None => {
+                    self.procs[pid].clock = at;
+                    self.begin_recv(pid, at, deadline);
+                    return;
+                }
+            }
+        }));
+        self.sends = sends.into_inner();
+        let slot = &mut self.procs[pid];
+        match ran {
+            Ok(()) => {
+                slot.exec = Exec::Reactor(Some(reactor));
+                Ok(())
+            }
+            Err(_) => {
+                slot.status = Status::Exited;
+                Err(SimError::ProcessPanicked { pid, name: slot.name.clone() })
+            }
+        }
     }
 }
 
@@ -460,8 +468,8 @@ pub struct SimReport {
     /// protocol leaves this empty; a wedged recovery path shows up here as
     /// undelivered traffic.
     pub mailbox_backlog: Vec<(String, usize)>,
-    /// How the host drove the run (context-switch economy). Not part of
-    /// the simulation result: excluded from determinism fingerprints.
+    /// How the host drove the run. Not part of the simulation result:
+    /// excluded from determinism fingerprints.
     pub exec: ExecCounters,
 }
 
@@ -488,10 +496,7 @@ pub struct SimReport {
 /// assert_eq!(report.end_time.nanos(), 10_000);
 /// ```
 pub struct Sim<M: Send + 'static> {
-    kernel: Arc<Mutex<Kernel<M>>>,
-    /// The coordinator's context — the caller of [`run`](Sim::run), or of
-    /// `drop` — while a process holds duty: every coroutine's `home`.
-    home: Arc<Context>,
+    kernel: Kernel<M>,
 }
 
 impl<M: Send + 'static> Default for Sim<M> {
@@ -504,7 +509,7 @@ impl<M: Send + 'static> Sim<M> {
     /// Create an empty simulation.
     pub fn new() -> Self {
         Sim {
-            kernel: Arc::new(Mutex::new(Kernel {
+            kernel: Kernel {
                 heap: BinaryHeap::new(),
                 slab: Vec::new(),
                 free: Vec::new(),
@@ -512,6 +517,7 @@ impl<M: Send + 'static> Sim<M> {
                 group_of: Vec::new(),
                 procs: Vec::new(),
                 seqs: Vec::new(),
+                sends: Vec::new(),
                 trace: None,
                 events_processed: 0,
                 front: (SimTime::ZERO, 0, 0),
@@ -519,17 +525,14 @@ impl<M: Send + 'static> Sim<M> {
                 grouped: false,
                 cur_horizon: SimTime::ZERO,
                 tail: false,
-                stopping: false,
-                exited: None,
                 exec: ExecCounters::default(),
-            })),
-            home: Arc::new(Context::running()),
+            },
         }
     }
 
     /// Record an event trace in the report (used by determinism tests).
     pub fn record_trace(&mut self, on: bool) {
-        self.kernel.lock().trace = on.then(Vec::new);
+        self.kernel.trace = on.then(Vec::new);
     }
 
     /// Declare a lower bound on the virtual latency of any message between
@@ -538,7 +541,7 @@ impl<M: Send + 'static> Sim<M> {
     /// drained after the last primary process exits (see the module docs);
     /// zero (the default) stops the run at the exit event.
     pub fn set_lookahead(&mut self, lookahead: Dur) {
-        self.kernel.lock().lookahead = lookahead;
+        self.kernel.lookahead = lookahead;
     }
 
     /// Put `pid` into scheduling group `group`. Processes of one simulated
@@ -547,7 +550,7 @@ impl<M: Send + 'static> Sim<M> {
     /// traffic is bounded below by the lookahead. Same-instant events
     /// break ties by the *pushing* process's group.
     pub fn assign_group(&mut self, pid: Pid, group: usize) {
-        let mut k = self.kernel.lock();
+        let k = &mut self.kernel;
         k.group_of[pid] = group;
         if k.seqs.len() <= group {
             k.seqs.resize(group + 1, 0);
@@ -577,20 +580,18 @@ impl<M: Send + 'static> Sim<M> {
 
     /// Spawn a reactor: a daemon with a pid, group, mailbox and virtual
     /// clock like any other, but no stack of its own — its callbacks run on
-    /// whichever stack holds duty when an event resumes it (see
-    /// [`Reactor`]). In virtual time it is indistinguishable from a
+    /// the coordinator's stack when an event resumes it (see [`Reactor`]).
+    /// In virtual time it is indistinguishable from a
     /// [`spawn_daemon`](Sim::spawn_daemon) loop of `recv`/`recv_timeout`:
     /// same events, same keys, same trace.
     pub fn spawn_reactor(&mut self, name: &str, reactor: impl Reactor<M>) -> Pid {
-        self.add_proc(name, true, |_| Exec::Reactor(Some(Box::new(reactor))))
+        self.add_proc(name, true, Exec::Reactor(Some(Box::new(reactor))))
     }
 
-    /// Register a process slot — `exec` is told the pid it is for — and
-    /// its initial wake.
-    fn add_proc(&mut self, name: &str, daemon: bool, exec: impl FnOnce(Pid) -> Exec<M>) -> Pid {
-        let mut k = self.kernel.lock();
+    /// Register a process slot and its initial wake.
+    fn add_proc(&mut self, name: &str, daemon: bool, exec: Exec<M>) -> Pid {
+        let k = &mut self.kernel;
         let pid = k.procs.len();
-        let exec = exec(pid);
         k.procs.push(ProcSlot {
             name: name.to_string(),
             daemon,
@@ -612,40 +613,22 @@ impl<M: Send + 'static> Sim<M> {
     where
         F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
     {
-        let (kernel, home) = (Arc::clone(&self.kernel), Arc::clone(&self.home));
-        self.add_proc(name, daemon, move |pid| {
-            // The body runs when the coroutine is first switched to: by a
-            // `Go`, which starts the process, or by a `Stop` (the run
-            // ended, or the `Sim` was dropped, before it ever ran), which
-            // only drops `f`. Either way everything it owns — `f`, the
-            // `Ctx`, this `kernel` handle — is dropped by the time it
-            // returns, as it must be: the frame that called it is
-            // abandoned, never unwound. (Until it is entered the kernel
-            // owns the coroutine and the body a kernel handle;
-            // `stop_remaining` enters every coroutine, so that cycle never
-            // outlives the `Sim`.)
-            let coro = Coroutine::new(home, move |me| {
-                let ctx = Ctx::new(pid, Arc::clone(&kernel), me);
-                let panicked = catch_unwind(AssertUnwindSafe(move || {
-                    if ctx.take_resume().is_ok() {
-                        let _ = f(ctx);
-                    }
-                }))
-                .is_err();
-                kernel.lock().exited = Some((pid, panicked));
-            });
-            Exec::Coroutine { coro, resume: None }
-        })
+        let pid = self.kernel.procs.len();
+        // The body runs when the coroutine is first resumed: by a `Go`,
+        // which starts the process, or by a `Stop` (the run ended, or the
+        // `Sim` was dropped, before it ever ran), which only drops `f`.
+        let process = Coroutine::new(move |me, first| Ctx::main(pid, me, first, f));
+        self.add_proc(name, daemon, Exec::Coroutine(process))
     }
 
     /// Run the simulation to completion, on the calling thread.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        let n_primary = self.kernel.lock().procs.iter().filter(|p| !p.daemon).count();
+        let n_primary = self.kernel.procs.iter().filter(|p| !p.daemon).count();
         if n_primary == 0 {
             return Err(SimError::NoPrimaryProcesses);
         }
         let result = self.event_loop(n_primary);
-        debug_assert!(self.kernel.lock().timers_are_live(), "a timer outlived its wait");
+        debug_assert!(self.kernel.timers_are_live(), "a timer outlived its wait");
 
         // Stop remaining processes (daemons, or everyone on error).
         let stop_err = self.stop_remaining();
@@ -654,7 +637,7 @@ impl<M: Send + 'static> Sim<M> {
             return Err(e);
         }
 
-        let mut k = self.kernel.lock();
+        let k = &mut self.kernel;
         Ok(SimReport {
             end_time: k.front.0,
             proc_clocks: k.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),
@@ -670,100 +653,64 @@ impl<M: Send + 'static> Sim<M> {
         })
     }
 
-    /// Switch to `coro` and return when duty comes back to the coordinator,
-    /// with the reason: a process exit (or a reactor panic) as `(pid,
-    /// panicked)`, or `None` if a duty holder found nothing runnable.
-    fn lend_duty(&self, coro: &Coroutine) -> Option<(Pid, bool)> {
-        switch(&self.home, coro.context());
-        self.kernel.lock().exited.take()
-    }
-
-    /// The coordinator's side of the duty protocol: seed the run, then take
-    /// duty back whenever a process exits or finds nothing runnable;
-    /// between those, the processes drive the kernel themselves (see
-    /// [`Kernel::drain`] and [`Ctx`](crate::Ctx)'s blocking path).
+    /// The coordinator: pop until an event resumes a process, run it until
+    /// it waits or exits, and pop on — the one loop that drives the kernel.
+    /// Ends when nothing runnable is left, or when a process panics.
     fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
+        let k = &mut self.kernel;
         let mut live_primary = n_primary;
-        loop {
-            match drive(&self.kernel, self.kernel.lock(), None) {
-                DrainOutcome::SelfResume { .. } => {
-                    unreachable!("the coordinator cannot resume itself")
+        while let Some((pid, at, from)) = k.drain() {
+            if let Exec::Reactor(_) = k.procs[pid].exec {
+                k.run_reactor(pid, at, from)?;
+                continue;
+            }
+            if let Some(panicked) = k.run_coroutine(pid, at) {
+                let slot = &k.procs[pid];
+                if panicked {
+                    return Err(SimError::ProcessPanicked { pid, name: slot.name.clone() });
                 }
-                DrainOutcome::ReactorPanicked(pid) => {
-                    let name = self.kernel.lock().procs[pid].name.clone();
-                    return Err(SimError::ProcessPanicked { pid, name });
-                }
-                DrainOutcome::Empty => {
-                    if live_primary == 0 {
-                        return Ok(());
-                    }
-                    // No events left but primaries are still blocked:
-                    // they wait for messages that will never arrive.
-                    let k = self.kernel.lock();
-                    let blocked = k
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.status != Status::Exited && !p.daemon)
-                        .map(|(i, p)| (i, format!("{} ({:?})", p.name, p.status)))
-                        .collect();
-                    return Err(SimError::Deadlock { blocked });
-                }
-                DrainOutcome::Handoff(coro) => {
-                    // Duty circulates among the processes now; it comes
-                    // back with an exit, or when nothing is runnable.
-                    if let Some((pid, panicked)) = self.lend_duty(&coro) {
-                        let mut k = self.kernel.lock();
-                        let slot = &mut k.procs[pid];
-                        slot.status = Status::Exited;
-                        if panicked {
-                            let name = slot.name.clone();
-                            return Err(SimError::ProcessPanicked { pid, name });
-                        }
-                        live_primary -= usize::from(!slot.daemon);
-                        k.tail = live_primary == 0;
-                    }
-                }
+                live_primary -= usize::from(!slot.daemon);
+                k.tail = live_primary == 0;
             }
         }
+        if live_primary == 0 {
+            return Ok(());
+        }
+        // No events left but primaries are still blocked: they wait for
+        // messages that will never arrive.
+        let blocked = k
+            .procs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.status != Status::Exited && !p.daemon)
+            .map(|(i, p)| (i, format!("{} ({:?})", p.name, p.status)))
+            .collect();
+        Err(SimError::Deadlock { blocked })
     }
 
-    /// Run every coroutine process that has not exited to its end: post
-    /// `Stop` and switch to it, one after the other. All of them are
-    /// suspended here (duty is with the coordinator) — in a blocking call,
-    /// which returns `Stopped`, or not yet started, in which case the
-    /// process function is dropped unrun; once `stopping` is set a process
-    /// that blocks again on its way out gets `Stopped` without a switch, so
-    /// each comes straight back. Reactors have nothing to stop: nobody
-    /// drains any more, so they never run again. After this no frame is
-    /// left on any stack, and dropping the kernel unmaps them. Returns the
-    /// first process that panicked on its way out, if any did.
+    /// Run every coroutine process that has not exited to its end: resume
+    /// it with `Stop`, one after the other. Each is suspended in a blocking
+    /// call, which returns `Stopped`, or not yet started, in which case the
+    /// process function is dropped unrun; a stopped process that blocks
+    /// again on its way out gets `Stopped` without a switch, so each comes
+    /// straight back with its exit. Reactors have nothing to stop: nobody
+    /// pops any more, so they never run again. After this no frame is left
+    /// on any stack, and dropping the kernel unmaps them. Returns the first
+    /// process that panicked on its way out, if any did.
     fn stop_remaining(&mut self) -> Option<SimError> {
-        let live: Vec<(Pid, Arc<Coroutine>)> = {
-            let mut k = self.kernel.lock();
-            k.stopping = true;
-            k.procs
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, p)| p.status != Status::Exited)
-                .filter_map(|(pid, p)| match &mut p.exec {
-                    Exec::Coroutine { coro, resume } => {
-                        *resume = Some(Resume::Stop);
-                        Some((pid, Arc::clone(coro)))
-                    }
-                    Exec::Reactor(_) => None,
-                })
-                .collect()
-        };
         let mut err = None;
-        for (pid, coro) in live {
-            let exited = self.lend_duty(&coro);
-            debug_assert_eq!(exited.map(|(p, _)| p), Some(pid), "a stopped process exits");
-            let mut k = self.kernel.lock();
-            let slot = &mut k.procs[pid];
+        for (pid, slot) in self.kernel.procs.iter_mut().enumerate() {
+            let Exec::Coroutine(process) = &slot.exec else { continue };
+            if slot.status == Status::Exited {
+                continue;
+            }
             slot.status = Status::Exited;
-            if exited.is_some_and(|(_, panicked)| panicked) && err.is_none() {
-                err = Some(SimError::ProcessPanicked { pid, name: slot.name.clone() });
+            match process.resume(Down::Stop) {
+                Up::Exit { panicked: true, .. } if err.is_none() => {
+                    err = Some(SimError::ProcessPanicked { pid, name: slot.name.clone() });
+                }
+                Up::Exit { .. } => {}
+                Up::Wait { .. } => unreachable!("a stopped process blocks without a switch"),
             }
         }
         err

@@ -1,12 +1,22 @@
 //! Error types for the simulation kernel.
-//!
-//! [`Stopped`] — the error blocking calls return during shutdown — lives
-//! in `repseq-substrate` (it is part of the substrate contract) and is
-//! re-exported from the crate root.
 
 use std::fmt;
 
-use repseq_substrate::Pid;
+use crate::ctx::Pid;
+
+/// The simulation is shutting down: every primary process has exited, or
+/// a process failed. Returned from blocking calls so processes can unwind
+/// cleanly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stopped;
+
+impl fmt::Display for Stopped {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "simulation stopped")
+    }
+}
+
+impl std::error::Error for Stopped {}
 
 /// A failed simulation run.
 #[derive(Debug)]

@@ -26,20 +26,25 @@
 //! A process that only ever reacts — a protocol handler: wait for a
 //! request, serve it, wait again — needs no stack of its own. It is a
 //! [`Reactor`] ([`Sim::spawn_reactor`]): a daemon with a pid, a mailbox and
-//! a clock like any other, whose callbacks run to completion on whichever
-//! stack is driving the kernel when an event resumes it. That is the
-//! closer model of TreadMarks, which serves a remote request in a SIGIO
-//! handler on the application's processor — and it costs no switch at
-//! all, where a handler coroutine costs one in and one out. A reactor is
-//! handed a [`ReactorCtx`], which has `charge` and `send` but nothing that
-//! blocks. In virtual time the two kinds of daemon are indistinguishable:
-//! same events, same keys, same trace.
+//! a clock like any other, whose callbacks run to completion on the
+//! coordinator's stack when an event resumes it. That is the closer model
+//! of TreadMarks, which serves a remote request in a SIGIO handler on the
+//! application's processor — and it costs no switch at all, where a
+//! handler coroutine costs one in and one out. A reactor is handed a
+//! [`ReactorCtx`], which has `charge` and `send` but nothing that blocks.
+//! In virtual time the two kinds of daemon are indistinguishable: same
+//! events, same keys, same trace.
 //!
-//! The primitive *types* (virtual time, process ids, envelopes, the
-//! non-blocking [`SendCtx`] half that [`Ctx`] and [`ReactorCtx`] share)
-//! live in `repseq-substrate`, so the network model and the statistics
-//! registry can use them without linking the engine; they are re-exported
-//! here under their historical paths.
+//! One loop drives the kernel: [`Sim`] owns it, and only the coordinator
+//! — the caller of [`Sim::run`] — pops events. A process it resumes runs
+//! on its own stack until it switches back, holding its mailbox and the
+//! run's send buffer meanwhile, and touches no kernel state (`engine.rs`
+//! has the protocol).
+//!
+//! The primitive types — virtual time ([`SimTime`], [`Dur`]), process ids,
+//! envelopes, [`Stopped`] and the non-blocking [`SendCtx`] half that
+//! [`Ctx`] and [`ReactorCtx`] share — are what the network model and the
+//! statistics registry build on.
 //!
 //! See `DESIGN.md` at the repository root for how this engine substitutes
 //! for the paper's 32-node Ethernet cluster.
@@ -51,11 +56,12 @@ mod ctx;
 mod engine;
 mod error;
 mod reactor;
+mod time;
 mod trace;
 
-pub use ctx::Ctx;
+pub use ctx::{Ctx, Envelope, Pid, SendCtx};
 pub use engine::{ExecCounters, Sim, SimReport};
-pub use error::SimError;
+pub use error::{SimError, Stopped};
 pub use reactor::{Reactor, ReactorCtx};
-pub use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime, Stopped};
+pub use time::{Dur, SimTime};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};

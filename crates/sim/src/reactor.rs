@@ -1,14 +1,13 @@
-//! Reactors: daemons that run to completion on the duty holder's stack.
+//! Reactors: daemons that run to completion on the coordinator's stack.
 //!
 //! A protocol handler never blocks anywhere but at the top of its
 //! `loop { recv … }`. A [`Reactor`] is that loop turned inside out: the
 //! engine owns the waiting and calls [`on_msg`](Reactor::on_msg) /
 //! [`on_timeout`](Reactor::on_timeout) when an event resumes the process,
-//! on whichever stack holds duty at that moment — the process that is
-//! blocked in [`Ctx`](crate::Ctx) and draining, or the coordinator. No
-//! stack of its own, no switch in or out. This is the closer
-//! model of what TreadMarks does: a SIGIO handler on the application's
-//! processor, run to completion.
+//! on the stack of the coordinator that popped the event. No stack of its
+//! own, no switch in or out. This is the closer model of what TreadMarks
+//! does: a SIGIO handler on the application's processor, run to
+//! completion.
 //!
 //! # Equivalence with a coroutine daemon
 //!
@@ -17,19 +16,18 @@
 //! otherwise the same kernel routine draws the same checkpoint key at its
 //! flushed clock and arms the same deadline timer, under the same pid and
 //! group. Its [`charge`](ReactorCtx::charge) moves its own clock,
-//! so it is busy in virtual time and requests still queue behind it. Every
-//! push therefore carries the key the daemon's loop would have given it, the
-//! pop order is the key order, and traces, `events_processed`,
-//! `proc_clocks` and `mailbox_backlog` are bit-identical; only the
-//! host-side [`ExecCounters`](crate::ExecCounters) differ.
+//! so it is busy in virtual time and requests still queue behind it. Its
+//! sends go into the run's send buffer and are queued before its next
+//! wait, as a coroutine's are at its switch. Every push therefore carries
+//! the key the daemon's loop would have given it, the pop order is the key
+//! order, and traces, `events_processed`, `proc_clocks` and
+//! `mailbox_backlog` are bit-identical; only the host-side
+//! [`ExecCounters`](crate::ExecCounters) differ.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::RefCell;
 
-use parking_lot::{Mutex, MutexGuard};
-
-use crate::ctx::LocalClock;
-use crate::engine::{DrainOutcome, Exec, Kernel, Status, Step};
-use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime};
+use crate::ctx::{Envelope, LocalClock, Pid, SendCtx, Sends};
+use crate::time::{Dur, SimTime};
 
 /// A daemon process without a stack (see the module docs), registered
 /// with [`Sim::spawn_reactor`](crate::Sim::spawn_reactor).
@@ -38,7 +36,7 @@ use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime};
 /// context — so it *cannot* block: there is no `recv` or `sleep` to call.
 /// A panic in a callback fails the run as
 /// [`SimError::ProcessPanicked`](crate::SimError::ProcessPanicked) under
-/// the reactor's own pid and name, whichever process was hosting it.
+/// the reactor's own pid and name.
 ///
 /// ```
 /// use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, Sim};
@@ -64,7 +62,8 @@ use repseq_substrate::{Dur, Envelope, Pid, SendCtx, SimTime};
 /// });
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time.nanos(), 22_000);
-/// assert_eq!(report.exec.handoff_switches, 1); // the client's first wake
+/// assert_eq!(report.exec.reactor_runs, 2); // its start, the request
+/// assert_eq!(report.exec.handoff_switches, 2); // the client's start, the reply
 /// ```
 ///
 /// There is nothing to block with:
@@ -91,14 +90,19 @@ pub trait Reactor<M>: Send + 'static {
 
 /// What a running reactor can do: the four non-blocking primitives of
 /// [`Ctx`](crate::Ctx), with the same meaning. Exists only for the
-/// duration of one run on the duty holder's stack.
+/// duration of one run on the coordinator's stack, lent the run's send
+/// buffer for it.
 pub struct ReactorCtx<'k, M> {
     pid: Pid,
-    kernel: &'k Mutex<Kernel<M>>,
-    clock: LocalClock,
+    pub(crate) clock: LocalClock,
+    sends: &'k RefCell<Sends<M>>,
 }
 
-impl<M> ReactorCtx<'_, M> {
+impl<'k, M> ReactorCtx<'k, M> {
+    pub(crate) fn new(pid: Pid, at: SimTime, sends: &'k RefCell<Sends<M>>) -> Self {
+        ReactorCtx { pid, clock: LocalClock::new(at), sends }
+    }
+
     /// This process's id.
     #[inline]
     pub fn pid(&self) -> Pid {
@@ -121,7 +125,8 @@ impl<M> ReactorCtx<'_, M> {
 
     /// Schedule delivery of `msg` to `dst` at `deliver_at` (virtual time).
     pub fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
-        self.kernel.lock().send(self.pid, dst, msg, deliver_at.max(self.now()));
+        let env = Envelope { from: self.pid, at: deliver_at.max(self.now()), msg };
+        self.sends.borrow_mut().push((dst, env));
     }
 }
 
@@ -149,74 +154,4 @@ pub(crate) enum Cause<M> {
     Start,
     Msg(Envelope<M>),
     Timeout,
-}
-
-/// A reactor taken out of its slot by [`Kernel::drain`], due to run at
-/// virtual time `at`.
-pub(crate) struct ReactorRun<M> {
-    pub pid: Pid,
-    pub at: SimTime,
-    pub cause: Cause<M>,
-    pub reactor: Box<dyn Reactor<M>>,
-}
-
-impl<M: 'static> ReactorRun<M> {
-    /// Run the reactor, kernel lock released, until it has to wait: the
-    /// daemon loop `loop { recv…; handle }` from one block to the next.
-    /// Returns with the lock taken, the wait scheduled and the reactor
-    /// back in its slot.
-    fn run(self, kernel: &Mutex<Kernel<M>>) -> MutexGuard<'_, Kernel<M>> {
-        let ReactorRun { pid, at, mut cause, mut reactor } = self;
-        let ctx = ReactorCtx { pid, kernel, clock: LocalClock::new(at) };
-        loop {
-            match cause {
-                Cause::Start => {}
-                Cause::Msg(env) => reactor.on_msg(&ctx, env),
-                Cause::Timeout => reactor.on_timeout(&ctx),
-            }
-            let at = ctx.clock.flush();
-            let deadline = reactor.wait().map(|d| at + d);
-            let mut k = kernel.lock();
-            // The receive fast path: a message already queued (delivered
-            // while the reactor was busy) is taken without an event.
-            match k.procs[pid].mailbox.pop_front() {
-                Some(env) => cause = Cause::Msg(env),
-                None => {
-                    k.procs[pid].clock = at;
-                    k.begin_recv(pid, at, deadline);
-                    k.procs[pid].exec = Exec::Reactor(Some(reactor));
-                    return k;
-                }
-            }
-        }
-    }
-}
-
-/// Hold duty: drain the kernel, running every reactor that comes due on
-/// this stack, until duty moves to a coroutine process, this process resumes
-/// itself, nothing is runnable — or a reactor panics. The kernel lock
-/// (`k`) is released on return, so the caller may switch to a handoff
-/// target.
-pub(crate) fn drive<'k, M: 'static>(
-    kernel: &'k Mutex<Kernel<M>>,
-    mut k: MutexGuard<'k, Kernel<M>>,
-    me: Option<Pid>,
-) -> DrainOutcome {
-    loop {
-        let run = match k.drain(me) {
-            Step::Done(outcome) => return outcome,
-            Step::React(run) => run,
-        };
-        drop(k);
-        let pid = run.pid;
-        // The reactor runs on somebody else's stack: contain its panic so
-        // it is reported as the reactor's, not as its host's.
-        match catch_unwind(AssertUnwindSafe(|| run.run(kernel))) {
-            Ok(guard) => k = guard,
-            Err(_) => {
-                kernel.lock().procs[pid].status = Status::Exited;
-                return DrainOutcome::ReactorPanicked(pid);
-            }
-        }
-    }
 }

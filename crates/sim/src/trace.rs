@@ -1,6 +1,7 @@
 //! Event traces for determinism testing.
 
-use repseq_substrate::{Pid, SimTime};
+use crate::ctx::Pid;
+use crate::time::SimTime;
 
 /// What kind of kernel event a trace entry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,14 +1,15 @@
-//! Reactors — daemons that run on the duty holder's stack — seen from
+//! Reactors — daemons that run on the coordinator's stack — seen from
 //! outside: in virtual time they are indistinguishable from a thread
 //! daemon looping over `recv`/`recv_timeout`, on the host they cost no
-//! switch, the coordinator can run them, dropping the simulation frees
-//! them, and a panic in one fails the run under the reactor's own name.
+//! switch, the coordinator runs every callback, dropping the simulation
+//! frees them, and a panic in one fails the run under the reactor's own
+//! name.
 //! Every test runs under a watchdog, so a lost wake-up fails the test
 //! instead of hanging the suite.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::ThreadId;
 
 use repseq_sim::{
     first_divergence, Ctx, Dur, Envelope, Reactor, ReactorCtx, SendCtx, Sim, SimError, SimReport,
@@ -228,11 +229,12 @@ fn a_message_landing_exactly_on_the_deadline() {
 }
 
 // ---------------------------------------------------------------------
-// (b) host economy: a thread ping-ponging with a reactor never switches
+// (b) host economy: a thread ping-ponging with a reactor switches only to
+// the thread
 // ---------------------------------------------------------------------
 
 #[test]
-fn ping_pong_with_a_reactor_makes_no_handoff_after_the_first_wake() {
+fn ping_pong_with_a_reactor_switches_once_per_round() {
     const ROUNDS: u64 = 500;
     let report = watchdog(60, || {
         let mut sim = Sim::<u64>::new();
@@ -248,32 +250,40 @@ fn ping_pong_with_a_reactor_makes_no_handoff_after_the_first_wake() {
         sim.run().expect("ping-pong completes")
     });
     let x = report.exec;
-    // The coordinator wakes `ping` once; from then on `ping` holds duty,
-    // serves the reactor on its own stack and resumes itself.
-    assert_eq!(x.handoff_switches, 1, "{x:?}");
+    // The coordinator switches to `ping` for its start and for each reply,
+    // and serves every request to the reactor on its own stack.
+    assert_eq!(x.handoff_switches, 1 + ROUNDS, "{x:?}");
     assert_eq!(x.reactor_runs, 1 + ROUNDS, "{x:?}");
-    assert_eq!(x.self_continues, ROUNDS, "{x:?}");
-    // Every popped event either resumed nobody or is one of the three
-    // kinds of resume.
-    assert_eq!(
-        report.events_processed,
-        x.inline_events + x.handoff_switches + x.self_continues + x.reactor_runs,
-        "{x:?}"
-    );
+    // Every popped event either resumed nobody or is one of the two kinds
+    // of resume.
+    assert_eq!(report.events_processed, x.inline_events + x.handoff_switches + x.reactor_runs);
 }
 
 // ---------------------------------------------------------------------
-// (c) the coordinator runs reactors too
+// (c) the coordinator runs every reactor callback
 // ---------------------------------------------------------------------
 
-/// Records which host thread ran each callback.
+/// An address on the running stack.
+#[inline(never)]
+fn stack_here() -> usize {
+    let here = 0u8;
+    black_box(&here) as *const u8 as usize
+}
+
+/// Whether two stack addresses lie on one stack: far closer than any two
+/// stacks of 2 MiB can be.
+fn same_stack(a: usize, b: usize) -> bool {
+    a.abs_diff(b) < 256 << 10
+}
+
+/// Records on which stack each callback ran.
 struct Witness {
-    ran_on: Arc<Mutex<Vec<(&'static str, ThreadId)>>>,
+    ran_on: Arc<Mutex<Vec<(&'static str, usize)>>>,
 }
 
 impl Witness {
     fn note(&self, what: &'static str) {
-        self.ran_on.lock().unwrap().push((what, std::thread::current().id()));
+        self.ran_on.lock().unwrap().push((what, stack_here()));
     }
 }
 
@@ -293,19 +303,19 @@ impl Reactor<u32> for Witness {
 }
 
 #[test]
-fn the_coordinator_runs_the_first_event_and_the_tail() {
+fn the_coordinator_runs_every_reactor_callback() {
     let (ran_on, coordinator, primary, report) = watchdog(60, || {
         let ran_on = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::<u32>::new();
         // Spawned first: the reactor's start wake is the first event of the
-        // run, popped by the coordinator.
+        // run.
         let d = sim.spawn_reactor("witness", Witness { ran_on: Arc::clone(&ran_on) });
-        let (id_tx, id_rx) = mpsc::channel();
+        let (sp_tx, sp_rx) = mpsc::channel();
         // Wakes at 100 µs (that pop opens the window [100, 110) µs), queues
-        // a delivery at 101 µs — served while the primary holds duty in its
-        // second `sleep` — then two more at 105 µs and 115 µs, and exits.
+        // a delivery at 101 µs — served while the primary sleeps a second
+        // time — then two more at 105 µs and 115 µs, and exits.
         let p = sim.spawn("primary", move |ctx| {
-            id_tx.send(std::thread::current().id()).unwrap();
+            sp_tx.send(stack_here()).unwrap();
             ctx.sleep(Dur::from_micros(100))?;
             ctx.send(d, 0, SimTime::from_nanos(101_000));
             ctx.sleep(Dur::from_micros(1))?;
@@ -316,20 +326,21 @@ fn the_coordinator_runs_the_first_event_and_the_tail() {
         sim.assign_group(d, 0);
         sim.assign_group(p, 0);
         sim.set_lookahead(Dur::from_micros(10));
+        let coordinator = stack_here();
         let report = sim.run().expect("run completes");
         let ran_on = ran_on.lock().unwrap().clone();
-        (ran_on, std::thread::current().id(), id_rx.recv().unwrap(), report)
+        (ran_on, coordinator, sp_rx.recv().unwrap(), report)
     });
-    assert_eq!(
-        ran_on,
-        vec![
-            ("wait", coordinator), // the start wake
-            ("msg", primary),      // 101 µs: the sleeping primary holds duty
-            ("wait", primary),
-            ("msg", coordinator), // 105 µs: the tail, inside the horizon
-            ("wait", coordinator),
-        ]
-    );
+    // The primary's stack is not the coordinator's…
+    assert!(!same_stack(primary, coordinator), "{primary:#x} {coordinator:#x}");
+    // …and every callback ran on the coordinator's: the start wake, the
+    // 101 µs delivery while the primary sleeps, and the 105 µs one in the
+    // tail, inside the horizon.
+    let what: Vec<_> = ran_on.iter().map(|&(what, _)| what).collect();
+    assert_eq!(what, ["wait", "msg", "wait", "msg", "wait"]);
+    for &(what, sp) in &ran_on {
+        assert!(same_stack(sp, coordinator), "{what} ran at {sp:#x}, not near {coordinator:#x}");
+    }
     // The 115 µs delivery is beyond the horizon the exit fell into.
     assert_eq!(report.end_time, SimTime::from_nanos(105_000));
     assert_eq!(report.exec.reactor_runs, 3, "{:?}", report.exec);
@@ -390,7 +401,7 @@ fn a_sim_frees_its_reactors_whether_or_not_it_ran() {
 // ---------------------------------------------------------------------
 
 /// Echoes until it receives `fuse`, then panics (`None`: in its very first
-/// `wait`, which the coordinator runs).
+/// `wait`).
 struct Doomed {
     fuse: Option<u32>,
     _alive: Arc<()>,
@@ -410,8 +421,8 @@ impl Reactor<u32> for Doomed {
     fn on_timeout(&mut self, _ctx: &ReactorCtx<'_, u32>) {}
 }
 
-/// A reactor that panics while bystanders are parked and a client holds
-/// duty. Returns the error and how many holders of `alive` are left.
+/// A reactor that panics while bystanders are parked and a client waits
+/// for it. Returns the error and how many holders of `alive` are left.
 fn doomed_run(fuse: Option<u32>) -> (SimError, usize) {
     watchdog(60, move || {
         let alive = Arc::new(());
@@ -439,22 +450,18 @@ fn doomed_run(fuse: Option<u32>) -> (SimError, usize) {
 }
 
 #[test]
-fn a_reactor_panic_on_a_process_thread_is_reported_under_the_reactors_name() {
-    // The third request blows the fuse while `client` is the duty holder.
-    let (err, holders) = doomed_run(Some(3));
-    match err {
-        SimError::ProcessPanicked { pid, name } => assert_eq!((pid, name.as_str()), (6, "doomed")),
-        other => panic!("expected ProcessPanicked, got {other:?}"),
-    }
-    assert_eq!(holders, 1, "a thread or the reactor outlived run()");
-}
-
-#[test]
 fn a_reactor_panic_on_the_coordinator_is_reported_the_same_way() {
-    let (err, holders) = doomed_run(None);
-    match err {
-        SimError::ProcessPanicked { pid, name } => assert_eq!((pid, name.as_str()), (6, "doomed")),
-        other => panic!("expected ProcessPanicked, got {other:?}"),
+    // Its first wait blows the fuse, or the third request does while the
+    // client waits for the reply: the same panic, on the same stack, as a
+    // process's — under the reactor's pid and name.
+    for fuse in [None, Some(3)] {
+        let (err, holders) = doomed_run(fuse);
+        match err {
+            SimError::ProcessPanicked { pid, name } => {
+                assert_eq!((pid, name.as_str()), (6, "doomed"), "fuse {fuse:?}")
+            }
+            other => panic!("fuse {fuse:?}: expected ProcessPanicked, got {other:?}"),
+        }
+        assert_eq!(holders, 1, "fuse {fuse:?}: a process or the reactor outlived run()");
     }
-    assert_eq!(holders, 1, "a thread or the reactor outlived run()");
 }

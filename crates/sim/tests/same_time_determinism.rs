@@ -3,8 +3,8 @@
 //! order — `(time, src_group, seq)`, where `src_group` is the scheduling
 //! group of the pushing process and `seq` comes from that group's private
 //! counter. The key is assigned at push from state only the pusher's own
-//! execution touches, so it never depends on which host thread happened to
-//! hold duty. This invariant is pinned here independently of the engine's
+//! execution touches, so it never depends on which process the host
+//! happened to be running. This invariant is pinned here independently of the engine's
 //! internal queue layout.
 
 use std::sync::Arc;

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_substrate::{Dur, SimTime};
+use repseq_sim::{Dur, SimTime};
 
 use crate::host::{self, HostCounters};
 use crate::snapshot::{NodeSnapshot, SectionCounters, StatsSnapshot};

@@ -1,6 +1,6 @@
 //! Immutable snapshots and the aggregations the paper's tables use.
 
-use repseq_substrate::Dur;
+use repseq_sim::Dur;
 
 use crate::registry::{section_idx, Section};
 
