@@ -21,7 +21,7 @@ use repseq_stats::{HostCounters, NodeId};
 
 use crate::diff::Diff;
 use crate::interval::PageId;
-use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta};
+use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta, PageStore};
 use crate::shmem::SharedSegment;
 use crate::vc::Vc;
 
@@ -110,20 +110,16 @@ impl GenTable {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// Revoke every cached translation of page `p` (and, via bucket
-    /// collision, possibly of a few unrelated pages — always safe, only
-    /// slower): invalidation or out-of-band content change.
+    /// Revoke the *writable* cached translations of page `p` — the page
+    /// stays valid and readable, so read-only entries remain current — or,
+    /// with `read`, every one of them: invalidation or out-of-band content
+    /// change. A bucket collision may revoke a few unrelated pages' too:
+    /// always safe, only slower.
     #[inline]
-    pub(crate) fn bump_page(&self, p: PageId) {
-        self.read_gens[Self::bucket(p)].fetch_add(1, Ordering::Relaxed);
-        self.write_gens[Self::bucket(p)].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Revoke only *writable* cached translations of page `p`: the page
-    /// stays valid and readable, so read-only entries remain current.
-    #[inline]
-    pub(crate) fn bump_page_write(&self, p: PageId) {
+    fn bump(&self, p: PageId, read: bool) {
+        if read {
+            self.read_gens[Self::bucket(p)].fetch_add(1, Ordering::Relaxed);
+        }
         self.write_gens[Self::bucket(p)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
     }
@@ -135,6 +131,11 @@ pub(crate) struct DataPlane {
     /// shared segment, sized at launch. Only a hand-built state (unit
     /// tests: an empty segment) grows it, on first touch.
     pub(crate) pages: Vec<PageMeta>,
+    /// Each page's contents by `PageId`, a slot of `store`; `None` until the
+    /// first read, write or diff application materializes it. Kept apart
+    /// from the public [`PageMeta`], so no handle can reach another node.
+    pub(crate) bytes: Vec<Option<PageBuf>>,
+    store: PageStore,
     /// Pages with a twin (writes not yet diffed).
     pub(crate) dirty_pages: Vec<PageId>,
     /// Released twins, for reuse: a write fault on a page without a twin
@@ -168,11 +169,13 @@ pub(crate) struct DataPlane {
 
 impl DataPlane {
     /// One node's data plane over `segment`, whose page count sizes the
-    /// page table. The twin pool starts empty.
-    pub(crate) fn new(n: usize, segment: Arc<SharedSegment>) -> DataPlane {
+    /// page table. The twin pool and the page store start empty.
+    pub(crate) fn new(n: usize, page_size: usize, segment: Arc<SharedSegment>) -> DataPlane {
         let zero = Vc::zero(n);
         DataPlane {
             pages: (0..segment.pages()).map(|_| PageMeta::new(zero.clone())).collect(),
+            bytes: vec![None; segment.pages()],
+            store: PageStore::new(page_size),
             dirty_pages: Vec::new(),
             twin_pool: Vec::new(),
             prot_gen: Arc::new(GenTable::new()),
@@ -188,23 +191,16 @@ impl NodeState {
     /// The page contents, materialized from the shared segment on first
     /// touch.
     pub fn page_data(&mut self, p: PageId) -> &mut [u8] {
-        self.materialized(p).slice_mut()
+        self.page_buf(p).slice_mut()
     }
 
-    /// A shared handle to the page contents (materialized on first touch),
-    /// for the software TLB and the page guards.
-    pub(crate) fn page_buf(&mut self, p: PageId) -> PageBuf {
-        self.materialized(p).clone()
-    }
-
-    fn materialized(&mut self, p: PageId) -> &PageBuf {
-        let ps = self.cfg.page_size;
+    /// The handle to the page's slot, handed out and filled from the
+    /// segment's image (or zeros) on first touch. The software TLB and the
+    /// page guards copy it.
+    pub(crate) fn page_buf(&mut self, p: PageId) -> &mut PageBuf {
         self.page_mut(p);
-        let DataPlane { pages, segment, .. } = &mut self.data;
-        let page = &mut pages[p as usize];
-        // The segment is consulted only for a page with no bytes yet.
-        let image = if page.data.is_none() { segment.page(p) } else { None };
-        page.buf(ps, image)
+        let DataPlane { bytes, segment, store, .. } = &mut self.data;
+        bytes[p as usize].get_or_insert_with(|| store.slot(segment.page(p)))
     }
 
     /// The node-wide protection-change counter: the monotone total of all
@@ -212,12 +208,6 @@ impl NodeState {
     /// single number to compare.
     pub fn prot_gen(&self) -> u64 {
         self.data.prot_gen.total()
-    }
-
-    /// The shared per-page generation table itself, for wiring the
-    /// application process's software TLB.
-    pub(crate) fn prot_gen_arc(&self) -> Arc<GenTable> {
-        Arc::clone(&self.data.prot_gen)
     }
 
     /// Advance page `p`'s read (mapping) generation, invalidating every
@@ -232,7 +222,7 @@ impl NodeState {
         if self.cfg.tlb_break_generation_bumps {
             return;
         }
-        self.data.prot_gen.bump_page(p);
+        self.data.prot_gen.bump(p, true);
     }
 
     /// Advance page `p`'s write-permission generation, invalidating only
@@ -245,16 +235,17 @@ impl NodeState {
         if self.cfg.tlb_break_generation_bumps {
             return;
         }
-        self.data.prot_gen.bump_page_write(p);
+        self.data.prot_gen.bump(p, false);
     }
 
     /// This node's slot for page `p`.
     pub fn page_mut(&mut self, p: PageId) -> &mut PageMeta {
-        let DataPlane { pages, segment, zero, .. } = &mut self.data;
+        let DataPlane { pages, bytes, segment, zero, .. } = &mut self.data;
         if p as usize >= pages.len() {
             // A launched cluster sized the table for its whole segment.
             debug_assert_eq!(segment.pages(), 0, "page {p} is outside the shared segment");
             pages.resize_with(p as usize + 1, || PageMeta::new(zero.clone()));
+            bytes.resize(p as usize + 1, None);
         }
         &mut pages[p as usize]
     }
@@ -265,9 +256,9 @@ impl NodeState {
     pub(crate) fn create_own_diff(&mut self, p: PageId) -> Dur {
         let node = self.node;
         let mut cost = self.cfg.diff_create_cost();
-        let page = &mut self.data.pages[p as usize];
+        let bytes = self.data.bytes[p as usize].expect("twinned page must be materialized");
+        let (page, data) = (&mut self.data.pages[p as usize], bytes.slice());
         let mut twin = page.twin.take().expect("diffing a page without a twin");
-        let data = page.data.as_ref().expect("twinned page must be materialized").slice();
         let timer = Instant::now();
         let diff = Diff::create(&twin, data);
         self.host.diff_created(timer, 2 * data.len() as u64);
@@ -282,9 +273,8 @@ impl NodeState {
             // the twin just consumed instead of cloning the page.
             debug_assert!(!self.rse.active, "node {node}: re-twin of page {p} in a section");
             cost += self.cfg.twin_cost();
-            let page = &mut self.data.pages[p as usize];
-            twin.copy_from_slice(page.data.as_ref().unwrap().slice());
-            page.twin = Some(twin);
+            twin.copy_from_slice(bytes.slice());
+            self.data.pages[p as usize].twin = Some(twin);
             // stays writable and in the dirty set
         } else {
             self.data.twin_pool.push(twin);
@@ -330,12 +320,10 @@ impl NodeState {
         }
         if self.page_mut(p).twin.is_none() {
             cost += self.cfg.twin_cost();
-            self.page_data(p); // materialize before twinning
+            let src = *self.page_buf(p); // materialize before twinning
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid, "write fault on an invalid page");
-            let src = page.data.as_ref().unwrap().slice();
-            let twin = pool_take(&mut self.data.twin_pool, &mut self.host, src);
-            page.twin = Some(twin);
+            page.twin = Some(pool_take(&mut self.data.twin_pool, &mut self.host, src.slice()));
             self.data.dirty_pages.push(p);
         }
         let page = &mut self.data.pages[p as usize];
@@ -515,11 +503,10 @@ impl NodeState {
     /// table not grown) — the segment's image is copied out instead — so
     /// inspection never perturbs protocol state.
     pub fn inspect_page(&self, p: PageId) -> Option<Vec<u8>> {
-        let slot = self.data.pages.get(p as usize);
-        if slot.is_some_and(|pg| !pg.valid) {
+        if self.data.pages.get(p as usize).is_some_and(|pg| !pg.valid) {
             return None;
         }
-        Some(match slot.and_then(|pg| pg.data.as_ref()) {
+        Some(match self.data.bytes.get(p as usize).and_then(Option::as_ref) {
             Some(d) => d.slice().to_vec(),
             None => match self.data.segment.page(p) {
                 Some(img) => img.to_vec(),
@@ -685,7 +672,7 @@ mod tests {
         assert_eq!(st.inspect_page(2), Some(vec![7; 64]));
         assert_eq!(st.inspect_page(3), Some(vec![0; 64]));
         assert_eq!(st.inspect_page(9), Some(vec![0; 64]));
-        assert!(st.data.pages.iter().all(|pg| pg.data.is_none()));
+        assert!(st.data.bytes.iter().all(Option::is_none));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! | layer | module | owns |
 //! |---|---|---|
 //! | consistency | `vc`, `interval`, `consistency` | vector clocks, intervals, write notices |
-//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: contents, twin, notices, cached diffs, valid notices), twin pool, TLB revocation |
+//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, notices, cached diffs, valid notices), the page slot store and its handles, twin pool, TLB revocation |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, task payloads, the slave loop |
@@ -65,7 +65,7 @@ pub use diff::{Diff, DiffError, DiffRun};
 pub use exec::{Task, TaskFn};
 pub use interval::{IntervalData, IntervalRecord, IntervalStore, PageId};
 pub use msg::{DsmMsg, TaskPayload};
-pub use page::{DiffEntry, PageBuf, PageMeta};
+pub use page::{DiffEntry, PageMeta};
 pub use pod::Pod;
 pub use race::{AccessKind, RaceConfig, RaceSink, SyncEdge};
 pub use runtime::DsmNode;

@@ -4,8 +4,9 @@
 //! of the peers, request and recovery-reply memory). One [`PageMeta`] is
 //! one slot of the table `crate::dataplane` indexes by page number.
 
-use std::cell::UnsafeCell;
+use std::alloc::{self, Layout};
 use std::collections::BTreeMap;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 use repseq_sim::SimTime;
@@ -14,84 +15,145 @@ use repseq_stats::NodeId;
 use crate::diff::Diff;
 use crate::vc::Vc;
 
-/// The bytes of one page behind an interior-mutable cell, so the fast path
-/// (software TLB, page guards) can read and write them without holding the
-/// node-state mutex.
-struct PageCell(UnsafeCell<Box<[u8]>>);
+/// Pages per chunk of a [`PageStore`].
+const CHUNK_PAGES: usize = 16;
 
-// Safety: the simulation engine runs exactly one process at a time (the
-// channel handoff between processes is a happens-before edge), so at any
-// instant at most one thread touches any page cell. See the safety
-// contract on [`PageBuf::slice_mut`] for the aliasing side.
-unsafe impl Send for PageCell {}
-unsafe impl Sync for PageCell {}
-
-/// A cheap-to-clone handle to one page's contents. `PageMeta::data` holds
-/// one; the software TLB and the page guards hold clones, so a protection
-/// change never invalidates the *bytes* a stale handle points at — stale
-/// handles are fenced off by the protection generation counter instead.
-pub struct PageBuf {
-    cell: Arc<PageCell>,
+/// One node's page bytes: page-sized slots handed out in first-touch
+/// order from fixed chunks of [`CHUNK_PAGES`] pages. A chunk never moves
+/// and is freed only with the store, so a slot stays put for the life of
+/// its node. A chunk is allocated uninitialised and a slot written in full
+/// when handed out: an untouched slot commits no memory, and no recycled
+/// heap byte ever shows in a page.
+pub(crate) struct PageStore {
+    /// One chunk's layout: [`CHUNK_PAGES`] pages, byte-aligned.
+    layout: Layout,
+    /// Every chunk, as allocated: no reference to a whole chunk is formed.
+    chunks: Vec<NonNull<u8>>,
+    /// Slots handed out from the last chunk.
+    used: usize,
 }
 
+// SAFETY: the chunks are owned by the store alone (the `NonNull`s are not
+// shared), so moving the store to another thread moves that ownership.
+unsafe impl Send for PageStore {}
+
+extern "C" {
+    /// glibc's allocator tuning call (`malloc.h`).
+    fn mallopt(param: i32, value: i32) -> i32;
+}
+/// `mallopt`'s `M_TRIM_THRESHOLD` and `M_MMAP_THRESHOLD` (`malloc.h`).
+const M_TRIM_THRESHOLD: i32 = -1;
+const M_MMAP_THRESHOLD: i32 = -3;
+
+impl PageStore {
+    /// An empty store. It also makes the process keep the heap its stores
+    /// free: glibc gives the top of the heap back to the kernel whenever a
+    /// free of 64 KiB or more reaches it, as a store's teardown does, and
+    /// the next cluster would then fault every page in anew (DESIGN.md §8).
+    /// Fixing the trim threshold switches off glibc's dynamic mmap
+    /// threshold, so that one is fixed at the dynamic rule's ceiling.
+    pub(crate) fn new(page_size: usize) -> PageStore {
+        assert!(page_size > 0, "page size must be positive");
+        // SAFETY: `mallopt` takes two integers and only sets an allocator
+        // parameter; glibc declares it `int mallopt(int, int)`.
+        unsafe {
+            mallopt(M_TRIM_THRESHOLD, i32::MAX);
+            mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        }
+        let layout = Layout::array::<u8>(CHUNK_PAGES * page_size).expect("chunk size overflows");
+        PageStore { layout, chunks: Vec::new(), used: CHUNK_PAGES }
+    }
+
+    /// A fresh slot holding `image`, or zeros.
+    pub(crate) fn slot(&mut self, image: Option<&[u8]>) -> PageBuf {
+        let (ps, layout) = (self.layout.size() / CHUNK_PAGES, self.layout);
+        assert!(image.is_none_or(|img| img.len() == ps), "an image is one page");
+        if self.used == CHUNK_PAGES {
+            // SAFETY: the layout is non-empty (`page_size > 0`).
+            let chunk = NonNull::new(unsafe { alloc::alloc(layout) });
+            self.chunks.push(chunk.unwrap_or_else(|| alloc::handle_alloc_error(layout)));
+            self.used = 0;
+        }
+        // SAFETY: slot `used` lies inside the last chunk, was never handed
+        // out, so no handle points at it, and is written in full here, from
+        // an image of exactly one page (asserted) or with zeros.
+        let ptr = unsafe {
+            let ptr = self.chunks[self.chunks.len() - 1].add(self.used * ps);
+            match image {
+                Some(img) => ptr.copy_from_nonoverlapping(NonNull::from(img).cast(), ps),
+                None => ptr.write_bytes(0, ps),
+            }
+            ptr
+        };
+        self.used += 1;
+        PageBuf { ptr, len: ps }
+    }
+}
+
+impl Drop for PageStore {
+    fn drop(&mut self) {
+        for &chunk in &self.chunks {
+            // SAFETY: allocated in `slot` with this layout, freed once.
+            unsafe { alloc::dealloc(chunk.as_ptr(), self.layout) };
+        }
+    }
+}
+
+/// A handle to one page's bytes: a `Copy` (pointer, length) into a
+/// [`PageStore`] slot, or into a page guard's own buffer (an element that
+/// straddles two pages). The data plane holds one per materialized page;
+/// the software TLB and the page guards hold copies, so a protection
+/// change never moves the bytes a stale handle points at — the protection
+/// generation fences stale handles off instead.
+///
+/// Every handle is outlived by its bytes. A slot lives as long as its
+/// node's `NodeState`. The TLB lives in `DsmNode`, which holds the
+/// `Arc<Mutex<NodeState>>`; a page guard lives only inside one
+/// `with_slices{,_mut}` call, which borrows the `DsmNode`, and a detached
+/// guard's buffer is declared before the guard in the same scope.
+#[derive(Clone, Copy)]
+pub(crate) struct PageBuf {
+    ptr: NonNull<u8>,
+    len: usize,
+}
+
+// SAFETY: both fields are plain data; only the one simulated process
+// running at a time dereferences a handle, under the contract on
+// [`PageBuf::slice`], so no two threads touch its bytes at once.
+unsafe impl Send for PageBuf {}
+unsafe impl Sync for PageBuf {}
+
 impl PageBuf {
-    /// A new buffer owning `bytes`.
-    pub(crate) fn new(bytes: Box<[u8]>) -> PageBuf {
-        PageBuf { cell: Arc::new(PageCell(UnsafeCell::new(bytes))) }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.slice().len()
-    }
-
-    /// Whether the buffer is empty (it never is for a real page).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// A handle to `bytes`, which must outlive every use of it.
+    pub(crate) fn detached(bytes: &mut [u8]) -> PageBuf {
+        let len = bytes.len();
+        PageBuf { ptr: NonNull::from(bytes).cast(), len }
     }
 
     /// Read access to the page bytes.
     ///
     /// Safety relies on the engine's serialization: exactly one simulated
-    /// process runs at a time, and no caller keeps a returned slice alive
-    /// across a yielding call (every `&[u8]` produced here is consumed
-    /// within one straight-line access), so no mutable alias can exist
-    /// while the slice is read.
+    /// process runs at a time, and no caller keeps a slice of a page alive
+    /// across a yielding call (each is consumed within one straight-line
+    /// access), so no other reference into the page is live meanwhile.
     #[inline]
     pub(crate) fn slice(&self) -> &[u8] {
-        unsafe { &*self.cell.0.get() }
+        // SAFETY: the handle's bytes are alive (see [`PageBuf`]) and
+        // unaliased by a live `&mut` (above).
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
-    /// Write access to the page bytes.
-    ///
-    /// Safety: same contract as [`PageBuf::slice`] — engine serialization
-    /// plus the no-slice-across-yields rule mean at most one reference
-    /// produced by this cell is live at any instant.
+    /// Write access to the page bytes, under [`PageBuf::slice`]'s contract.
     #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) fn slice_mut(&self) -> &mut [u8] {
-        unsafe { &mut *self.cell.0.get() }
-    }
-}
-
-impl Clone for PageBuf {
-    fn clone(&self) -> PageBuf {
-        PageBuf { cell: Arc::clone(&self.cell) }
-    }
-}
-
-impl std::fmt::Debug for PageBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PageBuf({} bytes)", self.len())
+    pub(crate) fn slice_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `slice`; no other reference into the page is live.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
 
 /// One node's view of one shared page: its slot of the node's page table,
 /// holding everything the protocol knows about the page.
 pub struct PageMeta {
-    /// Page contents. `None` means the page still holds its initial image
-    /// (materialized lazily on first write or diff application).
-    pub data: Option<PageBuf>,
     /// The twin saved at the first write since the page was last diffed.
     pub twin: Option<Box<[u8]>>,
     /// Software write permission: a write to a non-writable page traps.
@@ -157,7 +219,6 @@ impl PageMeta {
     /// its buffer, so an untouched slot owns no heap memory.
     pub fn new(zero: Vc) -> PageMeta {
         PageMeta {
-            data: None,
             twin: None,
             writable: false,
             valid: true,
@@ -174,20 +235,6 @@ impl PageMeta {
             requested: false,
             oob_reply: None,
         }
-    }
-
-    /// Materialize the page contents, starting from `image` (or zeros),
-    /// and return the shared handle to them.
-    pub fn buf(&mut self, page_size: usize, image: Option<&[u8]>) -> &PageBuf {
-        self.data.get_or_insert_with(|| {
-            PageBuf::new(match image {
-                Some(img) => {
-                    debug_assert_eq!(img.len(), page_size);
-                    img.into()
-                }
-                None => vec![0u8; page_size].into_boxed_slice(),
-            })
-        })
     }
 
     /// Node `q`'s valid notice for this page as last exchanged: what `q`
@@ -212,11 +259,10 @@ impl PageMeta {
 }
 
 impl std::fmt::Debug for PageMeta {
-    /// The whole slot on one line for failure reports: page bytes, twin
-    /// and diff payloads are elided to presence and cache keys.
+    /// The whole slot on one line for failure reports: twin and diff
+    /// payloads are elided to presence and cache keys.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageMeta")
-            .field("data", &self.data)
             .field("twin", &self.twin.is_some())
             .field("writable", &self.writable)
             .field("valid", &self.valid)
@@ -270,16 +316,43 @@ mod tests {
 
     #[test]
     fn fresh_page_is_valid_readonly_zero() {
-        let mut p = PageMeta::new(Vc::zero(2));
-        assert!(p.valid && !p.writable);
-        let data = p.buf(64, None).slice();
-        assert!(data.iter().all(|&b| b == 0));
+        let p = PageMeta::new(Vc::zero(2));
+        assert!(p.valid && !p.writable && p.twin.is_none());
+        assert!(PageStore::new(64).slot(None).slice().iter().all(|&b| b == 0));
     }
 
     #[test]
     fn materialize_uses_initial_image() {
-        let mut p = PageMeta::new(Vc::zero(2));
-        let data = p.buf(16, Some(&[7u8; 16])).slice();
-        assert!(data.iter().all(|&b| b == 7));
+        let mut store = PageStore::new(16);
+        assert!(store.slot(Some(&[7u8; 16])).slice().iter().all(|&b| b == 7));
+    }
+
+    #[test]
+    fn a_slot_never_moves_as_chunks_are_added() {
+        let mut store = PageStore::new(64);
+        let mut bufs: Vec<PageBuf> =
+            (0..3 * CHUNK_PAGES as u8).map(|k| store.slot(Some(&[k; 64]))).collect();
+        for (k, buf) in bufs.iter_mut().enumerate() {
+            assert!(buf.slice().iter().all(|&b| b == k as u8), "slot {k} lost its image");
+            buf.slice_mut().fill(k as u8 + 100);
+        }
+        for (k, buf) in bufs.iter().enumerate() {
+            assert!(buf.slice().iter().all(|&b| b == k as u8 + 100), "slot {k} shares its bytes");
+        }
+    }
+
+    #[test]
+    fn a_slot_is_written_in_full_when_handed_out() {
+        let mut store = PageStore::new(64);
+        for _ in 0..CHUNK_PAGES {
+            store.slot(None).slice_mut().fill(0xA5);
+        }
+        drop(store);
+        // The new store's chunk is likely the one just freed, dirty bytes and all.
+        let mut store = PageStore::new(64);
+        let image: Vec<u8> = (1..=64).collect();
+        let (zero, img) = (store.slot(None), store.slot(Some(&image)));
+        assert!(zero.slice().iter().all(|&b| b == 0));
+        assert_eq!(img.slice(), &image[..]);
     }
 }

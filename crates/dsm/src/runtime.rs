@@ -196,7 +196,7 @@ impl DsmNode {
         page_size: usize,
         tlb_enabled: bool,
     ) -> DsmNode {
-        let prot_gen = st.lock().prot_gen_arc();
+        let prot_gen = Arc::clone(&st.lock().data.prot_gen);
         let race = topo.race.clone();
         DsmNode {
             ctx,
@@ -325,7 +325,7 @@ impl DsmNode {
     /// *writable* one stamped with the page's current write generation —
     /// and count the hit.
     #[inline]
-    fn tlb_probe<R>(&self, p: PageId, write: bool, f: impl FnOnce(&PageBuf) -> R) -> Option<R> {
+    fn tlb_probe<R>(&self, p: PageId, write: bool, f: impl FnOnce(PageBuf) -> R) -> Option<R> {
         if !self.tlb_enabled {
             return None;
         }
@@ -336,7 +336,7 @@ impl DsmNode {
             return None;
         }
         self.count_tlb_hits(1);
-        Some(f(&e.buf))
+        Some(f(e.buf))
     }
 
     /// `n` accesses skipped the locked walk. A plain add — the application
@@ -356,70 +356,32 @@ impl DsmNode {
         }
     }
 
-    /// Resolve page `p` from the TLB or count the miss that sends the
-    /// caller down the locked walk.
-    #[inline]
-    fn tlb_buf(&self, p: PageId, write: bool) -> Option<PageBuf> {
-        let buf = self.tlb_probe(p, write, PageBuf::clone);
-        if buf.is_none() && self.tlb_enabled {
+    /// Resolve page `p` for reading, or for writing: from the TLB, else by
+    /// faulting until valid (and writable) and filling the TLB on the way.
+    /// The handle stays byte-current across later protocol activity (diffs
+    /// apply in place), but protocol *validity* is only pinned at
+    /// acquisition — callers must not cache it across synchronization.
+    pub(crate) fn page_for(&self, p: PageId, write: bool) -> Result<PageBuf, Stopped> {
+        if let Some(buf) = self.tlb_probe(p, write, |b| b) {
+            return Ok(buf);
+        }
+        if self.tlb_enabled {
             self.tlb_misses.set(self.tlb_misses.get() + 1);
         }
-        buf
-    }
-
-    /// Install a translation filled under the current generation.
-    #[inline]
-    fn tlb_fill(&self, p: PageId, writable: bool, buf: &PageBuf) {
-        if !self.tlb_enabled {
-            return;
-        }
-        let gen = self.prot_gen.page_read(p);
-        let wgen = self.prot_gen.page_write(p);
-        self.tlb
-            .borrow_mut()
-            .insert(TlbEntry { page: p, gen, wgen, writable, buf: buf.clone() }, &self.prot_gen);
-    }
-
-    /// Resolve page `p` for reading: fault until valid, fill the TLB,
-    /// return the contents handle. The handle stays byte-current across
-    /// later protocol activity (diffs apply in place), but protocol
-    /// *validity* is only pinned at acquisition — callers must not cache
-    /// it across synchronization.
-    pub(crate) fn page_for_read(&self, p: PageId) -> Result<PageBuf, Stopped> {
-        if let Some(buf) = self.tlb_buf(p, false) {
-            return Ok(buf);
-        }
         loop {
             {
                 let mut st = self.st.lock();
                 let page = st.page_mut(p);
-                if page.valid {
+                if page.valid && (page.writable || !write) {
                     let writable = page.writable;
-                    let buf = st.page_buf(p);
+                    let buf = *st.page_buf(p);
                     drop(st);
-                    self.tlb_fill(p, writable, &buf);
-                    return Ok(buf);
-                }
-            }
-            self.read_fault(p)?;
-        }
-    }
-
-    /// Resolve page `p` for writing: fault until valid and writable, fill
-    /// the TLB, return the contents handle. Same caching contract as
-    /// [`DsmNode::page_for_read`].
-    pub(crate) fn page_for_write(&self, p: PageId) -> Result<PageBuf, Stopped> {
-        if let Some(buf) = self.tlb_buf(p, true) {
-            return Ok(buf);
-        }
-        loop {
-            {
-                let mut st = self.st.lock();
-                let page = st.page_mut(p);
-                if page.valid && page.writable {
-                    let buf = st.page_buf(p);
-                    drop(st);
-                    self.tlb_fill(p, true, &buf);
+                    if self.tlb_enabled {
+                        // A translation filled under the current generations.
+                        let (gen, wgen) = (self.prot_gen.page_read(p), self.prot_gen.page_write(p));
+                        let entry = TlbEntry { page: p, gen, wgen, writable, buf };
+                        self.tlb.borrow_mut().insert(entry, &self.prot_gen);
+                    }
                     return Ok(buf);
                 }
                 if page.valid {
@@ -451,7 +413,7 @@ impl DsmNode {
             if let Some(v) = hit {
                 return Ok(v);
             }
-            let buf = self.page_for_read(p)?;
+            let buf = self.page_for(p, false)?;
             return Ok(T::read_from(&buf.slice()[off..off + T::SIZE]));
         }
         let mut buf = [0u8; 256];
@@ -468,11 +430,11 @@ impl DsmNode {
             self.race_access(addr, T::SIZE, AccessKind::Write);
             let p = (addr / ps) as PageId;
             let hit =
-                self.tlb_probe(p, true, |b| v.write_to(&mut b.slice_mut()[off..off + T::SIZE]));
+                self.tlb_probe(p, true, |mut b| v.write_to(&mut b.slice_mut()[off..off + T::SIZE]));
             if hit.is_some() {
                 return Ok(());
             }
-            let buf = self.page_for_write(p)?;
+            let mut buf = self.page_for(p, true)?;
             v.write_to(&mut buf.slice_mut()[off..off + T::SIZE]);
             return Ok(());
         }
@@ -493,15 +455,27 @@ impl DsmNode {
     /// page guard pre-filling the unwritten bytes of a straddling
     /// element).
     pub(crate) fn read_bytes_quiet(&self, addr: u64, out: &mut [u8]) -> Result<(), Stopped> {
+        self.spans(addr, out.len(), false, |page, at| out[at].copy_from_slice(page))
+    }
+
+    /// Resolve each page that `len` bytes at `addr` touch, for reading or
+    /// writing, and hand `f` the part of the page in the range and where
+    /// that part sits in it.
+    fn spans(
+        &self,
+        addr: u64,
+        len: usize,
+        write: bool,
+        mut f: impl FnMut(&mut [u8], std::ops::Range<usize>),
+    ) -> Result<(), Stopped> {
         let ps = self.page_size as u64;
         let mut off = 0usize;
-        while off < out.len() {
+        while off < len {
             let a = addr + off as u64;
-            let p = (a / ps) as PageId;
             let in_page = (a % ps) as usize;
-            let chunk = ((ps as usize - in_page).min(out.len() - off)).max(1);
-            let buf = self.page_for_read(p)?;
-            out[off..off + chunk].copy_from_slice(&buf.slice()[in_page..in_page + chunk]);
+            let chunk = ((ps as usize - in_page).min(len - off)).max(1);
+            let mut buf = self.page_for((a / ps) as PageId, write)?;
+            f(&mut buf.slice_mut()[in_page..in_page + chunk], off..off + chunk);
             off += chunk;
         }
         Ok(())
@@ -517,17 +491,6 @@ impl DsmNode {
     /// where the access was already reported element-wise (a mutable page
     /// guard writing back a straddling element its tap recorded).
     pub(crate) fn write_bytes_quiet(&self, addr: u64, src: &[u8]) -> Result<(), Stopped> {
-        let ps = self.page_size as u64;
-        let mut off = 0usize;
-        while off < src.len() {
-            let a = addr + off as u64;
-            let p = (a / ps) as PageId;
-            let in_page = (a % ps) as usize;
-            let chunk = ((ps as usize - in_page).min(src.len() - off)).max(1);
-            let buf = self.page_for_write(p)?;
-            buf.slice_mut()[in_page..in_page + chunk].copy_from_slice(&src[off..off + chunk]);
-            off += chunk;
-        }
-        Ok(())
+        self.spans(addr, src.len(), true, |page, at| page.copy_from_slice(&src[at]))
     }
 }

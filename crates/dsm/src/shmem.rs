@@ -44,16 +44,6 @@ pub struct PageSlice<T: Pod> {
 }
 
 impl<T: Pod> PageSlice<T> {
-    fn new(
-        buf: PageBuf,
-        byte_off: usize,
-        first: usize,
-        count: usize,
-        tap: Option<AccessTap>,
-    ) -> Self {
-        PageSlice { buf, byte_off, first, count, tap, _t: PhantomData }
-    }
-
     /// Global array index of the run's first element.
     pub fn first_index(&self) -> usize {
         self.first
@@ -100,6 +90,11 @@ impl<T: Pod> std::ops::Deref for PageSliceMut<T> {
 }
 
 impl<T: Pod> PageSliceMut<T> {
+    fn new(buf: PageBuf, off: usize, first: usize, count: usize, tap: Option<AccessTap>) -> Self {
+        let run = PageSlice { buf, byte_off: off, first, count, tap, _t: PhantomData };
+        PageSliceMut { run, written: false }
+    }
+
     /// Write the `k`-th element of the run.
     #[inline]
     pub fn set(&mut self, k: usize, v: T) {
@@ -108,7 +103,7 @@ impl<T: Pod> PageSliceMut<T> {
             tap.element(k, T::SIZE, AccessKind::Write);
         }
         let off = self.byte_off + k * T::SIZE;
-        v.write_to(&mut self.buf.slice_mut()[off..off + T::SIZE]);
+        v.write_to(&mut self.run.buf.slice_mut()[off..off + T::SIZE]);
         self.written = true;
     }
 }
@@ -172,30 +167,7 @@ impl<T: Pod> ShArray<T> {
         range: Range<usize>,
         mut f: impl FnMut(&PageSlice<T>) -> Result<(), Stopped>,
     ) -> Result<(), Stopped> {
-        assert!(range.start <= range.end && range.end <= self.len);
-        let ps = node.page_size();
-        let mut i = range.start;
-        while i < range.end {
-            let a = self.addr(i);
-            let in_page = (a % ps as u64) as usize;
-            if in_page + T::SIZE > ps {
-                let mut bytes = vec![0u8; T::SIZE];
-                // `read_bytes` records the access; no tap on the run.
-                node.read_bytes(a, &mut bytes)?;
-                let run = PageSlice::new(PageBuf::new(bytes.into_boxed_slice()), 0, i, 1, None);
-                f(&run)?;
-                i += 1;
-            } else {
-                let count = ((ps - in_page) / T::SIZE).min(range.end - i);
-                let p = (a / ps as u64) as PageId;
-                let buf = node.page_for_read(p)?;
-                node.count_run(count);
-                let run = PageSlice::new(buf, in_page, i, count, node.race_tap(a));
-                f(&run)?;
-                i += count;
-            }
-        }
-        Ok(())
+        self.runs::<false>(node, range, |run| f(run))
     }
 
     /// Visit `range` as a sequence of maximal single-page runs, taking the
@@ -205,6 +177,17 @@ impl<T: Pod> ShArray<T> {
     /// only if the closure wrote them — the fault pattern matches the
     /// element-wise protocol exactly, so message counts are unchanged.
     pub fn with_slices_mut(
+        &self,
+        node: &DsmNode,
+        range: Range<usize>,
+        f: impl FnMut(&mut PageSliceMut<T>) -> Result<(), Stopped>,
+    ) -> Result<(), Stopped> {
+        self.runs::<true>(node, range, f)
+    }
+
+    /// The loop of [`ShArray::with_slices`] (`WRITE` false: a run is only
+    /// read) and [`ShArray::with_slices_mut`].
+    fn runs<const WRITE: bool>(
         &self,
         node: &DsmNode,
         range: Range<usize>,
@@ -218,18 +201,16 @@ impl<T: Pod> ShArray<T> {
             let in_page = (a % ps as u64) as usize;
             if in_page + T::SIZE > ps {
                 let mut bytes = vec![0u8; T::SIZE];
-                // The pre-fill is runtime bookkeeping, not a program read;
-                // the tap records what the closure actually touches, and
-                // the write-back below re-uses its record.
+                // A read records its access here, and its run has no tap. A
+                // write's pre-fill is runtime bookkeeping, not a program
+                // read: the tap records what the closure actually touches,
+                // and the write-back below re-uses its record.
+                let tap = if WRITE { node.race_tap(a) } else { None };
+                if !WRITE {
+                    node.race_access(a, T::SIZE, AccessKind::Read);
+                }
                 node.read_bytes_quiet(a, &mut bytes)?;
-                let run = PageSlice::new(
-                    PageBuf::new(bytes.into_boxed_slice()),
-                    0,
-                    i,
-                    1,
-                    node.race_tap(a),
-                );
-                let mut run = PageSliceMut { run, written: false };
+                let mut run = PageSliceMut::new(PageBuf::detached(&mut bytes), 0, i, 1, tap);
                 f(&mut run)?;
                 if run.written {
                     node.write_bytes_quiet(a, run.buf.slice())?;
@@ -237,12 +218,9 @@ impl<T: Pod> ShArray<T> {
                 i += 1;
             } else {
                 let count = ((ps - in_page) / T::SIZE).min(range.end - i);
-                let p = (a / ps as u64) as PageId;
-                let buf = node.page_for_write(p)?;
+                let buf = node.page_for((a / ps as u64) as PageId, WRITE)?;
                 node.count_run(count);
-                let run = PageSlice::new(buf, in_page, i, count, node.race_tap(a));
-                let mut run = PageSliceMut { run, written: false };
-                f(&mut run)?;
+                f(&mut PageSliceMut::new(buf, in_page, i, count, node.race_tap(a)))?;
                 i += count;
             }
         }
@@ -337,9 +315,7 @@ impl SharedSegment {
     }
 
     /// The initial image of page `p`, or `None` if it is all zeros (never
-    /// written, or outside the segment): the caller zero-fills, which
-    /// leaves a node's copy of a zero page to be committed lazily by the
-    /// allocator instead of by a copy.
+    /// written, or outside the segment): the caller zero-fills its slot.
     pub fn page(&self, p: PageId) -> Option<&[u8]> {
         let off = p as usize * self.page_size;
         self.bytes.get(off..off + self.page_size).filter(|img| img.iter().any(|&b| b != 0))

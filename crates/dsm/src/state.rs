@@ -66,7 +66,7 @@ impl NodeState {
             node,
             n,
             con: Consistency::new(n),
-            data: DataPlane::new(n, segment),
+            data: DataPlane::new(n, cfg.page_size, segment),
             cfg,
             rse: RseState::new(n),
             sync: SyncState::new(),
