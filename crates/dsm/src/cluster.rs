@@ -177,6 +177,11 @@ impl Cluster {
     /// Launch the cluster: one handler and one application process per
     /// node (`apps[0]` is the master program), and run to completion: `n`
     /// coroutine stacks on the calling thread, the handlers being reactors.
+    ///
+    /// The first launch in a process sets glibc's allocator to keep the
+    /// heap it frees for the life of the process: no trimming, and blocks
+    /// under 32 MiB come from the heap. A node's pages are freed when its
+    /// run ends, and the next cluster would otherwise fault them in anew.
     pub fn launch(self, apps: Vec<AppFn>) -> Result<SimReport, SimError> {
         self.launch_inspect(apps).result
     }
@@ -187,6 +192,7 @@ impl Cluster {
     pub fn launch_inspect(mut self, apps: Vec<AppFn>) -> LaunchOutcome {
         let n = self.cfg.nodes;
         assert_eq!(apps.len(), n, "need exactly one application per node");
+        crate::page::keep_heap();
         let net = Network::new(self.cfg.net.clone(), Arc::clone(&self.stats));
         // Shared-segment size in pages: every allocation so far. Sizes each
         // node's page table and twin pool.

@@ -4,10 +4,9 @@
 //! of the peers, request and recovery-reply memory). One [`PageMeta`] is
 //! one slot of the table `crate::dataplane` indexes by page number.
 
-use std::alloc::{self, Layout};
 use std::collections::BTreeMap;
 use std::ptr::NonNull;
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use repseq_sim::SimTime;
 use repseq_stats::NodeId;
@@ -15,27 +14,18 @@ use repseq_stats::NodeId;
 use crate::diff::Diff;
 use crate::vc::Vc;
 
-/// Pages per chunk of a [`PageStore`].
-const CHUNK_PAGES: usize = 16;
-
-/// One node's page bytes: page-sized slots handed out in first-touch
-/// order from fixed chunks of [`CHUNK_PAGES`] pages. A chunk never moves
-/// and is freed only with the store, so a slot stays put for the life of
-/// its node. A chunk is allocated uninitialised and a slot written in full
-/// when handed out: an untouched slot commits no memory, and no recycled
-/// heap byte ever shows in a page.
+/// One node's page bytes: one buffer per page, allocated at the page's
+/// first touch and written in full (its image or zeros), so an untouched
+/// page has none and no recycled heap byte ever shows in a page. A buffer
+/// is freed only with the store, and a `Vec`'s buffer stays put as the
+/// `Vec` moves, so a slot stays put for the life of its node.
 pub(crate) struct PageStore {
-    /// One chunk's layout: [`CHUNK_PAGES`] pages, byte-aligned.
-    layout: Layout,
-    /// Every chunk, as allocated: no reference to a whole chunk is formed.
-    chunks: Vec<NonNull<u8>>,
-    /// Slots handed out from the last chunk.
-    used: usize,
+    page_size: usize,
+    slots: Vec<Vec<u8>>,
 }
 
-// SAFETY: the chunks are owned by the store alone (the `NonNull`s are not
-// shared), so moving the store to another thread moves that ownership.
-unsafe impl Send for PageStore {}
+#[cfg(not(target_env = "gnu"))]
+compile_error!("repseq-dsm tunes glibc's allocator (`keep_heap`): it builds against glibc only");
 
 extern "C" {
     /// glibc's allocator tuning call (`malloc.h`).
@@ -45,63 +35,43 @@ extern "C" {
 const M_TRIM_THRESHOLD: i32 = -1;
 const M_MMAP_THRESHOLD: i32 = -3;
 
+/// Make the process keep the heap it frees, for the rest of its life; the
+/// first cluster launch calls it (see `Cluster::launch`). glibc gives the
+/// top of the heap back to the kernel whenever a free of 64 KiB or more
+/// reaches it, as a node's teardown does, and the next cluster would then
+/// fault every page in anew (DESIGN.md §8). Fixing the trim threshold
+/// switches off glibc's dynamic mmap threshold, so that one is fixed at
+/// the dynamic rule's ceiling.
+pub(crate) fn keep_heap() {
+    static ONCE: Once = Once::new();
+    // SAFETY: `mallopt` takes two integers and only sets an allocator
+    // parameter; glibc declares it `int mallopt(int, int)`.
+    ONCE.call_once(|| unsafe {
+        mallopt(M_TRIM_THRESHOLD, i32::MAX);
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    });
+}
+
 impl PageStore {
-    /// An empty store. It also makes the process keep the heap its stores
-    /// free: glibc gives the top of the heap back to the kernel whenever a
-    /// free of 64 KiB or more reaches it, as a store's teardown does, and
-    /// the next cluster would then fault every page in anew (DESIGN.md §8).
-    /// Fixing the trim threshold switches off glibc's dynamic mmap
-    /// threshold, so that one is fixed at the dynamic rule's ceiling.
+    /// An empty store.
     pub(crate) fn new(page_size: usize) -> PageStore {
         assert!(page_size > 0, "page size must be positive");
-        // SAFETY: `mallopt` takes two integers and only sets an allocator
-        // parameter; glibc declares it `int mallopt(int, int)`.
-        unsafe {
-            mallopt(M_TRIM_THRESHOLD, i32::MAX);
-            mallopt(M_MMAP_THRESHOLD, 32 << 20);
-        }
-        let layout = Layout::array::<u8>(CHUNK_PAGES * page_size).expect("chunk size overflows");
-        PageStore { layout, chunks: Vec::new(), used: CHUNK_PAGES }
+        PageStore { page_size, slots: Vec::new() }
     }
 
     /// A fresh slot holding `image`, or zeros.
     pub(crate) fn slot(&mut self, image: Option<&[u8]>) -> PageBuf {
-        let (ps, layout) = (self.layout.size() / CHUNK_PAGES, self.layout);
-        assert!(image.is_none_or(|img| img.len() == ps), "an image is one page");
-        if self.used == CHUNK_PAGES {
-            // SAFETY: the layout is non-empty (`page_size > 0`).
-            let chunk = NonNull::new(unsafe { alloc::alloc(layout) });
-            self.chunks.push(chunk.unwrap_or_else(|| alloc::handle_alloc_error(layout)));
-            self.used = 0;
-        }
-        // SAFETY: slot `used` lies inside the last chunk, was never handed
-        // out, so no handle points at it, and is written in full here, from
-        // an image of exactly one page (asserted) or with zeros.
-        let ptr = unsafe {
-            let ptr = self.chunks[self.chunks.len() - 1].add(self.used * ps);
-            match image {
-                Some(img) => ptr.copy_from_nonoverlapping(NonNull::from(img).cast(), ps),
-                None => ptr.write_bytes(0, ps),
-            }
-            ptr
-        };
-        self.used += 1;
-        PageBuf { ptr, len: ps }
-    }
-}
-
-impl Drop for PageStore {
-    fn drop(&mut self) {
-        for &chunk in &self.chunks {
-            // SAFETY: allocated in `slot` with this layout, freed once.
-            unsafe { alloc::dealloc(chunk.as_ptr(), self.layout) };
-        }
+        assert!(image.is_none_or(|img| img.len() == self.page_size), "an image is one page");
+        let mut bytes = image.map_or_else(|| vec![0; self.page_size], <[u8]>::to_vec);
+        let buf = PageBuf::of(&mut bytes);
+        self.slots.push(bytes);
+        buf
     }
 }
 
 /// A handle to one page's bytes: a `Copy` (pointer, length) into a
-/// [`PageStore`] slot, or into a page guard's own buffer (an element that
-/// straddles two pages). The data plane holds one per materialized page;
+/// [`PageStore`] slot, or into a page guard's own copy of an element that
+/// straddles two pages. The data plane holds one per materialized page;
 /// the software TLB and the page guards hold copies, so a protection
 /// change never moves the bytes a stale handle points at — the protection
 /// generation fences stale handles off instead.
@@ -110,7 +80,7 @@ impl Drop for PageStore {
 /// node's `NodeState`. The TLB lives in `DsmNode`, which holds the
 /// `Arc<Mutex<NodeState>>`; a page guard lives only inside one
 /// `with_slices{,_mut}` call, which borrows the `DsmNode`, and a detached
-/// guard's buffer is declared before the guard in the same scope.
+/// guard owns the `Vec` its handle points into.
 #[derive(Clone, Copy)]
 pub(crate) struct PageBuf {
     ptr: NonNull<u8>,
@@ -124,10 +94,11 @@ unsafe impl Send for PageBuf {}
 unsafe impl Sync for PageBuf {}
 
 impl PageBuf {
-    /// A handle to `bytes`, which must outlive every use of it.
-    pub(crate) fn detached(bytes: &mut [u8]) -> PageBuf {
-        let len = bytes.len();
-        PageBuf { ptr: NonNull::from(bytes).cast(), len }
+    /// A handle to `bytes`' buffer, which stays put as the `Vec` moves;
+    /// the `Vec`'s owner keeps it, unresized, while the handle is used.
+    pub(crate) fn of(bytes: &mut Vec<u8>) -> PageBuf {
+        let ptr = NonNull::new(bytes.as_mut_ptr()).expect("a page or element is never empty");
+        PageBuf { ptr, len: bytes.len() }
     }
 
     /// Read access to the page bytes.
@@ -328,10 +299,9 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_never_moves_as_chunks_are_added() {
+    fn a_slot_never_moves_as_the_store_grows() {
         let mut store = PageStore::new(64);
-        let mut bufs: Vec<PageBuf> =
-            (0..3 * CHUNK_PAGES as u8).map(|k| store.slot(Some(&[k; 64]))).collect();
+        let mut bufs: Vec<PageBuf> = (0..48).map(|k| store.slot(Some(&[k; 64]))).collect();
         for (k, buf) in bufs.iter_mut().enumerate() {
             assert!(buf.slice().iter().all(|&b| b == k as u8), "slot {k} lost its image");
             buf.slice_mut().fill(k as u8 + 100);
@@ -344,11 +314,11 @@ mod tests {
     #[test]
     fn a_slot_is_written_in_full_when_handed_out() {
         let mut store = PageStore::new(64);
-        for _ in 0..CHUNK_PAGES {
+        for _ in 0..16 {
             store.slot(None).slice_mut().fill(0xA5);
         }
         drop(store);
-        // The new store's chunk is likely the one just freed, dirty bytes and all.
+        // The new store's slots likely reuse the buffers just freed, dirty bytes and all.
         let mut store = PageStore::new(64);
         let image: Vec<u8> = (1..=64).collect();
         let (zero, img) = (store.slot(None), store.slot(Some(&image)));

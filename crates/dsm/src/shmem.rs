@@ -80,6 +80,11 @@ pub struct PageSliceMut<T: Pod> {
     /// Whether the closure stored anything: a detached run (the copy of a
     /// page-straddling element) is written back through the MMU only then.
     written: bool,
+    /// A detached run's copy, which its handle points into (empty for a
+    /// page run). The guard owns it, so the two move together, through a
+    /// `mem::swap` of two guards too: a `Vec`'s buffer stays put as the
+    /// `Vec` moves.
+    copy: Vec<u8>,
 }
 
 impl<T: Pod> std::ops::Deref for PageSliceMut<T> {
@@ -92,7 +97,13 @@ impl<T: Pod> std::ops::Deref for PageSliceMut<T> {
 impl<T: Pod> PageSliceMut<T> {
     fn new(buf: PageBuf, off: usize, first: usize, count: usize, tap: Option<AccessTap>) -> Self {
         let run = PageSlice { buf, byte_off: off, first, count, tap, _t: PhantomData };
-        PageSliceMut { run, written: false }
+        PageSliceMut { run, written: false, copy: Vec::new() }
+    }
+
+    /// A singleton run over `copy`, the bytes of element `first`.
+    fn detached(mut copy: Vec<u8>, first: usize, tap: Option<AccessTap>) -> Self {
+        let buf = PageBuf::of(&mut copy);
+        PageSliceMut { copy, ..Self::new(buf, 0, first, 1, tap) }
     }
 
     /// Write the `k`-th element of the run.
@@ -200,7 +211,7 @@ impl<T: Pod> ShArray<T> {
             let a = self.addr(i);
             let in_page = (a % ps as u64) as usize;
             if in_page + T::SIZE > ps {
-                let mut bytes = vec![0u8; T::SIZE];
+                let mut copy = vec![0u8; T::SIZE];
                 // A read records its access here, and its run has no tap. A
                 // write's pre-fill is runtime bookkeeping, not a program
                 // read: the tap records what the closure actually touches,
@@ -209,11 +220,11 @@ impl<T: Pod> ShArray<T> {
                 if !WRITE {
                     node.race_access(a, T::SIZE, AccessKind::Read);
                 }
-                node.read_bytes_quiet(a, &mut bytes)?;
-                let mut run = PageSliceMut::new(PageBuf::detached(&mut bytes), 0, i, 1, tap);
+                node.read_bytes_quiet(a, &mut copy)?;
+                let mut run = PageSliceMut::detached(copy, i, tap);
                 f(&mut run)?;
                 if run.written {
-                    node.write_bytes_quiet(a, run.buf.slice())?;
+                    node.write_bytes_quiet(a, &run.copy)?;
                 }
                 i += 1;
             } else {

@@ -62,6 +62,38 @@ fn values_straddle_page_boundaries() {
     assert!(*ok.lock());
 }
 
+/// A write guard owns the copy of a straddling element, so two guards
+/// swapped between nested `with_slices_mut` calls each keep their bytes:
+/// the outer run reads the inner element after the inner call returned
+/// and freed its iteration's memory, and a fresh allocation of the same
+/// size has had the chance to reuse it.
+#[test]
+fn a_straddling_run_swapped_between_nested_guards_keeps_its_bytes() {
+    let mut cl = cluster(1);
+    let arr: ShArray<[f64; 3]> = cl.alloc_array_page_aligned(400);
+    let mut straddlers = (0..400).filter(|&i| arr.addr(i) / 4096 != (arr.addr(i) + 23) / 4096);
+    let (s, t) = (straddlers.next().unwrap(), straddlers.next().unwrap());
+    cl.preload_at(arr, s, [1.0; 3]);
+    cl.preload_at(arr, t, [2.0; 3]);
+    spmd(cl, 1, move |node| {
+        arr.with_slices_mut(node, s..s + 1, |outer| {
+            arr.with_slices_mut(node, t..t + 1, |inner| {
+                std::mem::swap(outer, inner);
+                Ok(())
+            })?;
+            let reuse = std::hint::black_box(vec![0xEEu8; 24]);
+            assert_eq!(outer.get(0), [2.0; 3], "the outer guard lost the bytes it took");
+            drop(reuse);
+            outer.set(0, [3.0; 3]);
+            Ok(())
+        })?;
+        // A call writes back what its loop's guard holds, if it was written.
+        assert_eq!(arr.get(node, s)?, [3.0; 3]);
+        assert_eq!(arr.get(node, t)?, [2.0; 3]);
+        Ok(())
+    });
+}
+
 /// Single-node clusters degrade gracefully: barriers, locks and sections
 /// all work with no peers.
 #[test]
