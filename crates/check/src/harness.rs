@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use repseq_dsm::{
-    AppFn, Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqExecMode,
+    AppFn, Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqMode,
 };
 use repseq_net::LossConfig;
 use repseq_sim::{Dur, SimTime, Stopped};
@@ -56,10 +56,10 @@ pub struct HarnessConfig {
     /// implementation MUST fail the oracle under this — it proves the
     /// generation counter is what keeps the TLB coherent.
     pub break_generation_bumps: bool,
-    /// Which [`repseq_dsm::SeqExecStrategy`] the workload's sequential
-    /// phases run under. The oracle and the invariant checks are
-    /// strategy-agnostic, so the same sweep grid tortures every strategy.
-    pub seq_exec: SeqExecMode,
+    /// How the workload's sequential phases run. The oracle and the
+    /// invariant checks are strategy-agnostic, so the same sweep grid
+    /// tortures every strategy.
+    pub seq_mode: SeqMode,
 }
 
 impl Default for HarnessConfig {
@@ -68,7 +68,7 @@ impl Default for HarnessConfig {
             nodes: 3,
             rse_timeout: Dur::from_millis(20),
             break_generation_bumps: false,
-            seq_exec: SeqExecMode::Rse,
+            seq_mode: SeqMode::Replicated,
         }
     }
 }
@@ -180,7 +180,6 @@ pub(crate) fn run_once(
     ccfg.net.loss = loss;
     ccfg.dsm.rse_timeout = cfg.rse_timeout;
     ccfg.dsm.tlb_break_generation_bumps = cfg.break_generation_bumps;
-    ccfg.dsm.seq_exec = cfg.seq_exec;
     let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
     cl.record_trace(trace);
     if let Some(sink) = race {
@@ -192,6 +191,7 @@ pub(crate) fn run_once(
     let name = w.name;
     let audit: Arc<Vec<PageId>> = Arc::new(w.audit);
     let phases = w.phases;
+    let mode = cfg.seq_mode;
     let collector: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
     let coll_master = Arc::clone(&collector);
     let audit_master = Arc::clone(&audit);
@@ -202,7 +202,7 @@ pub(crate) fn run_once(
                     let body = Arc::clone(body);
                     let audit = Arc::clone(&audit_master);
                     let coll = Arc::clone(&coll_master);
-                    node.run_sequential(move |nd| {
+                    node.run_sequential(mode, move |nd| {
                         body(&mut DsmMem(nd))?;
                         take_snapshot(nd, k, &audit, &coll);
                         Ok(())

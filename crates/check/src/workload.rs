@@ -8,8 +8,9 @@ use repseq_sim::Stopped;
 
 use crate::oracle::Mem;
 
-/// A replicated sequential body: runs identically on every node. Must not
-/// branch on node identity — the reference replays it exactly once.
+/// A sequential body. Under `SeqMode::Replicated` it runs identically on
+/// every node, so it must not branch on node identity — the reference
+/// replays it exactly once.
 pub type RepBody = Arc<dyn Fn(&mut dyn Mem) -> Result<(), Stopped> + Send + Sync>;
 
 /// A parallel body, given `(mem, me, n)`. The harness appends a barrier
@@ -20,8 +21,9 @@ pub type ParBody = Arc<dyn Fn(&mut dyn Mem, usize, usize) -> Result<(), Stopped>
 
 /// One oracle-checkpointed phase of a workload.
 pub enum Phase {
-    /// A replicated sequential section (`run_replicated`); checkpoint at
-    /// the end of the body, before the exit barrier.
+    /// A sequential section (`run_sequential` under the harness's
+    /// `seq_mode`: on every node when replicated, else on the master
+    /// only); checkpoint at the end of the body.
     Replicated(RepBody),
     /// A parallel section (`run_parallel`); the harness runs the body, a
     /// barrier, then the checkpoint.

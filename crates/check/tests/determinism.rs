@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use repseq_apps::kv::{KvConfig, KvStore};
 use repseq_check::{rse_kernel, run_schedule_instrumented, HarnessConfig, Schedule};
 use repseq_core::{RunConfig, Runtime};
-use repseq_dsm::SeqExecMode;
+use repseq_dsm::SeqMode;
 use repseq_stats::HostCounters;
 use support::render;
 
@@ -91,16 +91,16 @@ proptest! {
             drop_per_mille: [0u32, 60, 150, 300][rate_idx],
             unicast: rate_idx % 2 == 1,
         };
-        let seq_exec =
-            [SeqExecMode::Rse, SeqExecMode::MasterOnly, SeqExecMode::MasterPush][strat_idx];
+        let seq_mode =
+            [SeqMode::Replicated, SeqMode::MasterOnly, SeqMode::MasterPush][strat_idx];
         let run = || {
-            let cfg = HarnessConfig { seq_exec, ..HarnessConfig::default() };
+            let cfg = HarnessConfig { seq_mode, ..HarnessConfig::default() };
             run_schedule_instrumented(rse_kernel, &cfg, sched, None)
-                .unwrap_or_else(|e| panic!("schedule {sched:?} ({seq_exec:?}): {e}"))
+                .unwrap_or_else(|e| panic!("schedule {sched:?} ({seq_mode:?}): {e}"))
         };
         let (a, b) = (run(), run());
-        prop_assert_eq!(&a.sim, &b.sim, "fingerprint diverged on {:?} ({:?})", sched, seq_exec);
-        prop_assert_eq!(&a.stats, &b.stats, "stats diverged on {:?} ({:?})", sched, seq_exec);
+        prop_assert_eq!(&a.sim, &b.sim, "fingerprint diverged on {:?} ({:?})", sched, seq_mode);
+        prop_assert_eq!(&a.stats, &b.stats, "stats diverged on {:?} ({:?})", sched, seq_mode);
         prop_assert_eq!(a.drops, b.drops);
     }
 }

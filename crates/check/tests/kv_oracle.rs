@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use repseq_check::{kv_serving, run_schedule, HarnessConfig, Schedule};
-use repseq_dsm::SeqExecMode;
+use repseq_dsm::SeqMode;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -24,9 +24,9 @@ proptest! {
         let unicast = flags != 0;
         let drop_per_mille = [0u32, 100, 250, 400][rate_idx];
         let nodes = [3usize, 4, 8][nodes_idx];
-        let seq_exec =
-            [SeqExecMode::MasterOnly, SeqExecMode::Rse, SeqExecMode::MasterPush][mode_idx];
-        let cfg = HarnessConfig { nodes, seq_exec, ..HarnessConfig::default() };
+        let seq_mode =
+            [SeqMode::MasterOnly, SeqMode::Replicated, SeqMode::MasterPush][mode_idx];
+        let cfg = HarnessConfig { nodes, seq_mode, ..HarnessConfig::default() };
         let sched = Schedule { seed, drop_per_mille, unicast };
         let out = run_schedule(kv_serving, &cfg, sched)
             .unwrap_or_else(|why| panic!("kv_serving diverged from reference:\n{why}"));

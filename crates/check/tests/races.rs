@@ -168,14 +168,14 @@ fn lock_fixes_the_planted_reduction() {
 /// pattern the paper's fork/join structure normally excludes.
 fn straggler(write_before_join: bool) -> (RaceReport, u32) {
     run_fixture(2, move |node, arr| {
-        let task = Task::run(move |nd: &DsmNode| {
+        let task = Task::Parallel(Arc::new(move |nd: &DsmNode| {
             if nd.node() == 1 {
                 nd.race_label("fixture::straggler_read");
                 let _ = arr.get(nd, 0)?;
             }
             Ok(())
-        });
-        node.fork_slaves(task, false)?;
+        }));
+        node.fork_slaves(task)?;
         if write_before_join {
             node.race_label("fixture::seq_write");
             arr.set(&node, 0, 2.5)?;

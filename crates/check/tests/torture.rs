@@ -9,7 +9,7 @@ use repseq_check::{
     grid, kitchen_sink, kv_serving, rse_kernel, run_schedule, sweep, Builder, HarnessConfig,
     Schedule,
 };
-use repseq_dsm::SeqExecMode;
+use repseq_dsm::SeqMode;
 
 /// Run one seed-shard of a sweep and report its wall-clock time. The
 /// sweeps are sharded into separate `#[test]` functions so
@@ -45,8 +45,8 @@ fn shard(
 #[test]
 fn clean_runs_satisfy_the_oracle() {
     let clean = Schedule { seed: 0, drop_per_mille: 0, unicast: false };
-    for seq_exec in [SeqExecMode::MasterOnly, SeqExecMode::Rse, SeqExecMode::MasterPush] {
-        let cfg = HarnessConfig { seq_exec, ..HarnessConfig::default() };
+    for seq_mode in [SeqMode::MasterOnly, SeqMode::Replicated, SeqMode::MasterPush] {
+        let cfg = HarnessConfig { seq_mode, ..HarnessConfig::default() };
         for build in [rse_kernel, kitchen_sink, kv_serving] {
             let out = run_schedule(build, &cfg, clean).unwrap_or_else(|r| panic!("{r}"));
             assert_eq!(out.drops, 0);
@@ -117,14 +117,13 @@ fn torture_sweep_kv_serving_shard1() {
 /// shards assert drops only.
 #[test]
 fn torture_sweep_master_push_shard0() {
-    let cfg = HarnessConfig { seq_exec: SeqExecMode::MasterPush, ..HarnessConfig::default() };
+    let cfg = HarnessConfig { seq_mode: SeqMode::MasterPush, ..HarnessConfig::default() };
     shard("master_push/rse_kernel", rse_kernel, &cfg, 0..7, &[100, 250, 400]);
 }
 
 #[test]
 fn torture_sweep_master_push_shard1() {
-    let cfg =
-        HarnessConfig { nodes: 4, seq_exec: SeqExecMode::MasterPush, ..HarnessConfig::default() };
+    let cfg = HarnessConfig { nodes: 4, seq_mode: SeqMode::MasterPush, ..HarnessConfig::default() };
     shard("master_push/kitchen_sink", kitchen_sink, &cfg, 0..5, &[150, 350]);
 }
 

@@ -51,5 +51,6 @@ mod runtime;
 pub mod sched;
 mod team;
 
+pub use repseq_dsm::SeqMode;
 pub use runtime::{RunConfig, Runtime};
-pub use team::{SeqMode, Stopped, Team, Worker};
+pub use team::{Stopped, Team, Worker};

@@ -6,11 +6,11 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode, Pod, ShArray, ShVar};
+use repseq_dsm::{Cluster, ClusterConfig, DsmNode, Pod, SeqMode, ShArray, ShVar};
 use repseq_sim::{SimError, SimReport, Stopped};
 use repseq_stats::{Stats, StatsRef};
 
-use crate::team::{SeqMode, Team};
+use crate::team::Team;
 
 /// Configuration of one run.
 #[derive(Debug, Clone)]
@@ -44,17 +44,6 @@ impl RunConfig {
     }
 }
 
-/// The DSM-layer strategy implied by a [`SeqMode`]. The Team's mode is the
-/// single source of truth; the cluster config's `seq_exec` is derived from
-/// it so `DsmNode::run_sequential` dispatches consistently.
-fn seq_exec_for(mode: SeqMode) -> repseq_dsm::SeqExecMode {
-    match mode {
-        SeqMode::Replicated => repseq_dsm::SeqExecMode::Rse,
-        SeqMode::MasterOnly | SeqMode::MasterOnlyBroadcast => repseq_dsm::SeqExecMode::MasterOnly,
-        SeqMode::MasterPush => repseq_dsm::SeqExecMode::MasterPush,
-    }
-}
-
 /// A run under construction: allocate and preload shared data, then
 /// [`Runtime::run`] the master program.
 pub struct Runtime {
@@ -72,10 +61,8 @@ impl Runtime {
 
     /// Build a runtime reporting into an existing registry.
     pub fn with_stats(cfg: RunConfig, stats: StatsRef) -> Runtime {
-        let mut cluster_cfg = cfg.cluster;
-        cluster_cfg.dsm.seq_exec = seq_exec_for(cfg.seq_mode);
         Runtime {
-            cluster: Cluster::new(cluster_cfg, Arc::clone(&stats)),
+            cluster: Cluster::new(cfg.cluster, Arc::clone(&stats)),
             mode: cfg.seq_mode,
             stats,
         }

@@ -3,34 +3,11 @@
 
 use std::ops::Range;
 
-use repseq_dsm::{DsmNode, PageId, Pod, ShArray};
+use repseq_dsm::{DsmNode, PageId, Pod, SeqMode, ShArray};
 use repseq_sim::{Dur, SimTime, Stopped as DsmStopped};
 use repseq_stats::{Section, StatsRef};
 
 pub use repseq_sim::Stopped;
-
-/// How sequential sections execute (the paper's Original vs Optimized
-/// systems, §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeqMode {
-    /// The base system: the master executes sequential sections alone; the
-    /// following fork distributes write notices and the parallel section
-    /// pays the contention.
-    MasterOnly,
-    /// Replicated sequential execution with flow-controlled multicast (the
-    /// paper's contribution).
-    Replicated,
-    /// The §6.1.2 ablation: master-only execution, followed by a
-    /// hand-inserted broadcast of the pages named by the section.
-    MasterOnlyBroadcast,
-    /// Master-only execution, followed by an *automatic* broadcast of
-    /// every page the section wrote (no hand-inserted page list). A
-    /// natural middle ground between [`SeqMode::MasterOnly`] and
-    /// [`SeqMode::Replicated`]: it eliminates the post-section demand
-    /// misses but still serializes the pushes through the master's single
-    /// transmit link — the §2 contention that replication removes.
-    MasterPush,
-}
 
 /// Handle to the running team, available in the master program. All
 /// shared-memory access, section structure and statistics flow through it.
@@ -81,15 +58,15 @@ impl Team {
         self.stats.end_measurement(self.now());
     }
 
-    /// Run a sequential section. Under [`SeqMode::MasterOnly`] the body
-    /// runs on the master alone; under [`SeqMode::Replicated`] it runs on
-    /// every node with replication semantics (§5.2). The body must be
-    /// deterministic — the paper's stated assumption.
+    /// Run a sequential section. Under [`SeqMode::Replicated`] the body
+    /// runs on every node with replication semantics (§5.2); under the
+    /// other modes, on the master alone. The body must be deterministic —
+    /// the paper's stated assumption.
     pub fn sequential(
         &self,
         f: impl Fn(&DsmNode) -> Result<(), DsmStopped> + Send + Sync + 'static,
     ) -> Result<(), Stopped> {
-        self.sequential_inner(f, Vec::new())
+        self.sequential_broadcasting(f, Vec::new())
     }
 
     /// Run a sequential section and, in [`SeqMode::MasterOnlyBroadcast`],
@@ -100,31 +77,17 @@ impl Team {
         f: impl Fn(&DsmNode) -> Result<(), DsmStopped> + Send + Sync + 'static,
         broadcast_pages: Vec<PageId>,
     ) -> Result<(), Stopped> {
-        self.sequential_inner(f, broadcast_pages)
-    }
-
-    fn sequential_inner(
-        &self,
-        f: impl Fn(&DsmNode) -> Result<(), DsmStopped> + Send + Sync + 'static,
-        broadcast_pages: Vec<PageId>,
-    ) -> Result<(), Stopped> {
-        match self.mode {
-            SeqMode::Replicated => {
-                self.stats.set_section(Section::Replicated, self.now());
-                self.node.run_sequential(f)
-            }
-            SeqMode::MasterOnly | SeqMode::MasterPush => {
-                self.stats.set_section(Section::Sequential, self.now());
-                self.node.race_label("team::sequential");
-                self.node.run_sequential(f)
-            }
-            SeqMode::MasterOnlyBroadcast => {
-                self.stats.set_section(Section::Sequential, self.now());
-                self.node.race_label("team::sequential");
-                f(&self.node)?;
-                self.node.broadcast_pages(broadcast_pages)
-            }
+        if self.mode == SeqMode::Replicated {
+            self.stats.set_section(Section::Replicated, self.now());
+        } else {
+            self.stats.set_section(Section::Sequential, self.now());
+            self.node.race_label("team::sequential");
         }
+        self.node.run_sequential(self.mode, f)?;
+        if self.mode == SeqMode::MasterOnlyBroadcast {
+            self.node.broadcast_pages(broadcast_pages)?;
+        }
+        Ok(())
     }
 
     /// Run a parallel region on every node. The body receives each node's

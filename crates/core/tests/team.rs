@@ -102,6 +102,39 @@ fn three_systems_compute_identical_results() {
     );
 }
 
+/// Which nodes run a sequential body, per mode: the master alone, except
+/// under replication, where every node does (§5.2).
+#[test]
+fn sequential_bodies_run_where_the_mode_says() {
+    let (n, k) = (4, 3);
+    for mode in [
+        SeqMode::MasterOnly,
+        SeqMode::MasterOnlyBroadcast,
+        SeqMode::MasterPush,
+        SeqMode::Replicated,
+    ] {
+        let runs = Arc::new(Mutex::new(vec![0usize; n]));
+        let counted = Arc::clone(&runs);
+        let rt = Runtime::new(RunConfig {
+            cluster: repseq_dsm::ClusterConfig::paper(n),
+            seq_mode: mode,
+        });
+        rt.run(move |team| {
+            for _ in 0..k {
+                let counted = Arc::clone(&counted);
+                team.sequential(move |nd| {
+                    counted.lock()[nd.node()] += 1;
+                    Ok(())
+                })?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let expected = if mode == SeqMode::Replicated { vec![k; n] } else { vec![k, 0, 0, 0] };
+        assert_eq!(*runs.lock(), expected, "{mode:?}");
+    }
+}
+
 #[test]
 fn optimized_sequential_section_is_slower_but_parallel_is_faster() {
     let (_, s_orig) = mini_app(SeqMode::MasterOnly, 4, 2);

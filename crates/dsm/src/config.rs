@@ -18,26 +18,6 @@ pub enum FlowControl {
     Concurrent,
 }
 
-/// How sequential sections execute — which [`crate::SeqExecStrategy`] the
-/// master dispatches to (selected per run; see §4 and §6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeqExecMode {
-    /// The base system: the master executes sequential sections alone;
-    /// every other node pays the contention of demand-fetching the results
-    /// in the following parallel section.
-    MasterOnly,
-    /// Replicated sequential execution (§5, the paper's contribution):
-    /// every node executes the section, with valid-notice exchange,
-    /// requester election and the flow-controlled multicast diff protocol.
-    #[default]
-    Rse,
-    /// Eager master-push: the master executes the section alone, then
-    /// multicasts every page the section wrote. The "send the results to
-    /// everyone" alternative §2 argues against — whole pages travel
-    /// instead of diffs, and the master's link serializes the update.
-    MasterPush,
-}
-
 /// Parameters of the simulated TreadMarks runtime.
 ///
 /// The time costs model an 800 MHz Athlon running the TreadMarks user-level
@@ -74,11 +54,6 @@ pub struct DsmConfig {
     pub rse_max_retries: u32,
     /// Multicast pacing during replicated sections.
     pub flow_control: FlowControl,
-    /// How sequential sections execute ([`DsmNode::run_sequential`]
-    /// dispatches on this).
-    ///
-    /// [`DsmNode::run_sequential`]: crate::DsmNode::run_sequential
-    pub seq_exec: SeqExecMode,
     /// Enable the per-application-process software TLB (host-time fast
     /// path; invisible to virtual time). On by default; the MMU bench
     /// turns it off to measure the locked baseline, and equivalence tests
@@ -106,7 +81,6 @@ impl Default for DsmConfig {
             rse_timeout: Dur::from_millis(500),
             rse_max_retries: 32,
             flow_control: FlowControl::Serialized,
-            seq_exec: SeqExecMode::Rse,
             tlb_enabled: true,
             tlb_break_generation_bumps: false,
         }

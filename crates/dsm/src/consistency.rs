@@ -34,6 +34,14 @@ impl Consistency {
 }
 
 impl NodeState {
+    /// The open interval's write set, sorted: the pages its write notices
+    /// will name when it closes.
+    pub(crate) fn open_write_set(&self) -> Vec<PageId> {
+        let mut pages = self.con.cur_writes.clone();
+        pages.sort_unstable();
+        pages
+    }
+
     /// Close the current interval (performed at every release and acquire).
     /// If pages were written, records the interval with write notices for
     /// exactly the pages written during it, re-protects them (so a later

@@ -10,7 +10,7 @@ use repseq_sim::{Dur, Envelope, Stopped};
 use repseq_stats::{MsgClass, NodeId};
 
 use crate::interval::{IntervalRecord, PageId};
-use crate::msg::{DsmMsg, TaskPayload};
+use crate::msg::DsmMsg;
 use crate::race::SyncEdge;
 use crate::runtime::DsmNode;
 use crate::vc::Vc;
@@ -99,25 +99,17 @@ impl ExecState {
 /// passes to the slaves (§2.3).
 pub type TaskFn = dyn Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync;
 
-/// The canonical fork payload used by [`DsmNode::slave_loop`] and the
-/// runtime layer.
+/// What a fork ships, and how the slave runs it. TreadMarks' fork message
+/// carries "a subroutine to be executed, its arguments, and some
+/// additional information" (§2.3); here that information is the variant.
+#[derive(Clone)]
 pub enum Task {
-    /// Execute this function.
-    Run(Arc<TaskFn>),
+    /// Run the body as this slave's share of a parallel section, then join.
+    Parallel(Arc<TaskFn>),
+    /// Run the body as a replicated sequential section (§5.2).
+    Replicated(Arc<TaskFn>),
     /// Terminate the slave's scheduler loop (end of program).
     Shutdown,
-}
-
-impl Task {
-    /// Wrap a function as a fork payload.
-    pub fn run(f: impl Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync + 'static) -> TaskPayload {
-        Arc::new(Task::Run(Arc::new(f)))
-    }
-
-    /// The shutdown payload.
-    pub fn shutdown() -> TaskPayload {
-        Arc::new(Task::Shutdown)
-    }
 }
 
 impl DsmNode {
@@ -171,9 +163,8 @@ impl DsmNode {
     }
 
     /// Master: fork `task` to every slave, shipping each the interval
-    /// records it lacks. `replicated` marks a replicated sequential section
-    /// (the slaves will run the task with replication semantics).
-    pub fn fork_slaves(&self, task: TaskPayload, replicated: bool) -> Result<(), Stopped> {
+    /// records it lacks.
+    pub fn fork_slaves(&self, task: Task) -> Result<(), Stopped> {
         assert!(self.is_master(), "only the master forks");
         let n = self.topo.n;
         self.race_sync(SyncEdge::ForkSend);
@@ -184,7 +175,7 @@ impl DsmNode {
                 let records = st.con.intervals.records_unknown_to(&st.exec.peer_vcs[s]);
                 let vc = st.con.vc.clone();
                 st.exec.peer_vcs[s] = vc.clone();
-                DsmMsg::Fork { records, vc, task: Arc::clone(&task), replicated }
+                DsmMsg::Fork { records, vc, task: task.clone() }
             };
             let size = msg.wire_size();
             self.nic.unicast(&self.ctx, s, self.topo.app_pids[s], MsgClass::Sync, size, msg);
@@ -193,14 +184,13 @@ impl DsmNode {
         Ok(())
     }
 
-    /// Slave: park until the master forks a task, and return it with
-    /// whether it is a replicated sequential section. Valid-notice requests
-    /// (the exchange preceding a replicated section) are answered
-    /// transparently while parked.
-    fn wait_fork(&self) -> Result<(TaskPayload, bool), Stopped> {
+    /// Slave: park until the master forks a task, and return it.
+    /// Valid-notice requests (the exchange preceding a replicated section)
+    /// are answered transparently while parked.
+    fn wait_fork(&self) -> Result<Task, Stopped> {
         let node = self.node();
         self.recv_for(Waiting::Parked, |env| match env.msg {
-            DsmMsg::Fork { records, vc, task, replicated } => {
+            DsmMsg::Fork { records, vc, task } => {
                 let cost = {
                     let mut st = self.st.lock();
                     let c = st.apply_records(records, &vc);
@@ -209,7 +199,7 @@ impl DsmNode {
                 };
                 self.ctx.charge(cost + self.sync_cost());
                 self.race_sync(SyncEdge::ForkRecv);
-                Step::Done((task, replicated))
+                Step::Done(task)
             }
             DsmMsg::ValidNoticeRequest { reply_to } => {
                 let msg = {
@@ -283,26 +273,22 @@ impl DsmNode {
     // High-level Tmk-style section helpers
     // ---------------------------------------------------------------
 
-    /// Slave scheduler loop: park, run forked tasks (replicated sections
-    /// with replication semantics), join, repeat — until the master ships
-    /// [`Task::Shutdown`]. This is the whole life of a TreadMarks slave
-    /// (§2.2.1).
+    /// Slave scheduler loop: park, run the forked task as it says, repeat
+    /// — until the master ships [`Task::Shutdown`]. This is the whole life
+    /// of a TreadMarks slave (§2.2.1).
     pub fn slave_loop(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
         loop {
-            let (task, replicated) = self.wait_fork()?;
-            let task = task.downcast_ref::<Task>().expect("unknown fork payload type");
-            match task {
+            match self.wait_fork()? {
                 Task::Shutdown => return Ok(()),
-                Task::Run(f) => {
-                    if replicated {
-                        self.enter_replicated();
-                        f(self)?;
-                        self.end_replicated_slave()?;
-                    } else {
-                        f(self)?;
-                        self.join_master()?;
-                    }
+                Task::Parallel(f) => {
+                    f(self)?;
+                    self.join_master()?;
+                }
+                Task::Replicated(f) => {
+                    self.enter_replicated();
+                    f(self)?;
+                    self.end_replicated_slave()?;
                 }
             }
         }
@@ -315,19 +301,15 @@ impl DsmNode {
         f: impl Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync + 'static,
     ) -> Result<(), Stopped> {
         assert!(self.is_master());
-        let task = Task::run(f);
-        let body = match task.downcast_ref::<Task>().unwrap() {
-            Task::Run(f) => Arc::clone(f),
-            Task::Shutdown => unreachable!(),
-        };
-        self.fork_slaves(task, false)?;
+        let body: Arc<TaskFn> = Arc::new(f);
+        self.fork_slaves(Task::Parallel(Arc::clone(&body)))?;
         body(self)?;
         self.wait_joins()
     }
 
     /// Master: terminate every slave's scheduler loop (end of program).
     pub fn shutdown_slaves(&self) -> Result<(), Stopped> {
-        self.fork_slaves(Task::shutdown(), false)
+        self.fork_slaves(Task::Shutdown)
     }
 
     /// Master: multicast the current contents of `pages` to every node (the

@@ -28,8 +28,8 @@
 //! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, notices, cached diffs, valid notices), the page slot store and its handles, twin pool, TLB revocation |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
-//! | exec | `exec` | the one receive of every wait, fork/join, task payloads, the slave loop |
-//! | strategy | `strategy` | how sequential sections execute ([`SeqExecStrategy`]) |
+//! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
+//! | strategy | `strategy` | how sequential sections execute: one [`SeqMode`], one `match` in [`DsmNode::run_sequential`] |
 //! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context, and the shared page segment |
 //! | runtime | `runtime`, `handler`, `cluster` | processes, NICs, the software TLB, message dispatch, cluster launch |
 
@@ -60,11 +60,11 @@ mod sync;
 mod vc;
 
 pub use cluster::{AppFn, Cluster, ClusterConfig, LaunchOutcome};
-pub use config::{DsmConfig, FlowControl, SeqExecMode};
+pub use config::{DsmConfig, FlowControl};
 pub use diff::{Diff, DiffError, DiffRun};
 pub use exec::{Task, TaskFn};
 pub use interval::{IntervalData, IntervalRecord, IntervalStore, PageId};
-pub use msg::{DsmMsg, TaskPayload};
+pub use msg::DsmMsg;
 pub use page::{DiffEntry, PageMeta};
 pub use pod::Pod;
 pub use race::{AccessKind, RaceConfig, RaceSink, SyncEdge};
@@ -72,6 +72,6 @@ pub use runtime::DsmNode;
 pub use shmem::SharedSegment;
 pub use shmem::{PageSlice, PageSliceMut, ShArray, ShVar};
 pub use state::NodeState;
-pub use strategy::{ChainProbe, RseProbe, SeqExecStrategy};
+pub use strategy::{ChainProbe, RseProbe, SeqMode};
 pub use substrate::NodeCtx;
 pub use vc::Vc;

@@ -4,20 +4,15 @@
 //! message for the tables' byte counts; the network layer turns sizes into
 //! transmission times.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use repseq_sim::Pid;
 use repseq_stats::NodeId;
 
+use crate::exec::Task;
 use crate::interval::{IntervalRecord, PageId};
 use crate::page::DiffEntry;
 use crate::vc::Vc;
-
-/// An opaque task shipped by a fork message (the runtime layer downcasts
-/// it). This mirrors TreadMarks' fork message, which carries "a subroutine
-/// to be executed, its arguments, and some additional information".
-pub type TaskPayload = Arc<dyn Any + Send + Sync>;
 
 /// Protocol messages.
 #[derive(Clone)]
@@ -47,7 +42,7 @@ pub enum DsmMsg {
     // ---- fork/join (Tmk_fork / Tmk_join, driven by the runtime crate) ----
     /// Master → slave: run `task`; carries the consistency information the
     /// slave lacks.
-    Fork { records: Vec<IntervalRecord>, vc: Vc, task: TaskPayload, replicated: bool },
+    Fork { records: Vec<IntervalRecord>, vc: Vc, task: Task },
     /// Slave → master: parallel work finished.
     Join { from: NodeId, vc: Vc, records: Vec<IntervalRecord> },
 

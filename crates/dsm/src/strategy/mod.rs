@@ -1,22 +1,19 @@
 //! Sequential-section execution strategies.
 //!
 //! The paper's question is *how a DSM program should execute its
-//! sequential sections*; this module makes the answer a first-class,
-//! swappable policy. [`SeqExecStrategy`] is the narrow contract: a
-//! strategy is handed the master node and the section body and must leave
-//! the cluster in a state where the next parallel section observes every
-//! result of the section. Strategies may use the data plane and the layer
-//! APIs (fork/join, broadcast, interval close) but never reach into
-//! consistency metadata directly.
-//!
-//! Three implementations, selected by [`SeqExecMode`] on
-//! [`crate::DsmConfig`]:
+//! sequential sections*; here the answer is one [`SeqMode`] value, and
+//! [`DsmNode::run_sequential`] is the one `match` on it. Each arm is handed
+//! the master node and the section body and must leave the cluster in a
+//! state where the next parallel section observes every result of the
+//! section. The arms use the data plane and the layer APIs (fork/join,
+//! broadcast, interval close) but never reach into consistency metadata
+//! directly.
 //!
 //! - **MasterOnly** — the TreadMarks baseline: the master simply runs the
 //!   body; slaves fetch what they miss on demand in the next parallel
 //!   section (the contended pattern of §3).
-//! - **Rse** — the paper's contribution (§5): every node executes the
-//!   body on its own copy, with the multicast fault protocol.
+//! - **Replicated** — the paper's contribution (§5): every node executes
+//!   the body on its own copy, with the multicast fault protocol.
 //! - **MasterPush** — the eager-push alternative the paper argues against
 //!   in §2: the master runs the body, then multicasts every page it wrote.
 
@@ -28,119 +25,65 @@ use std::sync::Arc;
 
 use repseq_sim::Stopped;
 
-use crate::config::SeqExecMode;
-use crate::exec::TaskFn;
-use crate::interval::PageId;
 use crate::runtime::DsmNode;
 
 pub(crate) use rse_state::RseState;
 pub use rse_state::{ChainProbe, RseProbe};
 
-/// How the master executes a sequential section. Implementations must be
-/// stateless (all protocol state lives in the layers they drive) so one
-/// static instance serves every node and every section.
-///
-/// Contract: on entry the caller is the master, between sections (all
-/// slaves parked in [`DsmNode::slave_loop`], no section active). On return
-/// the section's effects are published well enough that ordinary lazy
-/// release consistency makes them visible — a strategy may replicate the
-/// body, push data eagerly, or do nothing beyond running it, but it must
-/// not leave replicated-section machinery engaged (`rse_probe` quiescent).
-pub trait SeqExecStrategy: Send + Sync {
-    /// The strategy's name, as reported in benchmarks and logs.
-    fn name(&self) -> &'static str;
-
-    /// Execute `body` as a sequential section on the cluster whose master
-    /// is `node`.
-    fn run_master(&self, node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped>;
-}
-
-/// Baseline: the master executes the body; nothing else happens. Slaves
-/// demand-fetch the results (with the §3 contention at the master).
-struct MasterOnly;
-
-impl SeqExecStrategy for MasterOnly {
-    fn name(&self) -> &'static str {
-        "master_only"
-    }
-
-    fn run_master(&self, node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped> {
-        body(node)
-    }
-}
-
-/// Replicated sequential execution (§5): fork the body to every node and
-/// run it everywhere under the replicated-section protocol.
-struct Rse;
-
-impl SeqExecStrategy for Rse {
-    fn name(&self) -> &'static str {
-        "rse"
-    }
-
-    fn run_master(&self, node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped> {
-        rse::run_master(node, body)
-    }
-}
-
-/// Eager push (§2's rejected alternative, made concrete): the master runs
-/// the body, then multicasts every page the section wrote. Correct under
-/// plain lazy release consistency — the broadcast closes the section's
-/// interval and ships post-close copies, and any dropped frame degrades to
-/// a demand fetch — but it ships whole pages whether or not a consumer
-/// needs them, which is why it loses to replication on contended inputs.
-struct MasterPush;
-
-impl SeqExecStrategy for MasterPush {
-    fn name(&self) -> &'static str {
-        "master_push"
-    }
-
-    fn run_master(&self, node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped> {
-        // Isolate the section's writes in their own interval so the write
-        // set below is exactly what the body touched.
-        node.st.lock().close_interval();
-        body(node)?;
-        let pages: Vec<PageId> = {
-            let st = node.st.lock();
-            let mut pages = st.con.cur_writes.clone();
-            pages.sort_unstable();
-            pages
-        };
-        node.broadcast_pages(pages)
-    }
-}
-
-/// The statically-known strategies, by configuration mode.
-pub(crate) fn strategy_for(mode: SeqExecMode) -> &'static dyn SeqExecStrategy {
-    match mode {
-        SeqExecMode::MasterOnly => &MasterOnly,
-        SeqExecMode::Rse => &Rse,
-        SeqExecMode::MasterPush => &MasterPush,
-    }
+/// How sequential sections execute (the paper's Original vs Optimized
+/// systems, §4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeqMode {
+    /// The base system: the master executes sequential sections alone; the
+    /// following fork distributes write notices and the parallel section
+    /// pays the contention.
+    MasterOnly,
+    /// Replicated sequential execution with flow-controlled multicast (the
+    /// paper's contribution).
+    Replicated,
+    /// The §6.1.2 ablation: master-only execution, followed by a
+    /// hand-inserted broadcast of the pages named by the section. The
+    /// caller names them ([`DsmNode::broadcast_pages`]); to
+    /// [`DsmNode::run_sequential`] this mode is [`SeqMode::MasterOnly`].
+    MasterOnlyBroadcast,
+    /// Master-only execution, followed by an *automatic* broadcast of
+    /// every page the section wrote (no hand-inserted page list). A
+    /// natural middle ground between [`SeqMode::MasterOnly`] and
+    /// [`SeqMode::Replicated`]: it eliminates the post-section demand
+    /// misses but still serializes the pushes through the master's single
+    /// transmit link — the §2 contention that replication removes. Whole
+    /// pages travel instead of diffs, which is why it loses to replication
+    /// on contended inputs.
+    MasterPush,
 }
 
 impl DsmNode {
-    /// Master: execute `f` as a sequential section under the strategy
-    /// configured in [`crate::DsmConfig::seq_exec`].
+    /// Master: execute `f` as a sequential section under `mode`.
+    ///
+    /// Contract: the caller is the master, between sections (all slaves
+    /// parked in [`DsmNode::slave_loop`]). On return the section's effects
+    /// are published well enough that ordinary lazy release consistency
+    /// makes them visible, and no replicated-section machinery is left
+    /// engaged (`rse_probe` quiescent).
     pub fn run_sequential(
         &self,
+        mode: SeqMode,
         f: impl Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync + 'static,
     ) -> Result<(), Stopped> {
         assert!(self.is_master(), "sequential sections start at the master");
-        let mode = self.st.lock().cfg.seq_exec;
-        strategy_for(mode).run_master(self, Arc::new(f))
-    }
-
-    /// Master: execute `f` as a *replicated* sequential section (§5),
-    /// regardless of the configured strategy. Prefer
-    /// [`DsmNode::run_sequential`]; this remains for callers that compare
-    /// strategies side by side.
-    pub fn run_replicated(
-        &self,
-        f: impl Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync + 'static,
-    ) -> Result<(), Stopped> {
-        assert!(self.is_master(), "replicated sections start at the master");
-        rse::run_master(self, Arc::new(f))
+        match mode {
+            SeqMode::MasterOnly | SeqMode::MasterOnlyBroadcast => f(self),
+            SeqMode::Replicated => rse::run_master(self, Arc::new(f)),
+            SeqMode::MasterPush => {
+                // Isolate the section's writes in their own interval so the
+                // write set below is exactly what the body touched. The
+                // broadcast closes that interval and ships post-close
+                // copies; a dropped frame degrades to a demand fetch.
+                self.st.lock().close_interval();
+                f(self)?;
+                let pages = self.st.lock().open_write_set();
+                self.broadcast_pages(pages)
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use repseq_stats::{MsgClass, NodeId};
 use crate::exec::{Step, Task, TaskFn, Waiting};
 use crate::fetch::RetryTimer;
 use crate::interval::PageId;
-use crate::msg::{DsmMsg, TaskPayload};
+use crate::msg::DsmMsg;
 use crate::runtime::DsmNode;
 use crate::vc::Vc;
 
@@ -20,8 +20,7 @@ use crate::vc::Vc;
 /// exchange, fork of the body to every node, replicated execution of the
 /// master's own copy, then the end-of-section join.
 pub(crate) fn run_master(node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped> {
-    let task: TaskPayload = Arc::new(Task::Run(Arc::clone(&body)));
-    node.fork_replicated(task)?;
+    node.fork_replicated(Arc::clone(&body))?;
     node.enter_replicated();
     body(node)?;
     node.end_replicated_master()
@@ -30,9 +29,9 @@ pub(crate) fn run_master(node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stoppe
 impl DsmNode {
     /// Master: run the valid-notice exchange at the join before a
     /// replicated section (§5.4.1: "Valid notices are exchanged only at the
-    /// join before a sequential section"), then fork the replicated `task`
-    /// to every slave together with the aggregated table.
-    pub fn fork_replicated(&self, task: TaskPayload) -> Result<(), Stopped> {
+    /// join before a sequential section"), then fork `body` as a replicated
+    /// task to every slave together with the aggregated table.
+    pub fn fork_replicated(&self, body: Arc<TaskFn>) -> Result<(), Stopped> {
         assert!(self.is_master());
         let n = self.topo.n;
         let t0 = self.ctx.now();
@@ -82,7 +81,7 @@ impl DsmNode {
         self.topo.stats.on_valid_notice_time(0, self.ctx.now() - t0);
 
         // 3. Fork the replicated body.
-        self.fork_slaves(task, true)
+        self.fork_slaves(Task::Replicated(body))
     }
 
     /// Enter the replicated section (both master and slaves, after the fork

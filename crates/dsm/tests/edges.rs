@@ -6,7 +6,9 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_dsm::{impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, ShArray};
+use repseq_dsm::{
+    impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, SeqMode, ShArray,
+};
 use repseq_sim::{Dur, SimError, Stopped};
 use repseq_stats::Stats;
 
@@ -108,7 +110,7 @@ fn single_node_cluster_works() {
         x.set(&node, 17)?;
         node.unlock(5)?;
         node.barrier()?;
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             let v = x.get(nd)?;
             x.set(nd, v + 1)
         })?;
@@ -441,7 +443,7 @@ fn stale_replies_are_counted_in_every_wait() {
                 if wait == Wait::ValidNotices {
                     forge(&node, 0);
                 }
-                node.run_replicated(move |nd| match (wait, nd.node()) {
+                node.run_sequential(SeqMode::Replicated, move |nd| match (wait, nd.node()) {
                     // Forged once the slave has finished its copy of the
                     // body and awaits SeqGo.
                     (Wait::SeqGo, 0) => {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode};
+use repseq_dsm::{Cluster, ClusterConfig, DsmNode, SeqMode};
 use repseq_sim::Stopped;
 use repseq_stats::Stats;
 
@@ -80,7 +80,7 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
                 })?;
                 if k % 2 == 1 {
                     let expect = golden_so_far.clone();
-                    node.run_replicated(move |nd| {
+                    node.run_sequential(SeqMode::Replicated, move |nd| {
                         for (loc, &want) in expect.iter().enumerate() {
                             let got = arr.get(nd, loc)?;
                             assert_eq!(got, want, "node {} loc {loc} after phase {kk}", nd.node());

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode};
+use repseq_dsm::{Cluster, ClusterConfig, DsmNode, SeqMode};
 use repseq_sim::Stopped;
 use repseq_stats::Stats;
 
@@ -53,7 +53,7 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
                 let expect = gsf.clone();
                 let bad = Arc::new(Mutex::new(Vec::new()));
                 let bad2 = Arc::clone(&bad);
-                node.run_replicated(move |nd| {
+                node.run_sequential(SeqMode::Replicated, move |nd| {
                     for (loc, &want) in expect.iter().enumerate() {
                         let got = arr.get(nd, loc)?;
                         if got != want {

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode, LaunchOutcome, ShArray};
+use repseq_dsm::{Cluster, ClusterConfig, DsmNode, LaunchOutcome, SeqMode, ShArray};
 use repseq_net::LossConfig;
 use repseq_sim::Stopped;
 use repseq_stats::{MsgClass, Section, Stats, StatsRef};
@@ -46,7 +46,7 @@ fn replicated_output_is_local_everywhere() {
     let apps = with_slaves(n, move |node: DsmNode| {
         stats_m.start_measurement(node.ctx().now());
         stats_m.set_section(Section::Replicated, node.ctx().now());
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             // Deterministic "tree build": every node writes the same data.
             for k in 0..tree.len() {
                 tree.set(nd, k, (k as u64) * 3 + 1)?;
@@ -121,7 +121,7 @@ fn replicated_inputs_are_multicast_once() {
         // The replicated section reads everything (the "tree build").
         let total = Arc::new(Mutex::new(vec![0u64; n]));
         let total2 = Arc::clone(&total);
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             let mut s = 0u64;
             for k in 0..particles.len() {
                 s += particles.get(nd, k)?;
@@ -198,7 +198,7 @@ fn replicated_and_original_agree() {
                     Ok(())
                 };
                 if replicated {
-                    node.run_replicated(body)?;
+                    node.run_sequential(SeqMode::Replicated, body)?;
                 } else {
                     body(&node)?;
                 }
@@ -248,7 +248,7 @@ fn lazy_diff_leak_is_prevented_end_to_end() {
     let apps = with_slaves(n, move |node: DsmNode| {
         // Master dirties the page; the interval stays un-diffed (lazy).
         p.set(&node, 0, 7)?;
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             if nd.is_master() {
                 // Delay the master so slaves fault (and fetch the §5.3
                 // pre-section diff) before the master's replicated write.
@@ -283,8 +283,8 @@ fn valid_notice_exchange_message_count() {
     let apps = with_slaves(n, move |node: DsmNode| {
         stats_m.start_measurement(node.ctx().now());
         stats_m.set_section(Section::Replicated, node.ctx().now());
-        node.run_replicated(move |nd| x.set(nd, 0, 1).map(|_| ()))?;
-        node.run_replicated(move |nd| x.set(nd, 1, 2).map(|_| ()))?;
+        node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 0, 1).map(|_| ()))?;
+        node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 1, 2).map(|_| ()))?;
         stats_m.end_measurement(node.ctx().now());
         node.shutdown_slaves()
     });
@@ -321,7 +321,7 @@ fn multicast_loss_recovery_converges() {
         })?;
         let sums = Arc::new(Mutex::new(vec![0u64; n]));
         let sums2 = Arc::clone(&sums);
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             let mut s = 0;
             for k in 0..data.len() {
                 s += data.get(nd, k)?;
@@ -355,7 +355,7 @@ fn back_to_back_replicated_sections() {
             }
             Ok(())
         })?;
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             let v = a.get(nd, 0)?;
             b.set(nd, 0, v * 2)
         })?;
@@ -366,7 +366,7 @@ fn back_to_back_replicated_sections() {
             }
             Ok(())
         })?;
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             let v = a.get(nd, 1)?;
             b.set(nd, 1, v * 10)
         })?;
@@ -407,7 +407,7 @@ fn lossy_rse_run(drop_per_mille: u32, seed: u64) -> (Vec<u64>, LaunchOutcome) {
         })?;
         let sums = Arc::new(Mutex::new(vec![0u64; n]));
         let sums2 = Arc::clone(&sums);
-        node.run_replicated(move |nd| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
             let mut s = 0;
             for k in 0..data.len() {
                 s += data.get(nd, k)?;

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use repseq_dsm::{
     AppFn, Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod,
-    ShArray, SharedSegment, Vc,
+    SeqMode, ShArray, SharedSegment, Vc,
 };
 use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
@@ -171,7 +171,7 @@ fn run_53_bulk(
             })?;
             // Replicated: rewrite everything through the bulk guard path.
             // Entry must invalidate the writable TLB entries warmed above.
-            node.run_replicated(move |nd| {
+            node.run_sequential(SeqMode::Replicated, move |nd| {
                 arr.with_slices_mut(nd, 0..len, |run| {
                     let first = run.first_index() as u64;
                     for j in 0..run.len() {
