@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use repseq_net::{NetConfig, Network};
 use repseq_sim::{Sim, SimError, SimReport, Stopped};
 use repseq_stats::{HostCounters, StatsRef};
@@ -69,14 +68,14 @@ pub struct LaunchOutcome {
     /// `(at, src, dst, pair_seq, multicast)` order (host-invariant; see
     /// [`repseq_net::Network::loss_events`]).
     pub loss_events: Vec<repseq_net::LossEvent>,
-    states: Vec<Arc<Mutex<NodeState>>>,
+    states: Vec<NodeState>,
 }
 
 impl LaunchOutcome {
     /// Every node's page-table slot for page `p` as the run left it
     /// (rendered [`crate::PageMeta`]s), for a failure report to print.
     pub fn page_slots(&self, p: PageId) -> Vec<String> {
-        self.states.iter().map(|s| format!("{:?}", s.lock().data.pages.get(p as usize))).collect()
+        self.states.iter().map(|s| format!("{:?}", s.data.pages.get(p as usize))).collect()
     }
 }
 
@@ -201,54 +200,42 @@ impl Cluster {
         // [`SharedSegment`]).
         self.segment.truncate(seg_pages);
         let segment = Arc::new(self.segment);
-        let states: Vec<Arc<Mutex<NodeState>>> = (0..n)
-            .map(|i| {
-                let st = NodeState::new(i, n, self.cfg.dsm.clone(), Arc::clone(&segment));
-                Arc::new(Mutex::new(st))
-            })
-            .collect();
         let topo = Arc::new(Topology::new(n, Arc::clone(&self.stats), self.race.clone()));
 
-        let mut sim = Sim::<DsmMsg>::new();
+        let mut sim = Sim::<DsmMsg, NodeState>::new();
         sim.record_trace(self.record_trace);
         // Handlers first: pids 0..n-1. Reactors, not coroutines — a request
         // is served on the simulator's coordinator, with no switch.
-        for (i, state) in states.iter().enumerate() {
-            let handler = Handler::new(net.nic(i), Arc::clone(state), Arc::clone(&topo));
+        for i in 0..n {
+            let handler = Handler::new(net.nic(i), Arc::clone(&topo));
             let pid = sim.spawn_reactor(&format!("handler{i}"), handler);
             assert_eq!(pid, topo.handler_pids[i]);
         }
-        // Applications: pids n..2n-1.
-        for (i, app) in apps.into_iter().enumerate() {
-            let nic = net.nic(i);
-            let st = Arc::clone(&states[i]);
-            let topo2 = Arc::clone(&topo);
-            let page_size = self.cfg.dsm.page_size;
-            let tlb_enabled = self.cfg.dsm.tlb_enabled;
-            let pid = sim.spawn(&format!("app{i}"), move |ctx| {
-                let node = DsmNode::new(ctx, nic, st, topo2, page_size, tlb_enabled);
-                app(node)
-            });
-            assert_eq!(pid, topo.app_pids[i]);
-        }
-        // Group each node's two processes together, with the network's
-        // minimum cross-node latency as the lookahead: event keys carry the
-        // pusher's group (same-instant ties break by node), and the
-        // post-exit quiescence tail is bounded by the lookahead horizon.
+        // Applications: pids n..2n-1. Each node's two processes form one
+        // group, with the network's minimum cross-node latency as the
+        // lookahead: event keys carry the pusher's group (same-instant ties
+        // break by node), and the post-exit quiescence tail is bounded by
+        // the lookahead horizon. The group owns the node's state, and lends
+        // it to whichever of the two runs.
         sim.set_lookahead(self.cfg.net.min_cross_latency());
-        for i in 0..n {
+        for (i, app) in apps.into_iter().enumerate() {
+            let (nic, topo2) = (net.nic(i), Arc::clone(&topo));
+            let pid = sim.spawn(&format!("app{i}"), move |ctx| app(DsmNode::new(ctx, nic, topo2)));
+            assert_eq!(pid, topo.app_pids[i]);
             sim.assign_group(topo.handler_pids[i], i);
-            sim.assign_group(topo.app_pids[i], i);
+            sim.assign_group(pid, i);
+            sim.set_state(i, NodeState::new(i, n, self.cfg.dsm.clone(), Arc::clone(&segment)));
         }
         let result = sim.run();
-        // However the run ended, every application process has ended and
-        // dropped its `DsmNode`: the nodes' host counts are final.
+        // However the run ended, every process has ended: the nodes' host
+        // counts are final.
+        let states = sim.into_states();
         let mut host = HostCounters::default();
         for s in &states {
-            host += s.lock().host;
+            host += s.host;
         }
         self.stats.fold_host(host);
-        let probes = states.iter().map(|s| s.lock().rse_probe()).collect();
+        let probes = states.iter().map(|s| s.rse_probe()).collect();
         LaunchOutcome { result, probes, loss_events: net.loss_events(), states }
     }
 }

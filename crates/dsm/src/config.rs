@@ -56,7 +56,7 @@ pub struct DsmConfig {
     pub flow_control: FlowControl,
     /// Enable the per-application-process software TLB (host-time fast
     /// path; invisible to virtual time). On by default; the MMU bench
-    /// turns it off to measure the locked baseline, and equivalence tests
+    /// turns it off to measure the page-walk baseline, and equivalence tests
     /// turn it off to prove protocol behaviour is identical either way.
     pub tlb_enabled: bool,
     /// Test-only fault injection: suppress every protection-generation

@@ -12,7 +12,6 @@
 //! diffs a copy is missing but never mutates interval or vector-clock
 //! state beyond the coverage stamp (`valid_at`) of its own pages.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,14 +48,10 @@ fn pool_take(pool: &mut Vec<Box<[u8]>>, host: &mut HostCounters, src: &[u8]) -> 
 /// under-invalidates, so the count is purely a hit-rate/memory trade.
 const GEN_BUCKETS: usize = 1024;
 
-/// Per-page protection generations plus a monotone node-wide total.
-///
-/// Revoking one page's protection used to bump a single node-global
-/// counter, flushing every software-TLB entry of the node; with
-/// generations per page bucket, a revocation invalidates only the
-/// translations of (pages aliasing) that page. Each bucket carries *two*
-/// generations because the two ways a translation can go stale are
-/// asymmetric:
+/// Per-page protection generations plus a monotone node-wide total: a
+/// revocation invalidates only the translations of (pages aliasing) its
+/// page. Each bucket carries *two* generations because the two ways a
+/// translation can go stale are asymmetric:
 ///
 /// * the **read** generation covers the mapping itself — bumped when the
 ///   page is invalidated or its contents change out of band, which
@@ -72,18 +67,14 @@ const GEN_BUCKETS: usize = 1024;
 /// anything change?" monotonicity checks (and [`NodeState::prot_gen`])
 /// keep a single number to compare.
 pub(crate) struct GenTable {
-    total: AtomicU64,
-    read_gens: Vec<AtomicU64>,
-    write_gens: Vec<AtomicU64>,
+    total: u64,
+    read_gens: Vec<u64>,
+    write_gens: Vec<u64>,
 }
 
 impl GenTable {
     fn new() -> GenTable {
-        GenTable {
-            total: AtomicU64::new(0),
-            read_gens: (0..GEN_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            write_gens: (0..GEN_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
+        GenTable { total: 0, read_gens: vec![0; GEN_BUCKETS], write_gens: vec![0; GEN_BUCKETS] }
     }
 
     #[inline]
@@ -95,19 +86,19 @@ impl GenTable {
     /// must be stamped with (and validated against) right now.
     #[inline]
     pub(crate) fn page_read(&self, p: PageId) -> u64 {
-        self.read_gens[Self::bucket(p)].load(Ordering::Relaxed)
+        self.read_gens[Self::bucket(p)]
     }
 
     /// The write-permission generation for page `p`.
     #[inline]
     pub(crate) fn page_write(&self, p: PageId) -> u64 {
-        self.write_gens[Self::bucket(p)].load(Ordering::Relaxed)
+        self.write_gens[Self::bucket(p)]
     }
 
     /// Monotone count of every per-page bump on this node.
     #[inline]
     pub(crate) fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
+        self.total
     }
 
     /// Revoke the *writable* cached translations of page `p` — the page
@@ -116,12 +107,12 @@ impl GenTable {
     /// change. A bucket collision may revoke a few unrelated pages' too:
     /// always safe, only slower.
     #[inline]
-    fn bump(&self, p: PageId, read: bool) {
+    fn bump(&mut self, p: PageId, read: bool) {
         if read {
-            self.read_gens[Self::bucket(p)].fetch_add(1, Ordering::Relaxed);
+            self.read_gens[Self::bucket(p)] += 1;
         }
-        self.write_gens[Self::bucket(p)].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
+        self.write_gens[Self::bucket(p)] += 1;
+        self.total += 1;
     }
 }
 
@@ -153,12 +144,7 @@ pub(crate) struct DataPlane {
     /// entry/exit, diff application, page broadcast. Permission *grants* (a
     /// write fault enabling writing) do not bump: a stale read-only entry
     /// is merely conservative (write lookups miss and take the slow path).
-    /// The application process's software TLB validates entries against the
-    /// owning page's generation with one relaxed load, so TLB hits skip the
-    /// mutex and page walk, and revoking one page no longer flushes every
-    /// unrelated entry. Shared (`Arc`) because the handler process mutates
-    /// protections while the TLB lives with the application process.
-    pub(crate) prot_gen: Arc<GenTable>,
+    pub(crate) prot_gen: GenTable,
     /// The cluster's shared segment: the initial image, written before
     /// the run starts. A slot copies its page out when it first needs
     /// bytes of its own.
@@ -178,7 +164,7 @@ impl DataPlane {
             store: PageStore::new(page_size),
             dirty_pages: Vec::new(),
             twin_pool: Vec::new(),
-            prot_gen: Arc::new(GenTable::new()),
+            prot_gen: GenTable::new(),
             segment,
             zero,
         }
@@ -218,7 +204,7 @@ impl NodeState {
     /// the coherence oracle can be shown to catch the resulting stale
     /// translations.
     #[inline]
-    pub(crate) fn bump_page_prot_gen(&self, p: PageId) {
+    pub(crate) fn bump_page_prot_gen(&mut self, p: PageId) {
         if self.cfg.tlb_break_generation_bumps {
             return;
         }
@@ -231,7 +217,7 @@ impl NodeState {
     /// translation is still exactly right and survives. Gated by the same
     /// fault-injection flag as [`NodeState::bump_page_prot_gen`].
     #[inline]
-    pub(crate) fn bump_page_write_prot_gen(&self, p: PageId) {
+    pub(crate) fn bump_page_write_prot_gen(&mut self, p: PageId) {
         if self.cfg.tlb_break_generation_bumps {
             return;
         }

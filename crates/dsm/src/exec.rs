@@ -141,9 +141,9 @@ impl DsmNode {
                 Step::Done(v) => return Ok(Some(v)),
                 Step::Wait | Step::Other(DsmMsg::WakePage { .. }) => {}
                 Step::Other(DsmMsg::Join { from, vc, records }) => {
-                    self.st.lock().exec.pending_joins.push((from, vc, records))
+                    self.ctx.state().exec.pending_joins.push((from, vc, records))
                 }
-                Step::Other(DsmMsg::SeqDone { .. }) => self.st.lock().exec.pending_seqdone += 1,
+                Step::Other(DsmMsg::SeqDone { .. }) => self.ctx.state().exec.pending_seqdone += 1,
                 Step::Other(DsmMsg::DiffReply { .. }) => {
                     self.topo.stats.on_stale_reply(self.node())
                 }
@@ -168,10 +168,10 @@ impl DsmNode {
         assert!(self.is_master(), "only the master forks");
         let n = self.topo.n;
         self.race_sync(SyncEdge::ForkSend);
-        self.st.lock().close_interval();
+        self.ctx.state().close_interval();
         for s in 1..n {
             let msg = {
-                let mut st = self.st.lock();
+                let mut st = self.ctx.state();
                 let records = st.con.intervals.records_unknown_to(&st.exec.peer_vcs[s]);
                 let vc = st.con.vc.clone();
                 st.exec.peer_vcs[s] = vc.clone();
@@ -192,7 +192,7 @@ impl DsmNode {
         self.recv_for(Waiting::Parked, |env| match env.msg {
             DsmMsg::Fork { records, vc, task } => {
                 let cost = {
-                    let mut st = self.st.lock();
+                    let mut st = self.ctx.state();
                     let c = st.apply_records(records, &vc);
                     st.exec.master_known = vc;
                     c
@@ -203,7 +203,7 @@ impl DsmNode {
             }
             DsmMsg::ValidNoticeRequest { reply_to } => {
                 let msg = {
-                    let mut st = self.st.lock();
+                    let mut st = self.ctx.state();
                     DsmMsg::ValidNoticeReply { from: node, delta: st.take_valid_delta() }
                 };
                 let size = msg.wire_size();
@@ -222,7 +222,7 @@ impl DsmNode {
         let node = self.node();
         self.race_sync(SyncEdge::JoinSend);
         let msg = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             st.close_interval();
             let records = st.con.intervals.records_unknown_to(&st.exec.master_known);
             DsmMsg::Join { from: node, vc: st.con.vc.clone(), records }
@@ -240,13 +240,13 @@ impl DsmNode {
     pub fn wait_joins(&self) -> Result<(), Stopped> {
         assert!(self.is_master());
         let buffered = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             st.close_interval();
             std::mem::take(&mut st.exec.pending_joins)
         };
         let join = |(from, vc, records): (NodeId, Vc, Vec<IntervalRecord>)| {
             let cost = {
-                let mut st = self.st.lock();
+                let mut st = self.ctx.state();
                 let c = st.apply_records(records, &vc);
                 st.exec.peer_vcs[from] = vc;
                 c
@@ -266,7 +266,7 @@ impl DsmNode {
     }
 
     pub(crate) fn sync_cost(&self) -> Dur {
-        self.st.lock().cfg.sync_overhead
+        self.ctx.state().cfg.sync_overhead
     }
 
     // ---------------------------------------------------------------
@@ -320,12 +320,12 @@ impl DsmNode {
     /// not re-invalidated at the following fork.
     pub fn broadcast_pages(&self, pages: impl IntoIterator<Item = PageId>) -> Result<(), Stopped> {
         assert!(self.is_master(), "only the master broadcasts");
-        self.st.lock().close_interval();
+        self.ctx.state().close_interval();
         let mut last_delivery = self.ctx.now();
         let mut sent = 0u64;
         for p in pages {
             let msg = {
-                let mut st = self.st.lock();
+                let mut st = self.ctx.state();
                 // Only pages we hold a complete, valid copy of are worth
                 // broadcasting (the tree pages after a sequential build).
                 let valid = st.page_mut(p).valid;
@@ -343,7 +343,7 @@ impl DsmNode {
                     let cost = st.create_own_diff(p);
                     drop(st);
                     self.ctx.charge(cost);
-                    st = self.st.lock();
+                    st = self.ctx.state();
                 }
                 let data: Arc<[u8]> = st.page_data(p).to_vec().into();
                 DsmMsg::PageBroadcast { page: p, data, vc: st.con.vc.clone() }
@@ -357,7 +357,7 @@ impl DsmNode {
         // Block until the broadcast has drained (the hub and the switch
         // are independent media; without this the following fork's records
         // would overtake the data and re-invalidate it at the receivers).
-        let service = self.st.lock().cfg.service_overhead;
+        let service = self.ctx.state().cfg.service_overhead;
         let resume_at = last_delivery + service * (sent + 1);
         let now = self.ctx.now();
         if resume_at > now {

@@ -111,8 +111,8 @@ impl DsmNode {
     pub(crate) fn read_fault(&self, p: PageId) -> Result<(), Stopped> {
         let node = self.node();
         self.topo.stats.on_page_fault(node);
-        self.ctx.charge(self.st.lock().cfg.fault_overhead);
-        let in_rse = self.st.lock().rse.active;
+        self.ctx.charge(self.ctx.state().cfg.fault_overhead);
+        let in_rse = self.ctx.state().rse.active;
         if in_rse {
             strategy::rse::fetch_replicated(self, p)
         } else {
@@ -133,7 +133,7 @@ impl DsmNode {
             // state), so the plan is recomputed — and the final apply is
             // atomic with the completeness check — until it converges.
             let (plan, req_id) = {
-                let mut st = self.st.lock();
+                let mut st = self.ctx.state();
                 let plan = st.fetch_plan(p);
                 if plan.is_empty() {
                     let cost = st.apply_cached_diffs(p);
@@ -162,7 +162,7 @@ impl DsmNode {
             // its own reliability layer over UDP): when loss injection is
             // allowed to touch diff frames, that layer is this resend loop.
             let mut timer = {
-                let st = self.st.lock();
+                let st = self.ctx.state();
                 let timeout = st.fetch.first_wait(st.cfg.rse_timeout);
                 RetryTimer { timeout, ..RetryTimer::from_cfg(&st.cfg) }
             };
@@ -202,14 +202,14 @@ impl DsmNode {
                     outstanding[..probe].iter().for_each(request);
                     continue;
                 };
-                self.st.lock().cache_diffs(p, &diffs);
+                self.ctx.state().cache_diffs(p, &diffs);
                 outstanding.retain(|e| e.0 != owner);
                 heard = true;
             }
         }
         if requested {
             let waited = self.ctx.now() - t0;
-            self.st.lock().fetch.sample(waited);
+            self.ctx.state().fetch.sample(waited);
             self.topo.stats.on_diff_stall(node, waited);
             self.topo.stats.on_diff_request_complete(node, waited);
         }
@@ -270,25 +270,21 @@ mod tests {
     ///   here.
     #[test]
     fn back_to_back_timeouts_reuse_req_id_and_later_fetch_absorbs_the_duplicate() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Mutex as StdMutex;
-
-        use repseq_sim::Sim;
+        use repseq_sim::{Ctx, Sim};
 
         let cfg = DsmConfig {
             rse_timeout: Dur::from_micros(100),
             rse_max_retries: 5,
             ..DsmConfig::default()
         };
-        let seen_req_ids = Arc::new(StdMutex::new(Vec::<u64>::new()));
-        let stale_absorbed = Arc::new(AtomicU32::new(0));
-        let mut sim = Sim::<DsmMsg>::new();
+        // Each process's group state records request ids: the stale
+        // replies the fetcher absorbed, the requests the owner saw.
+        let mut sim = Sim::<DsmMsg, Vec<u64>>::new();
 
         // Pid 0: the faulting node's fetch loop, two fetch rounds.
         let cfg_f = cfg.clone();
-        let stale_f = Arc::clone(&stale_absorbed);
         sim.spawn("fetcher", move |ctx| {
-            let request = |ctx: &repseq_sim::Ctx<DsmMsg>, req_id: u64| {
+            let request = |ctx: &Ctx<DsmMsg, Vec<u64>>, req_id: u64| {
                 let msg = DsmMsg::DiffRequest { page: 7, ivxs: vec![1], reply_to: 0, req_id };
                 ctx.send(1, msg, ctx.now());
             };
@@ -311,9 +307,7 @@ mod tests {
                             assert_eq!(diffs.len(), 1);
                             break Ok(resent_at);
                         }
-                        DsmMsg::DiffReply { .. } => {
-                            stale_f.fetch_add(1, Ordering::SeqCst);
-                        }
+                        DsmMsg::DiffReply { req_id: rid, .. } => ctx.state().push(rid),
                         m => panic!("unexpected message {}", m.kind()),
                     }
                 }
@@ -330,14 +324,13 @@ mod tests {
         // Pid 1: a scripted owner. Ignores the first two requests (forcing
         // the back-to-back timeouts), then answers the second resend twice —
         // the duplicate is timed to land in the middle of fetch round B.
-        let seen = Arc::clone(&seen_req_ids);
         sim.spawn_daemon("owner", move |ctx| {
             let mut n_requests = 0u32;
             while let Ok(env) = ctx.recv() {
                 let DsmMsg::DiffRequest { page, reply_to, req_id, .. } = env.msg else {
                     panic!("owner expected only requests");
                 };
-                seen.lock().unwrap().push(req_id);
+                ctx.state().push(req_id);
                 n_requests += 1;
                 match n_requests {
                     1 | 2 => { /* silent: let the fetcher time out */ }
@@ -357,16 +350,15 @@ mod tests {
             Ok(())
         });
 
+        sim.set_state(0, Vec::new());
+        sim.set_state(1, Vec::new());
         sim.run().unwrap();
+        let [stale, seen] = &sim.into_states()[..] else { panic!("two groups have a state") };
         assert_eq!(
-            *seen_req_ids.lock().unwrap(),
-            vec![1, 1, 1, 2],
+            *seen,
+            [1, 1, 1, 2],
             "resends must reuse the original req_id; the second fetch gets a fresh one"
         );
-        assert_eq!(
-            stale_absorbed.load(Ordering::SeqCst),
-            1,
-            "round B must absorb exactly the one stale duplicate from round A"
-        );
+        assert_eq!(*stale, [1], "round B must absorb exactly the one stale duplicate from round A");
     }
 }

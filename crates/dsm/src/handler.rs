@@ -15,13 +15,14 @@
 //! on the simulator's coordinator when a request arrives — the closer
 //! model of the signal handler, and no switch. The body sees only a
 //! [`ReactorCtx`] — nothing in this file can name `recv`, `recv_timeout`
-//! or `sleep`, so "a handler never blocks" is checked by the compiler.
+//! or `sleep`, so "a handler never blocks" is checked by the compiler. The
+//! same context lends it the node's [`NodeState`] for the length of one
+//! callback.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use repseq_net::Nic;
-use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx};
+use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx};
 use repseq_stats::MsgClass;
 
 use crate::exec::{protocol_violation, Waiting};
@@ -31,31 +32,33 @@ use crate::state::NodeState;
 use crate::strategy::chain;
 use crate::sync::{holder_logic, LockAction};
 
+/// The context a handler callback runs in, lent its node's state.
+type HandlerCtx<'k> = ReactorCtx<'k, DsmMsg, NodeState>;
+
 /// One node's protocol handler (see the module docs).
 pub(crate) struct Handler {
     nic: Nic,
-    st: Arc<Mutex<NodeState>>,
     topo: Arc<Topology>,
 }
 
-impl Reactor<DsmMsg> for Handler {
+impl Reactor<DsmMsg, NodeState> for Handler {
     /// How long the next wait may last. While a forwarded multicast
     /// request is in flight, the master handler bounds it so a lost frame
     /// cannot wedge the queue forever (the requester recovers
     /// independently, §5.4.2).
-    fn wait(&mut self) -> Option<Dur> {
+    fn wait(&mut self, ctx: &HandlerCtx<'_>) -> Option<Dur> {
         if self.nic.node() != 0 {
             return None;
         }
-        let s = self.st.lock();
+        let s = ctx.state();
         s.rse.mcast_inflight.is_some().then(|| s.cfg.rse_timeout * 4)
     }
 
     /// The stall guard fired: give up on the in-flight request and start
     /// the next queued one.
-    fn on_timeout(&mut self, ctx: &ReactorCtx<'_, DsmMsg>) {
+    fn on_timeout(&mut self, ctx: &HandlerCtx<'_>) {
         let next = {
-            let mut s = self.st.lock();
+            let mut s = ctx.state();
             s.rse.mcast_inflight = None;
             chain::master_try_start(&mut s)
         };
@@ -65,15 +68,15 @@ impl Reactor<DsmMsg> for Handler {
     }
 
     /// Serve one request, to completion.
-    fn on_msg(&mut self, ctx: &ReactorCtx<'_, DsmMsg>, env: Envelope<DsmMsg>) {
-        let Handler { nic, st, topo } = &*self;
+    fn on_msg(&mut self, ctx: &HandlerCtx<'_>, env: Envelope<DsmMsg>) {
+        let Handler { nic, topo } = &*self;
         let node = nic.node();
         let n = topo.n;
         match env.msg {
             // ---- demand diff fetching ----
             DsmMsg::DiffRequest { page, ivxs, reply_to, req_id } => {
                 let (service, cost, diffs) = {
-                    let mut s = st.lock();
+                    let mut s = ctx.state();
                     let service = s.cfg.service_overhead;
                     let (cost, diffs) = s.serve_diff_request(page, &ivxs);
                     (service, cost, diffs)
@@ -90,7 +93,7 @@ impl Reactor<DsmMsg> for Handler {
             DsmMsg::BarrierArrive { from, vc, records, reply_to } => {
                 debug_assert_eq!(node, 0, "barrier arrivals go to the manager");
                 let departures = {
-                    let mut s = st.lock();
+                    let mut s = ctx.state();
                     ctx.charge(s.cfg.sync_overhead);
                     let cost = s.apply_records(records, &vc);
                     ctx.charge(cost);
@@ -127,7 +130,7 @@ impl Reactor<DsmMsg> for Handler {
             DsmMsg::LockAcquire { lock, from, vc, reply_to, forwarded } => {
                 let manager = (lock as usize) % n == node;
                 let action = {
-                    let mut s = st.lock();
+                    let mut s = ctx.state();
                     ctx.charge(s.cfg.sync_overhead);
                     if manager && !forwarded {
                         // Lazy token initialization: an unseen lock's token
@@ -178,7 +181,7 @@ impl Reactor<DsmMsg> for Handler {
             DsmMsg::McastRequest { page, wanted, requester, epoch } => {
                 debug_assert_eq!(node, 0, "multicast requests are serialized at the master");
                 let fwd = {
-                    let mut s = st.lock();
+                    let mut s = ctx.state();
                     ctx.charge(s.cfg.service_overhead);
                     chain::master_enqueue(&mut s, page, wanted, requester, epoch)
                 };
@@ -188,7 +191,7 @@ impl Reactor<DsmMsg> for Handler {
             }
             DsmMsg::McastForward { page, wanted, requester, req_seq } => {
                 let turn = {
-                    let mut s = st.lock();
+                    let mut s = ctx.state();
                     ctx.charge(s.cfg.service_overhead);
                     chain::on_forward(&mut s, page, wanted, requester, req_seq)
                 };
@@ -209,7 +212,7 @@ impl Reactor<DsmMsg> for Handler {
             }
             DsmMsg::RecoveryRequest { page, ivxs, requester: _, reply_mcast } => {
                 let served = {
-                    let mut s = st.lock();
+                    let mut s = ctx.state();
                     ctx.charge(s.cfg.service_overhead);
                     // One multicast reply serves every concurrent
                     // requester; see `oob_reply_due` for the window rule.
@@ -236,7 +239,7 @@ impl Reactor<DsmMsg> for Handler {
 
             // ---- hand-inserted broadcast (ablation / MasterPush) ----
             DsmMsg::PageBroadcast { page, data, vc } => {
-                let mut s = st.lock();
+                let mut s = ctx.state();
                 ctx.charge(s.cfg.service_overhead);
                 let meta = s.page_mut(page);
                 let fresh = !(meta.valid && vc.dominated_by(&meta.valid_at));
@@ -265,7 +268,7 @@ impl Reactor<DsmMsg> for Handler {
             }
 
             DsmMsg::ValidNoticeTable { deltas } => {
-                let mut s = st.lock();
+                let mut s = ctx.state();
                 ctx.charge(s.cfg.sync_overhead);
                 s.merge_valid_deltas(&deltas);
             }
@@ -275,11 +278,11 @@ impl Reactor<DsmMsg> for Handler {
 }
 
 impl Handler {
-    pub(crate) fn new(nic: Nic, st: Arc<Mutex<NodeState>>, topo: Arc<Topology>) -> Handler {
-        Handler { nic, st, topo }
+    pub(crate) fn new(nic: Nic, topo: Arc<Topology>) -> Handler {
+        Handler { nic, topo }
     }
 
-    fn multicast(&self, ctx: &ReactorCtx<'_, DsmMsg>, class: MsgClass, msg: DsmMsg) {
+    fn multicast(&self, ctx: &HandlerCtx<'_>, class: MsgClass, msg: DsmMsg) {
         chain::multicast_to_handlers(&self.nic, ctx, &self.topo, class, msg);
     }
 
@@ -288,7 +291,7 @@ impl Handler {
     /// at the master start the next queued request when a chain completes.
     fn handle_chain_step(
         &self,
-        ctx: &ReactorCtx<'_, DsmMsg>,
+        ctx: &HandlerCtx<'_>,
         diffs: Option<(crate::interval::PageId, Vec<crate::page::DiffEntry>)>,
         turn: usize,
         req_seq: u64,
@@ -297,7 +300,7 @@ impl Handler {
         let mut to_multicast: Option<(DsmMsg, MsgClass)> = None;
         let mut wake: Option<crate::interval::PageId> = None;
         {
-            let mut s = self.st.lock();
+            let mut s = ctx.state();
             ctx.charge(s.cfg.service_overhead);
             if let Some((page, diffs)) = &diffs {
                 let (cost, w) = chain::incorporate_diffs(&mut s, *page, diffs);

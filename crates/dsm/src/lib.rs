@@ -30,7 +30,7 @@
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
 //! | strategy | `strategy` | how sequential sections execute: one [`SeqMode`], one `match` in [`DsmNode::run_sequential`] |
-//! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context, and the shared page segment |
+//! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context lent the [`NodeState`], and the shared page segment |
 //! | runtime | `runtime`, `handler`, `cluster` | processes, NICs, the software TLB, message dispatch, cluster launch |
 
 // Everything not in the `pub use` façade below is crate-internal; the

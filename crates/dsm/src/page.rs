@@ -77,10 +77,10 @@ impl PageStore {
 /// generation fences stale handles off instead.
 ///
 /// Every handle is outlived by its bytes. A slot lives as long as its
-/// node's `NodeState`. The TLB lives in `DsmNode`, which holds the
-/// `Arc<Mutex<NodeState>>`; a page guard lives only inside one
-/// `with_slices{,_mut}` call, which borrows the `DsmNode`, and a detached
-/// guard owns the `Vec` its handle points into.
+/// node's `NodeState`, which the simulation drops after every process has
+/// ended (lending it moves a `Box`, never the slots): the TLB lives in the
+/// application's `DsmNode`, a page guard inside one `with_slices{,_mut}`
+/// call, and a detached guard owns the `Vec` its handle points into.
 #[derive(Clone, Copy)]
 pub(crate) struct PageBuf {
     ptr: NonNull<u8>,

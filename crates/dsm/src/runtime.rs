@@ -5,10 +5,9 @@
 //! (barrier/locks), [`crate::exec`] (fork/join) and [`crate::strategy`]
 //! (sequential-section execution) — as further `impl DsmNode` blocks.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use repseq_net::Nic;
 use repseq_sim::{Dur, Pid, Stopped};
 use repseq_stats::{MsgClass, NodeId, StatsRef};
@@ -19,7 +18,6 @@ use crate::msg::DsmMsg;
 use crate::page::PageBuf;
 use crate::pod::Pod;
 use crate::race::{AccessKind, AccessTap, RaceSink, SyncEdge};
-use crate::state::NodeState;
 use crate::strategy::RseProbe;
 use crate::substrate::NodeCtx;
 
@@ -36,7 +34,7 @@ struct TlbEntry {
     page: PageId,
     /// The page's read (mapping) generation at fill. Invalidation or an
     /// out-of-band content change bumps it, so a stale entry fails the
-    /// equality check and falls back to the locked walk.
+    /// equality check and falls back to the page-table walk.
     gen: u64,
     /// The page's write-permission generation at fill. A write-only
     /// revocation (interval close, §5.3 write-protect) bumps it, retiring
@@ -150,67 +148,33 @@ impl Topology {
 /// process. All shared-memory traffic, synchronization and statistics flow
 /// through here.
 pub struct DsmNode {
+    /// The process's context, through which the simulation lends it its
+    /// node's `NodeState` (`ctx.state()`, borrowed until the guard drops,
+    /// which must be before the next yielding call).
     pub(crate) ctx: NodeCtx,
     pub(crate) nic: Nic,
-    pub(crate) st: Arc<Mutex<NodeState>>,
     pub(crate) topo: Arc<Topology>,
     pub(crate) page_size: usize,
-    /// This node's per-page protection generations (shared with
-    /// [`NodeState`]); one relaxed load validates a TLB entry without
-    /// taking the mutex.
-    pub(crate) prot_gen: Arc<GenTable>,
     /// The software TLB. `RefCell`: the application process is the only
     /// borrower, and no borrow is held across a yielding call.
     pub(crate) tlb: RefCell<Tlb>,
+    /// Whether the TLB is on. Its hits and misses count in the node's
+    /// `host` counters, plain fields of the lent state: no lock to count.
     tlb_enabled: bool,
-    /// Accesses served without the locked walk, and accesses that took
-    /// it. Plain per-node counts: a shared-memory access executes no
-    /// `lock`-prefixed instruction to be counted.
-    tlb_hits: Cell<u64>,
-    tlb_misses: Cell<u64>,
     /// Race-detection sink (cloned off the topology); `None` costs one
     /// branch per access and nothing else.
     pub(crate) race: Option<Arc<dyn RaceSink>>,
 }
 
-/// The application process owns its `DsmNode`, so the handle goes when the
-/// process ends — returned, `Stopped` or unwinding — and leaves its TLB
-/// counts with the node's other host counters, before the cluster sums
-/// them.
-impl Drop for DsmNode {
-    fn drop(&mut self) {
-        let host = &mut self.st.lock().host;
-        host.tlb_hits += self.tlb_hits.get();
-        host.tlb_misses += self.tlb_misses.get();
-    }
-}
-
 impl DsmNode {
-    /// Build the application-side handle, wiring the TLB to the node
-    /// state's protection generation.
-    pub(crate) fn new(
-        ctx: NodeCtx,
-        nic: Nic,
-        st: Arc<Mutex<NodeState>>,
-        topo: Arc<Topology>,
-        page_size: usize,
-        tlb_enabled: bool,
-    ) -> DsmNode {
-        let prot_gen = Arc::clone(&st.lock().data.prot_gen);
+    /// Build the application-side handle, configured as its node's state.
+    pub(crate) fn new(ctx: NodeCtx, nic: Nic, topo: Arc<Topology>) -> DsmNode {
+        let (page_size, tlb_enabled) = {
+            let cfg = &ctx.state().cfg;
+            (cfg.page_size, cfg.tlb_enabled)
+        };
         let race = topo.race.clone();
-        DsmNode {
-            ctx,
-            nic,
-            st,
-            topo,
-            page_size,
-            prot_gen,
-            tlb: RefCell::new(Tlb::new()),
-            tlb_enabled,
-            tlb_hits: Cell::new(0),
-            tlb_misses: Cell::new(0),
-            race,
-        }
+        DsmNode { ctx, nic, topo, page_size, tlb: RefCell::new(Tlb::new()), tlb_enabled, race }
     }
 
     /// This node's id (0 is the master).
@@ -266,13 +230,13 @@ impl DsmNode {
     /// messages, charges no time. This is the coherence oracle's window
     /// into each node's memory.
     pub fn inspect_page(&self, p: PageId) -> Option<Vec<u8>> {
-        self.st.lock().inspect_page(p)
+        self.ctx.state().inspect_page(p)
     }
 
     /// Snapshot this node's replicated-section protocol state for invariant
     /// checks (see [`crate::RseProbe`]).
     pub fn rse_probe(&self) -> RseProbe {
-        self.st.lock().rse_probe()
+        self.ctx.state().rse_probe()
     }
 
     // ---------------------------------------------------------------
@@ -313,12 +277,10 @@ impl DsmNode {
     // Shared-memory access (the software MMU)
     // ---------------------------------------------------------------
     //
-    // Two-level fast path. Level 1: the software TLB — a hit costs one
-    // atomic load plus an array probe, no mutex, no page-table walk.
-    // Level 2: the locked walk, which fills the TLB on the way out. The
-    // fast path only covers accesses the slow path charges zero virtual
-    // time for (valid reads, valid+writable writes), so enabling the TLB
-    // cannot change simulated time or message counts.
+    // Two-level fast path: the software TLB, whose hit costs two loads of
+    // the page's generations and an array probe; else the page-table walk,
+    // which fills the TLB. The TLB only serves accesses the walk charges
+    // no virtual time for, so it cannot change simulated time or counts.
 
     /// The one TLB probe: run `f` over the cached contents handle of page
     /// `p` if the TLB is on and holds a current mapping — for `write`, a
@@ -329,21 +291,16 @@ impl DsmNode {
         if !self.tlb_enabled {
             return None;
         }
-        let gen = self.prot_gen.page_read(p);
+        let mut st = self.ctx.state();
+        let gens = &st.data.prot_gen;
         let tlb = self.tlb.borrow();
-        let e = tlb.lookup(p, gen)?;
-        if write && !(e.writable && e.wgen == self.prot_gen.page_write(p)) {
+        let e = tlb.lookup(p, gens.page_read(p))?;
+        if write && !(e.writable && e.wgen == gens.page_write(p)) {
             return None;
         }
-        self.count_tlb_hits(1);
+        st.host.tlb_hits += 1;
+        drop(st);
         Some(f(e.buf))
-    }
-
-    /// `n` accesses skipped the locked walk. A plain add — the application
-    /// process is the only writer; `Drop` folds the total.
-    #[inline]
-    fn count_tlb_hits(&self, n: u64) {
-        self.tlb_hits.set(self.tlb_hits.get() + n);
     }
 
     /// A page-run guard serves `count` element accesses from the one
@@ -352,7 +309,7 @@ impl DsmNode {
     #[inline]
     pub(crate) fn count_run(&self, count: usize) {
         if self.tlb_enabled {
-            self.count_tlb_hits(count as u64 - 1);
+            self.ctx.state().host.tlb_hits += count as u64 - 1;
         }
     }
 
@@ -366,21 +323,21 @@ impl DsmNode {
             return Ok(buf);
         }
         if self.tlb_enabled {
-            self.tlb_misses.set(self.tlb_misses.get() + 1);
+            self.ctx.state().host.tlb_misses += 1;
         }
         loop {
             {
-                let mut st = self.st.lock();
+                let mut st = self.ctx.state();
                 let page = st.page_mut(p);
                 if page.valid && (page.writable || !write) {
                     let writable = page.writable;
                     let buf = *st.page_buf(p);
-                    drop(st);
                     if self.tlb_enabled {
                         // A translation filled under the current generations.
-                        let (gen, wgen) = (self.prot_gen.page_read(p), self.prot_gen.page_write(p));
+                        let gens = &st.data.prot_gen;
+                        let (gen, wgen) = (gens.page_read(p), gens.page_write(p));
                         let entry = TlbEntry { page: p, gen, wgen, writable, buf };
-                        self.tlb.borrow_mut().insert(entry, &self.prot_gen);
+                        self.tlb.borrow_mut().insert(entry, gens);
                     }
                     return Ok(buf);
                 }

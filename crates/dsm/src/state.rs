@@ -22,10 +22,26 @@ use crate::shmem::SharedSegment;
 use crate::strategy::RseState;
 use crate::sync::SyncState;
 
-/// One node's complete protocol state. Shared (behind a mutex) between the
-/// node's application process and its protocol-handler process; the
-/// simulation runs one process at a time, so the mutex is never contended —
-/// it only satisfies the compiler. **Never hold it across a yielding call.**
+/// One node's complete protocol state. The simulation owns it, one per
+/// node's group ([`repseq_sim::Sim::set_state`]), and lends it to the
+/// node's application from a resume to its next yielding call and to its
+/// protocol handler for one callback. A borrow still live at a yield
+/// panics, and the run fails under that process's name. Given to the
+/// simulation by value, it leaves no handle for another node's process:
+///
+/// ```compile_fail
+/// # use std::sync::Arc;
+/// # use repseq_dsm::{DsmConfig, DsmMsg, NodeState, SharedSegment};
+/// let cfg = DsmConfig::default();
+/// let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
+/// let mut sim = repseq_sim::Sim::<DsmMsg, NodeState>::new();
+/// let peer = NodeState::new(1, 2, cfg, segment);
+/// sim.set_state(1, peer);
+/// sim.spawn("app0", move |_ctx| {
+///     let _ = peer.node; // node 1's state, named from node 0's process
+///     Ok(())
+/// });
+/// ```
 ///
 /// The fields group the state by layer; each layer's module owns the
 /// methods that touch its group (plus, where a protocol step genuinely

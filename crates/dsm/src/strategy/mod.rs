@@ -79,9 +79,9 @@ impl DsmNode {
                 // write set below is exactly what the body touched. The
                 // broadcast closes that interval and ships post-close
                 // copies; a dropped frame degrades to a demand fetch.
-                self.st.lock().close_interval();
+                self.ctx.state().close_interval();
                 f(self)?;
-                let pages = self.st.lock().open_write_set();
+                let pages = self.ctx.state().open_write_set();
                 self.broadcast_pages(pages)
             }
         }

@@ -47,7 +47,7 @@ impl DsmNode {
             self.nic.multicast_reliable(&self.ctx, &slave_apps, MsgClass::ValidNotice, size, msg);
         }
         let mut table: Vec<(NodeId, PageId, Vc)> = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             st.take_valid_delta().into_iter().map(|(p, vc)| (0usize, p, vc)).collect()
         };
         for _ in 1..n {
@@ -55,7 +55,7 @@ impl DsmNode {
                 DsmMsg::ValidNoticeReply { from, delta } => Step::Done((from, delta)),
                 other => Step::Other(other),
             })?;
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             for (p, vc) in delta {
                 st.page_mut(p).announce_peer_valid(from, vc.clone());
                 table.push((from, p, vc));
@@ -72,7 +72,7 @@ impl DsmNode {
         let size = msg.wire_size();
         let dsts = &self.topo.all_handlers()[1..];
         let at = self.nic.multicast_reliable(&self.ctx, dsts, MsgClass::ValidNotice, size, msg);
-        let service = self.st.lock().cfg.service_overhead;
+        let service = self.ctx.state().cfg.service_overhead;
         let resume_at = at + service * 2;
         let now = self.ctx.now();
         if resume_at > now {
@@ -96,7 +96,7 @@ impl DsmNode {
     /// pre-section diff.
     pub fn enter_replicated(&self) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             st.enter_replicated();
         }
         // From here to the exit barrier this node's accesses belong to the
@@ -114,7 +114,7 @@ impl DsmNode {
         let n = self.topo.n;
         // SeqDone signals that arrived while the master was blocked in its
         // own replicated fault were buffered.
-        let buffered = std::mem::take(&mut self.st.lock().exec.pending_seqdone);
+        let buffered = std::mem::take(&mut self.ctx.state().exec.pending_seqdone);
         for _ in buffered..n - 1 {
             self.recv_for(Waiting::SeqDone, |env| match env.msg {
                 DsmMsg::SeqDone { .. } => Step::Done(()),
@@ -136,7 +136,7 @@ impl DsmNode {
             }
         }
         self.ctx.charge(self.sync_cost());
-        self.st.lock().exit_replicated();
+        self.ctx.state().exit_replicated();
         self.race_sync(crate::race::SyncEdge::RseExitDepart);
         Ok(())
     }
@@ -155,7 +155,7 @@ impl DsmNode {
             DsmMsg::SeqGo => Step::Done(()),
             other => Step::Other(other),
         })?;
-        self.st.lock().exit_replicated();
+        self.ctx.state().exit_replicated();
         self.race_sync(crate::race::SyncEdge::RseExitDepart);
         Ok(())
     }
@@ -170,7 +170,7 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
     let me = node.node();
     let t0 = node.ctx().now();
     let (send_request, wanted, epoch) = {
-        let mut st = node.st.lock();
+        let mut st = node.ctx.state();
         if st.can_complete(p) {
             // The diffs already arrived via an earlier multicast.
             let cost = st.apply_cached_diffs(p);
@@ -202,8 +202,8 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
         // fires §5.4.2 recovery at full strength.
         node.to_handler(0, MsgClass::DiffRequest, msg);
     }
-    let mut timer = RetryTimer::from_cfg(&node.st.lock().cfg);
-    let mut seen_turns = node.st.lock().rse.chain_turns;
+    let mut timer = RetryTimer::from_cfg(&node.ctx.state().cfg);
+    let mut seen_turns = node.ctx.state().rse.chain_turns;
     loop {
         let woken =
             node.recv_until(Waiting::Multicast(p), Some(timer.timeout()), |env| match env.msg {
@@ -239,7 +239,7 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
         // is still delivering — which at hundreds of nodes routinely takes
         // longer than `rse_timeout` even on a lossless network. Recovery is
         // for chains that went silent.
-        let turns = node.st.lock().rse.chain_turns;
+        let turns = node.ctx.state().rse.chain_turns;
         if turns != seen_turns {
             seen_turns = turns;
             continue;
@@ -258,7 +258,7 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
 /// If the waited-on page is already valid — or every diff it needs is
 /// cached — finish the fault locally and return true.
 fn try_complete(node: &DsmNode, p: PageId) -> bool {
-    let mut st = node.st.lock();
+    let mut st = node.ctx.state();
     if st.page_mut(p).valid {
         st.rse.waiting_page = None;
         return true;
@@ -278,7 +278,7 @@ fn try_complete(node: &DsmNode, p: PageId) -> bool {
 /// ([`crate::strategy::chain::OOB_SEQ`]).
 fn send_recovery_requests(node: &DsmNode, p: PageId, me: NodeId) {
     let plan = {
-        let mut st = node.st.lock();
+        let mut st = node.ctx.state();
         st.rse.recovery_rounds += 1;
         st.fetch_plan(p)
     };
@@ -293,7 +293,7 @@ fn send_recovery_requests(node: &DsmNode, p: PageId, me: NodeId) {
 /// the expected number of rounds under any survivable loss rate is tiny.
 /// This renders the exact state for the retry budget's panic.
 fn recovery_diagnostic(node: &DsmNode, p: PageId, me: NodeId, max_retries: u32) -> String {
-    let mut st = node.st.lock();
+    let mut st = node.ctx.state();
     let missing = st.fetch_plan(p);
     let valid = st.page_mut(p).valid;
     let waiting = st.rse.waiting_page;

@@ -165,7 +165,8 @@ impl NodeState {
         for p in self.rse.oob_replied.drain(..) {
             self.data.pages[p as usize].oob_reply = None;
         }
-        for &p in &self.data.dirty_pages {
+        for i in 0..self.data.dirty_pages.len() {
+            let p = self.data.dirty_pages[i];
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.twin.is_some());
             page.writable = false;

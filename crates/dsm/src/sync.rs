@@ -92,7 +92,7 @@ impl DsmNode {
         let node = self.node();
         self.race_sync(SyncEdge::BarrierArrive);
         let msg = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             st.close_interval();
             let records = st.con.intervals.records_unknown_to(&st.exec.master_known);
             DsmMsg::BarrierArrive {
@@ -109,7 +109,7 @@ impl DsmNode {
             other => Step::Other(other),
         })?;
         let cost = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             let c = st.apply_records(records, &vc);
             st.exec.master_known = vc;
             c
@@ -132,7 +132,7 @@ impl DsmNode {
     pub fn lock(&self, l: u32) -> Result<(), Stopped> {
         let node = self.node();
         let local = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             assert!(!st.sync.lock_held.contains(&l), "recursive lock acquire");
             if st.sync.lock_token.contains(&l) {
                 // We were the last holder: re-acquire locally, no traffic,
@@ -150,7 +150,7 @@ impl DsmNode {
             return Ok(());
         }
         let msg = {
-            let st = self.st.lock();
+            let st = self.ctx.state();
             DsmMsg::LockAcquire {
                 lock: l,
                 from: node,
@@ -169,7 +169,7 @@ impl DsmNode {
             other => Step::Other(other),
         })?;
         let cost = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             let c = st.apply_records(records, &vc);
             st.sync.lock_held.insert(l);
             st.sync.lock_token.insert(l);
@@ -188,7 +188,7 @@ impl DsmNode {
         // lock anywhere else.
         self.race_sync(SyncEdge::LockRelease { lock: l });
         let grant = {
-            let mut st = self.st.lock();
+            let mut st = self.ctx.state();
             assert!(st.sync.lock_held.remove(&l), "releasing a lock we do not hold");
             st.close_interval();
             match st.sync.lock_pending.get_mut(&l).and_then(|q| q.pop_front()) {

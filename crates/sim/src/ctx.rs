@@ -1,7 +1,7 @@
 //! The process side: what a process is and holds, and what it hands the
 //! coordinator when it switches back.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -110,21 +110,33 @@ impl<M> Default for Lent<M> {
     }
 }
 
+/// The state of a process's scheduling group, lent to whichever of the
+/// group's processes runs (`None` for a group that was given none).
+pub(crate) type GroupState<S> = Option<Box<S>>;
+
+/// Borrow the state lent in `cell`: the one way a process reaches it.
+pub(crate) fn borrow_state<S>(cell: &RefCell<GroupState<S>>) -> RefMut<'_, S> {
+    RefMut::map(cell.borrow_mut(), |s| {
+        &mut **s.as_mut().expect("this process's group has no state")
+    })
+}
+
 /// What the coordinator hands a coroutine process it switches to.
-pub(crate) enum Down<M> {
+pub(crate) enum Down<M, S> {
     /// Continue at virtual time `at`. (A receive that finds its mailbox
     /// still empty has timed out: nothing else resumes it without a message.)
-    Go { at: SimTime, lent: Lent<M> },
-    /// The run is over: the pending blocking call returns `Stopped`.
-    Stop,
+    Go { at: SimTime, lent: Lent<M>, state: GroupState<S> },
+    /// The run is over: the pending blocking call returns `Stopped`. The
+    /// group's state comes along, for what the process does on its way out.
+    Stop { state: GroupState<S> },
 }
 
 /// What a coroutine process hands the coordinator when it switches back.
-pub(crate) enum Up<M> {
+pub(crate) enum Up<M, S> {
     /// It waits, from virtual time `at`.
-    Wait { at: SimTime, wait: Wait, lent: Lent<M> },
+    Wait { at: SimTime, wait: Wait, lent: Lent<M>, state: GroupState<S> },
     /// Its function returned, or unwound if `panicked`.
-    Exit { panicked: bool, lent: Lent<M> },
+    Exit { panicked: bool, lent: Lent<M>, state: GroupState<S> },
 }
 
 /// What a coroutine process waits for.
@@ -136,7 +148,7 @@ pub(crate) enum Wait {
 }
 
 /// The stack a coroutine process runs on.
-pub(crate) type Process<M> = Coroutine<Down<M>, Up<M>>;
+pub(crate) type Process<M, S> = Coroutine<Down<M, S>, Up<M, S>>;
 
 /// Handle through which a simulated process observes and affects virtual
 /// time. One `Ctx` exists per process and is not shareable.
@@ -144,38 +156,46 @@ pub(crate) type Process<M> = Coroutine<Down<M>, Up<M>>;
 /// # Yield discipline
 ///
 /// `charge` and `send` never yield to the engine; `recv`, `recv_timeout`,
-/// `try_recv` and `sleep` do. **Never hold a lock shared with another
-/// simulated process across a yielding call** — every process of a
-/// simulation runs on the one thread that called `Sim::run`, so the other
-/// process would wait at OS level for a lock its own thread holds, and the
-/// simulation would hang.
+/// `try_recv` and `sleep` do. `S` is the state of the process's scheduling
+/// group ([`Sim::set_state`](crate::Sim::set_state)), reached through
+/// [`state`](Ctx::state): the coordinator lends it with every resume and
+/// takes it back at every yield, as another process of the group may run
+/// before this one resumes. **Drop the borrow before a yielding call:**
+/// one still live there panics, and the run ends in
+/// [`SimError::ProcessPanicked`](crate::SimError::ProcessPanicked) under
+/// this process's name.
 ///
 /// A blocking call made while the process is unwinding from a panic (from
 /// a destructor) returns [`Stopped`] at once: the run is failing, and the
 /// panic bookkeeping of the one thread cannot follow a switch to another
 /// process.
-pub struct Ctx<M: Send + 'static> {
+pub struct Ctx<M: Send + 'static, S: Send + 'static = ()> {
     pid: Pid,
     /// The stack this process runs on: what it suspends through.
-    me: Arc<Process<M>>,
+    me: Arc<Process<M, S>>,
     clock: LocalClock,
     lent: RefCell<Lent<M>>,
+    /// Its group's state, in a cell of its own: code that holds it sends.
+    state: RefCell<GroupState<S>>,
     /// Told `Stop`: every later blocking call returns `Stopped` at once.
     stopped: Cell<bool>,
     /// Where `drop` leaves what the process holds, for its exit to hand
     /// back: the function it was given to may end before the process does.
-    left: Arc<Mutex<Option<Lent<M>>>>,
+    left: Arc<Mutex<Option<Held<M, S>>>>,
 }
 
-impl<M: Send + 'static> Ctx<M> {
+/// What a running process holds of the simulation's.
+type Held<M, S> = (Lent<M>, GroupState<S>);
+
+impl<M: Send + 'static, S: Send + 'static> Ctx<M, S> {
     /// A coroutine process's whole life, on its own stack: take the first
     /// resume — a `Go` runs `f` under `catch_unwind`, a `Stop` only drops
     /// it — and return the exit. Everything it owns is dropped by the time
     /// it returns, as it must be: the frame that called it is abandoned,
     /// never unwound.
-    pub(crate) fn main<F>(pid: Pid, me: Arc<Process<M>>, first: Down<M>, f: F) -> Up<M>
+    pub(crate) fn main<F>(pid: Pid, me: Arc<Process<M, S>>, first: Down<M, S>, f: F) -> Up<M, S>
     where
-        F: FnOnce(Ctx<M>) -> Result<(), Stopped>,
+        F: FnOnce(Ctx<M, S>) -> Result<(), Stopped>,
     {
         let left = Arc::new(Mutex::new(None));
         let ctx = Ctx {
@@ -183,6 +203,7 @@ impl<M: Send + 'static> Ctx<M> {
             me,
             clock: LocalClock::new(SimTime::ZERO),
             lent: RefCell::default(),
+            state: RefCell::new(None),
             stopped: Cell::new(false),
             left: Arc::clone(&left),
         };
@@ -192,20 +213,23 @@ impl<M: Send + 'static> Ctx<M> {
             }
         }))
         .is_err();
-        let lent = left.lock().unwrap_or_else(PoisonError::into_inner).take();
-        Up::Exit { panicked, lent: lent.unwrap_or_default() }
+        let (lent, state) =
+            left.lock().unwrap_or_else(PoisonError::into_inner).take().unwrap_or_default();
+        Up::Exit { panicked, lent, state }
     }
 
     /// Switched to: adopt the resume's virtual time and what it lends, or
     /// learn that the run is over.
-    fn adopt(&self, resume: Down<M>) -> Result<(), Stopped> {
+    fn adopt(&self, resume: Down<M, S>) -> Result<(), Stopped> {
         match resume {
-            Down::Go { at, lent } => {
+            Down::Go { at, lent, state } => {
                 self.clock.set(at);
                 *self.lent.borrow_mut() = lent;
+                *self.state.borrow_mut() = state;
                 Ok(())
             }
-            Down::Stop => {
+            Down::Stop { state } => {
+                *self.state.borrow_mut() = state;
                 self.stopped.set(true);
                 Err(Stopped)
             }
@@ -216,6 +240,14 @@ impl<M: Send + 'static> Ctx<M> {
     #[inline]
     pub fn pid(&self) -> Pid {
         self.pid
+    }
+
+    /// Its group's state, borrowed until the returned guard drops (see the
+    /// yield discipline above). Panics if the group was given none, or if
+    /// the state is borrowed already.
+    #[inline]
+    pub fn state(&self) -> RefMut<'_, S> {
+        borrow_state(&self.state)
     }
 
     /// Current virtual time as seen by this process, including compute time
@@ -295,22 +327,28 @@ impl<M: Send + 'static> Ctx<M> {
         if self.stopped.get() || std::thread::panicking() {
             return Err(Stopped);
         }
+        let state = self
+            .state
+            .try_borrow_mut()
+            .map(|mut state| state.take())
+            .expect("a process holds its group's state across a yielding call");
         let at = self.clock.flush();
         let lent = self.lent.take();
-        self.adopt(self.me.suspend(Up::Wait { at, wait, lent }))
+        self.adopt(self.me.suspend(Up::Wait { at, wait, lent, state }))
     }
 }
 
-impl<M: Send + 'static> Drop for Ctx<M> {
+impl<M: Send + 'static, S: Send + 'static> Drop for Ctx<M, S> {
     fn drop(&mut self) {
-        *self.left.lock().unwrap_or_else(PoisonError::into_inner) = Some(self.lent.take());
+        let held = (self.lent.take(), self.state.get_mut().take());
+        *self.left.lock().unwrap_or_else(PoisonError::into_inner) = Some(held);
     }
 }
 
 /// Every primitive forwards to the inherent method of the same name, so a
 /// process's own context serves wherever a [`SendCtx`] is asked for (the
 /// network layer's `Nic`).
-impl<M: Send + 'static> SendCtx<M> for Ctx<M> {
+impl<M: Send + 'static, S: Send + 'static> SendCtx<M> for Ctx<M, S> {
     fn pid(&self) -> Pid {
         Ctx::pid(self)
     }

@@ -1,22 +1,5 @@
-//! The discrete-event kernel.
-//!
-//! A simulated process is either a stackful coroutine (`crate::coro`: a
-//! stack of its own, no thread) that cooperates with the engine, or a
-//! [`Reactor`] — a daemon without even a stack, whose callbacks run to
-//! completion on the coordinator's stack (see [`crate::reactor`]). The
-//! whole simulation runs on the one OS thread that called [`Sim::run`].
-//! Coroutine processes interact with the kernel only through
-//! [`Ctx`](crate::Ctx) — charging compute time, sending messages with an
-//! explicit delivery time (computed by the network layer), and blocking
-//! receives. `send` never yields; `recv`/`sleep` do. Local computation
-//! between yields is free in wall-clock terms (no context switch) and is
-//! folded into the process clock at the next yield point.
-//!
-//! The engine applies events in ascending `(time, src_group, seq)` order,
-//! so each run is bit-for-bit deterministic — a property the reproduced
-//! paper *relies on* (replicated sequential execution assumes deterministic
-//! sequential sections) and which makes every experiment in this repository
-//! reproducible.
+//! The discrete-event kernel: what a process is lent, in what order events
+//! pop, and when a run ends. (The crate docs say what a process is.)
 //!
 //! # Event order
 //!
@@ -46,12 +29,13 @@
 //! * events that resume nobody (deliveries to a process that is busy or
 //!   whose receive checkpoint is still ahead) are applied inline;
 //! * an event that resumes a reactor runs the reactor's callback on the
-//!   coordinator's stack until it waits again;
+//!   coordinator's stack until it waits again, lent its group's state on
+//!   that stack;
 //! * an event that resumes a coroutine process switches to it with a `Go`
-//!   that lends it its mailbox and the run's send buffer. It runs until it
-//!   switches back with what it did — it waits (`Wait`) or it is done
-//!   (`Exit`), handing both back — and the coordinator queues its sends,
-//!   begins its wait and pops on.
+//!   that lends it its mailbox, the run's send buffer and its group's
+//!   state. It runs until it switches back with what it did — it waits
+//!   (`Wait`) or it is done (`Exit`), handing all three back — and the
+//!   coordinator queues its sends, begins its wait and pops on.
 //!
 //! A running process touches no kernel state, and nothing else of the
 //! simulation runs between its `Go` and its switch back, so each of its
@@ -74,7 +58,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::coro::Coroutine;
-use crate::ctx::{Ctx, Down, Envelope, Lent, Pid, Process, Sends, Up, Wait};
+use crate::ctx::{Ctx, Down, Envelope, GroupState, Lent, Pid, Process, Sends, Up, Wait};
 use crate::error::{SimError, Stopped};
 use crate::reactor::{Cause, Reactor, ReactorCtx};
 use crate::time::{Dur, SimTime};
@@ -109,22 +93,22 @@ pub(crate) enum Status {
 }
 
 /// Who executes a process when an event resumes it.
-pub(crate) enum Exec<M> {
+pub(crate) enum Exec<M, S> {
     /// Its own stack, suspended while the process waits.
-    Coroutine(Arc<Process<M>>),
+    Coroutine(Arc<Process<M, S>>),
     /// The coordinator's stack. `None` while the reactor runs (and for good
     /// once it has panicked).
-    Reactor(Option<Box<dyn Reactor<M>>>),
+    Reactor(Option<Box<dyn Reactor<M, S>>>),
 }
 
-pub(crate) struct ProcSlot<M> {
+pub(crate) struct ProcSlot<M, S> {
     pub name: String,
     pub daemon: bool,
     pub status: Status,
     pub clock: SimTime,
     /// Empty while a coroutine process runs: it holds its mailbox then.
     pub mailbox: VecDeque<Envelope<M>>,
-    pub exec: Exec<M>,
+    pub exec: Exec<M, S>,
 }
 
 /// Host-execution counters for one run (see the module docs). These
@@ -148,7 +132,7 @@ pub struct ExecCounters {
     pub inline_events: u64,
 }
 
-pub(crate) struct Kernel<M> {
+pub(crate) struct Kernel<M, S> {
     /// The pending events: keys in a min-heap, payloads in a slab — ordering
     /// moves 32-byte entries, and a push allocates nothing at the run's peak.
     heap: BinaryHeap<Reverse<(EvKey, u32)>>,
@@ -161,12 +145,15 @@ pub(crate) struct Kernel<M> {
     /// pid → group index. Each process starts in its own group;
     /// [`Sim::assign_group`] merges the processes of one simulated node.
     group_of: Vec<usize>,
-    pub procs: Vec<ProcSlot<M>>,
+    pub procs: Vec<ProcSlot<M, S>>,
     /// Per-source-group event sequence counters (index = group id at push
     /// time; sized where groups are registered). Each group's pushes are
     /// serialized by its own execution, so the counters depend on nothing
     /// but that execution.
     seqs: Vec<u64>,
+    /// Per-group state ([`Sim::set_state`]), by group index: here while
+    /// none of the group's processes runs, lent to the one that does.
+    states: Vec<GroupState<S>>,
     /// The run's one send buffer, lent to whichever process runs and
     /// queued — in the order the sends were made — when it is back.
     sends: Sends<M>,
@@ -192,7 +179,7 @@ pub(crate) struct Kernel<M> {
     exec: ExecCounters,
 }
 
-impl<M: 'static> Kernel<M> {
+impl<M: Send + 'static, S: Send + 'static> Kernel<M, S> {
     /// Draw the key of an event pushed by process `src` for `time`: from
     /// `src`'s group and that group's sequence counter.
     fn next_key(&mut self, src: Pid, time: SimTime) -> EvKey {
@@ -361,17 +348,31 @@ impl<M: 'static> Kernel<M> {
         None
     }
 
+    /// The state of `pid`'s group, lent for as long as `pid` runs.
+    fn lend_state(&mut self, pid: Pid) -> GroupState<S> {
+        self.states.get_mut(self.group_of[pid]).and_then(Option::take)
+    }
+
+    /// `pid` is done running: its group's state is back.
+    fn return_state(&mut self, pid: Pid, state: GroupState<S>) {
+        if state.is_some() {
+            self.states[self.group_of[pid]] = state;
+        }
+    }
+
     /// Switch to coroutine process `pid`, resumed at `at`, lending it its
-    /// mailbox and the send buffer, and take back what it did when it
-    /// switches back: its wait is begun, or `Some(panicked)` says it exited.
+    /// mailbox, the send buffer and its group's state, and take back what
+    /// it did when it switches back: its wait is begun, or `Some(panicked)`
+    /// says it exited.
     fn run_coroutine(&mut self, pid: Pid, at: SimTime) -> Option<bool> {
         self.exec.handoff_switches += 1;
+        let state = self.lend_state(pid);
         let slot = &mut self.procs[pid];
         let lent = Lent { mailbox: take(&mut slot.mailbox), sends: take(&mut self.sends) };
         let Exec::Coroutine(process) = &slot.exec else { unreachable!("a reactor has no stack") };
-        match process.resume(Down::Go { at, lent }) {
-            Up::Wait { at, wait, lent } => {
-                self.take_back(pid, lent);
+        match process.resume(Down::Go { at, lent, state }) {
+            Up::Wait { at, wait, lent, state } => {
+                self.take_back(pid, lent, state);
                 self.procs[pid].clock = at;
                 match wait {
                     Wait::Sleep { until } => {
@@ -382,30 +383,32 @@ impl<M: 'static> Kernel<M> {
                 }
                 None
             }
-            Up::Exit { panicked, lent } => {
-                self.take_back(pid, lent);
+            Up::Exit { panicked, lent, state } => {
+                self.take_back(pid, lent, state);
                 self.procs[pid].status = Status::Exited;
                 Some(panicked)
             }
         }
     }
 
-    /// What process `pid` was lent comes back: its sends are queued and
-    /// its mailbox is returned to its slot.
-    fn take_back(&mut self, pid: Pid, lent: Lent<M>) {
+    /// What process `pid` was lent comes back: its sends are queued, its
+    /// mailbox is returned to its slot and its group's state to the table.
+    fn take_back(&mut self, pid: Pid, lent: Lent<M>, state: GroupState<S>) {
         let Lent { mailbox, mut sends } = lent;
         self.queue_sends(pid, &mut sends);
         self.sends = sends;
         self.procs[pid].mailbox = mailbox;
+        self.return_state(pid, state);
     }
 
     /// Run reactor `pid`, resumed at `at` from status `from`, until it has
     /// to wait: the daemon loop `loop { recv…; handle }` from one block to
-    /// the next. Its sends are queued after each callback. A panic in a
-    /// callback is contained here and fails the run under the reactor's
-    /// own pid.
+    /// the next. Its sends are queued after each callback; its group's
+    /// state is lent on this stack meanwhile. A panic in a callback is
+    /// contained here and fails the run under the reactor's own pid.
     fn run_reactor(&mut self, pid: Pid, at: SimTime, from: Status) -> Result<(), SimError> {
         self.exec.reactor_runs += 1;
+        let state = RefCell::new(self.lend_state(pid));
         let slot = &mut self.procs[pid];
         let Exec::Reactor(parked) = &mut slot.exec else { unreachable!("not a reactor") };
         let mut reactor = parked.take().expect("a running reactor was resumed");
@@ -416,7 +419,7 @@ impl<M: 'static> Kernel<M> {
             _ => slot.mailbox.pop_front().map_or(Cause::Timeout, Cause::Msg),
         };
         let sends = RefCell::new(take(&mut self.sends));
-        let ctx = ReactorCtx::new(pid, at, &sends);
+        let ctx = ReactorCtx::new(pid, at, &sends, &state);
         let ran = catch_unwind(AssertUnwindSafe(|| loop {
             match cause {
                 Cause::Start => {}
@@ -424,7 +427,7 @@ impl<M: 'static> Kernel<M> {
                 Cause::Timeout => reactor.on_timeout(&ctx),
             }
             let at = ctx.clock.flush();
-            let deadline = reactor.wait().map(|d| at + d);
+            let deadline = reactor.wait(&ctx).map(|d| at + d);
             self.queue_sends(pid, &mut *sends.borrow_mut());
             // The receive fast path: a message already queued (delivered
             // while the reactor was busy) is taken without an event.
@@ -438,6 +441,7 @@ impl<M: 'static> Kernel<M> {
             }
         }));
         self.sends = sends.into_inner();
+        self.return_state(pid, state.into_inner());
         let slot = &mut self.procs[pid];
         match ran {
             Ok(()) => {
@@ -449,6 +453,104 @@ impl<M: 'static> Kernel<M> {
                 Err(SimError::ProcessPanicked { pid, name: slot.name.clone() })
             }
         }
+    }
+
+    /// [`Sim::run`].
+    fn run(&mut self) -> Result<SimReport, SimError> {
+        let n_primary =
+            self.procs.iter().filter(|p| !p.daemon && p.status != Status::Exited).count();
+        if n_primary == 0 {
+            return Err(SimError::NoPrimaryProcesses);
+        }
+        let result = self.event_loop(n_primary);
+        debug_assert!(self.timers_are_live(), "a timer outlived its wait");
+
+        // Stop remaining processes (daemons, or everyone on error).
+        let stop_err = self.stop_remaining();
+        result?;
+        if let Some(e) = stop_err {
+            return Err(e);
+        }
+
+        Ok(SimReport {
+            end_time: self.front.0,
+            proc_clocks: self.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),
+            events_processed: self.events_processed,
+            trace: self.trace.take(),
+            mailbox_backlog: self
+                .procs
+                .iter()
+                .filter(|p| !p.mailbox.is_empty())
+                .map(|p| (p.name.clone(), p.mailbox.len()))
+                .collect(),
+            exec: self.exec,
+        })
+    }
+
+    /// The coordinator: pop until an event resumes a process, run it until
+    /// it waits or exits, and pop on — the one loop that drives the kernel.
+    /// Ends when nothing runnable is left, or when a process panics.
+    fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
+        let mut live_primary = n_primary;
+        while let Some((pid, at, from)) = self.drain() {
+            if let Exec::Reactor(_) = self.procs[pid].exec {
+                self.run_reactor(pid, at, from)?;
+                continue;
+            }
+            if let Some(panicked) = self.run_coroutine(pid, at) {
+                let slot = &self.procs[pid];
+                if panicked {
+                    return Err(SimError::ProcessPanicked { pid, name: slot.name.clone() });
+                }
+                live_primary -= usize::from(!slot.daemon);
+                self.tail = live_primary == 0;
+            }
+        }
+        if live_primary == 0 {
+            return Ok(());
+        }
+        // No events left but primaries are still blocked: they wait for
+        // messages that will never arrive.
+        let blocked = self
+            .procs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.status != Status::Exited && !p.daemon)
+            .map(|(i, p)| (i, format!("{} ({:?})", p.name, p.status)))
+            .collect();
+        Err(SimError::Deadlock { blocked })
+    }
+
+    /// Run every coroutine process that has not exited to its end: resume
+    /// it with `Stop`, lending it its group's state for the way out. One
+    /// suspended in a blocking call gets `Stopped` there, one not yet
+    /// started drops its function unrun, and a blocking call on the way
+    /// out returns `Stopped` without a switch, so each comes straight back
+    /// with its exit. Reactors never run again: nobody pops. After this no
+    /// frame is left on any stack. Returns the first process that panicked
+    /// on its way out, if any did.
+    fn stop_remaining(&mut self) -> Option<SimError> {
+        let mut err = None;
+        for pid in 0..self.procs.len() {
+            let slot = &self.procs[pid];
+            if slot.status == Status::Exited || matches!(slot.exec, Exec::Reactor(_)) {
+                continue;
+            }
+            let state = self.lend_state(pid);
+            let slot = &mut self.procs[pid];
+            slot.status = Status::Exited;
+            let Exec::Coroutine(process) = &slot.exec else { unreachable!("skipped above") };
+            match process.resume(Down::Stop { state }) {
+                Up::Exit { panicked, state, .. } => {
+                    if panicked && err.is_none() {
+                        err = Some(SimError::ProcessPanicked { pid, name: slot.name.clone() });
+                    }
+                    self.return_state(pid, state);
+                }
+                Up::Wait { .. } => unreachable!("a stopped process blocks without a switch"),
+            }
+        }
+        err
     }
 }
 
@@ -475,7 +577,9 @@ pub struct SimReport {
 
 /// A simulation under construction and its runner.
 ///
-/// `M` is the message payload type exchanged between processes.
+/// `M` is the message payload type exchanged between processes; `S`, the
+/// state a scheduling group may be given ([`Sim::set_state`]) and its
+/// processes are lent while they run (none by default).
 ///
 /// ```
 /// use repseq_sim::{Sim, Dur};
@@ -495,21 +599,23 @@ pub struct SimReport {
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time.nanos(), 10_000);
 /// ```
-pub struct Sim<M: Send + 'static> {
-    kernel: Kernel<M>,
+pub struct Sim<M: Send + 'static, S: Send + 'static = ()> {
+    /// In a cell so that [`Sim::run`] borrows the simulation instead of
+    /// consuming it: the group states outlive the run, however it ends.
+    kernel: RefCell<Kernel<M, S>>,
 }
 
-impl<M: Send + 'static> Default for Sim<M> {
+impl<M: Send + 'static, S: Send + 'static> Default for Sim<M, S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Send + 'static> Sim<M> {
+impl<M: Send + 'static, S: Send + 'static> Sim<M, S> {
     /// Create an empty simulation.
     pub fn new() -> Self {
         Sim {
-            kernel: Kernel {
+            kernel: RefCell::new(Kernel {
                 heap: BinaryHeap::new(),
                 slab: Vec::new(),
                 free: Vec::new(),
@@ -517,6 +623,7 @@ impl<M: Send + 'static> Sim<M> {
                 group_of: Vec::new(),
                 procs: Vec::new(),
                 seqs: Vec::new(),
+                states: Vec::new(),
                 sends: Vec::new(),
                 trace: None,
                 events_processed: 0,
@@ -526,13 +633,13 @@ impl<M: Send + 'static> Sim<M> {
                 cur_horizon: SimTime::ZERO,
                 tail: false,
                 exec: ExecCounters::default(),
-            },
+            }),
         }
     }
 
     /// Record an event trace in the report (used by determinism tests).
     pub fn record_trace(&mut self, on: bool) {
-        self.kernel.trace = on.then(Vec::new);
+        self.kernel.get_mut().trace = on.then(Vec::new);
     }
 
     /// Declare a lower bound on the virtual latency of any message between
@@ -541,7 +648,7 @@ impl<M: Send + 'static> Sim<M> {
     /// drained after the last primary process exits (see the module docs);
     /// zero (the default) stops the run at the exit event.
     pub fn set_lookahead(&mut self, lookahead: Dur) {
-        self.kernel.lookahead = lookahead;
+        self.kernel.get_mut().lookahead = lookahead;
     }
 
     /// Put `pid` into scheduling group `group`. Processes of one simulated
@@ -550,7 +657,7 @@ impl<M: Send + 'static> Sim<M> {
     /// traffic is bounded below by the lookahead. Same-instant events
     /// break ties by the *pushing* process's group.
     pub fn assign_group(&mut self, pid: Pid, group: usize) {
-        let k = &mut self.kernel;
+        let k = self.kernel.get_mut();
         k.group_of[pid] = group;
         if k.seqs.len() <= group {
             k.seqs.resize(group + 1, 0);
@@ -558,12 +665,32 @@ impl<M: Send + 'static> Sim<M> {
         k.grouped = true;
     }
 
+    /// Give scheduling group `group` its state, lent to whichever of the
+    /// group's processes runs — a coroutine process from its resume to its
+    /// next yield ([`Ctx::state`]), a reactor for its callback
+    /// ([`ReactorCtx::state`]) — and to no other process.
+    pub fn set_state(&mut self, group: usize, state: S) {
+        let states = &mut self.kernel.get_mut().states;
+        if states.len() <= group {
+            states.resize_with(group + 1, || None);
+        }
+        states[group] = Some(Box::new(state));
+    }
+
+    /// The states given with [`Sim::set_state`], in group order, as the
+    /// run left them: every process has ended, however the run did.
+    pub fn into_states(mut self) -> Vec<S> {
+        let k = self.kernel.get_mut();
+        k.stop_remaining();
+        take(&mut k.states).into_iter().flatten().map(|state| *state).collect()
+    }
+
     /// Spawn a primary process. The simulation ends when every primary
     /// process has exited (after the lookahead window the last exit fell
     /// into is finished — see the module docs).
     pub fn spawn<F>(&mut self, name: &str, f: F) -> Pid
     where
-        F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
+        F: FnOnce(Ctx<M, S>) -> Result<(), Stopped> + Send + 'static,
     {
         self.spawn_inner(name, false, f)
     }
@@ -573,7 +700,7 @@ impl<M: Send + 'static> Sim<M> {
     /// blocking call returns [`Stopped`].
     pub fn spawn_daemon<F>(&mut self, name: &str, f: F) -> Pid
     where
-        F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
+        F: FnOnce(Ctx<M, S>) -> Result<(), Stopped> + Send + 'static,
     {
         self.spawn_inner(name, true, f)
     }
@@ -584,13 +711,13 @@ impl<M: Send + 'static> Sim<M> {
     /// In virtual time it is indistinguishable from a
     /// [`spawn_daemon`](Sim::spawn_daemon) loop of `recv`/`recv_timeout`:
     /// same events, same keys, same trace.
-    pub fn spawn_reactor(&mut self, name: &str, reactor: impl Reactor<M>) -> Pid {
+    pub fn spawn_reactor(&mut self, name: &str, reactor: impl Reactor<M, S>) -> Pid {
         self.add_proc(name, true, Exec::Reactor(Some(Box::new(reactor))))
     }
 
     /// Register a process slot and its initial wake.
-    fn add_proc(&mut self, name: &str, daemon: bool, exec: Exec<M>) -> Pid {
-        let k = &mut self.kernel;
+    fn add_proc(&mut self, name: &str, daemon: bool, exec: Exec<M, S>) -> Pid {
+        let k = self.kernel.get_mut();
         let pid = k.procs.len();
         k.procs.push(ProcSlot {
             name: name.to_string(),
@@ -611,9 +738,9 @@ impl<M: Send + 'static> Sim<M> {
 
     fn spawn_inner<F>(&mut self, name: &str, daemon: bool, f: F) -> Pid
     where
-        F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
+        F: FnOnce(Ctx<M, S>) -> Result<(), Stopped> + Send + 'static,
     {
-        let pid = self.kernel.procs.len();
+        let pid = self.kernel.get_mut().procs.len();
         // The body runs when the coroutine is first resumed: by a `Go`,
         // which starts the process, or by a `Stop` (the run ended, or the
         // `Sim` was dropped, before it ever ran), which only drops `f`.
@@ -621,106 +748,18 @@ impl<M: Send + 'static> Sim<M> {
         self.add_proc(name, daemon, Exec::Coroutine(process))
     }
 
-    /// Run the simulation to completion, on the calling thread.
-    pub fn run(mut self) -> Result<SimReport, SimError> {
-        let n_primary = self.kernel.procs.iter().filter(|p| !p.daemon).count();
-        if n_primary == 0 {
-            return Err(SimError::NoPrimaryProcesses);
-        }
-        let result = self.event_loop(n_primary);
-        debug_assert!(self.kernel.timers_are_live(), "a timer outlived its wait");
-
-        // Stop remaining processes (daemons, or everyone on error).
-        let stop_err = self.stop_remaining();
-        result?;
-        if let Some(e) = stop_err {
-            return Err(e);
-        }
-
-        let k = &mut self.kernel;
-        Ok(SimReport {
-            end_time: k.front.0,
-            proc_clocks: k.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),
-            events_processed: k.events_processed,
-            trace: k.trace.take(),
-            mailbox_backlog: k
-                .procs
-                .iter()
-                .filter(|p| !p.mailbox.is_empty())
-                .map(|p| (p.name.clone(), p.mailbox.len()))
-                .collect(),
-            exec: k.exec,
-        })
-    }
-
-    /// The coordinator: pop until an event resumes a process, run it until
-    /// it waits or exits, and pop on — the one loop that drives the kernel.
-    /// Ends when nothing runnable is left, or when a process panics.
-    fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
-        let k = &mut self.kernel;
-        let mut live_primary = n_primary;
-        while let Some((pid, at, from)) = k.drain() {
-            if let Exec::Reactor(_) = k.procs[pid].exec {
-                k.run_reactor(pid, at, from)?;
-                continue;
-            }
-            if let Some(panicked) = k.run_coroutine(pid, at) {
-                let slot = &k.procs[pid];
-                if panicked {
-                    return Err(SimError::ProcessPanicked { pid, name: slot.name.clone() });
-                }
-                live_primary -= usize::from(!slot.daemon);
-                k.tail = live_primary == 0;
-            }
-        }
-        if live_primary == 0 {
-            return Ok(());
-        }
-        // No events left but primaries are still blocked: they wait for
-        // messages that will never arrive.
-        let blocked = k
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.status != Status::Exited && !p.daemon)
-            .map(|(i, p)| (i, format!("{} ({:?})", p.name, p.status)))
-            .collect();
-        Err(SimError::Deadlock { blocked })
-    }
-
-    /// Run every coroutine process that has not exited to its end: resume
-    /// it with `Stop`, one after the other. Each is suspended in a blocking
-    /// call, which returns `Stopped`, or not yet started, in which case the
-    /// process function is dropped unrun; a stopped process that blocks
-    /// again on its way out gets `Stopped` without a switch, so each comes
-    /// straight back with its exit. Reactors have nothing to stop: nobody
-    /// pops any more, so they never run again. After this no frame is left
-    /// on any stack, and dropping the kernel unmaps them. Returns the first
-    /// process that panicked on its way out, if any did.
-    fn stop_remaining(&mut self) -> Option<SimError> {
-        let mut err = None;
-        for (pid, slot) in self.kernel.procs.iter_mut().enumerate() {
-            let Exec::Coroutine(process) = &slot.exec else { continue };
-            if slot.status == Status::Exited {
-                continue;
-            }
-            slot.status = Status::Exited;
-            match process.resume(Down::Stop) {
-                Up::Exit { panicked: true, .. } if err.is_none() => {
-                    err = Some(SimError::ProcessPanicked { pid, name: slot.name.clone() });
-                }
-                Up::Exit { .. } => {}
-                Up::Wait { .. } => unreachable!("a stopped process blocks without a switch"),
-            }
-        }
-        err
+    /// Run the simulation to completion, on the calling thread. It runs
+    /// once: a second call finds no primary process left to run.
+    pub fn run(&self) -> Result<SimReport, SimError> {
+        self.kernel.borrow_mut().run()
     }
 }
 
-impl<M: Send + 'static> Drop for Sim<M> {
+impl<M: Send + 'static, S: Send + 'static> Drop for Sim<M, S> {
     /// Run any process still alive to its end (covers simulations that are
-    /// dropped without being run; after `run` this is a no-op).
+    /// dropped without being run; after `run` this is a no-op). The group
+    /// states go after that, with the kernel.
     fn drop(&mut self) {
-        let _ = self.stop_remaining();
+        let _ = self.kernel.get_mut().stop_remaining();
     }
 }

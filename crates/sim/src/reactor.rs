@@ -24,9 +24,9 @@
 //! `mailbox_backlog` are bit-identical; only the host-side
 //! [`ExecCounters`](crate::ExecCounters) differ.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 
-use crate::ctx::{Envelope, LocalClock, Pid, SendCtx, Sends};
+use crate::ctx::{borrow_state, Envelope, GroupState, LocalClock, Pid, SendCtx, Sends};
 use crate::time::{Dur, SimTime};
 
 /// A daemon process without a stack (see the module docs), registered
@@ -39,11 +39,11 @@ use crate::time::{Dur, SimTime};
 /// the reactor's own pid and name.
 ///
 /// ```
-/// use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, Sim};
+/// use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx, Sim};
 ///
 /// struct Echo;
 /// impl Reactor<u32> for Echo {
-///     fn wait(&mut self) -> Option<Dur> {
+///     fn wait(&mut self, _ctx: &ReactorCtx<'_, u32>) -> Option<Dur> {
 ///         None
 ///     }
 ///     fn on_msg(&mut self, ctx: &ReactorCtx<'_, u32>, env: Envelope<u32>) {
@@ -74,77 +74,87 @@ use crate::time::{Dur, SimTime};
 ///     let _ = ctx.recv(); // no such method
 /// }
 /// ```
-pub trait Reactor<M>: Send + 'static {
+///
+/// A callback has its group's state `S` for the length of the call and no
+/// longer: a borrow kept past it does not compile.
+///
+/// ```compile_fail
+/// # use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx};
+/// struct Hoard(Option<&'static mut Vec<u32>>);
+/// impl Reactor<u32, Vec<u32>> for Hoard {
+///     fn on_msg(&mut self, ctx: &ReactorCtx<'_, u32, Vec<u32>>, _env: Envelope<u32>) {
+///         self.0 = Some(&mut *ctx.state()); // would outlive the call
+///     }
+///     fn wait(&mut self, _: &ReactorCtx<'_, u32, Vec<u32>>) -> Option<Dur> { None }
+///     fn on_timeout(&mut self, _: &ReactorCtx<'_, u32, Vec<u32>>) {}
+/// }
+/// ```
+pub trait Reactor<M, S = ()>: Send + 'static {
     /// How long the next wait may last: `None` waits for a message
     /// indefinitely (`recv`), `Some(d)` gives up after `d` of virtual time
     /// (`recv_timeout(d)`) and calls [`on_timeout`](Reactor::on_timeout).
-    /// Asked once per wait, after each callback and at startup.
-    fn wait(&mut self) -> Option<Dur>;
+    /// Asked once per wait, after each callback and at startup, with the
+    /// group's state still lent.
+    fn wait(&mut self, ctx: &ReactorCtx<'_, M, S>) -> Option<Dur>;
 
     /// A message arrived.
-    fn on_msg(&mut self, ctx: &ReactorCtx<'_, M>, env: Envelope<M>);
+    fn on_msg(&mut self, ctx: &ReactorCtx<'_, M, S>, env: Envelope<M>);
 
     /// The bounded wait requested by [`wait`](Reactor::wait) expired.
-    fn on_timeout(&mut self, ctx: &ReactorCtx<'_, M>);
+    fn on_timeout(&mut self, ctx: &ReactorCtx<'_, M, S>);
 }
 
 /// What a running reactor can do: the four non-blocking primitives of
-/// [`Ctx`](crate::Ctx), with the same meaning. Exists only for the
-/// duration of one run on the coordinator's stack, lent the run's send
-/// buffer for it.
-pub struct ReactorCtx<'k, M> {
+/// [`Ctx`](crate::Ctx) — as a [`SendCtx`] — and reach its group's state.
+/// Exists only for the duration of one run on the coordinator's stack,
+/// lent the run's send buffer and the group's state for it.
+pub struct ReactorCtx<'k, M, S = ()> {
     pid: Pid,
     pub(crate) clock: LocalClock,
     sends: &'k RefCell<Sends<M>>,
+    state: &'k RefCell<GroupState<S>>,
 }
 
-impl<'k, M> ReactorCtx<'k, M> {
-    pub(crate) fn new(pid: Pid, at: SimTime, sends: &'k RefCell<Sends<M>>) -> Self {
-        ReactorCtx { pid, clock: LocalClock::new(at), sends }
+impl<'k, M, S> ReactorCtx<'k, M, S> {
+    pub(crate) fn new(
+        pid: Pid,
+        at: SimTime,
+        sends: &'k RefCell<Sends<M>>,
+        state: &'k RefCell<GroupState<S>>,
+    ) -> Self {
+        ReactorCtx { pid, clock: LocalClock::new(at), sends, state }
     }
 
-    /// This process's id.
+    /// Its group's state, as [`Ctx::state`](crate::Ctx::state) lends it:
+    /// borrowed until the guard drops, and at most until the callback
+    /// returns.
     #[inline]
-    pub fn pid(&self) -> Pid {
+    pub fn state(&self) -> RefMut<'_, S> {
+        borrow_state(self.state)
+    }
+}
+
+/// A reactor's four primitives. Its `charge` keeps it busy: messages
+/// arriving meanwhile queue in its mailbox.
+impl<M, S> SendCtx<M> for ReactorCtx<'_, M, S> {
+    #[inline]
+    fn pid(&self) -> Pid {
         self.pid
     }
 
-    /// Current virtual time as seen by this process, including compute time
-    /// charged during this run.
     #[inline]
-    pub fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         self.clock.now()
     }
 
-    /// Account for `d` of local computation: the reactor is busy until
-    /// then, and messages arriving meanwhile queue in its mailbox.
     #[inline]
-    pub fn charge(&self, d: Dur) {
+    fn charge(&self, d: Dur) {
         self.clock.charge(d);
     }
 
-    /// Schedule delivery of `msg` to `dst` at `deliver_at` (virtual time).
-    pub fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
+    fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
         let env = Envelope { from: self.pid, at: deliver_at.max(self.now()), msg };
         self.sends.borrow_mut().push((dst, env));
-    }
-}
-
-impl<M> SendCtx<M> for ReactorCtx<'_, M> {
-    fn pid(&self) -> Pid {
-        ReactorCtx::pid(self)
-    }
-
-    fn now(&self) -> SimTime {
-        ReactorCtx::now(self)
-    }
-
-    fn charge(&self, d: Dur) {
-        ReactorCtx::charge(self, d)
-    }
-
-    fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
-        ReactorCtx::send(self, dst, msg, deliver_at)
     }
 }
 

@@ -45,18 +45,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
     /// Span from an earlier instant to this one. Saturates to zero if
     /// `earlier` is in fact later (callers assert where it matters).
     #[inline]
@@ -123,18 +111,6 @@ impl Dur {
     #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    /// The larger of two spans.
-    #[inline]
-    pub fn max(self, other: Dur) -> Dur {
-        Dur(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    #[inline]
-    pub fn min(self, other: Dur) -> Dur {
-        Dur(self.0.min(other.0))
     }
 
     /// Saturating subtraction.

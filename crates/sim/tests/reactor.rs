@@ -71,7 +71,7 @@ impl Server {
 }
 
 impl Reactor<u64> for Server {
-    fn wait(&mut self) -> Option<Dur> {
+    fn wait(&mut self, _ctx: &ReactorCtx<'_, u64>) -> Option<Dur> {
         Server::wait(self)
     }
 
@@ -288,7 +288,7 @@ impl Witness {
 }
 
 impl Reactor<u32> for Witness {
-    fn wait(&mut self) -> Option<Dur> {
+    fn wait(&mut self, _ctx: &ReactorCtx<'_, u32>) -> Option<Dur> {
         self.note("wait");
         None
     }
@@ -359,7 +359,7 @@ impl Drop for CountsDrops {
 }
 
 impl Reactor<u32> for CountsDrops {
-    fn wait(&mut self) -> Option<Dur> {
+    fn wait(&mut self, _ctx: &ReactorCtx<'_, u32>) -> Option<Dur> {
         None
     }
 
@@ -408,7 +408,7 @@ struct Doomed {
 }
 
 impl Reactor<u32> for Doomed {
-    fn wait(&mut self) -> Option<Dur> {
+    fn wait(&mut self, _ctx: &ReactorCtx<'_, u32>) -> Option<Dur> {
         assert!(self.fuse.is_some(), "boom in wait (expected by the test)");
         None
     }
