@@ -114,11 +114,6 @@ impl Runtime {
         self.cluster.preload_at(arr, i, v);
     }
 
-    /// Preload a shared variable.
-    pub fn preload_var<T: Pod>(&mut self, var: ShVar<T>, v: T) {
-        self.cluster.preload_var(var, v);
-    }
-
     /// The DSM page size (for page-span computations).
     pub fn page_size(&self) -> usize {
         self.cluster.config().dsm.page_size

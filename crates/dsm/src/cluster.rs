@@ -168,11 +168,6 @@ impl Cluster {
         self.segment.write(arr.addr(i), &buf);
     }
 
-    /// Preload a shared variable.
-    pub fn preload_var<T: Pod>(&mut self, var: ShVar<T>, v: T) {
-        self.preload_at(var.as_array(), 0, v);
-    }
-
     /// Launch the cluster: one handler and one application process per
     /// node (`apps[0]` is the master program), and run to completion: `n`
     /// coroutine stacks on the calling thread, the handlers being reactors.

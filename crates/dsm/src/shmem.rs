@@ -356,10 +356,6 @@ impl<T: Pod> ShVar<T> {
         self.arr.addr(0)
     }
 
-    pub(crate) fn as_array(&self) -> ShArray<T> {
-        self.arr
-    }
-
     /// Read on `node`.
     #[inline]
     pub fn get(&self, node: &DsmNode) -> Result<T, Stopped> {

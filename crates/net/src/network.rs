@@ -16,10 +16,9 @@
 //! service time at the handler process (modeled in the DSM layer) adds to
 //! the backlog.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use repseq_sim::{Dur, Pid, SendCtx, SimTime};
+use repseq_sim::{Pid, SendCtx, SimTime};
 use repseq_stats::{MsgClass, NodeId, StatsRef};
 
 use crate::config::NetConfig;
@@ -54,13 +53,37 @@ pub struct LossEvent {
     pub multicast: bool,
 }
 
+/// The [`Network`]'s state, under its one lock.
+struct Shared {
+    links: Links,
+    loss: Option<LossState>,
+    drop_log: Vec<LossEvent>,
+}
+
+impl Shared {
+    /// Decide whether the copy of a frame from `src` to `dst` is lost, and
+    /// log it if it is.
+    fn dropped(&mut self, src: usize, dst: usize, class: MsgClass, at: SimTime, mc: bool) -> bool {
+        let Some(loss) = &mut self.loss else { return false };
+        let (drop, pair_seq) = loss.drop_frame(src, dst, mc);
+        if drop {
+            self.drop_log.push(LossEvent { src, dst, pair_seq, class, at, multicast: mc });
+        }
+        drop
+    }
+}
+
 /// The cluster interconnect. One per simulation; hand a [`Nic`] to each
 /// node.
+///
+/// Its links are cross-node by nature, so they, the loss injector and its
+/// log sit under one lock, which a frame takes once (never contended: one
+/// process runs at a time). They are not lent as run-global state because
+/// the benchmark's ladder drives `Network` and `Nic` from a bare
+/// `Sim::<u64>`, which has no group state.
 pub struct Network {
     cfg: NetConfig,
-    links: Mutex<Links>,
-    loss: Option<Mutex<LossState>>,
-    drop_log: Mutex<Vec<LossEvent>>,
+    shared: Mutex<Shared>,
     stats: StatsRef,
 }
 
@@ -70,16 +93,24 @@ impl Network {
     pub fn new(cfg: NetConfig, stats: StatsRef) -> Arc<Network> {
         let n = cfg.nodes;
         Arc::new(Network {
-            loss: cfg.loss.map(|l| Mutex::new(LossState::new(l))),
-            cfg,
-            links: Mutex::new(Links {
-                tx_free: vec![SimTime::ZERO; n],
-                rx_free: vec![SimTime::ZERO; n],
-                hub_free: SimTime::ZERO,
+            shared: Mutex::new(Shared {
+                links: Links {
+                    tx_free: vec![SimTime::ZERO; n],
+                    rx_free: vec![SimTime::ZERO; n],
+                    hub_free: SimTime::ZERO,
+                },
+                loss: cfg.loss.map(LossState::new),
+                drop_log: Vec::new(),
             }),
-            drop_log: Mutex::new(Vec::new()),
+            cfg,
             stats,
         })
+    }
+
+    /// The one lock. A panic while it is held ends the run, so poison is
+    /// ignored.
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configuration this network was built with.
@@ -96,7 +127,7 @@ impl Network {
     /// logs out of delivery order). Sorting by the decision key gives the
     /// delivery-time order reports are read in.
     pub fn loss_events(&self) -> Vec<LossEvent> {
-        let mut log = self.drop_log.lock().clone();
+        let mut log = self.shared().drop_log.clone();
         log.sort_by_key(|e| (e.at, e.src, e.dst, e.pair_seq, e.multicast));
         log
     }
@@ -151,12 +182,19 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.unicast_wire_time(payload_bytes);
-        let deliver_at = {
-            let mut l = self.net.links.lock();
+        // Unicast loss applies only to diff-protocol frames (requests,
+        // replies and flow-control acks): the DSM runs its synchronization
+        // traffic (fork/join, barriers, locks) over a transport it treats
+        // as reliable, so dropping those frames would model a failure mode
+        // the protocol does not claim to survive.
+        let lossy = cfg.loss.is_some_and(|l| l.unicast) && class.is_diff_message();
+        let (at, dropped) = {
+            let mut s = self.net.shared();
+            let l = &mut s.links;
             // Serialize on the sender's transmit link.
             let tx_done = now.max(l.tx_free[self.node]) + wire;
             l.tx_free[self.node] = tx_done;
-            if dst_node == self.node {
+            let deliver_at = if dst_node == self.node {
                 // Loopback: no switch traversal.
                 tx_done
             } else {
@@ -166,23 +204,14 @@ impl Nic {
                 let rx_done = at_port.max(l.rx_free[dst_node]) + wire;
                 l.rx_free[dst_node] = rx_done;
                 rx_done
-            }
+            };
+            let at = deliver_at + cfg.recv_sw_overhead;
+            (at, lossy && s.dropped(self.node, dst_node, class, at, false))
         };
-        let at = deliver_at + cfg.recv_sw_overhead;
-        if !self.dropped_unicast(class, dst_node, at) {
+        if !dropped {
             ctx.send(dst, msg, at);
         }
         at
-    }
-
-    /// Reserve the hub — one shared half-duplex medium every node contends
-    /// for — for a frame of `wire` duration offered at `now`; returns when
-    /// the frame leaves it.
-    fn reserve_hub(&self, now: SimTime, wire: Dur) -> SimTime {
-        let mut l = self.net.links.lock();
-        let done = now.max(l.hub_free) + wire;
-        l.hub_free = done;
-        done + self.net.config().hub_latency
     }
 
     /// Send one multicast frame through the hub, delivered to every process
@@ -197,19 +226,7 @@ impl Nic {
         payload_bytes: u64,
         msg: M,
     ) -> SimTime {
-        let cfg = self.net.config();
-        ctx.charge(cfg.send_sw_overhead);
-        let now = ctx.now();
-        self.net.stats.on_message(self.node, class, payload_bytes);
-        let wire = cfg.multicast_wire_time(payload_bytes);
-        let at = self.reserve_hub(now, wire) + cfg.recv_sw_overhead;
-        for &(dst_node, dst) in dsts {
-            if self.dropped(class, dst_node, at, true) {
-                continue;
-            }
-            ctx.send(dst, msg.clone(), at);
-        }
-        at
+        self.hub_frame(ctx, dsts, class, payload_bytes, msg, true)
     }
 
     /// A multicast exempt from loss injection: used for acknowledged
@@ -224,13 +241,35 @@ impl Nic {
         payload_bytes: u64,
         msg: M,
     ) -> SimTime {
+        self.hub_frame(ctx, dsts, class, payload_bytes, msg, false)
+    }
+
+    /// Reserve the hub — one shared half-duplex medium every node contends
+    /// for — for one frame, and deliver a copy to each of `dsts` whose copy
+    /// the loss injector (if `lossy`) does not drop. The lock is held
+    /// across the sends, which only queue.
+    fn hub_frame<M: Clone + Send + 'static>(
+        &self,
+        ctx: &impl SendCtx<M>,
+        dsts: &[(NodeId, Pid)],
+        class: MsgClass,
+        payload_bytes: u64,
+        msg: M,
+        lossy: bool,
+    ) -> SimTime {
         let cfg = self.net.config();
         ctx.charge(cfg.send_sw_overhead);
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.multicast_wire_time(payload_bytes);
-        let at = self.reserve_hub(now, wire) + cfg.recv_sw_overhead;
-        for &(_, dst) in dsts {
+        let mut s = self.net.shared();
+        let done = now.max(s.links.hub_free) + wire;
+        s.links.hub_free = done;
+        let at = done + cfg.hub_latency + cfg.recv_sw_overhead;
+        for &(dst_node, dst) in dsts {
+            if lossy && s.dropped(self.node, dst_node, class, at, true) {
+                continue;
+            }
             ctx.send(dst, msg.clone(), at);
         }
         at
@@ -242,31 +281,5 @@ impl Nic {
     /// instant.
     pub fn local<M: Send + 'static>(&self, ctx: &impl SendCtx<M>, dst: Pid, msg: M) {
         ctx.send(dst, msg, ctx.now());
-    }
-
-    fn dropped(&self, class: MsgClass, dst_node: NodeId, at: SimTime, multicast: bool) -> bool {
-        let Some(l) = &self.net.loss else { return false };
-        let (drop, pair_seq) = l.lock().drop_frame(self.node, dst_node, multicast);
-        if drop {
-            self.net.drop_log.lock().push(LossEvent {
-                src: self.node,
-                dst: dst_node,
-                pair_seq,
-                class,
-                at,
-                multicast,
-            });
-        }
-        drop
-    }
-
-    /// Unicast loss applies only to diff-protocol frames (requests, replies
-    /// and flow-control acks): the DSM runs its synchronization traffic
-    /// (fork/join, barriers, locks) over a transport it treats as reliable,
-    /// so dropping those frames would model a failure mode the protocol
-    /// does not claim to survive.
-    fn dropped_unicast(&self, class: MsgClass, dst_node: NodeId, at: SimTime) -> bool {
-        let applies = self.net.config().loss.map(|l| l.unicast).unwrap_or(false);
-        applies && class.is_diff_message() && self.dropped(class, dst_node, at, false)
     }
 }

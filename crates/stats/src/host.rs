@@ -4,7 +4,7 @@
 //! nanoseconds the cost model charges. These counters instead measure the
 //! *host* work the simulator itself does in the diff hot paths, so the
 //! bench harness can report how fast the data plane actually runs and
-//! track that trajectory across commits (see DESIGN.md §Performance).
+//! track that trajectory across commits (see DESIGN.md §8).
 //!
 //! A [`HostCounters`] is plain data: each node of a cluster owns one and
 //! bumps it through the `&mut` its state is already reached by, and when
