@@ -1,7 +1,7 @@
 //! A minimal contention kernel: the §3 pathology distilled. The master
 //! rewrites a block of pages in a sequential section; every node then reads
-//! all of it in the parallel section. Used by the examples and the
-//! flow-control ablation.
+//! all of it in the parallel section. Used by `examples/contention_demo.rs`
+//! and the apps tests.
 //!
 //! Both phases run on the page-guard API (`with_slices` /
 //! `with_slices_mut`): the fault is taken once per page and elements

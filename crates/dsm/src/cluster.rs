@@ -15,10 +15,11 @@ use crate::interval::PageId;
 use crate::msg::DsmMsg;
 use crate::pod::Pod;
 use crate::race::RaceSink;
-use crate::runtime::{DsmNode, Topology};
+use crate::runtime::DsmNode;
 use crate::shmem::{ShArray, ShVar, SharedSegment};
 use crate::state::NodeState;
 use crate::strategy::RseProbe;
+use crate::wire::{Topology, Wire};
 
 /// Everything needed to build a DSM cluster.
 #[derive(Debug, Clone)]
@@ -202,9 +203,9 @@ impl Cluster {
         // Handlers first: pids 0..n-1. Reactors, not coroutines — a request
         // is served on the simulator's coordinator, with no switch.
         for i in 0..n {
-            let handler = Handler::new(net.nic(i), Arc::clone(&topo));
-            let pid = sim.spawn_reactor(&format!("handler{i}"), handler);
-            assert_eq!(pid, topo.handler_pids[i]);
+            let wire = Wire { nic: net.nic(i), topo: Arc::clone(&topo) };
+            let pid = sim.spawn_reactor(&format!("handler{i}"), Handler { wire });
+            assert_eq!(pid, i);
         }
         // Applications: pids n..2n-1. Each node's two processes form one
         // group, with the network's minimum cross-node latency as the
@@ -214,10 +215,10 @@ impl Cluster {
         // it to whichever of the two runs.
         sim.set_lookahead(self.cfg.net.min_cross_latency());
         for (i, app) in apps.into_iter().enumerate() {
-            let (nic, topo2) = (net.nic(i), Arc::clone(&topo));
-            let pid = sim.spawn(&format!("app{i}"), move |ctx| app(DsmNode::new(ctx, nic, topo2)));
-            assert_eq!(pid, topo.app_pids[i]);
-            sim.assign_group(topo.handler_pids[i], i);
+            let wire = Wire { nic: net.nic(i), topo: Arc::clone(&topo) };
+            let pid = sim.spawn(&format!("app{i}"), move |ctx| app(DsmNode::new(ctx, wire)));
+            assert_eq!(pid, n + i);
+            sim.assign_group(i, i);
             sim.assign_group(pid, i);
             sim.set_state(i, NodeState::new(i, n, self.cfg.dsm.clone(), Arc::clone(&segment)));
         }

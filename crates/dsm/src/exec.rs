@@ -7,13 +7,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use repseq_sim::{Dur, Envelope, Stopped};
-use repseq_stats::{MsgClass, NodeId};
+use repseq_stats::NodeId;
 
 use crate::interval::{IntervalRecord, PageId};
 use crate::msg::DsmMsg;
 use crate::race::SyncEdge;
 use crate::runtime::DsmNode;
 use crate::vc::Vc;
+use crate::wire::Nodes;
 
 /// What a node is waiting for when a message arrives, as a protocol
 /// violation names it.
@@ -144,9 +145,7 @@ impl DsmNode {
                     self.ctx.state().exec.pending_joins.push((from, vc, records))
                 }
                 Step::Other(DsmMsg::SeqDone { .. }) => self.ctx.state().exec.pending_seqdone += 1,
-                Step::Other(DsmMsg::DiffReply { .. }) => {
-                    self.topo.stats.on_stale_reply(self.node())
-                }
+                Step::Other(DsmMsg::DiffReply { .. }) => self.stats().on_stale_reply(self.node()),
                 Step::Other(msg) => protocol_violation(self.node(), waiting, &msg),
             }
         }
@@ -166,19 +165,15 @@ impl DsmNode {
     /// records it lacks.
     pub fn fork_slaves(&self, task: Task) -> Result<(), Stopped> {
         assert!(self.is_master(), "only the master forks");
-        let n = self.topo.n;
+        let n = self.n_nodes();
         self.race_sync(SyncEdge::ForkSend);
         self.ctx.state().close_interval();
         for s in 1..n {
-            let msg = {
-                let mut st = self.ctx.state();
-                let records = st.con.intervals.records_unknown_to(&st.exec.peer_vcs[s]);
-                let vc = st.con.vc.clone();
-                st.exec.peer_vcs[s] = vc.clone();
-                DsmMsg::Fork { records, vc, task: task.clone() }
-            };
-            let size = msg.wire_size();
-            self.nic.unicast(&self.ctx, s, self.topo.app_pids[s], MsgClass::Sync, size, msg);
+            let mut st = self.ctx.state();
+            let records = st.con.intervals.records_unknown_to(&st.exec.peer_vcs[s]);
+            let vc = st.con.vc.clone();
+            st.exec.peer_vcs[s] = vc.clone();
+            self.send(s, DsmMsg::Fork { records, vc, task: task.clone() });
         }
         self.ctx.charge(self.sync_cost());
         Ok(())
@@ -188,7 +183,6 @@ impl DsmNode {
     /// Valid-notice requests (the exchange preceding a replicated section)
     /// are answered transparently while parked.
     fn wait_fork(&self) -> Result<Task, Stopped> {
-        let node = self.node();
         self.recv_for(Waiting::Parked, |env| match env.msg {
             DsmMsg::Fork { records, vc, task } => {
                 let cost = {
@@ -201,14 +195,10 @@ impl DsmNode {
                 self.race_sync(SyncEdge::ForkRecv);
                 Step::Done(task)
             }
-            DsmMsg::ValidNoticeRequest { reply_to } => {
-                let msg = {
-                    let mut st = self.ctx.state();
-                    DsmMsg::ValidNoticeReply { from: node, delta: st.take_valid_delta() }
-                };
-                let size = msg.wire_size();
+            DsmMsg::ValidNoticeRequest => {
+                let delta = self.ctx.state().take_valid_delta();
                 self.ctx.charge(self.sync_cost());
-                self.nic.unicast(&self.ctx, 0, reply_to, MsgClass::ValidNotice, size, msg);
+                self.send(0, DsmMsg::ValidNoticeReply { from: self.node(), delta });
                 Step::Wait
             }
             other => Step::Other(other),
@@ -219,17 +209,12 @@ impl DsmNode {
     /// the interval records the master lacks.
     pub fn join_master(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
-        let node = self.node();
         self.race_sync(SyncEdge::JoinSend);
-        let msg = {
-            let mut st = self.ctx.state();
-            st.close_interval();
-            let records = st.con.intervals.records_unknown_to(&st.exec.master_known);
-            DsmMsg::Join { from: node, vc: st.con.vc.clone(), records }
-        };
         self.ctx.charge(self.sync_cost());
-        let size = msg.wire_size();
-        self.nic.unicast(&self.ctx, 0, self.topo.app_pids[0], MsgClass::Sync, size, msg);
+        let mut st = self.ctx.state();
+        st.close_interval();
+        let records = st.con.intervals.records_unknown_to(&st.exec.master_known);
+        self.send(0, DsmMsg::Join { from: self.node(), vc: st.con.vc.clone(), records });
         Ok(())
     }
 
@@ -254,7 +239,7 @@ impl DsmNode {
             self.ctx.charge(cost + self.sync_cost());
             self.race_sync(SyncEdge::JoinRecv { from });
         };
-        let pending = self.topo.n - 1 - buffered.len();
+        let pending = self.n_nodes() - 1 - buffered.len();
         buffered.into_iter().for_each(&join);
         for _ in 0..pending {
             join(self.recv_for(Waiting::Joins, |env| match env.msg {
@@ -324,34 +309,29 @@ impl DsmNode {
         let mut last_delivery = self.ctx.now();
         let mut sent = 0u64;
         for p in pages {
-            let msg = {
-                let mut st = self.ctx.state();
-                // Only pages we hold a complete, valid copy of are worth
-                // broadcasting (the tree pages after a sequential build).
-                let valid = st.page_mut(p).valid;
-                if !valid {
-                    continue;
-                }
-                // The broadcast re-baselines every receiver's copy at the
-                // just-closed interval, so our lazy-diff baseline must move
-                // there too: flush any still-twinned writes into their diff
-                // now. Otherwise a later diff would be taken against the
-                // pre-broadcast twin, and bytes that happen to match that
-                // older baseline would be omitted — wrong for a receiver
-                // whose base is the broadcast image, not the twin.
-                if st.page_mut(p).twin.is_some() {
-                    let cost = st.create_own_diff(p);
-                    drop(st);
-                    self.ctx.charge(cost);
-                    st = self.ctx.state();
-                }
-                let data: Arc<[u8]> = st.page_data(p).to_vec().into();
-                DsmMsg::PageBroadcast { page: p, data, vc: st.con.vc.clone() }
-            };
-            let size = msg.wire_size();
-            let dsts = &self.topo.all_handlers()[1..];
-            let at = self.nic.multicast(&self.ctx, dsts, MsgClass::Broadcast, size, msg);
-            last_delivery = last_delivery.max(at);
+            let mut st = self.ctx.state();
+            // Only pages we hold a complete, valid copy of are worth
+            // broadcasting (the tree pages after a sequential build).
+            let valid = st.page_mut(p).valid;
+            if !valid {
+                continue;
+            }
+            // The broadcast re-baselines every receiver's copy at the
+            // just-closed interval, so our lazy-diff baseline must move
+            // there too: flush any still-twinned writes into their diff
+            // now. Otherwise a later diff would be taken against the
+            // pre-broadcast twin, and bytes that happen to match that
+            // older baseline would be omitted — wrong for a receiver
+            // whose base is the broadcast image, not the twin.
+            if st.page_mut(p).twin.is_some() {
+                let cost = st.create_own_diff(p);
+                drop(st);
+                self.ctx.charge(cost);
+                st = self.ctx.state();
+            }
+            let data: Arc<[u8]> = st.page_data(p).to_vec().into();
+            let msg = DsmMsg::PageBroadcast { page: p, data, vc: st.con.vc.clone() };
+            last_delivery = last_delivery.max(self.multicast(Nodes::Slaves, msg));
             sent += 1;
         }
         // Block until the broadcast has drained (the hub and the switch

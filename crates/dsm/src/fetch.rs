@@ -18,7 +18,7 @@
 //! still outstanding.
 
 use repseq_sim::{Dur, Stopped};
-use repseq_stats::{MsgClass, NodeId};
+use repseq_stats::NodeId;
 
 use crate::config::DsmConfig;
 use crate::exec::{Step, Waiting};
@@ -110,7 +110,7 @@ impl DsmNode {
     /// protocol instead of the parallel per-owner requests.
     pub(crate) fn read_fault(&self, p: PageId) -> Result<(), Stopped> {
         let node = self.node();
-        self.topo.stats.on_page_fault(node);
+        self.stats().on_page_fault(node);
         self.ctx.charge(self.ctx.state().cfg.fault_overhead);
         let in_rse = self.ctx.state().rse.active;
         if in_rse {
@@ -149,13 +149,8 @@ impl DsmNode {
             let mut outstanding = plan;
             let request = |(owner, ivxs): &(NodeId, Vec<u32>)| {
                 debug_assert_ne!(*owner, node, "own diffs are always cached");
-                let msg = DsmMsg::DiffRequest {
-                    page: p,
-                    ivxs: ivxs.clone(),
-                    reply_to: self.ctx.pid(),
-                    req_id,
-                };
-                self.to_handler(*owner, MsgClass::DiffRequest, msg);
+                let msg = DsmMsg::DiffRequest { page: p, ivxs: ivxs.clone(), from: node, req_id };
+                self.send(*owner, msg);
             };
             outstanding.iter().for_each(request);
             // The unicast transport is logically reliable (TreadMarks ran
@@ -173,15 +168,15 @@ impl DsmNode {
             while !outstanding.is_empty() {
                 // Only this fetch's reply is taken. A reply carrying another
                 // id answers an earlier fetch (the resend layer's duplicate
-                // whose original won the race); one from a pid that is not
-                // a protocol handler is a straggler from a *retired*
+                // whose original won the race); one from a pid past the
+                // handlers' `0..n` is a straggler from a *retired*
                 // exchange (e.g. an RSE out-of-band reply sent by an app
                 // process whose req_seq collides with our req_id) — the
                 // sender, not the id, proves it cannot answer this fetch.
                 // Both are handed back, and counted stale.
                 let reply =
                     self.recv_until(Waiting::Fetch(p), Some(timer.timeout()), |env| {
-                        match (env.msg, self.topo.node_of_handler(env.from)) {
+                        match (env.msg, (env.from < self.n_nodes()).then_some(env.from)) {
                             (DsmMsg::DiffReply { page, diffs, req_id: rid }, Some(owner))
                                 if rid == req_id =>
                             {
@@ -210,8 +205,8 @@ impl DsmNode {
         if requested {
             let waited = self.ctx.now() - t0;
             self.ctx.state().fetch.sample(waited);
-            self.topo.stats.on_diff_stall(node, waited);
-            self.topo.stats.on_diff_request_complete(node, waited);
+            self.stats().on_diff_stall(node, waited);
+            self.stats().on_diff_request_complete(node, waited);
         }
         Ok(())
     }
@@ -285,7 +280,7 @@ mod tests {
         let cfg_f = cfg.clone();
         sim.spawn("fetcher", move |ctx| {
             let request = |ctx: &Ctx<DsmMsg, Vec<u64>>, req_id: u64| {
-                let msg = DsmMsg::DiffRequest { page: 7, ivxs: vec![1], reply_to: 0, req_id };
+                let msg = DsmMsg::DiffRequest { page: 7, ivxs: vec![1], from: 0, req_id };
                 ctx.send(1, msg, ctx.now());
             };
             // The offsets from the fetch's start at which it resent.
@@ -327,7 +322,7 @@ mod tests {
         sim.spawn_daemon("owner", move |ctx| {
             let mut n_requests = 0u32;
             while let Ok(env) = ctx.recv() {
-                let DsmMsg::DiffRequest { page, reply_to, req_id, .. } = env.msg else {
+                let DsmMsg::DiffRequest { page, req_id, .. } = env.msg else {
                     panic!("owner expected only requests");
                 };
                 ctx.state().push(req_id);
@@ -338,11 +333,11 @@ mod tests {
                         // Reply to the second resend, plus the duplicate the
                         // resend race produces; the duplicate arrives after
                         // round A completed and round B began.
-                        ctx.send(reply_to, reply(page, req_id), ctx.now() + Dur::from_micros(10));
-                        ctx.send(reply_to, reply(page, req_id), ctx.now() + Dur::from_micros(30));
+                        ctx.send(env.from, reply(page, req_id), ctx.now() + Dur::from_micros(10));
+                        ctx.send(env.from, reply(page, req_id), ctx.now() + Dur::from_micros(30));
                     }
                     4 => {
-                        ctx.send(reply_to, reply(page, req_id), ctx.now() + Dur::from_micros(50));
+                        ctx.send(env.from, reply(page, req_id), ctx.now() + Dur::from_micros(50));
                     }
                     n => panic!("unexpected request #{n}"),
                 }

@@ -19,26 +19,23 @@
 //! same context lends it the node's [`NodeState`] for the length of one
 //! callback.
 
-use std::sync::Arc;
-
-use repseq_net::Nic;
 use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx};
-use repseq_stats::MsgClass;
 
 use crate::exec::{protocol_violation, Waiting};
+use crate::interval::PageId;
 use crate::msg::DsmMsg;
-use crate::runtime::Topology;
+use crate::page::DiffEntry;
 use crate::state::NodeState;
 use crate::strategy::chain;
 use crate::sync::{holder_logic, LockAction};
+use crate::wire::{Nodes, Wire};
 
 /// The context a handler callback runs in, lent its node's state.
 type HandlerCtx<'k> = ReactorCtx<'k, DsmMsg, NodeState>;
 
 /// One node's protocol handler (see the module docs).
 pub(crate) struct Handler {
-    nic: Nic,
-    topo: Arc<Topology>,
+    pub(crate) wire: Wire,
 }
 
 impl Reactor<DsmMsg, NodeState> for Handler {
@@ -47,7 +44,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
     /// cannot wedge the queue forever (the requester recovers
     /// independently, §5.4.2).
     fn wait(&mut self, ctx: &HandlerCtx<'_>) -> Option<Dur> {
-        if self.nic.node() != 0 {
+        if self.wire.node() != 0 {
             return None;
         }
         let s = ctx.state();
@@ -57,122 +54,74 @@ impl Reactor<DsmMsg, NodeState> for Handler {
     /// The stall guard fired: give up on the in-flight request and start
     /// the next queued one.
     fn on_timeout(&mut self, ctx: &HandlerCtx<'_>) {
-        let next = {
-            let mut s = ctx.state();
-            s.rse.mcast_inflight = None;
-            chain::master_try_start(&mut s)
-        };
-        if let Some(msg) = next {
-            self.multicast(ctx, MsgClass::ForwardedRequest, msg);
+        let mut s = ctx.state();
+        s.rse.mcast_inflight = None;
+        if let Some(msg) = chain::master_try_start(&mut s) {
+            self.wire.multicast(ctx, Nodes::All, msg);
         }
     }
 
     /// Serve one request, to completion.
     fn on_msg(&mut self, ctx: &HandlerCtx<'_>, env: Envelope<DsmMsg>) {
-        let Handler { nic, topo } = &*self;
-        let node = nic.node();
-        let n = topo.n;
+        let wire = &self.wire;
+        let (node, n) = (wire.node(), wire.topo.n);
         match env.msg {
             // ---- demand diff fetching ----
-            DsmMsg::DiffRequest { page, ivxs, reply_to, req_id } => {
-                let (service, cost, diffs) = {
-                    let mut s = ctx.state();
-                    let service = s.cfg.service_overhead;
-                    let (cost, diffs) = s.serve_diff_request(page, &ivxs);
-                    (service, cost, diffs)
-                };
-                ctx.charge(service + cost);
-                let dst_node =
-                    topo.node_of_app(reply_to).expect("reply target is not an application process");
-                let reply = DsmMsg::DiffReply { page, diffs, req_id };
-                let size = reply.wire_size();
-                nic.unicast(ctx, dst_node, reply_to, MsgClass::DiffReply, size, reply);
+            DsmMsg::DiffRequest { page, ivxs, from, req_id } => {
+                let mut s = ctx.state();
+                let (cost, diffs) = s.serve_diff_request(page, &ivxs);
+                ctx.charge(s.cfg.service_overhead + cost);
+                wire.send(ctx, from, DsmMsg::DiffReply { page, diffs, req_id });
             }
 
             // ---- barrier manager (node 0) ----
-            DsmMsg::BarrierArrive { from, vc, records, reply_to } => {
+            DsmMsg::BarrierArrive { from, vc, records } => {
                 debug_assert_eq!(node, 0, "barrier arrivals go to the manager");
-                let departures = {
-                    let mut s = ctx.state();
-                    ctx.charge(s.cfg.sync_overhead);
-                    let cost = s.apply_records(records, &vc);
-                    ctx.charge(cost);
-                    s.sync.barrier_arrivals.push((from, vc, reply_to));
-                    if s.sync.barrier_arrivals.len() == n {
-                        let arrivals = std::mem::take(&mut s.sync.barrier_arrivals);
-                        let merged = s.con.vc.clone();
-                        Some(
-                            arrivals
-                                .into_iter()
-                                .map(|(q, vcq, pid)| {
-                                    let records = s.con.intervals.records_unknown_to(&vcq);
-                                    (q, pid, DsmMsg::BarrierDepart { records, vc: merged.clone() })
-                                })
-                                .collect::<Vec<_>>(),
-                        )
-                    } else {
-                        None
-                    }
-                };
-                if let Some(departures) = departures {
-                    for (q, pid, msg) in departures {
-                        let size = msg.wire_size();
-                        if q == 0 {
-                            nic.local(ctx, pid, msg);
-                        } else {
-                            nic.unicast(ctx, q, pid, MsgClass::Sync, size, msg);
-                        }
+                let mut s = ctx.state();
+                ctx.charge(s.cfg.sync_overhead);
+                let cost = s.apply_records(records, &vc);
+                ctx.charge(cost);
+                s.sync.barrier_arrivals.push((from, vc));
+                if s.sync.barrier_arrivals.len() == n {
+                    let merged = s.con.vc.clone();
+                    for (q, vcq) in std::mem::take(&mut s.sync.barrier_arrivals) {
+                        let records = s.con.intervals.records_unknown_to(&vcq);
+                        wire.send(ctx, q, DsmMsg::BarrierDepart { records, vc: merged.clone() });
                     }
                 }
             }
 
             // ---- lock manager / holder ----
-            DsmMsg::LockAcquire { lock, from, vc, reply_to, forwarded } => {
-                let manager = (lock as usize) % n == node;
-                let action = {
-                    let mut s = ctx.state();
-                    ctx.charge(s.cfg.sync_overhead);
-                    if manager && !forwarded {
-                        // Lazy token initialization: an unseen lock's token
-                        // starts at its manager.
-                        let target = match s.sync.lock_last.get(&lock) {
-                            Some(&t) => t,
-                            None => {
-                                s.sync.lock_token.insert(lock);
-                                node
-                            }
-                        };
-                        s.sync.lock_last.insert(lock, from);
-                        if target == node {
-                            holder_logic(&mut s, lock, from, &vc, reply_to)
-                        } else {
-                            LockAction::Forward(target)
+            DsmMsg::LockAcquire { lock, from, vc, forwarded } => {
+                let mut s = ctx.state();
+                ctx.charge(s.cfg.sync_overhead);
+                let action = if (lock as usize) % n == node && !forwarded {
+                    // Lazy token initialization: an unseen lock's token
+                    // starts at its manager.
+                    let target = match s.sync.lock_last.get(&lock) {
+                        Some(&t) => t,
+                        None => {
+                            s.sync.lock_token.insert(lock);
+                            node
                         }
+                    };
+                    s.sync.lock_last.insert(lock, from);
+                    if target == node {
+                        holder_logic(&mut s, lock, from, &vc)
                     } else {
-                        holder_logic(&mut s, lock, from, &vc, reply_to)
+                        LockAction::Forward(target)
                     }
+                } else {
+                    holder_logic(&mut s, lock, from, &vc)
                 };
                 match action {
                     LockAction::Queued => {}
                     LockAction::Forward(target) => {
-                        let msg = DsmMsg::LockAcquire { lock, from, vc, reply_to, forwarded: true };
-                        let size = msg.wire_size();
-                        nic.unicast(
-                            ctx,
-                            target,
-                            topo.handler_pids[target],
-                            MsgClass::Lock,
-                            size,
-                            msg,
-                        );
+                        let msg = DsmMsg::LockAcquire { lock, from, vc, forwarded: true };
+                        wire.send(ctx, target, msg)
                     }
                     LockAction::Grant { records, vc } => {
-                        let msg = DsmMsg::LockGrant { lock, records, vc };
-                        let size = msg.wire_size();
-                        let dst_node = topo
-                            .node_of_app(reply_to)
-                            .expect("reply target is not an application process");
-                        nic.unicast(ctx, dst_node, reply_to, MsgClass::Lock, size, msg);
+                        wire.send(ctx, from, DsmMsg::LockGrant { lock, records, vc })
                     }
                 }
             }
@@ -180,28 +129,20 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             // ---- replicated-section multicast protocol ----
             DsmMsg::McastRequest { page, wanted, requester, epoch } => {
                 debug_assert_eq!(node, 0, "multicast requests are serialized at the master");
-                let fwd = {
-                    let mut s = ctx.state();
-                    ctx.charge(s.cfg.service_overhead);
-                    chain::master_enqueue(&mut s, page, wanted, requester, epoch)
-                };
-                if let Some(msg) = fwd {
-                    self.multicast(ctx, MsgClass::ForwardedRequest, msg);
+                let mut s = ctx.state();
+                ctx.charge(s.cfg.service_overhead);
+                if let Some(msg) = chain::master_enqueue(&mut s, page, wanted, requester, epoch) {
+                    wire.multicast(ctx, Nodes::All, msg);
                 }
             }
             DsmMsg::McastForward { page, wanted, requester, req_seq } => {
-                let turn = {
-                    let mut s = ctx.state();
-                    ctx.charge(s.cfg.service_overhead);
+                let mut s = ctx.state();
+                ctx.charge(s.cfg.service_overhead);
+                if let Some((msg, cost)) =
                     chain::on_forward(&mut s, page, wanted, requester, req_seq)
-                };
-                if let Some((msg, cost)) = turn {
+                {
                     ctx.charge(cost);
-                    let class = match &msg {
-                        DsmMsg::McastNullAck { .. } => MsgClass::NullAck,
-                        _ => MsgClass::DiffReply,
-                    };
-                    self.multicast(ctx, class, msg);
+                    wire.multicast(ctx, Nodes::All, msg);
                 }
             }
             DsmMsg::McastDiffReply { page, diffs, turn, req_seq } => {
@@ -210,30 +151,18 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             DsmMsg::McastNullAck { page: _, turn, req_seq } => {
                 self.handle_chain_step(ctx, None, turn, req_seq);
             }
-            DsmMsg::RecoveryRequest { page, ivxs, requester: _, reply_mcast } => {
-                let served = {
-                    let mut s = ctx.state();
-                    ctx.charge(s.cfg.service_overhead);
-                    // One multicast reply serves every concurrent
-                    // requester; see `oob_reply_due` for the window rule.
-                    let window = s.cfg.rse_timeout / 2;
-                    if s.oob_reply_due(page, &ivxs, ctx.now(), window) {
-                        let (cost, diffs) = s.serve_diff_request(page, &ivxs);
-                        let reply = DsmMsg::McastDiffReply {
-                            page,
-                            diffs,
-                            turn: node,
-                            req_seq: chain::OOB_SEQ,
-                        };
-                        Some((reply, cost))
-                    } else {
-                        None
-                    }
-                };
-                debug_assert!(reply_mcast, "recovery replies are always multicast (§5.4.2)");
-                if let Some((msg, cost)) = served {
+            DsmMsg::RecoveryRequest { page, ivxs } => {
+                let mut s = ctx.state();
+                ctx.charge(s.cfg.service_overhead);
+                // One multicast reply serves every concurrent requester;
+                // see `oob_reply_due` for the window rule.
+                let window = s.cfg.rse_timeout / 2;
+                if s.oob_reply_due(page, &ivxs, ctx.now(), window) {
+                    let (cost, diffs) = s.serve_diff_request(page, &ivxs);
                     ctx.charge(cost);
-                    self.multicast(ctx, MsgClass::DiffReply, msg);
+                    let reply =
+                        DsmMsg::McastDiffReply { page, diffs, turn: node, req_seq: chain::OOB_SEQ };
+                    wire.multicast(ctx, Nodes::All, reply);
                 }
             }
 
@@ -278,71 +207,52 @@ impl Reactor<DsmMsg, NodeState> for Handler {
 }
 
 impl Handler {
-    pub(crate) fn new(nic: Nic, topo: Arc<Topology>) -> Handler {
-        Handler { nic, topo }
-    }
-
-    fn multicast(&self, ctx: &HandlerCtx<'_>, class: MsgClass, msg: DsmMsg) {
-        chain::multicast_to_handlers(&self.nic, ctx, &self.topo, class, msg);
-    }
-
     /// Shared handling for both chain step messages (diff replies and null
     /// acks): incorporate diffs, advance the chain, take our own turn, and
     /// at the master start the next queued request when a chain completes.
     fn handle_chain_step(
         &self,
         ctx: &HandlerCtx<'_>,
-        diffs: Option<(crate::interval::PageId, Vec<crate::page::DiffEntry>)>,
+        diffs: Option<(PageId, Vec<DiffEntry>)>,
         turn: usize,
         req_seq: u64,
     ) {
-        let node = self.nic.node();
-        let mut to_multicast: Option<(DsmMsg, MsgClass)> = None;
-        let mut wake: Option<crate::interval::PageId> = None;
-        {
-            let mut s = ctx.state();
-            ctx.charge(s.cfg.service_overhead);
-            if let Some((page, diffs)) = &diffs {
-                let (cost, w) = chain::incorporate_diffs(&mut s, *page, diffs);
-                ctx.charge(cost);
-                wake = w;
-            }
-            if req_seq != chain::OOB_SEQ {
-                let done = chain::advance_chain(&mut s, req_seq, turn);
-                if done {
-                    if node == 0 {
-                        s.rse.mcast_inflight = None;
-                        if let Some(msg) = chain::master_try_start(&mut s) {
-                            to_multicast = Some((msg, MsgClass::ForwardedRequest));
-                        }
-                    }
-                } else if let Some((msg, cost)) = chain::take_turn(&mut s, req_seq) {
-                    ctx.charge(cost);
-                    let class = match &msg {
-                        DsmMsg::McastNullAck { .. } => MsgClass::NullAck,
-                        _ => MsgClass::DiffReply,
-                    };
-                    to_multicast = Some((msg, class));
+        let node = self.wire.node();
+        let (mut to_multicast, mut wake) = (None, None);
+        let mut s = ctx.state();
+        ctx.charge(s.cfg.service_overhead);
+        if let Some((page, diffs)) = &diffs {
+            let (cost, w) = chain::incorporate_diffs(&mut s, *page, diffs);
+            ctx.charge(cost);
+            wake = w;
+        }
+        if req_seq != chain::OOB_SEQ {
+            if chain::advance_chain(&mut s, req_seq, turn) {
+                if node == 0 {
+                    s.rse.mcast_inflight = None;
+                    to_multicast = chain::master_try_start(&mut s);
                 }
-            } else if wake.is_none() {
-                // Out-of-band recovery reply that did not complete our
-                // copy: a waiting application must still be woken so it
-                // re-evaluates its fetch plan immediately — it may now
-                // recover more, and what is still missing gets
-                // re-requested — instead of sleeping out a full extra
-                // `rse_timeout`.
-                if let Some((page, _)) = &diffs {
-                    if s.rse.waiting_page == Some(*page) {
-                        wake = Some(*page);
-                    }
+            } else if let Some((msg, cost)) = chain::take_turn(&mut s, req_seq) {
+                ctx.charge(cost);
+                to_multicast = Some(msg);
+            }
+        } else if wake.is_none() {
+            // Out-of-band recovery reply that did not complete our copy: a
+            // waiting application must still be woken so it re-evaluates
+            // its fetch plan immediately — it may now recover more, and
+            // what is still missing gets re-requested — instead of
+            // sleeping out a full extra `rse_timeout`.
+            if let Some((page, _)) = &diffs {
+                if s.rse.waiting_page == Some(*page) {
+                    wake = Some(*page);
                 }
             }
         }
         if let Some(page) = wake {
-            self.nic.local(ctx, self.topo.app_pids[node], DsmMsg::WakePage { page });
+            self.wire.send(ctx, node, DsmMsg::WakePage { page });
         }
-        if let Some((msg, class)) = to_multicast {
-            self.multicast(ctx, class, msg);
+        if let Some(msg) = to_multicast {
+            self.wire.multicast(ctx, Nodes::All, msg);
         }
     }
 }

@@ -31,7 +31,7 @@
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
 //! | strategy | `strategy` | how sequential sections execute: one [`SeqMode`], one `match` in [`DsmNode::run_sequential`] |
 //! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context lent the [`NodeState`], and the shared page segment |
-//! | runtime | `runtime`, `handler`, `cluster` | processes, NICs, the software TLB, message dispatch, cluster launch |
+//! | runtime | `runtime`, `handler`, `cluster`, `msg`, `wire` | processes, the software TLB, message dispatch, the one send path, cluster launch |
 
 // Everything not in the `pub use` façade below is crate-internal; the
 // lint keeps `pub` from silently outliving its re-export.
@@ -58,6 +58,7 @@ mod strategy;
 mod substrate;
 mod sync;
 mod vc;
+mod wire;
 
 pub use cluster::{AppFn, Cluster, ClusterConfig, LaunchOutcome};
 pub use config::{DsmConfig, FlowControl};

@@ -1,13 +1,16 @@
 //! The DSM wire protocol.
 //!
-//! Every simulated frame carries one `DsmMsg`. Wire sizes are estimated per
-//! message for the tables' byte counts; the network layer turns sizes into
-//! transmission times.
+//! Every simulated frame carries one `DsmMsg`, and the message decides the
+//! rest of the frame: the process that serves it ([`DsmMsg::to_handler`]),
+//! its class in the tables ([`DsmMsg::class`]), whether a hub copy may be
+//! lost ([`DsmMsg::may_drop`]) and its estimated size
+//! ([`DsmMsg::wire_size`]), which the network layer turns into
+//! transmission time. [`crate::wire::Wire`] is the one place that reads
+//! them.
 
 use std::sync::Arc;
 
-use repseq_sim::Pid;
-use repseq_stats::NodeId;
+use repseq_stats::{MsgClass, NodeId};
 
 use crate::exec::Task;
 use crate::interval::{IntervalRecord, PageId};
@@ -19,15 +22,15 @@ use crate::vc::Vc;
 pub enum DsmMsg {
     // ---- demand diff fetching (ordinary lazy release consistency) ----
     /// Ask `owner`'s handler for the diffs of the listed intervals of one
-    /// page. Replies go straight to the faulting application process.
-    DiffRequest { page: PageId, ivxs: Vec<u32>, reply_to: Pid, req_id: u64 },
+    /// page. Replies go straight to node `from`'s application process.
+    DiffRequest { page: PageId, ivxs: Vec<u32>, from: NodeId, req_id: u64 },
     /// Diffs in response to one [`DsmMsg::DiffRequest`].
     DiffReply { page: PageId, diffs: Vec<DiffEntry>, req_id: u64 },
 
     // ---- barriers (centralized manager at node 0) ----
     /// Barrier arrival: the client's vector time plus every interval record
     /// the manager might not know.
-    BarrierArrive { from: NodeId, vc: Vc, records: Vec<IntervalRecord>, reply_to: Pid },
+    BarrierArrive { from: NodeId, vc: Vc, records: Vec<IntervalRecord> },
     /// Barrier departure: the records this client lacks plus the merged
     /// vector time.
     BarrierDepart { records: Vec<IntervalRecord>, vc: Vc },
@@ -35,7 +38,7 @@ pub enum DsmMsg {
     // ---- locks (static manager, distributed queue) ----
     /// Lock acquire request, sent to the lock's manager and forwarded to
     /// the last holder (`forwarded` marks the second hop).
-    LockAcquire { lock: u32, from: NodeId, vc: Vc, reply_to: Pid, forwarded: bool },
+    LockAcquire { lock: u32, from: NodeId, vc: Vc, forwarded: bool },
     /// Lock grant: the token plus the records the new holder lacks.
     LockGrant { lock: u32, records: Vec<IntervalRecord>, vc: Vc },
 
@@ -49,7 +52,7 @@ pub enum DsmMsg {
     // ---- replicated sequential execution (the paper's contribution) ----
     /// Master → slave app: send me your valid-notice delta (the exchange at
     /// the join before a replicated section, §5.4.1).
-    ValidNoticeRequest { reply_to: Pid },
+    ValidNoticeRequest,
     /// Slave → master: pages whose valid notice changed since the last
     /// exchange.
     ValidNoticeReply { from: NodeId, delta: Vec<(PageId, Vc)> },
@@ -74,7 +77,7 @@ pub enum DsmMsg {
     McastNullAck { page: PageId, turn: NodeId, req_seq: u64 },
     /// Timeout recovery (§5.4.2): ask one owner directly; it multicasts the
     /// reply out of band (`req_seq = u64::MAX`).
-    RecoveryRequest { page: PageId, ivxs: Vec<u32>, requester: NodeId, reply_mcast: bool },
+    RecoveryRequest { page: PageId, ivxs: Vec<u32> },
     /// Slave app → master app: finished the replicated section body.
     SeqDone { from: NodeId },
     /// Master app → slave apps: everyone finished; continue past the fork.
@@ -99,6 +102,52 @@ fn diffs_size(diffs: &[DiffEntry]) -> u64 {
 }
 
 impl DsmMsg {
+    /// The frame's class in the tables: the one mapping from message to
+    /// [`MsgClass`]. A replicated section's request to the master and a
+    /// recovery request are diff requests; a reply-chain turn is a diff
+    /// reply or, carrying nothing, a null ack (§5.4.2). A page wakeup never
+    /// leaves its node.
+    pub fn class(&self) -> MsgClass {
+        use DsmMsg::*;
+        match self {
+            DiffRequest { .. } | McastRequest { .. } => MsgClass::DiffRequest,
+            RecoveryRequest { .. } => MsgClass::DiffRequest,
+            DiffReply { .. } | McastDiffReply { .. } => MsgClass::DiffReply,
+            McastForward { .. } => MsgClass::ForwardedRequest,
+            McastNullAck { .. } => MsgClass::NullAck,
+            ValidNoticeRequest | ValidNoticeReply { .. } => MsgClass::ValidNotice,
+            ValidNoticeTable { .. } => MsgClass::ValidNotice,
+            LockAcquire { .. } | LockGrant { .. } => MsgClass::Lock,
+            BarrierArrive { .. } | BarrierDepart { .. } | Fork { .. } => MsgClass::Sync,
+            Join { .. } | SeqDone { .. } | SeqGo => MsgClass::Sync,
+            PageBroadcast { .. } => MsgClass::Broadcast,
+            WakePage { .. } => MsgClass::Other,
+        }
+    }
+
+    /// May the loss injector drop a hub copy of this frame? Diff traffic
+    /// and page broadcasts may be lost: the §5.4.2 recovery path and the
+    /// next demand fetch repair them. Synchronization and valid-notice
+    /// frames may not: the runtime treats their delivery as acknowledged.
+    pub(crate) fn may_drop(&self) -> bool {
+        !matches!(self.class(), MsgClass::Sync | MsgClass::ValidNotice)
+    }
+
+    /// Is this frame served by its node's protocol handler, rather than by
+    /// its application process?
+    pub(crate) fn to_handler(&self) -> bool {
+        use DsmMsg::*;
+        match self {
+            DiffRequest { .. } | BarrierArrive { .. } | LockAcquire { .. } => true,
+            McastRequest { .. } | McastForward { .. } | McastDiffReply { .. } => true,
+            McastNullAck { .. } | RecoveryRequest { .. } | ValidNoticeTable { .. } => true,
+            PageBroadcast { .. } => true,
+            DiffReply { .. } | BarrierDepart { .. } | LockGrant { .. } | Fork { .. } => false,
+            Join { .. } | ValidNoticeRequest | ValidNoticeReply { .. } | SeqDone { .. } => false,
+            SeqGo | WakePage { .. } => false,
+        }
+    }
+
     /// Estimated payload size in bytes, as counted in the tables.
     pub fn wire_size(&self) -> u64 {
         match self {
@@ -110,7 +159,7 @@ impl DsmMsg {
             DsmMsg::LockGrant { records, vc, .. } => 16 + vc.wire_size() + records_size(records),
             DsmMsg::Fork { records, vc, .. } => 64 + vc.wire_size() + records_size(records),
             DsmMsg::Join { vc, records, .. } => 8 + vc.wire_size() + records_size(records),
-            DsmMsg::ValidNoticeRequest { .. } => 8,
+            DsmMsg::ValidNoticeRequest => 8,
             DsmMsg::ValidNoticeReply { delta, .. } => {
                 8 + delta.iter().map(|(_, vc)| 4 + vc.wire_size()).sum::<u64>()
             }
@@ -140,7 +189,7 @@ impl DsmMsg {
             DsmMsg::LockGrant { .. } => "LockGrant",
             DsmMsg::Fork { .. } => "Fork",
             DsmMsg::Join { .. } => "Join",
-            DsmMsg::ValidNoticeRequest { .. } => "ValidNoticeRequest",
+            DsmMsg::ValidNoticeRequest => "ValidNoticeRequest",
             DsmMsg::ValidNoticeReply { .. } => "ValidNoticeReply",
             DsmMsg::ValidNoticeTable { .. } => "ValidNoticeTable",
             DsmMsg::McastRequest { .. } => "McastRequest",
@@ -169,8 +218,8 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_content() {
-        let small = DsmMsg::DiffRequest { page: 1, ivxs: vec![1], reply_to: 0, req_id: 0 };
-        let big = DsmMsg::DiffRequest { page: 1, ivxs: vec![1; 10], reply_to: 0, req_id: 0 };
+        let small = DsmMsg::DiffRequest { page: 1, ivxs: vec![1], from: 0, req_id: 0 };
+        let big = DsmMsg::DiffRequest { page: 1, ivxs: vec![1; 10], from: 0, req_id: 0 };
         assert!(big.wire_size() > small.wire_size());
 
         let d = Arc::new(crate::page::DiffRecord {
@@ -186,6 +235,59 @@ mod tests {
     fn null_ack_is_small() {
         let ack = DsmMsg::McastNullAck { page: 0, turn: 3, req_seq: 9 };
         assert!(ack.wire_size() <= 32);
+    }
+
+    /// Every message's class, whether a hub copy of it may be dropped, and
+    /// whether its node's handler (not its application) serves it: what
+    /// each send site once stated for itself.
+    #[test]
+    fn every_message_names_its_class_loss_and_receiver() {
+        use DsmMsg as M;
+        use MsgClass::*;
+        let vc = || Vc::zero(2);
+        let table = [
+            (M::DiffRequest { page: 0, ivxs: vec![], from: 0, req_id: 0 }, DiffRequest, true, true),
+            (M::DiffReply { page: 0, diffs: vec![], req_id: 0 }, DiffReply, true, false),
+            (M::BarrierArrive { from: 0, vc: vc(), records: vec![] }, Sync, false, true),
+            (M::BarrierDepart { records: vec![], vc: vc() }, Sync, false, false),
+            (M::LockAcquire { lock: 0, from: 0, vc: vc(), forwarded: false }, Lock, true, true),
+            (M::LockGrant { lock: 0, records: vec![], vc: vc() }, Lock, true, false),
+            (M::Fork { records: vec![], vc: vc(), task: Task::Shutdown }, Sync, false, false),
+            (M::Join { from: 0, vc: vc(), records: vec![] }, Sync, false, false),
+            (M::ValidNoticeRequest, ValidNotice, false, false),
+            (M::ValidNoticeReply { from: 0, delta: vec![] }, ValidNotice, false, false),
+            (M::ValidNoticeTable { deltas: Arc::new([]) }, ValidNotice, false, true),
+            (
+                M::McastRequest { page: 0, wanted: vec![], requester: 0, epoch: 0 },
+                DiffRequest,
+                true,
+                true,
+            ),
+            (
+                M::McastForward { page: 0, wanted: vec![], requester: 0, req_seq: 0 },
+                ForwardedRequest,
+                true,
+                true,
+            ),
+            (
+                M::McastDiffReply { page: 0, diffs: vec![], turn: 0, req_seq: 0 },
+                DiffReply,
+                true,
+                true,
+            ),
+            (M::McastNullAck { page: 0, turn: 0, req_seq: 0 }, NullAck, true, true),
+            (M::RecoveryRequest { page: 0, ivxs: vec![] }, DiffRequest, true, true),
+            (M::SeqDone { from: 0 }, Sync, false, false),
+            (M::SeqGo, Sync, false, false),
+            (M::PageBroadcast { page: 0, data: Arc::new([]), vc: vc() }, Broadcast, true, true),
+            (M::WakePage { page: 0 }, Other, true, false),
+        ];
+        let kinds: std::collections::HashSet<_> = table.iter().map(|r| r.0.kind()).collect();
+        assert_eq!(kinds.len(), table.len(), "one row per message");
+        for (msg, class, may_drop, to_handler) in &table {
+            let row = (msg.class(), msg.may_drop(), msg.to_handler());
+            assert_eq!(row, (*class, *may_drop, *to_handler), "{}", msg.kind());
+        }
     }
 
     #[test]

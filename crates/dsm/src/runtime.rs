@@ -1,16 +1,15 @@
-//! The application-side runtime core: the `DsmNode` handle, cluster
-//! topology, the software TLB, and typed shared-memory access with
-//! software page faults. The blocking protocol operations live with their
-//! layers — [`crate::fetch`] (demand fetching), [`crate::sync`]
-//! (barrier/locks), [`crate::exec`] (fork/join) and [`crate::strategy`]
-//! (sequential-section execution) — as further `impl DsmNode` blocks.
+//! The application-side runtime core: the `DsmNode` handle, the software
+//! TLB, and typed shared-memory access with software page faults. The
+//! blocking protocol operations live with their layers — [`crate::fetch`]
+//! (demand fetching), [`crate::sync`] (barrier/locks), [`crate::exec`]
+//! (fork/join) and [`crate::strategy`] (sequential-section execution) — as
+//! further `impl DsmNode` blocks.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use repseq_net::Nic;
-use repseq_sim::{Dur, Pid, Stopped};
-use repseq_stats::{MsgClass, NodeId, StatsRef};
+use repseq_sim::{Dur, SimTime, Stopped};
+use repseq_stats::{NodeId, StatsRef};
 
 use crate::dataplane::GenTable;
 use crate::interval::PageId;
@@ -20,6 +19,7 @@ use crate::pod::Pod;
 use crate::race::{AccessKind, AccessTap, RaceSink, SyncEdge};
 use crate::strategy::RseProbe;
 use crate::substrate::NodeCtx;
+use crate::wire::{Nodes, Wire};
 
 /// Software-TLB geometry: set-associative on the low page bits.
 /// 128 sets × 4 ways = 512 cached translations — large kernel-phase
@@ -103,47 +103,6 @@ impl Tlb {
     }
 }
 
-/// Cluster wiring shared by every process: which kernel pid is which. The
-/// layout is fixed — handlers take pids `0..n`, applications `n..2n` — so
-/// node ↔ pid is arithmetic in either direction.
-pub(crate) struct Topology {
-    pub n: usize,
-    /// Application process of each node.
-    pub app_pids: Vec<Pid>,
-    /// Protocol-handler process of each node.
-    pub handler_pids: Vec<Pid>,
-    /// `(node, handler pid)` of every node, in node order.
-    handlers: Vec<(NodeId, Pid)>,
-    pub stats: StatsRef,
-    /// Race-detection sink, if one was installed on the cluster.
-    pub race: Option<Arc<dyn RaceSink>>,
-}
-
-impl Topology {
-    pub(crate) fn new(n: usize, stats: StatsRef, race: Option<Arc<dyn RaceSink>>) -> Topology {
-        let handler_pids: Vec<Pid> = (0..n).collect();
-        let handlers = handler_pids.iter().copied().enumerate().collect();
-        Topology { n, app_pids: (n..2 * n).collect(), handler_pids, handlers, stats, race }
-    }
-
-    /// The node whose application process is `pid`, if any.
-    pub(crate) fn node_of_app(&self, pid: Pid) -> Option<NodeId> {
-        (self.n..2 * self.n).contains(&pid).then(|| pid - self.n)
-    }
-
-    /// The node whose protocol handler is `pid`, if any.
-    pub(crate) fn node_of_handler(&self, pid: Pid) -> Option<NodeId> {
-        (pid < self.n).then_some(pid)
-    }
-
-    /// Destination list for a multicast to every handler (IP-multicast
-    /// loopback included: the sender's own handler receives it too), in
-    /// node order: `[1..]` is every handler but the master's.
-    pub(crate) fn all_handlers(&self) -> &[(NodeId, Pid)] {
-        &self.handlers
-    }
-}
-
 /// A node's application-side handle to the DSM. One per application
 /// process. All shared-memory traffic, synchronization and statistics flow
 /// through here.
@@ -152,8 +111,8 @@ pub struct DsmNode {
     /// node's `NodeState` (`ctx.state()`, borrowed until the guard drops,
     /// which must be before the next yielding call).
     pub(crate) ctx: NodeCtx,
-    pub(crate) nic: Nic,
-    pub(crate) topo: Arc<Topology>,
+    /// The send path, and through it the cluster's wiring.
+    pub(crate) wire: Wire,
     pub(crate) page_size: usize,
     /// The software TLB. `RefCell`: the application process is the only
     /// borrower, and no borrow is held across a yielding call.
@@ -168,23 +127,23 @@ pub struct DsmNode {
 
 impl DsmNode {
     /// Build the application-side handle, configured as its node's state.
-    pub(crate) fn new(ctx: NodeCtx, nic: Nic, topo: Arc<Topology>) -> DsmNode {
+    pub(crate) fn new(ctx: NodeCtx, wire: Wire) -> DsmNode {
         let (page_size, tlb_enabled) = {
             let cfg = &ctx.state().cfg;
             (cfg.page_size, cfg.tlb_enabled)
         };
-        let race = topo.race.clone();
-        DsmNode { ctx, nic, topo, page_size, tlb: RefCell::new(Tlb::new()), tlb_enabled, race }
+        let race = wire.topo.race.clone();
+        DsmNode { ctx, wire, page_size, tlb: RefCell::new(Tlb::new()), tlb_enabled, race }
     }
 
     /// This node's id (0 is the master).
     pub fn node(&self) -> NodeId {
-        self.nic.node()
+        self.wire.node()
     }
 
     /// Number of nodes in the cluster.
     pub fn n_nodes(&self) -> usize {
-        self.topo.n
+        self.wire.topo.n
     }
 
     /// True on the master node.
@@ -192,16 +151,14 @@ impl DsmNode {
         self.node() == 0
     }
 
-    /// Send `msg` to node `q`'s protocol handler: delivered at once with no
-    /// network cost if `q` is this node, else a unicast of class `class`.
-    pub(crate) fn to_handler(&self, q: NodeId, class: MsgClass, msg: DsmMsg) {
-        let pid = self.topo.handler_pids[q];
-        if q == self.node() {
-            self.nic.local(&self.ctx, pid, msg);
-        } else {
-            let size = msg.wire_size();
-            self.nic.unicast(&self.ctx, q, pid, class, size, msg);
-        }
+    /// Send `msg` to node `q` (see [`Wire::send`]).
+    pub(crate) fn send(&self, q: NodeId, msg: DsmMsg) {
+        self.wire.send(&self.ctx, q, msg);
+    }
+
+    /// Send one hub frame to `to` (see [`Wire::multicast`]).
+    pub(crate) fn multicast(&self, to: Nodes, msg: DsmMsg) -> SimTime {
+        self.wire.multicast(&self.ctx, to, msg)
     }
 
     /// The substrate context (for charging application compute time, raw
@@ -217,7 +174,7 @@ impl DsmNode {
 
     /// The statistics registry.
     pub fn stats(&self) -> &StatsRef {
-        &self.topo.stats
+        &self.wire.topo.stats
     }
 
     /// The shared page size.
@@ -345,7 +302,7 @@ impl DsmNode {
                     // Write fault: purely local (twin creation, and during
                     // replicated sections the §5.3 pre-diff).
                     let cost = st.write_fault(p);
-                    self.topo.stats.on_page_fault(st.node);
+                    self.stats().on_page_fault(st.node);
                     drop(st);
                     self.ctx.charge(cost);
                     continue;

@@ -2,8 +2,8 @@
 //! master-serialized forwarded requests and the id-ordered reply chain
 //! with null-ack flow control.
 
-use repseq_sim::{Dur, SendCtx};
-use repseq_stats::{MsgClass, NodeId};
+use repseq_sim::Dur;
+use repseq_stats::NodeId;
 
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
@@ -171,19 +171,6 @@ pub(crate) fn incorporate_diffs(
     let cost = st.apply_cached_diffs(page);
     let wake = if st.rse.waiting_page == Some(page) { Some(page) } else { None };
     (cost, wake)
-}
-
-/// Convenience used by the handler to multicast a message to every
-/// handler. Needs only the non-blocking half of the context.
-pub(crate) fn multicast_to_handlers(
-    node_nic: &repseq_net::Nic,
-    ctx: &impl SendCtx<DsmMsg>,
-    topo: &crate::runtime::Topology,
-    class: MsgClass,
-    msg: DsmMsg,
-) {
-    let size = msg.wire_size();
-    node_nic.multicast(ctx, topo.all_handlers(), class, size, msg);
 }
 
 // =================================================================

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use repseq_sim::Stopped;
-use repseq_stats::{MsgClass, NodeId};
+use repseq_stats::NodeId;
 
 use crate::exec::{Step, Task, TaskFn, Waiting};
 use crate::fetch::RetryTimer;
@@ -15,6 +15,7 @@ use crate::interval::PageId;
 use crate::msg::DsmMsg;
 use crate::runtime::DsmNode;
 use crate::vc::Vc;
+use crate::wire::Nodes;
 
 /// Run one replicated sequential section from the master: valid-notice
 /// exchange, fork of the body to every node, replicated execution of the
@@ -33,7 +34,7 @@ impl DsmNode {
     /// task to every slave together with the aggregated table.
     pub fn fork_replicated(&self, body: Arc<TaskFn>) -> Result<(), Stopped> {
         assert!(self.is_master());
-        let n = self.topo.n;
+        let n = self.n_nodes();
         let t0 = self.ctx.now();
 
         // 1. Collect everyone's valid-notice deltas. The request carries
@@ -41,10 +42,7 @@ impl DsmNode {
         //    multicast over the hub — n-1 unicasts would serialize ~n
         //    send overheads on the master's CPU at every section entry.
         if n > 1 {
-            let slave_apps: Vec<_> = (1..n).map(|s| (s, self.topo.app_pids[s])).collect();
-            let msg = DsmMsg::ValidNoticeRequest { reply_to: self.ctx.pid() };
-            let size = msg.wire_size();
-            self.nic.multicast_reliable(&self.ctx, &slave_apps, MsgClass::ValidNotice, size, msg);
+            self.multicast(Nodes::Slaves, DsmMsg::ValidNoticeRequest);
         }
         let mut table: Vec<(NodeId, PageId, Vc)> = {
             let mut st = self.ctx.state();
@@ -68,17 +66,14 @@ impl DsmNode {
         //    ONE multicast over the hub to the protocol handlers. The
         //    master blocks until delivery — the forks go over the switch
         //    and must not overtake the table.
-        let msg = DsmMsg::ValidNoticeTable { deltas: table.into() };
-        let size = msg.wire_size();
-        let dsts = &self.topo.all_handlers()[1..];
-        let at = self.nic.multicast_reliable(&self.ctx, dsts, MsgClass::ValidNotice, size, msg);
+        let at = self.multicast(Nodes::Slaves, DsmMsg::ValidNoticeTable { deltas: table.into() });
         let service = self.ctx.state().cfg.service_overhead;
         let resume_at = at + service * 2;
         let now = self.ctx.now();
         if resume_at > now {
             self.ctx.sleep(resume_at - now)?;
         }
-        self.topo.stats.on_valid_notice_time(0, self.ctx.now() - t0);
+        self.stats().on_valid_notice_time(0, self.ctx.now() - t0);
 
         // 3. Fork the replicated body.
         self.fork_slaves(Task::Replicated(body))
@@ -111,7 +106,7 @@ impl DsmNode {
     pub fn end_replicated_master(&self) -> Result<(), Stopped> {
         assert!(self.is_master());
         self.race_sync(crate::race::SyncEdge::RseExitArrive);
-        let n = self.topo.n;
+        let n = self.n_nodes();
         // SeqDone signals that arrived while the master was blocked in its
         // own replicated fault were buffered.
         let buffered = std::mem::take(&mut self.ctx.state().exec.pending_seqdone);
@@ -126,10 +121,7 @@ impl DsmNode {
         // fork goes over the *switch* and must not overtake the hub frame,
         // or a slave still waiting for SeqGo would see the Fork first.
         if n > 1 {
-            let slave_apps: Vec<_> = (1..n).map(|s| (s, self.topo.app_pids[s])).collect();
-            let msg = DsmMsg::SeqGo;
-            let size = msg.wire_size();
-            let at = self.nic.multicast_reliable(&self.ctx, &slave_apps, MsgClass::Sync, size, msg);
+            let at = self.multicast(Nodes::Slaves, DsmMsg::SeqGo);
             let now = self.ctx.now();
             if at > now {
                 self.ctx.sleep(at - now)?;
@@ -145,12 +137,9 @@ impl DsmNode {
     /// master's go-ahead, then retire the section.
     pub fn end_replicated_slave(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
-        let node = self.node();
         self.race_sync(crate::race::SyncEdge::RseExitArrive);
-        let msg = DsmMsg::SeqDone { from: node };
-        let size = msg.wire_size();
         self.ctx.charge(self.sync_cost());
-        self.nic.unicast(&self.ctx, 0, self.topo.app_pids[0], MsgClass::Sync, size, msg);
+        self.send(0, DsmMsg::SeqDone { from: self.node() });
         self.recv_for(Waiting::SeqGo, |env| match env.msg {
             DsmMsg::SeqGo => Step::Done(()),
             other => Step::Other(other),
@@ -200,7 +189,7 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
         // frames of the section entry — at ~200 nodes that is seconds of
         // virtual delay, during which every other node times out and
         // fires §5.4.2 recovery at full strength.
-        node.to_handler(0, MsgClass::DiffRequest, msg);
+        node.send(0, msg);
     }
     let mut timer = RetryTimer::from_cfg(&node.ctx.state().cfg);
     let mut seen_turns = node.ctx.state().rse.chain_turns;
@@ -245,12 +234,12 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
             continue;
         }
         timer.note_retry(|max| recovery_diagnostic(node, p, me, max));
-        send_recovery_requests(node, p, me);
+        send_recovery_requests(node, p);
     }
     let waited = node.ctx().now() - t0;
-    node.topo.stats.on_diff_stall(me, waited);
+    node.stats().on_diff_stall(me, waited);
     if send_request {
-        node.topo.stats.on_diff_request_complete(me, waited);
+        node.stats().on_diff_request_complete(me, waited);
     }
     Ok(())
 }
@@ -276,15 +265,14 @@ fn try_complete(node: &DsmNode, p: PageId) -> bool {
 /// Unicast a §5.4.2 recovery request to every owner of a still-missing
 /// diff. The owners reply with out-of-band multicasts
 /// ([`crate::strategy::chain::OOB_SEQ`]).
-fn send_recovery_requests(node: &DsmNode, p: PageId, me: NodeId) {
+fn send_recovery_requests(node: &DsmNode, p: PageId) {
     let plan = {
         let mut st = node.ctx.state();
         st.rse.recovery_rounds += 1;
         st.fetch_plan(p)
     };
     for (owner, ivxs) in plan {
-        let msg = DsmMsg::RecoveryRequest { page: p, ivxs, requester: me, reply_mcast: true };
-        node.to_handler(owner, MsgClass::DiffRequest, msg);
+        node.send(owner, DsmMsg::RecoveryRequest { page: p, ivxs });
     }
 }
 

@@ -5,8 +5,8 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use repseq_sim::{Pid, Stopped};
-use repseq_stats::{MsgClass, NodeId};
+use repseq_sim::Stopped;
+use repseq_stats::NodeId;
 
 use crate::exec::{Step, Waiting};
 use crate::interval::IntervalRecord;
@@ -16,24 +16,17 @@ use crate::runtime::DsmNode;
 use crate::state::NodeState;
 use crate::vc::Vc;
 
-/// Pending lock-acquire request queued at the current holder.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingAcquire {
-    pub(crate) from: NodeId,
-    pub(crate) vc: Vc,
-    pub(crate) reply_to: Pid,
-}
-
 /// Barrier-manager and lock state.
 pub(crate) struct SyncState {
     /// Barrier manager (node 0 only): arrivals of the current episode.
-    pub(crate) barrier_arrivals: Vec<(NodeId, Vc, Pid)>,
+    pub(crate) barrier_arrivals: Vec<(NodeId, Vc)>,
     /// Locks whose token is at this node.
     pub(crate) lock_token: HashSet<u32>,
     /// Locks currently held by this node's application.
     pub(crate) lock_held: HashSet<u32>,
-    /// Acquire requests waiting for this node to release.
-    pub(crate) lock_pending: HashMap<u32, VecDeque<PendingAcquire>>,
+    /// Acquire requests waiting for this node to release: the requester
+    /// and its vector time.
+    pub(crate) lock_pending: HashMap<u32, VecDeque<(NodeId, Vc)>>,
     /// Manager-side: the node an acquire should be forwarded to.
     pub(crate) lock_last: HashMap<u32, NodeId>,
 }
@@ -58,13 +51,7 @@ pub(crate) enum LockAction {
 }
 
 /// Lock logic at the node believed to hold the token.
-pub(crate) fn holder_logic(
-    s: &mut NodeState,
-    lock: u32,
-    from: usize,
-    vc: &Vc,
-    reply_to: Pid,
-) -> LockAction {
+pub(crate) fn holder_logic(s: &mut NodeState, lock: u32, from: usize, vc: &Vc) -> LockAction {
     if s.sync.lock_token.contains(&lock) && !s.sync.lock_held.contains(&lock) {
         s.sync.lock_token.remove(&lock);
         let records = s.con.intervals.records_unknown_to(vc);
@@ -72,11 +59,7 @@ pub(crate) fn holder_logic(
     } else {
         // Held by the local application, or the token is still in flight
         // to us: queue; the release path grants.
-        s.sync.lock_pending.entry(lock).or_default().push_back(PendingAcquire {
-            from,
-            vc: vc.clone(),
-            reply_to,
-        });
+        s.sync.lock_pending.entry(lock).or_default().push_back((from, vc.clone()));
         LockAction::Queued
     }
 }
@@ -91,19 +74,13 @@ impl DsmNode {
     pub fn barrier(&self) -> Result<(), Stopped> {
         let node = self.node();
         self.race_sync(SyncEdge::BarrierArrive);
-        let msg = {
+        self.ctx.charge(self.sync_cost());
+        {
             let mut st = self.ctx.state();
             st.close_interval();
             let records = st.con.intervals.records_unknown_to(&st.exec.master_known);
-            DsmMsg::BarrierArrive {
-                from: node,
-                vc: st.con.vc.clone(),
-                records,
-                reply_to: self.ctx.pid(),
-            }
-        };
-        self.ctx.charge(self.sync_cost());
-        self.to_handler(0, MsgClass::Sync, msg);
+            self.send(0, DsmMsg::BarrierArrive { from: node, vc: st.con.vc.clone(), records });
+        }
         let (records, vc) = self.recv_for(Waiting::Barrier, |env| match env.msg {
             DsmMsg::BarrierDepart { records, vc } => Step::Done((records, vc)),
             other => Step::Other(other),
@@ -125,7 +102,7 @@ impl DsmNode {
 
     /// The node managing lock `l`.
     pub(crate) fn lock_manager(&self, l: u32) -> NodeId {
-        (l as usize) % self.topo.n
+        (l as usize) % self.n_nodes()
     }
 
     /// Acquire a lock (an acquire access in release consistency).
@@ -149,18 +126,10 @@ impl DsmNode {
             self.race_sync(SyncEdge::LockAcquire { lock: l });
             return Ok(());
         }
-        let msg = {
-            let st = self.ctx.state();
-            DsmMsg::LockAcquire {
-                lock: l,
-                from: node,
-                vc: st.con.vc.clone(),
-                reply_to: self.ctx.pid(),
-                forwarded: false,
-            }
-        };
+        let vc = self.ctx.state().con.vc.clone();
         self.ctx.charge(self.sync_cost());
-        self.to_handler(self.lock_manager(l), MsgClass::Lock, msg);
+        let msg = DsmMsg::LockAcquire { lock: l, from: node, vc, forwarded: false };
+        self.send(self.lock_manager(l), msg);
         let (records, vc) = self.recv_for(Waiting::Lock(l), |env| match env.msg {
             DsmMsg::LockGrant { lock, records, vc } => {
                 debug_assert_eq!(lock, l);
@@ -187,24 +156,14 @@ impl DsmNode {
         // The release edge must be recorded before the grant can move the
         // lock anywhere else.
         self.race_sync(SyncEdge::LockRelease { lock: l });
-        let grant = {
-            let mut st = self.ctx.state();
-            assert!(st.sync.lock_held.remove(&l), "releasing a lock we do not hold");
-            st.close_interval();
-            match st.sync.lock_pending.get_mut(&l).and_then(|q| q.pop_front()) {
-                Some(req) => {
-                    st.sync.lock_token.remove(&l);
-                    let records = st.con.intervals.records_unknown_to(&req.vc);
-                    Some((req, records, st.con.vc.clone()))
-                }
-                None => None,
-            }
-        };
         self.ctx.charge(self.sync_cost());
-        if let Some((req, records, vc)) = grant {
-            let msg = DsmMsg::LockGrant { lock: l, records, vc };
-            let size = msg.wire_size();
-            self.nic.unicast(&self.ctx, req.from, req.reply_to, MsgClass::Lock, size, msg);
+        let mut st = self.ctx.state();
+        assert!(st.sync.lock_held.remove(&l), "releasing a lock we do not hold");
+        st.close_interval();
+        if let Some((from, vc)) = st.sync.lock_pending.get_mut(&l).and_then(|q| q.pop_front()) {
+            st.sync.lock_token.remove(&l);
+            let records = st.con.intervals.records_unknown_to(&vc);
+            self.send(from, DsmMsg::LockGrant { lock: l, records, vc: st.con.vc.clone() });
         }
         Ok(())
     }

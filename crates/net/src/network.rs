@@ -229,10 +229,10 @@ impl Nic {
         self.hub_frame(ctx, dsts, class, payload_bytes, msg, true)
     }
 
-    /// A multicast exempt from loss injection: used for acknowledged
-    /// metadata transfers (the valid-notice table), whose reliability the
-    /// runtime guarantees with its own handshake. The diff reply chain
-    /// stays lossy — that is what the §5.4.2 recovery path is for.
+    /// A multicast exempt from loss injection: used for the frames the DSM
+    /// runtime treats as acknowledged (synchronization and the valid-notice
+    /// exchange; `DsmMsg::may_drop` decides). The diff reply chain stays
+    /// lossy — that is what the §5.4.2 recovery path is for.
     pub fn multicast_reliable<M: Clone + Send + 'static>(
         &self,
         ctx: &impl SendCtx<M>,
