@@ -406,17 +406,19 @@ impl NodeState {
             eprintln!("node {node}: page {p}: {e}");
         }
         cost += self.cfg.diff_apply_cost(payload);
-        // The copy now reflects everything we know — plus every interval
-        // the applied diffs cover, even if we have not yet seen those
-        // intervals' records. Recording the full coverage is what prevents
-        // the same bytes from being re-applied later under a different
-        // interval tag, over newer local writes.
+        // The copy now reflects all it did, everything we know, and every
+        // interval the applied diffs cover, even one whose record we have
+        // not seen. Recording the full coverage keeps the same bytes from
+        // being re-applied under another interval tag over newer writes;
+        // never lowering it lets the cache forget what it covers (DESIGN.md §7).
+        let page = &mut self.data.pages[p as usize];
         let mut valid_at = self.con.vc.clone();
+        valid_at.merge(&page.valid_at);
         for (_, rec) in &records {
             let o = rec.owner;
             valid_at.set(o, valid_at.get(o).max(rec.max_ivx()));
         }
-        let page = &mut self.data.pages[p as usize];
+        page.diffs.retain(|&(o, _), rec| o == node || !valid_at.covers(o, rec.max_ivx()));
         page.valid = true;
         page.valid_at = valid_at;
         self.mark_valid_changed(p);
@@ -428,7 +430,8 @@ impl NodeState {
     }
 
     /// Serve a diff request for intervals `ivxs` of this node on page `p`:
-    /// create the diff lazily if needed and return the entries. This is the
+    /// create the diff lazily if needed and return the entries, none for an
+    /// interval garbage collection forgot. This is the
     /// §5.3-critical path: during a replicated section the twin still holds
     /// the pre-section base, so the diff created here contains only
     /// pre-section modifications.
@@ -437,8 +440,13 @@ impl NodeState {
         let mut cost = Dur::ZERO;
         let mut out: Vec<DiffEntry> = Vec::new();
         for &ivx in ivxs {
-            let rec = match self.page_mut(p).diffs.get(&(node, ivx)) {
+            let page = self.page_mut(p);
+            // Forgotten when a replicated section retired the page: a
+            // straggler asks, and no node needs it (DESIGN.md §7).
+            let collected = page.peers_valid_at.as_ref().is_some_and(|vc| vc.covers(node, ivx));
+            let rec = match page.diffs.get(&(node, ivx)) {
                 Some(rec) => Arc::clone(rec),
+                None if collected => continue,
                 None => {
                     // Lazy creation: must still have the twin.
                     assert!(
@@ -457,13 +465,14 @@ impl NodeState {
     }
 
     /// Record fetched diffs in the cache, keyed under every interval each
-    /// record covers. A key already held is held by the same record: the
-    /// owner creates one record per interval and serves it from its cache.
+    /// record covers, but none the copy covers: no lookup asks for it. A
+    /// key already held is held by the same record: the owner creates one
+    /// record per interval and serves it from its cache.
     pub(crate) fn cache_diffs(&mut self, p: PageId, entries: &[DiffEntry]) {
-        let cache = &mut self.page_mut(p).diffs;
-        for rec in entries {
+        let PageMeta { diffs, valid_at, .. } = self.page_mut(p);
+        for rec in entries.iter().filter(|rec| !valid_at.covers(rec.owner, rec.max_ivx())) {
             for &ivx in &rec.covers {
-                let held = cache.entry((rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
+                let held = diffs.entry((rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
                 debug_assert!(Arc::ptr_eq(held, rec), "two records for ({p},{},{ivx})", rec.owner);
             }
         }
@@ -481,6 +490,16 @@ impl NodeState {
             .iter()
             .rev()
             .all(|&(o, i)| valid_at.covers(o, i) || cached.contains_key(&(o, i)))
+    }
+
+    /// The diff records (each once, however many intervals key it) and the
+    /// write notices this node holds, for tests of garbage collection.
+    #[doc(hidden)]
+    pub fn held(&self) -> (usize, usize) {
+        let pages = self.data.pages.iter();
+        let records =
+            pages.clone().flat_map(|pg| pg.diffs.iter()).filter(|(k, r)| k.1 == r.covers[0]);
+        (records.count(), pages.map(|pg| pg.notices.len()).sum())
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
@@ -507,7 +526,7 @@ mod tests {
     use super::*;
     use crate::config::DsmConfig;
     use crate::interval::IntervalRecord;
-    use crate::state::testutil::{fake_write, random_page, state, PAGE};
+    use crate::state::testutil::{cache_all, fake_write, random_page, state, PAGE};
     use crate::strategy::chain::incorporate_diffs;
     use crate::vc::Vc;
 
@@ -547,23 +566,30 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
-        /// Completion is exact against the references on random pages: the
-        /// same answer as records arrive one by one, then the same bytes
-        /// and valid notice once all of them are cached.
+        /// Completion is exact against the references on random pages, and
+        /// garbage collection is invisible to it: a page that forgets the
+        /// records and notices its copy covers gives the same plan and
+        /// answer as records arrive one by one as a page that keeps all,
+        /// then the same bytes and valid notice once all of them are cached.
         #[test]
         fn completion_matches_the_reference(seed in 0u64..u64::MAX) {
             let (mut st, records) = random_page(seed);
             let (mut old, old_records) = random_page(seed);
+            let PageMeta { diffs, valid_at, notices, .. } = st.page_mut(PAGE);
+            diffs.retain(|_, rec| !valid_at.covers(rec.owner, rec.max_ivx()));
+            notices.retain(|&(o, i)| !valid_at.covers(o, i));
             for (rec, old_rec) in records.iter().zip(&old_records) {
                 proptest::prop_assert_eq!(st.can_complete(PAGE), can_complete_ref(&mut old, PAGE));
+                proptest::prop_assert_eq!(st.fetch_plan(PAGE), old.fetch_plan(PAGE));
                 st.cache_diffs(PAGE, std::slice::from_ref(rec));
-                old.cache_diffs(PAGE, std::slice::from_ref(old_rec));
+                cache_all(&mut old, old_rec);
             }
             proptest::prop_assert!(st.can_complete(PAGE) && can_complete_ref(&mut old, PAGE));
             st.apply_cached_diffs(PAGE);
             apply_cached_diffs_ref(&mut old, PAGE);
             proptest::prop_assert_eq!(st.page_data(PAGE), old.page_data(PAGE));
             proptest::prop_assert_eq!(&st.page_mut(PAGE).valid_at, &old.page_mut(PAGE).valid_at);
+            proptest::prop_assert_eq!(st.held().0, 0, "a complete copy covers every remote record");
         }
     }
 

@@ -160,9 +160,15 @@ impl Reactor<DsmMsg, NodeState> for Handler {
                 if s.oob_reply_due(page, &ivxs, ctx.now(), window) {
                     let (cost, diffs) = s.serve_diff_request(page, &ivxs);
                     ctx.charge(cost);
-                    let reply =
-                        DsmMsg::McastDiffReply { page, diffs, turn: node, req_seq: chain::OOB_SEQ };
-                    wire.multicast(ctx, Nodes::All, reply);
+                    let (turn, req_seq) = (node, chain::OOB_SEQ);
+                    if diffs.is_empty() {
+                        // All collected: a straggler, its requester counts it stale.
+                        let reply = DsmMsg::DiffReply { page, diffs, req_id: req_seq };
+                        wire.send(ctx, env.from % n, reply);
+                    } else {
+                        let reply = DsmMsg::McastDiffReply { page, diffs, turn, req_seq };
+                        wire.multicast(ctx, Nodes::All, reply);
+                    }
                 }
             }
 

@@ -150,9 +150,9 @@ pub struct PageMeta {
     /// first write inside the section must create the pre-section diff
     /// before the page may change.
     pub rse_protected: bool,
-    /// This page's diff cache, keyed `(owner, interval)`: local creations
-    /// and remote fetches, never evicted (garbage collection is out of
-    /// scope, see DESIGN.md). One record can be keyed under several
+    /// This page's diff cache, keyed `(owner, interval)`: own records until
+    /// a replicated section retires the page, and remote ones the copy does
+    /// not cover yet (DESIGN.md §7). One record can be keyed under several
     /// intervals it covers.
     pub(crate) diffs: BTreeMap<(NodeId, u32), DiffEntry>,
     /// The peers' valid notices for this page (§5.4.1), as exchanged: a

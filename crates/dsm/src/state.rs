@@ -123,6 +123,14 @@ pub(crate) mod testutil {
         st.page_data(p)[offset] = val;
     }
 
+    /// Cache `rec` for [`PAGE`] under every interval it covers, whether
+    /// the copy covers it or not: a cache that collects nothing.
+    pub(crate) fn cache_all(st: &mut NodeState, rec: &DiffEntry) {
+        for &ivx in &rec.covers {
+            st.page_mut(PAGE).diffs.insert((rec.owner, ivx), Arc::clone(rec));
+        }
+    }
+
     /// The page [`random_page`] builds.
     pub(crate) const PAGE: PageId = 3;
 
@@ -131,7 +139,8 @@ pub(crate) mod testutil {
     /// writing the page, each after its owner's last and one random earlier
     /// interval; their diffs as records of one or more intervals of an owner
     /// (a page re-twinned between requests) over overlapping bytes; random
-    /// valid and peer notices; half the records cached. Returns them all.
+    /// valid and peer notices; half the records cached, covered or not.
+    /// Returns them all.
     pub(crate) fn random_page(seed: u64) -> (NodeState, Vec<DiffEntry>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = rng.gen_range(2..9usize);
@@ -173,7 +182,7 @@ pub(crate) mod testutil {
             }
         }
         for rec in records.iter().filter(|_| rng.gen::<bool>()) {
-            st.cache_diffs(PAGE, std::slice::from_ref(rec));
+            cache_all(&mut st, rec);
         }
         (st, records)
     }

@@ -78,10 +78,10 @@ pub(crate) fn on_forward(
         let me = st.node;
         let my_ivxs: Vec<u32> =
             wanted.iter().filter(|&&(owner, _)| owner == me).map(|&(_, ivx)| ivx).collect();
-        if my_ivxs.is_empty() {
+        let (cost, diffs) = st.serve_diff_request(page, &my_ivxs);
+        if diffs.is_empty() {
             return None;
         }
-        let (cost, diffs) = st.serve_diff_request(page, &my_ivxs);
         return Some((DsmMsg::McastDiffReply { page, diffs, turn: me, req_seq }, cost));
     }
     st.rse.chains.insert(req_seq, ChainState { page, wanted, requester, next_turn: 0, holes: 0 });
@@ -89,7 +89,9 @@ pub(crate) fn on_forward(
 }
 
 /// Does this node hold the next turn of chain `req_seq`? If so, produce the
-/// turn message (diff reply or null ack) and the diff-creation cost.
+/// turn message and the diff-creation cost: a diff reply, or a null ack
+/// when it has no diff the chain wants (none, or only ones garbage
+/// collection forgot: a straggling forward from a retired section).
 pub(crate) fn take_turn(st: &mut NodeState, req_seq: u64) -> Option<(DsmMsg, Dur)> {
     let me = st.node;
     let (page, my_ivxs) = {
@@ -101,10 +103,10 @@ pub(crate) fn take_turn(st: &mut NodeState, req_seq: u64) -> Option<(DsmMsg, Dur
             chain.wanted.iter().filter(|&&(owner, _)| owner == me).map(|&(_, ivx)| ivx).collect();
         (chain.page, my_ivxs)
     };
-    if my_ivxs.is_empty() {
-        Some((DsmMsg::McastNullAck { page, turn: me, req_seq }, Dur::ZERO))
+    let (cost, diffs) = st.serve_diff_request(page, &my_ivxs);
+    if diffs.is_empty() {
+        Some((DsmMsg::McastNullAck { page, turn: me, req_seq }, cost))
     } else {
-        let (cost, diffs) = st.serve_diff_request(page, &my_ivxs);
         Some((DsmMsg::McastDiffReply { page, diffs, turn: me, req_seq }, cost))
     }
 }

@@ -66,12 +66,15 @@ impl DsmNode {
         //    ONE multicast over the hub to the protocol handlers. The
         //    master blocks until delivery — the forks go over the switch
         //    and must not overtake the table.
-        let at = self.multicast(Nodes::Slaves, DsmMsg::ValidNoticeTable { deltas: table.into() });
-        let service = self.ctx.state().cfg.service_overhead;
-        let resume_at = at + service * 2;
-        let now = self.ctx.now();
-        if resume_at > now {
-            self.ctx.sleep(resume_at - now)?;
+        if n > 1 {
+            let at =
+                self.multicast(Nodes::Slaves, DsmMsg::ValidNoticeTable { deltas: table.into() });
+            let service = self.ctx.state().cfg.service_overhead;
+            let resume_at = at + service * 2;
+            let now = self.ctx.now();
+            if resume_at > now {
+                self.ctx.sleep(resume_at - now)?;
+            }
         }
         self.stats().on_valid_notice_time(0, self.ctx.now() - t0);
 

@@ -197,23 +197,28 @@ impl NodeState {
                 page.writable = false;
             }
         }
+        let entry = self.rse.entry_vc.clone();
         for p in std::mem::take(&mut self.rse.dirty) {
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.twin.is_none(), "page {p} retired with a twin");
+            // A fork follows a join: the entry covers every closed interval
+            // and every record a copy ever applied.
+            debug_assert!(page.valid_at.dominated_by(&entry), "page {p} valid past the entry");
             page.writable = false;
             page.rse_dirty = false;
             page.valid = true;
-            page.valid_at = self.rse.entry_vc.clone();
-            // Pages retired by a replicated section are valid on *every*
-            // node by construction — each node executed the same writes
-            // at the same vector time — so their validity is common
-            // knowledge. Record it locally, as the one stamp every peer
-            // holds, instead of re-announcing it (with O(n) vector clocks
-            // per entry, from all n nodes) in the next valid-notice
-            // exchange: at hundreds of nodes those redundant notices
-            // dominated the section's wire traffic.
+            page.valid_at = entry.clone();
+            // Every node executed the same writes at the same vector time,
+            // so the page is valid on *every* node at `entry`: common
+            // knowledge, kept as the one stamp every peer holds rather than
+            // re-announced by all n nodes at the next exchange (at hundreds
+            // of nodes those notices dominated its traffic). No copy falls
+            // below `entry` again, so no node can want a notice or record
+            // it covers, and every node forgets the same ones (DESIGN.md §7).
+            page.notices.retain(|&(o, i)| !entry.covers(o, i));
+            page.diffs.retain(|_, rec| !entry.covers(rec.owner, rec.max_ivx()));
             page.valid_changed = false;
-            page.peers_valid_at = Some(self.rse.entry_vc.clone());
+            page.peers_valid_at = Some(entry.clone());
             page.peer_announced.clear();
             // Section retirement re-protected the page written in it; the
             // retired copy stays valid, so reads may keep their entries.

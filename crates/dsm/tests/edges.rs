@@ -97,10 +97,12 @@ fn a_straddling_run_swapped_between_nested_guards_keeps_its_bytes() {
 }
 
 /// Single-node clusters degrade gracefully: barriers, locks and sections
-/// all work with no peers.
+/// all work with no peers, and a replicated section exchanges no valid
+/// notices with them.
 #[test]
 fn single_node_cluster_works() {
-    let mut cl = cluster(1);
+    let stats = Stats::new(1);
+    let mut cl = Cluster::new(ClusterConfig::paper(1), Arc::clone(&stats));
     let x = cl.alloc_var::<u64>();
     let done = Arc::new(Mutex::new(0u64));
     let done2 = Arc::clone(&done);
@@ -123,6 +125,7 @@ fn single_node_cluster_works() {
     })];
     cl.launch(apps).unwrap();
     assert_eq!(*done.lock(), 36);
+    assert_eq!(stats.snapshot().total_agg_with_startup().valid_notice_msgs, 0);
 }
 
 /// Preloaded initial images are visible on every node without any
@@ -491,4 +494,71 @@ fn a_message_no_wait_accepts_fails_the_run_under_the_apps_name() {
         }
         other => panic!("expected app0's panic, got {other:?}"),
     }
+}
+
+/// A replicated section that writes a page retires it valid everywhere,
+/// and every node forgets its history. A straggler naming that history
+/// lands after the section: a diff request and a recovery request are
+/// answered with an empty reply, counted stale by the requester, and a
+/// late forwarded request runs a chain of null turns. No run panics.
+#[test]
+fn stragglers_naming_collected_history_are_answered_as_stale() {
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Forged {
+        Nothing,
+        DiffRequest,
+        RecoveryRequest,
+        ChainTurns,
+    }
+    let n = 2;
+    let run = |forged: Forged| {
+        let stats = Stats::new(n);
+        let mut cl = Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats));
+        let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
+        let apps: Apps = vec![
+            Box::new(move |node: DsmNode| {
+                // Node 1's interval 1 writes the page; the section's fault
+                // on node 0 fetches its diff, and the section retires it.
+                node.run_parallel(move |nd| if nd.node() == 1 { x.set(nd, 0, 7) } else { Ok(()) })?;
+                node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 1, x.get(nd, 0)?))?;
+                node.run_parallel(|nd| {
+                    assert_eq!(nd.ctx().state().held(), (0, 0), "node {}", nd.node());
+                    Ok(())
+                })?;
+                let page = (x.addr(0) / node.page_size() as u64) as PageId;
+                let (req_id, req_seq) = (99, 99);
+                let (msg, to) = match forged {
+                    Forged::Nothing => return node.shutdown_slaves(),
+                    Forged::DiffRequest => {
+                        (DsmMsg::DiffRequest { page, ivxs: vec![1], from: 0, req_id }, 1..2)
+                    }
+                    Forged::RecoveryRequest => {
+                        (DsmMsg::RecoveryRequest { page, ivxs: vec![1] }, 1..2)
+                    }
+                    Forged::ChainTurns => {
+                        let wanted = vec![(1, 1)];
+                        (DsmMsg::McastForward { page, wanted, requester: 0, req_seq }, 0..n)
+                    }
+                };
+                // To the handlers (pids 0..n); the raw send bypasses the
+                // network model, so it keeps the minimum latency itself.
+                let at = node.ctx().now() + Dur::from_micros(60);
+                to.for_each(|pid| node.ctx().send(pid, msg.clone(), at));
+                node.ctx().sleep(Dur::from_millis(1))?;
+                node.run_parallel(|_| Ok(()))?;
+                node.shutdown_slaves()
+            }),
+            Box::new(|node: DsmNode| node.slave_loop()),
+        ];
+        let report = cl.launch(apps).unwrap_or_else(|e| panic!("{forged:?}: {e:?}"));
+        assert!(report.mailbox_backlog.is_empty(), "{forged:?}: {:?}", report.mailbox_backlog);
+        stats.snapshot().total_agg_with_startup()
+    };
+    let base = run(Forged::Nothing);
+    for forged in [Forged::DiffRequest, Forged::RecoveryRequest] {
+        assert_eq!(run(forged).stale_replies, base.stale_replies + 1, "{forged:?}");
+    }
+    let turns = run(Forged::ChainTurns);
+    assert_eq!(turns.null_acks, base.null_acks + n as u64, "every turn is null");
+    assert_eq!(turns.diff_bytes, base.diff_bytes + 24 * n as u64, "and carries no diff");
 }

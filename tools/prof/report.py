@@ -42,7 +42,7 @@ LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "layers")
 # see above) under whichever layer the sample is charged to.
 LIBC_LEAF = re.compile(r"libc[\w.-]*:")
 SUB_ROWS = (("memmove", re.compile(r"nss_database|memmove|memcpy|memset")),
-            ("allocator", re.compile(r"malloc|free|realloc|morecore")))
+            ("allocator", re.compile(r"malloc|calloc|free|realloc|morecore")))
 
 
 def load(path):
