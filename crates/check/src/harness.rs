@@ -3,9 +3,8 @@
 //! invariants after every run, and producing a divergence report on the
 //! first failure.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use repseq_dsm::{
     AppFn, Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqMode,
 };
@@ -155,9 +154,15 @@ fn replay_reference(w: &Workload, page_size: usize, n: usize) -> Expected {
     out
 }
 
+/// The snapshot collector's lock, poison ignored: a run that panicked
+/// still reports what it collected.
+fn collected(coll: &Mutex<Vec<Snapshot>>) -> MutexGuard<'_, Vec<Snapshot>> {
+    coll.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn take_snapshot(nd: &DsmNode, phase: usize, audit: &[PageId], coll: &Mutex<Vec<Snapshot>>) {
     let node = nd.node();
-    let mut c = coll.lock();
+    let mut c = collected(coll);
     for &p in audit {
         if let Some(bytes) = nd.inspect_page(p) {
             c.push(Snapshot { phase, node, page: p, bytes });
@@ -228,7 +233,7 @@ pub(crate) fn run_once(
         apps.push(Box::new(|node: DsmNode| node.slave_loop()));
     }
     let outcome = cl.launch_inspect(apps);
-    let snaps = std::mem::take(&mut *collector.lock());
+    let snaps = std::mem::take(&mut *collected(&collector));
     RunArtifacts { outcome, snaps, expected, name, stats: stats.snapshot() }
 }
 

@@ -24,9 +24,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use repseq_dsm::{AccessKind, PageId, RaceConfig, RaceSink, SyncEdge, Vc};
 use repseq_stats::NodeId;
 
@@ -339,9 +338,15 @@ impl RaceDetector {
         }
     }
 
+    /// The one lock, poison ignored: the races found before a panic are
+    /// still reported.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of everything found so far.
     pub fn report(&self) -> RaceReport {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         RaceReport {
             races: inner.races.clone(),
             races_found: inner.races_found,
@@ -352,17 +357,17 @@ impl RaceDetector {
 
     /// Total unordered conflicting access pairs found so far.
     pub fn race_count(&self) -> u64 {
-        self.inner.lock().races_found
+        self.lock().races_found
     }
 }
 
 impl RaceSink for RaceDetector {
     fn access(&self, node: NodeId, addr: u64, len: usize, kind: AccessKind) {
-        self.inner.lock().access(node, addr, len, kind);
+        self.lock().access(node, addr, len, kind);
     }
 
     fn sync(&self, node: NodeId, edge: SyncEdge) {
-        self.inner.lock().sync(node, edge);
+        self.lock().sync(node, edge);
     }
 }
 

@@ -9,9 +9,8 @@
 
 #![allow(clippy::type_complexity)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_check::{Mem, RefMem};
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, ShArray};
@@ -118,7 +117,7 @@ fn run_on_dsm(prog: &Program, guards: bool) -> Vec<(Vec<u64>, Vec<[u64; 3]>)> {
                     t.push(trip.get(&node, i)?);
                 }
             }
-            out.lock()[me] = (u, t);
+            out.lock().unwrap()[me] = (u, t);
             Ok(())
         }));
     }
@@ -126,7 +125,7 @@ fn run_on_dsm(prog: &Program, guards: bool) -> Vec<(Vec<u64>, Vec<[u64; 3]>)> {
     // Addresses are allocation-order deterministic; keep them for the
     // reference replay before the cluster is consumed.
     cl.launch(apps).expect("simulation must complete");
-    let views = std::mem::take(&mut *out.lock());
+    let views = std::mem::take(&mut *out.lock().unwrap());
     views
 }
 

@@ -3,9 +3,8 @@
 //! master thread executes the program while the slave threads are blocked
 //! inside the runtime system waiting for the master to issue a Tmk_fork").
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, Pod, SeqMode, ShArray, ShVar};
 use repseq_sim::{SimError, SimReport, Stopped};
 use repseq_stats::{Stats, StatsRef};
@@ -150,14 +149,19 @@ impl Runtime {
         let mut apps: Vec<repseq_dsm::AppFn> = Vec::new();
         apps.push(Box::new(move |node: DsmNode| {
             let team = Team::new(node, mode, stats);
-            *out.lock() = Some(program(&team)?);
+            *lock(&out) = Some(program(&team)?);
             team.node().shutdown_slaves()
         }));
         for _ in 1..n {
             apps.push(Box::new(|node: DsmNode| node.slave_loop()));
         }
         let report = self.cluster.launch(apps)?;
-        let value = slot.lock().take().expect("a run that succeeded ran the master program");
+        let value = lock(&slot).take().expect("a run that succeeded ran the master program");
         Ok((value, report))
     }
+}
+
+/// The result slot's lock, poison ignored: the slot is only ever written whole.
+fn lock<T>(slot: &Mutex<Option<T>>) -> MutexGuard<'_, Option<T>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -46,7 +46,6 @@ pub fn weighted_segments(weights: &[f64], n: usize) -> Vec<usize> {
             next += 1;
         }
         acc += w;
-        let _ = i;
     }
     while bounds.len() < n {
         bounds.push(weights.len());

@@ -2,9 +2,8 @@
 //! Optimized, Broadcast-ablation) agree on results and differ on traffic
 //! exactly the way the paper says they should.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_core::{RunConfig, Runtime, SeqMode, Team, Worker};
 use repseq_dsm::ShArray;
 use repseq_sim::Dur;
@@ -57,12 +56,12 @@ fn mini_app(mode: SeqMode, n: usize, iters: usize) -> (Vec<u64>, StatsSnapshot) 
         for i in 0..parts.len() {
             v.push(parts.get(team.node(), i)?);
         }
-        *out2.lock() = v;
+        *out2.lock().unwrap() = v;
         Ok(())
     })
     .expect("run failed");
     let snap = stats.snapshot();
-    (Arc::try_unwrap(out).unwrap().into_inner(), snap)
+    (Arc::try_unwrap(out).unwrap().into_inner().unwrap(), snap)
 }
 
 #[test]
@@ -123,7 +122,7 @@ fn sequential_bodies_run_where_the_mode_says() {
             for _ in 0..k {
                 let counted = Arc::clone(&counted);
                 team.sequential(move |nd| {
-                    counted.lock()[nd.node()] += 1;
+                    counted.lock().unwrap()[nd.node()] += 1;
                     Ok(())
                 })?;
             }
@@ -131,7 +130,7 @@ fn sequential_bodies_run_where_the_mode_says() {
         })
         .unwrap();
         let expected = if mode == SeqMode::Replicated { vec![k; n] } else { vec![k, 0, 0, 0] };
-        assert_eq!(*runs.lock(), expected, "{mode:?}");
+        assert_eq!(*runs.lock().unwrap(), expected, "{mode:?}");
     }
 }
 
@@ -175,11 +174,11 @@ fn parallel_for_schedules_cover_iterations() {
                 let expect = if cyclic { (i % 3 + 1) as u32 } else { (i / 32 + 1) as u32 };
                 all &= v == expect;
             }
-            *ok2.lock() = all;
+            *ok2.lock().unwrap() = all;
             Ok(())
         })
         .unwrap();
-        assert!(*ok.lock(), "cyclic={cyclic}");
+        assert!(*ok.lock().unwrap(), "cyclic={cyclic}");
     }
 }
 
@@ -213,11 +212,11 @@ fn conditional_parallelization_if_clause() {
         }
         let a = x.get(team.node(), 0)?;
         let b = x.get(team.node(), 63)?;
-        *done2.lock() = (a, b);
+        *done2.lock().unwrap() = (a, b);
         Ok(())
     })
     .unwrap();
-    assert_eq!(*done.lock(), (22, 22), "2 parallel +1s and 2 sequential +10s");
+    assert_eq!(*done.lock().unwrap(), (22, 22), "2 parallel +1s and 2 sequential +10s");
 }
 
 #[test]
@@ -238,11 +237,11 @@ fn locks_inside_parallel_regions() {
             }
             Ok(())
         })?;
-        *result2.lock() = counter.get(team.node())?;
+        *result2.lock().unwrap() = counter.get(team.node())?;
         Ok(())
     })
     .unwrap();
-    assert_eq!(*result.lock(), 12);
+    assert_eq!(*result.lock().unwrap(), 12);
 }
 
 #[test]
@@ -264,11 +263,11 @@ fn barriers_inside_parallel_regions() {
             assert_eq!(s, 7 + 14 + 21);
             Ok(())
         })?;
-        *ok2.lock() = true;
+        *ok2.lock().unwrap() = true;
         Ok(())
     })
     .unwrap();
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
 }
 
 #[test]
@@ -282,12 +281,12 @@ fn worker_read_all_bulk_reads() {
     let got2 = Arc::clone(&got);
     rt.run(move |team| {
         let v = team.node().read_all(data)?;
-        *got2.lock() = v;
+        *got2.lock().unwrap() = v;
         Ok(())
     })
     .unwrap();
-    assert_eq!(got.lock().len(), 700);
-    assert_eq!(got.lock()[699], 699.0 * 0.5);
+    assert_eq!(got.lock().unwrap().len(), 700);
+    assert_eq!(got.lock().unwrap()[699], 699.0 * 0.5);
 }
 
 #[test]
@@ -337,11 +336,11 @@ fn parallel_first_program() {
                 }
                 a.set(nd, 0, s)
             })?;
-            *ok2.lock() = a.get(team.node(), 0)?;
+            *ok2.lock().unwrap() = a.get(team.node(), 0)?;
             Ok(())
         })
         .unwrap();
-        assert_eq!(*ok.lock(), 15, "{mode:?}");
+        assert_eq!(*ok.lock().unwrap(), 15, "{mode:?}");
     }
 }
 
@@ -358,7 +357,7 @@ fn master_print_guard() {
         team.sequential(move |nd| {
             if nd.is_master() {
                 // Stand-in for Team::master_print: count instead of print.
-                *printed3.lock() += 1;
+                *printed3.lock().unwrap() += 1;
             }
             Team::master_print(nd, format_args!(""));
             Ok(())
@@ -366,5 +365,5 @@ fn master_print_guard() {
         Ok(())
     })
     .unwrap();
-    assert_eq!(*printed.lock(), 1, "exactly one node executes guarded I/O");
+    assert_eq!(*printed.lock().unwrap(), 1, "exactly one node executes guarded I/O");
 }

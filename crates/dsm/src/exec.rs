@@ -338,12 +338,7 @@ impl DsmNode {
         // are independent media; without this the following fork's records
         // would overtake the data and re-invalidate it at the receivers).
         let service = self.ctx.state().cfg.service_overhead;
-        let resume_at = last_delivery + service * (sent + 1);
-        let now = self.ctx.now();
-        if resume_at > now {
-            self.ctx.sleep(resume_at - now)?;
-        }
-        Ok(())
+        self.sleep_until(last_delivery + service * (sent + 1))
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! Every simulated frame carries one `DsmMsg`, and the message decides the
 //! rest of the frame: the process that serves it ([`DsmMsg::to_handler`]),
-//! its class in the tables ([`DsmMsg::class`]), whether a hub copy may be
-//! lost ([`DsmMsg::may_drop`]) and its estimated size
-//! ([`DsmMsg::wire_size`]), which the network layer turns into
-//! transmission time. [`crate::wire::Wire`] is the one place that reads
-//! them.
+//! its class in the tables ([`DsmMsg::class`]), which also decides whether
+//! the network may lose it, and its estimated size ([`DsmMsg::wire_size`]),
+//! which the network layer turns into transmission time.
+//! [`crate::wire::Wire`] is the one place that reads them.
 
 use std::sync::Arc;
 
@@ -125,14 +124,6 @@ impl DsmMsg {
         }
     }
 
-    /// May the loss injector drop a hub copy of this frame? Diff traffic
-    /// and page broadcasts may be lost: the §5.4.2 recovery path and the
-    /// next demand fetch repair them. Synchronization and valid-notice
-    /// frames may not: the runtime treats their delivery as acknowledged.
-    pub(crate) fn may_drop(&self) -> bool {
-        !matches!(self.class(), MsgClass::Sync | MsgClass::ValidNotice)
-    }
-
     /// Is this frame served by its node's protocol handler, rather than by
     /// its application process?
     pub(crate) fn to_handler(&self) -> bool {
@@ -237,56 +228,48 @@ mod tests {
         assert!(ack.wire_size() <= 32);
     }
 
-    /// Every message's class, whether a hub copy of it may be dropped, and
-    /// whether its node's handler (not its application) serves it: what
-    /// each send site once stated for itself.
+    /// Every message's class, and whether its node's handler (not its
+    /// application) serves it: what each send site once stated for itself.
     #[test]
-    fn every_message_names_its_class_loss_and_receiver() {
+    fn every_message_names_its_class_and_receiver() {
         use DsmMsg as M;
         use MsgClass::*;
         let vc = || Vc::zero(2);
         let table = [
-            (M::DiffRequest { page: 0, ivxs: vec![], from: 0, req_id: 0 }, DiffRequest, true, true),
-            (M::DiffReply { page: 0, diffs: vec![], req_id: 0 }, DiffReply, true, false),
-            (M::BarrierArrive { from: 0, vc: vc(), records: vec![] }, Sync, false, true),
-            (M::BarrierDepart { records: vec![], vc: vc() }, Sync, false, false),
-            (M::LockAcquire { lock: 0, from: 0, vc: vc(), forwarded: false }, Lock, true, true),
-            (M::LockGrant { lock: 0, records: vec![], vc: vc() }, Lock, true, false),
-            (M::Fork { records: vec![], vc: vc(), task: Task::Shutdown }, Sync, false, false),
-            (M::Join { from: 0, vc: vc(), records: vec![] }, Sync, false, false),
-            (M::ValidNoticeRequest, ValidNotice, false, false),
-            (M::ValidNoticeReply { from: 0, delta: vec![] }, ValidNotice, false, false),
-            (M::ValidNoticeTable { deltas: Arc::new([]) }, ValidNotice, false, true),
+            (M::DiffRequest { page: 0, ivxs: vec![], from: 0, req_id: 0 }, DiffRequest, true),
+            (M::DiffReply { page: 0, diffs: vec![], req_id: 0 }, DiffReply, false),
+            (M::BarrierArrive { from: 0, vc: vc(), records: vec![] }, Sync, true),
+            (M::BarrierDepart { records: vec![], vc: vc() }, Sync, false),
+            (M::LockAcquire { lock: 0, from: 0, vc: vc(), forwarded: false }, Lock, true),
+            (M::LockGrant { lock: 0, records: vec![], vc: vc() }, Lock, false),
+            (M::Fork { records: vec![], vc: vc(), task: Task::Shutdown }, Sync, false),
+            (M::Join { from: 0, vc: vc(), records: vec![] }, Sync, false),
+            (M::ValidNoticeRequest, ValidNotice, false),
+            (M::ValidNoticeReply { from: 0, delta: vec![] }, ValidNotice, false),
+            (M::ValidNoticeTable { deltas: Arc::new([]) }, ValidNotice, true),
             (
                 M::McastRequest { page: 0, wanted: vec![], requester: 0, epoch: 0 },
                 DiffRequest,
-                true,
                 true,
             ),
             (
                 M::McastForward { page: 0, wanted: vec![], requester: 0, req_seq: 0 },
                 ForwardedRequest,
                 true,
-                true,
             ),
-            (
-                M::McastDiffReply { page: 0, diffs: vec![], turn: 0, req_seq: 0 },
-                DiffReply,
-                true,
-                true,
-            ),
-            (M::McastNullAck { page: 0, turn: 0, req_seq: 0 }, NullAck, true, true),
-            (M::RecoveryRequest { page: 0, ivxs: vec![] }, DiffRequest, true, true),
-            (M::SeqDone { from: 0 }, Sync, false, false),
-            (M::SeqGo, Sync, false, false),
-            (M::PageBroadcast { page: 0, data: Arc::new([]), vc: vc() }, Broadcast, true, true),
-            (M::WakePage { page: 0 }, Other, true, false),
+            (M::McastDiffReply { page: 0, diffs: vec![], turn: 0, req_seq: 0 }, DiffReply, true),
+            (M::McastNullAck { page: 0, turn: 0, req_seq: 0 }, NullAck, true),
+            (M::RecoveryRequest { page: 0, ivxs: vec![] }, DiffRequest, true),
+            (M::SeqDone { from: 0 }, Sync, false),
+            (M::SeqGo, Sync, false),
+            (M::PageBroadcast { page: 0, data: Arc::new([]), vc: vc() }, Broadcast, true),
+            (M::WakePage { page: 0 }, Other, false),
         ];
         let kinds: std::collections::HashSet<_> = table.iter().map(|r| r.0.kind()).collect();
         assert_eq!(kinds.len(), table.len(), "one row per message");
-        for (msg, class, may_drop, to_handler) in &table {
-            let row = (msg.class(), msg.may_drop(), msg.to_handler());
-            assert_eq!(row, (*class, *may_drop, *to_handler), "{}", msg.kind());
+        for (msg, class, to_handler) in &table {
+            let row = (msg.class(), msg.to_handler());
+            assert_eq!(row, (*class, *to_handler), "{}", msg.kind());
         }
     }
 

@@ -161,6 +161,17 @@ impl DsmNode {
         self.wire.multicast(&self.ctx, to, msg)
     }
 
+    /// Block until virtual time `at`, if it is still ahead: a sender that
+    /// must not overtake its own hub frame over the switch waits for it to
+    /// land.
+    pub(crate) fn sleep_until(&self, at: SimTime) -> Result<(), Stopped> {
+        let now = self.ctx.now();
+        if at > now {
+            self.ctx.sleep(at - now)?;
+        }
+        Ok(())
+    }
+
     /// The substrate context (for charging application compute time, raw
     /// sends/receives in tests, and timeouts).
     pub fn ctx(&self) -> &NodeCtx {

@@ -70,11 +70,7 @@ impl DsmNode {
             let at =
                 self.multicast(Nodes::Slaves, DsmMsg::ValidNoticeTable { deltas: table.into() });
             let service = self.ctx.state().cfg.service_overhead;
-            let resume_at = at + service * 2;
-            let now = self.ctx.now();
-            if resume_at > now {
-                self.ctx.sleep(resume_at - now)?;
-            }
+            self.sleep_until(at + service * 2)?;
         }
         self.stats().on_valid_notice_time(0, self.ctx.now() - t0);
 
@@ -124,11 +120,7 @@ impl DsmNode {
         // fork goes over the *switch* and must not overtake the hub frame,
         // or a slave still waiting for SeqGo would see the Fork first.
         if n > 1 {
-            let at = self.multicast(Nodes::Slaves, DsmMsg::SeqGo);
-            let now = self.ctx.now();
-            if at > now {
-                self.ctx.sleep(at - now)?;
-            }
+            self.sleep_until(self.multicast(Nodes::Slaves, DsmMsg::SeqGo))?;
         }
         self.ctx.charge(self.sync_cost());
         self.ctx.state().exit_replicated();

@@ -1,7 +1,7 @@
 //! The one send path of the protocol. A frame names its destination node,
 //! or a group of nodes, and its message; the message decides the rest: the
-//! process that serves it, its class, its size and whether a hub copy may
-//! be lost (see [`crate::msg`]).
+//! process that serves it, its class and its size (see [`crate::msg`]).
+//! Whether a copy may be lost is the network's rule, by class.
 
 use std::sync::Arc;
 
@@ -76,10 +76,6 @@ impl Wire {
         let first = base + matches!(to, Nodes::Slaves) as usize;
         let dsts = &self.topo.procs[first..base + self.topo.n];
         let (class, size) = (msg.class(), msg.wire_size());
-        if msg.may_drop() {
-            self.nic.multicast(ctx, dsts, class, size, msg)
-        } else {
-            self.nic.multicast_reliable(ctx, dsts, class, size, msg)
-        }
+        self.nic.multicast(ctx, dsts, class, size, msg)
     }
 }

@@ -3,9 +3,8 @@
 //! managers, big-value round trips, forged stragglers in every wait, and
 //! a handler or an application that panics on a message it cannot accept.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_dsm::{
     impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, SeqMode, ShArray,
 };
@@ -57,11 +56,11 @@ fn values_straddle_page_boundaries() {
         let v = arr.get(node, straddler)?;
         assert_eq!(v, [1.5, -2.5, 3.25]);
         if node.node() == 1 {
-            *ok2.lock() = true;
+            *ok2.lock().unwrap() = true;
         }
         Ok(())
     });
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
 }
 
 /// A write guard owns the copy of a straddling element, so two guards
@@ -120,11 +119,11 @@ fn single_node_cluster_works() {
             let v = x.get(nd)?;
             x.set(nd, v * 2)
         })?;
-        *done2.lock() = x.get(&node)?;
+        *done2.lock().unwrap() = x.get(&node)?;
         node.shutdown_slaves()
     })];
     cl.launch(apps).unwrap();
-    assert_eq!(*done.lock(), 36);
+    assert_eq!(*done.lock().unwrap(), 36);
     assert_eq!(stats.snapshot().total_agg_with_startup().valid_notice_msgs, 0);
 }
 
@@ -174,11 +173,11 @@ fn many_locks_many_managers() {
             for l in 0..8 {
                 v.push(counters.get(node, l)?);
             }
-            *out2.lock() = v;
+            *out2.lock().unwrap() = v;
         }
         Ok(())
     });
-    assert_eq!(*out.lock(), vec![4u64; 8]);
+    assert_eq!(*out.lock().unwrap(), vec![4u64; 8]);
 }
 
 /// Re-acquiring a cached lock (token still local) is free of traffic.
@@ -245,11 +244,11 @@ fn large_pod_values_roundtrip() {
         node.barrier()?;
         assert_eq!(arr.get(node, 3)?, v);
         if node.node() == 1 {
-            *ok2.lock() = true;
+            *ok2.lock().unwrap() = true;
         }
         Ok(())
     });
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
 }
 
 /// The shared-heap allocator respects alignment and rejects exhaustion.
@@ -289,11 +288,11 @@ fn bulk_ranges_roundtrip() {
             assert_eq!(v, (k as u64) * 11);
         }
         if node.node() == 1 {
-            *ok2.lock() = true;
+            *ok2.lock().unwrap() = true;
         }
         Ok(())
     });
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
 }
 
 /// Page-span helper used by the broadcast ablation.
@@ -341,7 +340,7 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
             // none is left in the mailbox at exit.
             while let Some(env) = node.ctx().recv_timeout(Dur::from_millis(2))? {
                 assert!(matches!(env.msg, DsmMsg::DiffReply { .. }), "only stale replies expected");
-                *drained2.lock() += 1;
+                *drained2.lock().unwrap() += 1;
             }
             Ok(())
         }),
@@ -363,7 +362,7 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
     ];
     cl.launch(apps).expect("forged reply must not kill the fetch");
 
-    let stale = stats.snapshot().total_agg_with_startup().stale_replies + *drained.lock();
+    let stale = stats.snapshot().total_agg_with_startup().stale_replies + *drained.lock().unwrap();
     assert!(
         stale >= 2,
         "expected the forged reply plus at least one resend duplicate to be absorbed, got {stale}"

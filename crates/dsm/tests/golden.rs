@@ -11,9 +11,8 @@
 
 #![allow(clippy::type_complexity)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, SeqMode};
 use repseq_sim::Stopped;
@@ -96,7 +95,7 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
                 for loc in 0..N_LOCS {
                     v.push(arr.get(nd, loc)?);
                 }
-                out_c.lock()[nd.node()] = v;
+                out_c.lock().unwrap()[nd.node()] = v;
                 Ok(())
             })?;
             node.shutdown_slaves()
@@ -122,13 +121,13 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
                 for loc in 0..N_LOCS {
                     v.push(arr.get(&node, loc)?);
                 }
-                out.lock()[me] = v;
+                out.lock().unwrap()[me] = v;
                 Ok(())
             }));
         }
     }
     cl.launch(apps).expect("simulation failed");
-    Arc::try_unwrap(out).unwrap().into_inner()
+    Arc::try_unwrap(out).unwrap().into_inner().unwrap()
 }
 
 proptest! {

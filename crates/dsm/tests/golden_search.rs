@@ -4,9 +4,8 @@
 
 #![allow(clippy::type_complexity)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, SeqMode};
 use repseq_sim::Stopped;
 use repseq_stats::Stats;
@@ -57,7 +56,7 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
                     for (loc, &want) in expect.iter().enumerate() {
                         let got = arr.get(nd, loc)?;
                         if got != want {
-                            bad2.lock().push(format!(
+                            bad2.lock().unwrap().push(format!(
                                 "node {} loc {loc} phase {kk}: got {got} want {want}",
                                 nd.node()
                             ));
@@ -65,7 +64,7 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
                     }
                     Ok(())
                 })?;
-                let bad = bad.lock();
+                let bad = bad.lock().unwrap();
                 if !bad.is_empty() {
                     eprintln!("DIVERGED: {:?}", *bad);
                 }
@@ -77,7 +76,7 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
             for loc in 0..N_LOCS {
                 v.push(arr.get(nd, loc)?);
             }
-            out_c.lock()[nd.node()] = v;
+            out_c.lock().unwrap()[nd.node()] = v;
             Ok(())
         })?;
         node.shutdown_slaves()
@@ -87,7 +86,7 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
     }
     cl.launch(apps).map_err(|e| e.to_string())?;
     let want = golden(&phases);
-    let got = Arc::try_unwrap(out).unwrap().into_inner();
+    let got = Arc::try_unwrap(out).unwrap().into_inner().unwrap();
     for (me, view) in got.iter().enumerate() {
         if view != &want {
             return Err(format!("node {me}: got {view:?} want {want:?}"));

@@ -5,9 +5,8 @@
 //! loss), and the one shared segment every node is seeded from.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_dsm::{
     AppFn, Cluster, ClusterConfig, DsmConfig, DsmNode, LaunchOutcome, NodeState, PageId, ShArray,
@@ -232,7 +231,7 @@ fn two_owner_fetch(cfg: ClusterConfig) -> (LaunchOutcome, Vec<u64>) {
                     for k in 0..512 {
                         s += arr.get(&nd, k)?;
                     }
-                    *sum.lock() = s;
+                    *sum.lock().unwrap() = s;
                 }
                 nd.barrier()?;
                 // Outlive the resend, so node 2 is seen answering it.
@@ -243,7 +242,7 @@ fn two_owner_fetch(cfg: ClusterConfig) -> (LaunchOutcome, Vec<u64>) {
         .collect();
     let outcome = cl.launch_inspect(apps);
     outcome.result.as_ref().expect("run completes");
-    assert_eq!(*sum.lock(), 7 + (1..512).sum::<u64>());
+    assert_eq!(*sum.lock().unwrap(), 7 + (1..512).sum::<u64>());
     let snap = stats.snapshot();
     let frames = (0..n).map(|q| snap.nodes[q].section(Section::Startup).diff_messages).collect();
     (outcome, frames)

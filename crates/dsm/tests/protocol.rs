@@ -1,9 +1,8 @@
 //! End-to-end protocol tests on small simulated clusters: barriers,
 //! multiple-writer merging, locks, fork/join, and basic consistency.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode};
 use repseq_sim::Stopped;
 use repseq_stats::{Section, Stats, StatsRef};
@@ -51,11 +50,11 @@ fn barrier_propagates_master_writes() {
         for k in 0..1024 {
             sum += arr.get(node, k)?;
         }
-        sums2.lock()[node.node()] = sum;
+        sums2.lock().unwrap()[node.node()] = sum;
         Ok(())
     });
     let expect = 3 * (1023 * 1024 / 2) as u64;
-    assert_eq!(*sums.lock(), vec![expect; n]);
+    assert_eq!(*sums.lock().unwrap(), vec![expect; n]);
 }
 
 #[test]
@@ -78,10 +77,10 @@ fn multiple_writer_merges_false_sharing() {
         for k in 0..64 {
             v.push(arr.get(node, k)?);
         }
-        views2.lock()[me] = v;
+        views2.lock().unwrap()[me] = v;
         Ok(())
     });
-    let views = views.lock();
+    let views = views.lock().unwrap();
     for me in 0..n {
         for k in 0..64 {
             let owner = k / 32;
@@ -115,10 +114,10 @@ fn later_writes_overwrite_earlier_ones() {
             x.set(node, v * 2)?;
         }
         node.barrier()?;
-        got2.lock()[node.node()] = x.get(node)?;
+        got2.lock().unwrap()[node.node()] = x.get(node)?;
         Ok(())
     });
-    assert_eq!(*got.lock(), vec![222; n]);
+    assert_eq!(*got.lock().unwrap(), vec![222; n]);
 }
 
 #[test]
@@ -139,10 +138,10 @@ fn repeated_barriers_reuse_pages() {
             }
             node.barrier()?;
         }
-        finals2.lock()[node.node()] = x.get(node)?;
+        finals2.lock().unwrap()[node.node()] = x.get(node)?;
         Ok(())
     });
-    assert_eq!(*finals.lock(), vec![10, 10]);
+    assert_eq!(*finals.lock().unwrap(), vec![10, 10]);
 }
 
 #[test]
@@ -161,10 +160,10 @@ fn locks_provide_mutual_exclusion_and_consistency() {
             node.unlock(3)?;
         }
         node.barrier()?;
-        finals2.lock()[node.node()] = counter.get(node)?;
+        finals2.lock().unwrap()[node.node()] = counter.get(node)?;
         Ok(())
     });
-    assert_eq!(*finals.lock(), vec![(n * iters) as u64; n]);
+    assert_eq!(*finals.lock().unwrap(), vec![(n * iters) as u64; n]);
 }
 
 #[test]
@@ -188,11 +187,11 @@ fn two_locks_do_not_interfere() {
         }
         node.barrier()?;
         if node.is_master() {
-            *out2.lock() = (a.get(node)?, b.get(node)?);
+            *out2.lock().unwrap() = (a.get(node)?, b.get(node)?);
         }
         Ok(())
     });
-    assert_eq!(*out.lock(), (9, 90));
+    assert_eq!(*out.lock().unwrap(), (9, 90));
 }
 
 #[test]
@@ -222,14 +221,14 @@ fn fork_join_ships_master_writes_to_slaves() {
         for q in 0..n {
             total += partials.get(&node, q)?;
         }
-        *result2.lock() = total;
+        *result2.lock().unwrap() = total;
         node.shutdown_slaves()
     }));
     for _ in 1..n {
         apps.push(Box::new(|node: DsmNode| node.slave_loop()));
     }
     cl.launch(apps).unwrap();
-    assert_eq!(*result.lock(), (255 * 256 / 2) as u64);
+    assert_eq!(*result.lock().unwrap(), (255 * 256 / 2) as u64);
 }
 
 #[test]
@@ -253,14 +252,14 @@ fn consecutive_parallel_sections_share_state() {
         for q in 0..n {
             vals.push(b.get(&node, q)?);
         }
-        *ok2.lock() = vals == vec![20, 30, 10];
+        *ok2.lock().unwrap() = vals == vec![20, 30, 10];
         node.shutdown_slaves()
     }));
     for _ in 1..n {
         apps.push(Box::new(|node: DsmNode| node.slave_loop()));
     }
     cl.launch(apps).unwrap();
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
 }
 
 #[test]

@@ -3,9 +3,8 @@
 //! (no parallel-section diff traffic for section outputs), the multicast
 //! machinery (forwarded requests, null acks), and loss recovery.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, LaunchOutcome, SeqMode, ShArray};
 use repseq_net::LossConfig;
 use repseq_sim::Stopped;
@@ -68,13 +67,13 @@ fn replicated_output_is_local_everywhere() {
             v.push(sums.get(&node, q)?);
         }
         stats_m.end_measurement(node.ctx().now());
-        *out2.lock() = v;
+        *out2.lock().unwrap() = v;
         node.shutdown_slaves()
     });
     cl.launch(apps).unwrap();
     let len = 4 * 512u64;
     let expect = 3 * (len - 1) * len / 2 + len;
-    assert_eq!(*out.lock(), vec![expect; n]);
+    assert_eq!(*out.lock().unwrap(), vec![expect; n]);
     let snap = stats.snapshot();
     // The tree was built locally on every node: the parallel section needed
     // no diffs for it (only the per-node `sums` slots move, and they are
@@ -126,17 +125,17 @@ fn replicated_inputs_are_multicast_once() {
             for k in 0..particles.len() {
                 s += particles.get(nd, k)?;
             }
-            total2.lock()[nd.node()] = s;
+            total2.lock().unwrap()[nd.node()] = s;
             Ok(())
         })?;
         stats_m.end_measurement(node.ctx().now());
-        *result2.lock() = total.lock().clone();
+        *result2.lock().unwrap() = total.lock().unwrap().clone();
         node.shutdown_slaves()
     });
     cl.launch(apps).unwrap();
     let len = (pages * per_page) as u64;
     let expect = (len - 1) * len / 2 + 100 * len;
-    assert_eq!(*result.lock(), vec![expect; n], "every node computed the same sum");
+    assert_eq!(*result.lock().unwrap(), vec![expect; n], "every node computed the same sum");
 
     let snap = stats.snapshot();
     let seq = snap.seq_agg();
@@ -219,12 +218,12 @@ fn replicated_and_original_agree() {
             for k in 0..a.len() {
                 v.push(a.get(&node, k)?);
             }
-            *out2.lock() = v;
+            *out2.lock().unwrap() = v;
             node.shutdown_slaves()
         });
         cl.launch(apps).unwrap();
         let snap = stats.snapshot();
-        let vals = out.lock().clone();
+        let vals = out.lock().unwrap().clone();
         (vals, snap.par_agg().diff_bytes)
     };
     let (orig_vals, orig_par_bytes) = run(false);
@@ -265,11 +264,11 @@ fn lazy_diff_leak_is_prevented_end_to_end() {
             assert_eq!((a, b), (7, 9), "node {} diverged", nd.node());
             Ok(())
         })?;
-        *out2.lock() = vec![p.get(&node, 0)?, p.get(&node, 1)?];
+        *out2.lock().unwrap() = vec![p.get(&node, 0)?, p.get(&node, 1)?];
         node.shutdown_slaves()
     });
     cl.launch(apps).unwrap();
-    assert_eq!(*out.lock(), vec![7, 9]);
+    assert_eq!(*out.lock().unwrap(), vec![7, 9]);
 }
 
 /// The valid-notice exchange costs what the paper says it costs: one
@@ -326,16 +325,16 @@ fn multicast_loss_recovery_converges() {
             for k in 0..data.len() {
                 s += data.get(nd, k)?;
             }
-            sums2.lock()[nd.node()] = s;
+            sums2.lock().unwrap()[nd.node()] = s;
             Ok(())
         })?;
-        *out2.lock() = sums.lock().clone();
+        *out2.lock().unwrap() = sums.lock().unwrap().clone();
         node.shutdown_slaves()
     });
     cl.launch(apps).unwrap();
     let len = (3 * 512) as u64;
     let expect = (len - 1) * len / 2 + 5 * len;
-    assert_eq!(*out.lock(), vec![expect; n], "recovery must converge to correct values");
+    assert_eq!(*out.lock().unwrap(), vec![expect; n], "recovery must converge to correct values");
 }
 
 /// Two replicated sections in sequence: valid notices accumulated in the
@@ -370,11 +369,11 @@ fn back_to_back_replicated_sections() {
             let v = a.get(nd, 1)?;
             b.set(nd, 1, v * 10)
         })?;
-        *out2.lock() = b.get(&node, 1)?;
+        *out2.lock().unwrap() = b.get(&node, 1)?;
         node.shutdown_slaves()
     });
     cl.launch(apps).unwrap();
-    assert_eq!(*out.lock(), 230);
+    assert_eq!(*out.lock().unwrap(), 230);
 }
 
 // =================================================================
@@ -412,15 +411,15 @@ fn lossy_rse_run(drop_per_mille: u32, seed: u64) -> (Vec<u64>, LaunchOutcome) {
             for k in 0..data.len() {
                 s += data.get(nd, k)?;
             }
-            sums2.lock()[nd.node()] = s;
+            sums2.lock().unwrap()[nd.node()] = s;
             Ok(())
         })?;
-        *out2.lock() = sums.lock().clone();
+        *out2.lock().unwrap() = sums.lock().unwrap().clone();
         node.shutdown_slaves()
     });
     let outcome = cl.launch_inspect(apps);
     outcome.result.as_ref().expect("lossy run must still terminate");
-    let vals = out.lock().clone();
+    let vals = out.lock().unwrap().clone();
     (vals, outcome)
 }
 

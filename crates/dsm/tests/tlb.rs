@@ -23,9 +23,8 @@
 
 #![allow(clippy::type_complexity)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_dsm::{
     AppFn, Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod,
     SeqMode, ShArray, SharedSegment, Vc,
@@ -192,7 +191,7 @@ fn run_53_bulk(
                 }
                 Ok(())
             })?;
-            out_c.lock()[nd.node()] = v;
+            out_c.lock().unwrap()[nd.node()] = v;
             Ok(())
         })?;
         node.shutdown_slaves()
@@ -204,7 +203,7 @@ fn run_53_bulk(
         apps.push(Box::new(|node: DsmNode| node.slave_loop()));
     }
     let report = cl.launch(apps).expect("simulation must complete");
-    let vals = std::mem::take(&mut *out.lock());
+    let vals = std::mem::take(&mut *out.lock().unwrap());
     (vals, report, stats.snapshot(), stats.host())
 }
 
@@ -369,14 +368,14 @@ fn run_walk(span: Span, write: bool, bulk: bool, tlb_enabled: bool) -> (Counts, 
             })?,
             (_, true) => write_walk(&node, words, range, bulk, |i| i as u64 + 1)?,
         }
-        *sum_m.lock() = acc;
+        *sum_m.lock().unwrap() = acc;
         node.shutdown_slaves()
     };
     let apps: Vec<AppFn> = vec![Box::new(master), Box::new(|node: DsmNode| node.slave_loop())];
     cl.launch(apps).expect("simulation must complete");
     let host = stats.host();
     let faults = stats.snapshot().total_agg_with_startup().page_faults;
-    let sum = *sum.lock();
+    let sum = *sum.lock().unwrap();
     (Counts { hits: host.tlb_hits, misses: host.tlb_misses, faults, sum }, straddlers)
 }
 

@@ -48,13 +48,13 @@ pub struct LossConfig {
     /// Seed for the deterministic hash; two runs with the same seed drop
     /// the same frames.
     pub seed: u64,
-    /// Also drop unicast *diff-protocol* frames (requests, replies,
-    /// flow-control acks). Off by default: the DSM treats its unicast
-    /// transport as reliable (TreadMarks ran its own reliability layer over
-    /// UDP), while IP multicast is the lossy medium the §5.4.2 recovery
-    /// path exists for. Synchronization traffic (fork/join, barriers,
-    /// locks) is never dropped even when this is set — the protocol makes
-    /// no recovery claim for it.
+    /// Also drop unicast frames of the classes the hub may lose (diff
+    /// requests, replies and flow-control acks, page broadcasts). Off by
+    /// default: the DSM treats its unicast transport as reliable
+    /// (TreadMarks ran its own reliability layer over UDP), while IP
+    /// multicast is the lossy medium the §5.4.2 recovery path exists for.
+    /// Synchronization, lock and valid-notice traffic is never dropped, on
+    /// either medium — the protocol makes no recovery claim for it.
     pub unicast: bool,
 }
 

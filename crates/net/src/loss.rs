@@ -12,7 +12,18 @@
 
 use std::collections::HashMap;
 
+use repseq_stats::MsgClass;
+
 use crate::config::LossConfig;
+
+/// May the injector drop a frame of `class`? One rule for both media. Diff
+/// traffic and page broadcasts may be lost: the §5.4.2 recovery path and
+/// the next demand fetch repair them. Synchronization, lock and
+/// valid-notice frames may not: the DSM treats their delivery as
+/// acknowledged, and makes no recovery claim for them.
+pub(crate) fn may_drop(class: MsgClass) -> bool {
+    class.is_diff_message() || class == MsgClass::Broadcast
+}
 
 pub(crate) struct LossState {
     cfg: LossConfig,
@@ -26,6 +37,13 @@ pub(crate) struct LossState {
 impl LossState {
     pub(crate) fn new(cfg: LossConfig) -> Self {
         LossState { cfg, pair_seq: HashMap::new() }
+    }
+
+    /// Does the injector decide for a frame of `class` on this medium?
+    /// Those it [`may_drop`]: on the hub always, on the switch only with
+    /// [`LossConfig::unicast`] set.
+    pub(crate) fn covers(&self, class: MsgClass, multicast: bool) -> bool {
+        may_drop(class) && (multicast || self.cfg.unicast)
     }
 
     /// Decide whether the frame from `src` to `dst` (on the hub if

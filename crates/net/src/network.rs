@@ -62,9 +62,10 @@ struct Shared {
 
 impl Shared {
     /// Decide whether the copy of a frame from `src` to `dst` is lost, and
-    /// log it if it is.
+    /// log it if it is. A frame the injector does not cover advances no
+    /// decision stream.
     fn dropped(&mut self, src: usize, dst: usize, class: MsgClass, at: SimTime, mc: bool) -> bool {
-        let Some(loss) = &mut self.loss else { return false };
+        let Some(loss) = self.loss.as_mut().filter(|l| l.covers(class, mc)) else { return false };
         let (drop, pair_seq) = loss.drop_frame(src, dst, mc);
         if drop {
             self.drop_log.push(LossEvent { src, dst, pair_seq, class, at, multicast: mc });
@@ -182,12 +183,6 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.unicast_wire_time(payload_bytes);
-        // Unicast loss applies only to diff-protocol frames (requests,
-        // replies and flow-control acks): the DSM runs its synchronization
-        // traffic (fork/join, barriers, locks) over a transport it treats
-        // as reliable, so dropping those frames would model a failure mode
-        // the protocol does not claim to survive.
-        let lossy = cfg.loss.is_some_and(|l| l.unicast) && class.is_diff_message();
         let (at, dropped) = {
             let mut s = self.net.shared();
             let l = &mut s.links;
@@ -206,7 +201,7 @@ impl Nic {
                 rx_done
             };
             let at = deliver_at + cfg.recv_sw_overhead;
-            (at, lossy && s.dropped(self.node, dst_node, class, at, false))
+            (at, s.dropped(self.node, dst_node, class, at, false))
         };
         if !dropped {
             ctx.send(dst, msg, at);
@@ -214,10 +209,13 @@ impl Nic {
         at
     }
 
-    /// Send one multicast frame through the hub, delivered to every process
+    /// Send one multicast frame through the hub — one shared half-duplex
+    /// medium every node contends for — delivering a copy to each process
     /// in `dsts` (normally the protocol handler of every node, including
-    /// the sender's — IP multicast loopback). Counted once in the
-    /// statistics, as in the paper. Returns the delivery time.
+    /// the sender's — IP multicast loopback) whose copy the loss injector
+    /// does not drop. Counted once in the statistics, as in the paper. The
+    /// lock is held across the sends, which only queue. Returns the
+    /// delivery time.
     pub fn multicast<M: Clone + Send + 'static>(
         &self,
         ctx: &impl SendCtx<M>,
@@ -225,37 +223,6 @@ impl Nic {
         class: MsgClass,
         payload_bytes: u64,
         msg: M,
-    ) -> SimTime {
-        self.hub_frame(ctx, dsts, class, payload_bytes, msg, true)
-    }
-
-    /// A multicast exempt from loss injection: used for the frames the DSM
-    /// runtime treats as acknowledged (synchronization and the valid-notice
-    /// exchange; `DsmMsg::may_drop` decides). The diff reply chain stays
-    /// lossy — that is what the §5.4.2 recovery path is for.
-    pub fn multicast_reliable<M: Clone + Send + 'static>(
-        &self,
-        ctx: &impl SendCtx<M>,
-        dsts: &[(NodeId, Pid)],
-        class: MsgClass,
-        payload_bytes: u64,
-        msg: M,
-    ) -> SimTime {
-        self.hub_frame(ctx, dsts, class, payload_bytes, msg, false)
-    }
-
-    /// Reserve the hub — one shared half-duplex medium every node contends
-    /// for — for one frame, and deliver a copy to each of `dsts` whose copy
-    /// the loss injector (if `lossy`) does not drop. The lock is held
-    /// across the sends, which only queue.
-    fn hub_frame<M: Clone + Send + 'static>(
-        &self,
-        ctx: &impl SendCtx<M>,
-        dsts: &[(NodeId, Pid)],
-        class: MsgClass,
-        payload_bytes: u64,
-        msg: M,
-        lossy: bool,
     ) -> SimTime {
         let cfg = self.net.config();
         ctx.charge(cfg.send_sw_overhead);
@@ -267,7 +234,7 @@ impl Nic {
         s.links.hub_free = done;
         let at = done + cfg.hub_latency + cfg.recv_sw_overhead;
         for &(dst_node, dst) in dsts {
-            if lossy && s.dropped(self.node, dst_node, class, at, true) {
+            if s.dropped(self.node, dst_node, class, at, true) {
                 continue;
             }
             ctx.send(dst, msg.clone(), at);

@@ -1,9 +1,8 @@
 //! Network model tests: bandwidth serialization, switch queueing,
 //! convergent contention, hub behaviour, loss.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_net::{LossConfig, NetConfig, Network};
 use repseq_sim::{Dur, Sim, SimTime};
 use repseq_stats::{MsgClass, Section, Stats};
@@ -30,7 +29,7 @@ fn uncontended_unicast_latency() {
     let got2 = Arc::clone(&got);
     sim.spawn("receiver", move |ctx| {
         let env = ctx.recv()?;
-        *got2.lock() = env.at;
+        *got2.lock().unwrap() = env.at;
         Ok(())
     });
     sim.run().unwrap();
@@ -40,7 +39,7 @@ fn uncontended_unicast_latency() {
         + cfg.switch_latency
         + cfg.unicast_wire_time(1442)
         + cfg.recv_sw_overhead;
-    assert_eq!(*got.lock(), expect);
+    assert_eq!(*got.lock().unwrap(), expect);
 }
 
 /// Two frames from the same sender serialize on its transmit link.
@@ -63,12 +62,12 @@ fn sender_link_serializes() {
         let times = Arc::clone(&times);
         sim.spawn(&format!("r{node}"), move |ctx| {
             let env = ctx.recv()?;
-            times.lock()[node - 1] = env.at;
+            times.lock().unwrap()[node - 1] = env.at;
             Ok(())
         });
     }
     sim.run().unwrap();
-    let t = times.lock();
+    let t = times.lock().unwrap();
     let wire = cfg.unicast_wire_time(1442);
     // Receiver 2's frame waited for frame 1 on the tx link, then paid the
     // extra send overhead charged before it.
@@ -89,7 +88,7 @@ fn convergent_frames_queue_at_receiver_port() {
     sim.spawn("sink", move |ctx| {
         for _ in 0..8 {
             let env = ctx.recv()?;
-            arrivals2.lock().push(env.at);
+            arrivals2.lock().unwrap().push(env.at);
         }
         Ok(())
     });
@@ -101,7 +100,7 @@ fn convergent_frames_queue_at_receiver_port() {
         });
     }
     sim.run().unwrap();
-    let arrivals = arrivals.lock();
+    let arrivals = arrivals.lock().unwrap();
     let wire = cfg.unicast_wire_time(1442);
     // All 8 senders transmit simultaneously; deliveries must be spaced by
     // at least the wire time of the shared receiver port.
@@ -134,12 +133,12 @@ fn multicast_reaches_all_counted_once() {
         let arrivals = Arc::clone(&arrivals);
         sim.spawn(&format!("r{pid}"), move |ctx| {
             let env = ctx.recv()?;
-            arrivals.lock().push(env.at);
+            arrivals.lock().unwrap().push(env.at);
             Ok(())
         });
     }
     sim.run().unwrap();
-    let arrivals = arrivals.lock();
+    let arrivals = arrivals.lock().unwrap();
     assert_eq!(arrivals.len(), 4);
     assert!(arrivals.iter().all(|&t| t == arrivals[0]), "multicast arrives everywhere at once");
     let snap = stats.snapshot();
@@ -168,12 +167,12 @@ fn hub_serializes_multicasts() {
     let arrivals2 = Arc::clone(&arrivals);
     sim.spawn("sink", move |ctx| {
         for _ in 0..2 {
-            arrivals2.lock().push(ctx.recv()?.at);
+            arrivals2.lock().unwrap().push(ctx.recv()?.at);
         }
         Ok(())
     });
     sim.run().unwrap();
-    let arrivals = arrivals.lock();
+    let arrivals = arrivals.lock().unwrap();
     let gap = arrivals[1] - arrivals[0];
     let wire = cfg.multicast_wire_time(14_420);
     assert!(gap >= wire, "hub must serialize: gap {gap} < {wire}");
@@ -199,12 +198,12 @@ fn hub_and_switch_are_independent() {
     let order2 = Arc::clone(&order);
     sim.spawn("r", move |ctx| {
         for _ in 0..2 {
-            order2.lock().push(ctx.recv()?.msg);
+            order2.lock().unwrap().push(ctx.recv()?.msg);
         }
         Ok(())
     });
     sim.run().unwrap();
-    assert_eq!(*order.lock(), vec![1, 0], "small unicast overtakes the big multicast");
+    assert_eq!(*order.lock().unwrap(), vec![1, 0], "small unicast overtakes the big multicast");
 }
 
 /// Loopback unicast skips the switch.
@@ -220,13 +219,13 @@ fn loopback_skips_switch() {
     sim.spawn("self", move |ctx| {
         nic0.unicast(&ctx, 0, 0, MsgClass::Other, 100, 5);
         let env = ctx.recv()?;
-        *at2.lock() = env.at;
+        *at2.lock().unwrap() = env.at;
         Ok(())
     });
     sim.run().unwrap();
     let expect =
         SimTime::ZERO + cfg.send_sw_overhead + cfg.unicast_wire_time(100) + cfg.recv_sw_overhead;
-    assert_eq!(*at.lock(), expect);
+    assert_eq!(*at.lock().unwrap(), expect);
 }
 
 /// Local (same-node, inter-process) messages are free and uncounted.
@@ -245,11 +244,11 @@ fn local_messages_are_free() {
     let at = Arc::new(Mutex::new(SimTime::ZERO));
     let at2 = Arc::clone(&at);
     sim.spawn("handler", move |ctx| {
-        *at2.lock() = ctx.recv()?.at;
+        *at2.lock().unwrap() = ctx.recv()?.at;
         Ok(())
     });
     sim.run().unwrap();
-    assert_eq!(*at.lock(), SimTime::from_nanos(3_000));
+    assert_eq!(*at.lock().unwrap(), SimTime::from_nanos(3_000));
     assert_eq!(stats.snapshot().total_agg().messages, 0);
 }
 
@@ -275,12 +274,12 @@ fn loss_injection_extremes() {
         let got2 = Arc::clone(&got);
         sim.spawn_daemon("receiver", move |ctx| {
             while ctx.recv().is_ok() {
-                *got2.lock() += 1;
+                *got2.lock().unwrap() += 1;
             }
             Ok(())
         });
         sim.run().unwrap();
-        assert_eq!(*got.lock(), expect, "rate {rate}");
+        assert_eq!(*got.lock().unwrap(), expect, "rate {rate}");
         // Sends are counted even when frames are lost.
         assert_eq!(stats.snapshot().total_agg_with_startup().messages, 10);
     }
@@ -316,12 +315,12 @@ fn contention_raises_response_time() {
             let t0 = ctx.now();
             nic.unicast(&ctx, 0, 0, MsgClass::DiffRequest, 128, (0, node));
             let _ = ctx.recv()?;
-            rts.lock().push(ctx.now() - t0);
+            rts.lock().unwrap().push(ctx.now() - t0);
             Ok(())
         });
     }
     sim.run().unwrap();
-    let rts = rts.lock();
+    let rts = rts.lock().unwrap();
     let min = rts.iter().copied().fold(Dur::from_secs(1), Dur::min_of);
     let max = rts.iter().copied().fold(Dur::ZERO, Dur::max);
     assert!(
@@ -361,14 +360,14 @@ fn unicast_loss_does_not_perturb_multicast_drops() {
             sim.spawn_daemon(&format!("r{pid}"), move |ctx| {
                 while let Ok(env) = ctx.recv() {
                     if env.msg < 10_000 {
-                        got.lock().push((pid, env.msg));
+                        got.lock().unwrap().push((pid, env.msg));
                     }
                 }
                 Ok(())
             });
         }
         sim.run().unwrap();
-        let mut delivered = got.lock().clone();
+        let mut delivered = got.lock().unwrap().clone();
         delivered.sort_unstable();
         let mcast_drops: Vec<_> = net
             .loss_events()
@@ -407,13 +406,64 @@ fn sync_unicast_frames_are_never_dropped() {
     let got2 = Arc::clone(&got);
     sim.spawn_daemon("receiver", move |ctx| {
         while ctx.recv().is_ok() {
-            *got2.lock() += 1;
+            *got2.lock().unwrap() += 1;
         }
         Ok(())
     });
     sim.run().unwrap();
-    assert_eq!(*got.lock(), 10, "sync traffic must survive 100% diff-frame loss");
+    assert_eq!(*got.lock().unwrap(), 10, "sync traffic must survive 100% diff-frame loss");
     assert!(net.loss_events().is_empty());
+}
+
+/// One loss rule for both media, by class: at 1000 ‰ with unicast loss on,
+/// diff traffic and page broadcasts are lost on the switch and on the hub,
+/// and every other class (synchronization, locks, valid notices) arrives.
+#[test]
+fn loss_spares_the_same_classes_on_both_media() {
+    use MsgClass::*;
+    let classes = [
+        (DiffRequest, false),
+        (ForwardedRequest, false),
+        (DiffReply, false),
+        (NullAck, false),
+        (Broadcast, false),
+        (ValidNotice, true),
+        (Lock, true),
+        (Sync, true),
+        (Other, true),
+    ];
+    for multicast in [false, true] {
+        let mut cfg = cfg4();
+        cfg.loss = Some(LossConfig { drop_per_mille: 1000, seed: 5, unicast: true });
+        let net = Network::new(cfg, Stats::new(4));
+        let mut sim = Sim::<u64>::new();
+        let nic0 = net.nic(0);
+        sim.spawn("sender", move |ctx| {
+            for (i, &(class, _)) in classes.iter().enumerate() {
+                if multicast {
+                    nic0.multicast(&ctx, &[(1, 1)], class, 64, i as u64);
+                } else {
+                    nic0.unicast(&ctx, 1, 1, class, 64, i as u64);
+                }
+            }
+            ctx.sleep(Dur::from_secs(1))?;
+            Ok(())
+        });
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let got2 = Arc::clone(&got);
+        sim.spawn_daemon("receiver", move |ctx| {
+            while let Ok(env) = ctx.recv() {
+                got2.lock().unwrap().push(classes[env.msg as usize].0);
+            }
+            Ok(())
+        });
+        sim.run().unwrap();
+        let mut got = got.lock().unwrap().clone();
+        got.sort_by_key(|c| classes.iter().position(|(k, _)| k == c));
+        let survivors: Vec<_> =
+            classes.iter().filter(|(_, arrives)| *arrives).map(|c| c.0).collect();
+        assert_eq!(got, survivors, "multicast: {multicast}");
+    }
 }
 
 /// Helper so the test reads naturally.

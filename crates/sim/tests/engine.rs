@@ -2,9 +2,8 @@
 //! semantics, timeouts, daemons, deadlock detection, determinism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_sim::{Dur, Sim, SimError, SimTime};
 
 #[test]
@@ -305,14 +304,14 @@ fn shared_state_between_processes_is_consistent() {
         sim.spawn(name, move |ctx| {
             ctx.sleep(Dur::from_nanos(start))?;
             for _ in 0..5 {
-                log.lock().push((ctx.now().nanos(), name));
+                log.lock().unwrap().push((ctx.now().nanos(), name));
                 ctx.sleep(Dur::from_nanos(step))?;
             }
             Ok(())
         });
     }
     sim.run().unwrap();
-    let log = log.lock();
+    let log = log.lock().unwrap();
     let times: Vec<u64> = log.iter().map(|e| e.0).collect();
     let mut sorted = times.clone();
     sorted.sort_unstable();

@@ -7,9 +7,8 @@
 //! one that queues every checkpoint and every deadline — computes.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_sim::{Ctx, Dur, Sim, SimTime, Stopped, TraceClass, TraceEntry};
 
@@ -31,7 +30,7 @@ fn run_schedule(sends: Vec<Send>) -> Vec<Vec<(u64, u32)>> {
         sim.spawn(&format!("recv{r}"), move |ctx| {
             for _ in 0..count {
                 let env = ctx.recv()?;
-                got.lock()[r].push((env.at.nanos(), env.msg));
+                got.lock().unwrap()[r].push((env.at.nanos(), env.msg));
             }
             Ok(())
         });
@@ -45,7 +44,7 @@ fn run_schedule(sends: Vec<Send>) -> Vec<Vec<(u64, u32)>> {
         Ok(())
     });
     sim.run().expect("run failed");
-    Arc::try_unwrap(got).unwrap().into_inner()
+    Arc::try_unwrap(got).unwrap().into_inner().unwrap()
 }
 
 /// What one process of the regrouped schedule does: the group it is moved
@@ -84,7 +83,7 @@ fn run_regrouped(nodes: &[Node]) -> (Vec<TraceEntry>, Vec<Vec<u32>>) {
             ctx.sleep(T_END)?;
             for _ in 0..inbound {
                 let tag = ctx.recv()?.msg;
-                got.lock()[p].push(tag);
+                got.lock().unwrap()[p].push(tag);
             }
             Ok(())
         });
@@ -98,7 +97,7 @@ fn run_regrouped(nodes: &[Node]) -> (Vec<TraceEntry>, Vec<Vec<u32>>) {
     sim.record_trace(true);
     let report = sim.run().expect("run failed");
     assert!(report.mailbox_backlog.is_empty(), "{:?}", report.mailbox_backlog);
-    (report.trace.unwrap(), Arc::try_unwrap(got).unwrap().into_inner())
+    (report.trace.unwrap(), Arc::try_unwrap(got).unwrap().into_inner().unwrap())
 }
 
 /// The same pushes keyed by hand and sorted. Start wakes were pushed at
@@ -206,14 +205,14 @@ fn run_waits(sends: &[WaitSend], scripts: &[Vec<Op>]) -> Vec<Vec<Seen>> {
                         continue;
                     }
                 };
-                seen.lock()[r].push((ctx.now().nanos(), got.map(|env| env.msg)));
+                seen.lock().unwrap()[r].push((ctx.now().nanos(), got.map(|env| env.msg)));
             }
             Ok(())
         });
     }
     sim.spawn("high-sender", sender(true));
     sim.run().expect("run failed");
-    Arc::try_unwrap(seen).unwrap().into_inner()
+    Arc::try_unwrap(seen).unwrap().into_inner().unwrap()
 }
 
 /// The eager reference. A receiver pushes only its own wakes, so what it

@@ -7,9 +7,8 @@
 //! happened to be running. This invariant is pinned here independently of the engine's
 //! internal queue layout.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use repseq_sim::{Dur, Sim, SimTime, TraceClass};
 
 /// Three senders, staggered in virtual time, each address the same receiver
@@ -28,7 +27,7 @@ fn colliding_deliveries_from_multiple_sources_drain_in_seq_order() {
         for _ in 0..6 {
             let env = ctx.recv()?;
             assert_eq!(env.at, SimTime::from_nanos(100_000));
-            got2.lock().push(env.msg);
+            got2.lock().unwrap().push(env.msg);
         }
         Ok(())
     });
@@ -46,7 +45,7 @@ fn colliding_deliveries_from_multiple_sources_drain_in_seq_order() {
     }
     sim.run().unwrap();
     assert_eq!(
-        *got.lock(),
+        *got.lock().unwrap(),
         vec![0, 1, 10, 11, 20, 21],
         "drain order must follow the (time, src_group, seq) tiebreak"
     );
@@ -65,7 +64,7 @@ fn cross_group_ties_break_by_assigned_group_not_by_send_time() {
     let got2 = Arc::clone(&got);
     let rx = sim.spawn("rx", move |ctx| {
         for _ in 0..4 {
-            got2.lock().push(ctx.recv()?.msg);
+            got2.lock().unwrap().push(ctx.recv()?.msg);
         }
         Ok(())
     });
@@ -88,7 +87,7 @@ fn cross_group_ties_break_by_assigned_group_not_by_send_time() {
     sim.assign_group(tx_b, 1);
     sim.set_lookahead(Dur::from_micros(10));
     sim.run().unwrap();
-    assert_eq!(*got.lock(), vec![20, 21, 10, 11], "(time, src_group, seq) tiebreak");
+    assert_eq!(*got.lock().unwrap(), vec![20, 21, 10, 11], "(time, src_group, seq) tiebreak");
 }
 
 /// Same collision, but one copy of the receiver is *busy* past the instant
@@ -109,7 +108,7 @@ fn queued_and_blocking_receivers_observe_the_same_tie_order() {
                 ctx.charge(Dur::from_micros(90));
             }
             for _ in 0..4 {
-                got2.lock().push(ctx.recv()?.msg);
+                got2.lock().unwrap().push(ctx.recv()?.msg);
             }
             Ok(())
         });
@@ -122,7 +121,7 @@ fn queued_and_blocking_receivers_observe_the_same_tie_order() {
             });
         }
         sim.run().unwrap();
-        let v = got.lock().clone();
+        let v = got.lock().unwrap().clone();
         v
     }
     let blocking = run(false);

@@ -14,9 +14,8 @@
 //! into the simulation — virtual time comes from the cost model alone.
 
 use std::ops::AddAssign;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One node's — or, summed, one run's — host-side data-plane counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,19 +89,25 @@ impl AddAssign for HostCounters {
 /// end-of-run sum: [`crate::Stats::fold_host`] is its only writer.
 static TOTAL: Mutex<Option<HostCounters>> = Mutex::new(None);
 
+/// [`TOTAL`]'s one lock, poison ignored: a sum of plain counts stays a sum
+/// whoever panicked.
+fn total() -> MutexGuard<'static, Option<HostCounters>> {
+    TOTAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 pub(crate) fn fold(run: HostCounters) {
-    *TOTAL.lock().get_or_insert_with(HostCounters::default) += run;
+    *total().get_or_insert_with(HostCounters::default) += run;
 }
 
 /// The sum over every run that returned in this process since its start
 /// (or the last [`reset`]).
 pub fn snapshot() -> HostCounters {
-    TOTAL.lock().unwrap_or_default()
+    total().unwrap_or_default()
 }
 
 /// Forget the runs folded so far.
 pub fn reset() {
-    *TOTAL.lock() = None;
+    *total() = None;
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! The live counters, updated as the simulation runs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use repseq_sim::{Dur, SimTime};
 
 use crate::host::{self, HostCounters};
@@ -131,21 +130,28 @@ impl Stats {
         })
     }
 
+    /// The one lock. Every update adds to plain counts, which stay valid
+    /// whoever panicked, and a run that panicked is still reported (the
+    /// torture harness snapshots it), so poison is ignored.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of nodes the registry tracks.
     pub fn n_nodes(&self) -> usize {
-        self.inner.lock().nodes.len()
+        self.lock().nodes.len()
     }
 
     /// Mark the start of measured execution (after startup/initialization).
     /// Sections entered before this call still tag traffic as `Startup`.
     pub fn start_measurement(&self, now: SimTime) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         i.total_started_at = Some(now);
     }
 
     /// Mark the end of measured execution; later events are discarded.
     pub fn end_measurement(&self, now: SimTime) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         if let Some(t0) = i.total_started_at {
             i.total_time = now - t0;
         }
@@ -160,7 +166,7 @@ impl Stats {
     /// section's timer. Called by the master runtime only. A section
     /// entered after [`Stats::end_measurement`] is outside the measured run.
     pub fn set_section(&self, s: Section, now: SimTime) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         if i.frozen {
             return;
         }
@@ -175,7 +181,7 @@ impl Stats {
     /// Apply `f` to `node`'s counters of the current section, unless the
     /// measured run has ended.
     fn count(&self, node: NodeId, f: impl FnOnce(&mut SectionCounters)) {
-        let mut i = self.inner.lock();
+        let mut i = self.lock();
         if !i.frozen {
             let s = section_idx(i.current);
             f(&mut i.nodes[node].sections[s]);
@@ -233,7 +239,7 @@ impl Stats {
     /// Add the host-side counts a finished run's nodes kept. Called by the
     /// cluster, once, when the run returns.
     pub fn fold_host(&self, run: HostCounters) {
-        self.inner.lock().host += run;
+        self.lock().host += run;
         host::fold(run);
     }
 
@@ -242,12 +248,12 @@ impl Stats {
     /// fields are host *time*, and the detector-invariance gates compare
     /// snapshots with `==`.
     pub fn host(&self) -> HostCounters {
-        self.inner.lock().host
+        self.lock().host
     }
 
     /// Take an immutable snapshot for reporting.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let i = self.inner.lock();
+        let i = self.lock();
         StatsSnapshot {
             nodes: i.nodes.clone(),
             section_time: i.section_time,
