@@ -202,8 +202,7 @@ impl BarnesHut {
                 // Guard-based rewrite: iterate the Morton segment straight
                 // from the page bytes (one read fault per order page, no
                 // intermediate vector). The scattered per-body acc/work
-                // writes stay element-wise — amortizing those is the
-                // software TLB's job.
+                // writes stay element-wise: each is one page-table check.
                 h.order.with_slices(nd, lo..hi, |run| {
                     for j in 0..run.len() {
                         let b = run.get(j) as usize;

@@ -22,11 +22,11 @@
 //! Both record bodies — a write rewriting a record's `record_slots` slots,
 //! a read folding them — are page runs (`ShArray::with_slices{,_mut}`):
 //! the page is resolved once per run and each slot is a plain load or
-//! store, where an element-wise loop probed the software TLB 256 times a
+//! store, where an element-wise loop checked the page table 256 times a
 //! record on every replica. The fault sequence is unchanged: the loop's
-//! first access to a page took the fault and the rest rode the
-//! translation, and a run takes that same fault when it is acquired;
-//! the race detector and the TLB counters still see every slot.
+//! first access to a page took the fault and the rest were mapped, and a
+//! run takes that same fault when it is acquired; the race detector and
+//! the mapped-access counters still see every slot.
 
 pub mod layout;
 pub mod trace;

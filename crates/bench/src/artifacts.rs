@@ -12,10 +12,10 @@
 //! The functions gate as they build — a value that fails a gate is never
 //! returned. Every shape the reproduction claims is a `claim`, whose
 //! label is the `shape` cell of the row it is about; beyond those, the
-//! systems agree on the physics, the TLB is invisible to the simulation,
-//! RSE beats MasterPush on the contended tree and MasterOnly on skewed KV
-//! serving, and the twin pool and TLB hit rates (counts, each run's own
-//! `Stats::host`) stay above their floors.
+//! systems agree on the physics, RSE beats MasterPush on the contended
+//! tree and MasterOnly on skewed KV serving, and the twin pool and mapped
+//! access hit rates (counts, each run's own `Stats::host`) stay above
+//! their floors.
 
 use std::fmt::Arguments;
 
@@ -188,13 +188,14 @@ pub fn table1_2() -> Json {
     h += opt.host;
     assert_eq!(seq.result, orig.result, "systems must agree on the physics");
     assert_eq!(seq.result, opt.result, "systems must agree on the physics");
-    // Set-associativity, per-page generations and guard amortization should
-    // leave only protocol-mandatory faults. Nothing is prewarmed, so a
-    // twin pool miss is a buffer first allocated: at least half of all
-    // twins reuse a released one (measured 0.69; broken recycling reads 0).
+    // An access the page table maps walks nothing, and a page-run guard
+    // walks once per run, so only protocol-mandatory faults and first
+    // touches walk. Nothing is prewarmed, so a twin pool miss is a buffer
+    // first allocated: at least half of all twins reuse a released one
+    // (measured 0.69; broken recycling reads 0).
     for (what, hits, misses, floor) in [
         ("twin pool", h.twin_pool_hits, h.twin_pool_misses, 0.5),
-        ("software TLB", h.tlb_hits, h.tlb_misses, 0.95),
+        ("mapped access", h.tlb_hits, h.tlb_misses, 0.95),
     ] {
         let rate = hit_rate(hits, misses);
         assert!(
@@ -202,17 +203,6 @@ pub fn table1_2() -> Json {
             "{what} hit rate {rate:.4} < {floor} ({hits} hits, {misses} misses)"
         );
     }
-
-    // The TLB must be invisible to the simulation: the optimized system
-    // again with the fast path disabled, identical virtual results.
-    let mut rc = RunConfig::optimized(NODES);
-    rc.cluster.dsm.tlb_enabled = false;
-    let no_tlb = run_bh(rc, &cfg);
-    assert_eq!(opt.result, no_tlb.result, "TLB must not change the physics");
-    assert_eq!(opt.snap.total_time, no_tlb.snap.total_time, "TLB must not change simulated time");
-    let (a, b) = (opt.snap.total_agg_with_startup(), no_tlb.snap.total_agg_with_startup());
-    assert_eq!(a.messages, b.messages, "TLB must not change message counts");
-    assert_eq!(a.bytes, b.bytes, "TLB must not change byte counts");
 
     let table1 = table(
         TIME_ROWS,
@@ -266,7 +256,6 @@ pub fn table1_2() -> Json {
         ("timesteps", Json::Int(cfg.timesteps as u64)),
         ("nodes", Json::Int(NODES as u64)),
         ("tables", Json::Obj(vec![("table1", table1), ("table2", table2)])),
-        ("tlb_invariance", Json::str("verified: time, messages and bytes identical with it off")),
         (
             "host_data_plane",
             Json::Obj(vec![

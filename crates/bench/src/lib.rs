@@ -30,7 +30,7 @@ pub struct RunOutcome<R> {
 /// Run one application: `setup` allocates and preloads it on a fresh
 /// runtime, `body` runs it as the master program (`BarnesHut::run`,
 /// `Ilink::run`, `KvStore::run`). Everything else about the run — node
-/// count, strategy, TLB, flow control — is `cfg`'s.
+/// count, strategy, flow control — is `cfg`'s.
 pub fn run<A, R>(
     cfg: RunConfig,
     setup: impl FnOnce(&mut Runtime) -> A,

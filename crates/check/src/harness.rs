@@ -50,11 +50,6 @@ pub struct HarnessConfig {
     /// Recovery timeout (short, so lossy schedules actually reach the
     /// §5.4.2 recovery path within the test budget).
     pub rse_timeout: Dur,
-    /// Fault injection: suppress every protection-generation bump so stale
-    /// software-TLB entries survive protection revocations. A correct
-    /// implementation MUST fail the oracle under this — it proves the
-    /// generation counter is what keeps the TLB coherent.
-    pub break_generation_bumps: bool,
     /// How the workload's sequential phases run. The oracle and the
     /// invariant checks are strategy-agnostic, so the same sweep grid
     /// tortures every strategy.
@@ -63,12 +58,7 @@ pub struct HarnessConfig {
 
 impl Default for HarnessConfig {
     fn default() -> Self {
-        HarnessConfig {
-            nodes: 3,
-            rse_timeout: Dur::from_millis(20),
-            break_generation_bumps: false,
-            seq_mode: SeqMode::Replicated,
-        }
+        HarnessConfig { nodes: 3, rse_timeout: Dur::from_millis(20), seq_mode: SeqMode::Replicated }
     }
 }
 
@@ -184,7 +174,6 @@ pub(crate) fn run_once(
     let mut ccfg = ClusterConfig::paper(n);
     ccfg.net.loss = loss;
     ccfg.dsm.rse_timeout = cfg.rse_timeout;
-    ccfg.dsm.tlb_break_generation_bumps = cfg.break_generation_bumps;
     let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
     cl.record_trace(trace);
     if let Some(sink) = race {

@@ -3,13 +3,15 @@
 //! checked after every run. CI runs this in release mode (see the
 //! `torture` job); the grids below total 200+ lossy schedules.
 
+use std::sync::Arc;
 use std::time::Instant;
 
+use repseq_check::workload::ParBody;
 use repseq_check::{
-    grid, kitchen_sink, kv_serving, rse_kernel, run_schedule, sweep, Builder, HarnessConfig,
-    Schedule,
+    grid, kitchen_sink, kv_serving, rse_kernel, run_schedule, sweep, Builder, HarnessConfig, Mem,
+    Phase, Schedule, Workload,
 };
-use repseq_dsm::SeqMode;
+use repseq_dsm::{Cluster, SeqMode, ShArray};
 
 /// Run one seed-shard of a sweep and report its wall-clock time. The
 /// sweeps are sharded into separate `#[test]` functions so
@@ -127,23 +129,40 @@ fn torture_sweep_master_push_shard1() {
     shard("master_push/kitchen_sink", kitchen_sink, &cfg, 0..5, &[150, 350]);
 }
 
-/// Fault injection for the software TLB: with every protection-generation
-/// bump suppressed, stale translations survive protection revocations —
-/// the replicated init leaves writable TLB entries, the next parallel
-/// phase writes through them without faulting, so no twins or write
-/// notices are produced and every other node keeps a stale valid copy.
-/// The coherence oracle must catch the divergence; this pins the
-/// generation counter as the mechanism that keeps the TLB coherent (a
-/// passing run here would mean the fast path is not actually guarded).
-/// The report of a coherence violation — and only that report — goes on to
+/// A divergence planted in the workload alone: every node stores `me + 1`
+/// to one word with no lock, then each node reads the word back into its
+/// own slot. The reference replays the stores in node order and ends at
+/// `n`; the multiple-writer merge settles the race its own way, so some
+/// node's copy disagrees.
+fn racy_store(cl: &mut Cluster, n: usize) -> Workload {
+    let page_size = cl.config().dsm.page_size;
+    let word: ShArray<u64> = cl.alloc_array_page_aligned(1);
+    let slots: ShArray<u64> = cl.alloc_array_page_aligned(n);
+    let store: ParBody =
+        Arc::new(move |m: &mut dyn Mem, me: usize, _n: usize| m.st(word.addr(0), me as u64 + 1));
+    let read_back: ParBody = Arc::new(move |m: &mut dyn Mem, me: usize, _n: usize| {
+        let v = m.ld(word.addr(0))?;
+        m.st(slots.addr(me), v)
+    });
+    let (first, _) = word.page_span(page_size);
+    let (_, last) = slots.page_span(page_size);
+    Workload {
+        name: "racy_store",
+        phases: vec![Phase::Parallel(store), Phase::Parallel(read_back)],
+        audit: (first..=last).collect(),
+    }
+}
+
+/// The oracle's sensitivity: it must catch the planted divergence. The
+/// report of a coherence violation — and only that report — goes on to
 /// print the divergent page's slot on every node; the expected text pins
 /// that too.
 #[test]
 #[should_panic(expected = "'s slot on every node at exit:\n    slot[0]: Some(PageMeta {")]
-fn broken_generation_bump_is_caught_by_the_oracle() {
-    let cfg = HarnessConfig { nodes: 4, break_generation_bumps: true, ..HarnessConfig::default() };
+fn a_racy_store_is_caught_by_the_oracle() {
+    let cfg = HarnessConfig { nodes: 4, ..HarnessConfig::default() };
     let clean = [Schedule { seed: 0, drop_per_mille: 0, unicast: false }];
-    sweep(kitchen_sink, &cfg, &clean);
+    sweep(racy_store, &cfg, &clean);
 }
 
 /// The divergence report machinery itself: a schedule that drops frames

@@ -54,17 +54,6 @@ pub struct DsmConfig {
     pub rse_max_retries: u32,
     /// Multicast pacing during replicated sections.
     pub flow_control: FlowControl,
-    /// Enable the per-application-process software TLB (host-time fast
-    /// path; invisible to virtual time). On by default; the MMU bench
-    /// turns it off to measure the page-walk baseline, and equivalence tests
-    /// turn it off to prove protocol behaviour is identical either way.
-    pub tlb_enabled: bool,
-    /// Test-only fault injection: suppress every protection-generation
-    /// bump, leaving stale software-TLB entries live across protection
-    /// changes. Exists so the torture harness can demonstrate that the
-    /// coherence oracle catches exactly this class of bug. Never enable
-    /// outside tests.
-    pub tlb_break_generation_bumps: bool,
 }
 
 impl Default for DsmConfig {
@@ -81,8 +70,6 @@ impl Default for DsmConfig {
             rse_timeout: Dur::from_millis(500),
             rse_max_retries: 32,
             flow_control: FlowControl::Serialized,
-            tlb_enabled: true,
-            tlb_break_generation_bumps: false,
         }
     }
 }

@@ -67,9 +67,6 @@ impl NodeState {
             // covered.
             page.valid_at.set(node, ivx);
             self.mark_valid_changed(p);
-            // The written page was re-protected; it stays valid and
-            // readable, so only writable translations go stale.
-            self.bump_page_write_prot_gen(p);
         }
         let rec = IntervalRecord::new(node, ivx, self.con.vc.clone(), pages);
         let inserted = self.con.intervals.insert(rec);
@@ -103,14 +100,10 @@ impl NodeState {
                     // diff them now so they stay separable (§5.1).
                     if page.twin.is_some() {
                         cost += self.create_own_diff(p);
-                        let page = self.page_mut(p);
-                        page.valid = false;
-                        page.writable = false;
-                    } else {
-                        page.valid = false;
-                        page.writable = false;
                     }
-                    self.bump_page_prot_gen(p); // write-notice invalidation
+                    let page = self.page_mut(p);
+                    page.valid = false;
+                    page.writable = false;
                 }
             }
         }

@@ -1,14 +1,14 @@
 //! The data plane: the page table — page contents, twins, cached diffs —
-//! plus the pool of released twins and software-TLB revocation (the
-//! protection generation).
+//! plus the pool of released twins.
 //!
 //! This layer owns *the page table* and the bytes behind it: one
 //! [`PageMeta`] slot per page of the shared segment, indexed by page
 //! number. Materializing pages from the segment, twinning on write faults
 //! (outside replicated sections: a replicated write is diffed by nobody),
-//! lazy diff creation and application, the per-page diff cache, and every
-//! protection change that must invalidate the application process's
-//! software TLB happen here. It reads the interval store to order the
+//! lazy diff creation and application and the per-page diff cache happen
+//! here, and every load and store checks the table itself
+//! ([`NodeState::mapped`]): a protection change is the slot's bits and
+//! nothing else. It reads the interval store to order the
 //! diffs a copy is missing but never mutates interval or vector-clock
 //! state beyond the coverage stamp (`valid_at`) of its own pages.
 
@@ -42,80 +42,6 @@ fn pool_take(pool: &mut Vec<Box<[u8]>>, host: &mut HostCounters, src: &[u8]) -> 
     }
 }
 
-/// Number of per-page generation buckets in a [`GenTable`]. Pages hash in
-/// by their low bits; a bucket collision only *over*-invalidates (the
-/// colliding page's TLB entries revalidate through the slow path), never
-/// under-invalidates, so the count is purely a hit-rate/memory trade.
-const GEN_BUCKETS: usize = 1024;
-
-/// Per-page protection generations plus a monotone node-wide total: a
-/// revocation invalidates only the translations of (pages aliasing) its
-/// page. Each bucket carries *two* generations because the two ways a
-/// translation can go stale are asymmetric:
-///
-/// * the **read** generation covers the mapping itself — bumped when the
-///   page is invalidated or its contents change out of band, which
-///   retires every cached translation of the page;
-/// * the **write** generation covers write permission only — bumped when
-///   writing is revoked but the page stays valid and readable (interval
-///   close, §5.3 write-protect at replicated-section entry/exit), which
-///   retires only *writable* translations: a read-only entry is still
-///   exactly right, and keeping it is most of the TLB's hit rate on
-///   read-mostly phases.
-///
-/// The `total` counter is bumped alongside every per-page bump so "did
-/// anything change?" monotonicity checks (and [`NodeState::prot_gen`])
-/// keep a single number to compare.
-pub(crate) struct GenTable {
-    total: u64,
-    read_gens: Vec<u64>,
-    write_gens: Vec<u64>,
-}
-
-impl GenTable {
-    fn new() -> GenTable {
-        GenTable { total: 0, read_gens: vec![0; GEN_BUCKETS], write_gens: vec![0; GEN_BUCKETS] }
-    }
-
-    #[inline]
-    fn bucket(p: PageId) -> usize {
-        p as usize & (GEN_BUCKETS - 1)
-    }
-
-    /// The read (mapping) generation a software-TLB entry for page `p`
-    /// must be stamped with (and validated against) right now.
-    #[inline]
-    pub(crate) fn page_read(&self, p: PageId) -> u64 {
-        self.read_gens[Self::bucket(p)]
-    }
-
-    /// The write-permission generation for page `p`.
-    #[inline]
-    pub(crate) fn page_write(&self, p: PageId) -> u64 {
-        self.write_gens[Self::bucket(p)]
-    }
-
-    /// Monotone count of every per-page bump on this node.
-    #[inline]
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Revoke the *writable* cached translations of page `p` — the page
-    /// stays valid and readable, so read-only entries remain current — or,
-    /// with `read`, every one of them: invalidation or out-of-band content
-    /// change. A bucket collision may revoke a few unrelated pages' too:
-    /// always safe, only slower.
-    #[inline]
-    fn bump(&mut self, p: PageId, read: bool) {
-        if read {
-            self.read_gens[Self::bucket(p)] += 1;
-        }
-        self.write_gens[Self::bucket(p)] += 1;
-        self.total += 1;
-    }
-}
-
 /// Page/twin/diff state: one node's local memory.
 pub(crate) struct DataPlane {
     /// The page table, indexed by `PageId`: one slot per page of the
@@ -137,14 +63,6 @@ pub(crate) struct DataPlane {
     /// node allocates only when the pool is empty and never holds more
     /// buffers than it once had twins live at a time.
     pub(crate) twin_pool: Vec<Box<[u8]>>,
-    /// Per-page protection generations: bumped for a page at every
-    /// protection *revocation* or out-of-band content change that could
-    /// make a cached translation of it stale — interval close, invalidation
-    /// by write notice, §5.3 write-protect at replicated-section
-    /// entry/exit, diff application, page broadcast. Permission *grants* (a
-    /// write fault enabling writing) do not bump: a stale read-only entry
-    /// is merely conservative (write lookups miss and take the slow path).
-    pub(crate) prot_gen: GenTable,
     /// The cluster's shared segment: the initial image, written before
     /// the run starts. A slot copies its page out when it first needs
     /// bytes of its own.
@@ -164,7 +82,6 @@ impl DataPlane {
             store: PageStore::new(page_size),
             dirty_pages: Vec::new(),
             twin_pool: Vec::new(),
-            prot_gen: GenTable::new(),
             segment,
             zero,
         }
@@ -181,47 +98,25 @@ impl NodeState {
     }
 
     /// The handle to the page's slot, handed out and filled from the
-    /// segment's image (or zeros) on first touch. The software TLB and the
-    /// page guards copy it.
+    /// segment's image (or zeros) on first touch. The page guards copy it.
     pub(crate) fn page_buf(&mut self, p: PageId) -> &mut PageBuf {
         self.page_mut(p);
         let DataPlane { bytes, segment, store, .. } = &mut self.data;
         bytes[p as usize].get_or_insert_with(|| store.slot(segment.page(p)))
     }
 
-    /// The node-wide protection-change counter: the monotone total of all
-    /// per-page generation bumps, so "was anything revoked?" checks keep a
-    /// single number to compare.
-    pub fn prot_gen(&self) -> u64 {
-        self.data.prot_gen.total()
-    }
-
-    /// Advance page `p`'s read (mapping) generation, invalidating every
-    /// software-TLB entry for it (and for pages sharing its bucket).
-    /// Called when the page is invalidated or its contents are replaced
-    /// or mutated outside the TLB's view. The test-only
-    /// `tlb_break_generation_bumps` config flag turns this into a no-op so
-    /// the coherence oracle can be shown to catch the resulting stale
-    /// translations.
+    /// The software MMU's check: the handle to page `p`'s bytes if the
+    /// page table maps the access as it stands — the copy is valid,
+    /// materialized, and writable or the access a read. The walk would
+    /// serve each such access without charging anything; any other access
+    /// walks (fault, fetch, materialize).
     #[inline]
-    pub(crate) fn bump_page_prot_gen(&mut self, p: PageId) {
-        if self.cfg.tlb_break_generation_bumps {
-            return;
+    pub fn mapped(&self, p: PageId, write: bool) -> Option<PageBuf> {
+        let page = self.data.pages.get(p as usize)?;
+        if !page.valid || (write && !page.writable) {
+            return None;
         }
-        self.data.prot_gen.bump(p, true);
-    }
-
-    /// Advance page `p`'s write-permission generation, invalidating only
-    /// *writable* software-TLB entries for it. Called when writing is
-    /// revoked but the page stays valid and readable — a cached read-only
-    /// translation is still exactly right and survives. Gated by the same
-    /// fault-injection flag as [`NodeState::bump_page_prot_gen`].
-    #[inline]
-    pub(crate) fn bump_page_write_prot_gen(&mut self, p: PageId) {
-        if self.cfg.tlb_break_generation_bumps {
-            return;
-        }
-        self.data.prot_gen.bump(p, false);
+        self.data.bytes[p as usize]
     }
 
     /// This node's slot for page `p`.
@@ -266,7 +161,6 @@ impl NodeState {
             self.data.twin_pool.push(twin);
             self.data.pages[p as usize].writable = false;
             self.data.dirty_pages.retain(|&q| q != p);
-            self.bump_page_write_prot_gen(p); // write permission revoked, still readable
         }
         let record = Arc::new(DiffRecord { owner: node, covers: ivxs.clone(), diff });
         let page = &mut self.data.pages[p as usize];
@@ -422,9 +316,6 @@ impl NodeState {
         page.valid = true;
         page.valid_at = valid_at;
         self.mark_valid_changed(p);
-        // The handler may have applied these diffs while the application
-        // process was blocked elsewhere: its TLB must re-check validity.
-        self.bump_page_prot_gen(p);
         self.scratch.diff_batch.give(records);
         cost
     }

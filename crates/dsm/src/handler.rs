@@ -183,8 +183,8 @@ impl Reactor<DsmMsg, NodeState> for Handler {
                     // and our copy does not already cover the broadcast
                     // (a broadcast delayed behind other hub traffic must
                     // not clobber a fresher demand-fetched copy). Copy in
-                    // place — a TLB entry or guard may alias the buffer,
-                    // and replacing it would leave them pointing at the
+                    // place — a page guard may alias the buffer, and
+                    // replacing it would leave it pointing at the
                     // pre-broadcast bytes forever.
                     s.page_data(page).copy_from_slice(&data);
                     let meta = s.page_mut(page);
@@ -197,8 +197,6 @@ impl Reactor<DsmMsg, NodeState> for Handler {
                     meta.valid =
                         meta.notices.iter().all(|&(owner, ivx)| meta.valid_at.covers(owner, ivx));
                     s.mark_valid_changed(page);
-                    // Content changed underneath any cached translation.
-                    s.bump_page_prot_gen(page);
                 }
             }
 

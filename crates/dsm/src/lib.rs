@@ -25,13 +25,13 @@
 //! | layer | module | owns |
 //! |---|---|---|
 //! | consistency | `vc`, `interval`, `consistency` | vector clocks, intervals, write notices |
-//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, notices, cached diffs, valid notices), the page slot store and its handles, twin pool, TLB revocation |
+//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, notices, cached diffs, valid notices, protection bits), the page slot store and its handles, twin pool |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
 //! | strategy | `strategy` | how sequential sections execute: one [`SeqMode`], one `match` in [`DsmNode::run_sequential`] |
 //! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context lent the [`NodeState`], and the shared page segment |
-//! | runtime | `runtime`, `handler`, `cluster`, `msg`, `wire` | processes, the software TLB, message dispatch, the one send path, cluster launch |
+//! | runtime | `runtime`, `handler`, `cluster`, `msg`, `wire` | processes, the software MMU (each access checks the page table, else walks), message dispatch, the one send path, cluster launch |
 
 // Everything not in the `pub use` façade below is crate-internal; the
 // lint keeps `pub` from silently outliving its re-export.
@@ -66,7 +66,7 @@ pub use diff::{Diff, DiffError, DiffRun};
 pub use exec::{Task, TaskFn};
 pub use interval::{IntervalData, IntervalRecord, IntervalStore, PageId};
 pub use msg::DsmMsg;
-pub use page::{DiffEntry, PageMeta};
+pub use page::{DiffEntry, PageBuf, PageMeta};
 pub use pod::Pod;
 pub use race::{AccessKind, RaceConfig, RaceSink, SyncEdge};
 pub use runtime::DsmNode;

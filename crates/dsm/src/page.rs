@@ -69,20 +69,24 @@ impl PageStore {
     }
 }
 
-/// A handle to one page's bytes: a `Copy` (pointer, length) into a
-/// [`PageStore`] slot, or into a page guard's own copy of an element that
-/// straddles two pages. The data plane holds one per materialized page;
-/// the software TLB and the page guards hold copies, so a protection
-/// change never moves the bytes a stale handle points at — the protection
-/// generation fences stale handles off instead.
+/// A handle to one page's bytes: a `Copy` (pointer, length) into a slot
+/// of the node's `PageStore`, or into a page guard's own copy of an
+/// element that straddles two pages. The data plane holds one per
+/// materialized page and hands out copies ([`NodeState::mapped`]); outside
+/// this crate a handle is opaque, and inside it only an access in progress
+/// reads through one. A protection change never moves the bytes a handle
+/// points at: it changes the page table, which the next access checks.
 ///
-/// Every handle is outlived by its bytes. A slot lives as long as its
-/// node's `NodeState`, which the simulation drops after every process has
-/// ended (lending it moves a `Box`, never the slots): the TLB lives in the
-/// application's `DsmNode`, a page guard inside one `with_slices{,_mut}`
-/// call, and a detached guard owns the `Vec` its handle points into.
+/// Every handle the crate reads through is outlived by its bytes. A slot
+/// lives as long as its node's `NodeState`, which the simulation drops
+/// after every process has ended (lending it moves a `Box`, never the
+/// slots). Page-run guards are the only holders that outlast one load or
+/// store: a guard lives inside one `with_slices{,_mut}` call, and a
+/// detached guard owns the `Vec` its handle points into.
+///
+/// [`NodeState::mapped`]: crate::NodeState::mapped
 #[derive(Clone, Copy)]
-pub(crate) struct PageBuf {
+pub struct PageBuf {
     ptr: NonNull<u8>,
     len: usize,
 }

@@ -1,17 +1,15 @@
-//! The application-side runtime core: the `DsmNode` handle, the software
-//! TLB, and typed shared-memory access with software page faults. The
+//! The application-side runtime core: the `DsmNode` handle and typed
+//! shared-memory access with software page faults. The
 //! blocking protocol operations live with their layers — [`crate::fetch`]
 //! (demand fetching), [`crate::sync`] (barrier/locks), [`crate::exec`]
 //! (fork/join) and [`crate::strategy`] (sequential-section execution) — as
 //! further `impl DsmNode` blocks.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use repseq_sim::{Dur, SimTime, Stopped};
 use repseq_stats::{NodeId, StatsRef};
 
-use crate::dataplane::GenTable;
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
 use crate::page::PageBuf;
@@ -20,88 +18,6 @@ use crate::race::{AccessKind, AccessTap, RaceSink, SyncEdge};
 use crate::strategy::RseProbe;
 use crate::substrate::NodeCtx;
 use crate::wire::{Nodes, Wire};
-
-/// Software-TLB geometry: set-associative on the low page bits.
-/// 128 sets × 4 ways = 512 cached translations — large kernel-phase
-/// working sets fit, and the ways absorb pages whose strides alias the
-/// same set (the old direct-mapped table thrashed on those).
-const TLB_SETS: usize = 128;
-const TLB_WAYS: usize = 4;
-
-/// One cached translation: page → contents handle + write permission,
-/// stamped with the page's protection generations it was filled under.
-struct TlbEntry {
-    page: PageId,
-    /// The page's read (mapping) generation at fill. Invalidation or an
-    /// out-of-band content change bumps it, so a stale entry fails the
-    /// equality check and falls back to the page-table walk.
-    gen: u64,
-    /// The page's write-permission generation at fill. A write-only
-    /// revocation (interval close, §5.3 write-protect) bumps it, retiring
-    /// this entry's *write* permission while reads keep hitting.
-    wgen: u64,
-    writable: bool,
-    buf: PageBuf,
-}
-
-/// The per-application-process software TLB: a set-associative cache over
-/// the node's page table, each entry valid only while its page's
-/// protection generation is unchanged. Purely a host-time optimization —
-/// lookups model no cost and hit only in states where the slow path would
-/// also charge nothing, so virtual time and message counts are
-/// bit-identical with the TLB off.
-pub(crate) struct Tlb {
-    sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
-    /// Per-set round-robin victim cursor. Deterministic: replacement
-    /// depends only on the access sequence, never on host state.
-    rr: Vec<u8>,
-}
-
-impl Tlb {
-    fn new() -> Tlb {
-        Tlb {
-            sets: (0..TLB_SETS).map(|_| std::array::from_fn(|_| None)).collect(),
-            rr: vec![0; TLB_SETS],
-        }
-    }
-
-    #[inline]
-    fn set(p: PageId) -> usize {
-        p as usize & (TLB_SETS - 1)
-    }
-
-    /// The cached translation for `p`, if present and stamped with the
-    /// page's current read (mapping) generation `gen`. Callers that need
-    /// write permission additionally check `writable` and the entry's
-    /// write-generation stamp.
-    #[inline]
-    fn lookup(&self, p: PageId, gen: u64) -> Option<&TlbEntry> {
-        self.sets[Self::set(p)].iter().flatten().find(|e| e.page == p && e.gen == gen)
-    }
-
-    /// Install a translation. Way choice is deterministic: the way already
-    /// holding `p`, else an invalid way, else a way whose entry went stale
-    /// under `gens`, else the set's round-robin victim.
-    fn insert(&mut self, entry: TlbEntry, gens: &GenTable) {
-        let s = Self::set(entry.page);
-        let way = {
-            let set = &self.sets[s];
-            set.iter()
-                .position(|e| e.as_ref().is_some_and(|e| e.page == entry.page))
-                .or_else(|| set.iter().position(|e| e.is_none()))
-                .or_else(|| {
-                    set.iter()
-                        .position(|e| e.as_ref().is_some_and(|e| e.gen != gens.page_read(e.page)))
-                })
-        };
-        let way = way.unwrap_or_else(|| {
-            let w = self.rr[s] as usize % TLB_WAYS;
-            self.rr[s] = self.rr[s].wrapping_add(1);
-            w
-        });
-        self.sets[s][way] = Some(entry);
-    }
-}
 
 /// A node's application-side handle to the DSM. One per application
 /// process. All shared-memory traffic, synchronization and statistics flow
@@ -114,12 +30,6 @@ pub struct DsmNode {
     /// The send path, and through it the cluster's wiring.
     pub(crate) wire: Wire,
     pub(crate) page_size: usize,
-    /// The software TLB. `RefCell`: the application process is the only
-    /// borrower, and no borrow is held across a yielding call.
-    pub(crate) tlb: RefCell<Tlb>,
-    /// Whether the TLB is on. Its hits and misses count in the node's
-    /// `host` counters, plain fields of the lent state: no lock to count.
-    tlb_enabled: bool,
     /// Race-detection sink (cloned off the topology); `None` costs one
     /// branch per access and nothing else.
     pub(crate) race: Option<Arc<dyn RaceSink>>,
@@ -128,12 +38,9 @@ pub struct DsmNode {
 impl DsmNode {
     /// Build the application-side handle, configured as its node's state.
     pub(crate) fn new(ctx: NodeCtx, wire: Wire) -> DsmNode {
-        let (page_size, tlb_enabled) = {
-            let cfg = &ctx.state().cfg;
-            (cfg.page_size, cfg.tlb_enabled)
-        };
+        let page_size = ctx.state().cfg.page_size;
         let race = wire.topo.race.clone();
-        DsmNode { ctx, wire, page_size, tlb: RefCell::new(Tlb::new()), tlb_enabled, race }
+        DsmNode { ctx, wire, page_size, race }
     }
 
     /// This node's id (0 is the master).
@@ -245,69 +152,47 @@ impl DsmNode {
     // Shared-memory access (the software MMU)
     // ---------------------------------------------------------------
     //
-    // Two-level fast path: the software TLB, whose hit costs two loads of
-    // the page's generations and an array probe; else the page-table walk,
-    // which fills the TLB. The TLB only serves accesses the walk charges
-    // no virtual time for, so it cannot change simulated time or counts.
-
-    /// The one TLB probe: run `f` over the cached contents handle of page
-    /// `p` if the TLB is on and holds a current mapping — for `write`, a
-    /// *writable* one stamped with the page's current write generation —
-    /// and count the hit.
-    #[inline]
-    fn tlb_probe<R>(&self, p: PageId, write: bool, f: impl FnOnce(PageBuf) -> R) -> Option<R> {
-        if !self.tlb_enabled {
-            return None;
-        }
-        let mut st = self.ctx.state();
-        let gens = &st.data.prot_gen;
-        let tlb = self.tlb.borrow();
-        let e = tlb.lookup(p, gens.page_read(p))?;
-        if write && !(e.writable && e.wgen == gens.page_write(p)) {
-            return None;
-        }
-        st.host.tlb_hits += 1;
-        drop(st);
-        Some(f(e.buf))
-    }
+    // The fast path is one look at the page table (`NodeState::mapped`),
+    // which serves only accesses the walk would charge no virtual time
+    // for; anything else walks: faults, fetches, materializes. The node's
+    // `host` counters, plain fields of the lent state, count both.
 
     /// A page-run guard serves `count` element accesses from the one
     /// translation its acquisition just resolved (and counted): each after
-    /// the first skips the walk exactly like a TLB hit.
+    /// the first skips the walk exactly like a mapped access.
     #[inline]
     pub(crate) fn count_run(&self, count: usize) {
-        if self.tlb_enabled {
-            self.ctx.state().host.tlb_hits += count as u64 - 1;
-        }
+        self.ctx.state().host.tlb_hits += count as u64 - 1;
     }
 
-    /// Resolve page `p` for reading, or for writing: from the TLB, else by
-    /// faulting until valid (and writable) and filling the TLB on the way.
-    /// The handle stays byte-current across later protocol activity (diffs
-    /// apply in place), but protocol *validity* is only pinned at
-    /// acquisition — callers must not cache it across synchronization.
+    /// Resolve page `p` for reading, or for writing: straight from the
+    /// page table if it maps the access, else by walking — faulting until
+    /// valid (and writable). The handle stays byte-current across later
+    /// protocol activity (diffs apply in place), but protocol *validity* is
+    /// only pinned at acquisition — callers must not cache it across
+    /// synchronization.
+    #[inline]
     pub(crate) fn page_for(&self, p: PageId, write: bool) -> Result<PageBuf, Stopped> {
-        if let Some(buf) = self.tlb_probe(p, write, |b| b) {
-            return Ok(buf);
+        {
+            let mut st = self.ctx.state();
+            if let Some(buf) = st.mapped(p, write) {
+                st.host.tlb_hits += 1;
+                return Ok(buf);
+            }
+            st.host.tlb_misses += 1;
         }
-        if self.tlb_enabled {
-            self.ctx.state().host.tlb_misses += 1;
-        }
+        self.walk(p, write)
+    }
+
+    /// The page walk: fault until page `p` is valid (and writable), then
+    /// hand out its slot, materialized.
+    fn walk(&self, p: PageId, write: bool) -> Result<PageBuf, Stopped> {
         loop {
             {
                 let mut st = self.ctx.state();
                 let page = st.page_mut(p);
                 if page.valid && (page.writable || !write) {
-                    let writable = page.writable;
-                    let buf = *st.page_buf(p);
-                    if self.tlb_enabled {
-                        // A translation filled under the current generations.
-                        let gens = &st.data.prot_gen;
-                        let (gen, wgen) = (gens.page_read(p), gens.page_write(p));
-                        let entry = TlbEntry { page: p, gen, wgen, writable, buf };
-                        self.tlb.borrow_mut().insert(entry, gens);
-                    }
-                    return Ok(buf);
+                    return Ok(*st.page_buf(p));
                 }
                 if page.valid {
                     // Write fault: purely local (twin creation, and during
@@ -333,12 +218,7 @@ impl DsmNode {
             // Single-page fast path: decode straight from the page, no
             // intermediate buffer, no span loop.
             self.race_access(addr, T::SIZE, AccessKind::Read);
-            let p = (addr / ps) as PageId;
-            let hit = self.tlb_probe(p, false, |b| T::read_from(&b.slice()[off..off + T::SIZE]));
-            if let Some(v) = hit {
-                return Ok(v);
-            }
-            let buf = self.page_for(p, false)?;
+            let buf = self.page_for((addr / ps) as PageId, false)?;
             return Ok(T::read_from(&buf.slice()[off..off + T::SIZE]));
         }
         let mut buf = [0u8; 256];
@@ -353,13 +233,7 @@ impl DsmNode {
         let off = (addr % ps) as usize;
         if off + T::SIZE <= self.page_size {
             self.race_access(addr, T::SIZE, AccessKind::Write);
-            let p = (addr / ps) as PageId;
-            let hit =
-                self.tlb_probe(p, true, |mut b| v.write_to(&mut b.slice_mut()[off..off + T::SIZE]));
-            if hit.is_some() {
-                return Ok(());
-            }
-            let mut buf = self.page_for(p, true)?;
+            let mut buf = self.page_for((addr / ps) as PageId, true)?;
             v.write_to(&mut buf.slice_mut()[off..off + T::SIZE]);
             return Ok(());
         }

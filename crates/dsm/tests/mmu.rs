@@ -1,21 +1,16 @@
-//! The software TLB and its generation-counter coherence contract.
+//! The software MMU: every load and store checks the page table
+//! (`NodeState::mapped`), and anything it does not map walks.
 //!
 //! Three layers of assurance:
 //!
-//! * unit tests pin every protection-*revocation* site to a generation
-//!   bump (interval close, write-notice invalidation, replicated-section
-//!   entry and exit) — a missed bump is a stale-translation bug that only
-//!   shows up under specific interleavings, so each site is pinned
-//!   explicitly;
+//! * unit tests pin the protection bits the check reads at every site that
+//!   revokes them (interval close, write-notice invalidation,
+//!   replicated-section entry and retirement), and the check itself to the
+//!   walk's rule over every slot state;
 //! * a cluster-level regression drives §5.3 through the *bulk* guard path:
 //!   pages dirtied in a parallel section are rewritten inside a replicated
 //!   section via `with_slices_mut`, which must take the write fault (and
-//!   create the pre-section diff) rather than ride a stale writable TLB
-//!   entry;
-//! * an invariance test runs the same workload with the TLB on and off and
-//!   requires bit-identical virtual time, message and byte counts — the
-//!   fast path is a host-time optimization and must be invisible to the
-//!   simulation;
+//!   create the pre-section diff);
 //! * count tests hold the hit, miss and fault counts of a page-run guard
 //!   to the element-wise walk of the same range, and find every node's
 //!   counts in the run's own `stats.host()` the moment the run returns —
@@ -33,21 +28,14 @@ use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
 
 // ---------------------------------------------------------------
-// Generation-bump unit tests
+// The page table's protection bits
 // ---------------------------------------------------------------
 
 /// A hand-built state: no segment, so the page table grows on touch.
-fn mk_state_with(cfg: DsmConfig) -> NodeState {
+fn mk_state() -> NodeState {
+    let cfg = DsmConfig::default();
     let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
     NodeState::new(0, 2, cfg, segment)
-}
-
-fn mk_state() -> NodeState {
-    mk_state_with(DsmConfig::default())
-}
-
-fn gen(st: &NodeState) -> u64 {
-    st.prot_gen()
 }
 
 /// Make page `p` a valid, written page (as after a write fault).
@@ -57,78 +45,123 @@ fn write_page(st: &mut NodeState, p: PageId) {
     st.write_fault(p);
 }
 
+/// What the check maps of page `p`: a load, and a store.
+fn maps(st: &NodeState, p: PageId) -> (bool, bool) {
+    (st.mapped(p, false).is_some(), st.mapped(p, true).is_some())
+}
+
+/// `mapped` over every slot state: it hands out the slot only where the
+/// walk would charge nothing, never for a store to a read-only page, and
+/// each state it refuses is one the walk acts on.
 #[test]
-fn close_interval_bumps_generation() {
+fn the_page_table_maps_only_what_a_walk_serves_for_free() {
+    let mut st = mk_state();
+    st.page_data(0);
+    st.page_mut(0).valid = false; // invalid
+    st.page_mut(1); // valid, not yet materialized
+    st.page_data(2); // valid, read-only
+    write_page(&mut st, 3); // writable
+    for (p, what, load, store) in [
+        (0, "invalid", false, false),
+        (1, "valid, not materialized", false, false),
+        (2, "read-only", true, false),
+        (3, "writable", true, true),
+    ] {
+        assert_eq!(maps(&st, p), (load, store), "page {p}: {what}");
+    }
+    // Each miss is what the walk would do something about: fetch,
+    // materialize, or take the write fault (which charges).
+    st.page_mut(0).valid = true;
+    st.page_data(1);
+    assert_eq!((maps(&st, 0), maps(&st, 1)), ((true, false), (true, false)));
+    assert!(st.write_fault(2) > repseq_sim::Dur::ZERO, "a store to a read-only page charges");
+    assert_eq!(maps(&st, 2), (true, true));
+}
+
+#[test]
+fn interval_close_write_protects_written_pages() {
     let mut st = mk_state();
     write_page(&mut st, 3);
-    let g = gen(&st);
+    assert_eq!(maps(&st, 3), (true, true));
     st.close_interval();
-    assert!(gen(&st) > g, "interval close re-protects written pages; TLB must revalidate");
-    assert!(!st.page_mut(3).writable);
+    let page = st.page_mut(3);
+    assert!(page.valid && !page.writable, "the written page stays readable, read-only");
+    assert_eq!(maps(&st, 3), (true, false), "its next store faults into the new interval");
 }
 
 #[test]
-fn close_interval_without_writes_does_not_bump() {
+fn interval_close_leaves_unwritten_pages_alone() {
     let mut st = mk_state();
-    let g = gen(&st);
+    st.page_data(4); // read, never written
+    assert_eq!(maps(&st, 4), (true, false));
     st.close_interval();
-    assert_eq!(gen(&st), g, "nothing was re-protected, nothing to invalidate");
+    let page = st.page_mut(4);
+    assert!(page.valid && !page.writable && page.twin.is_none());
+    assert_eq!(maps(&st, 4), (true, false), "an unwritten page keeps its mapping for loads");
 }
 
 #[test]
-fn write_notice_invalidation_bumps_generation() {
+fn a_write_notice_invalidates_the_copy_it_names() {
     let mut st = mk_state();
     // A valid (read-only) copy of page 5.
-    st.page_mut(5).valid = true;
     st.page_data(5);
-    let g = gen(&st);
+    assert_eq!(maps(&st, 5), (true, false));
     let mut vc = Vc::zero(2);
     vc.set(1, 1);
     let rec = IntervalRecord::new(1, 1, vc.clone(), vec![5]);
     st.apply_records(vec![rec], &vc);
-    assert!(!st.page_mut(5).valid, "the notice must invalidate the copy");
-    assert!(gen(&st) > g, "invalidation revokes the translation; TLB must revalidate");
+    let page = st.page_mut(5);
+    assert!(!page.valid && !page.writable, "the notice must invalidate the copy");
+    assert_eq!(maps(&st, 5), (false, false), "a load of it must fetch");
 }
 
 #[test]
-fn irrelevant_records_do_not_bump() {
+fn a_duplicate_or_unrelated_record_changes_no_mapping() {
     let mut st = mk_state();
+    // Valid (read-only) copies of pages 6 and 9.
+    st.page_data(6);
+    st.page_data(9);
     let mut vc = Vc::zero(2);
     vc.set(1, 1);
     let rec = IntervalRecord::new(1, 1, vc.clone(), vec![9]);
     st.apply_records(vec![rec.clone()], &vc);
-    let g = gen(&st);
-    // The duplicate is skipped and the copy is already invalid: nothing
-    // new is revoked, so the TLB may keep its entries.
+    assert_eq!(maps(&st, 6), (true, false), "a page the record does not name stays mapped");
+    assert_eq!(maps(&st, 9), (false, false));
+    // The duplicate is skipped: nothing changes, and the copy fetched
+    // since is not invalidated again.
+    st.page_mut(9).valid = true;
     st.apply_records(vec![rec], &vc);
-    assert_eq!(gen(&st), g, "no copy was invalidated, the TLB may keep its entries");
+    assert_eq!((maps(&st, 6), maps(&st, 9)), ((true, false), (true, false)));
 }
 
 #[test]
-fn replicated_entry_and_exit_bump_generation() {
+fn replicated_entry_write_protects_dirty_pages() {
     let mut st = mk_state();
     write_page(&mut st, 7);
     st.close_interval(); // the runtime enters a section between intervals
-    let g0 = gen(&st);
-    // §5.3: entry write-protects the dirty page — a writable TLB entry
-    // from before the section would skip the pre-section diff.
+                         // §5.3: a store to the dirty page inside the section must fault, so
+                         // the pre-section diff is created before the page changes.
     st.enter_replicated();
-    let g1 = gen(&st);
-    assert!(g1 > g0, "entry revokes write permission on dirty pages");
-    st.write_fault(7); // first write inside the section
-    st.exit_replicated();
-    assert!(gen(&st) > g1, "retirement re-protects the section's pages");
+    let page = st.page_mut(7);
+    assert!(page.valid && !page.writable && page.rse_protected && page.twin.is_some());
+    assert_eq!(maps(&st, 7), (true, false), "loads still map; a store faults");
+    st.write_fault(7);
+    let page = st.page_mut(7);
+    assert!(page.twin.is_none() && !page.rse_protected, "the fault diffed the pre-section writes");
+    assert_eq!(maps(&st, 7), (true, true));
 }
 
 #[test]
-fn break_flag_suppresses_every_bump() {
-    let cfg = DsmConfig { tlb_break_generation_bumps: true, ..DsmConfig::default() };
-    let mut st = mk_state_with(cfg);
-    write_page(&mut st, 3);
-    st.close_interval();
+fn replicated_retirement_reprotects_the_pages_written_in_the_section() {
+    let mut st = mk_state();
+    st.page_data(7);
     st.enter_replicated();
+    st.write_fault(7); // the section's first store to page 7
+    assert_eq!(maps(&st, 7), (true, true));
     st.exit_replicated();
-    assert_eq!(gen(&st), 0, "the fault-injection flag must disable the counter entirely");
+    let page = st.page_mut(7);
+    assert!(page.valid && !page.writable && !page.rse_dirty);
+    assert_eq!(maps(&st, 7), (true, false), "the retired copy stays readable, read-only");
 }
 
 // ---------------------------------------------------------------
@@ -138,18 +171,15 @@ fn break_flag_suppresses_every_bump() {
 const N: usize = 3;
 
 /// The §5.3 torture shape on the guard path: a parallel phase dirties
-/// pages element-wise (warming writable TLB entries), then a replicated
-/// section rewrites the same pages through `with_slices_mut`, then the
-/// values are read back on every node. Correct final values on all nodes
-/// prove the bulk writes inside the section faulted (stale writable TLB
-/// entries would skip the §5.3 pre-section diff and corrupt the merge).
-fn run_53_bulk(
-    tlb_enabled: bool,
-) -> (Vec<Vec<u64>>, repseq_sim::SimReport, repseq_stats::StatsSnapshot, HostCounters) {
+/// pages element-wise (leaving them writable), then a replicated section
+/// rewrites the same pages through `with_slices_mut`, then the values are
+/// read back on every node. Correct final values on all nodes prove the
+/// bulk writes inside the section faulted (a store that rode the write
+/// permission granted before the section would skip the §5.3
+/// pre-section diff and corrupt the merge).
+fn run_53_bulk() -> Vec<Vec<u64>> {
     let stats = Stats::new(N);
-    let mut ccfg = ClusterConfig::paper(N);
-    ccfg.dsm.tlb_enabled = tlb_enabled;
-    let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
+    let mut cl = Cluster::new(ClusterConfig::paper(N), Arc::clone(&stats));
     let per_page = cl.config().dsm.page_size / 8;
     let len = N * per_page;
     let arr = cl.alloc_array_page_aligned::<u64>(len);
@@ -160,7 +190,7 @@ fn run_53_bulk(
         let chunk = len / N;
         for round in 0..2u64 {
             // Parallel: each node writes its block element-wise — on the
-            // second and later touches of a page these writes ride the TLB.
+            // second and later touches of a page these writes are mapped.
             node.run_parallel(move |nd| {
                 let me = nd.node();
                 for i in me * chunk..(me + 1) * chunk {
@@ -169,7 +199,7 @@ fn run_53_bulk(
                 Ok(())
             })?;
             // Replicated: rewrite everything through the bulk guard path.
-            // Entry must invalidate the writable TLB entries warmed above.
+            // Entry must write-protect the pages dirtied above.
             node.run_sequential(SeqMode::Replicated, move |nd| {
                 arr.with_slices_mut(nd, 0..len, |run| {
                     let first = run.first_index() as u64;
@@ -202,9 +232,9 @@ fn run_53_bulk(
     for _ in 1..N {
         apps.push(Box::new(|node: DsmNode| node.slave_loop()));
     }
-    let report = cl.launch(apps).expect("simulation must complete");
+    cl.launch(apps).expect("simulation must complete");
     let vals = std::mem::take(&mut *out.lock().unwrap());
-    (vals, report, stats.snapshot(), stats.host())
+    vals
 }
 
 /// The ideal machine for `run_53_bulk`.
@@ -223,31 +253,14 @@ fn golden_53(len: usize) -> Vec<u64> {
 
 #[test]
 fn replicated_bulk_writes_take_the_53_fault_path() {
-    let (vals, ..) = run_53_bulk(true);
+    let vals = run_53_bulk();
     let want = golden_53(vals[0].len());
     for (node, v) in vals.iter().enumerate() {
         assert_eq!(
             v, &want,
-            "node {node}: replicated guard writes must fault past stale TLB entries \
-             (§5.3 pre-section diff)"
+            "node {node}: replicated guard writes must fault (§5.3 pre-section diff)"
         );
     }
-}
-
-#[test]
-fn tlb_is_invisible_to_virtual_time() {
-    let (vals_on, rep_on, snap_on, host_on) = run_53_bulk(true);
-    assert!(host_on.tlb_hits > 0, "the workload must actually exercise the TLB fast path");
-
-    let (vals_off, rep_off, snap_off, _) = run_53_bulk(false);
-    assert_eq!(vals_on, vals_off, "contents must not depend on the fast path");
-    assert_eq!(rep_on.end_time, rep_off.end_time, "virtual end time must be identical");
-    assert_eq!(rep_on.proc_clocks, rep_off.proc_clocks, "per-process clocks must be identical");
-    assert_eq!(rep_on.events_processed, rep_off.events_processed);
-    let (a, b) = (snap_on.total_agg_with_startup(), snap_off.total_agg_with_startup());
-    assert_eq!(a.messages, b.messages, "message counts must be identical");
-    assert_eq!(a.bytes, b.bytes, "byte counts must be identical");
-    assert_eq!(a.page_faults, b.page_faults, "fault counts must be identical");
 }
 
 // ---------------------------------------------------------------
@@ -298,7 +311,7 @@ fn write_walk<T: Pod>(
     })
 }
 
-/// What a run cost: TLB hits and misses (from the run's `stats.host()`),
+/// What a run cost: mapped accesses and walks (the run's `stats.host()`),
 /// page faults, and a checksum of what the walk read.
 #[derive(Debug, PartialEq)]
 struct Counts {
@@ -324,11 +337,9 @@ enum Span {
 /// master's walk is the same code in both variants, so equal counts for
 /// the run are equal counts for the walk. Also returns how many elements
 /// of the span straddle a page boundary.
-fn run_walk(span: Span, write: bool, bulk: bool, tlb_enabled: bool) -> (Counts, u64) {
+fn run_walk(span: Span, write: bool, bulk: bool) -> (Counts, u64) {
     let stats = Stats::new(2);
-    let mut ccfg = ClusterConfig::paper(2);
-    ccfg.dsm.tlb_enabled = tlb_enabled;
-    let mut cl = Cluster::new(ccfg, Arc::clone(&stats));
+    let mut cl = Cluster::new(ClusterConfig::paper(2), Arc::clone(&stats));
     let ps = cl.config().dsm.page_size;
     let per_page = ps / 8;
     let words = cl.alloc_array_page_aligned::<u64>(4 * per_page);
@@ -381,21 +392,21 @@ fn run_walk(span: Span, write: bool, bulk: bool, tlb_enabled: bool) -> (Counts, 
 
 /// The count preservation `dsm.dataplane.tlb_hit_rate` and the emitter's
 /// hit-rate floor rely on: a guard reports one hit per element after the
-/// first of each page run, the acquisition probe reports itself, and the
+/// first of each page run, the acquisition's check reports itself, and the
 /// fault is taken once per page — exactly what the element-wise walk of
 /// the same range reports.
 #[test]
 fn a_page_run_counts_what_the_element_wise_walk_counts() {
     for span in [Span::WholePages, Span::MidPage, Span::Straddling] {
         for write in [false, true] {
-            let (elem, straddlers) = run_walk(span, write, false, true);
-            let (run, _) = run_walk(span, write, true, true);
+            let (elem, straddlers) = run_walk(span, write, false);
+            let (run, _) = run_walk(span, write, true);
             assert!(elem.hits > 1000 && elem.faults >= 3, "{span:?}: the walk must do work");
             assert_eq!(elem.faults, run.faults, "{span:?} write={write}: one fault per page");
             assert_eq!(elem.sum, run.sum, "{span:?}: both walks read the same values");
             if write && straddlers > 0 {
                 // A mutable guard pre-fills a straddling element with its
-                // current value (two more probes, one per page, that the
+                // current value (two more checks, one per page, that the
                 // element-wise store does not make) before the closure
                 // runs; every other access is counted alike.
                 assert!(straddlers >= 2, "the 24-byte span must straddle");
@@ -404,17 +415,6 @@ fn a_page_run_counts_what_the_element_wise_walk_counts() {
                 assert_eq!(elem, run, "{span:?} write={write}");
             }
         }
-    }
-}
-
-/// With the TLB off nothing is a hit and nothing is a miss: every access
-/// takes the locked walk and none is counted, whichever way it is made.
-#[test]
-fn a_disabled_tlb_folds_no_hits_and_no_misses() {
-    for bulk in [false, true] {
-        let (c, _) = run_walk(Span::MidPage, true, bulk, false);
-        assert_eq!((c.hits, c.misses), (0, 0), "bulk={bulk}");
-        assert!(c.faults >= 3);
     }
 }
 

@@ -40,11 +40,12 @@ pub struct HostCounters {
     pub scratch_pool_hits: u64,
     /// Scratch takes that fell through to the allocator.
     pub scratch_pool_misses: u64,
-    /// Shared-memory accesses served from the software TLB or from a
-    /// page-run guard's held translation (mutex and page walk skipped, one
-    /// hit per element as a hardware TLB would report).
+    /// Shared-memory accesses the page table mapped as it stood
+    /// (`NodeState::mapped`), or that a page-run guard served from the page
+    /// its acquisition resolved: one per element, the walk skipped. (The
+    /// name is the one `dsm.dataplane.tlb_hit_rate` reads.)
     pub tlb_hits: u64,
-    /// Accesses that took the locked page walk (possibly faulting).
+    /// Accesses that had to walk: fault, fetch or materialize the page.
     pub tlb_misses: u64,
 }
 
