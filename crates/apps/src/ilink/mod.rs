@@ -24,6 +24,8 @@
 //! contiguous cluster per member (recombination locality), so sparse reads
 //! touch the pages a real index array would.
 
+use std::sync::Arc;
+
 use repseq_core::{Stopped, Team};
 use repseq_dsm::{ShArray, ShVar};
 use repseq_sim::Dur;
@@ -139,12 +141,12 @@ pub fn make_pedigree(cfg: &IlinkConfig) -> Vec<Family> {
         .collect()
 }
 
-/// Base value of the pool reinitialization (iteration- and
-/// family-dependent, so every family visit rewrites everything).
-#[inline]
-fn base_value(iter: usize, fam: usize, m: usize, e: usize) -> f64 {
-    let x = (iter * 31 + fam * 7 + m * 3 + e) as f64;
-    0.5 + (x * 0.001).sin() * 0.25
+/// The pool reinitialization's values, the same on every node: member
+/// `m`'s row on visit `(iter, fam)` starts at `iter * 31 + fam * 7 + m * 3`,
+/// so every family visit rewrites everything.
+fn pool_bases(cfg: &IlinkConfig, max_members: usize) -> Arc<[f64]> {
+    let n = cfg.iterations * 31 + cfg.n_families * 7 + max_members * 3 + cfg.genarray_len;
+    (0..n).map(|x| 0.5 + (x as f64 * 0.001).sin() * 0.25).collect()
 }
 
 /// Handles to the shared data.
@@ -234,6 +236,8 @@ impl Ilink {
         assert!(n_nodes <= 64, "contribution buffers sized for 64 nodes");
         let mut parallel_updates = 0u64;
         let mut sequential_updates = 0u64;
+        let max_members = self.pedigree.iter().map(|f| f.members).max().unwrap_or(0);
+        let bases = pool_bases(&cfg, max_members);
 
         team.start_measurement();
         for iter in 0..cfg.iterations {
@@ -242,24 +246,16 @@ impl Ilink {
                 // ("the whole pool of genarrays are overwritten by the
                 // master thread", §6.2.1) ----
                 let (members, len) = (fam.members, cfg.genarray_len);
-                let cfgq = cfg.clone();
+                let (init_ns, bases) = (cfg.init_ns, Arc::clone(&bases));
                 team.sequential(move |nd| {
                     nd.race_label("ilink::init");
-                    // Guard-based rewrite: one write fault per page, values
-                    // computed straight into the page bytes (no row buffer).
+                    // One write fault per page; each replica copies the
+                    // run's shared values into its own pages.
                     for m in 0..members {
-                        h.bank.with_slices_mut(nd, m * len..(m + 1) * len, |run| {
-                            let first = run.first_index();
-                            for j in 0..run.len() {
-                                let e = first + j - m * len;
-                                run.set(j, base_value(iter, fam_id, m, e));
-                            }
-                            Ok(())
-                        })?;
+                        let x = iter * 31 + fam_id * 7 + m * 3;
+                        h.bank.write_range(nd, m * len, &bases[x..x + len])?;
                     }
-                    nd.charge(Dur::from_secs_f64(
-                        members as f64 * len as f64 * cfgq.init_ns * 1e-9,
-                    ));
+                    nd.charge(Dur::from_secs_f64(members as f64 * len as f64 * init_ns * 1e-9));
                     Ok(())
                 })?;
 

@@ -19,14 +19,12 @@
 //! delay in the p99/p999 *simulated* latencies, computed from virtual
 //! timestamps.
 //!
-//! Both record bodies — a write rewriting a record's `record_slots` slots,
-//! a read folding them — are page runs (`ShArray::with_slices{,_mut}`):
-//! the page is resolved once per run and each slot is a plain load or
-//! store, where an element-wise loop checked the page table 256 times a
-//! record on every replica. The fault sequence is unchanged: the loop's
-//! first access to a page took the fault and the rest were mapped, and a
-//! run takes that same fault when it is acquired; the race detector and
-//! the mapped-access counters still see every slot.
+//! Both record bodies are page runs, so each page is resolved once and
+//! each slot is a plain load or store. A write copies the record's
+//! `record_slots` values, which the master generates once for every
+//! replica (`ShArray::write_range`); a read folds them
+//! (`ShArray::with_slices`). The faults are the element-wise loop's, and
+//! the race detector and the mapped-access counters see every slot.
 
 pub mod layout;
 pub mod trace;
@@ -293,23 +291,22 @@ impl KvStore {
                 if writes.is_empty() {
                     continue;
                 }
-                let body_writes = writes.clone();
-                let write_ns = cfg.write_ns;
+                // Every replica writes the same records: generate them
+                // once here, and each node copies them into its pages.
                 let rs = cfg.record_slots;
+                let keys: Vec<u32> = writes.iter().map(|&(_, key, _)| key).collect();
+                let recs: Vec<u64> = writes
+                    .iter()
+                    .flat_map(|&(_, _, val)| (0..rs as u64).map(move |j| splitmix64(val ^ j)))
+                    .collect();
+                let write_ns = cfg.write_ns;
                 team.sequential_broadcasting(
                     move |nd| {
                         nd.race_label(shard_label(s));
-                        for &(_, key, val) in &body_writes {
-                            let base = lay.flat(key as usize) * rs;
-                            table.with_slices_mut(nd, base..base + rs, |run| {
-                                let j0 = run.first_index() - base;
-                                for k in 0..run.len() {
-                                    run.set(k, splitmix64(val ^ (j0 + k) as u64));
-                                }
-                                Ok(())
-                            })?;
+                        for (&key, rec) in keys.iter().zip(recs.chunks(rs)) {
+                            table.write_range(nd, lay.flat(key as usize) * rs, rec)?;
                         }
-                        nd.charge(Dur::from_secs_f64(body_writes.len() as f64 * write_ns * 1e-9));
+                        nd.charge(Dur::from_secs_f64(keys.len() as f64 * write_ns * 1e-9));
                         Ok(())
                     },
                     self.shard_pages(s),

@@ -195,9 +195,15 @@ impl NodeState {
         for p in std::mem::take(&mut self.rse.dirty) {
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.twin.is_none(), "page {p} retired with a twin");
-            // A fork follows a join: the entry covers every closed interval
-            // and every record a copy ever applied.
+            // A fork follows a join: the entry covers every closed interval,
+            // so every notice and record the page holds (the section closes
+            // none) and every record a copy ever applied.
             debug_assert!(page.valid_at.dominated_by(&entry), "page {p} valid past the entry");
+            debug_assert!(
+                page.notices.iter().all(|&(o, i)| entry.covers(o, i))
+                    && page.diffs.values().all(|r| entry.covers(r.owner, r.max_ivx())),
+                "page {p} holds a notice or record past the entry"
+            );
             page.writable = false;
             page.rse_dirty = false;
             page.valid = true;
@@ -208,9 +214,9 @@ impl NodeState {
             // re-announced by all n nodes at the next exchange (at hundreds
             // of nodes those notices dominated its traffic). No copy falls
             // below `entry` again, so no node can want a notice or record
-            // it covers, and every node forgets the same ones (DESIGN.md §7).
-            page.notices.retain(|&(o, i)| !entry.covers(o, i));
-            page.diffs.retain(|_, rec| !entry.covers(rec.owner, rec.max_ivx()));
+            // it holds, and every node forgets them all (DESIGN.md §7).
+            page.notices.clear();
+            page.diffs.clear();
             page.valid_changed = false;
             page.peers_valid_at = Some(entry.clone());
             page.peer_announced.clear();
