@@ -115,6 +115,7 @@ impl BarnesHut {
     pub fn setup(rt: &mut repseq_core::Runtime, cfg: BhConfig) -> BarnesHut {
         let n = cfg.n_bodies;
         let bodies = plummer_model(n, cfg.seed);
+        let nodes = rt.config().nodes;
         let h = Handles {
             pos: rt.alloc_array_page_aligned(n),
             vel: rt.alloc_array_page_aligned(n),
@@ -125,7 +126,7 @@ impl BarnesHut {
             order: rt.alloc_array_page_aligned(n),
             // Sized for the actual cluster, floored at the historical 64 so
             // layouts (and thus pins) at small scales are byte-identical.
-            bounds: rt.alloc_array_page_aligned(rt.n_nodes().max(64) + 1),
+            bounds: rt.alloc_array_page_aligned(nodes.max(64) + 1),
             n_cells: rt.alloc_var(),
         };
         let pos: Vec<[f64; 3]> = bodies.iter().map(|b| b.pos).collect();
@@ -136,7 +137,7 @@ impl BarnesHut {
         rt.preload(h.mass, &mass);
         // Uniform initial work estimate so the first partition is balanced.
         rt.preload(h.work, &vec![1.0f64; n]);
-        BarnesHut { cfg, h, page_size: rt.page_size() }
+        BarnesHut { cfg, h, page_size: rt.config().dsm.page_size }
     }
 
     /// Execute the simulation on a team; returns the deterministic result.
@@ -144,7 +145,7 @@ impl BarnesHut {
         let cfg = self.cfg.clone();
         let h = self.h;
         let n = cfg.n_bodies;
-        let n_nodes = team.n_nodes();
+        let n_nodes = team.node().n_nodes();
         assert!(n_nodes < h.bounds.len(), "bounds array sized for {} nodes", h.bounds.len() - 1);
 
         team.start_measurement();

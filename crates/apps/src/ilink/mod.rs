@@ -232,7 +232,7 @@ impl Ilink {
     pub fn run(&self, team: &Team) -> Result<IlinkResult, Stopped> {
         let cfg = self.cfg.clone();
         let h = self.h;
-        let n_nodes = team.n_nodes();
+        let n_nodes = team.node().n_nodes();
         assert!(n_nodes <= 64, "contribution buffers sized for 64 nodes");
         let mut parallel_updates = 0u64;
         let mut sequential_updates = 0u64;

@@ -39,7 +39,7 @@ pub struct ContentionKernel {
 impl ContentionKernel {
     /// Allocate the shared block.
     pub fn setup(rt: &mut repseq_core::Runtime, cfg: KernelConfig) -> ContentionKernel {
-        let elems = cfg.pages * rt.page_size() / 8;
+        let elems = cfg.pages * rt.config().dsm.page_size / 8;
         ContentionKernel {
             data: rt.alloc_array_page_aligned(elems),
             sums: rt.alloc_array_page_aligned(64),
@@ -79,7 +79,7 @@ impl ContentionKernel {
         }
         team.end_measurement();
         let mut check = 0u64;
-        for q in 0..team.n_nodes() {
+        for q in 0..team.node().n_nodes() {
             check = check.wrapping_add(sums.get(team.node(), q)?);
         }
         Ok(check)

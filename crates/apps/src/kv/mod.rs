@@ -213,7 +213,7 @@ impl KvStore {
     /// the seed only).
     pub fn setup(rt: &mut Runtime, cfg: KvConfig) -> KvStore {
         let lay = Layout::new(cfg.n_keys, cfg.n_shards);
-        let page_size = rt.page_size();
+        let page_size = rt.config().dsm.page_size;
         assert!(cfg.record_slots >= 1);
         assert_eq!(
             lay.keys_per_shard() * cfg.record_slots * 8 % page_size,

@@ -5,11 +5,9 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use repseq_dsm::{
-    AppFn, Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqMode,
-};
+use repseq_dsm::{Cluster, ClusterConfig, DsmNode, LaunchOutcome, PageId, RaceSink, SeqMode};
 use repseq_net::LossConfig;
-use repseq_sim::{Dur, SimTime, Stopped};
+use repseq_sim::{Dur, SimTime};
 use repseq_stats::{Stats, StatsSnapshot};
 
 use crate::oracle::{check_snapshots, DsmMem, Expected, RefMem, Snapshot};
@@ -189,7 +187,7 @@ pub(crate) fn run_once(
     let collector: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
     let coll_master = Arc::clone(&collector);
     let audit_master = Arc::clone(&audit);
-    let master = move |node: DsmNode| -> Result<(), Stopped> {
+    let (_, outcome) = cl.launch_master(move |node| {
         for (k, ph) in phases.iter().enumerate() {
             match ph {
                 Phase::Replicated(body) => {
@@ -215,13 +213,8 @@ pub(crate) fn run_once(
                 }
             }
         }
-        node.shutdown_slaves()
-    };
-    let mut apps: Vec<AppFn> = vec![Box::new(master)];
-    for _ in 1..n {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    let outcome = cl.launch_inspect(apps);
+        Ok(())
+    });
     let snaps = std::mem::take(&mut *collected(&collector));
     RunArtifacts { outcome, snaps, expected, name, stats: stats.snapshot() }
 }

@@ -7,14 +7,11 @@
 //! on an aligned array) and `[u64; 3]` (24 bytes, straddles — exercising
 //! the guards' detached singleton-run path).
 
-#![allow(clippy::type_complexity)]
-
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use repseq_check::{Mem, RefMem};
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode, ShArray};
-use repseq_sim::Stopped;
+use repseq_dsm::{AppFn, Cluster, ClusterConfig, DsmNode, ShArray};
 use repseq_stats::Stats;
 
 const N_NODES: usize = 2;
@@ -59,7 +56,7 @@ fn run_on_dsm(prog: &Program, guards: bool) -> Vec<(Vec<u64>, Vec<[u64; 3]>)> {
     let out = Arc::new(Mutex::new(vec![(Vec::new(), Vec::new()); N_NODES]));
     let prog = Arc::new(prog.clone());
 
-    let mut apps: Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>> = Vec::new();
+    let mut apps: Vec<AppFn> = Vec::new();
     for me in 0..N_NODES {
         let prog = Arc::clone(&prog);
         let out = Arc::clone(&out);

@@ -45,7 +45,7 @@ use repseq_stats::{Stats, StatsSnapshot};
 /// detector's report plus the page of the (page-aligned) fixture array.
 fn run_fixture(
     n: usize,
-    master: impl FnOnce(DsmNode, ShArray<f64>) -> Result<(), repseq_sim::Stopped> + Send + 'static,
+    master: impl FnOnce(&DsmNode, ShArray<f64>) -> Result<(), repseq_sim::Stopped> + Send + 'static,
 ) -> (RaceReport, u32) {
     let stats = Stats::new(n);
     let mut cl = Cluster::new(ClusterConfig::paper(n), stats);
@@ -54,11 +54,7 @@ fn run_fixture(
     let page = arr.page_span(page_size).0;
     let det = Arc::new(RaceDetector::new(n, RaceConfig { page_size, ..RaceConfig::default() }));
     cl.set_race_sink(Arc::clone(&det) as Arc<dyn RaceSink>);
-    let mut apps: Vec<repseq_dsm::AppFn> = vec![Box::new(move |node: DsmNode| master(node, arr))];
-    for _ in 1..n {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    let out = cl.launch_inspect(apps);
+    let (_, out) = cl.launch_master(move |node| master(node, arr));
     out.result.expect("fixture run must complete");
     (det.report(), page)
 }
@@ -100,7 +96,7 @@ fn missing_barrier(with_barrier: bool) -> (RaceReport, u32) {
             }
             Ok(())
         })?;
-        node.shutdown_slaves()
+        Ok(())
     })
 }
 
@@ -140,7 +136,7 @@ fn reduction(with_lock: bool) -> (RaceReport, u32) {
             }
             Ok(())
         })?;
-        node.shutdown_slaves()
+        Ok(())
     })
 }
 
@@ -178,14 +174,14 @@ fn straggler(write_before_join: bool) -> (RaceReport, u32) {
         node.fork_slaves(task)?;
         if write_before_join {
             node.race_label("fixture::seq_write");
-            arr.set(&node, 0, 2.5)?;
+            arr.set(node, 0, 2.5)?;
             node.wait_joins()?;
         } else {
             node.wait_joins()?;
             node.race_label("fixture::seq_write");
-            arr.set(&node, 0, 2.5)?;
+            arr.set(node, 0, 2.5)?;
         }
-        node.shutdown_slaves()
+        Ok(())
     })
 }
 

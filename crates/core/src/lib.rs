@@ -36,7 +36,7 @@
 //!             }
 //!             partials.set(nd, nd.node(), s)
 //!         })?;
-//!         let total = team.sum_partials(team.node(), partials)?;
+//!         let total: f64 = team.node().read_all(partials)?.iter().sum();
 //!         assert_eq!(total, 2048.0);
 //!         team.end_measurement();
 //!         Ok(())

@@ -5,32 +5,26 @@ use std::ops::Range;
 
 use repseq_dsm::{DsmNode, PageId, Pod, SeqMode, ShArray};
 use repseq_sim::{Dur, SimTime, Stopped as DsmStopped};
-use repseq_stats::{Section, StatsRef};
+use repseq_stats::Section;
 
 pub use repseq_sim::Stopped;
 
 /// Handle to the running team, available in the master program. All
 /// shared-memory access, section structure and statistics flow through it.
-pub struct Team {
-    node: DsmNode,
+pub struct Team<'a> {
+    node: &'a DsmNode,
     mode: SeqMode,
-    stats: StatsRef,
 }
 
-impl Team {
-    pub(crate) fn new(node: DsmNode, mode: SeqMode, stats: StatsRef) -> Team {
-        Team { node, mode, stats }
+impl<'a> Team<'a> {
+    pub(crate) fn new(node: &'a DsmNode, mode: SeqMode) -> Team<'a> {
+        Team { node, mode }
     }
 
     /// The master's DSM handle (for reads/writes between sections — note
     /// such accesses belong to the enclosing sequential section).
-    pub fn node(&self) -> &DsmNode {
-        &self.node
-    }
-
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.node.n_nodes()
+    pub fn node(&self) -> &'a DsmNode {
+        self.node
     }
 
     /// The sequential-section execution mode.
@@ -50,12 +44,12 @@ impl Team {
 
     /// Begin the measured portion of the run (after initialization).
     pub fn start_measurement(&self) {
-        self.stats.start_measurement(self.now());
+        self.node.stats().start_measurement(self.now());
     }
 
     /// End the measured portion.
     pub fn end_measurement(&self) {
-        self.stats.end_measurement(self.now());
+        self.node.stats().end_measurement(self.now());
     }
 
     /// Run a sequential section. Under [`SeqMode::Replicated`] the body
@@ -78,9 +72,9 @@ impl Team {
         broadcast_pages: Vec<PageId>,
     ) -> Result<(), Stopped> {
         if self.mode == SeqMode::Replicated {
-            self.stats.set_section(Section::Replicated, self.now());
+            self.node.stats().set_section(Section::Replicated, self.now());
         } else {
-            self.stats.set_section(Section::Sequential, self.now());
+            self.node.stats().set_section(Section::Sequential, self.now());
             self.node.race_label("team::sequential");
         }
         self.node.run_sequential(self.mode, f)?;
@@ -97,7 +91,7 @@ impl Team {
         &self,
         f: impl Fn(&DsmNode) -> Result<(), DsmStopped> + Send + Sync + 'static,
     ) -> Result<(), Stopped> {
-        self.stats.set_section(Section::Parallel, self.now());
+        self.node.stats().set_section(Section::Parallel, self.now());
         self.node.run_parallel(f)
     }
 
@@ -131,18 +125,6 @@ impl Team {
         })
     }
 
-    /// Sum-reduce a per-node partial array (one slot per node) on the
-    /// master — the gather Ilink's master performs after each parallel
-    /// update. Belongs to the *following* sequential section; callers
-    /// normally invoke it inside [`Team::sequential`].
-    pub fn sum_partials(&self, node: &DsmNode, partials: ShArray<f64>) -> Result<f64, Stopped> {
-        let mut total = 0.0;
-        for q in 0..partials.len() {
-            total += partials.get(node, q)?;
-        }
-        Ok(total)
-    }
-
     /// Guarded output: "input and output instructions are not duplicated"
     /// (§5.2). Inside replicated sections, call with the section's node
     /// handle; only the master's invocation prints.
@@ -157,8 +139,6 @@ impl Team {
 pub trait Worker {
     /// This node's block of `0..total`.
     fn my_block(&self, total: usize) -> Range<usize>;
-    /// This node's cyclic iterations of `0..total`.
-    fn my_cyclic(&self, total: usize) -> Box<dyn Iterator<Item = usize> + '_>;
     /// Read the whole array into a local buffer. Backed by the page-guard
     /// walk ([`ShArray::with_slices`]): one read fault per page, elements
     /// decoded straight from the page bytes. Prefer `with_slices` directly
@@ -169,10 +149,6 @@ pub trait Worker {
 impl Worker for DsmNode {
     fn my_block(&self, total: usize) -> Range<usize> {
         crate::sched::block_range(self.node(), self.n_nodes(), total)
-    }
-
-    fn my_cyclic(&self, total: usize) -> Box<dyn Iterator<Item = usize> + '_> {
-        Box::new(crate::sched::cyclic_iter(self.node(), self.n_nodes(), total))
     }
 
     fn read_all<T: Pod>(&self, arr: ShArray<T>) -> Result<Vec<T>, DsmStopped> {

@@ -3,7 +3,7 @@
 //! application coroutine plus a handler *reactor* (no stack of its own),
 //! all on the caller's thread.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use repseq_net::{NetConfig, Network};
 use repseq_sim::{Sim, SimError, SimReport, Stopped};
@@ -44,7 +44,8 @@ pub type AppFn = Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static
 
 /// A cluster under construction. Allocate shared arrays and preload their
 /// initial contents host-side (this models data present before the
-/// measured run, like TreadMarks' startup), then [`Cluster::launch`].
+/// measured run, like TreadMarks' startup), then [`Cluster::launch_master`]
+/// (or [`Cluster::launch`] one program per node).
 pub struct Cluster {
     cfg: ClusterConfig,
     stats: StatsRef,
@@ -121,6 +122,12 @@ impl Cluster {
         &self.cfg
     }
 
+    /// The statistics registry the run reports into (snapshot it after the
+    /// run).
+    pub fn stats(&self) -> StatsRef {
+        Arc::clone(&self.stats)
+    }
+
     /// Allocate a shared array of `len` elements, 8-byte aligned.
     pub fn alloc_array<T: Pod>(&mut self, len: usize) -> ShArray<T> {
         self.alloc_array_aligned(len, 8)
@@ -179,6 +186,29 @@ impl Cluster {
     /// run ends, and the next cluster would otherwise fault them in anew.
     pub fn launch(self, apps: Vec<AppFn>) -> Result<SimReport, SimError> {
         self.launch_inspect(apps).result
+    }
+
+    /// The paper's process model (§2.2.1: "Initially, the master thread
+    /// executes the program while the slave threads are blocked inside the
+    /// runtime system waiting for the master to issue a Tmk_fork"): node 0
+    /// runs `master`, every other node parks in the slave scheduler loop,
+    /// and the slaves are shut down when `master` returns. Hands back what
+    /// `master` returned (`None` if it did not return) beside the outcome.
+    pub fn launch_master<T, F>(self, master: F) -> (Option<T>, LaunchOutcome)
+    where
+        T: Send + 'static,
+        F: FnOnce(&DsmNode) -> Result<T, Stopped> + Send + 'static,
+    {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let mut apps: Vec<AppFn> = vec![Box::new(move |node: DsmNode| {
+            tx.send(master(&node)?).expect("the receiver outlives the run");
+            node.shutdown_slaves()
+        })];
+        for _ in 1..self.cfg.nodes {
+            apps.push(Box::new(|node: DsmNode| node.slave_loop()));
+        }
+        let outcome = self.launch_inspect(apps);
+        (rx.try_recv().ok(), outcome)
     }
 
     /// Like [`Cluster::launch`], but additionally returns per-node protocol

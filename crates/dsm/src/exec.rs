@@ -261,7 +261,7 @@ impl DsmNode {
     /// Slave scheduler loop: park, run the forked task as it says, repeat
     /// — until the master ships [`Task::Shutdown`]. This is the whole life
     /// of a TreadMarks slave (§2.2.1).
-    pub fn slave_loop(&self) -> Result<(), Stopped> {
+    pub(crate) fn slave_loop(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
         loop {
             match self.wait_fork()? {
@@ -293,7 +293,7 @@ impl DsmNode {
     }
 
     /// Master: terminate every slave's scheduler loop (end of program).
-    pub fn shutdown_slaves(&self) -> Result<(), Stopped> {
+    pub(crate) fn shutdown_slaves(&self) -> Result<(), Stopped> {
         self.fork_slaves(Task::Shutdown)
     }
 

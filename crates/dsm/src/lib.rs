@@ -31,7 +31,7 @@
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
 //! | strategy | `strategy` | how sequential sections execute: one [`SeqMode`], one `match` in [`DsmNode::run_sequential`] |
 //! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context lent the [`NodeState`], and the shared page segment |
-//! | runtime | `runtime`, `handler`, `cluster`, `msg`, `wire` | processes, the software MMU (each access checks the page table, else walks), message dispatch, the one send path, cluster launch |
+//! | runtime | `runtime`, `handler`, `cluster`, `msg`, `wire` | processes, the software MMU (each access checks the page table, else walks), message dispatch, the one send path, cluster launch (the master and its parked slaves: [`Cluster::launch_master`]) |
 
 // Everything not in the `pub use` façade below is crate-internal; the
 // lint keeps `pub` from silently outliving its re-export.

@@ -61,10 +61,10 @@ impl DsmNode {
     /// Master: execute `f` as a sequential section under `mode`.
     ///
     /// Contract: the caller is the master, between sections (all slaves
-    /// parked in [`DsmNode::slave_loop`]). On return the section's effects
-    /// are published well enough that ordinary lazy release consistency
-    /// makes them visible, and no replicated-section machinery is left
-    /// engaged (`rse_probe` quiescent).
+    /// parked, see [`crate::Cluster::launch_master`]). On return the
+    /// section's effects are published well enough that ordinary lazy
+    /// release consistency makes them visible, and no replicated-section
+    /// machinery is left engaged (`rse_probe` quiescent).
     pub fn run_sequential(
         &self,
         mode: SeqMode,

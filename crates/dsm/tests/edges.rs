@@ -6,12 +6,11 @@
 use std::sync::{Arc, Mutex};
 
 use repseq_dsm::{
-    impl_pod_struct, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, SeqMode, ShArray,
+    impl_pod_struct, AppFn, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, SeqMode, ShArray,
+    Vc,
 };
 use repseq_sim::{Dur, SimError, Stopped};
 use repseq_stats::Stats;
-
-type Apps = Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static>>;
 
 fn cluster(n: usize) -> Cluster {
     Cluster::new(ClusterConfig::paper(n), Stats::new(n))
@@ -23,7 +22,7 @@ fn spmd(
     f: impl Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync + 'static,
 ) {
     let f = Arc::new(f);
-    let apps: Apps = (0..n)
+    let apps: Vec<AppFn> = (0..n)
         .map(|_| {
             let f = Arc::clone(&f);
             Box::new(move |node: DsmNode| f(&node)) as _
@@ -103,12 +102,10 @@ fn single_node_cluster_works() {
     let stats = Stats::new(1);
     let mut cl = Cluster::new(ClusterConfig::paper(1), Arc::clone(&stats));
     let x = cl.alloc_var::<u64>();
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
-    let apps: Apps = vec![Box::new(move |node: DsmNode| {
+    let (done, run) = cl.launch_master(move |node| {
         node.barrier()?;
         node.lock(5)?;
-        x.set(&node, 17)?;
+        x.set(node, 17)?;
         node.unlock(5)?;
         node.barrier()?;
         node.run_sequential(SeqMode::Replicated, move |nd| {
@@ -119,11 +116,10 @@ fn single_node_cluster_works() {
             let v = x.get(nd)?;
             x.set(nd, v * 2)
         })?;
-        *done2.lock().unwrap() = x.get(&node)?;
-        node.shutdown_slaves()
-    })];
-    cl.launch(apps).unwrap();
-    assert_eq!(*done.lock().unwrap(), 36);
+        x.get(node)
+    });
+    run.result.unwrap();
+    assert_eq!(done, Some(36));
     assert_eq!(stats.snapshot().total_agg_with_startup().valid_notice_msgs, 0);
 }
 
@@ -189,7 +185,7 @@ fn lock_token_caching_avoids_traffic() {
     let x = cl.alloc_var::<u64>();
     stats.start_measurement(repseq_sim::SimTime::ZERO);
     stats.set_section(repseq_stats::Section::Parallel, repseq_sim::SimTime::ZERO);
-    let apps: Apps = vec![
+    let apps: Vec<AppFn> = vec![
         Box::new(move |node: DsmNode| {
             // Master acquires the same lock many times with nobody
             // contending: after the first acquire the token stays local.
@@ -329,7 +325,7 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
     let drained = Arc::new(Mutex::new(0u64));
     let drained2 = Arc::clone(&drained);
 
-    let apps: Apps = vec![
+    let apps: Vec<AppFn> = vec![
         Box::new(move |node: DsmNode| {
             node.barrier()?;
             // Fetches node 1's write; the forged reply (below) is already
@@ -376,7 +372,7 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
 #[test]
 fn a_stray_message_fails_the_run_under_the_handlers_name() {
     let n = 3;
-    let apps: Apps = (0..n)
+    let apps: Vec<AppFn> = (0..n)
         .map(|_| {
             Box::new(move |node: DsmNode| {
                 if node.node() == 1 {
@@ -427,44 +423,41 @@ fn stale_replies_are_counted_in_every_wait() {
     let linger = |node: &DsmNode| node.ctx().sleep(Dur::from_millis(1));
     for wait in [Wait::Parked, Wait::Joins, Wait::ValidNotices, Wait::SeqGo, Wait::SeqDone] {
         let stats = Stats::new(n);
-        let apps: Apps = vec![
-            Box::new(move |node: DsmNode| {
-                if wait == Wait::Parked {
-                    forge(&node, 1);
-                    linger(&node)?;
-                }
-                node.run_parallel(move |nd| match (wait, nd.node()) {
-                    (Wait::Joins, 1) => {
-                        forge(nd, 0);
-                        linger(nd)
-                    }
-                    _ => Ok(()),
-                })?;
-                // Between sections every slave is parked: the master forges
-                // its own stragglers, just before the exchange.
-                if wait == Wait::ValidNotices {
-                    forge(&node, 0);
-                }
-                node.run_sequential(SeqMode::Replicated, move |nd| match (wait, nd.node()) {
-                    // Forged once the slave has finished its copy of the
-                    // body and awaits SeqGo.
-                    (Wait::SeqGo, 0) => {
-                        linger(nd)?;
-                        forge(nd, 1);
-                        linger(nd)
-                    }
-                    (Wait::SeqDone, 1) => {
-                        forge(nd, 0);
-                        linger(nd)
-                    }
-                    _ => Ok(()),
-                })?;
-                node.shutdown_slaves()
-            }),
-            Box::new(|node: DsmNode| node.slave_loop()),
-        ];
         let cl = Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats));
-        let report = cl.launch(apps).unwrap_or_else(|e| panic!("{wait:?}: {e:?}"));
+        let (_, run) = cl.launch_master(move |node| {
+            if wait == Wait::Parked {
+                forge(node, 1);
+                linger(node)?;
+            }
+            node.run_parallel(move |nd| match (wait, nd.node()) {
+                (Wait::Joins, 1) => {
+                    forge(nd, 0);
+                    linger(nd)
+                }
+                _ => Ok(()),
+            })?;
+            // Between sections every slave is parked: the master forges
+            // its own stragglers, just before the exchange.
+            if wait == Wait::ValidNotices {
+                forge(node, 0);
+            }
+            node.run_sequential(SeqMode::Replicated, move |nd| match (wait, nd.node()) {
+                // Forged once the slave has finished its copy of the
+                // body and awaits SeqGo.
+                (Wait::SeqGo, 0) => {
+                    linger(nd)?;
+                    forge(nd, 1);
+                    linger(nd)
+                }
+                (Wait::SeqDone, 1) => {
+                    forge(nd, 0);
+                    linger(nd)
+                }
+                _ => Ok(()),
+            })?;
+            Ok(())
+        });
+        let report = run.result.unwrap_or_else(|e| panic!("{wait:?}: {e:?}"));
         assert!(report.mailbox_backlog.is_empty(), "{wait:?}: {:?}", report.mailbox_backlog);
         let stale = stats.snapshot().total_agg_with_startup().stale_replies;
         assert_eq!(stale, 1, "{wait:?}: the forged reply must be counted stale");
@@ -476,7 +469,7 @@ fn stale_replies_are_counted_in_every_wait() {
 #[test]
 fn a_message_no_wait_accepts_fails_the_run_under_the_apps_name() {
     let n = 2;
-    let apps: Apps = (0..n)
+    let apps: Vec<AppFn> = (0..n)
         .map(|_| {
             Box::new(move |node: DsmNode| {
                 if node.node() == 1 {
@@ -514,42 +507,36 @@ fn stragglers_naming_collected_history_are_answered_as_stale() {
         let stats = Stats::new(n);
         let mut cl = Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats));
         let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
-        let apps: Apps = vec![
-            Box::new(move |node: DsmNode| {
-                // Node 1's interval 1 writes the page; the section's fault
-                // on node 0 fetches its diff, and the section retires it.
-                node.run_parallel(move |nd| if nd.node() == 1 { x.set(nd, 0, 7) } else { Ok(()) })?;
-                node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 1, x.get(nd, 0)?))?;
-                node.run_parallel(|nd| {
-                    assert_eq!(nd.ctx().state().held(), (0, 0), "node {}", nd.node());
-                    Ok(())
-                })?;
-                let page = (x.addr(0) / node.page_size() as u64) as PageId;
-                let (req_id, req_seq) = (99, 99);
-                let (msg, to) = match forged {
-                    Forged::Nothing => return node.shutdown_slaves(),
-                    Forged::DiffRequest => {
-                        (DsmMsg::DiffRequest { page, ivxs: vec![1], from: 0, req_id }, 1..2)
-                    }
-                    Forged::RecoveryRequest => {
-                        (DsmMsg::RecoveryRequest { page, ivxs: vec![1] }, 1..2)
-                    }
-                    Forged::ChainTurns => {
-                        let wanted = vec![(1, 1)];
-                        (DsmMsg::McastForward { page, wanted, requester: 0, req_seq }, 0..n)
-                    }
-                };
-                // To the handlers (pids 0..n); the raw send bypasses the
-                // network model, so it keeps the minimum latency itself.
-                let at = node.ctx().now() + Dur::from_micros(60);
-                to.for_each(|pid| node.ctx().send(pid, msg.clone(), at));
-                node.ctx().sleep(Dur::from_millis(1))?;
-                node.run_parallel(|_| Ok(()))?;
-                node.shutdown_slaves()
-            }),
-            Box::new(|node: DsmNode| node.slave_loop()),
-        ];
-        let report = cl.launch(apps).unwrap_or_else(|e| panic!("{forged:?}: {e:?}"));
+        let (_, run) = cl.launch_master(move |node| {
+            // Node 1's interval 1 writes the page; the section's fault
+            // on node 0 fetches its diff, and the section retires it.
+            node.run_parallel(move |nd| if nd.node() == 1 { x.set(nd, 0, 7) } else { Ok(()) })?;
+            node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 1, x.get(nd, 0)?))?;
+            node.run_parallel(|nd| {
+                assert_eq!(nd.ctx().state().held(), (0, 0), "node {}", nd.node());
+                Ok(())
+            })?;
+            let page = (x.addr(0) / node.page_size() as u64) as PageId;
+            let (req_id, req_seq) = (99, 99);
+            let (msg, to) = match forged {
+                Forged::Nothing => return Ok(()),
+                Forged::DiffRequest => {
+                    (DsmMsg::DiffRequest { page, ivxs: vec![1], from: 0, req_id }, 1..2)
+                }
+                Forged::RecoveryRequest => (DsmMsg::RecoveryRequest { page, ivxs: vec![1] }, 1..2),
+                Forged::ChainTurns => {
+                    let wanted = vec![(1, 1)];
+                    (DsmMsg::McastForward { page, wanted, requester: 0, req_seq }, 0..n)
+                }
+            };
+            // To the handlers (pids 0..n); the raw send bypasses the
+            // network model, so it keeps the minimum latency itself.
+            let at = node.ctx().now() + Dur::from_micros(60);
+            to.for_each(|pid| node.ctx().send(pid, msg.clone(), at));
+            node.ctx().sleep(Dur::from_millis(1))?;
+            node.run_parallel(|_| Ok(()))
+        });
+        let report = run.result.unwrap_or_else(|e| panic!("{forged:?}: {e:?}"));
         assert!(report.mailbox_backlog.is_empty(), "{forged:?}: {:?}", report.mailbox_backlog);
         stats.snapshot().total_agg_with_startup()
     };
@@ -560,4 +547,45 @@ fn stragglers_naming_collected_history_are_answered_as_stale() {
     let turns = run(Forged::ChainTurns);
     assert_eq!(turns.null_acks, base.null_acks + n as u64, "every turn is null");
     assert_eq!(turns.diff_bytes, base.diff_bytes + 24 * n as u64, "and carries no diff");
+}
+
+/// A hand-inserted broadcast that lands late must not undo newer state.
+/// Node 0 writes word 0 of a page, and the fork carries the write notice
+/// to node 1. Node 1 then demand-fetches the write (`fetched`, a fresher
+/// valid copy) or leaves its copy invalid. A forged `PageBroadcast` of the
+/// page as it was before the write (zeros, at the zero vector time) lands
+/// on node 1's handler, and node 1 must still read the write.
+fn a_late_broadcast_lands(fetched: bool) -> Result<repseq_sim::SimReport, SimError> {
+    let n = 2;
+    let mut cl = cluster(n);
+    let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
+    let read = move |nd: &DsmNode| -> Result<(), Stopped> {
+        if nd.node() == 1 {
+            assert_eq!(x.get(nd, 0)?, 42, "node 1 lost the write");
+        }
+        Ok(())
+    };
+    let (_, run) = cl.launch_master(move |node| {
+        x.set(node, 0, 42)?;
+        node.run_parallel(move |nd| if fetched { read(nd) } else { Ok(()) })?;
+        let page = (x.addr(0) / node.page_size() as u64) as PageId;
+        let data: Arc<[u8]> = vec![0; node.page_size()].into();
+        let stale = DsmMsg::PageBroadcast { page, data, vc: Vc::zero(n) };
+        // To node 1's handler (pid 1); the raw send bypasses the network
+        // model, so it keeps the minimum latency itself.
+        node.ctx().send(1, stale, node.ctx().now() + Dur::from_micros(60));
+        node.ctx().sleep(Dur::from_millis(1))?;
+        node.run_parallel(read)
+    });
+    run.result
+}
+
+#[test]
+fn a_late_broadcast_leaves_a_fresher_copy_alone() {
+    a_late_broadcast_lands(true).expect("the stale bytes must not replace the fetched write");
+}
+
+#[test]
+fn a_late_broadcast_leaves_a_page_with_an_uncovered_notice_invalid() {
+    a_late_broadcast_lands(false).expect("the copy must stay invalid and fetch the write");
 }

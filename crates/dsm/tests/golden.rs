@@ -9,13 +9,10 @@
 //! ordering, invalidation and the multiple-writer protocol on a page shared
 //! by every node.
 
-#![allow(clippy::type_complexity)]
-
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode, SeqMode};
-use repseq_sim::Stopped;
+use repseq_dsm::{AppFn, Cluster, ClusterConfig, DsmNode, SeqMode};
 use repseq_stats::Stats;
 
 const N_NODES: usize = 3;
@@ -53,7 +50,6 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
     let out = Arc::new(Mutex::new(vec![Vec::new(); N_NODES]));
     let prog = Arc::new(prog.clone());
 
-    let mut apps: Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>> = Vec::new();
     if replicated_sections {
         // Master-driven: each phase is a parallel section; after every
         // second phase, a replicated sequential section reads the whole
@@ -61,7 +57,7 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
         // golden memory at that point.
         let prog_m = Arc::clone(&prog);
         let out_m = Arc::clone(&out);
-        apps.push(Box::new(move |node: DsmNode| {
+        let (_, run) = cl.launch_master(move |node| {
             let mut golden_so_far = vec![0u64; N_LOCS];
             for (k, phase) in prog_m.phases.iter().enumerate() {
                 let phase = phase.clone();
@@ -98,13 +94,12 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
                 out_c.lock().unwrap()[nd.node()] = v;
                 Ok(())
             })?;
-            node.shutdown_slaves()
-        }));
-        for _ in 1..N_NODES {
-            apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-        }
+            Ok(())
+        });
+        run.result.expect("simulation failed");
     } else {
         // SPMD with barriers.
+        let mut apps: Vec<AppFn> = Vec::new();
         for me in 0..N_NODES {
             let prog = Arc::clone(&prog);
             let out = Arc::clone(&out);
@@ -125,8 +120,8 @@ fn run_on_dsm(prog: &Program, replicated_sections: bool) -> Vec<Vec<u64>> {
                 Ok(())
             }));
         }
+        cl.launch(apps).expect("simulation failed");
     }
-    cl.launch(apps).expect("simulation failed");
     Arc::try_unwrap(out).unwrap().into_inner().unwrap()
 }
 

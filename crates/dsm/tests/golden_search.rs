@@ -2,12 +2,9 @@
 //! deterministic complement to the proptest golden-model suite). Found the
 //! merged-diff ordering bug during development; kept as a regression net.
 
-#![allow(clippy::type_complexity)]
-
 use std::sync::{Arc, Mutex};
 
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode, SeqMode};
-use repseq_sim::Stopped;
+use repseq_dsm::{Cluster, ClusterConfig, SeqMode};
 use repseq_stats::Stats;
 
 const N_NODES: usize = 3;
@@ -29,10 +26,9 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
     let arr = cl.alloc_array_page_aligned::<u64>(N_LOCS);
     let out = Arc::new(Mutex::new(vec![Vec::new(); N_NODES]));
     let phases = Arc::new(phases.to_vec());
-    let mut apps: Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>> = Vec::new();
     let phases_m = Arc::clone(&phases);
     let out_m = Arc::clone(&out);
-    apps.push(Box::new(move |node: DsmNode| {
+    let (_, launched) = cl.launch_master(move |node| {
         let mut gsf = vec![0u64; N_LOCS];
         for (k, phase) in phases_m.iter().enumerate() {
             let phase = phase.clone();
@@ -79,12 +75,9 @@ fn run(phases: &[Vec<(usize, u64)>]) -> Result<(), String> {
             out_c.lock().unwrap()[nd.node()] = v;
             Ok(())
         })?;
-        node.shutdown_slaves()
-    }));
-    for _ in 1..N_NODES {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    cl.launch(apps).map_err(|e| e.to_string())?;
+        Ok(())
+    });
+    launched.result.map_err(|e| e.to_string())?;
     let want = golden(&phases);
     let got = Arc::try_unwrap(out).unwrap().into_inner().unwrap();
     for (me, view) in got.iter().enumerate() {

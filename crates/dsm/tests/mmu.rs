@@ -21,8 +21,8 @@
 use std::sync::{Arc, Mutex};
 
 use repseq_dsm::{
-    AppFn, Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod,
-    SeqMode, ShArray, SharedSegment, Vc,
+    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod, SeqMode,
+    ShArray, SharedSegment, Vc,
 };
 use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
@@ -186,7 +186,7 @@ fn run_53_bulk() -> Vec<Vec<u64>> {
     let out = Arc::new(Mutex::new(vec![Vec::new(); N]));
 
     let out_m = Arc::clone(&out);
-    let master = move |node: DsmNode| -> Result<(), Stopped> {
+    let (_, launched) = cl.launch_master(move |node| {
         let chunk = len / N;
         for round in 0..2u64 {
             // Parallel: each node writes its block element-wise — on the
@@ -223,16 +223,9 @@ fn run_53_bulk() -> Vec<Vec<u64>> {
             })?;
             out_c.lock().unwrap()[nd.node()] = v;
             Ok(())
-        })?;
-        node.shutdown_slaves()
-    };
-
-    let mut apps: Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>> =
-        vec![Box::new(master)];
-    for _ in 1..N {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    cl.launch(apps).expect("simulation must complete");
+        })
+    });
+    launched.result.expect("simulation must complete");
     let vals = std::mem::take(&mut *out.lock().unwrap());
     vals
 }
@@ -350,10 +343,7 @@ fn run_walk(span: Span, write: bool, bulk: bool) -> (Counts, u64) {
         }
         _ => 0,
     };
-    let sum = Arc::new(Mutex::new(0u64));
-
-    let sum_m = Arc::clone(&sum);
-    let master = move |node: DsmNode| -> Result<(), Stopped> {
+    let (sum, launched) = cl.launch_master(move |node| {
         node.run_parallel(move |nd| {
             if nd.node() == 1 {
                 write_walk(nd, words, 0..words.len(), false, |i| i as u64 * 7)?;
@@ -368,25 +358,23 @@ fn run_walk(span: Span, write: bool, bulk: bool) -> (Counts, u64) {
             Span::Straddling => 0..triples.len(),
         };
         match (span, write) {
-            (Span::Straddling, false) => read_walk(&node, triples, range, bulk, |i, v| {
+            (Span::Straddling, false) => read_walk(node, triples, range, bulk, |i, v| {
                 acc = acc.wrapping_mul(31).wrapping_add(v[0] ^ v[1] ^ v[2] ^ i as u64)
             })?,
             (Span::Straddling, true) => {
-                write_walk(&node, triples, range, bulk, |i| [3, i as u64, 4])?
+                write_walk(node, triples, range, bulk, |i| [3, i as u64, 4])?
             }
-            (_, false) => read_walk(&node, words, range, bulk, |i, v| {
+            (_, false) => read_walk(node, words, range, bulk, |i, v| {
                 acc = acc.wrapping_mul(31).wrapping_add(v ^ i as u64)
             })?,
-            (_, true) => write_walk(&node, words, range, bulk, |i| i as u64 + 1)?,
+            (_, true) => write_walk(node, words, range, bulk, |i| i as u64 + 1)?,
         }
-        *sum_m.lock().unwrap() = acc;
-        node.shutdown_slaves()
-    };
-    let apps: Vec<AppFn> = vec![Box::new(master), Box::new(|node: DsmNode| node.slave_loop())];
-    cl.launch(apps).expect("simulation must complete");
+        Ok(acc)
+    });
+    launched.result.expect("simulation must complete");
     let host = stats.host();
     let faults = stats.snapshot().total_agg_with_startup().page_faults;
-    let sum = *sum.lock().unwrap();
+    let sum = sum.unwrap();
     (Counts { hits: host.tlb_hits, misses: host.tlb_misses, faults, sum }, straddlers)
 }
 
@@ -435,7 +423,7 @@ fn run_fold(die: bool) -> (Result<(), SimError>, HostCounters) {
     let mut cl = Cluster::new(ClusterConfig::paper(FOLD_NODES), Arc::clone(&stats));
     let arr = cl.alloc_array_page_aligned::<u64>(FOLD_READS);
     cl.preload(arr, &vec![5u64; FOLD_READS]);
-    let master = move |node: DsmNode| -> Result<(), Stopped> {
+    let (_, launched) = cl.launch_master(move |node| {
         node.run_parallel(move |nd| {
             for i in 0..FOLD_READS {
                 assert_eq!(arr.get(nd, i)?, 5);
@@ -448,13 +436,9 @@ fn run_fold(die: bool) -> (Result<(), SimError>, HostCounters) {
                 Ok(())
             })?;
         }
-        node.shutdown_slaves()
-    };
-    let mut apps: Vec<AppFn> = vec![Box::new(master)];
-    for _ in 1..FOLD_NODES {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    let result = cl.launch(apps).map(|_| ());
+        Ok(())
+    });
+    let result = launched.result.map(|_| ());
     (result, stats.host())
 }
 

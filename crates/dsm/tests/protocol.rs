@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode};
+use repseq_dsm::{AppFn, Cluster, ClusterConfig, DsmNode};
 use repseq_sim::Stopped;
 use repseq_stats::{Section, Stats, StatsRef};
 
@@ -13,8 +13,6 @@ fn cluster(n: usize) -> (Cluster, StatsRef) {
     (cl, stats)
 }
 
-type Apps = Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static>>;
-
 /// Run the same closure on every node (SPMD style, barrier-synchronized by
 /// the closure itself).
 fn spmd(
@@ -23,7 +21,7 @@ fn spmd(
     f: impl Fn(&DsmNode) -> Result<(), Stopped> + Send + Sync + 'static,
 ) {
     let f = Arc::new(f);
-    let apps: Apps = (0..n)
+    let apps: Vec<AppFn> = (0..n)
         .map(|_| {
             let f = Arc::clone(&f);
             Box::new(move |node: DsmNode| f(&node)) as _
@@ -200,13 +198,10 @@ fn fork_join_ships_master_writes_to_slaves() {
     let (mut cl, _stats) = cluster(n);
     let data = cl.alloc_array::<u64>(256);
     let partials = cl.alloc_array_page_aligned::<u64>(n);
-    let result = Arc::new(Mutex::new(0u64));
-    let result2 = Arc::clone(&result);
-    let mut apps: Apps = Vec::new();
-    apps.push(Box::new(move |node: DsmNode| {
+    let (result, run) = cl.launch_master(move |node| {
         // Master program: sequential init, parallel sum, sequential reduce.
         for k in 0..256 {
-            data.set(&node, k, k as u64)?;
+            data.set(node, k, k as u64)?;
         }
         node.run_parallel(move |nd| {
             let (me, n) = (nd.node(), nd.n_nodes());
@@ -219,16 +214,12 @@ fn fork_join_ships_master_writes_to_slaves() {
         })?;
         let mut total = 0;
         for q in 0..n {
-            total += partials.get(&node, q)?;
+            total += partials.get(node, q)?;
         }
-        *result2.lock().unwrap() = total;
-        node.shutdown_slaves()
-    }));
-    for _ in 1..n {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    cl.launch(apps).unwrap();
-    assert_eq!(*result.lock().unwrap(), (255 * 256 / 2) as u64);
+        Ok(total)
+    });
+    run.result.unwrap();
+    assert_eq!(result, Some((255 * 256 / 2) as u64));
 }
 
 #[test]
@@ -237,10 +228,7 @@ fn consecutive_parallel_sections_share_state() {
     let (mut cl, _stats) = cluster(n);
     let a = cl.alloc_array_page_aligned::<u64>(n);
     let b = cl.alloc_array_page_aligned::<u64>(n);
-    let ok = Arc::new(Mutex::new(false));
-    let ok2 = Arc::clone(&ok);
-    let mut apps: Apps = Vec::new();
-    apps.push(Box::new(move |node: DsmNode| {
+    let (vals, run) = cl.launch_master(move |node| {
         node.run_parallel(move |nd| a.set(nd, nd.node(), (nd.node() + 1) as u64))?;
         // Second section: each node reads its neighbour's value.
         node.run_parallel(move |nd| {
@@ -250,16 +238,12 @@ fn consecutive_parallel_sections_share_state() {
         })?;
         let mut vals = Vec::new();
         for q in 0..n {
-            vals.push(b.get(&node, q)?);
+            vals.push(b.get(node, q)?);
         }
-        *ok2.lock().unwrap() = vals == vec![20, 30, 10];
-        node.shutdown_slaves()
-    }));
-    for _ in 1..n {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    cl.launch(apps).unwrap();
-    assert!(*ok.lock().unwrap());
+        Ok(vals)
+    });
+    run.result.unwrap();
+    assert_eq!(vals, Some(vec![20, 30, 10]));
 }
 
 #[test]
@@ -271,13 +255,12 @@ fn contention_after_sequential_section_is_visible() {
     let n = 8;
     let (mut cl, stats) = cluster(n);
     let big = cl.alloc_array_page_aligned::<u64>(8 * 512); // 8 pages
-    let mut apps: Apps = Vec::new();
     let stats_m = Arc::clone(&stats);
-    apps.push(Box::new(move |node: DsmNode| {
+    let (_, run) = cl.launch_master(move |node| {
         stats_m.start_measurement(node.ctx().now());
         stats_m.set_section(Section::Sequential, node.ctx().now());
         for k in 0..big.len() {
-            big.set(&node, k, k as u64)?;
+            big.set(node, k, k as u64)?;
         }
         stats_m.set_section(Section::Parallel, node.ctx().now());
         node.run_parallel(move |nd| {
@@ -289,12 +272,9 @@ fn contention_after_sequential_section_is_visible() {
             Ok(())
         })?;
         stats_m.end_measurement(node.ctx().now());
-        node.shutdown_slaves()
-    }));
-    for _ in 1..n {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    cl.launch(apps).unwrap();
+        Ok(())
+    });
+    run.result.unwrap();
     let snap = stats.snapshot();
     let par = snap.par_agg();
     assert!(par.diff_requests >= (n as u64 - 1) * 8, "every slave faults on every page");
@@ -310,10 +290,9 @@ fn deterministic_across_runs() {
         let n = 4;
         let (mut cl, stats) = cluster(n);
         let arr = cl.alloc_array::<u64>(512);
-        let mut apps: Apps = Vec::new();
-        apps.push(Box::new(move |node: DsmNode| {
+        let (_, launched) = cl.launch_master(move |node| {
             for k in 0..512 {
-                arr.set(&node, k, (k * 7) as u64)?;
+                arr.set(node, k, (k * 7) as u64)?;
             }
             node.run_parallel(move |nd| {
                 let mut s = 0u64;
@@ -323,12 +302,9 @@ fn deterministic_across_runs() {
                 let _ = s;
                 Ok(())
             })?;
-            node.shutdown_slaves()
-        }));
-        for _ in 1..n {
-            apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-        }
-        let report = cl.launch(apps).unwrap();
+            Ok(())
+        });
+        let report = launched.result.unwrap();
         let snap = stats.snapshot();
         (
             report.end_time,

@@ -10,24 +10,10 @@ use repseq_net::LossConfig;
 use repseq_sim::Stopped;
 use repseq_stats::{MsgClass, Section, Stats, StatsRef};
 
-type Apps = Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static>>;
-
 fn cluster(n: usize) -> (Cluster, StatsRef) {
     let stats = Stats::new(n);
     let cl = Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats));
     (cl, stats)
-}
-
-fn with_slaves(
-    n: usize,
-    master: impl FnOnce(DsmNode) -> Result<(), Stopped> + Send + 'static,
-) -> Apps {
-    let mut apps: Apps = Vec::new();
-    apps.push(Box::new(master));
-    for _ in 1..n {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    apps
 }
 
 /// A sequential section whose output the parallel section consumes. With
@@ -39,10 +25,8 @@ fn replicated_output_is_local_everywhere() {
     let (mut cl, stats) = cluster(n);
     let tree = cl.alloc_array_page_aligned::<u64>(4 * 512); // 4 pages
     let sums = cl.alloc_array_page_aligned::<u64>(n);
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = Arc::clone(&out);
     let stats_m = Arc::clone(&stats);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (out, run) = cl.launch_master(move |node| {
         stats_m.start_measurement(node.ctx().now());
         stats_m.set_section(Section::Replicated, node.ctx().now());
         node.run_sequential(SeqMode::Replicated, move |nd| {
@@ -64,16 +48,15 @@ fn replicated_output_is_local_everywhere() {
         stats_m.set_section(Section::Sequential, node.ctx().now());
         let mut v = Vec::new();
         for q in 0..n {
-            v.push(sums.get(&node, q)?);
+            v.push(sums.get(node, q)?);
         }
         stats_m.end_measurement(node.ctx().now());
-        *out2.lock().unwrap() = v;
-        node.shutdown_slaves()
+        Ok(v)
     });
-    cl.launch(apps).unwrap();
+    run.result.unwrap();
     let len = 4 * 512u64;
     let expect = 3 * (len - 1) * len / 2 + len;
-    assert_eq!(*out.lock().unwrap(), vec![expect; n]);
+    assert_eq!(out.unwrap(), vec![expect; n]);
     let snap = stats.snapshot();
     // The tree was built locally on every node: the parallel section needed
     // no diffs for it (only the per-node `sums` slots move, and they are
@@ -101,10 +84,8 @@ fn replicated_inputs_are_multicast_once() {
     let pages = 8;
     let per_page = 512; // u64s per 4 KB page
     let particles = cl.alloc_array_page_aligned::<u64>(pages * per_page);
-    let result = Arc::new(Mutex::new(Vec::new()));
-    let result2 = Arc::clone(&result);
     let stats_m = Arc::clone(&stats);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (result, run) = cl.launch_master(move |node| {
         stats_m.start_measurement(node.ctx().now());
         stats_m.set_section(Section::Parallel, node.ctx().now());
         // Every node writes its own slice (two pages each).
@@ -129,13 +110,13 @@ fn replicated_inputs_are_multicast_once() {
             Ok(())
         })?;
         stats_m.end_measurement(node.ctx().now());
-        *result2.lock().unwrap() = total.lock().unwrap().clone();
-        node.shutdown_slaves()
+        let total = total.lock().unwrap().clone();
+        Ok(total)
     });
-    cl.launch(apps).unwrap();
+    run.result.unwrap();
     let len = (pages * per_page) as u64;
     let expect = (len - 1) * len / 2 + 100 * len;
-    assert_eq!(*result.lock().unwrap(), vec![expect; n], "every node computed the same sum");
+    assert_eq!(result.unwrap(), vec![expect; n], "every node computed the same sum");
 
     let snap = stats.snapshot();
     let seq = snap.seq_agg();
@@ -178,10 +159,8 @@ fn replicated_and_original_agree() {
         let iters = 3usize;
         let a = cl.alloc_array_page_aligned::<u64>(2 * 512);
         let b = cl.alloc_array_page_aligned::<u64>(2 * 512);
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let out2 = Arc::clone(&out);
         let stats_m = Arc::clone(&stats);
-        let apps = with_slaves(n, move |node: DsmNode| {
+        let (out, launched) = cl.launch_master(move |node| {
             stats_m.start_measurement(node.ctx().now());
             for _ in 0..iters {
                 // Sequential section: b = f(a).
@@ -199,7 +178,7 @@ fn replicated_and_original_agree() {
                 if replicated {
                     node.run_sequential(SeqMode::Replicated, body)?;
                 } else {
-                    body(&node)?;
+                    body(node)?;
                 }
                 // Parallel section: each node updates its slice of a from b.
                 stats_m.set_section(Section::Parallel, node.ctx().now());
@@ -216,14 +195,13 @@ fn replicated_and_original_agree() {
             stats_m.end_measurement(node.ctx().now());
             let mut v = Vec::new();
             for k in 0..a.len() {
-                v.push(a.get(&node, k)?);
+                v.push(a.get(node, k)?);
             }
-            *out2.lock().unwrap() = v;
-            node.shutdown_slaves()
+            Ok(v)
         });
-        cl.launch(apps).unwrap();
+        launched.result.unwrap();
         let snap = stats.snapshot();
-        let vals = out.lock().unwrap().clone();
+        let vals = out.unwrap();
         (vals, snap.par_agg().diff_bytes)
     };
     let (orig_vals, orig_par_bytes) = run(false);
@@ -242,11 +220,9 @@ fn lazy_diff_leak_is_prevented_end_to_end() {
     let n = 3;
     let (mut cl, _stats) = cluster(n);
     let p = cl.alloc_array_page_aligned::<u64>(512);
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = Arc::clone(&out);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (out, run) = cl.launch_master(move |node| {
         // Master dirties the page; the interval stays un-diffed (lazy).
-        p.set(&node, 0, 7)?;
+        p.set(node, 0, 7)?;
         node.run_sequential(SeqMode::Replicated, move |nd| {
             if nd.is_master() {
                 // Delay the master so slaves fault (and fetch the §5.3
@@ -264,11 +240,10 @@ fn lazy_diff_leak_is_prevented_end_to_end() {
             assert_eq!((a, b), (7, 9), "node {} diverged", nd.node());
             Ok(())
         })?;
-        *out2.lock().unwrap() = vec![p.get(&node, 0)?, p.get(&node, 1)?];
-        node.shutdown_slaves()
+        Ok(vec![p.get(node, 0)?, p.get(node, 1)?])
     });
-    cl.launch(apps).unwrap();
-    assert_eq!(*out.lock().unwrap(), vec![7, 9]);
+    run.result.unwrap();
+    assert_eq!(out.unwrap(), vec![7, 9]);
 }
 
 /// The valid-notice exchange costs what the paper says it costs: one
@@ -279,15 +254,15 @@ fn valid_notice_exchange_message_count() {
     let (mut cl, stats) = cluster(n);
     let x = cl.alloc_array_page_aligned::<u64>(8);
     let stats_m = Arc::clone(&stats);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (_, run) = cl.launch_master(move |node| {
         stats_m.start_measurement(node.ctx().now());
         stats_m.set_section(Section::Replicated, node.ctx().now());
         node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 0, 1).map(|_| ()))?;
         node.run_sequential(SeqMode::Replicated, move |nd| x.set(nd, 1, 2).map(|_| ()))?;
         stats_m.end_measurement(node.ctx().now());
-        node.shutdown_slaves()
+        Ok(())
     });
-    cl.launch(apps).unwrap();
+    run.result.unwrap();
     let snap = stats.snapshot();
     // Per replicated section: 1 multicast request + (n-1) replies + 1
     // multicast table.
@@ -306,9 +281,7 @@ fn multicast_loss_recovery_converges() {
     let mut cl = Cluster::new(cfg, Arc::clone(&stats));
     // Element count divisible by the node count so every element is written.
     let data: ShArray<u64> = cl.alloc_array_page_aligned::<u64>(3 * 512);
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = Arc::clone(&out);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (out, run) = cl.launch_master(move |node| {
         // Each node writes a slice, then the replicated section reads all.
         node.run_parallel(move |nd| {
             let me = nd.node();
@@ -328,13 +301,13 @@ fn multicast_loss_recovery_converges() {
             sums2.lock().unwrap()[nd.node()] = s;
             Ok(())
         })?;
-        *out2.lock().unwrap() = sums.lock().unwrap().clone();
-        node.shutdown_slaves()
+        let sums = sums.lock().unwrap().clone();
+        Ok(sums)
     });
-    cl.launch(apps).unwrap();
+    run.result.unwrap();
     let len = (3 * 512) as u64;
     let expect = (len - 1) * len / 2 + 5 * len;
-    assert_eq!(*out.lock().unwrap(), vec![expect; n], "recovery must converge to correct values");
+    assert_eq!(out.unwrap(), vec![expect; n], "recovery must converge to correct values");
 }
 
 /// Two replicated sections in sequence: valid notices accumulated in the
@@ -345,9 +318,7 @@ fn back_to_back_replicated_sections() {
     let (mut cl, _stats) = cluster(n);
     let a = cl.alloc_array_page_aligned::<u64>(512);
     let b = cl.alloc_array_page_aligned::<u64>(512);
-    let out = Arc::new(Mutex::new(0u64));
-    let out2 = Arc::clone(&out);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (out, run) = cl.launch_master(move |node| {
         node.run_parallel(move |nd| {
             if nd.node() == 1 {
                 a.set(nd, 0, 11)?;
@@ -369,11 +340,10 @@ fn back_to_back_replicated_sections() {
             let v = a.get(nd, 1)?;
             b.set(nd, 1, v * 10)
         })?;
-        *out2.lock().unwrap() = b.get(&node, 1)?;
-        node.shutdown_slaves()
+        b.get(node, 1)
     });
-    cl.launch(apps).unwrap();
-    assert_eq!(*out.lock().unwrap(), 230);
+    run.result.unwrap();
+    assert_eq!(out.unwrap(), 230);
 }
 
 // =================================================================
@@ -393,9 +363,7 @@ fn lossy_rse_run(drop_per_mille: u32, seed: u64) -> (Vec<u64>, LaunchOutcome) {
     cfg.dsm.rse_timeout = repseq_sim::Dur::from_millis(20);
     let mut cl = Cluster::new(cfg, Arc::clone(&stats));
     let data: ShArray<u64> = cl.alloc_array_page_aligned::<u64>(3 * 512);
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = Arc::clone(&out);
-    let apps = with_slaves(n, move |node: DsmNode| {
+    let (out, outcome) = cl.launch_master(move |node| {
         node.run_parallel(move |nd| {
             let me = nd.node();
             let chunk = data.len() / nd.n_nodes();
@@ -414,12 +382,11 @@ fn lossy_rse_run(drop_per_mille: u32, seed: u64) -> (Vec<u64>, LaunchOutcome) {
             sums2.lock().unwrap()[nd.node()] = s;
             Ok(())
         })?;
-        *out2.lock().unwrap() = sums.lock().unwrap().clone();
-        node.shutdown_slaves()
+        let sums = sums.lock().unwrap().clone();
+        Ok(sums)
     });
-    let outcome = cl.launch_inspect(apps);
     outcome.result.as_ref().expect("lossy run must still terminate");
-    let vals = out.lock().unwrap().clone();
+    let vals = out.unwrap();
     (vals, outcome)
 }
 

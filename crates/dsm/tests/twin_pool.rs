@@ -19,15 +19,12 @@
 
 use std::sync::Arc;
 
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode};
-use repseq_sim::Stopped;
+use repseq_dsm::{Cluster, ClusterConfig};
 use repseq_stats::{host, Stats};
 
 const N: usize = 4;
 const SEG_PAGES: u64 = 128;
 const ROUNDS: u64 = 8;
-
-type AppFn = Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>;
 
 #[test]
 fn released_twins_are_reused_and_nothing_else_is_allocated() {
@@ -37,10 +34,10 @@ fn released_twins_are_reused_and_nothing_else_is_allocated() {
     let len = SEG_PAGES as usize * per_page;
     let arr = cl.alloc_array_page_aligned::<u64>(len);
 
-    let master = move |node: DsmNode| -> Result<(), Stopped> {
+    let (_, launched) = cl.launch_master(move |node| {
         for round in 0..ROUNDS {
             // One element per page run: the fault and the twin are per page.
-            arr.with_slices_mut(&node, 0..len, |run| {
+            arr.with_slices_mut(node, 0..len, |run| {
                 run.set(0, run.first_index() as u64 + round);
                 Ok(())
             })?;
@@ -54,14 +51,9 @@ fn released_twins_are_reused_and_nothing_else_is_allocated() {
                 Ok(())
             })?;
         }
-        node.shutdown_slaves()
-    };
-
-    let mut apps: Vec<AppFn> = vec![Box::new(master)];
-    for _ in 1..N {
-        apps.push(Box::new(|node: DsmNode| node.slave_loop()));
-    }
-    cl.launch(apps).expect("simulation must complete");
+        Ok(())
+    });
+    launched.result.expect("simulation must complete");
 
     let d = stats.host();
     assert_eq!(host::snapshot(), d, "the process total is this one run's sum");

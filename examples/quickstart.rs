@@ -43,7 +43,7 @@ fn run(cfg: RunConfig) -> (u64, repseq::stats::StatsSnapshot) {
         }
         team.end_measurement();
         let mut check = 0u64;
-        for q in 0..team.n_nodes() {
+        for q in 0..team.node().n_nodes() {
             check = check.wrapping_add(sums.get(team.node(), q)?);
         }
         Ok(check)
