@@ -99,7 +99,6 @@ struct Handles {
 pub struct BarnesHut {
     cfg: BhConfig,
     h: Handles,
-    page_size: usize,
 }
 
 /// Result of a run: a deterministic checksum over the final phase space
@@ -115,7 +114,7 @@ impl BarnesHut {
     pub fn setup(rt: &mut repseq_core::Runtime, cfg: BhConfig) -> BarnesHut {
         let n = cfg.n_bodies;
         let bodies = plummer_model(n, cfg.seed);
-        let nodes = rt.config().nodes;
+        let nodes = rt.config().nodes();
         let h = Handles {
             pos: rt.alloc_array_page_aligned(n),
             vel: rt.alloc_array_page_aligned(n),
@@ -137,7 +136,7 @@ impl BarnesHut {
         rt.preload(h.mass, &mass);
         // Uniform initial work estimate so the first partition is balanced.
         rt.preload(h.work, &vec![1.0f64; n]);
-        BarnesHut { cfg, h, page_size: rt.config().dsm.page_size }
+        BarnesHut { cfg, h }
     }
 
     /// Execute the simulation on a team; returns the deterministic result.
@@ -152,9 +151,9 @@ impl BarnesHut {
         for _step in 0..cfg.timesteps {
             // ---- sequential section: tree build (§6.1.1) ----
             let cfgq = cfg.clone();
-            let (c_first, c_last) = h.cells.page_span(self.page_size);
-            let (o_first, o_last) = h.order.page_span(self.page_size);
-            let (b_first, b_last) = h.bounds.page_span(self.page_size);
+            let (c_first, c_last) = h.cells.page_span();
+            let (o_first, o_last) = h.order.page_span();
+            let (b_first, b_last) = h.bounds.page_span();
             let mut bc_pages: Vec<u32> = (c_first..=c_last).collect();
             bc_pages.extend(o_first..=o_last);
             bc_pages.extend(b_first..=b_last);

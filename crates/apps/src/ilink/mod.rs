@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use repseq_core::{Stopped, Team};
-use repseq_dsm::{ShArray, ShVar};
+use repseq_dsm::{page_of, ShArray, ShVar, PAGE_SIZE};
 use repseq_sim::Dur;
 
 /// Ilink experiment parameters.
@@ -277,7 +277,6 @@ impl Ilink {
                             nd.race_label("ilink::update");
                             let me = nd.node();
                             let stride = nd.n_nodes();
-                            let ps = nd.page_size();
                             let rows = Self::read_clusters(nd, &h, &famp, len, target)?;
                             let start = famp.nz_start[target];
                             let mut visited = 0u64;
@@ -292,8 +291,8 @@ impl Ilink {
                             while k < nnz {
                                 let idx = target * len + start + k;
                                 let a = h.bank.addr(idx);
-                                let in_page = (a % ps as u64) as usize;
-                                let avail = ((ps - in_page) / 8).min(nnz - k);
+                                let in_page = page_of(a).1;
+                                let avail = ((PAGE_SIZE - in_page) / 8).min(nnz - k);
                                 let cnt = avail.div_ceil(stride);
                                 let span = (cnt - 1) * stride + 1;
                                 h.bank.with_slices_mut(nd, idx..idx + span, |run| {

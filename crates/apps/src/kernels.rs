@@ -9,7 +9,7 @@
 //! element vector.
 
 use repseq_core::{Stopped, Team};
-use repseq_dsm::ShArray;
+use repseq_dsm::{ShArray, PAGE_SIZE};
 use repseq_sim::Dur;
 
 /// Kernel parameters.
@@ -39,7 +39,7 @@ pub struct ContentionKernel {
 impl ContentionKernel {
     /// Allocate the shared block.
     pub fn setup(rt: &mut repseq_core::Runtime, cfg: KernelConfig) -> ContentionKernel {
-        let elems = cfg.pages * rt.config().dsm.page_size / 8;
+        let elems = cfg.pages * PAGE_SIZE / 8;
         ContentionKernel {
             data: rt.alloc_array_page_aligned(elems),
             sums: rt.alloc_array_page_aligned(64),

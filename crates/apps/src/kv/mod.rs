@@ -33,11 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use repseq_core::{Runtime, Stopped, Team, Worker};
-use repseq_dsm::{PageId, ShArray};
-use repseq_sim::Dur;
+use repseq_dsm::{page_of, PageId, ShArray, PAGE_SIZE};
+use repseq_sim::{splitmix64, Dur};
 
 pub use layout::Layout;
-pub use trace::{splitmix64, Request};
+pub use trace::Request;
 
 /// KV-serving experiment parameters.
 #[derive(Debug, Clone)]
@@ -168,7 +168,6 @@ pub struct KvStore {
     table: ShArray<u64>,
     trace: Arc<Vec<Request>>,
     trace_hash: u64,
-    page_size: usize,
 }
 
 /// Result of a serving run. `fingerprint`, `read_xor`, `reads`, `writes`
@@ -213,13 +212,12 @@ impl KvStore {
     /// the seed only).
     pub fn setup(rt: &mut Runtime, cfg: KvConfig) -> KvStore {
         let lay = Layout::new(cfg.n_keys, cfg.n_shards);
-        let page_size = rt.config().dsm.page_size;
         assert!(cfg.record_slots >= 1);
         assert_eq!(
-            lay.keys_per_shard() * cfg.record_slots * 8 % page_size,
+            lay.keys_per_shard() * cfg.record_slots * 8 % PAGE_SIZE,
             0,
             "each shard must occupy a whole number of pages \
-             ({} keys/shard × {} slots × 8 B vs {page_size} B pages)",
+             ({} keys/shard × {} slots × 8 B vs {PAGE_SIZE} B pages)",
             lay.keys_per_shard(),
             cfg.record_slots
         );
@@ -232,7 +230,7 @@ impl KvStore {
             cfg.read_per_mille,
             cfg.arrival_rps,
         );
-        KvStore { cfg, lay, table, trace: Arc::new(trace), trace_hash, page_size }
+        KvStore { cfg, lay, table, trace: Arc::new(trace), trace_hash }
     }
 
     /// The generated request trace.
@@ -249,8 +247,8 @@ impl KvStore {
     fn shard_pages(&self, s: usize) -> Vec<PageId> {
         let r = self.lay.shard_range(s);
         let rs = self.cfg.record_slots;
-        let first = (self.table.addr(r.start * rs) / self.page_size as u64) as PageId;
-        let last = ((self.table.addr(r.end * rs - 1) + 7) / self.page_size as u64) as PageId;
+        let first = page_of(self.table.addr(r.start * rs)).0;
+        let last = page_of(self.table.addr(r.end * rs - 1) + 7).0;
         (first..=last).collect()
     }
 

@@ -5,7 +5,7 @@
 //! trace is bit-identical across platforms and reruns — the property
 //! `check/tests/determinism.rs` pins.
 
-use repseq_sim::Dur;
+use repseq_sim::{splitmix64, Dur};
 
 /// One request of the open-loop trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,15 +16,6 @@ pub struct Request {
     pub write: bool,
     /// Arrival offset from the start of the measured run.
     pub arrival: Dur,
-}
-
-/// The standard 64-bit splitmix finalizer — the same deterministic hash the
-/// loss injector uses.
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A uniform draw in `[0, 1)` from stream `stream` of `seed` at counter

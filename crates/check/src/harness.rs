@@ -125,8 +125,8 @@ pub struct InstrumentedOutcome {
 
 /// Replay the workload's phases on a single reference memory, recording
 /// the audited pages' image after each phase.
-fn replay_reference(w: &Workload, page_size: usize, n: usize) -> Expected {
-    let mut m = RefMem::new(page_size);
+fn replay_reference(w: &Workload, n: usize) -> Expected {
+    let mut m = RefMem::default();
     let mut out = Expected::new();
     for ph in &w.phases {
         match ph {
@@ -177,9 +177,8 @@ pub(crate) fn run_once(
     if let Some(sink) = race {
         cl.set_race_sink(sink);
     }
-    let page_size = cl.config().dsm.page_size;
     let w = build(&mut cl, n);
-    let expected = replay_reference(&w, page_size, n);
+    let expected = replay_reference(&w, n);
     let name = w.name;
     let audit: Arc<Vec<PageId>> = Arc::new(w.audit);
     let phases = w.phases;

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use repseq_dsm::{DsmNode, PageId};
+use repseq_dsm::{page_of, DsmNode, PageId, PAGE_SIZE};
 use repseq_sim::{Dur, Stopped};
 
 /// Shared-memory operations a workload body is allowed to use, implemented
@@ -72,34 +72,25 @@ impl Mem for DsmMem<'_> {
 /// same little-endian encoding the DSM's `Pod` layer uses. There is no
 /// coherence protocol to get wrong here — whatever this holds after a
 /// replay is the ground truth.
+#[derive(Default)]
 pub struct RefMem {
-    page_size: usize,
     pages: BTreeMap<PageId, Vec<u8>>,
 }
 
 impl RefMem {
-    /// An empty (all-zero) reference memory.
-    pub fn new(page_size: usize) -> RefMem {
-        RefMem { page_size, pages: BTreeMap::new() }
-    }
-
     /// The current image of page `p` (zeros if never written).
     pub fn page_image(&self, p: PageId) -> Vec<u8> {
-        self.pages.get(&p).cloned().unwrap_or_else(|| vec![0u8; self.page_size])
+        self.pages.get(&p).cloned().unwrap_or_else(|| vec![0u8; PAGE_SIZE])
     }
 
     fn byte_mut(&mut self, addr: u64) -> &mut u8 {
-        let ps = self.page_size as u64;
-        let p = (addr / ps) as PageId;
-        let off = (addr % ps) as usize;
-        let page = self.pages.entry(p).or_insert_with(|| vec![0u8; ps as usize]);
+        let (p, off) = page_of(addr);
+        let page = self.pages.entry(p).or_insert_with(|| vec![0u8; PAGE_SIZE]);
         &mut page[off]
     }
 
     fn byte(&self, addr: u64) -> u8 {
-        let ps = self.page_size as u64;
-        let p = (addr / ps) as PageId;
-        let off = (addr % ps) as usize;
+        let (p, off) = page_of(addr);
         self.pages.get(&p).map_or(0, |page| page[off])
     }
 }
@@ -190,7 +181,7 @@ mod tests {
 
     #[test]
     fn refmem_roundtrips_and_zero_fills() {
-        let mut m = RefMem::new(4096);
+        let mut m = RefMem::default();
         assert_eq!(m.ld(64).unwrap(), 0);
         m.st(64, 0xDEAD_BEEF_0102_0304).unwrap();
         assert_eq!(m.ld(64).unwrap(), 0xDEAD_BEEF_0102_0304);

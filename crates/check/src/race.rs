@@ -26,8 +26,15 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use repseq_dsm::{AccessKind, PageId, RaceConfig, RaceSink, SyncEdge, Vc};
+use repseq_dsm::{page_of, AccessKind, PageId, RaceSink, SyncEdge, Vc};
 use repseq_stats::NodeId;
+
+/// Shadow granularity in bytes: every 64-bit word is tracked
+/// independently.
+const GRANULE: usize = 8;
+/// Keep at most this many distinct race reports (every race is still
+/// *counted*; this only bounds stored provenance).
+pub const MAX_REPORTS: usize = 64;
 
 /// One side of a reported race: who accessed, from where, and the clock
 /// that failed to cover the other side.
@@ -102,14 +109,14 @@ fn kind_name(k: AccessKind) -> &'static str {
 #[derive(Debug, Clone, Default)]
 pub struct RaceReport {
     /// Distinct races, in detection order (deduplicated by page × section
-    /// pair × access kinds; capped at `RaceConfig::max_reports`).
+    /// pair × access kinds; capped at [`MAX_REPORTS`]).
     pub races: Vec<Race>,
     /// Total unordered conflicting access pairs (including those collapsed
     /// into an existing report or dropped by the cap).
     pub races_found: u64,
     /// Shadow-granule checks performed.
     pub checks: u64,
-    /// True if `max_reports` dropped distinct races.
+    /// True if [`MAX_REPORTS`] dropped distinct races.
     pub truncated: bool,
 }
 
@@ -249,7 +256,6 @@ struct NodeClock {
 
 struct Inner {
     n: usize,
-    cfg: RaceConfig,
     nodes: Vec<NodeClock>,
     /// The replica's clock (performer index `n`).
     replica: Arc<Vc>,
@@ -278,7 +284,7 @@ struct Inner {
 }
 
 /// The happens-before race detector. Install on a cluster with
-/// `Cluster::set_race_sink(Arc::new(RaceDetector::new(n, cfg)))`, run,
+/// `Cluster::set_race_sink(Arc::new(RaceDetector::new(n)))`, run,
 /// then collect [`RaceDetector::report`].
 pub struct RaceDetector {
     inner: Mutex<Inner>,
@@ -286,15 +292,12 @@ pub struct RaceDetector {
 
 impl RaceDetector {
     /// A detector for an `n`-node cluster.
-    pub fn new(n: usize, cfg: RaceConfig) -> RaceDetector {
+    pub fn new(n: usize) -> RaceDetector {
         assert!(n >= 1);
-        assert!(cfg.granule.is_power_of_two() && cfg.granule >= 1);
-        assert!(cfg.page_size.is_multiple_of(cfg.granule), "granule must divide the page size");
         let startup: Arc<str> = Arc::from("startup");
         RaceDetector {
             inner: Mutex::new(Inner {
                 n,
-                cfg,
                 // Each performer starts in epoch 1 of its own component:
                 // another clock covers an access only after an HB edge has
                 // actually propagated the performer's epoch (with all-zero
@@ -511,9 +514,8 @@ impl Inner {
         } else {
             (node, Arc::clone(&self.nodes[node].clock), Arc::clone(&self.nodes[node].section))
         };
-        let g = self.cfg.granule as u64;
-        let first = addr / g;
-        let last = (addr + len as u64 - 1) / g;
+        let first = addr / GRANULE as u64;
+        let last = (addr + len as u64 - 1) / GRANULE as u64;
         for gi in first..=last {
             self.touch(gi, node, performer, &clock, &section, kind);
         }
@@ -644,15 +646,13 @@ impl Inner {
         first: AccessRecord,
     ) {
         self.races_found += 1;
-        let g = self.cfg.granule as u64;
-        let addr = gi * g;
-        let page = (addr / self.cfg.page_size as u64) as PageId;
-        let offset = (addr % self.cfg.page_size as u64) as usize;
+        let addr = gi * GRANULE as u64;
+        let (page, offset) = page_of(addr);
         let race = Race {
             page,
             offset,
             addr,
-            granule: self.cfg.granule,
+            granule: GRANULE,
             first,
             second: AccessRecord {
                 node,
@@ -670,7 +670,7 @@ impl Inner {
             }
             return;
         }
-        if self.races.len() >= self.cfg.max_reports {
+        if self.races.len() >= MAX_REPORTS {
             self.truncated = true;
             return;
         }
@@ -684,7 +684,7 @@ mod tests {
     use super::*;
 
     fn det(n: usize) -> RaceDetector {
-        RaceDetector::new(n, RaceConfig::default())
+        RaceDetector::new(n)
     }
 
     /// Unsynchronized write/write on two nodes is a race; the same pair

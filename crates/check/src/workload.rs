@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use repseq_dsm::{Cluster, PageId, ShArray};
+use repseq_dsm::{Cluster, PageId, ShArray, PAGE_SIZE};
 use repseq_sim::Stopped;
 
 use crate::oracle::Mem;
@@ -46,8 +46,8 @@ pub struct Workload {
 /// A workload constructor the harness can re-invoke per schedule.
 pub type Builder = fn(&mut Cluster, usize) -> Workload;
 
-fn audit_of<T: repseq_dsm::Pod>(arr: ShArray<T>, page_size: usize) -> Vec<PageId> {
-    let (a, b) = arr.page_span(page_size);
+fn audit_of<T: repseq_dsm::Pod>(arr: ShArray<T>) -> Vec<PageId> {
+    let (a, b) = arr.page_span();
     (a..=b).collect()
 }
 
@@ -57,8 +57,7 @@ fn audit_of<T: repseq_dsm::Pod>(arr: ShArray<T>, page_size: usize) -> Vec<PageId
 /// null acks on every timestep) and rewrites the `tree` pages from the
 /// running sum. This is the §5.4.2 machinery at its densest.
 pub fn rse_kernel(cl: &mut Cluster, n: usize) -> Workload {
-    let page_size = cl.config().dsm.page_size;
-    let per_page = page_size / 8;
+    let per_page = PAGE_SIZE / 8;
     let data: ShArray<u64> = cl.alloc_array_page_aligned(n * per_page);
     let tree: ShArray<u64> = cl.alloc_array_page_aligned(2 * per_page);
     let mut phases = Vec::new();
@@ -83,8 +82,8 @@ pub fn rse_kernel(cl: &mut Cluster, n: usize) -> Workload {
             Ok(())
         }) as RepBody));
     }
-    let mut audit = audit_of(data, page_size);
-    audit.extend(audit_of(tree, page_size));
+    let mut audit = audit_of(data);
+    audit.extend(audit_of(tree));
     Workload { name: "rse_kernel", phases, audit }
 }
 
@@ -92,8 +91,7 @@ pub fn rse_kernel(cl: &mut Cluster, n: usize) -> Workload {
 /// replicated init, block-parallel update with a lock-protected ticket,
 /// a neighbour-reading phase, a replicated checksum, and a cyclic update.
 pub fn kitchen_sink(cl: &mut Cluster, n: usize) -> Workload {
-    let page_size = cl.config().dsm.page_size;
-    let per_page = page_size / 8;
+    let per_page = PAGE_SIZE / 8;
     let grid: ShArray<u64> = cl.alloc_array_page_aligned(n * per_page);
     let ticket: ShArray<u64> = cl.alloc_array_page_aligned(1);
     let sums: ShArray<u64> = cl.alloc_array_page_aligned(n);
@@ -149,9 +147,9 @@ pub fn kitchen_sink(cl: &mut Cluster, n: usize) -> Workload {
         }
         Ok(())
     }) as ParBody));
-    let mut audit = audit_of(grid, page_size);
-    audit.extend(audit_of(ticket, page_size));
-    audit.extend(audit_of(sums, page_size));
+    let mut audit = audit_of(grid);
+    audit.extend(audit_of(ticket));
+    audit.extend(audit_of(sums));
     audit.sort_unstable();
     audit.dedup();
     Workload { name: "kitchen_sink", phases, audit }
@@ -166,10 +164,10 @@ pub fn kitchen_sink(cl: &mut Cluster, n: usize) -> Workload {
 /// derivation, and the trace generator are the real ones from the apps
 /// crate, so a divergence here indicts the serving path itself.
 pub fn kv_serving(cl: &mut Cluster, _n: usize) -> Workload {
-    use repseq_apps::kv::{splitmix64, trace, Layout};
+    use repseq_apps::kv::{trace, Layout};
+    use repseq_sim::splitmix64;
 
-    let page_size = cl.config().dsm.page_size;
-    let per_page = page_size / 8;
+    let per_page = PAGE_SIZE / 8;
     // One page per shard: keys_per_shard * record_slots == per_page.
     let record_slots = 8usize;
     let n_shards = 4usize;
@@ -226,8 +224,8 @@ pub fn kv_serving(cl: &mut Cluster, _n: usize) -> Workload {
             m.st(served.addr(me), fold)
         }) as ParBody));
     }
-    let mut audit = audit_of(table, page_size);
-    audit.extend(audit_of(served, page_size));
+    let mut audit = audit_of(table);
+    audit.extend(audit_of(served));
     audit.sort_unstable();
     audit.dedup();
     Workload { name: "kv_serving", phases, audit }

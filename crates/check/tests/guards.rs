@@ -134,9 +134,8 @@ fn run_on_reference(prog: &Program) -> (Vec<u64>, Vec<[u64; 3]>) {
     let mut cl = Cluster::new(ClusterConfig::paper(N_NODES), stats);
     let arr: ShArray<u64> = cl.alloc_array_page_aligned(U64_LEN);
     let trip: ShArray<[u64; 3]> = cl.alloc_array_page_aligned(TRIP_LEN);
-    let page_size = cl.config().dsm.page_size;
 
-    let mut m = RefMem::new(page_size);
+    let mut m = RefMem::default();
     for &(start, raw_len, seed) in prog {
         let (us, ul) = clamp_u64(start, raw_len);
         for i in us..us + ul {

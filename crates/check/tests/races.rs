@@ -30,9 +30,7 @@ use repseq_check::{
     Schedule,
 };
 use repseq_core::{RunConfig, Runtime, Stopped, Team};
-use repseq_dsm::{
-    AccessKind, Cluster, ClusterConfig, DsmNode, RaceConfig, RaceSink, ShArray, Task,
-};
+use repseq_dsm::{AccessKind, Cluster, ClusterConfig, DsmNode, RaceSink, ShArray, Task};
 use repseq_sim::SimTime;
 use repseq_stats::{Stats, StatsSnapshot};
 
@@ -50,9 +48,8 @@ fn run_fixture(
     let stats = Stats::new(n);
     let mut cl = Cluster::new(ClusterConfig::paper(n), stats);
     let arr: ShArray<f64> = cl.alloc_array_page_aligned(16);
-    let page_size = cl.config().dsm.page_size;
-    let page = arr.page_span(page_size).0;
-    let det = Arc::new(RaceDetector::new(n, RaceConfig { page_size, ..RaceConfig::default() }));
+    let page = arr.page_span().0;
+    let det = Arc::new(RaceDetector::new(n));
     cl.set_race_sink(Arc::clone(&det) as Arc<dyn RaceSink>);
     let (_, out) = cl.launch_master(move |node| master(node, arr));
     out.result.expect("fixture run must complete");
@@ -225,11 +222,7 @@ struct AppFingerprint {
 }
 
 fn detector_for(cfg: &RunConfig) -> Arc<RaceDetector> {
-    let page_size = cfg.cluster.dsm.page_size;
-    Arc::new(RaceDetector::new(
-        cfg.cluster.nodes,
-        RaceConfig { page_size, ..RaceConfig::default() },
-    ))
+    Arc::new(RaceDetector::new(cfg.cluster.nodes()))
 }
 
 /// Run one application under `cfg`, observed by `det` if given.
@@ -362,11 +355,7 @@ proptest! {
         let sched = Schedule { seed, drop_per_mille, unicast };
         let off = run_schedule_instrumented(build, &cfg, sched, None)
             .unwrap_or_else(|e| panic!("{e}"));
-        let page_size = ClusterConfig::paper(cfg.nodes).dsm.page_size;
-        let det = Arc::new(RaceDetector::new(
-            cfg.nodes,
-            RaceConfig { page_size, ..RaceConfig::default() },
-        ));
+        let det = Arc::new(RaceDetector::new(cfg.nodes));
         let on = run_schedule_instrumented(build, &cfg, sched, Some(det))
             .unwrap_or_else(|e| panic!("{e}"));
         prop_assert!(on.races.is_some(), "detector run must produce a report");

@@ -135,7 +135,6 @@ fn torture_sweep_master_push_shard1() {
 /// `n`; the multiple-writer merge settles the race its own way, so some
 /// node's copy disagrees.
 fn racy_store(cl: &mut Cluster, n: usize) -> Workload {
-    let page_size = cl.config().dsm.page_size;
     let word: ShArray<u64> = cl.alloc_array_page_aligned(1);
     let slots: ShArray<u64> = cl.alloc_array_page_aligned(n);
     let store: ParBody =
@@ -144,8 +143,8 @@ fn racy_store(cl: &mut Cluster, n: usize) -> Workload {
         let v = m.ld(word.addr(0))?;
         m.st(slots.addr(me), v)
     });
-    let (first, _) = word.page_span(page_size);
-    let (_, last) = slots.page_span(page_size);
+    let (first, _) = word.page_span();
+    let (_, last) = slots.page_span();
     Workload {
         name: "racy_store",
         phases: vec![Phase::Parallel(store), Phase::Parallel(read_back)],

@@ -65,7 +65,7 @@ impl DerefMut for Runtime {
 impl Runtime {
     /// Build a runtime (and a fresh statistics registry).
     pub fn new(cfg: RunConfig) -> Runtime {
-        let stats = Stats::new(cfg.cluster.nodes);
+        let stats = Stats::new(cfg.cluster.nodes());
         Runtime::with_stats(cfg, stats)
     }
 

@@ -21,12 +21,11 @@ fn mini_app(mode: SeqMode, n: usize, iters: usize) -> (Vec<u64>, StatsSnapshot) 
     let init: Vec<u64> = (0..parts.len() as u64).collect();
     rt.preload(parts, &init);
     let stats = rt.stats();
-    let page_size = rt.config().dsm.page_size;
     let (out, _) = rt
         .run_value(move |team| {
             team.start_measurement();
             for _ in 0..iters {
-                let (first, last) = tree.page_span(page_size);
+                let (first, last) = tree.page_span();
                 team.sequential_broadcasting(
                     move |nd| {
                         // Deterministic "tree build" reading every particle.

@@ -5,11 +5,11 @@
 
 use std::sync::{mpsc, Arc};
 
-use repseq_net::{NetConfig, Network};
+use repseq_net::{min_cross_latency, NetConfig, Network};
 use repseq_sim::{Sim, SimError, SimReport, Stopped};
 use repseq_stats::{HostCounters, StatsRef};
 
-use crate::config::DsmConfig;
+use crate::config::{DsmConfig, HEAP_PAGES, PAGE_SIZE};
 use crate::handler::Handler;
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
@@ -24,18 +24,21 @@ use crate::wire::{Topology, Wire};
 /// Everything needed to build a DSM cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of nodes.
-    pub nodes: usize,
     /// DSM protocol parameters.
     pub dsm: DsmConfig,
-    /// Interconnect parameters.
+    /// Interconnect parameters, the node count among them.
     pub net: NetConfig,
 }
 
 impl ClusterConfig {
     /// The paper's testbed shape for `n` nodes.
     pub fn paper(n: usize) -> Self {
-        ClusterConfig { nodes: n, dsm: DsmConfig::default(), net: NetConfig::paper(n) }
+        ClusterConfig { dsm: DsmConfig::default(), net: NetConfig::paper(n) }
+    }
+
+    /// Number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.net.nodes
     }
 }
 
@@ -84,10 +87,9 @@ impl LaunchOutcome {
 impl Cluster {
     /// Start building a cluster.
     pub fn new(cfg: ClusterConfig, stats: StatsRef) -> Cluster {
-        assert!(cfg.nodes >= 1);
-        assert_eq!(cfg.net.nodes, cfg.nodes, "network and cluster node counts must agree");
-        assert_eq!(stats.n_nodes(), cfg.nodes, "stats registry sized for a different cluster");
-        let segment = SharedSegment::new(cfg.dsm.page_size, cfg.dsm.heap_pages as usize);
+        assert!(cfg.nodes() >= 1);
+        assert_eq!(stats.n_nodes(), cfg.nodes(), "stats registry sized for a different cluster");
+        let segment = SharedSegment::new(HEAP_PAGES);
         Cluster {
             cfg,
             stats,
@@ -136,7 +138,7 @@ impl Cluster {
     /// Allocate a shared array starting on a page boundary (applications
     /// use this to avoid false sharing on hot structures).
     pub fn alloc_array_page_aligned<T: Pod>(&mut self, len: usize) -> ShArray<T> {
-        self.alloc_array_aligned(len, self.cfg.dsm.page_size as u64)
+        self.alloc_array_aligned(len, PAGE_SIZE as u64)
     }
 
     fn alloc_array_aligned<T: Pod>(&mut self, len: usize, align: u64) -> ShArray<T> {
@@ -144,11 +146,11 @@ impl Cluster {
         let base = self.alloc_next.div_ceil(align) * align;
         let bytes = (T::SIZE * len) as u64;
         self.alloc_next = base + bytes;
+        let heap_bytes = (HEAP_PAGES * PAGE_SIZE) as u64;
         assert!(
-            self.alloc_next <= self.cfg.dsm.heap_bytes(),
-            "shared heap exhausted: {} > {} bytes (raise DsmConfig::heap_pages)",
-            self.alloc_next,
-            self.cfg.dsm.heap_bytes()
+            self.alloc_next <= heap_bytes,
+            "shared heap exhausted: {} > {heap_bytes} bytes (raise HEAP_PAGES)",
+            self.alloc_next
         );
         ShArray::new(base, len)
     }
@@ -204,7 +206,7 @@ impl Cluster {
             tx.send(master(&node)?).expect("the receiver outlives the run");
             node.shutdown_slaves()
         })];
-        for _ in 1..self.cfg.nodes {
+        for _ in 1..self.cfg.nodes() {
             apps.push(Box::new(|node: DsmNode| node.slave_loop()));
         }
         let outcome = self.launch_inspect(apps);
@@ -215,13 +217,13 @@ impl Cluster {
     /// probes and the loss log for post-run invariant checking — the entry
     /// point `repseq-check` uses.
     pub fn launch_inspect(mut self, apps: Vec<AppFn>) -> LaunchOutcome {
-        let n = self.cfg.nodes;
+        let n = self.cfg.nodes();
         assert_eq!(apps.len(), n, "need exactly one application per node");
         crate::page::keep_heap();
         let net = Network::new(self.cfg.net.clone(), Arc::clone(&self.stats));
         // Shared-segment size in pages: every allocation so far. Sizes each
         // node's page table and twin pool.
-        let seg_pages = self.alloc_next.div_ceil(self.cfg.dsm.page_size as u64) as usize;
+        let seg_pages = self.alloc_next.div_ceil(PAGE_SIZE as u64) as usize;
         // The one shared segment every node seeds its memory from (see
         // [`SharedSegment`]).
         self.segment.truncate(seg_pages);
@@ -243,7 +245,7 @@ impl Cluster {
         // break by node), and the post-exit quiescence tail is bounded by
         // the lookahead horizon. The group owns the node's state, and lends
         // it to whichever of the two runs.
-        sim.set_lookahead(self.cfg.net.min_cross_latency());
+        sim.set_lookahead(min_cross_latency());
         for (i, app) in apps.into_iter().enumerate() {
             let wire = Wire { nic: net.nic(i), topo: Arc::clone(&topo) };
             let pid = sim.spawn(&format!("app{i}"), move |ctx| app(DsmNode::new(ctx, wire)));

@@ -18,6 +18,7 @@ use std::time::Instant;
 use repseq_sim::Dur;
 use repseq_stats::{HostCounters, NodeId};
 
+use crate::config::{diff_apply_cost, DIFF_CREATE_COST, FAULT_OVERHEAD, PAGE_SIZE, TWIN_COST};
 use crate::diff::Diff;
 use crate::interval::PageId;
 use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta, PageStore};
@@ -74,12 +75,12 @@ pub(crate) struct DataPlane {
 impl DataPlane {
     /// One node's data plane over `segment`, whose page count sizes the
     /// page table. The twin pool and the page store start empty.
-    pub(crate) fn new(n: usize, page_size: usize, segment: Arc<SharedSegment>) -> DataPlane {
+    pub(crate) fn new(n: usize, segment: Arc<SharedSegment>) -> DataPlane {
         let zero = Vc::zero(n);
         DataPlane {
             pages: (0..segment.pages()).map(|_| PageMeta::new(zero.clone())).collect(),
             bytes: vec![None; segment.pages()],
-            store: PageStore::new(page_size),
+            store: PageStore::default(),
             dirty_pages: Vec::new(),
             twin_pool: Vec::new(),
             segment,
@@ -136,7 +137,7 @@ impl NodeState {
     /// write-protected, out of the dirty set.
     pub(crate) fn create_own_diff(&mut self, p: PageId) -> Dur {
         let node = self.node;
-        let mut cost = self.cfg.diff_create_cost();
+        let mut cost = DIFF_CREATE_COST;
         let bytes = self.data.bytes[p as usize].expect("twinned page must be materialized");
         let (page, data) = (&mut self.data.pages[p as usize], bytes.slice());
         let mut twin = page.twin.take().expect("diffing a page without a twin");
@@ -153,7 +154,7 @@ impl NodeState {
             // the current interval stays separable — reusing the buffer of
             // the twin just consumed instead of cloning the page.
             debug_assert!(!self.rse.active, "node {node}: re-twin of page {p} in a section");
-            cost += self.cfg.twin_cost();
+            cost += TWIN_COST;
             twin.copy_from_slice(bytes.slice());
             self.data.pages[p as usize].twin = Some(twin);
             // stays writable and in the dirty set
@@ -181,7 +182,7 @@ impl NodeState {
     /// twin all the same, so virtual time does not depend on the copy.
     /// Returns the cost to charge.
     pub fn write_fault(&mut self, p: PageId) -> Dur {
-        let mut cost = self.cfg.fault_overhead;
+        let mut cost = FAULT_OVERHEAD;
         if self.rse.active {
             if self.page_mut(p).rse_protected {
                 // Create the pre-section diff before the page may change.
@@ -192,14 +193,14 @@ impl NodeState {
             debug_assert!(page.valid && page.twin.is_none(), "write fault on page {p}");
             page.writable = true;
             if !page.rse_dirty {
-                cost += self.cfg.twin_cost();
+                cost += TWIN_COST;
                 page.rse_dirty = true;
                 self.rse.dirty.push(p);
             }
             return cost;
         }
         if self.page_mut(p).twin.is_none() {
-            cost += self.cfg.twin_cost();
+            cost += TWIN_COST;
             let src = *self.page_buf(p); // materialize before twinning
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid, "write fault on an invalid page");
@@ -299,7 +300,7 @@ impl NodeState {
             // its best-effort copy rather than tearing the cluster down.
             eprintln!("node {node}: page {p}: {e}");
         }
-        cost += self.cfg.diff_apply_cost(payload);
+        cost += diff_apply_cost(payload);
         // The copy now reflects all it did, everything we know, and every
         // interval the applied diffs cover, even one whose record we have
         // not seen. Recording the full coverage keeps the same bytes from
@@ -406,7 +407,7 @@ impl NodeState {
             Some(d) => d.slice().to_vec(),
             None => match self.data.segment.page(p) {
                 Some(img) => img.to_vec(),
-                None => vec![0u8; self.cfg.page_size],
+                None => vec![0u8; PAGE_SIZE],
             },
         })
     }
@@ -496,7 +497,7 @@ mod tests {
             let mut st = state(0, 4);
             fake_write(&mut st, PAGE, 0, 9);
             st.close_interval();
-            let (mut vc, mut base) = (st.con.vc.clone(), vec![0u8; st.cfg.page_size]);
+            let (mut vc, mut base) = (st.con.vc.clone(), vec![0u8; PAGE_SIZE]);
             let mut turns = vec![Vec::new(); 4];
             for q in (1..4).rev() {
                 vc.set(q, 1);
@@ -567,14 +568,13 @@ mod tests {
         // Over a segment the table is presized, and `inspect_page` reads
         // an untouched page's image straight from the segment: no slot is
         // created or materialized, inside the table or beyond it.
-        let cfg = DsmConfig { page_size: 64, ..DsmConfig::default() };
-        let mut seg = SharedSegment::new(64, 4);
-        seg.write(2 * 64, &[7; 64]);
-        let st = NodeState::new(0, 2, cfg, Arc::new(seg));
+        let mut seg = SharedSegment::new(4);
+        seg.write(2 * PAGE_SIZE as u64, &[7; PAGE_SIZE]);
+        let st = NodeState::new(0, 2, DsmConfig::default(), Arc::new(seg));
         assert_eq!(st.data.pages.len(), 4);
-        assert_eq!(st.inspect_page(2), Some(vec![7; 64]));
-        assert_eq!(st.inspect_page(3), Some(vec![0; 64]));
-        assert_eq!(st.inspect_page(9), Some(vec![0; 64]));
+        assert_eq!(st.inspect_page(2), Some(vec![7; PAGE_SIZE]));
+        assert_eq!(st.inspect_page(3), Some(vec![0; PAGE_SIZE]));
+        assert_eq!(st.inspect_page(9), Some(vec![0; PAGE_SIZE]));
         assert!(st.data.bytes.iter().all(Option::is_none));
     }
 

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use repseq_sim::{Dur, Envelope, Stopped};
 use repseq_stats::NodeId;
 
+use crate::config::{SERVICE_OVERHEAD, SYNC_OVERHEAD};
 use crate::interval::{IntervalRecord, PageId};
 use crate::msg::DsmMsg;
 use crate::race::SyncEdge;
@@ -175,7 +176,7 @@ impl DsmNode {
             st.exec.peer_vcs[s] = vc.clone();
             self.send(s, DsmMsg::Fork { records, vc, task: task.clone() });
         }
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         Ok(())
     }
 
@@ -191,13 +192,13 @@ impl DsmNode {
                     st.exec.master_known = vc;
                     c
                 };
-                self.ctx.charge(cost + self.sync_cost());
+                self.ctx.charge(cost + SYNC_OVERHEAD);
                 self.race_sync(SyncEdge::ForkRecv);
                 Step::Done(task)
             }
             DsmMsg::ValidNoticeRequest => {
                 let delta = self.ctx.state().take_valid_delta();
-                self.ctx.charge(self.sync_cost());
+                self.ctx.charge(SYNC_OVERHEAD);
                 self.send(0, DsmMsg::ValidNoticeReply { from: self.node(), delta });
                 Step::Wait
             }
@@ -210,7 +211,7 @@ impl DsmNode {
     pub fn join_master(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
         self.race_sync(SyncEdge::JoinSend);
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         let mut st = self.ctx.state();
         st.close_interval();
         let records = st.con.intervals.records_unknown_to(&st.exec.master_known);
@@ -236,7 +237,7 @@ impl DsmNode {
                 st.exec.peer_vcs[from] = vc;
                 c
             };
-            self.ctx.charge(cost + self.sync_cost());
+            self.ctx.charge(cost + SYNC_OVERHEAD);
             self.race_sync(SyncEdge::JoinRecv { from });
         };
         let pending = self.n_nodes() - 1 - buffered.len();
@@ -248,10 +249,6 @@ impl DsmNode {
             })?);
         }
         Ok(())
-    }
-
-    pub(crate) fn sync_cost(&self) -> Dur {
-        self.ctx.state().cfg.sync_overhead
     }
 
     // ---------------------------------------------------------------
@@ -337,8 +334,7 @@ impl DsmNode {
         // Block until the broadcast has drained (the hub and the switch
         // are independent media; without this the following fork's records
         // would overtake the data and re-invalidate it at the receivers).
-        let service = self.ctx.state().cfg.service_overhead;
-        self.sleep_until(last_delivery + service * (sent + 1))
+        self.sleep_until(last_delivery + SERVICE_OVERHEAD * (sent + 1))
     }
 }
 

@@ -20,7 +20,7 @@
 use repseq_sim::{Dur, Stopped};
 use repseq_stats::NodeId;
 
-use crate::config::DsmConfig;
+use crate::config::{FAULT_OVERHEAD, RSE_MAX_RETRIES};
 use crate::exec::{Step, Waiting};
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
@@ -67,18 +67,18 @@ impl crate::state::NodeState {
 
 /// The shared timeout/retry discipline of both fetch paths. Each
 /// unproductive wait (timeout, or a wakeup that did not complete the
-/// fault) counts one retry against `max_retries`; exceeding the budget
-/// panics with the caller-supplied diagnostic, because under any
+/// fault) counts one retry against [`RSE_MAX_RETRIES`]; exceeding the
+/// budget panics with the caller-supplied diagnostic, because under any
 /// survivable loss rate the expected number of retries is tiny.
 pub(crate) struct RetryTimer {
     timeout: Dur,
-    max_retries: u32,
     retries: u32,
 }
 
 impl RetryTimer {
-    pub(crate) fn from_cfg(cfg: &DsmConfig) -> RetryTimer {
-        RetryTimer { timeout: cfg.rse_timeout, max_retries: cfg.rse_max_retries, retries: 0 }
+    /// A timer whose first wait is `timeout`.
+    pub(crate) fn new(timeout: Dur) -> RetryTimer {
+        RetryTimer { timeout, retries: 0 }
     }
 
     /// The current wait, in virtual time.
@@ -98,8 +98,8 @@ impl RetryTimer {
     /// fault still cannot complete) against the budget.
     pub(crate) fn note_retry(&mut self, describe: impl FnOnce(u32) -> String) {
         self.retries += 1;
-        if self.retries > self.max_retries {
-            panic!("{}", describe(self.max_retries));
+        if self.retries > RSE_MAX_RETRIES {
+            panic!("{}", describe(RSE_MAX_RETRIES));
         }
     }
 }
@@ -111,7 +111,7 @@ impl DsmNode {
     pub(crate) fn read_fault(&self, p: PageId) -> Result<(), Stopped> {
         let node = self.node();
         self.stats().on_page_fault(node);
-        self.ctx.charge(self.ctx.state().cfg.fault_overhead);
+        self.ctx.charge(FAULT_OVERHEAD);
         let in_rse = self.ctx.state().rse.active;
         if in_rse {
             strategy::rse::fetch_replicated(self, p)
@@ -158,8 +158,7 @@ impl DsmNode {
             // allowed to touch diff frames, that layer is this resend loop.
             let mut timer = {
                 let st = self.ctx.state();
-                let timeout = st.fetch.first_wait(st.cfg.rse_timeout);
-                RetryTimer { timeout, ..RetryTimer::from_cfg(&st.cfg) }
+                RetryTimer::new(st.fetch.first_wait(st.cfg.rse_timeout))
             };
             // Until some owner answers, silence is more likely a queue at
             // the owners than loss: a timeout probes the first outstanding
@@ -228,12 +227,12 @@ mod tests {
     /// The retry budget counts unproductive rounds and panics with the
     /// caller's diagnostic once exhausted.
     #[test]
-    #[should_panic(expected = "gave up after 2")]
+    #[should_panic(expected = "gave up after 32")]
     fn retry_budget_is_enforced() {
-        let cfg = DsmConfig { rse_max_retries: 2, ..DsmConfig::default() };
-        let mut timer = RetryTimer::from_cfg(&cfg);
-        timer.note_retry(|_| unreachable!());
-        timer.note_retry(|_| unreachable!());
+        let mut timer = RetryTimer::new(Dur::from_millis(1));
+        for _ in 0..RSE_MAX_RETRIES {
+            timer.note_retry(|_| unreachable!());
+        }
         timer.note_retry(|max| format!("gave up after {max}"));
     }
 
@@ -267,17 +266,12 @@ mod tests {
     fn back_to_back_timeouts_reuse_req_id_and_later_fetch_absorbs_the_duplicate() {
         use repseq_sim::{Ctx, Sim};
 
-        let cfg = DsmConfig {
-            rse_timeout: Dur::from_micros(100),
-            rse_max_retries: 5,
-            ..DsmConfig::default()
-        };
+        let wait = Dur::from_micros(100);
         // Each process's group state records request ids: the stale
         // replies the fetcher absorbed, the requests the owner saw.
         let mut sim = Sim::<DsmMsg, Vec<u64>>::new();
 
         // Pid 0: the faulting node's fetch loop, two fetch rounds.
-        let cfg_f = cfg.clone();
         sim.spawn("fetcher", move |ctx| {
             let request = |ctx: &Ctx<DsmMsg, Vec<u64>>, req_id: u64| {
                 let msg = DsmMsg::DiffRequest { page: 7, ivxs: vec![1], from: 0, req_id };
@@ -287,7 +281,7 @@ mod tests {
             let fetch = |req_id: u64| -> Result<Vec<Dur>, Stopped> {
                 let t0 = ctx.now();
                 request(&ctx, req_id);
-                let mut timer = RetryTimer::from_cfg(&cfg_f);
+                let mut timer = RetryTimer::new(wait);
                 let mut resent_at = Vec::new();
                 loop {
                     let Some(env) = ctx.recv_timeout(timer.timeout())? else {
@@ -309,7 +303,6 @@ mod tests {
             };
             // Round A: the owner stays silent through two timeouts, the
             // first of the configured 100 us, the second backed off to 200.
-            let wait = cfg_f.rse_timeout;
             assert_eq!(fetch(1)?, vec![wait, wait * 3], "waits of 100 us, then 200 us");
             // Round B: completes despite the round-A duplicate landing first.
             assert_eq!(fetch(2)?, vec![], "round B reply arrives before its deadline");

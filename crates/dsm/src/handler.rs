@@ -21,6 +21,7 @@
 
 use repseq_sim::{Dur, Envelope, Reactor, ReactorCtx, SendCtx};
 
+use crate::config::{SERVICE_OVERHEAD, SYNC_OVERHEAD};
 use crate::exec::{protocol_violation, Waiting};
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
@@ -70,7 +71,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             DsmMsg::DiffRequest { page, ivxs, from, req_id } => {
                 let mut s = ctx.state();
                 let (cost, diffs) = s.serve_diff_request(page, &ivxs);
-                ctx.charge(s.cfg.service_overhead + cost);
+                ctx.charge(SERVICE_OVERHEAD + cost);
                 wire.send(ctx, from, DsmMsg::DiffReply { page, diffs, req_id });
             }
 
@@ -78,7 +79,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             DsmMsg::BarrierArrive { from, vc, records } => {
                 debug_assert_eq!(node, 0, "barrier arrivals go to the manager");
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.sync_overhead);
+                ctx.charge(SYNC_OVERHEAD);
                 let cost = s.apply_records(records, &vc);
                 ctx.charge(cost);
                 s.sync.barrier_arrivals.push((from, vc));
@@ -94,7 +95,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             // ---- lock manager / holder ----
             DsmMsg::LockAcquire { lock, from, vc, forwarded } => {
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.sync_overhead);
+                ctx.charge(SYNC_OVERHEAD);
                 let action = if (lock as usize) % n == node && !forwarded {
                     // Lazy token initialization: an unseen lock's token
                     // starts at its manager.
@@ -130,14 +131,14 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             DsmMsg::McastRequest { page, wanted, requester, epoch } => {
                 debug_assert_eq!(node, 0, "multicast requests are serialized at the master");
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.service_overhead);
+                ctx.charge(SERVICE_OVERHEAD);
                 if let Some(msg) = chain::master_enqueue(&mut s, page, wanted, requester, epoch) {
                     wire.multicast(ctx, Nodes::All, msg);
                 }
             }
             DsmMsg::McastForward { page, wanted, requester, req_seq } => {
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.service_overhead);
+                ctx.charge(SERVICE_OVERHEAD);
                 if let Some((msg, cost)) =
                     chain::on_forward(&mut s, page, wanted, requester, req_seq)
                 {
@@ -153,7 +154,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             }
             DsmMsg::RecoveryRequest { page, ivxs } => {
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.service_overhead);
+                ctx.charge(SERVICE_OVERHEAD);
                 // One multicast reply serves every concurrent requester;
                 // see `oob_reply_due` for the window rule.
                 let window = s.cfg.rse_timeout / 2;
@@ -175,7 +176,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
             // ---- hand-inserted broadcast (ablation / MasterPush) ----
             DsmMsg::PageBroadcast { page, data, vc } => {
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.service_overhead);
+                ctx.charge(SERVICE_OVERHEAD);
                 let meta = s.page_mut(page);
                 let fresh = !(meta.valid && vc.dominated_by(&meta.valid_at));
                 if meta.twin.is_none() && fresh {
@@ -202,7 +203,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
 
             DsmMsg::ValidNoticeTable { deltas } => {
                 let mut s = ctx.state();
-                ctx.charge(s.cfg.sync_overhead);
+                ctx.charge(SYNC_OVERHEAD);
                 s.merge_valid_deltas(&deltas);
             }
             other => protocol_violation(node, Waiting::Handler, &other),
@@ -224,7 +225,7 @@ impl Handler {
         let node = self.wire.node();
         let (mut to_multicast, mut wake) = (None, None);
         let mut s = ctx.state();
-        ctx.charge(s.cfg.service_overhead);
+        ctx.charge(SERVICE_OVERHEAD);
         if let Some((page, diffs)) = &diffs {
             let (cost, w) = chain::incorporate_diffs(&mut s, *page, diffs);
             ctx.charge(cost);

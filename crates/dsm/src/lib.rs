@@ -30,8 +30,7 @@
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
 //! | strategy | `strategy` | how sequential sections execute: one [`SeqMode`], one `match` in [`DsmNode::run_sequential`] |
-//! | substrate | `substrate`, `shmem` | [`NodeCtx`], the simulator's context lent the [`NodeState`], and the shared page segment |
-//! | runtime | `runtime`, `handler`, `cluster`, `msg`, `wire` | processes, the software MMU (each access checks the page table, else walks), message dispatch, the one send path, cluster launch (the master and its parked slaves: [`Cluster::launch_master`]) |
+//! | runtime | `runtime`, `shmem`, `handler`, `cluster`, `msg`, `wire` | processes and their [`NodeCtx`] (the simulator's context, lent the [`NodeState`]), the shared page segment, the software MMU (each access checks the page table, else walks), message dispatch, the one send path, cluster launch (the master and its parked slaves: [`Cluster::launch_master`]) |
 
 // Everything not in the `pub use` façade below is crate-internal; the
 // lint keeps `pub` from silently outliving its re-export.
@@ -55,24 +54,26 @@ mod runtime;
 mod shmem;
 mod state;
 mod strategy;
-mod substrate;
 mod sync;
 mod vc;
 mod wire;
 
 pub use cluster::{AppFn, Cluster, ClusterConfig, LaunchOutcome};
-pub use config::{DsmConfig, FlowControl};
+pub use config::{
+    diff_apply_cost, page_of, DsmConfig, FlowControl, DIFF_APPLY_NS_PER_BYTE, DIFF_CREATE_COST,
+    DIFF_CREATE_NS_PER_BYTE, FAULT_OVERHEAD, HEAP_PAGES, PAGE_SIZE, RSE_MAX_RETRIES,
+    SERVICE_OVERHEAD, SYNC_OVERHEAD, TWIN_COST, TWIN_NS_PER_BYTE,
+};
 pub use diff::{Diff, DiffError, DiffRun};
 pub use exec::{Task, TaskFn};
 pub use interval::{IntervalData, IntervalRecord, IntervalStore, PageId};
 pub use msg::DsmMsg;
 pub use page::{DiffEntry, PageBuf, PageMeta};
 pub use pod::Pod;
-pub use race::{AccessKind, RaceConfig, RaceSink, SyncEdge};
-pub use runtime::DsmNode;
+pub use race::{AccessKind, RaceSink, SyncEdge};
+pub use runtime::{DsmNode, NodeCtx};
 pub use shmem::SharedSegment;
 pub use shmem::{PageSlice, PageSliceMut, ShArray, ShVar};
 pub use state::NodeState;
 pub use strategy::{ChainProbe, RseProbe, SeqMode};
-pub use substrate::NodeCtx;
 pub use vc::Vc;

@@ -11,6 +11,7 @@ use std::sync::{Arc, Once};
 use repseq_sim::SimTime;
 use repseq_stats::NodeId;
 
+use crate::config::PAGE_SIZE;
 use crate::diff::Diff;
 use crate::vc::Vc;
 
@@ -19,8 +20,8 @@ use crate::vc::Vc;
 /// page has none and no recycled heap byte ever shows in a page. A buffer
 /// is freed only with the store, and a `Vec`'s buffer stays put as the
 /// `Vec` moves, so a slot stays put for the life of its node.
+#[derive(Default)]
 pub(crate) struct PageStore {
-    page_size: usize,
     slots: Vec<Vec<u8>>,
 }
 
@@ -53,16 +54,10 @@ pub(crate) fn keep_heap() {
 }
 
 impl PageStore {
-    /// An empty store.
-    pub(crate) fn new(page_size: usize) -> PageStore {
-        assert!(page_size > 0, "page size must be positive");
-        PageStore { page_size, slots: Vec::new() }
-    }
-
     /// A fresh slot holding `image`, or zeros.
     pub(crate) fn slot(&mut self, image: Option<&[u8]>) -> PageBuf {
-        assert!(image.is_none_or(|img| img.len() == self.page_size), "an image is one page");
-        let mut bytes = image.map_or_else(|| vec![0; self.page_size], <[u8]>::to_vec);
+        assert!(image.is_none_or(|img| img.len() == PAGE_SIZE), "an image is one page");
+        let mut bytes = image.map_or_else(|| vec![0; PAGE_SIZE], <[u8]>::to_vec);
         let buf = PageBuf::of(&mut bytes);
         self.slots.push(bytes);
         buf
@@ -293,19 +288,19 @@ mod tests {
     fn fresh_page_is_valid_readonly_zero() {
         let p = PageMeta::new(Vc::zero(2));
         assert!(p.valid && !p.writable && p.twin.is_none());
-        assert!(PageStore::new(64).slot(None).slice().iter().all(|&b| b == 0));
+        assert!(PageStore::default().slot(None).slice().iter().all(|&b| b == 0));
     }
 
     #[test]
     fn materialize_uses_initial_image() {
-        let mut store = PageStore::new(16);
-        assert!(store.slot(Some(&[7u8; 16])).slice().iter().all(|&b| b == 7));
+        let mut store = PageStore::default();
+        assert!(store.slot(Some(&[7u8; PAGE_SIZE])).slice().iter().all(|&b| b == 7));
     }
 
     #[test]
     fn a_slot_never_moves_as_the_store_grows() {
-        let mut store = PageStore::new(64);
-        let mut bufs: Vec<PageBuf> = (0..48).map(|k| store.slot(Some(&[k; 64]))).collect();
+        let mut store = PageStore::default();
+        let mut bufs: Vec<PageBuf> = (0..48).map(|k| store.slot(Some(&[k; PAGE_SIZE]))).collect();
         for (k, buf) in bufs.iter_mut().enumerate() {
             assert!(buf.slice().iter().all(|&b| b == k as u8), "slot {k} lost its image");
             buf.slice_mut().fill(k as u8 + 100);
@@ -317,14 +312,14 @@ mod tests {
 
     #[test]
     fn a_slot_is_written_in_full_when_handed_out() {
-        let mut store = PageStore::new(64);
+        let mut store = PageStore::default();
         for _ in 0..16 {
             store.slot(None).slice_mut().fill(0xA5);
         }
         drop(store);
         // The new store's slots likely reuse the buffers just freed, dirty bytes and all.
-        let mut store = PageStore::new(64);
-        let image: Vec<u8> = (1..=64).collect();
+        let mut store = PageStore::default();
+        let image: Vec<u8> = (0..PAGE_SIZE).map(|b| b as u8 | 1).collect();
         let (zero, img) = (store.slot(None), store.slot(Some(&image)));
         assert!(zero.slice().iter().all(|&b| b == 0));
         assert_eq!(img.slice(), &image[..]);

@@ -104,28 +104,6 @@ pub trait RaceSink: Send + Sync {
     fn sync(&self, node: NodeId, edge: SyncEdge);
 }
 
-/// Detector tuning knobs (consumed by `repseq-check`'s detector, defined
-/// here so apps and harnesses can build one without depending on the
-/// checker).
-#[derive(Debug, Clone, Copy)]
-pub struct RaceConfig {
-    /// Shadow granularity in bytes (a power of two). 8 tracks every
-    /// 64-bit word independently; 64 approximates cache-line granularity
-    /// and will flag false sharing as races.
-    pub granule: usize,
-    /// DSM page size (shadow pages and report provenance use it).
-    pub page_size: usize,
-    /// Keep at most this many distinct race reports (every race is still
-    /// *counted*; this only bounds stored provenance).
-    pub max_reports: usize,
-}
-
-impl Default for RaceConfig {
-    fn default() -> Self {
-        RaceConfig { granule: 8, page_size: 4096, max_reports: 64 }
-    }
-}
-
 /// A recording handle a page guard carries so that element-wise
 /// `get`/`set` on the mapped slice reach the sink with exact addresses.
 #[derive(Clone)]

@@ -10,14 +10,22 @@ use std::sync::Arc;
 use repseq_sim::{Dur, SimTime, Stopped};
 use repseq_stats::{NodeId, StatsRef};
 
+use crate::config::{page_of, PAGE_SIZE};
 use crate::interval::PageId;
 use crate::msg::DsmMsg;
 use crate::page::PageBuf;
 use crate::pod::Pod;
 use crate::race::{AccessKind, AccessTap, RaceSink, SyncEdge};
+use crate::state::NodeState;
 use crate::strategy::RseProbe;
-use crate::substrate::NodeCtx;
 use crate::wire::{Nodes, Wire};
+
+/// A node process's context on the simulator: [`repseq_sim::Ctx`],
+/// carrying [`DsmMsg`] and lent the node's [`NodeState`]. The protocol
+/// handler does not get one: it is written against
+/// [`repseq_sim::SendCtx`], the non-blocking half, and is handed a
+/// [`repseq_sim::ReactorCtx`] (the `handler` module).
+pub type NodeCtx = repseq_sim::Ctx<DsmMsg, NodeState>;
 
 /// A node's application-side handle to the DSM. One per application
 /// process. All shared-memory traffic, synchronization and statistics flow
@@ -29,7 +37,6 @@ pub struct DsmNode {
     pub(crate) ctx: NodeCtx,
     /// The send path, and through it the cluster's wiring.
     pub(crate) wire: Wire,
-    pub(crate) page_size: usize,
     /// Race-detection sink (cloned off the topology); `None` costs one
     /// branch per access and nothing else.
     pub(crate) race: Option<Arc<dyn RaceSink>>,
@@ -38,9 +45,8 @@ pub struct DsmNode {
 impl DsmNode {
     /// Build the application-side handle, configured as its node's state.
     pub(crate) fn new(ctx: NodeCtx, wire: Wire) -> DsmNode {
-        let page_size = ctx.state().cfg.page_size;
         let race = wire.topo.race.clone();
-        DsmNode { ctx, wire, page_size, race }
+        DsmNode { ctx, wire, race }
     }
 
     /// This node's id (0 is the master).
@@ -79,7 +85,7 @@ impl DsmNode {
         Ok(())
     }
 
-    /// The substrate context (for charging application compute time, raw
+    /// The simulator context (for charging application compute time, raw
     /// sends/receives in tests, and timeouts).
     pub fn ctx(&self) -> &NodeCtx {
         &self.ctx
@@ -93,11 +99,6 @@ impl DsmNode {
     /// The statistics registry.
     pub fn stats(&self) -> &StatsRef {
         &self.wire.topo.stats
-    }
-
-    /// The shared page size.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
@@ -212,13 +213,12 @@ impl DsmNode {
     /// Read a typed value from the shared address space.
     pub fn read<T: Pod>(&self, addr: u64) -> Result<T, Stopped> {
         assert!(T::SIZE <= 256, "shared values are limited to 256 bytes");
-        let ps = self.page_size as u64;
-        let off = (addr % ps) as usize;
-        if off + T::SIZE <= self.page_size {
+        let (p, off) = page_of(addr);
+        if off + T::SIZE <= PAGE_SIZE {
             // Single-page fast path: decode straight from the page, no
             // intermediate buffer, no span loop.
             self.race_access(addr, T::SIZE, AccessKind::Read);
-            let buf = self.page_for((addr / ps) as PageId, false)?;
+            let buf = self.page_for(p, false)?;
             return Ok(T::read_from(&buf.slice()[off..off + T::SIZE]));
         }
         let mut buf = [0u8; 256];
@@ -229,11 +229,10 @@ impl DsmNode {
     /// Write a typed value to the shared address space.
     pub fn write<T: Pod>(&self, addr: u64, v: T) -> Result<(), Stopped> {
         assert!(T::SIZE <= 256, "shared values are limited to 256 bytes");
-        let ps = self.page_size as u64;
-        let off = (addr % ps) as usize;
-        if off + T::SIZE <= self.page_size {
+        let (p, off) = page_of(addr);
+        if off + T::SIZE <= PAGE_SIZE {
             self.race_access(addr, T::SIZE, AccessKind::Write);
-            let mut buf = self.page_for((addr / ps) as PageId, true)?;
+            let mut buf = self.page_for(p, true)?;
             v.write_to(&mut buf.slice_mut()[off..off + T::SIZE]);
             return Ok(());
         }
@@ -267,13 +266,11 @@ impl DsmNode {
         write: bool,
         mut f: impl FnMut(&mut [u8], std::ops::Range<usize>),
     ) -> Result<(), Stopped> {
-        let ps = self.page_size as u64;
         let mut off = 0usize;
         while off < len {
-            let a = addr + off as u64;
-            let in_page = (a % ps) as usize;
-            let chunk = ((ps as usize - in_page).min(len - off)).max(1);
-            let mut buf = self.page_for((a / ps) as PageId, write)?;
+            let (p, in_page) = page_of(addr + off as u64);
+            let chunk = ((PAGE_SIZE - in_page).min(len - off)).max(1);
+            let mut buf = self.page_for(p, write)?;
             f(&mut buf.slice_mut()[in_page..in_page + chunk], off..off + chunk);
             off += chunk;
         }

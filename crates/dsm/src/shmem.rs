@@ -24,6 +24,7 @@ use repseq_sim::Stopped;
 use std::marker::PhantomData;
 use std::ops::Range;
 
+use crate::config::{page_of, PAGE_SIZE};
 use crate::interval::PageId;
 use crate::page::PageBuf;
 use crate::pod::Pod;
@@ -118,6 +119,22 @@ impl<T: Pod> PageSliceMut<T> {
         v.write_to(&mut self.run.buf.slice_mut()[off..off + T::SIZE]);
         self.written = true;
     }
+
+    /// Write every element of the run from `vals`, bounds-checked once for
+    /// the run: a loop of [`PageSliceMut::set`] compiles to a per-element
+    /// check or not as the optimizer's inlining falls.
+    fn set_all(&mut self, vals: &[T]) {
+        assert_eq!(vals.len(), self.count, "a run's values are one per element");
+        if let Some(tap) = &self.tap {
+            (0..vals.len()).for_each(|k| tap.element(k, T::SIZE, AccessKind::Write));
+        }
+        let off = self.run.byte_off;
+        let bytes = &mut self.run.buf.slice_mut()[off..][..vals.len() * T::SIZE];
+        for (b, &v) in bytes.chunks_exact_mut(T::SIZE).zip(vals) {
+            v.write_to(b);
+        }
+        self.written = true;
+    }
 }
 
 /// A shared array of `T`.
@@ -149,10 +166,11 @@ impl<T: Pod> ShArray<T> {
         self.len == 0
     }
 
-    /// Address of element `i`.
+    /// Address of element `i`. An index past the end panics: it would
+    /// name the next allocation's bytes.
     #[inline]
     pub fn addr(&self, i: usize) -> u64 {
-        debug_assert!(i < self.len, "index {i} out of bounds ({} elements)", self.len);
+        assert!(i < self.len, "index {i} out of bounds ({} elements)", self.len);
         self.base + (i * T::SIZE) as u64
     }
 
@@ -206,12 +224,11 @@ impl<T: Pod> ShArray<T> {
         mut f: impl FnMut(&mut PageSliceMut<T>) -> Result<(), Stopped>,
     ) -> Result<(), Stopped> {
         assert!(range.start <= range.end && range.end <= self.len);
-        let ps = node.page_size();
         let mut i = range.start;
         while i < range.end {
             let a = self.addr(i);
-            let in_page = (a % ps as u64) as usize;
-            if in_page + T::SIZE > ps {
+            let (p, in_page) = page_of(a);
+            if in_page + T::SIZE > PAGE_SIZE {
                 let mut copy = vec![0u8; T::SIZE];
                 // A read records its access here, and its run has no tap. A
                 // write's pre-fill is runtime bookkeeping, not a program
@@ -229,8 +246,8 @@ impl<T: Pod> ShArray<T> {
                 }
                 i += 1;
             } else {
-                let count = ((ps - in_page) / T::SIZE).min(range.end - i);
-                let buf = node.page_for((a / ps as u64) as PageId, WRITE)?;
+                let count = ((PAGE_SIZE - in_page) / T::SIZE).min(range.end - i);
+                let buf = node.page_for(p, WRITE)?;
                 node.count_run(count);
                 f(&mut PageSliceMut::new(buf, in_page, i, count, node.race_tap(a)))?;
                 i += count;
@@ -258,19 +275,16 @@ impl<T: Pod> ShArray<T> {
         assert!(start + vals.len() <= self.len);
         self.with_slices_mut(node, start..start + vals.len(), |run| {
             let base = run.first_index() - start;
-            for k in 0..run.len() {
-                run.set(k, vals[base + k]);
-            }
+            run.set_all(&vals[base..base + run.len()]);
             Ok(())
         })
     }
 
     /// The page range `[first, last]` the array spans (for the
     /// hand-inserted broadcast ablation).
-    pub fn page_span(&self, page_size: usize) -> (u32, u32) {
-        let first = (self.base / page_size as u64) as u32;
+    pub fn page_span(&self) -> (PageId, PageId) {
         let last_byte = self.base + (self.len * T::SIZE).max(1) as u64 - 1;
-        (first, (last_byte / page_size as u64) as u32)
+        (page_of(self.base).0, page_of(last_byte).0)
     }
 }
 
@@ -286,17 +300,15 @@ impl<T: Pod> ShArray<T> {
 /// what was written: the bytes up to the highest preloaded page. Pages no
 /// preload named read as zeros.
 pub struct SharedSegment {
-    page_size: usize,
     pages: usize,
-    /// The written prefix, whole pages; page `p` at offset `p * page_size`.
+    /// The written prefix, whole pages; page `p` at offset `p * PAGE_SIZE`.
     bytes: Vec<u8>,
 }
 
 impl SharedSegment {
     /// A zero-filled segment of `pages` pages.
-    pub fn new(page_size: usize, pages: usize) -> SharedSegment {
-        assert!(page_size > 0, "page size must be positive");
-        SharedSegment { page_size, pages, bytes: Vec::new() }
+    pub fn new(pages: usize) -> SharedSegment {
+        SharedSegment { pages, bytes: Vec::new() }
     }
 
     /// Number of pages in the segment.
@@ -309,12 +321,12 @@ impl SharedSegment {
     pub fn write(&mut self, addr: u64, src: &[u8]) {
         let end = addr as usize + src.len();
         assert!(
-            end <= self.pages * self.page_size,
+            end <= self.pages * PAGE_SIZE,
             "preload of {addr}..{end} outside the {}-page segment",
             self.pages
         );
         if end > self.bytes.len() {
-            self.bytes.resize(end.next_multiple_of(self.page_size), 0);
+            self.bytes.resize(end.next_multiple_of(PAGE_SIZE), 0);
         }
         self.bytes[addr as usize..end].copy_from_slice(src);
     }
@@ -323,14 +335,14 @@ impl SharedSegment {
     /// allocated).
     pub fn truncate(&mut self, pages: usize) {
         self.pages = pages;
-        self.bytes.truncate(pages * self.page_size);
+        self.bytes.truncate(pages * PAGE_SIZE);
     }
 
     /// The initial image of page `p`, or `None` if it is all zeros (never
     /// written, or outside the segment): the caller zero-fills its slot.
     pub fn page(&self, p: PageId) -> Option<&[u8]> {
-        let off = p as usize * self.page_size;
-        self.bytes.get(off..off + self.page_size).filter(|img| img.iter().any(|&b| b != 0))
+        let off = p as usize * PAGE_SIZE;
+        self.bytes.get(off..off + PAGE_SIZE).filter(|img| img.iter().any(|&b| b != 0))
     }
 }
 
@@ -376,9 +388,9 @@ mod tests {
 
     #[test]
     fn shared_segment_copies_preload_and_zero_fills_the_rest() {
-        let ps = 64;
-        let mut seg = SharedSegment::new(ps, 16);
-        seg.write(2 * ps as u64, &[0xAB; 64]);
+        let ps = PAGE_SIZE;
+        let mut seg = SharedSegment::new(16);
+        seg.write(2 * ps as u64, &[0xAB; PAGE_SIZE]);
         seg.truncate(4);
         assert_eq!(seg.pages(), 4);
         assert!(seg.page(2).unwrap().iter().all(|&b| b == 0xAB));
@@ -389,9 +401,9 @@ mod tests {
 
     #[test]
     fn shared_segment_page_matches_the_preload_exactly() {
-        let ps = 32;
-        let img: Vec<u8> = (0..ps as u8).map(|b| b.wrapping_mul(3) | 1).collect();
-        let mut seg = SharedSegment::new(ps, 8);
+        let ps = PAGE_SIZE;
+        let img: Vec<u8> = (0..ps).map(|b| (b as u8).wrapping_mul(3) | 1).collect();
+        let mut seg = SharedSegment::new(8);
         seg.write(0, &img);
         // A preload may straddle pages: one contiguous copy, no chunking.
         seg.write(5 * ps as u64 - 4, &[7; 8]);
@@ -408,6 +420,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the")]
     fn shared_segment_rejects_out_of_range_preload() {
-        SharedSegment::new(16, 4).write(9 * 16, &[0; 16]);
+        SharedSegment::new(4).write(9 * PAGE_SIZE as u64, &[0; 16]);
     }
 }

@@ -33,7 +33,7 @@ use crate::sync::SyncState;
 /// # use std::sync::Arc;
 /// # use repseq_dsm::{DsmConfig, DsmMsg, NodeState, SharedSegment};
 /// let cfg = DsmConfig::default();
-/// let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
+/// let segment = Arc::new(SharedSegment::new(0));
 /// let mut sim = repseq_sim::Sim::<DsmMsg, NodeState>::new();
 /// let peer = NodeState::new(1, 2, cfg, segment);
 /// sim.set_state(1, peer);
@@ -81,7 +81,7 @@ impl NodeState {
             node,
             n,
             con: Consistency::new(n),
-            data: DataPlane::new(n, cfg.page_size, segment),
+            data: DataPlane::new(n, segment),
             cfg,
             rse: RseState::new(n),
             sync: SyncState::new(),
@@ -100,15 +100,14 @@ pub(crate) mod testutil {
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use crate::config::PAGE_SIZE;
     use crate::diff::Diff;
     use crate::interval::{IntervalRecord, PageId};
     use crate::page::{DiffEntry, DiffRecord};
     use crate::vc::Vc;
 
     pub(crate) fn state(node: NodeId, n: usize) -> NodeState {
-        let cfg = DsmConfig::default();
-        let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
-        NodeState::new(node, n, cfg, segment)
+        NodeState::new(node, n, DsmConfig::default(), Arc::new(SharedSegment::new(0)))
     }
 
     /// Simulate a local write for tests: the write-fault dance plus the
@@ -145,7 +144,7 @@ pub(crate) mod testutil {
         let n = rng.gen_range(2..9usize);
         let mut st = state(rng.gen_range(0..n), n);
         let (mut last, mut seen) = (vec![Vc::zero(n); n], vec![Vc::zero(n)]);
-        let (zeros, mut records) = (vec![0u8; st.cfg.page_size], Vec::<DiffRecord>::new());
+        let (zeros, mut records) = (vec![0u8; PAGE_SIZE], Vec::<DiffRecord>::new());
         for _ in 0..rng.gen_range(1..25usize) {
             let (q, writes) = ((st.node + rng.gen_range(1..n)) % n, rng.gen_range(0..3u8) > 0);
             let ivx = st.con.intervals.known(q) + 1;

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use repseq_sim::Stopped;
 use repseq_stats::NodeId;
 
+use crate::config::{SERVICE_OVERHEAD, SYNC_OVERHEAD};
 use crate::exec::{Step, Task, TaskFn, Waiting};
 use crate::fetch::RetryTimer;
 use crate::interval::PageId;
@@ -69,8 +70,7 @@ impl DsmNode {
         if n > 1 {
             let at =
                 self.multicast(Nodes::Slaves, DsmMsg::ValidNoticeTable { deltas: table.into() });
-            let service = self.ctx.state().cfg.service_overhead;
-            self.sleep_until(at + service * 2)?;
+            self.sleep_until(at + SERVICE_OVERHEAD * 2)?;
         }
         self.stats().on_valid_notice_time(0, self.ctx.now() - t0);
 
@@ -120,7 +120,7 @@ impl DsmNode {
         if n > 1 {
             self.sleep_until(self.multicast(Nodes::Slaves, DsmMsg::SeqGo))?;
         }
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         self.ctx.state().exit_replicated();
         self.race_sync(crate::race::SyncEdge::RseExitDepart);
         Ok(())
@@ -131,7 +131,7 @@ impl DsmNode {
     pub fn end_replicated_slave(&self) -> Result<(), Stopped> {
         assert!(!self.is_master());
         self.race_sync(crate::race::SyncEdge::RseExitArrive);
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         self.send(0, DsmMsg::SeqDone { from: self.node() });
         self.recv_for(Waiting::SeqGo, |env| match env.msg {
             DsmMsg::SeqGo => Step::Done(()),
@@ -184,7 +184,7 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
         // fires §5.4.2 recovery at full strength.
         node.send(0, msg);
     }
-    let mut timer = RetryTimer::from_cfg(&node.ctx.state().cfg);
+    let mut timer = RetryTimer::new(node.ctx.state().cfg.rse_timeout);
     let mut seen_turns = node.ctx.state().rse.chain_turns;
     loop {
         let woken =

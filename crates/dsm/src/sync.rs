@@ -8,6 +8,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use repseq_sim::Stopped;
 use repseq_stats::NodeId;
 
+use crate::config::SYNC_OVERHEAD;
 use crate::exec::{Step, Waiting};
 use crate::interval::IntervalRecord;
 use crate::msg::DsmMsg;
@@ -74,7 +75,7 @@ impl DsmNode {
     pub fn barrier(&self) -> Result<(), Stopped> {
         let node = self.node();
         self.race_sync(SyncEdge::BarrierArrive);
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         {
             let mut st = self.ctx.state();
             st.close_interval();
@@ -91,7 +92,7 @@ impl DsmNode {
             st.exec.master_known = vc;
             c
         };
-        self.ctx.charge(cost + self.sync_cost());
+        self.ctx.charge(cost + SYNC_OVERHEAD);
         self.race_sync(SyncEdge::BarrierDepart);
         Ok(())
     }
@@ -127,7 +128,7 @@ impl DsmNode {
             return Ok(());
         }
         let vc = self.ctx.state().con.vc.clone();
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         let msg = DsmMsg::LockAcquire { lock: l, from: node, vc, forwarded: false };
         self.send(self.lock_manager(l), msg);
         let (records, vc) = self.recv_for(Waiting::Lock(l), |env| match env.msg {
@@ -144,7 +145,7 @@ impl DsmNode {
             st.sync.lock_token.insert(l);
             c
         };
-        self.ctx.charge(cost + self.sync_cost());
+        self.ctx.charge(cost + SYNC_OVERHEAD);
         self.race_sync(SyncEdge::LockAcquire { lock: l });
         Ok(())
     }
@@ -156,7 +157,7 @@ impl DsmNode {
         // The release edge must be recorded before the grant can move the
         // lock anywhere else.
         self.race_sync(SyncEdge::LockRelease { lock: l });
-        self.ctx.charge(self.sync_cost());
+        self.ctx.charge(SYNC_OVERHEAD);
         let mut st = self.ctx.state();
         assert!(st.sync.lock_held.remove(&l), "releasing a lock we do not hold");
         st.close_interval();

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use repseq_dsm::{
     impl_pod_struct, AppFn, Cluster, ClusterConfig, DsmMsg, DsmNode, PageId, Pod, SeqMode, ShArray,
-    Vc,
+    Vc, HEAP_PAGES, PAGE_SIZE,
 };
 use repseq_sim::{Dur, SimError, Stopped};
 use repseq_stats::Stats;
@@ -250,15 +250,14 @@ fn large_pod_values_roundtrip() {
 /// The shared-heap allocator respects alignment and rejects exhaustion.
 #[test]
 fn allocator_alignment_and_exhaustion() {
-    let mut cfg = ClusterConfig::paper(2);
-    cfg.dsm.heap_pages = 4; // 16 KB heap
-    let mut cl = Cluster::new(cfg, Stats::new(2));
+    let mut cl = cluster(2);
     let a: ShArray<u64> = cl.alloc_array(10);
     assert_eq!(a.addr(0) % 8, 0);
     let b: ShArray<u8> = cl.alloc_array_page_aligned(100);
-    assert_eq!(b.addr(0) % 4096, 0);
+    assert_eq!(b.addr(0) % PAGE_SIZE as u64, 0);
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let _c: ShArray<u64> = cl.alloc_array(10_000); // 80 KB > 16 KB heap
+        // An allocation is address space only: nothing is touched.
+        let _c: ShArray<u8> = cl.alloc_array(HEAP_PAGES * PAGE_SIZE); // past the heap
     }));
     assert!(r.is_err(), "heap exhaustion must panic with a clear message");
 }
@@ -291,15 +290,34 @@ fn bulk_ranges_roundtrip() {
     assert!(*ok.lock().unwrap());
 }
 
+/// An index one past the end panics in every build, release included,
+/// through an access and through a preload: it would name the bytes of the
+/// next allocation.
+#[test]
+#[should_panic(expected = "index 4 out of bounds (4 elements)")]
+fn an_index_past_the_end_panics_in_every_build() {
+    let mut cl = cluster(2);
+    let arr: ShArray<u64> = cl.alloc_array(4);
+    let _next: ShArray<u64> = cl.alloc_array(4);
+    let (_, outcome) = cl.launch_master(move |node| arr.get(node, 4));
+    assert!(
+        matches!(outcome.result, Err(SimError::ProcessPanicked { .. })),
+        "a get past the end must panic"
+    );
+    let mut cl = cluster(2);
+    let arr: ShArray<u64> = cl.alloc_array(4);
+    cl.preload_at(arr, 4, 1);
+}
+
 /// Page-span helper used by the broadcast ablation.
 #[test]
 fn page_span_covers_array() {
     let mut cl = cluster(2);
     let arr: ShArray<u64> = cl.alloc_array_page_aligned(1024); // exactly 2 pages
-    let (first, last) = arr.page_span(4096);
+    let (first, last) = arr.page_span();
     assert_eq!(last - first + 1, 2);
     let one: ShArray<u8> = cl.alloc_array(1);
-    let (f2, l2) = one.page_span(4096);
+    let (f2, l2) = one.page_span();
     assert_eq!(f2, l2);
 }
 
@@ -319,7 +337,6 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
     // Below the ~200 us unicast round trip: the fetch times out and
     // resends before any genuine reply can arrive.
     cfg.dsm.rse_timeout = Dur::from_micros(60);
-    cfg.dsm.rse_max_retries = 30;
     let mut cl = Cluster::new(cfg, Arc::clone(&stats));
     let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
     let drained = Arc::new(Mutex::new(0u64));
@@ -346,7 +363,7 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
             // Forge the straggler: a reply for the page the master is about
             // to fetch, carrying the colliding req_id 1, sent from this
             // *application* pid (pid 3 — not a handler).
-            let page = (x.addr(0) / node.page_size() as u64) as PageId;
+            let page = (x.addr(0) / PAGE_SIZE as u64) as PageId;
             let msg = DsmMsg::DiffReply { page, diffs: Vec::new(), req_id: 1 };
             // The raw send bypasses the network model, so it keeps the
             // minimum cross-node latency (~45 us here) itself; 60 us still
@@ -516,7 +533,7 @@ fn stragglers_naming_collected_history_are_answered_as_stale() {
                 assert_eq!(nd.ctx().state().held(), (0, 0), "node {}", nd.node());
                 Ok(())
             })?;
-            let page = (x.addr(0) / node.page_size() as u64) as PageId;
+            let page = (x.addr(0) / PAGE_SIZE as u64) as PageId;
             let (req_id, req_seq) = (99, 99);
             let (msg, to) = match forged {
                 Forged::Nothing => return Ok(()),
@@ -568,8 +585,8 @@ fn a_late_broadcast_lands(fetched: bool) -> Result<repseq_sim::SimReport, SimErr
     let (_, run) = cl.launch_master(move |node| {
         x.set(node, 0, 42)?;
         node.run_parallel(move |nd| if fetched { read(nd) } else { Ok(()) })?;
-        let page = (x.addr(0) / node.page_size() as u64) as PageId;
-        let data: Arc<[u8]> = vec![0; node.page_size()].into();
+        let page = (x.addr(0) / PAGE_SIZE as u64) as PageId;
+        let data: Arc<[u8]> = vec![0; PAGE_SIZE].into();
         let stale = DsmMsg::PageBroadcast { page, data, vc: Vc::zero(n) };
         // To node 1's handler (pid 1); the raw send bypasses the network
         // model, so it keeps the minimum latency itself.

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use repseq_dsm::{
     Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod, SeqMode,
-    ShArray, SharedSegment, Vc,
+    ShArray, SharedSegment, Vc, PAGE_SIZE,
 };
 use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
@@ -33,9 +33,7 @@ use repseq_stats::{HostCounters, Stats};
 
 /// A hand-built state: no segment, so the page table grows on touch.
 fn mk_state() -> NodeState {
-    let cfg = DsmConfig::default();
-    let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
-    NodeState::new(0, 2, cfg, segment)
+    NodeState::new(0, 2, DsmConfig::default(), Arc::new(SharedSegment::new(0)))
 }
 
 /// Make page `p` a valid, written page (as after a write fault).
@@ -180,7 +178,7 @@ const N: usize = 3;
 fn run_53_bulk() -> Vec<Vec<u64>> {
     let stats = Stats::new(N);
     let mut cl = Cluster::new(ClusterConfig::paper(N), Arc::clone(&stats));
-    let per_page = cl.config().dsm.page_size / 8;
+    let per_page = PAGE_SIZE / 8;
     let len = N * per_page;
     let arr = cl.alloc_array_page_aligned::<u64>(len);
     let out = Arc::new(Mutex::new(vec![Vec::new(); N]));
@@ -333,7 +331,7 @@ enum Span {
 fn run_walk(span: Span, write: bool, bulk: bool) -> (Counts, u64) {
     let stats = Stats::new(2);
     let mut cl = Cluster::new(ClusterConfig::paper(2), Arc::clone(&stats));
-    let ps = cl.config().dsm.page_size;
+    let ps = PAGE_SIZE;
     let per_page = ps / 8;
     let words = cl.alloc_array_page_aligned::<u64>(4 * per_page);
     let triples = cl.alloc_array_page_aligned::<[u64; 3]>(3 * ps / 24);

@@ -22,9 +22,7 @@ const PAGES: u32 = 6;
 
 /// A hand-built state: no segment, so the page table grows on touch.
 fn state() -> NodeState {
-    let cfg = DsmConfig::default();
-    let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
-    NodeState::new(ME, N, cfg, segment)
+    NodeState::new(ME, N, DsmConfig::default(), Arc::new(SharedSegment::new(0)))
 }
 
 /// Write page `p` in an interval of its own: the page's valid notice
@@ -179,7 +177,7 @@ fn a_launched_cluster_never_grows_its_page_tables() {
     let n = 2;
     let (mut cl, _) = cluster(n);
     let arr: ShArray<u64> = cl.alloc_array_page_aligned(3 * 512);
-    let last = arr.page_span(cl.config().dsm.page_size).1;
+    let last = arr.page_span().1;
     let apps: Vec<AppFn> = (0..n)
         .map(|_| {
             Box::new(move |nd: DsmNode| {
@@ -280,7 +278,7 @@ fn a_timeout_before_any_reply_probes_the_first_owner_only() {
 
 /// Unicast loss that drops both of a two-owner fetch's first requests, and
 /// later frames of the same fetch: the probes and resends still complete
-/// it within `rse_max_retries` (the run would panic otherwise). Seed pinned
+/// it within `RSE_MAX_RETRIES` (the run would panic otherwise). Seed pinned
 /// by scanning.
 #[test]
 fn a_fetch_whose_first_requests_are_all_dropped_still_completes() {

@@ -7,16 +7,17 @@
 
 use std::sync::Arc;
 
-use repseq_dsm::{DsmConfig, IntervalRecord, NodeState, PageId, SharedSegment, Vc};
+use repseq_dsm::{
+    DsmConfig, IntervalRecord, NodeState, PageId, SharedSegment, Vc, DIFF_CREATE_COST,
+    FAULT_OVERHEAD, TWIN_COST,
+};
 use repseq_sim::Dur;
 
 const P: PageId = 5;
 
 /// Node 0 of two, hand-built: no segment, so the page table grows on touch.
 fn state() -> NodeState {
-    let cfg = DsmConfig::default();
-    let segment = Arc::new(SharedSegment::new(cfg.page_size, 0));
-    NodeState::new(0, 2, cfg, segment)
+    NodeState::new(0, 2, DsmConfig::default(), Arc::new(SharedSegment::new(0)))
 }
 
 /// Write page `P` in an interval of its own and close it, as the fork or
@@ -38,11 +39,10 @@ fn fault_charges(st: &mut NodeState, want: Dur) {
 #[test]
 fn a_clean_page_pays_the_twin_on_its_first_fault_only() {
     let mut st = state();
-    let (fault, twin) = (st.cfg.fault_overhead, st.cfg.twin_cost());
     st.enter_replicated();
-    fault_charges(&mut st, fault + twin);
+    fault_charges(&mut st, FAULT_OVERHEAD + TWIN_COST);
     st.page_mut(P).writable = false;
-    fault_charges(&mut st, fault);
+    fault_charges(&mut st, FAULT_OVERHEAD);
     st.exit_replicated();
     assert!(st.page_mut(P).twin.is_none() && !st.page_mut(P).rse_dirty);
 }
@@ -50,13 +50,12 @@ fn a_clean_page_pays_the_twin_on_its_first_fault_only() {
 #[test]
 fn a_page_dirtied_before_the_section_is_diffed_then_charged_the_twin() {
     let mut st = state();
-    let cfg = st.cfg.clone();
     dirty_before_the_section(&mut st);
     st.enter_replicated();
     assert!(st.page_mut(P).rse_protected);
-    fault_charges(&mut st, cfg.fault_overhead + cfg.diff_create_cost() + cfg.twin_cost());
+    fault_charges(&mut st, FAULT_OVERHEAD + DIFF_CREATE_COST + TWIN_COST);
     assert!(!st.page_mut(P).rse_protected);
-    fault_charges(&mut st, cfg.fault_overhead);
+    fault_charges(&mut st, FAULT_OVERHEAD);
     st.exit_replicated();
     assert_eq!(st.page_data(P)[0], 7, "the pre-section write survives the section");
 }
@@ -67,18 +66,17 @@ fn a_page_dirtied_before_the_section_is_diffed_then_charged_the_twin() {
 #[test]
 fn a_page_whose_pre_section_diff_was_made_pays_the_twin_alone() {
     let mut st = state();
-    let cfg = st.cfg.clone();
     dirty_before_the_section(&mut st);
     st.enter_replicated();
     let mut vc = Vc::zero(2);
     vc.set(1, 1);
     let cost = st.apply_records(vec![IntervalRecord::new(1, 1, vc.clone(), vec![P])], &vc);
-    assert_eq!(cost, cfg.diff_create_cost());
+    assert_eq!(cost, DIFF_CREATE_COST);
     let page = st.page_mut(P);
     assert!(page.twin.is_none() && !page.rse_protected && !page.valid);
     page.valid = true; // as applying node 1's diff would
-    fault_charges(&mut st, cfg.fault_overhead + cfg.twin_cost());
-    fault_charges(&mut st, cfg.fault_overhead);
+    fault_charges(&mut st, FAULT_OVERHEAD + TWIN_COST);
+    fault_charges(&mut st, FAULT_OVERHEAD);
 }
 
 /// Outside a section a write fault still twins: the copy is what its
@@ -86,6 +84,6 @@ fn a_page_whose_pre_section_diff_was_made_pays_the_twin_alone() {
 #[test]
 fn an_ordinary_write_still_twins() {
     let mut st = state();
-    assert_eq!(st.write_fault(P), st.cfg.fault_overhead + st.cfg.twin_cost());
+    assert_eq!(st.write_fault(P), FAULT_OVERHEAD + TWIN_COST);
     assert!(st.page_mut(P).twin.is_some());
 }

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use repseq_dsm::{Cluster, ClusterConfig};
+use repseq_dsm::{Cluster, ClusterConfig, PAGE_SIZE};
 use repseq_stats::{host, Stats};
 
 const N: usize = 4;
@@ -30,7 +30,7 @@ const ROUNDS: u64 = 8;
 fn released_twins_are_reused_and_nothing_else_is_allocated() {
     let stats = Stats::new(N);
     let mut cl = Cluster::new(ClusterConfig::paper(N), Arc::clone(&stats));
-    let per_page = cl.config().dsm.page_size / 8;
+    let per_page = PAGE_SIZE / 8;
     let len = SEG_PAGES as usize * per_page;
     let arr = cl.alloc_array_page_aligned::<u64>(len);
 

@@ -15,5 +15,9 @@ mod config;
 mod loss;
 mod network;
 
-pub use config::{LossConfig, NetConfig};
+pub use config::{
+    min_cross_latency, multicast_wire_time, unicast_wire_time, LossConfig, NetConfig, HEADER_BYTES,
+    HUB_LATENCY, MTU_PAYLOAD, MULTICAST_BW_BPS, RECV_SW_OVERHEAD, SEND_SW_OVERHEAD, SWITCH_LATENCY,
+    UNICAST_BW_BPS,
+};
 pub use network::{LossEvent, Network, Nic};

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use repseq_sim::splitmix64;
 use repseq_stats::MsgClass;
 
 use crate::config::LossConfig;
@@ -64,13 +65,6 @@ impl LossState {
         );
         ((x % 1000) < self.cfg.drop_per_mille as u64, k)
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -21,7 +21,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use repseq_sim::{Pid, SendCtx, SimTime};
 use repseq_stats::{MsgClass, NodeId, StatsRef};
 
-use crate::config::NetConfig;
+use crate::config::{
+    multicast_wire_time, unicast_wire_time, NetConfig, HUB_LATENCY, RECV_SW_OVERHEAD,
+    SEND_SW_OVERHEAD, SWITCH_LATENCY,
+};
 use crate::loss::LossState;
 
 struct Links {
@@ -83,7 +86,7 @@ impl Shared {
 /// the benchmark's ladder drives `Network` and `Nic` from a bare
 /// `Sim::<u64>`, which has no group state.
 pub struct Network {
-    cfg: NetConfig,
+    nodes: usize,
     shared: Mutex<Shared>,
     stats: StatsRef,
 }
@@ -94,6 +97,7 @@ impl Network {
     pub fn new(cfg: NetConfig, stats: StatsRef) -> Arc<Network> {
         let n = cfg.nodes;
         Arc::new(Network {
+            nodes: n,
             shared: Mutex::new(Shared {
                 links: Links {
                     tx_free: vec![SimTime::ZERO; n],
@@ -103,7 +107,6 @@ impl Network {
                 loss: cfg.loss.map(LossState::new),
                 drop_log: Vec::new(),
             }),
-            cfg,
             stats,
         })
     }
@@ -112,11 +115,6 @@ impl Network {
     /// ignored.
     fn shared(&self) -> MutexGuard<'_, Shared> {
         self.shared.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
     }
 
     /// Every frame the loss injector dropped so far, in canonical
@@ -135,7 +133,7 @@ impl Network {
 
     /// A handle for `node` to send through.
     pub fn nic(self: &Arc<Self>, node: NodeId) -> Nic {
-        assert!(node < self.cfg.nodes, "node {node} out of range");
+        assert!(node < self.nodes, "node {node} out of range");
         Nic { node, net: Arc::clone(self) }
     }
 }
@@ -156,11 +154,6 @@ impl Nic {
         self.node
     }
 
-    /// The interconnect configuration.
-    pub fn config(&self) -> &NetConfig {
-        self.net.config()
-    }
-
     /// Send one unicast frame through the switch to the process `dst`
     /// (which belongs to node `dst_node`). Charges the sender's CPU for the
     /// software send overhead; never yields. Returns the delivery time
@@ -178,11 +171,10 @@ impl Nic {
         payload_bytes: u64,
         msg: M,
     ) -> SimTime {
-        let cfg = self.net.config();
-        ctx.charge(cfg.send_sw_overhead);
+        ctx.charge(SEND_SW_OVERHEAD);
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
-        let wire = cfg.unicast_wire_time(payload_bytes);
+        let wire = unicast_wire_time(payload_bytes);
         let (at, dropped) = {
             let mut s = self.net.shared();
             let l = &mut s.links;
@@ -195,12 +187,12 @@ impl Nic {
             } else {
                 // Store-and-forward at the switch, then serialize on the
                 // receiver's output port, which all senders share.
-                let at_port = tx_done + cfg.switch_latency;
+                let at_port = tx_done + SWITCH_LATENCY;
                 let rx_done = at_port.max(l.rx_free[dst_node]) + wire;
                 l.rx_free[dst_node] = rx_done;
                 rx_done
             };
-            let at = deliver_at + cfg.recv_sw_overhead;
+            let at = deliver_at + RECV_SW_OVERHEAD;
             (at, s.dropped(self.node, dst_node, class, at, false))
         };
         if !dropped {
@@ -224,15 +216,14 @@ impl Nic {
         payload_bytes: u64,
         msg: M,
     ) -> SimTime {
-        let cfg = self.net.config();
-        ctx.charge(cfg.send_sw_overhead);
+        ctx.charge(SEND_SW_OVERHEAD);
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
-        let wire = cfg.multicast_wire_time(payload_bytes);
+        let wire = multicast_wire_time(payload_bytes);
         let mut s = self.net.shared();
         let done = now.max(s.links.hub_free) + wire;
         s.links.hub_free = done;
-        let at = done + cfg.hub_latency + cfg.recv_sw_overhead;
+        let at = done + HUB_LATENCY + RECV_SW_OVERHEAD;
         for &(dst_node, dst) in dsts {
             if s.dropped(self.node, dst_node, class, at, true) {
                 continue;

@@ -3,7 +3,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use repseq_net::{LossConfig, NetConfig, Network};
+use repseq_net::{
+    multicast_wire_time, unicast_wire_time, LossConfig, NetConfig, Network, RECV_SW_OVERHEAD,
+    SEND_SW_OVERHEAD, SWITCH_LATENCY,
+};
 use repseq_sim::{Dur, Sim, SimTime};
 use repseq_stats::{MsgClass, Section, Stats};
 
@@ -18,7 +21,7 @@ fn cfg4() -> NetConfig {
 fn uncontended_unicast_latency() {
     let cfg = cfg4();
     let stats = Stats::new(4);
-    let net = Network::new(cfg.clone(), Arc::clone(&stats));
+    let net = Network::new(cfg, Arc::clone(&stats));
     let mut sim = Sim::<u64>::new();
     let nic0 = net.nic(0);
     sim.spawn("sender", move |ctx| {
@@ -34,11 +37,11 @@ fn uncontended_unicast_latency() {
     });
     sim.run().unwrap();
     let expect = SimTime::ZERO
-        + cfg.send_sw_overhead
-        + cfg.unicast_wire_time(1442)
-        + cfg.switch_latency
-        + cfg.unicast_wire_time(1442)
-        + cfg.recv_sw_overhead;
+        + SEND_SW_OVERHEAD
+        + unicast_wire_time(1442)
+        + SWITCH_LATENCY
+        + unicast_wire_time(1442)
+        + RECV_SW_OVERHEAD;
     assert_eq!(*got.lock().unwrap(), expect);
 }
 
@@ -47,7 +50,7 @@ fn uncontended_unicast_latency() {
 fn sender_link_serializes() {
     let cfg = cfg4();
     let stats = Stats::new(4);
-    let net = Network::new(cfg.clone(), stats);
+    let net = Network::new(cfg, stats);
     let mut sim = Sim::<u64>::new();
     let nic0 = net.nic(0);
     sim.spawn("sender", move |ctx| {
@@ -68,7 +71,7 @@ fn sender_link_serializes() {
     }
     sim.run().unwrap();
     let t = times.lock().unwrap();
-    let wire = cfg.unicast_wire_time(1442);
+    let wire = unicast_wire_time(1442);
     // Receiver 2's frame waited for frame 1 on the tx link, then paid the
     // extra send overhead charged before it.
     let gap = t[1] - t[0];
@@ -81,7 +84,7 @@ fn sender_link_serializes() {
 fn convergent_frames_queue_at_receiver_port() {
     let cfg = NetConfig::paper(9);
     let stats = Stats::new(9);
-    let net = Network::new(cfg.clone(), stats);
+    let net = Network::new(cfg, stats);
     let mut sim = Sim::<u64>::new();
     let arrivals = Arc::new(Mutex::new(Vec::<SimTime>::new()));
     let arrivals2 = Arc::clone(&arrivals);
@@ -101,7 +104,7 @@ fn convergent_frames_queue_at_receiver_port() {
     }
     sim.run().unwrap();
     let arrivals = arrivals.lock().unwrap();
-    let wire = cfg.unicast_wire_time(1442);
+    let wire = unicast_wire_time(1442);
     // All 8 senders transmit simultaneously; deliveries must be spaced by
     // at least the wire time of the shared receiver port.
     for pair in arrivals.windows(2) {
@@ -119,7 +122,7 @@ fn convergent_frames_queue_at_receiver_port() {
 fn multicast_reaches_all_counted_once() {
     let cfg = cfg4();
     let stats = Stats::new(4);
-    let net = Network::new(cfg.clone(), Arc::clone(&stats));
+    let net = Network::new(cfg, Arc::clone(&stats));
     stats.set_section(Section::Replicated, SimTime::ZERO);
     let mut sim = Sim::<u64>::new();
     let nic0 = net.nic(0);
@@ -154,7 +157,7 @@ fn multicast_reaches_all_counted_once() {
 fn hub_serializes_multicasts() {
     let cfg = cfg4();
     let stats = Stats::new(4);
-    let net = Network::new(cfg.clone(), stats);
+    let net = Network::new(cfg, stats);
     let mut sim = Sim::<u64>::new();
     for src in [0usize, 1] {
         let nic = net.nic(src);
@@ -174,7 +177,7 @@ fn hub_serializes_multicasts() {
     sim.run().unwrap();
     let arrivals = arrivals.lock().unwrap();
     let gap = arrivals[1] - arrivals[0];
-    let wire = cfg.multicast_wire_time(14_420);
+    let wire = multicast_wire_time(14_420);
     assert!(gap >= wire, "hub must serialize: gap {gap} < {wire}");
 }
 
@@ -184,7 +187,7 @@ fn hub_serializes_multicasts() {
 fn hub_and_switch_are_independent() {
     let cfg = cfg4();
     let stats = Stats::new(4);
-    let net = Network::new(cfg.clone(), stats);
+    let net = Network::new(cfg, stats);
     let mut sim = Sim::<u64>::new();
     let nic0 = net.nic(0);
     sim.spawn("sender", move |ctx| {
@@ -211,7 +214,7 @@ fn hub_and_switch_are_independent() {
 fn loopback_skips_switch() {
     let cfg = cfg4();
     let stats = Stats::new(4);
-    let net = Network::new(cfg.clone(), stats);
+    let net = Network::new(cfg, stats);
     let mut sim = Sim::<u64>::new();
     let nic0 = net.nic(0);
     let at = Arc::new(Mutex::new(SimTime::ZERO));
@@ -223,8 +226,7 @@ fn loopback_skips_switch() {
         Ok(())
     });
     sim.run().unwrap();
-    let expect =
-        SimTime::ZERO + cfg.send_sw_overhead + cfg.unicast_wire_time(100) + cfg.recv_sw_overhead;
+    let expect = SimTime::ZERO + SEND_SW_OVERHEAD + unicast_wire_time(100) + RECV_SW_OVERHEAD;
     assert_eq!(*at.lock().unwrap(), expect);
 }
 
@@ -293,7 +295,7 @@ fn contention_raises_response_time() {
     let n = 32;
     let cfg = NetConfig::paper(n);
     let stats = Stats::new(n);
-    let net = Network::new(cfg.clone(), stats);
+    let net = Network::new(cfg, stats);
     let mut sim = Sim::<(u64, usize)>::new();
 
     // Node 0: a server answering each request with a 4 KB reply.

@@ -49,3 +49,15 @@ pub use error::{SimError, Stopped};
 pub use reactor::{Reactor, ReactorCtx};
 pub use time::{Dur, SimTime};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};
+
+/// The standard 64-bit splitmix finalizer, the workspace's one
+/// deterministic hash: the loss injector's drop decisions and the KV
+/// workload's trace and record values are pure functions of it. Inlined
+/// across crates: KV calls it once per record word.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
