@@ -191,39 +191,40 @@ impl Ilink {
         &self.pedigree
     }
 
-    /// The value of non-zero `k` of `target` given the family rows
-    /// (`rows[m]` holds member `m`'s non-zero cluster).
+    /// The value of non-zero `k` of `target` given the family rows: every
+    /// member's non-zero cluster but `target`'s, in member order, end to
+    /// end (what [`Ilink::read_clusters`] reads).
     #[inline]
-    fn entry_value(fam: &Family, rows: &[Vec<f64>], target: usize, k: usize) -> f64 {
-        let mut val = 1.0f64;
-        for m in 0..fam.members {
-            if m != target {
-                let z = fam.nnz[m];
-                val *= rows[m][(k * 7 + m * 13) % z] + 0.5;
-            }
+    fn entry_value(fam: &Family, rows: &[f64], target: usize, k: usize) -> f64 {
+        let (mut val, mut row) = (1.0f64, 0);
+        for m in (0..fam.members).filter(|&m| m != target) {
+            let z = fam.nnz[m];
+            val *= rows[row + (k * 7 + m * 13) % z] + 0.5;
+            row += z;
         }
         val
     }
 
-    /// Read every member's non-zero cluster from the bank, except
-    /// `skip`'s. [`Ilink::entry_value`] never reads the target member's
-    /// own row, and in the parallel update the workers are concurrently
-    /// writing it — reading it there would be a genuine data race (flagged
-    /// by `repseq-check`'s detector), so the update paths skip it.
+    /// Read every member's non-zero cluster from the bank but `target`'s,
+    /// end to end into one buffer. [`Ilink::entry_value`] never reads the
+    /// target member's own row, and in the parallel update the workers are
+    /// concurrently writing it — reading it there would be a genuine data
+    /// race (flagged by `repseq-check`'s detector), so the update paths
+    /// skip it.
     fn read_clusters(
         nd: &repseq_dsm::DsmNode,
         h: &Handles,
         fam: &Family,
         len: usize,
-        skip: usize,
-    ) -> Result<Vec<Vec<f64>>, Stopped> {
-        let mut rows = Vec::with_capacity(fam.members);
-        for m in 0..fam.members {
-            let mut row = vec![0.0f64; if m == skip { 0 } else { fam.nnz[m] }];
-            if m != skip {
-                h.bank.read_range(nd, m * len + fam.nz_start[m], &mut row)?;
-            }
-            rows.push(row);
+        target: usize,
+    ) -> Result<Vec<f64>, Stopped> {
+        let others = (0..fam.members).filter(|&m| m != target);
+        let mut rows = vec![0.0; others.clone().map(|m| fam.nnz[m]).sum()];
+        let mut row = 0;
+        for m in others {
+            let (start, nnz) = (m * len + fam.nz_start[m], fam.nnz[m]);
+            h.bank.read_range(nd, start, &mut rows[row..row + nnz])?;
+            row += nnz;
         }
         Ok(rows)
     }
@@ -405,8 +406,9 @@ mod tests {
     #[test]
     fn entry_value_reads_every_other_member() {
         let fam = Family { members: 3, nnz: vec![4, 4, 4], nz_start: vec![0, 0, 0] };
-        let rows = vec![vec![1.0; 4], vec![2.0; 4], vec![3.0; 4]];
-        // target 1: product over members 0 and 2: (1+0.5)*(3+0.5)
+        // Target 1: the rows of members 0 and 2, and their product
+        // (1+0.5)*(3+0.5).
+        let rows = [[1.0; 4], [3.0; 4]].concat();
         let v = Ilink::entry_value(&fam, &rows, 1, 0);
         assert!((v - 1.5 * 3.5).abs() < 1e-12);
     }

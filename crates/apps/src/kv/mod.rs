@@ -22,9 +22,11 @@
 //! Both record bodies are page runs, so each page is resolved once and
 //! each slot is a plain load or store. A write copies the record's
 //! `record_slots` values, which the master generates once for every
-//! replica (`ShArray::write_range`); a read folds them
-//! (`ShArray::with_slices`). The faults are the element-wise loop's, and
-//! the race detector and the mapped-access counters see every slot.
+//! replica (`ShArray::write_range`); a read copies them into a buffer
+//! its node reuses (`ShArray::read_range`, in place on a page the node
+//! never stored into) and folds them. The faults are the element-wise
+//! loop's, and the race detector and the mapped-access counters see
+//! every slot.
 
 pub mod layout;
 pub mod trace;
@@ -336,17 +338,11 @@ impl KvStore {
                 team.parallel(move |nd| {
                     nd.race_label("kv::serve_reads");
                     let (me, n) = (nd.node(), nd.n_nodes());
+                    let mut rec = vec![0u64; rs];
                     for idx in (me..reads.len()).step_by(n) {
                         let (rid, key) = reads[idx];
-                        let base = lay.flat(key as usize) * rs;
-                        let mut v = 0u64;
-                        table.with_slices(nd, base..base + rs, |run| {
-                            let j0 = run.first_index() - base;
-                            for k in 0..run.len() {
-                                v ^= run.get(k).rotate_left((j0 + k) as u32);
-                            }
-                            Ok(())
-                        })?;
+                        table.read_range(nd, lay.flat(key as usize) * rs, &mut rec)?;
+                        let v = (0..rs).fold(0u64, |v, j| v ^ rec[j].rotate_left(j as u32));
                         xor.fetch_xor(v ^ splitmix64(rid as u64), Ordering::Relaxed);
                         nd.charge(Dur::from_secs_f64(read_ns * 1e-9));
                         lat.lock().unwrap()[rid] =

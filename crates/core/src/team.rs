@@ -139,10 +139,9 @@ impl<'a> Team<'a> {
 pub trait Worker {
     /// This node's block of `0..total`.
     fn my_block(&self, total: usize) -> Range<usize>;
-    /// Read the whole array into a local buffer. Backed by the page-guard
-    /// walk ([`ShArray::with_slices`]): one read fault per page, elements
-    /// decoded straight from the page bytes. Prefer `with_slices` directly
-    /// when the values are consumed once — it skips this vector too.
+    /// Read the whole array into a local buffer ([`ShArray::read_range`]):
+    /// one read fault per page, elements decoded straight from the page
+    /// bytes, in place for a page this node never stored into.
     fn read_all<T: Pod>(&self, arr: ShArray<T>) -> Result<Vec<T>, DsmStopped>;
 }
 

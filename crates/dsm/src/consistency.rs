@@ -58,8 +58,9 @@ impl NodeState {
         pages.sort_unstable();
         for &p in &pages {
             let page = self.page_mut(p);
-            page.notices.push((node, ivx));
-            page.own_undiffed.push(ivx);
+            let history = page.history_mut();
+            history.notices.push((node, ivx));
+            history.own_undiffed.push(ivx);
             page.written_cur = false;
             page.writable = false;
             // Our copy trivially contains our own writes: advance the valid
@@ -94,7 +95,7 @@ impl NodeState {
             }
             for &p in &data.pages {
                 let page = self.page_mut(p);
-                page.notices.push((owner, ivx));
+                page.history_mut().notices.push((owner, ivx));
                 if page.valid && !page.valid_at.covers(owner, ivx) {
                     // Invalidate. If we have concurrent un-diffed writes,
                     // diff them now so they stay separable (§5.1).
@@ -126,8 +127,8 @@ mod tests {
         assert_eq!(st.con.intervals.known(0), 1);
         assert_eq!(st.con.intervals.get(0, 1).pages, vec![3]);
         let page = st.page_mut(3);
-        assert_eq!(page.notices, vec![(0, 1)]);
-        assert_eq!(page.own_undiffed, vec![1]);
+        assert_eq!(page.history().notices, vec![(0, 1)]);
+        assert_eq!(page.history().own_undiffed, vec![1]);
         assert!(page.valid_at.covers(0, 1));
     }
 
@@ -148,7 +149,7 @@ mod tests {
         st.apply_records(vec![rec], &vc);
         let page = st.page_mut(7);
         assert!(!page.valid);
-        assert_eq!(page.notices, vec![(0, 1)]);
+        assert_eq!(page.history().notices, vec![(0, 1)]);
         assert!(st.con.vc.covers(0, 1));
     }
 
@@ -165,7 +166,7 @@ mod tests {
         assert!(cost > Dur::ZERO, "diff creation must be charged");
         // apply_records closed our interval (ivx 1 of node 1) first.
         let page = st.page_mut(7);
-        assert!(page.diffs.contains_key(&(1, 1)));
+        assert!(page.history().diffs.contains_key(&(1, 1)));
         assert!(!page.valid);
         assert!(page.twin.is_none());
     }
@@ -182,12 +183,12 @@ mod tests {
         st.close_interval();
         assert_eq!(st.con.intervals.get(0, 1).pages, vec![6]);
         assert_eq!(st.con.intervals.get(0, 2).pages, vec![9]);
-        assert_eq!(st.page_mut(6).notices, vec![(0, 1)]);
+        assert_eq!(st.page_mut(6).history().notices, vec![(0, 1)]);
         // And a page re-written later faults again and is re-noticed.
         fake_write(&mut st, 6, 1, 2);
         st.close_interval();
         assert_eq!(st.con.intervals.get(0, 3).pages, vec![6]);
-        assert_eq!(st.page_mut(6).notices, vec![(0, 1), (0, 3)]);
-        assert_eq!(st.page_mut(6).own_undiffed, vec![1, 3]);
+        assert_eq!(st.page_mut(6).history().notices, vec![(0, 1), (0, 3)]);
+        assert_eq!(st.page_mut(6).history().own_undiffed, vec![1, 3]);
     }
 }

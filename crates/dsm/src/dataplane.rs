@@ -3,7 +3,8 @@
 //!
 //! This layer owns *the page table* and the bytes behind it: one
 //! [`PageMeta`] slot per page of the shared segment, indexed by page
-//! number. Materializing pages from the segment, twinning on write faults
+//! number. Mapping reads of untouched pages in place, materializing pages
+//! from the segment, twinning on write faults
 //! (outside replicated sections: a replicated write is diffed by nobody),
 //! lazy diff creation and application and the per-page diff cache happen
 //! here, and every load and store checks the table itself
@@ -18,7 +19,7 @@ use std::time::Instant;
 use repseq_sim::Dur;
 use repseq_stats::{HostCounters, NodeId};
 
-use crate::config::{diff_apply_cost, DIFF_CREATE_COST, FAULT_OVERHEAD, PAGE_SIZE, TWIN_COST};
+use crate::config::{diff_apply_cost, DIFF_CREATE_COST, FAULT_OVERHEAD, TWIN_COST};
 use crate::diff::Diff;
 use crate::interval::PageId;
 use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta, PageStore};
@@ -49,9 +50,11 @@ pub(crate) struct DataPlane {
     /// shared segment, sized at launch. Only a hand-built state (unit
     /// tests: an empty segment) grows it, on first touch.
     pub(crate) pages: Vec<PageMeta>,
-    /// Each page's contents by `PageId`, a slot of `store`; `None` until the
-    /// first read, write or diff application materializes it. Kept apart
-    /// from the public [`PageMeta`], so no handle can reach another node.
+    /// Each page's contents by `PageId`: `None` until the first access, a
+    /// read-only view of the segment ([`SharedSegment::view`]) while the
+    /// node only reads the page, and a slot of `store` from its
+    /// materialization on. Kept apart from the public [`PageMeta`], so no
+    /// handle can reach another node.
     pub(crate) bytes: Vec<Option<PageBuf>>,
     store: PageStore,
     /// Pages with a twin (writes not yet diffed).
@@ -65,8 +68,8 @@ pub(crate) struct DataPlane {
     /// buffers than it once had twins live at a time.
     pub(crate) twin_pool: Vec<Box<[u8]>>,
     /// The cluster's shared segment: the initial image, written before
-    /// the run starts. A slot copies its page out when it first needs
-    /// bytes of its own.
+    /// the run starts. A read maps it in place; a slot copies its page out
+    /// when it first needs bytes of its own.
     pub(crate) segment: Arc<SharedSegment>,
     /// The zero timestamp every untouched slot's `valid_at` shares.
     pub(crate) zero: Vc,
@@ -92,25 +95,39 @@ impl DataPlane {
 use crate::state::NodeState;
 
 impl NodeState {
-    /// The page contents, materialized from the shared segment on first
-    /// touch.
+    /// The page's own contents, materialized from the shared segment.
     pub fn page_data(&mut self, p: PageId) -> &mut [u8] {
         self.page_buf(p).slice_mut()
     }
 
-    /// The handle to the page's slot, handed out and filled from the
-    /// segment's image (or zeros) on first touch. The page guards copy it.
+    /// The handle to the page's own slot, handed out and filled from the
+    /// segment's image (or zeros) when the page is materialized: at its
+    /// first store, diff, broadcast or page guard. The guards copy it.
     pub(crate) fn page_buf(&mut self, p: PageId) -> &mut PageBuf {
         self.page_mut(p);
         let DataPlane { bytes, segment, store, .. } = &mut self.data;
-        bytes[p as usize].get_or_insert_with(|| store.slot(segment.page(p)))
+        let slot = &mut bytes[p as usize];
+        if slot.is_none_or(|buf| segment.is_view(&buf)) {
+            *slot = Some(store.slot(segment.page(p)));
+        }
+        slot.as_mut().expect("materialized above")
+    }
+
+    /// The bytes a load of page `p` reads: its own slot, or the segment's
+    /// view of it in place until it has one. Recorded in the table, so the
+    /// next load maps it.
+    pub(crate) fn page_view(&mut self, p: PageId) -> PageBuf {
+        self.page_mut(p);
+        let DataPlane { bytes, segment, .. } = &mut self.data;
+        *bytes[p as usize].get_or_insert_with(|| segment.view(p))
     }
 
     /// The software MMU's check: the handle to page `p`'s bytes if the
     /// page table maps the access as it stands — the copy is valid,
-    /// materialized, and writable or the access a read. The walk would
-    /// serve each such access without charging anything; any other access
-    /// walks (fault, fetch, materialize).
+    /// mapped, and writable or the access a read (a writable page is
+    /// always the node's own slot). The walk would serve each such access
+    /// without charging anything; any other access walks (fault, fetch,
+    /// map).
     #[inline]
     pub fn mapped(&self, p: PageId, write: bool) -> Option<PageBuf> {
         let page = self.data.pages.get(p as usize)?;
@@ -144,7 +161,7 @@ impl NodeState {
         let timer = Instant::now();
         let diff = Diff::create(&twin, data);
         self.host.diff_created(timer, 2 * data.len() as u64);
-        let ivxs = std::mem::take(&mut page.own_undiffed);
+        let ivxs = std::mem::take(&mut page.history_mut().own_undiffed);
         let written_cur = page.written_cur;
         page.rse_protected = false;
         if written_cur {
@@ -164,9 +181,9 @@ impl NodeState {
             self.data.dirty_pages.retain(|&q| q != p);
         }
         let record = Arc::new(DiffRecord { owner: node, covers: ivxs.clone(), diff });
-        let page = &mut self.data.pages[p as usize];
+        let diffs = &mut self.data.pages[p as usize].history_mut().diffs;
         for ivx in ivxs {
-            let held = page.diffs.insert((node, ivx), Arc::clone(&record));
+            let held = diffs.insert((node, ivx), Arc::clone(&record));
             debug_assert!(held.is_none(), "node {node}: interval {ivx} of page {p} diffed twice");
         }
         cost
@@ -224,7 +241,8 @@ impl NodeState {
     pub(crate) fn needed_notices(&mut self, p: PageId) -> Vec<(NodeId, u32)> {
         let mut buf = self.scratch.notices.take(&mut self.host);
         let page = &*self.page_mut(p);
-        buf.extend(page.notices.iter().copied().filter(|&(o, i)| !page.valid_at.covers(o, i)));
+        let notices = page.history().notices.iter().copied();
+        buf.extend(notices.filter(|&(o, i)| !page.valid_at.covers(o, i)));
         buf
     }
 
@@ -239,7 +257,7 @@ impl NodeState {
     /// parallel, to each last writer).
     pub(crate) fn fetch_plan(&mut self, p: PageId) -> Vec<(NodeId, Vec<u32>)> {
         let needed = self.needed_notices(p);
-        let cached = &self.data.pages[p as usize].diffs;
+        let cached = &self.data.pages[p as usize].history().diffs;
         let mut plan: Vec<(NodeId, Vec<u32>)> = Vec::new();
         for &(owner, ivx) in needed.iter().filter(|&key| !cached.contains_key(key)) {
             match plan.binary_search_by_key(&owner, |e| e.0) {
@@ -258,7 +276,7 @@ impl NodeState {
         let needed = self.needed_notices(p);
         // The records behind the needed notices, once per notice.
         let mut records: Vec<(u64, DiffEntry)> = self.scratch.diff_batch.take(&mut self.host);
-        let cached = &self.data.pages[p as usize].diffs;
+        let cached = &self.data.pages[p as usize].history().diffs;
         for &(owner, ivx) in &needed {
             let rec = cached
                 .get(&(owner, ivx))
@@ -313,7 +331,8 @@ impl NodeState {
             let o = rec.owner;
             valid_at.set(o, valid_at.get(o).max(rec.max_ivx()));
         }
-        page.diffs.retain(|&(o, _), rec| o == node || !valid_at.covers(o, rec.max_ivx()));
+        let diffs = &mut page.history_mut().diffs;
+        diffs.retain(|&(o, _), rec| o == node || !valid_at.covers(o, rec.max_ivx()));
         page.valid = true;
         page.valid_at = valid_at;
         self.mark_valid_changed(p);
@@ -336,7 +355,7 @@ impl NodeState {
             // Forgotten when a replicated section retired the page: a
             // straggler asks, and no node needs it (DESIGN.md §7).
             let collected = page.peers_valid_at.as_ref().is_some_and(|vc| vc.covers(node, ivx));
-            let rec = match page.diffs.get(&(node, ivx)) {
+            let rec = match page.history().diffs.get(&(node, ivx)) {
                 Some(rec) => Arc::clone(rec),
                 None if collected => continue,
                 None => {
@@ -346,7 +365,7 @@ impl NodeState {
                         "node {node}: diff ({p},{ivx}) requested but neither cached nor creatable"
                     );
                     cost += self.create_own_diff(p);
-                    Arc::clone(&self.data.pages[p as usize].diffs[&(node, ivx)])
+                    Arc::clone(&self.data.pages[p as usize].history().diffs[&(node, ivx)])
                 }
             };
             if !out.iter().any(|r| Arc::ptr_eq(r, &rec)) {
@@ -361,8 +380,9 @@ impl NodeState {
     /// key already held is held by the same record: the owner creates one
     /// record per interval and serves it from its cache.
     pub(crate) fn cache_diffs(&mut self, p: PageId, entries: &[DiffEntry]) {
-        let PageMeta { diffs, valid_at, .. } = self.page_mut(p);
+        let PageMeta { history, valid_at, .. } = self.page_mut(p);
         for rec in entries.iter().filter(|rec| !valid_at.covers(rec.owner, rec.max_ivx())) {
+            let diffs = &mut history.get_or_insert_default().diffs;
             for &ivx in &rec.covers {
                 let held = diffs.entry((rec.owner, ivx)).or_insert_with(|| Arc::clone(rec));
                 debug_assert!(Arc::ptr_eq(held, rec), "two records for ({p},{},{ivx})", rec.owner);
@@ -377,46 +397,50 @@ impl NodeState {
     /// few probes rather than after the page's whole history.
     pub(crate) fn can_complete(&mut self, p: PageId) -> bool {
         let page = self.page_mut(p);
-        let (cached, valid_at) = (&page.diffs, &page.valid_at);
-        page.notices
+        let (history, valid_at) = (page.history(), &page.valid_at);
+        history
+            .notices
             .iter()
             .rev()
-            .all(|&(o, i)| valid_at.covers(o, i) || cached.contains_key(&(o, i)))
+            .all(|&(o, i)| valid_at.covers(o, i) || history.diffs.contains_key(&(o, i)))
     }
 
     /// The diff records (each once, however many intervals key it) and the
     /// write notices this node holds, for tests of garbage collection.
     #[doc(hidden)]
     pub fn held(&self) -> (usize, usize) {
-        let pages = self.data.pages.iter();
+        let histories = self.data.pages.iter().map(PageMeta::history);
         let records =
-            pages.clone().flat_map(|pg| pg.diffs.iter()).filter(|(k, r)| k.1 == r.covers[0]);
-        (records.count(), pages.map(|pg| pg.notices.len()).sum())
+            histories.clone().flat_map(|h| h.diffs.iter()).filter(|(k, r)| k.1 == r.covers[0]);
+        (records.count(), histories.map(|h| h.notices.len()).sum())
+    }
+
+    /// The pages this node holds bytes of its own for, and the slots that
+    /// hold a history, for tests of the data plane's footprint.
+    #[doc(hidden)]
+    pub fn footprint(&self) -> (usize, usize) {
+        (self.data.store.len(), self.data.pages.iter().filter(|pg| pg.history.is_some()).count())
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
-    /// the local copy is invalid. Read-only: unlike `page_data`, an
-    /// untouched page is *not* materialized (and a hand-built state's
-    /// table not grown) — the segment's image is copied out instead — so
-    /// inspection never perturbs protocol state.
+    /// the local copy is invalid. Read-only: unlike a load, it records no
+    /// view in the table (and grows no hand-built one) — an untouched
+    /// page's bytes are copied from the segment's view — so inspection
+    /// never perturbs protocol state.
     pub fn inspect_page(&self, p: PageId) -> Option<Vec<u8>> {
-        if self.data.pages.get(p as usize).is_some_and(|pg| !pg.valid) {
+        let DataPlane { pages, bytes, segment, .. } = &self.data;
+        if pages.get(p as usize).is_some_and(|pg| !pg.valid) {
             return None;
         }
-        Some(match self.data.bytes.get(p as usize).and_then(Option::as_ref) {
-            Some(d) => d.slice().to_vec(),
-            None => match self.data.segment.page(p) {
-                Some(img) => img.to_vec(),
-                None => vec![0u8; PAGE_SIZE],
-            },
-        })
+        let buf = bytes.get(p as usize).copied().flatten().unwrap_or_else(|| segment.view(p));
+        Some(buf.slice().to_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DsmConfig;
+    use crate::config::{DsmConfig, PAGE_SIZE};
     use crate::interval::IntervalRecord;
     use crate::state::testutil::{cache_all, fake_write, random_page, state, PAGE};
     use crate::strategy::chain::incorporate_diffs;
@@ -426,7 +450,7 @@ mod tests {
     /// needed notices oldest first, then probe the cache for each.
     fn can_complete_ref(st: &mut NodeState, p: PageId) -> bool {
         let needed = st.needed_notices(p);
-        let cached = &st.data.pages[p as usize].diffs;
+        let cached = &st.data.pages[p as usize].history().diffs;
         let complete = needed.iter().all(|key| cached.contains_key(key));
         st.recycle_notices(needed);
         complete
@@ -439,7 +463,7 @@ mod tests {
         let needed = st.needed_notices(p);
         let mut records: Vec<(u64, DiffEntry)> = Vec::new();
         for &(owner, ivx) in &needed {
-            let rec = st.data.pages[p as usize].diffs.get(&(owner, ivx)).unwrap().clone();
+            let rec = st.data.pages[p as usize].history().diffs[&(owner, ivx)].clone();
             if records.iter().any(|(_, r)| Arc::ptr_eq(r, &rec)) {
                 continue;
             }
@@ -467,9 +491,10 @@ mod tests {
         fn completion_matches_the_reference(seed in 0u64..u64::MAX) {
             let (mut st, records) = random_page(seed);
             let (mut old, old_records) = random_page(seed);
-            let PageMeta { diffs, valid_at, notices, .. } = st.page_mut(PAGE);
-            diffs.retain(|_, rec| !valid_at.covers(rec.owner, rec.max_ivx()));
-            notices.retain(|&(o, i)| !valid_at.covers(o, i));
+            let PageMeta { history, valid_at, .. } = st.page_mut(PAGE);
+            let history = history.get_or_insert_default();
+            history.diffs.retain(|_, rec| !valid_at.covers(rec.owner, rec.max_ivx()));
+            history.notices.retain(|&(o, i)| !valid_at.covers(o, i));
             for (rec, old_rec) in records.iter().zip(&old_records) {
                 proptest::prop_assert_eq!(st.can_complete(PAGE), can_complete_ref(&mut old, PAGE));
                 proptest::prop_assert_eq!(st.fetch_plan(PAGE), old.fetch_plan(PAGE));
@@ -508,7 +533,7 @@ mod tests {
                 st.apply_records(vec![IntervalRecord::new(q, 1, vc.clone(), vec![PAGE])], &vc);
                 base = page;
             }
-            turns[0].push(Arc::clone(&st.page_mut(PAGE).diffs[&(0, 1)]));
+            turns[0].push(Arc::clone(&st.page_mut(PAGE).history().diffs[&(0, 1)]));
             (st, turns)
         };
         let ((mut st, turns), (mut old, old_turns)) = (chain(), chain());
@@ -532,10 +557,11 @@ mod tests {
         // Page stays dirty; second interval re-notices it.
         fake_write(&mut st, 3, 1, 2);
         st.close_interval();
-        assert_eq!(st.page_mut(3).own_undiffed, vec![1, 2]);
+        assert_eq!(st.page_mut(3).history().own_undiffed, vec![1, 2]);
         st.create_own_diff(3);
         let page = st.page_mut(3);
-        assert!(Arc::ptr_eq(&page.diffs[&(0, 1)], &page.diffs[&(0, 2)]));
+        let diffs = &page.history().diffs;
+        assert!(Arc::ptr_eq(&diffs[&(0, 1)], &diffs[&(0, 2)]));
         assert!(page.twin.is_none() && !page.writable);
         assert!(st.data.dirty_pages.is_empty());
     }
@@ -551,7 +577,7 @@ mod tests {
             st.apply_records(vec![rec], &vcfix);
         }
         // Cache one of them: plan must exclude it.
-        st.page_mut(9).diffs.insert(
+        st.page_mut(9).history_mut().diffs.insert(
             (0, 1),
             Arc::new(DiffRecord { owner: 0, covers: vec![1], diff: Diff::default() }),
         );

@@ -326,7 +326,7 @@ impl DsmNode {
                 self.ctx.charge(cost);
                 st = self.ctx.state();
             }
-            let data: Arc<[u8]> = st.page_data(p).to_vec().into();
+            let data: Arc<[u8]> = st.page_view(p).slice().into();
             let msg = DsmMsg::PageBroadcast { page: p, data, vc: st.con.vc.clone() };
             last_delivery = last_delivery.max(self.multicast(Nodes::Slaves, msg));
             sent += 1;

@@ -196,7 +196,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
                     // (Uncovered notices keep it invalid; the next access
                     // demand-fetches exactly those diffs onto this base.)
                     meta.valid =
-                        meta.notices.iter().all(|&(owner, ivx)| meta.valid_at.covers(owner, ivx));
+                        meta.history().notices.iter().all(|&(o, ivx)| meta.valid_at.covers(o, ivx));
                     s.mark_valid_changed(page);
                 }
             }

@@ -2,7 +2,9 @@
 //! the TreadMarks bookkeeping (twin, write notices, valid timestamp,
 //! cached diffs) and the replicated-section columns (§5.4.1 valid notices
 //! of the peers, request and recovery-reply memory). One [`PageMeta`] is
-//! one slot of the table `crate::dataplane` indexes by page number.
+//! one slot of the table `crate::dataplane` indexes by page number; what
+//! every access and fault checks is in the slot, and the page's protocol
+//! history ([`PageHistory`]) behind one pointer.
 
 use std::collections::BTreeMap;
 use std::ptr::NonNull;
@@ -15,9 +17,11 @@ use crate::config::PAGE_SIZE;
 use crate::diff::Diff;
 use crate::vc::Vc;
 
-/// One node's page bytes: one buffer per page, allocated at the page's
-/// first touch and written in full (its image or zeros), so an untouched
-/// page has none and no recycled heap byte ever shows in a page. A buffer
+/// One node's own page bytes: one buffer per page the node stores into,
+/// allocated when the page is materialized (its first store, a diff, a
+/// broadcast or a page guard) and written in full (its image or zeros),
+/// so no recycled heap byte ever shows in a page. A page the node only
+/// reads has none: a read maps the segment's image in place. A buffer
 /// is freed only with the store, and a `Vec`'s buffer stays put as the
 /// `Vec` moves, so a slot stays put for the life of its node.
 #[derive(Default)]
@@ -62,22 +66,31 @@ impl PageStore {
         self.slots.push(bytes);
         buf
     }
+
+    /// The pages this node materialized.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 /// A handle to one page's bytes: a `Copy` (pointer, length) into a slot
-/// of the node's `PageStore`, or into a page guard's own copy of an
-/// element that straddles two pages. The data plane holds one per
-/// materialized page and hands out copies ([`NodeState::mapped`]); outside
-/// this crate a handle is opaque, and inside it only an access in progress
-/// reads through one. A protection change never moves the bytes a handle
-/// points at: it changes the page table, which the next access checks.
+/// of the node's `PageStore`, into the shared segment's image of a page
+/// (or its zero page) that a read maps in place, or into a page guard's
+/// own copy of an element that straddles two pages. The data plane holds
+/// one per page it has mapped and hands out copies
+/// ([`NodeState::mapped`]); outside this crate a handle is opaque, and
+/// inside it only an access in progress reads through one. Nothing writes
+/// through an in-place handle: a store materializes its page first. A
+/// protection change never moves the bytes a handle points at: it
+/// changes the page table, which the next access checks.
 ///
 /// Every handle the crate reads through is outlived by its bytes. A slot
 /// lives as long as its node's `NodeState`, which the simulation drops
 /// after every process has ended (lending it moves a `Box`, never the
-/// slots). Page-run guards are the only holders that outlast one load or
-/// store: a guard lives inside one `with_slices{,_mut}` call, and a
-/// detached guard owns the `Vec` its handle points into.
+/// slots), and so does the segment the state holds. Page-run guards are
+/// the only holders that outlast one load or store: a guard lives inside
+/// one `with_slices{,_mut}` call over a slot of its own, and a detached
+/// guard owns the `Vec` its handle points into.
 ///
 /// [`NodeState::mapped`]: crate::NodeState::mapped
 #[derive(Clone, Copy)]
@@ -100,6 +113,12 @@ impl PageBuf {
         PageBuf { ptr, len: bytes.len() }
     }
 
+    /// A read-only handle to `bytes`, which outlive it (see [`PageBuf`]):
+    /// nothing may write through it.
+    pub(crate) fn image(bytes: &[u8]) -> PageBuf {
+        PageBuf { ptr: NonNull::from(bytes).cast(), len: bytes.len() }
+    }
+
     /// Read access to the page bytes.
     ///
     /// Safety relies on the engine's serialization: exactly one simulated
@@ -113,16 +132,22 @@ impl PageBuf {
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
-    /// Write access to the page bytes, under [`PageBuf::slice`]'s contract.
+    /// Write access to the page bytes, under [`PageBuf::slice`]'s contract,
+    /// through a handle that is not a [`PageBuf::image`]: every store
+    /// resolves a writable page, which is materialized, or a slot it just
+    /// materialized (`NodeState::page_buf`).
     #[inline]
     pub(crate) fn slice_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as in `slice`; no other reference into the page is live.
+        // SAFETY: as in `slice`; no other reference into the page is live,
+        // and the bytes are a slot or a guard's copy, never a shared image.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
 
-/// One node's view of one shared page: its slot of the node's page table,
-/// holding everything the protocol knows about the page.
+/// One node's view of one shared page: its slot of the node's page table.
+/// What every access and fault checks is here; what the protocol
+/// remembers of the page's past is its [`PageHistory`], allocated with
+/// the first entry, so a slot with its byte handle fits one cache line.
 pub struct PageMeta {
     /// The twin saved at the first write since the page was last diffed.
     pub twin: Option<Box<[u8]>>,
@@ -134,12 +159,6 @@ pub struct PageMeta {
     /// was last brought fully up to date. A write notice `(owner, ivx)` is
     /// incorporated in the local copy iff `valid_at.covers(owner, ivx)`.
     pub valid_at: Vc,
-    /// Every write notice known for this page, own and remote.
-    pub notices: Vec<(NodeId, u32)>,
-    /// Own closed intervals that have write notices for this page but no
-    /// diff yet (lazy diff creation). The eventual diff against the twin
-    /// covers all of them.
-    pub own_undiffed: Vec<u32>,
     /// Written during the current (open) interval.
     pub written_cur: bool,
     /// Written during the current replicated sequential section; such
@@ -149,25 +168,43 @@ pub struct PageMeta {
     /// first write inside the section must create the pre-section diff
     /// before the page may change.
     pub rse_protected: bool,
-    /// This page's diff cache, keyed `(owner, interval)`: own records until
-    /// a replicated section retires the page, and remote ones the copy does
-    /// not cover yet (DESIGN.md §7). One record can be keyed under several
-    /// intervals it covers.
-    pub(crate) diffs: BTreeMap<(NodeId, u32), DiffEntry>,
     /// The peers' valid notices for this page (§5.4.1), as exchanged: a
     /// stamp every node is known to hold (section retirement makes the
     /// page valid everywhere at the entry time — common knowledge, stored
-    /// once rather than once per peer) ...
+    /// once rather than once per peer), overridden by what each peer has
+    /// announced since ([`PageHistory::peer_announced`]). See
+    /// [`PageMeta::peer_valid_at`].
     pub(crate) peers_valid_at: Option<Vc>,
-    /// ... overridden by what each peer has announced since, ascending by
-    /// node. See [`PageMeta::peer_valid_at`].
-    pub(crate) peer_announced: Vec<(NodeId, Vc)>,
     /// Own valid notice changed since the last exchange (the page is on
     /// the `RseState::valid_changed` worklist).
     pub(crate) valid_changed: bool,
     /// A multicast request for this page went out in the current
     /// replicated section (worklist: `RseState::requested`).
     pub(crate) requested: bool,
+    /// The page's history; `None` while it has no entry.
+    pub(crate) history: Option<Box<PageHistory>>,
+}
+
+/// What the protocol remembers of one page's past: its write notices and
+/// diffs, the peers' announcements and the recovery-reply memory. A slot
+/// allocates one with its first entry, and a replicated section's
+/// retirement drops it unless it holds a recovery reply (DESIGN.md §7).
+#[derive(Default)]
+pub struct PageHistory {
+    /// Every write notice known for this page, own and remote.
+    pub notices: Vec<(NodeId, u32)>,
+    /// Own closed intervals that have write notices for this page but no
+    /// diff yet (lazy diff creation). The eventual diff against the twin
+    /// covers all of them.
+    pub own_undiffed: Vec<u32>,
+    /// This page's diff cache, keyed `(owner, interval)`: own records until
+    /// a replicated section retires the page, and remote ones the copy does
+    /// not cover yet (DESIGN.md §7). One record can be keyed under several
+    /// intervals it covers.
+    pub(crate) diffs: BTreeMap<(NodeId, u32), DiffEntry>,
+    /// What each peer has announced of its valid notice since the page was
+    /// last retired, ascending by node.
+    pub(crate) peer_announced: Vec<(NodeId, Vc)>,
     /// Owner side (§5.4.2 recovery): the time of the last out-of-band
     /// reply this handler multicast for the page, and the union of the
     /// interval indices those replies served. Recovery replies go to
@@ -183,6 +220,15 @@ pub struct PageMeta {
     pub(crate) oob_reply: Option<(SimTime, Vec<u32>)>,
 }
 
+/// The history of a page that has none.
+static NO_HISTORY: PageHistory = PageHistory {
+    notices: Vec::new(),
+    own_undiffed: Vec::new(),
+    diffs: BTreeMap::new(),
+    peer_announced: Vec::new(),
+    oob_reply: None,
+};
+
 impl PageMeta {
     /// A fresh page view: valid, read-only, holding the initial image.
     /// `zero` is the cluster's zero timestamp; every slot's clone shares
@@ -193,18 +239,24 @@ impl PageMeta {
             writable: false,
             valid: true,
             valid_at: zero,
-            notices: Vec::new(),
-            own_undiffed: Vec::new(),
             written_cur: false,
             rse_dirty: false,
             rse_protected: false,
-            diffs: BTreeMap::new(),
             peers_valid_at: None,
-            peer_announced: Vec::new(),
             valid_changed: false,
             requested: false,
-            oob_reply: None,
+            history: None,
         }
+    }
+
+    /// The page's history (empty if it has none).
+    pub fn history(&self) -> &PageHistory {
+        self.history.as_deref().unwrap_or(&NO_HISTORY)
+    }
+
+    /// The page's history, allocated with its first entry.
+    pub(crate) fn history_mut(&mut self) -> &mut PageHistory {
+        self.history.get_or_insert_default()
     }
 
     /// Node `q`'s valid notice for this page as last exchanged: what `q`
@@ -213,17 +265,19 @@ impl PageMeta {
     /// Every node computes the same answer from the same exchanges, which
     /// is what makes the requester election identical everywhere.
     pub fn peer_valid_at(&self, q: NodeId) -> Option<&Vc> {
-        match self.peer_announced.binary_search_by_key(&q, |e| e.0) {
-            Ok(i) => Some(&self.peer_announced[i].1),
+        let announced = &self.history().peer_announced;
+        match announced.binary_search_by_key(&q, |e| e.0) {
+            Ok(i) => Some(&announced[i].1),
             Err(_) => self.peers_valid_at.as_ref(),
         }
     }
 
     /// Record node `q`'s announced valid notice (a valid-notice exchange).
     pub(crate) fn announce_peer_valid(&mut self, q: NodeId, vc: Vc) {
-        match self.peer_announced.binary_search_by_key(&q, |e| e.0) {
-            Ok(i) => self.peer_announced[i].1 = vc,
-            Err(i) => self.peer_announced.insert(i, (q, vc)),
+        let announced = &mut self.history_mut().peer_announced;
+        match announced.binary_search_by_key(&q, |e| e.0) {
+            Ok(i) => announced[i].1 = vc,
+            Err(i) => announced.insert(i, (q, vc)),
         }
     }
 }
@@ -232,22 +286,23 @@ impl std::fmt::Debug for PageMeta {
     /// The whole slot on one line for failure reports: twin and diff
     /// payloads are elided to presence and cache keys.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let h = self.history();
         f.debug_struct("PageMeta")
             .field("twin", &self.twin.is_some())
             .field("writable", &self.writable)
             .field("valid", &self.valid)
             .field("valid_at", &self.valid_at)
-            .field("notices", &self.notices)
-            .field("own_undiffed", &self.own_undiffed)
+            .field("notices", &h.notices)
+            .field("own_undiffed", &h.own_undiffed)
             .field("written_cur", &self.written_cur)
             .field("rse_dirty", &self.rse_dirty)
             .field("rse_protected", &self.rse_protected)
-            .field("diffs", &self.diffs.keys().collect::<Vec<_>>())
+            .field("diffs", &h.diffs.keys().collect::<Vec<_>>())
             .field("peers_valid_at", &self.peers_valid_at)
-            .field("peer_announced", &self.peer_announced)
+            .field("peer_announced", &h.peer_announced)
             .field("valid_changed", &self.valid_changed)
             .field("requested", &self.requested)
-            .field("oob_reply", &self.oob_reply)
+            .field("oob_reply", &h.oob_reply)
             .finish()
     }
 }

@@ -5,6 +5,7 @@
 //! (fork/join) and [`crate::strategy`] (sequential-section execution) — as
 //! further `impl DsmNode` blocks.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use repseq_sim::{Dur, SimTime, Stopped};
@@ -186,14 +187,14 @@ impl DsmNode {
     }
 
     /// The page walk: fault until page `p` is valid (and writable), then
-    /// hand out its slot, materialized.
+    /// hand out its bytes: a store's own slot, or what a load reads.
     fn walk(&self, p: PageId, write: bool) -> Result<PageBuf, Stopped> {
         loop {
             {
                 let mut st = self.ctx.state();
                 let page = st.page_mut(p);
                 if page.valid && (page.writable || !write) {
-                    return Ok(*st.page_buf(p));
+                    return Ok(if write { *st.page_buf(p) } else { st.page_view(p) });
                 }
                 if page.valid {
                     // Write fault: purely local (twin creation, and during
@@ -208,6 +209,14 @@ impl DsmNode {
             // Invalid page: fetch it first.
             self.read_fault(p)?;
         }
+    }
+
+    /// Page `p`'s own slot, materialized if a load mapped the page in
+    /// place: a page guard's closure may store into its page through
+    /// another path and must read the store back. Counts no walk: the
+    /// guard's acquisition counted itself.
+    pub(crate) fn own_page(&self, p: PageId) -> PageBuf {
+        *self.ctx.state().page_buf(p)
     }
 
     /// Read a typed value from the shared address space.
@@ -253,25 +262,24 @@ impl DsmNode {
     /// page guard pre-filling the unwritten bytes of a straddling
     /// element).
     pub(crate) fn read_bytes_quiet(&self, addr: u64, out: &mut [u8]) -> Result<(), Stopped> {
-        self.spans(addr, out.len(), false, |page, at| out[at].copy_from_slice(page))
+        self.spans(addr, out.len(), false, |buf, pg, at| out[at].copy_from_slice(&buf.slice()[pg]))
     }
 
     /// Resolve each page that `len` bytes at `addr` touch, for reading or
-    /// writing, and hand `f` the part of the page in the range and where
-    /// that part sits in it.
+    /// writing, and hand `f` the page, the part of it in the range and
+    /// where that part sits in the range.
     fn spans(
         &self,
         addr: u64,
         len: usize,
         write: bool,
-        mut f: impl FnMut(&mut [u8], std::ops::Range<usize>),
+        mut f: impl FnMut(PageBuf, Range<usize>, Range<usize>),
     ) -> Result<(), Stopped> {
         let mut off = 0usize;
         while off < len {
             let (p, in_page) = page_of(addr + off as u64);
             let chunk = ((PAGE_SIZE - in_page).min(len - off)).max(1);
-            let mut buf = self.page_for(p, write)?;
-            f(&mut buf.slice_mut()[in_page..in_page + chunk], off..off + chunk);
+            f(self.page_for(p, write)?, in_page..in_page + chunk, off..off + chunk);
             off += chunk;
         }
         Ok(())
@@ -287,6 +295,8 @@ impl DsmNode {
     /// where the access was already reported element-wise (a mutable page
     /// guard writing back a straddling element its tap recorded).
     pub(crate) fn write_bytes_quiet(&self, addr: u64, src: &[u8]) -> Result<(), Stopped> {
-        self.spans(addr, src.len(), true, |page, at| page.copy_from_slice(&src[at]))
+        self.spans(addr, src.len(), true, |mut buf, pg, at| {
+            buf.slice_mut()[pg].copy_from_slice(&src[at])
+        })
     }
 }

@@ -71,6 +71,19 @@ impl<T: Pod> PageSlice<T> {
         let off = self.byte_off + k * T::SIZE;
         T::read_from(&self.buf.slice()[off..off + T::SIZE])
     }
+
+    /// Read every element of the run into `out`, bounds-checked once for
+    /// the run: the read twin of [`PageSliceMut::set_all`].
+    fn get_all(&self, out: &mut [T]) {
+        assert_eq!(out.len(), self.count, "a run's values are one per element");
+        if let Some(tap) = &self.tap {
+            (0..out.len()).for_each(|k| tap.element(k, T::SIZE, AccessKind::Read));
+        }
+        let bytes = &self.buf.slice()[self.byte_off..][..out.len() * T::SIZE];
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+            *v = T::read_from(b);
+        }
+    }
 }
 
 /// A write guard over one single-page run of elements: a [`PageSlice`]
@@ -190,14 +203,17 @@ impl<T: Pod> ShArray<T> {
     /// read fault once per page. Elements that straddle a page boundary
     /// are delivered as singleton runs backed by a detached copy (read
     /// through the buffered byte path, exactly like the element-wise
-    /// protocol).
+    /// protocol). A run reads the node's own bytes of its page, which the
+    /// guard materializes if a read mapped the page in place: a closure
+    /// that stores into the page (through [`ShArray::set`]) reads its
+    /// store back.
     pub fn with_slices(
         &self,
         node: &DsmNode,
         range: Range<usize>,
         mut f: impl FnMut(&PageSlice<T>) -> Result<(), Stopped>,
     ) -> Result<(), Stopped> {
-        self.runs::<false>(node, range, |run| f(run))
+        self.runs::<false>(node, range, true, |run| f(run))
     }
 
     /// Visit `range` as a sequence of maximal single-page runs, taking the
@@ -212,15 +228,17 @@ impl<T: Pod> ShArray<T> {
         range: Range<usize>,
         f: impl FnMut(&mut PageSliceMut<T>) -> Result<(), Stopped>,
     ) -> Result<(), Stopped> {
-        self.runs::<true>(node, range, f)
+        self.runs::<true>(node, range, true, f)
     }
 
     /// The loop of [`ShArray::with_slices`] (`WRITE` false: a run is only
-    /// read) and [`ShArray::with_slices_mut`].
+    /// read), [`ShArray::with_slices_mut`] and [`ShArray::read_range`]
+    /// (`own` false: a run may read the page in place, as a load does).
     fn runs<const WRITE: bool>(
         &self,
         node: &DsmNode,
         range: Range<usize>,
+        own: bool,
         mut f: impl FnMut(&mut PageSliceMut<T>) -> Result<(), Stopped>,
     ) -> Result<(), Stopped> {
         assert!(range.start <= range.end && range.end <= self.len);
@@ -247,7 +265,10 @@ impl<T: Pod> ShArray<T> {
                 i += 1;
             } else {
                 let count = ((PAGE_SIZE - in_page) / T::SIZE).min(range.end - i);
-                let buf = node.page_for(p, WRITE)?;
+                let mut buf = node.page_for(p, WRITE)?;
+                if own && !WRITE {
+                    buf = node.own_page(p);
+                }
                 node.count_run(count);
                 f(&mut PageSliceMut::new(buf, in_page, i, count, node.race_tap(a)))?;
                 i += count;
@@ -257,14 +278,13 @@ impl<T: Pod> ShArray<T> {
     }
 
     /// Read a contiguous range into `out` (the fault is taken once per
-    /// page run; elements decode straight from the page bytes).
+    /// page run; elements decode straight from the page bytes, in place
+    /// for a page this node has not stored into).
     pub fn read_range(&self, node: &DsmNode, start: usize, out: &mut [T]) -> Result<(), Stopped> {
         assert!(start + out.len() <= self.len);
-        self.with_slices(node, start..start + out.len(), |run| {
+        self.runs::<false>(node, start..start + out.len(), false, |run| {
             let base = run.first_index() - start;
-            for k in 0..run.len() {
-                out[base + k] = run.get(k);
-            }
+            run.get_all(&mut out[base..base + run.len()]);
             Ok(())
         })
     }
@@ -292,13 +312,14 @@ impl<T: Pod> ShArray<T> {
 /// cluster's entire shared address space, holding the preloaded initial
 /// image — once per cluster. `Cluster::preload_*` write straight into it,
 /// launch cuts it to the allocated size, and every node holds the same
-/// `Arc<SharedSegment>`, copying a page out of it the first time it needs
-/// bytes of its own — the analogue of the `mmap`'d segment a real DSM
-/// carves its pages out of.
+/// `Arc<SharedSegment>`: a node reads a page it has not stored into in
+/// place ([`SharedSegment::view`]) and copies it out the first time it
+/// needs bytes of its own — the analogue of the `mmap`'d segment a real
+/// DSM carves its pages out of.
 ///
 /// Like that `mmap`, the segment has an extent (`pages`) and backs only
 /// what was written: the bytes up to the highest preloaded page. Pages no
-/// preload named read as zeros.
+/// preload named read as zeros, from one shared zero page.
 pub struct SharedSegment {
     pages: usize,
     /// The written prefix, whole pages; page `p` at offset `p * PAGE_SIZE`.
@@ -341,10 +362,29 @@ impl SharedSegment {
     /// The initial image of page `p`, or `None` if it is all zeros (never
     /// written, or outside the segment): the caller zero-fills its slot.
     pub fn page(&self, p: PageId) -> Option<&[u8]> {
+        self.image(p).filter(|img| img.iter().any(|&b| b != 0))
+    }
+
+    fn image(&self, p: PageId) -> Option<&[u8]> {
         let off = p as usize * PAGE_SIZE;
-        self.bytes.get(off..off + PAGE_SIZE).filter(|img| img.iter().any(|&b| b != 0))
+        self.bytes.get(off..off + PAGE_SIZE)
+    }
+
+    /// A read-only handle to page `p`'s initial image in place, or to the
+    /// zero page: what a node reads of a page it holds no bytes of.
+    pub(crate) fn view(&self, p: PageId) -> PageBuf {
+        PageBuf::image(self.image(p).unwrap_or(&ZERO_PAGE))
+    }
+
+    /// True if `buf` is a [`SharedSegment::view`], not a node's own slot.
+    pub(crate) fn is_view(&self, buf: &PageBuf) -> bool {
+        let at = buf.slice().as_ptr();
+        at == ZERO_PAGE.as_ptr() || self.bytes.as_ptr_range().contains(&at)
     }
 }
+
+/// The bytes of every page no preload named, until a node stores into it.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 /// A single shared variable.
 pub struct ShVar<T: Pod> {

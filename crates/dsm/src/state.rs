@@ -125,7 +125,7 @@ pub(crate) mod testutil {
     /// the copy covers it or not: a cache that collects nothing.
     pub(crate) fn cache_all(st: &mut NodeState, rec: &DiffEntry) {
         for &ivx in &rec.covers {
-            st.page_mut(PAGE).diffs.insert((rec.owner, ivx), Arc::clone(rec));
+            st.page_mut(PAGE).history_mut().diffs.insert((rec.owner, ivx), Arc::clone(rec));
         }
     }
 

@@ -163,7 +163,7 @@ impl NodeState {
         // Replies multicast in an earlier section may not cover the diffs
         // this section's faults will ask for.
         for p in self.rse.oob_replied.drain(..) {
-            self.data.pages[p as usize].oob_reply = None;
+            self.data.pages[p as usize].history_mut().oob_reply = None;
         }
         for &p in &self.data.dirty_pages {
             let page = &mut self.data.pages[p as usize];
@@ -200,26 +200,36 @@ impl NodeState {
             // none) and every record a copy ever applied.
             debug_assert!(page.valid_at.dominated_by(&entry), "page {p} valid past the entry");
             debug_assert!(
-                page.notices.iter().all(|&(o, i)| entry.covers(o, i))
-                    && page.diffs.values().all(|r| entry.covers(r.owner, r.max_ivx())),
+                page.history().notices.iter().all(|&(o, i)| entry.covers(o, i))
+                    && page.history().diffs.values().all(|r| entry.covers(r.owner, r.max_ivx())),
                 "page {p} holds a notice or record past the entry"
             );
             page.writable = false;
             page.rse_dirty = false;
             page.valid = true;
-            page.valid_at = entry.clone();
+            page.valid_at.assign(&entry);
             // Every node executed the same writes at the same vector time,
             // so the page is valid on *every* node at `entry`: common
             // knowledge, kept as the one stamp every peer holds rather than
             // re-announced by all n nodes at the next exchange (at hundreds
             // of nodes those notices dominated its traffic). No copy falls
             // below `entry` again, so no node can want a notice or record
-            // it holds, and every node forgets them all (DESIGN.md §7).
-            page.notices.clear();
-            page.diffs.clear();
+            // it holds, and every node forgets them all (DESIGN.md §7): the
+            // history goes, unless it holds a recovery reply, which the
+            // next entry clears (a retired page has no undiffed interval).
+            match page.history.as_deref_mut() {
+                Some(history) if history.oob_reply.is_some() => {
+                    history.notices.clear();
+                    history.diffs.clear();
+                    history.peer_announced.clear();
+                }
+                _ => page.history = None,
+            }
             page.valid_changed = false;
-            page.peers_valid_at = Some(entry.clone());
-            page.peer_announced.clear();
+            match &mut page.peers_valid_at {
+                Some(stamp) => stamp.assign(&entry),
+                none => *none = Some(entry.clone()),
+            }
         }
         self.rse.waiting_page = None;
         for p in self.rse.requested.drain(..) {
@@ -254,7 +264,7 @@ impl NodeState {
         window: Dur,
     ) -> bool {
         self.page_mut(page);
-        let reply = &mut self.data.pages[page as usize].oob_reply;
+        let reply = &mut self.data.pages[page as usize].history_mut().oob_reply;
         if let Some((at, served)) = reply {
             if now - *at <= window && ivxs.iter().all(|i| served.contains(i)) {
                 return false;
@@ -327,7 +337,7 @@ impl NodeState {
         // any notice requests.
         let mut requester = n;
         let mut wanted: Vec<(NodeId, u32)> = Vec::new();
-        for &(o, i) in &page.notices {
+        for &(o, i) in &page.history().notices {
             if let Some(q) = stamps.iter().position(|vc| !vc.covers(o, i)) {
                 requester = requester.min(q);
                 wanted.push((o, i));
@@ -388,7 +398,7 @@ mod tests {
         for q in 0..st.n {
             let own = &page.valid_at;
             let valid_q = if q == st.node { own } else { page.peer_valid_at(q).unwrap_or(zero) };
-            for &(o, i) in page.notices.iter().filter(|&&(o, i)| !valid_q.covers(o, i)) {
+            for &(o, i) in page.history().notices.iter().filter(|&&(o, i)| !valid_q.covers(o, i)) {
                 requester.get_or_insert(q);
                 if !union.contains(&(o, i)) {
                     union.push((o, i));
@@ -448,7 +458,7 @@ mod tests {
         let page = st.page_mut(8);
         assert!(page.valid && !page.writable && page.twin.is_none());
         assert_eq!(page.valid_at, entry_vc);
-        assert!(page.own_undiffed.is_empty(), "no write notices for replicated writes");
+        assert!(page.history().own_undiffed.is_empty(), "no write notices for replicated writes");
         assert!(!st.data.dirty_pages.contains(&8));
     }
 

@@ -51,6 +51,14 @@ impl Vc {
         }
     }
 
+    /// Make this timestamp `other`, sharing its buffer: free if it already
+    /// does (no count to bump, no stamp to drop).
+    pub(crate) fn assign(&mut self, other: &Vc) {
+        if !Arc::ptr_eq(&self.0, &other.0) {
+            self.0 = Arc::clone(&other.0);
+        }
+    }
+
     /// Pairwise maximum (the merge performed at an acquire).
     pub fn merge(&mut self, other: &Vc) {
         debug_assert_eq!(self.0.len(), other.0.len());

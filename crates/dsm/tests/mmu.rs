@@ -21,8 +21,8 @@
 use std::sync::{Arc, Mutex};
 
 use repseq_dsm::{
-    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageId, Pod, SeqMode,
-    ShArray, SharedSegment, Vc, PAGE_SIZE,
+    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageBuf, PageId,
+    PageMeta, Pod, SeqMode, ShArray, SharedSegment, Vc, PAGE_SIZE,
 };
 use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
@@ -252,6 +252,123 @@ fn replicated_bulk_writes_take_the_53_fault_path() {
             "node {node}: replicated guard writes must fault (§5.3 pre-section diff)"
         );
     }
+}
+
+// ---------------------------------------------------------------
+// A node holds only the pages it writes
+// ---------------------------------------------------------------
+
+/// What every access and fault checks fits one cache line: the slot and
+/// the handle to its bytes.
+#[test]
+fn a_slot_with_its_handle_fits_one_cache_line() {
+    const { assert!(size_of::<PageMeta>() + size_of::<Option<PageBuf>>() <= 64) }
+}
+
+const WORDS: usize = PAGE_SIZE / 8;
+
+/// A two-node cluster with two two-page arrays of `u64`: `loaded`,
+/// preloaded with `image()`, and `blank`, never written. The master runs
+/// `master` alone, given both arrays.
+fn run_on_images<T: Send + 'static>(
+    master: impl FnOnce(&DsmNode, ShArray<u64>, ShArray<u64>) -> Result<T, Stopped> + Send + 'static,
+) -> T {
+    let mut cl = Cluster::new(ClusterConfig::paper(2), Stats::new(2));
+    let loaded = cl.alloc_array_page_aligned::<u64>(2 * WORDS);
+    let blank = cl.alloc_array_page_aligned::<u64>(2 * WORDS);
+    cl.preload(loaded, &image());
+    let (out, launched) = cl.launch_master(move |node| master(node, loaded, blank));
+    launched.result.expect("simulation must complete");
+    out.unwrap()
+}
+
+/// The preloaded values of `loaded`.
+fn image() -> Vec<u64> {
+    (0..2 * WORDS as u64).map(|i| i * 3 + 1).collect()
+}
+
+/// The pages this node holds bytes of its own for.
+fn own_pages(node: &DsmNode) -> usize {
+    node.ctx().state().footprint().0
+}
+
+/// Every copying read — `read`, `read_bytes` across a page boundary and
+/// `read_range` (which `Worker::read_all` is) — of a preloaded page and of
+/// a page nobody wrote returns its bytes, and the reader gets no slot:
+/// each read maps the segment's image, or the zero page, in place.
+#[test]
+fn copying_reads_of_unwritten_pages_materialize_no_slot() {
+    let owned = run_on_images(|node, loaded, blank| {
+        for (arr, want) in [(loaded, image()), (blank, vec![0; 2 * WORDS])] {
+            assert_eq!(node.read::<u64>(arr.addr(5))?, want[5]);
+            let mut bytes = [0u8; 16];
+            node.read_bytes(arr.addr(WORDS - 1), &mut bytes)?;
+            assert_eq!(bytes[..8], want[WORDS - 1].to_le_bytes());
+            assert_eq!(bytes[8..], want[WORDS].to_le_bytes());
+            let mut out = vec![7; 2 * WORDS];
+            arr.read_range(node, 0, &mut out)?;
+            assert_eq!(out, want);
+        }
+        Ok(own_pages(node))
+    });
+    assert_eq!(owned, 0, "a read materialized a page");
+}
+
+/// The first store into a page read in place materializes that page and
+/// no other: its slot holds the image plus the store.
+#[test]
+fn the_first_store_materializes_exactly_its_page() {
+    let (before, after, page) = run_on_images(|node, loaded, _| {
+        let mut all = vec![0; 2 * WORDS];
+        loaded.read_range(node, 0, &mut all)?;
+        let before = own_pages(node);
+        loaded.set(node, 9, 1000)?;
+        let after = own_pages(node);
+        loaded.read_range(node, 0, &mut all)?;
+        Ok((before, after, all))
+    });
+    assert_eq!((before, after), (0, 1), "the store materializes its page alone");
+    let mut want = image();
+    want[9] = 1000;
+    assert_eq!(page, want);
+}
+
+/// A diff fetched for a page this node never read applies over the
+/// segment's image: node 1 stores into the preloaded page, and the
+/// master's first read of it sees the image with that store.
+#[test]
+fn a_diff_for_a_never_read_page_applies_over_the_image() {
+    let page = run_on_images(|node, loaded, _| {
+        node.run_parallel(move |nd| {
+            if nd.node() == 1 {
+                loaded.set(nd, 11, 77)?;
+            }
+            Ok(())
+        })?;
+        let mut all = vec![0; WORDS];
+        loaded.read_range(node, 0, &mut all)?;
+        Ok(all)
+    });
+    let mut want = image();
+    want[11] = 77;
+    assert_eq!(page, want[..WORDS]);
+}
+
+/// A read guard is over the node's own bytes of its page: a closure that
+/// stores into the same page through the MMU reads its store back. A
+/// guard over the image in place would still read the preloaded value.
+#[test]
+fn a_read_guard_reads_back_a_store_into_its_own_page() {
+    let seen = run_on_images(|node, loaded, _| {
+        let mut seen = 0;
+        loaded.with_slices(node, 0..WORDS, |run| {
+            loaded.set(node, 3, 99)?;
+            seen = run.get(3);
+            Ok(())
+        })?;
+        Ok(seen)
+    });
+    assert_eq!(seen, 99, "the guard read the image, not the page it stored into");
 }
 
 // ---------------------------------------------------------------

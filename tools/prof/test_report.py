@@ -77,6 +77,18 @@ class Layers(unittest.TestCase):
         outer = frames[frames.index("repseq_dsm::shmem::ShArray<T>::with_slices_mut"):]
         self.assertEqual(report.charge(outer, RULES), ("data plane", None))
 
+    def test_a_libc_leaf_is_classified_by_its_libc_callers(self):
+        # `timer_settime` is no allocator function: a leaf of that name
+        # sits inside the allocator, and is counted by the first frame
+        # among its libc callers that names a sub-row.
+        leaves = [(want, frames) for want, frames in fixture()
+                  if frames[0] == "libc.so.6:timer_settime"]
+        self.assertGreaterEqual(len(leaves), 2)
+        for want, frames in leaves:
+            self.assertEqual(want[1], "allocator", frames)
+            self.assertEqual(report.charge(frames, RULES), want)
+            self.assertIsNone(report.charge(frames[:1], RULES)[1])
+
     def test_a_std_mutex_is_its_callers(self):
         want, frames = fixture_with("<std::sys::sync::mutex::futex::Mutex>::lock")
         self.assertEqual(want, ("kernel", None))
