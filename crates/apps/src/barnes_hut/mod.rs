@@ -25,6 +25,23 @@ use repseq_sim::Dur;
 use plummer::plummer_model;
 use tree::{force_on, Cell, Octree};
 
+/// Opening criterion.
+const THETA: f64 = 1.0;
+/// Integration step.
+const DT: f64 = 0.025;
+/// Softening (squared).
+const EPS2: f64 = 0.05 * 0.05;
+/// Modeled cost of one body-cell interaction (the dominant term; tuned so
+/// full-scale sequential execution lands near the paper's 359 s, see
+/// EXPERIMENTS.md).
+const INTERACTION_NS: f64 = 2300.0;
+/// Modeled cost per level descended during tree insertion.
+const DESCENT_NS: f64 = 450.0;
+/// Modeled cost per cell created / COM accumulated.
+const CELL_NS: f64 = 700.0;
+/// Modeled cost of one kinematic update.
+const UPDATE_NS: f64 = 300.0;
+
 /// Barnes-Hut experiment parameters.
 #[derive(Debug, Clone)]
 pub struct BhConfig {
@@ -32,41 +49,14 @@ pub struct BhConfig {
     pub n_bodies: usize,
     /// Timesteps (the paper runs 2).
     pub timesteps: usize,
-    /// Opening criterion.
-    pub theta: f64,
-    /// Integration step.
-    pub dt: f64,
-    /// Softening (squared).
-    pub eps2: f64,
     /// Initial-condition seed.
     pub seed: u64,
-    /// Modeled cost of one body-cell interaction (the dominant term; tuned
-    /// so full-scale sequential execution lands near the paper's 359 s,
-    /// see EXPERIMENTS.md).
-    pub interaction_ns: f64,
-    /// Modeled cost per level descended during tree insertion.
-    pub descent_ns: f64,
-    /// Modeled cost per cell created / COM accumulated.
-    pub cell_ns: f64,
-    /// Modeled cost of one kinematic update.
-    pub update_ns: f64,
 }
 
 impl BhConfig {
     /// Paper-scale configuration (131072 bodies, 2 timesteps).
     pub fn paper() -> BhConfig {
-        BhConfig {
-            n_bodies: 131_072,
-            timesteps: 2,
-            theta: 1.0,
-            dt: 0.025,
-            eps2: 0.05 * 0.05,
-            seed: 20010618,
-            interaction_ns: 2300.0,
-            descent_ns: 450.0,
-            cell_ns: 700.0,
-            update_ns: 300.0,
-        }
+        BhConfig { n_bodies: 131_072, timesteps: 2, seed: 20010618 }
     }
 
     /// Laptop-scale configuration preserving the paper's shape.
@@ -141,16 +131,14 @@ impl BarnesHut {
 
     /// Execute the simulation on a team; returns the deterministic result.
     pub fn run(&self, team: &Team) -> Result<BhResult, Stopped> {
-        let cfg = self.cfg.clone();
         let h = self.h;
-        let n = cfg.n_bodies;
+        let n = self.cfg.n_bodies;
         let n_nodes = team.node().n_nodes();
         assert!(n_nodes < h.bounds.len(), "bounds array sized for {} nodes", h.bounds.len() - 1);
 
         team.start_measurement();
-        for _step in 0..cfg.timesteps {
+        for _step in 0..self.cfg.timesteps {
             // ---- sequential section: tree build (§6.1.1) ----
-            let cfgq = cfg.clone();
             let (c_first, c_last) = h.cells.page_span();
             let (o_first, o_last) = h.order.page_span();
             let (b_first, b_last) = h.bounds.page_span();
@@ -168,8 +156,8 @@ impl BarnesHut {
                     let work = nd.read_all(h.work)?;
                     let t = Octree::build(&pos, &mass);
                     nd.charge(Dur::from_secs_f64(
-                        (t.stats.descents as f64 * cfgq.descent_ns
-                            + t.stats.cells_created as f64 * cfgq.cell_ns)
+                        (t.stats.descents as f64 * DESCENT_NS
+                            + t.stats.cells_created as f64 * CELL_NS)
                             * 1e-9,
                     ));
                     assert!(t.cells.len() <= h.cells.len(), "cell pool exhausted");
@@ -188,7 +176,6 @@ impl BarnesHut {
             )?;
 
             // ---- parallel section: force evaluation ----
-            let cfgq = cfg.clone();
             team.parallel(move |nd| {
                 nd.race_label("bh::forces");
                 let me = nd.node();
@@ -206,9 +193,8 @@ impl BarnesHut {
                 h.order.with_slices(nd, lo..hi, |run| {
                     for j in 0..run.len() {
                         let b = run.get(j) as usize;
-                        let (acc, inter) =
-                            force_on(&cells, n, &pos, &mass, b, cfgq.theta, cfgq.eps2);
-                        nd.charge(Dur::from_secs_f64(inter as f64 * cfgq.interaction_ns * 1e-9));
+                        let (acc, inter) = force_on(&cells, n, &pos, &mass, b, THETA, EPS2);
+                        nd.charge(Dur::from_secs_f64(inter as f64 * INTERACTION_NS * 1e-9));
                         h.acc.set(nd, b, acc)?;
                         h.work.set(nd, b, inter as f64)?;
                     }
@@ -217,7 +203,6 @@ impl BarnesHut {
             })?;
 
             // ---- parallel section: kinematic update of own particles ----
-            let cfgq = cfg.clone();
             team.parallel(move |nd| {
                 nd.race_label("bh::update");
                 let me = nd.node();
@@ -230,12 +215,12 @@ impl BarnesHut {
                         let mut v = h.vel.get(nd, b)?;
                         let mut p = h.pos.get(nd, b)?;
                         for d in 0..3 {
-                            v[d] += a[d] * cfgq.dt;
-                            p[d] += v[d] * cfgq.dt;
+                            v[d] += a[d] * DT;
+                            p[d] += v[d] * DT;
                         }
                         h.vel.set(nd, b, v)?;
                         h.pos.set(nd, b, p)?;
-                        nd.charge(Dur::from_secs_f64(cfgq.update_ns * 1e-9));
+                        nd.charge(Dur::from_secs_f64(UPDATE_NS * 1e-9));
                     }
                     Ok(())
                 })

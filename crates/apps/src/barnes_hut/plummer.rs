@@ -4,8 +4,7 @@
 //! bit-identical inputs on every node, and the experiments demand
 //! reproducible runs.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use repseq_sim::Rng;
 
 /// One body of the N-body system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,7 +18,7 @@ pub struct Body {
 /// Aarseth, Henon & Wielen 1974 rejection scheme), scaled to standard
 /// units. Total mass is 1.
 pub fn plummer_model(n: usize, seed: u64) -> Vec<Body> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut bodies = Vec::with_capacity(n);
     let m = if n > 0 { 1.0 / n as f64 } else { 0.0 };
     // Truncate the outermost orbits so the bounding cube stays sane.
@@ -27,7 +26,7 @@ pub fn plummer_model(n: usize, seed: u64) -> Vec<Body> {
     for _ in 0..n {
         // Radius from the inverse cumulative mass profile.
         let r = loop {
-            let x: f64 = rng.gen_range(1e-8..1.0f64);
+            let x = rng.uniform(1e-8..1.0);
             let r = (x.powf(-2.0 / 3.0) - 1.0).powf(-0.5);
             if r < rmax {
                 break r;
@@ -36,8 +35,8 @@ pub fn plummer_model(n: usize, seed: u64) -> Vec<Body> {
         let pos = sphere_point(&mut rng, r);
         // Velocity magnitude by von Neumann rejection on g(q) = q²(1-q²)^3.5.
         let q = loop {
-            let q: f64 = rng.gen_range(0.0..1.0);
-            let g: f64 = rng.gen_range(0.0..0.1);
+            let q = rng.uniform(0.0..1.0);
+            let g = rng.uniform(0.0..0.1);
             if g < q * q * (1.0 - q * q).powf(3.5) {
                 break q;
             }
@@ -50,11 +49,11 @@ pub fn plummer_model(n: usize, seed: u64) -> Vec<Body> {
 }
 
 /// A uniformly random point on the sphere of radius `r`.
-fn sphere_point(rng: &mut SmallRng, r: f64) -> [f64; 3] {
+fn sphere_point(rng: &mut Rng, r: f64) -> [f64; 3] {
     loop {
-        let x: f64 = rng.gen_range(-1.0..1.0);
-        let y: f64 = rng.gen_range(-1.0..1.0);
-        let z: f64 = rng.gen_range(-1.0..1.0);
+        let x = rng.uniform(-1.0..1.0);
+        let y = rng.uniform(-1.0..1.0);
+        let z = rng.uniform(-1.0..1.0);
         let d2 = x * x + y * y + z * z;
         if d2 > 1e-12 && d2 <= 1.0 {
             let s = r / d2.sqrt();

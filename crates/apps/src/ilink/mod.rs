@@ -30,6 +30,15 @@ use repseq_core::{Stopped, Team};
 use repseq_dsm::{page_of, ShArray, ShVar, PAGE_SIZE};
 use repseq_sim::Dur;
 
+/// Modeled cost per (non-zero entry × family member) in an update: ≈ the
+/// paper's compute rate, 96.8 s of sequential-program parallel-part time
+/// over ~3000 threshold-exceeding updates of ~600 non-zeros × ~6 members.
+const ENTRY_NS: f64 = 9_000.0;
+/// Modeled cost per element of the sequential pool reinitialization.
+const INIT_NS: f64 = 60.0;
+/// Modeled cost per element merged by the master.
+const MERGE_NS: f64 = 120.0;
+
 /// Ilink experiment parameters.
 #[derive(Debug, Clone)]
 pub struct IlinkConfig {
@@ -45,12 +54,6 @@ pub struct IlinkConfig {
     pub threshold: usize,
     /// Pedigree seed.
     pub seed: u64,
-    /// Modeled cost per (non-zero entry × family member) in an update.
-    pub entry_ns: f64,
-    /// Modeled cost per element of the sequential pool reinitialization.
-    pub init_ns: f64,
-    /// Modeled cost per element merged by the master.
-    pub merge_ns: f64,
 }
 
 impl IlinkConfig {
@@ -63,12 +66,6 @@ impl IlinkConfig {
             iterations: 180,
             threshold: 1_000,
             seed: 1994,
-            // ≈ the paper's compute rate: 96.8 s of sequential-program
-            // parallel-part time over ~3000 threshold-exceeding updates of
-            // ~600 non-zeros × ~6 members.
-            entry_ns: 9_000.0,
-            init_ns: 60.0,
-            merge_ns: 120.0,
         }
     }
 
@@ -85,14 +82,7 @@ impl IlinkConfig {
 
     /// Tiny configuration for tests.
     pub fn tiny() -> IlinkConfig {
-        IlinkConfig {
-            n_families: 3,
-            genarray_len: 512,
-            iterations: 2,
-            threshold: 600,
-            seed: 7,
-            ..IlinkConfig::paper()
-        }
+        IlinkConfig { n_families: 3, genarray_len: 512, iterations: 2, threshold: 600, seed: 7 }
     }
 }
 
@@ -231,14 +221,14 @@ impl Ilink {
 
     /// Execute on a team.
     pub fn run(&self, team: &Team) -> Result<IlinkResult, Stopped> {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let h = self.h;
         let n_nodes = team.node().n_nodes();
         assert!(n_nodes <= 64, "contribution buffers sized for 64 nodes");
         let mut parallel_updates = 0u64;
         let mut sequential_updates = 0u64;
         let max_members = self.pedigree.iter().map(|f| f.members).max().unwrap_or(0);
-        let bases = pool_bases(&cfg, max_members);
+        let bases = pool_bases(cfg, max_members);
 
         team.start_measurement();
         for iter in 0..cfg.iterations {
@@ -247,7 +237,7 @@ impl Ilink {
                 // ("the whole pool of genarrays are overwritten by the
                 // master thread", §6.2.1) ----
                 let (members, len) = (fam.members, cfg.genarray_len);
-                let (init_ns, bases) = (cfg.init_ns, Arc::clone(&bases));
+                let bases = Arc::clone(&bases);
                 team.sequential(move |nd| {
                     nd.race_label("ilink::init");
                     // One write fault per page; each replica copies the
@@ -256,7 +246,7 @@ impl Ilink {
                         let x = iter * 31 + fam_id * 7 + m * 3;
                         h.bank.write_range(nd, m * len, &bases[x..x + len])?;
                     }
-                    nd.charge(Dur::from_secs_f64(members as f64 * len as f64 * init_ns * 1e-9));
+                    nd.charge(Dur::from_secs_f64(members as f64 * len as f64 * INIT_NS * 1e-9));
                     Ok(())
                 })?;
 
@@ -264,7 +254,6 @@ impl Ilink {
                 for target in 0..fam.members {
                     let nnz = fam.nnz[target];
                     let work = nnz * fam.members;
-                    let cfgq = cfg.clone();
                     let famq = fam.clone();
                     if work > cfg.threshold {
                         parallel_updates += 1;
@@ -308,7 +297,7 @@ impl Ilink {
                                 k += cnt * stride;
                             }
                             nd.charge(Dur::from_secs_f64(
-                                visited as f64 * famp.members as f64 * cfgq.entry_ns * 1e-9,
+                                visited as f64 * famp.members as f64 * ENTRY_NS * 1e-9,
                             ));
                             Ok(())
                         })?;
@@ -318,7 +307,6 @@ impl Ilink {
                         // replicated execution this read is what multicasts
                         // the previous parallel section's writes to every
                         // node.
-                        let cfgm = cfg.clone();
                         team.sequential(move |nd| {
                             nd.race_label("ilink::merge");
                             let start = famq.nz_start[target];
@@ -329,7 +317,7 @@ impl Ilink {
                             let sum: f64 = vals.iter().sum();
                             let lik = h.likelihood.get(nd)?;
                             h.likelihood.set(nd, lik + sum / (nnz as f64 * famq.members as f64))?;
-                            nd.charge(Dur::from_secs_f64(nnz as f64 * cfgm.merge_ns * 1e-9));
+                            nd.charge(Dur::from_secs_f64(nnz as f64 * MERGE_NS * 1e-9));
                             Ok(())
                         })?;
                     } else {
@@ -348,7 +336,7 @@ impl Ilink {
                             let lik = h.likelihood.get(nd)?;
                             h.likelihood.set(nd, lik + sum / (nnz as f64 * famq.members as f64))?;
                             nd.charge(Dur::from_secs_f64(
-                                nnz as f64 * famq.members as f64 * cfgq.entry_ns * 1e-9,
+                                nnz as f64 * famq.members as f64 * ENTRY_NS * 1e-9,
                             ));
                             Ok(())
                         })?;

@@ -12,6 +12,9 @@ use repseq_core::{Stopped, Team};
 use repseq_dsm::{ShArray, PAGE_SIZE};
 use repseq_sim::Dur;
 
+/// Modeled per-element compute cost in the parallel phase.
+const READ_NS: f64 = 40.0;
+
 /// Kernel parameters.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
@@ -19,13 +22,11 @@ pub struct KernelConfig {
     pub pages: usize,
     /// Iterations.
     pub iters: usize,
-    /// Modeled per-element compute cost in the parallel phase.
-    pub read_ns: f64,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
-        KernelConfig { pages: 16, iters: 4, read_ns: 40.0 }
+        KernelConfig { pages: 16, iters: 4 }
     }
 }
 
@@ -51,9 +52,8 @@ impl ContentionKernel {
     pub fn run(&self, team: &Team) -> Result<u64, Stopped> {
         let data = self.data;
         let sums = self.sums;
-        let cfg = self.cfg.clone();
         team.start_measurement();
-        for it in 0..cfg.iters {
+        for it in 0..self.cfg.iters {
             let stamp = (it as u64 + 1) * 0x9E37;
             team.sequential(move |nd| {
                 data.with_slices_mut(nd, 0..data.len(), |run| {
@@ -64,7 +64,6 @@ impl ContentionKernel {
                     Ok(())
                 })
             })?;
-            let read_ns = cfg.read_ns;
             team.parallel(move |nd| {
                 let mut s = 0u64;
                 data.with_slices(nd, 0..data.len(), |run| {
@@ -73,7 +72,7 @@ impl ContentionKernel {
                     }
                     Ok(())
                 })?;
-                nd.charge(Dur::from_secs_f64(data.len() as f64 * read_ns * 1e-9));
+                nd.charge(Dur::from_secs_f64(data.len() as f64 * READ_NS * 1e-9));
                 sums.set(nd, nd.node(), s)
             })?;
         }

@@ -41,6 +41,13 @@ use repseq_sim::{splitmix64, Dur};
 pub use layout::Layout;
 pub use trace::Request;
 
+/// Reads per 1000 requests (90 % reads).
+const READ_PER_MILLE: u32 = 900;
+/// Modeled service cost of one read.
+const READ_NS: f64 = 1_500.0;
+/// Modeled service cost of one write.
+const WRITE_NS: f64 = 2_500.0;
+
 /// KV-serving experiment parameters.
 #[derive(Debug, Clone)]
 pub struct KvConfig {
@@ -56,8 +63,6 @@ pub struct KvConfig {
     pub record_slots: usize,
     /// Requests in the open-loop trace.
     pub n_requests: usize,
-    /// Reads per 1000 requests (900 = 90 % reads).
-    pub read_per_mille: u32,
     /// Zipfian skew exponent (0 = uniform; ~1 = classic hot-key skew).
     pub zipf_theta: f64,
     /// Open-loop arrival rate, requests per virtual second.
@@ -67,10 +72,6 @@ pub struct KvConfig {
     pub batch: usize,
     /// Trace seed — the only randomness source (no host RNG).
     pub seed: u64,
-    /// Modeled service cost of one read.
-    pub read_ns: f64,
-    /// Modeled service cost of one write.
-    pub write_ns: f64,
 }
 
 impl KvConfig {
@@ -81,13 +82,10 @@ impl KvConfig {
             n_shards: 16,
             record_slots: 256,
             n_requests: 4096,
-            read_per_mille: 900,
             zipf_theta: 0.99,
             arrival_rps: 50_000.0,
             batch: 256,
             seed: 20010618,
-            read_ns: 1_500.0,
-            write_ns: 2_500.0,
         }
     }
 
@@ -229,7 +227,7 @@ impl KvStore {
             cfg.n_requests,
             cfg.n_keys,
             cfg.zipf_theta,
-            cfg.read_per_mille,
+            READ_PER_MILLE,
             cfg.arrival_rps,
         );
         KvStore { cfg, lay, table, trace: Arc::new(trace), trace_hash }
@@ -256,9 +254,8 @@ impl KvStore {
 
     /// Serve the trace on a team; returns the deterministic result.
     pub fn run(&self, team: &Team) -> Result<KvResult, Stopped> {
-        let cfg = self.cfg.clone();
-        let lay = self.lay;
-        let table = self.table;
+        let cfg = &self.cfg;
+        let (lay, table, rs) = (self.lay, self.table, cfg.record_slots);
         let n_req = self.trace.len();
         let latencies: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0u64; n_req]));
         let read_xor = Arc::new(AtomicU64::new(0));
@@ -293,20 +290,18 @@ impl KvStore {
                 }
                 // Every replica writes the same records: generate them
                 // once here, and each node copies them into its pages.
-                let rs = cfg.record_slots;
                 let keys: Vec<u32> = writes.iter().map(|&(_, key, _)| key).collect();
                 let recs: Vec<u64> = writes
                     .iter()
                     .flat_map(|&(_, _, val)| (0..rs as u64).map(move |j| splitmix64(val ^ j)))
                     .collect();
-                let write_ns = cfg.write_ns;
                 team.sequential_broadcasting(
                     move |nd| {
                         nd.race_label(shard_label(s));
                         for (&key, rec) in keys.iter().zip(recs.chunks(rs)) {
                             table.write_range(nd, lay.flat(key as usize) * rs, rec)?;
                         }
-                        nd.charge(Dur::from_secs_f64(keys.len() as f64 * write_ns * 1e-9));
+                        nd.charge(Dur::from_secs_f64(keys.len() as f64 * WRITE_NS * 1e-9));
                         Ok(())
                     },
                     self.shard_pages(s),
@@ -333,8 +328,6 @@ impl KvStore {
                 let lat = Arc::clone(&latencies);
                 let xor = Arc::clone(&read_xor);
                 let tr = Arc::clone(&self.trace);
-                let read_ns = cfg.read_ns;
-                let rs = cfg.record_slots;
                 team.parallel(move |nd| {
                     nd.race_label("kv::serve_reads");
                     let (me, n) = (nd.node(), nd.n_nodes());
@@ -344,7 +337,7 @@ impl KvStore {
                         table.read_range(nd, lay.flat(key as usize) * rs, &mut rec)?;
                         let v = (0..rs).fold(0u64, |v, j| v ^ rec[j].rotate_left(j as u32));
                         xor.fetch_xor(v ^ splitmix64(rid as u64), Ordering::Relaxed);
-                        nd.charge(Dur::from_secs_f64(read_ns * 1e-9));
+                        nd.charge(Dur::from_secs_f64(READ_NS * 1e-9));
                         lat.lock().unwrap()[rid] =
                             nd.ctx().now().since(t0 + tr[rid].arrival).nanos();
                     }

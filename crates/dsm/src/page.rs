@@ -178,9 +178,6 @@ pub struct PageMeta {
     /// Own valid notice changed since the last exchange (the page is on
     /// the `RseState::valid_changed` worklist).
     pub(crate) valid_changed: bool,
-    /// A multicast request for this page went out in the current
-    /// replicated section (worklist: `RseState::requested`).
-    pub(crate) requested: bool,
     /// The page's history; `None` while it has no entry.
     pub(crate) history: Option<Box<PageHistory>>,
 }
@@ -244,7 +241,6 @@ impl PageMeta {
             rse_protected: false,
             peers_valid_at: None,
             valid_changed: false,
-            requested: false,
             history: None,
         }
     }
@@ -301,7 +297,6 @@ impl std::fmt::Debug for PageMeta {
             .field("peers_valid_at", &self.peers_valid_at)
             .field("peer_announced", &h.peer_announced)
             .field("valid_changed", &self.valid_changed)
-            .field("requested", &self.requested)
             .field("oob_reply", &h.oob_reply)
             .finish()
     }

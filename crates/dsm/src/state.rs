@@ -96,8 +96,7 @@ impl NodeState {
 /// Shared helpers for the layer modules' unit tests.
 #[cfg(test)]
 pub(crate) mod testutil {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use repseq_sim::Rng;
 
     use super::*;
     use crate::config::PAGE_SIZE;
@@ -140,24 +139,24 @@ pub(crate) mod testutil {
     /// valid and peer notices; half the records cached, covered or not.
     /// Returns them all.
     pub(crate) fn random_page(seed: u64) -> (NodeState, Vec<DiffEntry>) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let n = rng.gen_range(2..9usize);
-        let mut st = state(rng.gen_range(0..n), n);
+        let mut rng = Rng::new(seed);
+        let n = rng.index(2..9);
+        let mut st = state(rng.index(0..n), n);
         let (mut last, mut seen) = (vec![Vc::zero(n); n], vec![Vc::zero(n)]);
         let (zeros, mut records) = (vec![0u8; PAGE_SIZE], Vec::<DiffRecord>::new());
-        for _ in 0..rng.gen_range(1..25usize) {
-            let (q, writes) = ((st.node + rng.gen_range(1..n)) % n, rng.gen_range(0..3u8) > 0);
+        for _ in 0..rng.index(1..25) {
+            let (q, writes) = ((st.node + rng.index(1..n)) % n, rng.index(0..3) > 0);
             let ivx = st.con.intervals.known(q) + 1;
-            last[q].merge(&seen[rng.gen_range(0..seen.len())]);
+            last[q].merge(&seen[rng.index(0..seen.len())]);
             last[q].set(q, ivx);
             let (vc, pages) = (last[q].clone(), if writes { vec![PAGE] } else { Vec::new() });
             st.apply_records(vec![IntervalRecord::new(q, ivx, vc.clone(), pages)], &vc);
             seen.push(vc);
             match records.iter_mut().rev().find(|r| r.owner == q) {
-                Some(r) if writes && rng.gen::<bool>() => r.covers.push(ivx),
+                Some(r) if writes && rng.coin() => r.covers.push(ivx),
                 _ if writes => {
-                    let (at, mut page) = (rng.gen_range(0..48usize), zeros.clone());
-                    page[at..at + rng.gen_range(1..16usize)].fill(records.len() as u8 + 1);
+                    let (at, mut page) = (rng.index(0..48), zeros.clone());
+                    page[at..at + rng.index(1..16)].fill(records.len() as u8 + 1);
                     let diff = Diff::create(&zeros, &page);
                     records.push(DiffRecord { owner: q, covers: vec![ivx], diff });
                 }
@@ -165,21 +164,21 @@ pub(crate) mod testutil {
             }
         }
         let records: Vec<DiffEntry> = records.into_iter().map(Arc::new).collect();
-        let ceil: Vec<u32> = (0..n).map(|q| st.con.intervals.known(q) + 1).collect();
-        let stamp = |rng: &mut SmallRng| {
+        let ceil: Vec<usize> = (0..n).map(|q| st.con.intervals.known(q) as usize + 1).collect();
+        let stamp = |rng: &mut Rng| {
             let mut vc = Vc::zero(n);
-            (0..n).for_each(|q| vc.set(q, rng.gen_range(0..ceil[q])));
+            (0..n).for_each(|q| vc.set(q, rng.index(0..ceil[q]) as u32));
             vc
         };
         let page = st.page_mut(PAGE);
         page.valid_at = stamp(&mut rng);
-        page.peers_valid_at = rng.gen::<bool>().then(|| stamp(&mut rng));
+        page.peers_valid_at = rng.coin().then(|| stamp(&mut rng));
         for q in 0..n {
-            if rng.gen::<bool>() {
+            if rng.coin() {
                 page.announce_peer_valid(q, stamp(&mut rng));
             }
         }
-        for rec in records.iter().filter(|_| rng.gen::<bool>()) {
+        for rec in records.iter().filter(|_| rng.coin()) {
             cache_all(&mut st, rec);
         }
         (st, records)

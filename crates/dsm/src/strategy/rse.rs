@@ -160,15 +160,12 @@ pub(crate) fn fetch_replicated(node: &DsmNode, p: PageId) -> Result<(), Stopped>
             node.ctx().charge(cost);
             return Ok(());
         }
+        // A node faults on a page at most once a section: the wait below
+        // returns with the copy valid, and notices are applied only at
+        // forks, joins and synchronization, which a replicated body lacks.
         let (requester, wanted) = st.elect_requester(p);
-        let send = requester == me && !st.page_mut(p).requested;
-        if send {
-            st.page_mut(p).requested = true;
-            st.rse.requested.push(p);
-        }
         st.rse.waiting_page = Some(p);
-        let epoch = st.rse.section_epoch;
-        (send, wanted, epoch)
+        (requester == me, wanted, st.rse.section_epoch)
     };
     if send_request {
         let msg = DsmMsg::McastRequest { page: p, wanted, requester: me, epoch };

@@ -1,9 +1,9 @@
 //! Replicated-sequential-execution state: everything a node tracks for
 //! §5.2–§5.4 — section membership, reply chains and the master's
 //! multicast serialization — plus the read-only probes `repseq-check`
-//! asserts over. What is per page (the peers' valid notices, "already
-//! requested", the recovery-reply memory) is a column of the page table;
-//! this struct keeps the worklists naming the slots to visit.
+//! asserts over. What is per page (the peers' valid notices, the
+//! recovery-reply memory) is a column of the page table; this struct
+//! keeps the worklists naming the slots to visit.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -46,8 +46,8 @@ pub struct ChainProbe {
 /// A read-only snapshot of one node's replicated-section protocol state
 /// (see [`NodeState::rse_probe`]). `repseq-check` asserts over these after
 /// every torture run: at quiescence, `chains`, `mcast_queue_len`,
-/// `mcast_inflight`, `rse_requested` and `waiting_page` must all be empty,
-/// and `in_rse` false.
+/// `mcast_inflight` and `waiting_page` must all be empty, and `in_rse`
+/// false.
 #[derive(Debug, Clone)]
 pub struct RseProbe {
     pub node: NodeId,
@@ -55,7 +55,6 @@ pub struct RseProbe {
     pub chains: Vec<ChainProbe>,
     pub mcast_queue_len: usize,
     pub mcast_inflight: Option<u64>,
-    pub rse_requested: Vec<PageId>,
     pub waiting_page: Option<PageId>,
     pub chain_holes: u64,
     pub recovery_rounds: u64,
@@ -70,7 +69,6 @@ impl RseProbe {
             && self.chains.is_empty()
             && self.mcast_queue_len == 0
             && self.mcast_inflight.is_none()
-            && self.rse_requested.is_empty()
             && self.waiting_page.is_none()
     }
 }
@@ -87,9 +85,6 @@ pub(crate) struct RseState {
     /// the worklist behind the slots' `valid_changed` flag. An entry whose
     /// flag was cleared since (the page was retired) is stale and skipped.
     pub(crate) valid_changed: Vec<PageId>,
-    /// Pages this node has already sent a multicast request for, in the
-    /// current replicated section (slot flag `requested`; reset at exit).
-    pub(crate) requested: Vec<PageId>,
     /// Page the application process is blocked on (handler wakes it).
     pub(crate) waiting_page: Option<PageId>,
     /// Active reply chains, by request sequence number.
@@ -133,7 +128,6 @@ impl RseState {
             entry_vc: Vc::zero(n),
             dirty: Vec::new(),
             valid_changed: Vec::new(),
-            requested: Vec::new(),
             waiting_page: None,
             chains: HashMap::new(),
             chain_holes: 0,
@@ -232,9 +226,6 @@ impl NodeState {
             }
         }
         self.rse.waiting_page = None;
-        for p in self.rse.requested.drain(..) {
-            self.data.pages[p as usize].requested = false;
-        }
         // Every fault of the section has been satisfied by now (SeqDone /
         // SeqGo have been exchanged), so any chain still tracked was wedged
         // by loss and will never advance: its requester already completed
@@ -365,15 +356,12 @@ impl NodeState {
             })
             .collect();
         chains.sort_by_key(|c| c.req_seq);
-        let mut rse_requested = self.rse.requested.clone();
-        rse_requested.sort_unstable();
         RseProbe {
             node: self.node,
             in_rse: self.rse.active,
             chains,
             mcast_queue_len: self.rse.mcast_queue.len(),
             mcast_inflight: self.rse.mcast_inflight,
-            rse_requested,
             waiting_page: self.rse.waiting_page,
             chain_holes: self.rse.chain_holes,
             recovery_rounds: self.rse.recovery_rounds,

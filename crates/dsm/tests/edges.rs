@@ -10,7 +10,7 @@ use repseq_dsm::{
     Vc, HEAP_PAGES, PAGE_SIZE,
 };
 use repseq_sim::{Dur, SimError, Stopped};
-use repseq_stats::Stats;
+use repseq_stats::{Section, Stats};
 
 fn cluster(n: usize) -> Cluster {
     Cluster::new(ClusterConfig::paper(n), Stats::new(n))
@@ -605,4 +605,44 @@ fn a_late_broadcast_leaves_a_fresher_copy_alone() {
 #[test]
 fn a_late_broadcast_leaves_a_page_with_an_uncovered_notice_invalid() {
     a_late_broadcast_lands(false).expect("the copy must stay invalid and fetch the write");
+}
+
+/// A slave that enters a replicated section and faults before the
+/// master's own fork loop returns sends its `McastRequest` one epoch
+/// ahead of the master (routine at hundreds of nodes). Forged here: node
+/// 1's request for the page node 0 wrote (node 0's interval 1), at the
+/// epoch of the master's first replicated section, lands at the master's
+/// handler before that section. The master must forward it, not drop it
+/// as a zombie: the reply chain completes node 1's copy, which then
+/// neither faults nor asks again inside the section.
+#[test]
+fn a_request_ahead_of_the_master_is_forwarded() {
+    let n = 2;
+    let stats = Stats::new(n);
+    let mut cl = Cluster::new(ClusterConfig::paper(n), Arc::clone(&stats));
+    let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
+    let (_, run) = cl.launch_master(move |node| {
+        x.set(node, 0, 42)?;
+        // The fork carries the write notice: node 1's copy is invalid.
+        node.run_parallel(|_| Ok(()))?;
+        let page = (x.addr(0) / PAGE_SIZE as u64) as PageId;
+        let early = DsmMsg::McastRequest { page, wanted: vec![(0, 1)], requester: 1, epoch: 1 };
+        // To node 0's handler (pid 0), with the minimum latency.
+        node.ctx().send(0, early, node.ctx().now() + Dur::from_micros(60));
+        node.ctx().sleep(Dur::from_millis(1))?;
+        node.run_sequential(SeqMode::Replicated, move |nd| {
+            assert_eq!(x.get(nd, 0)?, 42, "node {} lost the write", nd.node());
+            Ok(())
+        })
+    });
+    run.result.expect("simulation failed");
+    // Nothing here starts a measurement: the whole run counts as startup.
+    let snap = stats.snapshot();
+    let early = snap.nodes[1].section(Section::Startup);
+    assert_eq!(
+        (early.page_faults, early.diff_requests),
+        (0, 0),
+        "node 1 faulted and asked again: the early request was dropped"
+    );
+    assert_eq!(snap.total_agg_with_startup().forwarded_requests, 1);
 }

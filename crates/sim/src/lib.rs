@@ -47,8 +47,12 @@ pub use ctx::{Ctx, Envelope, Pid, SendCtx};
 pub use engine::{ExecCounters, Sim, SimReport};
 pub use error::{SimError, Stopped};
 pub use reactor::{Reactor, ReactorCtx};
+use std::ops::Range;
 pub use time::{Dur, SimTime};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};
+
+/// The splitmix64 increment (2⁶⁴ over the golden ratio).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The standard 64-bit splitmix finalizer, the workspace's one
 /// deterministic hash: the loss injector's drop decisions and the KV
@@ -56,8 +60,53 @@ pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};
 /// across crates: KV calls it once per record word.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The workspace's one seeded stream, xoshiro256++ with state word `i`
+/// set to `splitmix64(seed + i·γ)`. It draws the Plummer bodies: a run is
+/// a pure function of its seed, and every replica reads the same input.
+pub struct Rng([u64; 4]);
+
+impl Rng {
+    /// The stream of `seed`.
+    pub fn new(seed: u64) -> Rng {
+        Rng([0, 1, 2, 3].map(|i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(GAMMA)))))
+    }
+
+    /// The next 64 uniform bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let [s0, s1, s2, s3] = self.0;
+        let (t2, t3) = (s2 ^ s0, s3 ^ s1);
+        self.0 = [s0 ^ t3, s1 ^ t2, t2 ^ (s1 << 17), t3.rotate_left(45)];
+        s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+    }
+
+    /// A uniform `f64` in `lo..hi` from 53 random bits (`lo` should
+    /// rounding reach `hi`).
+    pub fn uniform(&mut self, Range { start: lo, end: hi }: Range<f64>) -> f64 {
+        let v = lo + (hi - lo) * ((self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64));
+        if v >= hi {
+            lo
+        } else {
+            v
+        }
+    }
+
+    /// A uniform index in `lo..hi`, by multiply-shift.
+    pub fn index(&mut self, Range { start: lo, end: hi }: Range<usize>) -> usize {
+        lo + ((self.next_u64() as u128 * (hi - lo) as u128) >> 64) as usize
+    }
+
+    /// A fair coin.
+    pub fn coin(&mut self) -> bool {
+        self.next_u64() & 1 == 1
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/unit/rng.rs"]
+mod tests;

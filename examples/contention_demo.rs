@@ -21,7 +21,7 @@ fn response_ms(mode: SeqMode, nodes: usize) -> (f64, f64) {
         cluster: repseq::dsm::ClusterConfig::paper(nodes),
         seq_mode: mode,
     });
-    let k = ContentionKernel::setup(&mut rt, KernelConfig { pages: 24, iters: 3, read_ns: 40.0 });
+    let k = ContentionKernel::setup(&mut rt, KernelConfig { pages: 24, iters: 3 });
     let stats = rt.stats();
     rt.run(move |team| {
         k.run(team)?;

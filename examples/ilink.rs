@@ -2,20 +2,25 @@
 //! with parallel Ilink's structure (§6.2), runnable under both systems.
 //!
 //! ```text
-//! cargo run --release --example ilink [iterations] [nodes]
+//! cargo run --release --example ilink [iterations|paper] [nodes]
 //! ```
+//!
+//! `paper` runs the paper-shaped input (`IlinkConfig::paper()`: 12
+//! families, genarrays of 2048, 180 iterations) instead of the scaled one.
 
 use repseq::apps::ilink::{Ilink, IlinkConfig};
 use repseq::core::{RunConfig, Runtime};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let iterations: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(8);
+    let cfg = match args.next() {
+        Some(s) if s == "paper" => IlinkConfig::paper(),
+        s => IlinkConfig::scaled(s.and_then(|s| s.parse().ok()).unwrap_or(8)),
+    };
     let nodes: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let cfg = IlinkConfig::scaled(iterations);
     println!(
-        "Ilink: {} families, genarrays of {}, {iterations} iterations, {nodes} nodes\n",
-        cfg.n_families, cfg.genarray_len
+        "Ilink: {} families, genarrays of {}, {} iterations, {nodes} nodes\n",
+        cfg.n_families, cfg.genarray_len, cfg.iterations
     );
 
     let mut results = Vec::new();
