@@ -164,10 +164,12 @@ impl Cluster {
     /// the run starts; not counted as communication).
     pub fn preload<T: Pod>(&mut self, arr: ShArray<T>, vals: &[T]) {
         assert!(vals.len() <= arr.len());
-        let mut buf = vec![0u8; T::SIZE];
-        for (i, v) in vals.iter().enumerate() {
-            v.write_to(&mut buf);
-            self.segment.write(arr.addr(i), &buf);
+        let mut buf = vec![0u8; T::SIZE * vals.len()];
+        for (v, b) in vals.iter().zip(buf.chunks_exact_mut(T::SIZE)) {
+            v.write_to(b);
+        }
+        if !vals.is_empty() {
+            self.segment.write(arr.addr(0), &buf);
         }
     }
 

@@ -22,7 +22,7 @@ use repseq_stats::{HostCounters, NodeId};
 use crate::config::{diff_apply_cost, DIFF_CREATE_COST, FAULT_OVERHEAD, TWIN_COST};
 use crate::diff::Diff;
 use crate::interval::PageId;
-use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta, PageStore};
+use crate::page::{DiffEntry, DiffRecord, Page, PageBuf, PageMeta};
 use crate::shmem::SharedSegment;
 use crate::vc::Vc;
 
@@ -50,13 +50,12 @@ pub(crate) struct DataPlane {
     /// shared segment, sized at launch. Only a hand-built state (unit
     /// tests: an empty segment) grows it, on first touch.
     pub(crate) pages: Vec<PageMeta>,
-    /// Each page's contents by `PageId`: `None` until the first access, a
-    /// read-only view of the segment ([`SharedSegment::view`]) while the
-    /// node only reads the page, and a slot of `store` from its
-    /// materialization on. Kept apart from the public [`PageMeta`], so no
-    /// handle can reach another node.
-    pub(crate) bytes: Vec<Option<PageBuf>>,
-    store: PageStore,
+    /// Each page's contents by `PageId`: `None` until the first access,
+    /// the segment's buffer while the node only reads the page, and from
+    /// its materialization on the node's own, which other nodes share
+    /// once a replicated section retired it alike everywhere. Kept apart
+    /// from the public [`PageMeta`], so no handle can reach another node.
+    pub(crate) bytes: Vec<Option<Arc<Page>>>,
     /// Pages with a twin (writes not yet diffed).
     pub(crate) dirty_pages: Vec<PageId>,
     /// Released twins, for reuse: a write fault on a page without a twin
@@ -77,13 +76,12 @@ pub(crate) struct DataPlane {
 
 impl DataPlane {
     /// One node's data plane over `segment`, whose page count sizes the
-    /// page table. The twin pool and the page store start empty.
+    /// page table. The twin pool starts empty.
     pub(crate) fn new(n: usize, segment: Arc<SharedSegment>) -> DataPlane {
         let zero = Vc::zero(n);
         DataPlane {
             pages: (0..segment.pages()).map(|_| PageMeta::new(zero.clone())).collect(),
             bytes: vec![None; segment.pages()],
-            store: PageStore::default(),
             dirty_pages: Vec::new(),
             twin_pool: Vec::new(),
             segment,
@@ -97,35 +95,35 @@ use crate::state::NodeState;
 impl NodeState {
     /// The page's own contents, materialized from the shared segment.
     pub fn page_data(&mut self, p: PageId) -> &mut [u8] {
-        self.page_buf(p).slice_mut()
+        &mut Arc::make_mut(self.page_slot(p))[..]
     }
 
-    /// The handle to the page's own slot, handed out and filled from the
-    /// segment's image (or zeros) when the page is materialized: at its
-    /// first store, diff, broadcast or page guard. The guards copy it.
-    pub(crate) fn page_buf(&mut self, p: PageId) -> &mut PageBuf {
-        self.page_mut(p);
-        let DataPlane { bytes, segment, store, .. } = &mut self.data;
-        let slot = &mut bytes[p as usize];
-        if slot.is_none_or(|buf| segment.is_view(&buf)) {
-            *slot = Some(store.slot(segment.page(p)));
-        }
-        slot.as_mut().expect("materialized above")
+    /// A handle to the page's own bytes, copied from the buffer the slot
+    /// shares (the segment's image or zeros, or a retired page) when the
+    /// page is materialized: at its first store, diff, broadcast or page
+    /// guard, and at a store into a page a replicated section retired.
+    pub(crate) fn page_buf(&mut self, p: PageId) -> PageBuf {
+        PageBuf::own(self.page_slot(p))
     }
 
-    /// The bytes a load of page `p` reads: its own slot, or the segment's
-    /// view of it in place until it has one. Recorded in the table, so the
-    /// next load maps it.
+    /// The bytes a load of page `p` reads: the node's own, or the
+    /// segment's until it has some. Recorded in the table, so the next
+    /// load maps it.
     pub(crate) fn page_view(&mut self, p: PageId) -> PageBuf {
+        PageBuf::page(self.page_slot(p))
+    }
+
+    /// Page `p`'s buffer, the segment's until the node has one of its own.
+    fn page_slot(&mut self, p: PageId) -> &mut Arc<Page> {
         self.page_mut(p);
         let DataPlane { bytes, segment, .. } = &mut self.data;
-        *bytes[p as usize].get_or_insert_with(|| segment.view(p))
+        bytes[p as usize].get_or_insert_with(|| segment.view(p))
     }
 
     /// The software MMU's check: the handle to page `p`'s bytes if the
     /// page table maps the access as it stands — the copy is valid,
     /// mapped, and writable or the access a read (a writable page is
-    /// always the node's own slot). The walk would serve each such access
+    /// always bytes the node holds alone). The walk would serve each such access
     /// without charging anything; any other access walks (fault, fetch,
     /// map).
     #[inline]
@@ -134,7 +132,7 @@ impl NodeState {
         if !page.valid || (write && !page.writable) {
             return None;
         }
-        self.data.bytes[p as usize]
+        self.data.bytes[p as usize].as_ref().map(PageBuf::page)
     }
 
     /// This node's slot for page `p`.
@@ -155,7 +153,8 @@ impl NodeState {
     pub(crate) fn create_own_diff(&mut self, p: PageId) -> Dur {
         let node = self.node;
         let mut cost = DIFF_CREATE_COST;
-        let bytes = self.data.bytes[p as usize].expect("twinned page must be materialized");
+        let bytes = self.data.bytes[p as usize].as_ref().map(PageBuf::page);
+        let bytes = bytes.expect("twinned page must be materialized");
         let (page, data) = (&mut self.data.pages[p as usize], bytes.slice());
         let mut twin = page.twin.take().expect("diffing a page without a twin");
         let timer = Instant::now();
@@ -205,7 +204,7 @@ impl NodeState {
                 // Create the pre-section diff before the page may change.
                 cost += self.create_own_diff(p);
             }
-            self.page_data(p); // materialize: the write lands in the page
+            self.page_buf(p); // the node's alone: the write lands in its copy
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid && page.twin.is_none(), "write fault on page {p}");
             page.writable = true;
@@ -216,9 +215,11 @@ impl NodeState {
             }
             return cost;
         }
+        // A page re-protected with its twin may be shared all the same
+        // (the bytes a slave adopted at a section end): copy it first.
+        let src = self.page_buf(p);
         if self.page_mut(p).twin.is_none() {
             cost += TWIN_COST;
-            let src = *self.page_buf(p); // materialize before twinning
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid, "write fault on an invalid page");
             page.twin = Some(pool_take(&mut self.data.twin_pool, &mut self.host, src.slice()));
@@ -415,11 +416,17 @@ impl NodeState {
         (records.count(), histories.map(|h| h.notices.len()).sum())
     }
 
-    /// The pages this node holds bytes of its own for, and the slots that
-    /// hold a history, for tests of the data plane's footprint.
+    /// The addresses of the page buffers this node holds that are not the
+    /// segment's (nodes that share a retired page name one address), and
+    /// the slots that hold a history, for tests of the data plane's
+    /// footprint.
     #[doc(hidden)]
-    pub fn footprint(&self) -> (usize, usize) {
-        (self.data.store.len(), self.data.pages.iter().filter(|pg| pg.history.is_some()).count())
+    pub fn footprint(&self) -> (Vec<usize>, usize) {
+        let DataPlane { pages, bytes, segment, .. } = &self.data;
+        let own = (bytes.iter().zip(0..))
+            .filter_map(|(buf, p)| buf.as_ref().filter(|buf| !Arc::ptr_eq(buf, &segment.view(p))));
+        let histories = pages.iter().filter(|pg| pg.history.is_some()).count();
+        (own.map(|buf| Arc::as_ptr(buf) as usize).collect(), histories)
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
@@ -432,8 +439,8 @@ impl NodeState {
         if pages.get(p as usize).is_some_and(|pg| !pg.valid) {
             return None;
         }
-        let buf = bytes.get(p as usize).copied().flatten().unwrap_or_else(|| segment.view(p));
-        Some(buf.slice().to_vec())
+        let buf = bytes.get(p as usize).cloned().flatten().unwrap_or_else(|| segment.view(p));
+        Some(buf.to_vec())
     }
 }
 

@@ -347,6 +347,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "node 3: unexpected SeqGo while acquiring lock 5")]
     fn a_protocol_violation_names_the_wait_state() {
-        protocol_violation(3, Waiting::Lock(5), &DsmMsg::SeqGo)
+        protocol_violation(3, Waiting::Lock(5), &DsmMsg::SeqGo { retired: Arc::new([]) })
     }
 }

@@ -25,7 +25,7 @@
 //! | layer | module | owns |
 //! |---|---|---|
 //! | consistency | `vc`, `interval`, `consistency` | vector clocks, intervals, write notices |
-//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, valid notices, protection bits, and the page's history of notices and cached diffs), the store of the pages a node writes and its handles, twin pool |
+//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, valid notices, protection bits, and the page's history of notices and cached diffs), each page's bytes, shared until a node writes (copy on write), and their handles, twin pool |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |
@@ -68,7 +68,7 @@ pub use diff::{Diff, DiffError, DiffRun};
 pub use exec::{Task, TaskFn};
 pub use interval::{IntervalData, IntervalRecord, IntervalStore, PageId};
 pub use msg::DsmMsg;
-pub use page::{DiffEntry, PageBuf, PageHistory, PageMeta};
+pub use page::{DiffEntry, Page, PageBuf, PageHistory, PageMeta};
 pub use pod::Pod;
 pub use race::{AccessKind, RaceSink, SyncEdge};
 pub use runtime::{DsmNode, NodeCtx};

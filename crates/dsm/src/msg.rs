@@ -13,7 +13,7 @@ use repseq_stats::{MsgClass, NodeId};
 
 use crate::exec::Task;
 use crate::interval::{IntervalRecord, PageId};
-use crate::page::DiffEntry;
+use crate::page::{DiffEntry, Page};
 use crate::vc::Vc;
 
 /// Protocol messages.
@@ -80,8 +80,11 @@ pub enum DsmMsg {
     /// Slave app → master app: finished the replicated section body.
     SeqDone { from: NodeId },
     /// Master app → slave apps: everyone finished; continue past the fork.
-    /// Carries no consistency information (§5.2).
-    SeqGo,
+    /// Carries no consistency information (§5.2). `retired` is the
+    /// master's copy of each page the section wrote: a slave whose own
+    /// copy is identical shares it, so a retired page is one buffer in
+    /// the simulator. No replica needs the bytes, so they add no size.
+    SeqGo { retired: Arc<[(PageId, Arc<Page>)]> },
 
     // ---- hand-inserted broadcast (the §6.1.2 ablation) ----
     /// Whole-page broadcast after a master-only sequential section.
@@ -118,7 +121,7 @@ impl DsmMsg {
             ValidNoticeTable { .. } => MsgClass::ValidNotice,
             LockAcquire { .. } | LockGrant { .. } => MsgClass::Lock,
             BarrierArrive { .. } | BarrierDepart { .. } | Fork { .. } => MsgClass::Sync,
-            Join { .. } | SeqDone { .. } | SeqGo => MsgClass::Sync,
+            Join { .. } | SeqDone { .. } | SeqGo { .. } => MsgClass::Sync,
             PageBroadcast { .. } => MsgClass::Broadcast,
             WakePage { .. } => MsgClass::Other,
         }
@@ -135,7 +138,7 @@ impl DsmMsg {
             PageBroadcast { .. } => true,
             DiffReply { .. } | BarrierDepart { .. } | LockGrant { .. } | Fork { .. } => false,
             Join { .. } | ValidNoticeRequest | ValidNoticeReply { .. } | SeqDone { .. } => false,
-            SeqGo | WakePage { .. } => false,
+            SeqGo { .. } | WakePage { .. } => false,
         }
     }
 
@@ -163,7 +166,7 @@ impl DsmMsg {
             DsmMsg::McastNullAck { .. } => 24,
             DsmMsg::RecoveryRequest { ivxs, .. } => 24 + 4 * ivxs.len() as u64,
             DsmMsg::SeqDone { .. } => 8,
-            DsmMsg::SeqGo => 8,
+            DsmMsg::SeqGo { .. } => 8,
             DsmMsg::PageBroadcast { data, vc, .. } => 8 + data.len() as u64 + vc.wire_size(),
             DsmMsg::WakePage { .. } => 0,
         }
@@ -189,7 +192,7 @@ impl DsmMsg {
             DsmMsg::McastNullAck { .. } => "McastNullAck",
             DsmMsg::RecoveryRequest { .. } => "RecoveryRequest",
             DsmMsg::SeqDone { .. } => "SeqDone",
-            DsmMsg::SeqGo => "SeqGo",
+            DsmMsg::SeqGo { .. } => "SeqGo",
             DsmMsg::PageBroadcast { .. } => "PageBroadcast",
             DsmMsg::WakePage { .. } => "WakePage",
         }
@@ -202,80 +205,8 @@ impl std::fmt::Debug for DsmMsg {
     }
 }
 
+// The unit tests live outside `src`, as a child module all the same: they
+// read the private representation and keep their names.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::diff::Diff;
-
-    #[test]
-    fn wire_sizes_scale_with_content() {
-        let small = DsmMsg::DiffRequest { page: 1, ivxs: vec![1], from: 0, req_id: 0 };
-        let big = DsmMsg::DiffRequest { page: 1, ivxs: vec![1; 10], from: 0, req_id: 0 };
-        assert!(big.wire_size() > small.wire_size());
-
-        let d = Arc::new(crate::page::DiffRecord {
-            owner: 0,
-            covers: vec![1],
-            diff: Diff::create(&[0u8; 64], &[1u8; 64]),
-        });
-        let reply = DsmMsg::DiffReply { page: 1, diffs: vec![d], req_id: 0 };
-        assert!(reply.wire_size() > 64);
-    }
-
-    #[test]
-    fn null_ack_is_small() {
-        let ack = DsmMsg::McastNullAck { page: 0, turn: 3, req_seq: 9 };
-        assert!(ack.wire_size() <= 32);
-    }
-
-    /// Every message's class, and whether its node's handler (not its
-    /// application) serves it: what each send site once stated for itself.
-    #[test]
-    fn every_message_names_its_class_and_receiver() {
-        use DsmMsg as M;
-        use MsgClass::*;
-        let vc = || Vc::zero(2);
-        let table = [
-            (M::DiffRequest { page: 0, ivxs: vec![], from: 0, req_id: 0 }, DiffRequest, true),
-            (M::DiffReply { page: 0, diffs: vec![], req_id: 0 }, DiffReply, false),
-            (M::BarrierArrive { from: 0, vc: vc(), records: vec![] }, Sync, true),
-            (M::BarrierDepart { records: vec![], vc: vc() }, Sync, false),
-            (M::LockAcquire { lock: 0, from: 0, vc: vc(), forwarded: false }, Lock, true),
-            (M::LockGrant { lock: 0, records: vec![], vc: vc() }, Lock, false),
-            (M::Fork { records: vec![], vc: vc(), task: Task::Shutdown }, Sync, false),
-            (M::Join { from: 0, vc: vc(), records: vec![] }, Sync, false),
-            (M::ValidNoticeRequest, ValidNotice, false),
-            (M::ValidNoticeReply { from: 0, delta: vec![] }, ValidNotice, false),
-            (M::ValidNoticeTable { deltas: Arc::new([]) }, ValidNotice, true),
-            (
-                M::McastRequest { page: 0, wanted: vec![], requester: 0, epoch: 0 },
-                DiffRequest,
-                true,
-            ),
-            (
-                M::McastForward { page: 0, wanted: vec![], requester: 0, req_seq: 0 },
-                ForwardedRequest,
-                true,
-            ),
-            (M::McastDiffReply { page: 0, diffs: vec![], turn: 0, req_seq: 0 }, DiffReply, true),
-            (M::McastNullAck { page: 0, turn: 0, req_seq: 0 }, NullAck, true),
-            (M::RecoveryRequest { page: 0, ivxs: vec![] }, DiffRequest, true),
-            (M::SeqDone { from: 0 }, Sync, false),
-            (M::SeqGo, Sync, false),
-            (M::PageBroadcast { page: 0, data: Arc::new([]), vc: vc() }, Broadcast, true),
-            (M::WakePage { page: 0 }, Other, false),
-        ];
-        let kinds: std::collections::HashSet<_> = table.iter().map(|r| r.0.kind()).collect();
-        assert_eq!(kinds.len(), table.len(), "one row per message");
-        for (msg, class, to_handler) in &table {
-            let row = (msg.class(), msg.to_handler());
-            assert_eq!(row, (*class, *to_handler), "{}", msg.kind());
-        }
-    }
-
-    #[test]
-    fn debug_shows_kind() {
-        let m = DsmMsg::SeqGo;
-        assert_eq!(format!("{m:?}"), "DsmMsg::SeqGo(8 bytes)");
-    }
-}
+#[path = "../tests/unit/msg.rs"]
+mod tests;

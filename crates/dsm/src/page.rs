@@ -17,17 +17,13 @@ use crate::config::PAGE_SIZE;
 use crate::diff::Diff;
 use crate::vc::Vc;
 
-/// One node's own page bytes: one buffer per page the node stores into,
-/// allocated when the page is materialized (its first store, a diff, a
-/// broadcast or a page guard) and written in full (its image or zeros),
-/// so no recycled heap byte ever shows in a page. A page the node only
-/// reads has none: a read maps the segment's image in place. A buffer
-/// is freed only with the store, and a `Vec`'s buffer stays put as the
-/// `Vec` moves, so a slot stays put for the life of its node.
-#[derive(Default)]
-pub(crate) struct PageStore {
-    slots: Vec<Vec<u8>>,
-}
+/// One page's bytes. A page-table slot holds them behind an `Arc`: the
+/// shared segment's image of the page (or its zero page) while the node
+/// only reads it, else bytes the node materialized, which it shares with
+/// every other node that retired the page alike in a replicated section
+/// (DESIGN.md §8). A node writes a page only while it holds the only
+/// reference: materialization copies a shared page first (`PageBuf::own`).
+pub type Page = [u8; PAGE_SIZE];
 
 #[cfg(not(target_env = "gnu"))]
 compile_error!("repseq-dsm tunes glibc's allocator (`keep_heap`): it builds against glibc only");
@@ -57,40 +53,31 @@ pub(crate) fn keep_heap() {
     });
 }
 
-impl PageStore {
-    /// A fresh slot holding `image`, or zeros.
-    pub(crate) fn slot(&mut self, image: Option<&[u8]>) -> PageBuf {
-        assert!(image.is_none_or(|img| img.len() == PAGE_SIZE), "an image is one page");
-        let mut bytes = image.map_or_else(|| vec![0; PAGE_SIZE], <[u8]>::to_vec);
-        let buf = PageBuf::of(&mut bytes);
-        self.slots.push(bytes);
-        buf
-    }
-
-    /// The pages this node materialized.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// A handle to one page's bytes: a `Copy` (pointer, length) into a slot
-/// of the node's `PageStore`, into the shared segment's image of a page
-/// (or its zero page) that a read maps in place, or into a page guard's
-/// own copy of an element that straddles two pages. The data plane holds
-/// one per page it has mapped and hands out copies
-/// ([`NodeState::mapped`]); outside this crate a handle is opaque, and
-/// inside it only an access in progress reads through one. Nothing writes
-/// through an in-place handle: a store materializes its page first. A
-/// protection change never moves the bytes a handle points at: it
-/// changes the page table, which the next access checks.
+/// A handle to one page's bytes: a `Copy` (pointer, length) into the
+/// [`Page`] buffer a page-table slot holds, or into a page guard's own
+/// copy of an element that straddles two pages. The data plane hands out
+/// handles to its slots' buffers ([`NodeState::mapped`]); outside this
+/// crate a handle is opaque, and inside it only an access in progress
+/// reads through one. Only the holder of a buffer's one reference writes
+/// through a handle to it: a store resolves a writable page, and a page
+/// turns writable only through `PageBuf::own`, which copies a shared
+/// buffer first. A protection change never moves the bytes a handle
+/// points at: it changes the page table, which the next access checks.
 ///
-/// Every handle the crate reads through is outlived by its bytes. A slot
-/// lives as long as its node's `NodeState`, which the simulation drops
-/// after every process has ended (lending it moves a `Box`, never the
-/// slots), and so does the segment the state holds. Page-run guards are
-/// the only holders that outlast one load or store: a guard lives inside
-/// one `with_slices{,_mut}` call over a slot of its own, and a detached
-/// guard owns the `Vec` its handle points into.
+/// Every handle the crate reads through is outlived by its bytes. A
+/// buffer lives while a slot, the segment or a message holds it, and a
+/// slot lets go of its buffer only for another one — a store's copy of a
+/// shared page, or at a slave's section end the master's identical copy
+/// of a retired page — or with its node's `NodeState`, which the
+/// simulation drops after every process has ended. A load or store reads
+/// through its handle within one straight-line access. Page-run guards
+/// are the only holders that outlast one: a guard lives inside one
+/// `with_slices{,_mut}` call over a buffer its node holds alone, which
+/// stays its node's alone until a replicated section retires the page,
+/// and no section retires under a guard: a slave retires only in its
+/// scheduler loop, and the master starts no replicated section inside a
+/// guard (`rse::run_master` asserts it). A detached guard owns the `Vec`
+/// its handle points into.
 ///
 /// [`NodeState::mapped`]: crate::NodeState::mapped
 #[derive(Clone, Copy)]
@@ -106,17 +93,25 @@ unsafe impl Send for PageBuf {}
 unsafe impl Sync for PageBuf {}
 
 impl PageBuf {
-    /// A handle to `bytes`' buffer, which stays put as the `Vec` moves;
-    /// the `Vec`'s owner keeps it, unresized, while the handle is used.
-    pub(crate) fn of(bytes: &mut Vec<u8>) -> PageBuf {
+    /// A handle to `bytes`, which their owner keeps while the handle is
+    /// used: a detached guard's copy, or a page its holder holds alone.
+    pub(crate) fn of(bytes: &mut [u8]) -> PageBuf {
         let ptr = NonNull::new(bytes.as_mut_ptr()).expect("a page or element is never empty");
         PageBuf { ptr, len: bytes.len() }
     }
 
-    /// A read-only handle to `bytes`, which outlive it (see [`PageBuf`]):
-    /// nothing may write through it.
-    pub(crate) fn image(bytes: &[u8]) -> PageBuf {
-        PageBuf { ptr: NonNull::from(bytes).cast(), len: bytes.len() }
+    /// A handle to `page`'s bytes: to read, or to write where the caller
+    /// holds the only reference (see [`PageBuf`]).
+    #[inline]
+    pub(crate) fn page(page: &Arc<Page>) -> PageBuf {
+        let ptr = NonNull::new(Arc::as_ptr(page).cast_mut()).expect("an `Arc` is never null");
+        PageBuf { ptr: ptr.cast(), len: PAGE_SIZE }
+    }
+
+    /// Make `page` its holder's alone, copying it if another holder shares
+    /// it (copy on write), and hand out a handle to write through.
+    pub(crate) fn own(page: &mut Arc<Page>) -> PageBuf {
+        PageBuf::of(&mut Arc::make_mut(page)[..])
     }
 
     /// Read access to the page bytes.
@@ -133,25 +128,29 @@ impl PageBuf {
     }
 
     /// Write access to the page bytes, under [`PageBuf::slice`]'s contract,
-    /// through a handle that is not a [`PageBuf::image`]: every store
-    /// resolves a writable page, which is materialized, or a slot it just
-    /// materialized (`NodeState::page_buf`).
+    /// through a handle to bytes its node holds alone: every store
+    /// resolves a writable page, which [`PageBuf::own`] made its node's
+    /// alone, or a guard's copy.
     #[inline]
     pub(crate) fn slice_mut(&mut self) -> &mut [u8] {
         // SAFETY: as in `slice`; no other reference into the page is live,
-        // and the bytes are a slot or a guard's copy, never a shared image.
+        // and no other holder shares the bytes (above).
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
 
 /// One node's view of one shared page: its slot of the node's page table.
-/// What every access and fault checks is here; what the protocol
-/// remembers of the page's past is its [`PageHistory`], allocated with
-/// the first entry, so a slot with its byte handle fits one cache line.
+/// What every access and fault checks is here, and the data plane keeps
+/// the reference to the page's bytes beside it (a [`Page`], which other
+/// nodes may share: see [`PageBuf`]). What the protocol remembers of the
+/// page's past is its [`PageHistory`], allocated with the first entry, so
+/// a slot with its byte reference fits one cache line.
 pub struct PageMeta {
     /// The twin saved at the first write since the page was last diffed.
     pub twin: Option<Box<[u8]>>,
     /// Software write permission: a write to a non-writable page traps.
+    /// Only a write fault sets it, once the page's bytes are the node's
+    /// alone.
     pub writable: bool,
     /// Software validity: a read of an invalid page traps.
     pub valid: bool,
@@ -338,40 +337,33 @@ mod tests {
     fn fresh_page_is_valid_readonly_zero() {
         let p = PageMeta::new(Vc::zero(2));
         assert!(p.valid && !p.writable && p.twin.is_none());
-        assert!(PageStore::default().slot(None).slice().iter().all(|&b| b == 0));
+        assert!(crate::SharedSegment::new(1).view(0).iter().all(|&b| b == 0));
     }
 
+    /// Materializing a page another holder shares copies it: the copy
+    /// holds the image, and a store into the copy leaves the image alone.
+    /// A page held alone is written in place.
     #[test]
     fn materialize_uses_initial_image() {
-        let mut store = PageStore::default();
-        assert!(store.slot(Some(&[7u8; PAGE_SIZE])).slice().iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn a_slot_never_moves_as_the_store_grows() {
-        let mut store = PageStore::default();
-        let mut bufs: Vec<PageBuf> = (0..48).map(|k| store.slot(Some(&[k; PAGE_SIZE]))).collect();
-        for (k, buf) in bufs.iter_mut().enumerate() {
-            assert!(buf.slice().iter().all(|&b| b == k as u8), "slot {k} lost its image");
-            buf.slice_mut().fill(k as u8 + 100);
-        }
-        for (k, buf) in bufs.iter().enumerate() {
-            assert!(buf.slice().iter().all(|&b| b == k as u8 + 100), "slot {k} shares its bytes");
-        }
+        let image = Arc::new([7u8; PAGE_SIZE]);
+        let mut slot = Arc::clone(&image);
+        PageBuf::own(&mut slot).slice_mut()[0] = 9;
+        assert!(!Arc::ptr_eq(&slot, &image), "a shared page is copied before a store");
+        assert_eq!((slot[0], slot[1], image[0]), (9, 7, 7));
+        let at = Arc::as_ptr(&slot);
+        PageBuf::own(&mut slot).slice_mut()[1] = 9;
+        assert_eq!((Arc::as_ptr(&slot), slot[1]), (at, 9), "a page held alone is not copied");
     }
 
     #[test]
     fn a_slot_is_written_in_full_when_handed_out() {
-        let mut store = PageStore::default();
-        for _ in 0..16 {
-            store.slot(None).slice_mut().fill(0xA5);
-        }
-        drop(store);
-        // The new store's slots likely reuse the buffers just freed, dirty bytes and all.
-        let mut store = PageStore::default();
-        let image: Vec<u8> = (0..PAGE_SIZE).map(|b| b as u8 | 1).collect();
-        let (zero, img) = (store.slot(None), store.slot(Some(&image)));
-        assert!(zero.slice().iter().all(|&b| b == 0));
-        assert_eq!(img.slice(), &image[..]);
+        let dirty: Vec<Arc<Page>> = (0..16).map(|_| Arc::new([0xA5; PAGE_SIZE])).collect();
+        drop(dirty);
+        // The copy likely reuses a buffer just freed, dirty bytes and all.
+        let image: Page = std::array::from_fn(|b| b as u8 | 1);
+        let mut slot = Arc::new(image);
+        let shared = Arc::clone(&slot);
+        PageBuf::own(&mut slot);
+        assert_eq!(slot[..], shared[..]);
     }
 }

@@ -5,6 +5,7 @@
 //! (fork/join) and [`crate::strategy`] (sequential-section execution) — as
 //! further `impl DsmNode` blocks.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -41,13 +42,16 @@ pub struct DsmNode {
     /// Race-detection sink (cloned off the topology); `None` costs one
     /// branch per access and nothing else.
     pub(crate) race: Option<Arc<dyn RaceSink>>,
+    /// Page-run guards live on this process, which a replicated section
+    /// may not start under (see [`PageBuf`]).
+    pub(crate) guards: Cell<usize>,
 }
 
 impl DsmNode {
     /// Build the application-side handle, configured as its node's state.
     pub(crate) fn new(ctx: NodeCtx, wire: Wire) -> DsmNode {
         let race = wire.topo.race.clone();
-        DsmNode { ctx, wire, race }
+        DsmNode { ctx, wire, race, guards: Cell::new(0) }
     }
 
     /// This node's id (0 is the master).
@@ -194,7 +198,7 @@ impl DsmNode {
                 let mut st = self.ctx.state();
                 let page = st.page_mut(p);
                 if page.valid && (page.writable || !write) {
-                    return Ok(if write { *st.page_buf(p) } else { st.page_view(p) });
+                    return Ok(if write { st.page_buf(p) } else { st.page_view(p) });
                 }
                 if page.valid {
                     // Write fault: purely local (twin creation, and during
@@ -216,7 +220,7 @@ impl DsmNode {
     /// another path and must read the store back. Counts no walk: the
     /// guard's acquisition counted itself.
     pub(crate) fn own_page(&self, p: PageId) -> PageBuf {
-        *self.ctx.state().page_buf(p)
+        self.ctx.state().page_buf(p)
     }
 
     /// Read a typed value from the shared address space.

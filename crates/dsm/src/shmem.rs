@@ -23,10 +23,11 @@
 use repseq_sim::Stopped;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::config::{page_of, PAGE_SIZE};
 use crate::interval::PageId;
-use crate::page::PageBuf;
+use crate::page::{Page, PageBuf};
 use crate::pod::Pod;
 use crate::race::{AccessKind, AccessTap};
 use crate::runtime::DsmNode;
@@ -270,7 +271,10 @@ impl<T: Pod> ShArray<T> {
                     buf = node.own_page(p);
                 }
                 node.count_run(count);
-                f(&mut PageSliceMut::new(buf, in_page, i, count, node.race_tap(a)))?;
+                node.guards.set(node.guards.get() + 1);
+                let done = f(&mut PageSliceMut::new(buf, in_page, i, count, node.race_tap(a)));
+                node.guards.set(node.guards.get() - 1);
+                done?;
                 i += count;
             }
         }
@@ -308,28 +312,29 @@ impl<T: Pod> ShArray<T> {
     }
 }
 
-/// The shared segment: one contiguous, page-granular backing for the
-/// cluster's entire shared address space, holding the preloaded initial
-/// image — once per cluster. `Cluster::preload_*` write straight into it,
-/// launch cuts it to the allocated size, and every node holds the same
+/// The shared segment: the page-granular backing of the cluster's entire
+/// shared address space, holding the preloaded initial image — once per
+/// cluster. `Cluster::preload_*` write straight into it, launch cuts it
+/// to the allocated size, and every node holds the same
 /// `Arc<SharedSegment>`: a node reads a page it has not stored into in
-/// place ([`SharedSegment::view`]) and copies it out the first time it
-/// needs bytes of its own — the analogue of the `mmap`'d segment a real
-/// DSM carves its pages out of.
+/// place, sharing the segment's buffer of it, and copies it out the first
+/// time it needs bytes of its own — the analogue of the `mmap`'d segment
+/// a real DSM carves its pages out of.
 ///
 /// Like that `mmap`, the segment has an extent (`pages`) and backs only
-/// what was written: the bytes up to the highest preloaded page. Pages no
-/// preload named read as zeros, from one shared zero page.
+/// what was written: one buffer per page up to the highest preloaded
+/// page. Every other page reads as zeros, from one shared zero page.
 pub struct SharedSegment {
     pages: usize,
-    /// The written prefix, whole pages; page `p` at offset `p * PAGE_SIZE`.
-    bytes: Vec<u8>,
+    /// The written prefix; a page no preload named shares `zero`.
+    images: Vec<Arc<Page>>,
+    zero: Arc<Page>,
 }
 
 impl SharedSegment {
     /// A zero-filled segment of `pages` pages.
     pub fn new(pages: usize) -> SharedSegment {
-        SharedSegment { pages, bytes: Vec::new() }
+        SharedSegment { pages, images: Vec::new(), zero: Arc::new([0; PAGE_SIZE]) }
     }
 
     /// Number of pages in the segment.
@@ -346,45 +351,38 @@ impl SharedSegment {
             "preload of {addr}..{end} outside the {}-page segment",
             self.pages
         );
-        if end > self.bytes.len() {
-            self.bytes.resize(end.next_multiple_of(PAGE_SIZE), 0);
+        let (mut at, mut src) = (addr as usize, src);
+        while let Some(len) = (!src.is_empty()).then(|| src.len().min(PAGE_SIZE - at % PAGE_SIZE)) {
+            let p = at / PAGE_SIZE;
+            if p >= self.images.len() {
+                self.images.resize(p + 1, Arc::clone(&self.zero));
+            }
+            let off = at % PAGE_SIZE;
+            Arc::make_mut(&mut self.images[p])[off..off + len].copy_from_slice(&src[..len]);
+            (at, src) = (at + len, &src[len..]);
         }
-        self.bytes[addr as usize..end].copy_from_slice(src);
     }
 
     /// Cut the segment to its first `pages` pages (launch: everything
     /// allocated).
     pub fn truncate(&mut self, pages: usize) {
         self.pages = pages;
-        self.bytes.truncate(pages * PAGE_SIZE);
+        self.images.truncate(pages);
     }
 
     /// The initial image of page `p`, or `None` if it is all zeros (never
-    /// written, or outside the segment): the caller zero-fills its slot.
+    /// written, or outside the segment).
     pub fn page(&self, p: PageId) -> Option<&[u8]> {
-        self.image(p).filter(|img| img.iter().any(|&b| b != 0))
+        let img = self.images.get(p as usize)?;
+        img.iter().any(|&b| b != 0).then_some(&img[..])
     }
 
-    fn image(&self, p: PageId) -> Option<&[u8]> {
-        let off = p as usize * PAGE_SIZE;
-        self.bytes.get(off..off + PAGE_SIZE)
-    }
-
-    /// A read-only handle to page `p`'s initial image in place, or to the
-    /// zero page: what a node reads of a page it holds no bytes of.
-    pub(crate) fn view(&self, p: PageId) -> PageBuf {
-        PageBuf::image(self.image(p).unwrap_or(&ZERO_PAGE))
-    }
-
-    /// True if `buf` is a [`SharedSegment::view`], not a node's own slot.
-    pub(crate) fn is_view(&self, buf: &PageBuf) -> bool {
-        let at = buf.slice().as_ptr();
-        at == ZERO_PAGE.as_ptr() || self.bytes.as_ptr_range().contains(&at)
+    /// Page `p`'s initial image, or the zero page: what a node reads of a
+    /// page it holds no bytes of.
+    pub(crate) fn view(&self, p: PageId) -> Arc<Page> {
+        Arc::clone(self.images.get(p as usize).unwrap_or(&self.zero))
     }
 }
-
-/// The bytes of every page no preload named, until a node stores into it.
-static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 /// A single shared variable.
 pub struct ShVar<T: Pod> {

@@ -22,6 +22,9 @@ use crate::wire::Nodes;
 /// exchange, fork of the body to every node, replicated execution of the
 /// master's own copy, then the end-of-section join.
 pub(crate) fn run_master(node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped> {
+    // Retirement shares the master's pages: a guard's bytes must stay its
+    // node's alone (see `PageBuf`).
+    assert_eq!(node.guards.get(), 0, "a replicated section started inside a page guard");
     node.fork_replicated(Arc::clone(&body))?;
     node.enter_replicated();
     body(node)?;
@@ -116,9 +119,12 @@ impl DsmNode {
         // The release is identical for every slave: one multicast, not n-1
         // serialized unicasts. The master blocks until delivery — its next
         // fork goes over the *switch* and must not overtake the hub frame,
-        // or a slave still waiting for SeqGo would see the Fork first.
+        // or a slave still waiting for SeqGo would see the Fork first. It
+        // carries the master's copies of the pages the section wrote, for
+        // each slave to share where its own copy is identical.
         if n > 1 {
-            self.sleep_until(self.multicast(Nodes::Slaves, DsmMsg::SeqGo))?;
+            let retired = self.ctx.state().retired_pages();
+            self.sleep_until(self.multicast(Nodes::Slaves, DsmMsg::SeqGo { retired }))?;
         }
         self.ctx.charge(SYNC_OVERHEAD);
         self.ctx.state().exit_replicated();
@@ -133,11 +139,14 @@ impl DsmNode {
         self.race_sync(crate::race::SyncEdge::RseExitArrive);
         self.ctx.charge(SYNC_OVERHEAD);
         self.send(0, DsmMsg::SeqDone { from: self.node() });
-        self.recv_for(Waiting::SeqGo, |env| match env.msg {
-            DsmMsg::SeqGo => Step::Done(()),
+        let retired = self.recv_for(Waiting::SeqGo, |env| match env.msg {
+            DsmMsg::SeqGo { retired } => Step::Done(retired),
             other => Step::Other(other),
         })?;
-        self.ctx.state().exit_replicated();
+        let mut st = self.ctx.state();
+        st.exit_replicated();
+        st.adopt_retired(&retired);
+        drop(st);
         self.race_sync(crate::race::SyncEdge::RseExitDepart);
         Ok(())
     }

@@ -6,12 +6,14 @@
 //! keeps the worklists naming the slots to visit.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use repseq_sim::{Dur, SimTime};
 use repseq_stats::NodeId;
 
 use crate::dataplane::DataPlane;
 use crate::interval::PageId;
+use crate::page::Page;
 use crate::state::NodeState;
 use crate::vc::Vc;
 
@@ -235,6 +237,30 @@ impl NodeState {
         self.rse.chains.clear();
         self.rse.mcast_queue.clear();
         self.rse.mcast_inflight = None;
+    }
+
+    /// The master's copies of the pages this section wrote, for its
+    /// release (`SeqGo`): shared, not copied.
+    pub(crate) fn retired_pages(&self) -> Arc<[(PageId, Arc<Page>)]> {
+        let bytes = &self.data.bytes;
+        let own = |p: PageId| Arc::clone(bytes[p as usize].as_ref().expect("a written page"));
+        self.rse.dirty.iter().map(|&p| (p, own(p))).collect()
+    }
+
+    /// A slave at its section's end: share the master's copy of each page
+    /// the section retired wherever this node's copy holds the same bytes,
+    /// dropping its own; a copy that differs stays. No access can tell,
+    /// since equal bytes replace equal bytes, and no retired page is
+    /// writable, so the next store into one copies it again.
+    pub(crate) fn adopt_retired(&mut self, retired: &[(PageId, Arc<Page>)]) {
+        let DataPlane { pages, bytes, .. } = &mut self.data;
+        for (p, image) in retired {
+            let slot = bytes.get_mut(*p as usize).and_then(Option::as_mut);
+            if let Some(own) = slot.filter(|own| ***own == **image) {
+                debug_assert!(!pages[*p as usize].writable, "page {p} shared writable");
+                *own = Arc::clone(image);
+            }
+        }
     }
 
     /// Owner side of §5.4.2 recovery: must this request be answered with

@@ -490,7 +490,8 @@ fn a_message_no_wait_accepts_fails_the_run_under_the_apps_name() {
         .map(|_| {
             Box::new(move |node: DsmNode| {
                 if node.node() == 1 {
-                    node.ctx().send(n, DsmMsg::SeqGo, node.ctx().now() + Dur::from_micros(60));
+                    let go = DsmMsg::SeqGo { retired: Arc::new([]) };
+                    node.ctx().send(n, go, node.ctx().now() + Dur::from_micros(60));
                 }
                 node.barrier()?;
                 node.ctx().sleep(Dur::from_millis(1))
@@ -645,4 +646,35 @@ fn a_request_ahead_of_the_master_is_forwarded() {
         "node 1 faulted and asked again: the early request was dropped"
     );
     assert_eq!(snap.total_agg_with_startup().forwarded_requests, 1);
+}
+
+/// A chain turn for a page whose copy is valid leaves the copy alone: no
+/// bytes of its own, and its valid notice not raised to the node's
+/// vector time, which the next exchange would announce to every node.
+/// Node 1 holds the untouched page valid at the zero stamp, and is past
+/// an interval of its own when the forged turn (an out-of-band reply with
+/// no diffs) reaches its handler.
+#[test]
+fn a_turn_for_a_valid_page_leaves_its_copy_alone() {
+    let n = 2;
+    let mut cl = cluster(n);
+    let x: ShArray<u64> = cl.alloc_array_page_aligned(8);
+    let y: ShArray<u64> = cl.alloc_array_page_aligned(8);
+    let (_, run) = cl.launch_master(move |node| {
+        node.run_parallel(move |nd| if nd.node() == 1 { y.set(nd, 0, 7) } else { Ok(()) })?;
+        let page = (x.addr(0) / PAGE_SIZE as u64) as PageId;
+        let (turn, req_seq) = (0, u64::MAX);
+        let msg = DsmMsg::McastDiffReply { page, diffs: vec![], turn, req_seq };
+        node.ctx().send(1, msg, node.ctx().now() + Dur::from_micros(60));
+        node.ctx().sleep(Dur::from_millis(1))?;
+        node.run_parallel(move |nd| {
+            if nd.node() == 1 {
+                let mut st = nd.ctx().state();
+                assert_eq!(st.footprint().0.len(), 1, "only y's page is node 1's own");
+                assert_eq!(st.page_mut(page).valid_at, Vc::zero(n), "the valid notice moved");
+            }
+            Ok(())
+        })
+    });
+    run.result.expect("the run must complete");
 }

@@ -21,8 +21,8 @@
 use std::sync::{Arc, Mutex};
 
 use repseq_dsm::{
-    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, PageBuf, PageId,
-    PageMeta, Pod, SeqMode, ShArray, SharedSegment, Vc, PAGE_SIZE,
+    Cluster, ClusterConfig, DsmConfig, DsmNode, IntervalRecord, NodeState, Page, PageId, PageMeta,
+    Pod, SeqMode, ShArray, SharedSegment, Vc, PAGE_SIZE,
 };
 use repseq_sim::{SimError, Stopped};
 use repseq_stats::{HostCounters, Stats};
@@ -259,10 +259,10 @@ fn replicated_bulk_writes_take_the_53_fault_path() {
 // ---------------------------------------------------------------
 
 /// What every access and fault checks fits one cache line: the slot and
-/// the handle to its bytes.
+/// the reference to its bytes.
 #[test]
 fn a_slot_with_its_handle_fits_one_cache_line() {
-    const { assert!(size_of::<PageMeta>() + size_of::<Option<PageBuf>>() <= 64) }
+    const { assert!(size_of::<PageMeta>() + size_of::<Option<Arc<Page>>>() <= 64) }
 }
 
 const WORDS: usize = PAGE_SIZE / 8;
@@ -289,7 +289,7 @@ fn image() -> Vec<u64> {
 
 /// The pages this node holds bytes of its own for.
 fn own_pages(node: &DsmNode) -> usize {
-    node.ctx().state().footprint().0
+    node.ctx().state().footprint().0.len()
 }
 
 /// Every copying read — `read`, `read_bytes` across a page boundary and
@@ -572,4 +572,94 @@ fn every_node_folds_its_counts_whether_the_run_ends_well_or_not() {
         other => panic!("expected app1 to panic, got {other:?}"),
     }
     assert_eq!((host.tlb_hits, host.tlb_misses), (n * (reads - 1), n));
+}
+
+// ---------------------------------------------------------------
+// A retired page is one buffer
+// ---------------------------------------------------------------
+
+/// Pages a replicated section writes on the three-node clusters below.
+const K: usize = 3;
+
+/// Every node's own page buffers (`footprint`), by node, read in a
+/// parallel section.
+fn own_buffers(node: &DsmNode) -> Result<Vec<Vec<usize>>, Stopped> {
+    let seen = Arc::new(Mutex::new(vec![Vec::new(); node.n_nodes()]));
+    let out = Arc::clone(&seen);
+    node.run_parallel(move |nd| {
+        let own = nd.ctx().state().footprint().0;
+        out.lock().unwrap()[nd.node()] = own;
+        Ok(())
+    })?;
+    let own = seen.lock().unwrap().clone();
+    Ok(own)
+}
+
+/// The distinct buffers among every node's own.
+fn distinct(own: &[Vec<usize>]) -> usize {
+    own.iter().flatten().collect::<std::collections::HashSet<_>>().len()
+}
+
+/// Three nodes run a replicated section whose body writes `value(node,
+/// k)` into each of `K` pages. Then node 1 stores 99 into the first page,
+/// and every node reads its own copy of that page a millisecond later, in
+/// the same parallel section. Returns the buffers after the section, what
+/// each node read and the buffers after the store.
+fn retire_then_store(
+    value: fn(usize, usize) -> u64,
+) -> (Vec<Vec<usize>>, Vec<u64>, Vec<Vec<usize>>) {
+    let n = 3;
+    let mut cl = Cluster::new(ClusterConfig::paper(n), Stats::new(n));
+    let x = cl.alloc_array_page_aligned::<u64>(K * WORDS);
+    let (out, launched) = cl.launch_master(move |node| {
+        node.run_sequential(SeqMode::Replicated, move |nd| {
+            (0..K).try_for_each(|k| x.set(nd, k * WORDS, value(nd.node(), k)))
+        })?;
+        let retired = own_buffers(node)?;
+        let seen = Arc::new(Mutex::new(vec![0; n]));
+        let out = Arc::clone(&seen);
+        node.run_parallel(move |nd| {
+            if nd.node() == 1 {
+                x.set(nd, 0, 99)?;
+            }
+            nd.ctx().sleep(repseq_sim::Dur::from_millis(1))?;
+            let page = nd.ctx().state().inspect_page((x.addr(0) / PAGE_SIZE as u64) as PageId);
+            let first = u64::from_le_bytes(page.expect("valid")[..8].try_into().unwrap());
+            out.lock().unwrap()[nd.node()] = first;
+            Ok(())
+        })?;
+        let seen = seen.lock().unwrap().clone();
+        Ok((retired, seen, own_buffers(node)?))
+    });
+    launched.result.expect("simulation must complete");
+    out.unwrap()
+}
+
+/// After a replicated section writes `K` pages on three nodes, the cluster
+/// holds `K` buffers for them, not `3·K`: every slave shares the master's
+/// identical copies. One later store on one node adds exactly its copy.
+#[test]
+fn a_retired_page_is_one_buffer_in_the_cluster() {
+    let (retired, _, stored) = retire_then_store(|_, k| k as u64 + 1);
+    assert!(retired.iter().all(|own| own.len() == K), "{retired:?}");
+    assert_eq!(distinct(&retired), K, "every node keeps its own copy");
+    assert_eq!(distinct(&stored), K + 1, "one store, one copy");
+}
+
+/// A store into a shared retired page copies it first: the storing slave
+/// reads its store, and neither the master nor the other slave sees it.
+#[test]
+fn a_store_into_a_shared_page_reaches_no_other_node() {
+    let (_, seen, _) = retire_then_store(|_, k| k as u64 + 1);
+    assert_eq!(seen, vec![1, 99, 1]);
+}
+
+/// A slave shares the master's copy of a retired page only where its own
+/// bytes are the same: a body that wrote each node's id leaves every node
+/// its own copy and its own value.
+#[test]
+fn an_image_that_differs_from_the_slaves_bytes_is_not_adopted() {
+    let (retired, seen, _) = retire_then_store(|node, _| node as u64);
+    assert_eq!(distinct(&retired), 3 * K, "a slave adopted bytes that differ from its own");
+    assert_eq!(seen, vec![0, 99, 2]);
 }
