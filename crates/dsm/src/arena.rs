@@ -6,8 +6,7 @@
 //! that is a steady allocator drumbeat on the hottest path of the
 //! simulator. Each node instead keeps a small arena of emptied
 //! buffers: a walk takes one (retaining its previous capacity), fills it,
-//! and hands it back when done. This is the small-object complement to the
-//! page-sized twin pool in [`crate::dataplane`].
+//! and hands it back when done.
 //!
 //! The arena is deliberately dumb: a LIFO stack of cleared `Vec`s per
 //! shape, capped so a one-off burst cannot pin memory forever. Nothing

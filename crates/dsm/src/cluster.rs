@@ -224,7 +224,7 @@ impl Cluster {
         crate::page::keep_heap();
         let net = Network::new(self.cfg.net.clone(), Arc::clone(&self.stats));
         // Shared-segment size in pages: every allocation so far. Sizes each
-        // node's page table and twin pool.
+        // node's page table.
         let seg_pages = self.alloc_next.div_ceil(PAGE_SIZE as u64) as usize;
         // The one shared segment every node seeds its memory from (see
         // [`SharedSegment`]).

@@ -1,5 +1,4 @@
-//! The data plane: the page table — page contents, twins, cached diffs —
-//! plus the pool of released twins.
+//! The data plane: the page table — page contents, twins, cached diffs.
 //!
 //! This layer owns *the page table* and the bytes behind it: one
 //! [`PageMeta`] slot per page of the shared segment, indexed by page
@@ -17,32 +16,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use repseq_sim::Dur;
-use repseq_stats::{HostCounters, NodeId};
+use repseq_stats::NodeId;
 
 use crate::config::{diff_apply_cost, DIFF_CREATE_COST, FAULT_OVERHEAD, TWIN_COST};
 use crate::diff::Diff;
 use crate::interval::PageId;
-use crate::page::{DiffEntry, DiffRecord, Page, PageBuf, PageMeta};
+use crate::page::{copy_of, DiffEntry, DiffRecord, Page, PageBuf, PageMeta};
 use crate::shmem::SharedSegment;
 use crate::vc::Vc;
-
-/// Take a page buffer from `pool` (or allocate) and fill it with `src`,
-/// counting the hit or miss in `host`. A free function rather than a
-/// method so callers can hold a `&mut` into the page table at the same
-/// time (disjoint field borrows).
-fn pool_take(pool: &mut Vec<Box<[u8]>>, host: &mut HostCounters, src: &[u8]) -> Box<[u8]> {
-    match pool.pop() {
-        Some(mut buf) if buf.len() == src.len() => {
-            host.twin_pool_hits += 1;
-            buf.copy_from_slice(src);
-            buf
-        }
-        _ => {
-            host.twin_pool_misses += 1;
-            src.to_vec().into_boxed_slice()
-        }
-    }
-}
 
 /// Page/twin/diff state: one node's local memory.
 pub(crate) struct DataPlane {
@@ -52,20 +33,14 @@ pub(crate) struct DataPlane {
     pub(crate) pages: Vec<PageMeta>,
     /// Each page's contents by `PageId`: `None` until the first access,
     /// the segment's buffer while the node only reads the page, and from
-    /// its materialization on the node's own, which other nodes share
-    /// once a replicated section retired it alike everywhere. Kept apart
-    /// from the public [`PageMeta`], so no handle can reach another node.
+    /// its materialization on a buffer other nodes share while their
+    /// bytes are the same: a page a replicated section retired alike
+    /// everywhere, a page fetched from its writer. A write fault copies a
+    /// shared buffer, which stays on as the page's twin. Kept apart from
+    /// the public [`PageMeta`], so no handle can reach another node.
     pub(crate) bytes: Vec<Option<Arc<Page>>>,
     /// Pages with a twin (writes not yet diffed).
     pub(crate) dirty_pages: Vec<PageId>,
-    /// Released twins, for reuse: a write fault on a page without a twin
-    /// copies the page into one, and the steady state of a fault-heavy
-    /// run would otherwise allocate and free one page per fault. A twin
-    /// comes back here when diff creation consumes it; a write inside a
-    /// replicated section takes none (§5.3). Nothing is prewarmed, so a
-    /// node allocates only when the pool is empty and never holds more
-    /// buffers than it once had twins live at a time.
-    pub(crate) twin_pool: Vec<Box<[u8]>>,
     /// The cluster's shared segment: the initial image, written before
     /// the run starts. A read maps it in place; a slot copies its page out
     /// when it first needs bytes of its own.
@@ -76,14 +51,13 @@ pub(crate) struct DataPlane {
 
 impl DataPlane {
     /// One node's data plane over `segment`, whose page count sizes the
-    /// page table. The twin pool starts empty.
+    /// page table.
     pub(crate) fn new(n: usize, segment: Arc<SharedSegment>) -> DataPlane {
         let zero = Vc::zero(n);
         DataPlane {
             pages: (0..segment.pages()).map(|_| PageMeta::new(zero.clone())).collect(),
             bytes: vec![None; segment.pages()],
             dirty_pages: Vec::new(),
-            twin_pool: Vec::new(),
             segment,
             zero,
         }
@@ -158,7 +132,7 @@ impl NodeState {
         let (page, data) = (&mut self.data.pages[p as usize], bytes.slice());
         let mut twin = page.twin.take().expect("diffing a page without a twin");
         let timer = Instant::now();
-        let diff = Diff::create(&twin, data);
+        let diff = Diff::create(&twin[..], data);
         self.host.diff_created(timer, 2 * data.len() as u64);
         let ivxs = std::mem::take(&mut page.history_mut().own_undiffed);
         let written_cur = page.written_cur;
@@ -167,15 +141,18 @@ impl NodeState {
             // The diff was requested mid-interval: it already contains the
             // current interval's writes so far, but that interval's write
             // notice does not exist yet. Re-twin immediately so the rest of
-            // the current interval stays separable — reusing the buffer of
-            // the twin just consumed instead of cloning the page.
+            // the current interval stays separable. The page is writable, so
+            // held alone: a copy, into the twin just consumed unless another
+            // holder shares it.
             debug_assert!(!self.rse.active, "node {node}: re-twin of page {p} in a section");
             cost += TWIN_COST;
-            twin.copy_from_slice(bytes.slice());
+            match Arc::get_mut(&mut twin) {
+                Some(buf) => buf.copy_from_slice(bytes.slice()),
+                None => twin = copy_of(self.page_slot(p)),
+            }
             self.data.pages[p as usize].twin = Some(twin);
             // stays writable and in the dirty set
         } else {
-            self.data.twin_pool.push(twin);
             self.data.pages[p as usize].writable = false;
             self.data.dirty_pages.retain(|&q| q != p);
         }
@@ -215,16 +192,23 @@ impl NodeState {
             }
             return cost;
         }
-        // A page re-protected with its twin may be shared all the same
-        // (the bytes a slave adopted at a section end): copy it first.
-        let src = self.page_buf(p);
         if self.page_mut(p).twin.is_none() {
             cost += TWIN_COST;
+            // A buffer the node shares (the segment's image, a retired or a
+            // fetched page) is the twin as it stands, and the store below
+            // copies it; one held alone is twinned by a copy, so the bytes
+            // a page guard holds never move.
+            let slot = self.page_slot(p);
+            let twin = if Arc::strong_count(slot) > 1 { Arc::clone(slot) } else { copy_of(slot) };
             let page = &mut self.data.pages[p as usize];
             debug_assert!(page.valid, "write fault on an invalid page");
-            page.twin = Some(pool_take(&mut self.data.twin_pool, &mut self.host, src.slice()));
+            page.twin = Some(twin);
             self.data.dirty_pages.push(p);
         }
+        // A page re-protected with its twin may be shared all the same (a
+        // lent page, or bytes a slave adopted at a section end): the store
+        // writes a copy.
+        self.page_buf(p);
         let page = &mut self.data.pages[p as usize];
         page.writable = true;
         if !page.written_cur {
@@ -406,6 +390,35 @@ impl NodeState {
             .all(|&(o, i)| valid_at.covers(o, i) || history.diffs.contains_key(&(o, i)))
     }
 
+    /// Page `p`'s buffer for a reply to lend a fetch of it: the node's
+    /// bytes where the page is valid, not writable and under no page guard
+    /// (the guard rule of [`PageBuf`]). Once lent, the buffer is shared, so
+    /// the node's next store into it writes a copy.
+    pub(crate) fn lendable(&self, p: PageId) -> Option<Arc<Page>> {
+        let page = self.data.pages.get(p as usize)?;
+        let lends = page.valid && !page.writable && page.guards == 0;
+        self.data.bytes[p as usize].as_ref().filter(|_| lends).cloned()
+    }
+
+    /// A fetch of page `p` completed: share the first of the buffers its
+    /// replies lent that holds the same bytes as the node's copy, dropping
+    /// the copy — unless the page is under a page guard (the guard rule of
+    /// [`PageBuf`]: a guard's closure may wait at a barrier that invalidates
+    /// its page, then read it). No access can tell: equal bytes replace
+    /// equal bytes, and a fetched page is not writable.
+    pub(crate) fn share_fetched(&mut self, p: PageId, lent: &[Arc<Page>]) {
+        let DataPlane { pages, bytes, .. } = &mut self.data;
+        let page = &pages[p as usize];
+        debug_assert!(!page.writable, "node {}: fetched page {p} writable", self.node);
+        let Some(own) = bytes[p as usize].as_mut() else { return };
+        if page.guards > 0 {
+            return;
+        }
+        if let Some(image) = lent.iter().find(|image| ***image == **own) {
+            *own = Arc::clone(image);
+        }
+    }
+
     /// The diff records (each once, however many intervals key it) and the
     /// write notices this node holds, for tests of garbage collection.
     #[doc(hidden)]
@@ -416,17 +429,20 @@ impl NodeState {
         (records.count(), histories.map(|h| h.notices.len()).sum())
     }
 
-    /// The addresses of the page buffers this node holds that are not the
-    /// segment's (nodes that share a retired page name one address), and
-    /// the slots that hold a history, for tests of the data plane's
-    /// footprint.
+    /// The addresses of the buffers this node holds that are not the
+    /// segment's — its pages', then its twins' (nodes that share a buffer
+    /// name one address) — and the slots that hold a history, for tests of
+    /// the data plane's footprint.
     #[doc(hidden)]
-    pub fn footprint(&self) -> (Vec<usize>, usize) {
+    pub fn footprint(&self) -> (Vec<usize>, Vec<usize>, usize) {
         let DataPlane { pages, bytes, segment, .. } = &self.data;
-        let own = (bytes.iter().zip(0..))
-            .filter_map(|(buf, p)| buf.as_ref().filter(|buf| !Arc::ptr_eq(buf, &segment.view(p))));
+        let own = |buf: &Arc<Page>, p| {
+            (!Arc::ptr_eq(buf, &segment.view(p))).then_some(Arc::as_ptr(buf) as usize)
+        };
+        let slots = (bytes.iter().zip(0..)).filter_map(|(buf, p)| own(buf.as_ref()?, p));
+        let twins = (pages.iter().zip(0..)).filter_map(|(pg, p)| own(pg.twin.as_ref()?, p));
         let histories = pages.iter().filter(|pg| pg.history.is_some()).count();
-        (own.map(|buf| Arc::as_ptr(buf) as usize).collect(), histories)
+        (slots.collect(), twins.collect(), histories)
     }
 
     /// The bytes of page `p` as a local read would see them, or `None` if
@@ -444,208 +460,8 @@ impl NodeState {
     }
 }
 
+// The unit tests live outside `src`, as a child module all the same: they
+// read the crate-private page table and keep their names.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::{DsmConfig, PAGE_SIZE};
-    use crate::interval::IntervalRecord;
-    use crate::state::testutil::{cache_all, fake_write, random_page, state, PAGE};
-    use crate::strategy::chain::incorporate_diffs;
-    use crate::vc::Vc;
-
-    /// The previous `can_complete`, kept as the reference: materialise the
-    /// needed notices oldest first, then probe the cache for each.
-    fn can_complete_ref(st: &mut NodeState, p: PageId) -> bool {
-        let needed = st.needed_notices(p);
-        let cached = &st.data.pages[p as usize].history().diffs;
-        let complete = needed.iter().all(|key| cached.contains_key(key));
-        st.recycle_notices(needed);
-        complete
-    }
-
-    /// The previous `apply_cached_diffs`, kept as the reference down to the
-    /// bytes and the valid notice it leaves: a quadratic dedup, a timestamp
-    /// summed per record per apply, a stable sort.
-    fn apply_cached_diffs_ref(st: &mut NodeState, p: PageId) {
-        let needed = st.needed_notices(p);
-        let mut records: Vec<(u64, DiffEntry)> = Vec::new();
-        for &(owner, ivx) in &needed {
-            let rec = st.data.pages[p as usize].history().diffs[&(owner, ivx)].clone();
-            if records.iter().any(|(_, r)| Arc::ptr_eq(r, &rec)) {
-                continue;
-            }
-            records.push((Vc::weight(&st.con.intervals.get(owner, rec.covers[0]).vc), rec));
-        }
-        records
-            .sort_by(|a, b| (a.0, a.1.owner, a.1.covers[0]).cmp(&(b.0, b.1.owner, b.1.covers[0])));
-        let mut valid_at = st.con.vc.clone();
-        for (_, rec) in &records {
-            rec.diff.apply(st.page_data(p)).unwrap();
-            valid_at.set(rec.owner, valid_at.get(rec.owner).max(rec.max_ivx()));
-        }
-        st.page_mut(p).valid_at = valid_at;
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
-
-        /// Completion is exact against the references on random pages, and
-        /// garbage collection is invisible to it: a page that forgets the
-        /// records and notices its copy covers gives the same plan and
-        /// answer as records arrive one by one as a page that keeps all,
-        /// then the same bytes and valid notice once all of them are cached.
-        #[test]
-        fn completion_matches_the_reference(seed in 0u64..u64::MAX) {
-            let (mut st, records) = random_page(seed);
-            let (mut old, old_records) = random_page(seed);
-            let PageMeta { history, valid_at, .. } = st.page_mut(PAGE);
-            let history = history.get_or_insert_default();
-            history.diffs.retain(|_, rec| !valid_at.covers(rec.owner, rec.max_ivx()));
-            history.notices.retain(|&(o, i)| !valid_at.covers(o, i));
-            for (rec, old_rec) in records.iter().zip(&old_records) {
-                proptest::prop_assert_eq!(st.can_complete(PAGE), can_complete_ref(&mut old, PAGE));
-                proptest::prop_assert_eq!(st.fetch_plan(PAGE), old.fetch_plan(PAGE));
-                st.cache_diffs(PAGE, std::slice::from_ref(rec));
-                cache_all(&mut old, old_rec);
-            }
-            proptest::prop_assert!(st.can_complete(PAGE) && can_complete_ref(&mut old, PAGE));
-            st.apply_cached_diffs(PAGE);
-            apply_cached_diffs_ref(&mut old, PAGE);
-            proptest::prop_assert_eq!(st.page_data(PAGE), old.page_data(PAGE));
-            proptest::prop_assert_eq!(&st.page_mut(PAGE).valid_at, &old.page_mut(PAGE).valid_at);
-            proptest::prop_assert_eq!(st.held().0, 0, "a complete copy covers every remote record");
-        }
-    }
-
-    /// A reply chain of four writers (the reader, node 0, among them)
-    /// delivered turn by turn through `incorporate_diffs`: the page stays
-    /// invalid until the last turn, which completes it with the reference's
-    /// bytes and wakes the waiting application. Nodes 3, 2, 1 wrote in that
-    /// order, each after seeing its predecessor: against the owner order
-    /// the chain delivers in, the later writer wins where writes overlap.
-    #[test]
-    fn a_chain_completes_the_page_on_its_last_turn() {
-        let chain = || {
-            let mut st = state(0, 4);
-            fake_write(&mut st, PAGE, 0, 9);
-            st.close_interval();
-            let (mut vc, mut base) = (st.con.vc.clone(), vec![0u8; PAGE_SIZE]);
-            let mut turns = vec![Vec::new(); 4];
-            for q in (1..4).rev() {
-                vc.set(q, 1);
-                let mut page = base.clone();
-                page[q..q + 8].fill(q as u8);
-                let diff = Diff::create(&base, &page);
-                turns[q].push(Arc::new(DiffRecord { owner: q, covers: vec![1], diff }));
-                st.apply_records(vec![IntervalRecord::new(q, 1, vc.clone(), vec![PAGE])], &vc);
-                base = page;
-            }
-            turns[0].push(Arc::clone(&st.page_mut(PAGE).history().diffs[&(0, 1)]));
-            (st, turns)
-        };
-        let ((mut st, turns), (mut old, old_turns)) = (chain(), chain());
-        st.rse.waiting_page = Some(PAGE);
-        for (turn, diffs) in turns.iter().enumerate() {
-            let (_, wake) = incorporate_diffs(&mut st, PAGE, diffs);
-            assert_eq!(st.page_mut(PAGE).valid, turn == 3, "after turn {turn}");
-            assert_eq!(wake, (turn == 3).then_some(PAGE));
-        }
-        old_turns.iter().for_each(|diffs| old.cache_diffs(PAGE, diffs));
-        apply_cached_diffs_ref(&mut old, PAGE);
-        assert_eq!(st.page_data(PAGE), old.page_data(PAGE));
-        assert_eq!(st.page_data(PAGE)[..12], [9, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn own_diff_covers_all_undiffed_intervals() {
-        let mut st = state(0, 2);
-        fake_write(&mut st, 3, 0, 1);
-        st.close_interval();
-        // Page stays dirty; second interval re-notices it.
-        fake_write(&mut st, 3, 1, 2);
-        st.close_interval();
-        assert_eq!(st.page_mut(3).history().own_undiffed, vec![1, 2]);
-        st.create_own_diff(3);
-        let page = st.page_mut(3);
-        let diffs = &page.history().diffs;
-        assert!(Arc::ptr_eq(&diffs[&(0, 1)], &diffs[&(0, 2)]));
-        assert!(page.twin.is_none() && !page.writable);
-        assert!(st.data.dirty_pages.is_empty());
-    }
-
-    #[test]
-    fn fetch_plan_groups_missing_by_owner() {
-        let mut st = state(2, 3);
-        // Notices arrive in no particular owner order; the plan is sorted.
-        for (owner, ivx) in [(1u32, 1u32), (0, 1), (0, 2)] {
-            let mut vcfix = Vc::zero(3);
-            vcfix.set(owner as usize, ivx);
-            let rec = IntervalRecord::new(owner as usize, ivx, vcfix.clone(), vec![9]);
-            st.apply_records(vec![rec], &vcfix);
-        }
-        // Cache one of them: plan must exclude it.
-        st.page_mut(9).history_mut().diffs.insert(
-            (0, 1),
-            Arc::new(DiffRecord { owner: 0, covers: vec![1], diff: Diff::default() }),
-        );
-        assert_eq!(st.fetch_plan(9), vec![(0, vec![2]), (1, vec![1])]);
-    }
-
-    #[test]
-    fn only_hand_built_tables_grow_and_inspection_never_touches_one() {
-        // Hand-built (no segment): the table grows to the page touched.
-        let mut st = state(0, 2);
-        assert!(st.data.pages.is_empty());
-        st.page_mut(40);
-        assert_eq!(st.data.pages.len(), 41);
-        // Over a segment the table is presized, and `inspect_page` reads
-        // an untouched page's image straight from the segment: no slot is
-        // created or materialized, inside the table or beyond it.
-        let mut seg = SharedSegment::new(4);
-        seg.write(2 * PAGE_SIZE as u64, &[7; PAGE_SIZE]);
-        let st = NodeState::new(0, 2, DsmConfig::default(), Arc::new(seg));
-        assert_eq!(st.data.pages.len(), 4);
-        assert_eq!(st.inspect_page(2), Some(vec![7; PAGE_SIZE]));
-        assert_eq!(st.inspect_page(3), Some(vec![0; PAGE_SIZE]));
-        assert_eq!(st.inspect_page(9), Some(vec![0; PAGE_SIZE]));
-        assert!(st.data.bytes.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn serve_diff_request_creates_lazily() {
-        let mut st = state(0, 2);
-        fake_write(&mut st, 5, 8, 77);
-        st.close_interval();
-        let (cost, entries) = st.serve_diff_request(5, &[1]);
-        assert!(cost > Dur::ZERO);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].owner, 0);
-        assert_eq!(entries[0].covers, vec![1]);
-        assert_eq!(entries[0].diff.payload_bytes(), 1);
-        // Second request hits the cache: free.
-        let (cost2, entries2) = st.serve_diff_request(5, &[1]);
-        assert_eq!(cost2, Dur::ZERO);
-        assert_eq!(entries2.len(), 1);
-    }
-
-    #[test]
-    fn mid_interval_serve_retwins_written_page() {
-        // A diff requested while the page is being written in the current
-        // interval: the diff covers the closed intervals, and the page is
-        // immediately re-twinned so the open interval stays separable.
-        let mut st = state(0, 2);
-        fake_write(&mut st, 6, 0, 1);
-        st.close_interval();
-        fake_write(&mut st, 6, 1, 2); // open interval write
-        let (_, entries) = st.serve_diff_request(6, &[1]);
-        assert_eq!(entries.len(), 1);
-        let page = st.page_mut(6);
-        assert!(page.twin.is_some(), "re-twinned");
-        assert!(page.writable, "still writable mid-interval");
-        // Closing the open interval must still produce a servable diff.
-        st.close_interval();
-        let (_, entries) = st.serve_diff_request(6, &[2]);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].covers, vec![2]);
-    }
-}
+#[path = "../tests/unit/dataplane.rs"]
+mod tests;

@@ -127,6 +127,9 @@ impl DsmNode {
         let node = self.node();
         let t0 = self.ctx.now();
         let mut requested = false;
+        // The owners' buffers of the page their replies lent, for the
+        // completed copy to share where its bytes are the same.
+        let mut lent = Vec::new();
         loop {
             // New write notices can arrive while we wait for replies (our
             // handler keeps merging barrier/lock traffic into the shared
@@ -137,6 +140,7 @@ impl DsmNode {
                 let plan = st.fetch_plan(p);
                 if plan.is_empty() {
                     let cost = st.apply_cached_diffs(p);
+                    st.share_fetched(p, &lent);
                     drop(st);
                     self.ctx.charge(cost);
                     break;
@@ -176,16 +180,17 @@ impl DsmNode {
                 let reply =
                     self.recv_until(Waiting::Fetch(p), Some(timer.timeout()), |env| {
                         match (env.msg, (env.from < self.n_nodes()).then_some(env.from)) {
-                            (DsmMsg::DiffReply { page, diffs, req_id: rid }, Some(owner))
-                                if rid == req_id =>
-                            {
+                            (
+                                DsmMsg::DiffReply { page, diffs, req_id: rid, image },
+                                Some(owner),
+                            ) if rid == req_id => {
                                 debug_assert_eq!(page, p);
-                                Step::Done((owner, diffs))
+                                Step::Done((owner, diffs, image))
                             }
                             (other, _) => Step::Other(other),
                         }
                     })?;
-                let Some((owner, diffs)) = reply else {
+                let Some((owner, diffs, image)) = reply else {
                     timer.timed_out(|retries| {
                         format!(
                             "node {node}: diff fetch for page {p} incomplete after \
@@ -197,6 +202,7 @@ impl DsmNode {
                     continue;
                 };
                 self.ctx.state().cache_diffs(p, &diffs);
+                lent.extend(image);
                 outstanding.retain(|e| e.0 != owner);
                 heard = true;
             }
@@ -221,7 +227,7 @@ mod tests {
 
     fn reply(page: PageId, req_id: u64) -> DsmMsg {
         let rec = Arc::new(DiffRecord { owner: 1, covers: vec![1], diff: Diff::default() });
-        DsmMsg::DiffReply { page, diffs: vec![rec], req_id }
+        DsmMsg::DiffReply { page, diffs: vec![rec], req_id, image: None }
     }
 
     /// The retry budget counts unproductive rounds and panics with the

@@ -72,7 +72,8 @@ impl Reactor<DsmMsg, NodeState> for Handler {
                 let mut s = ctx.state();
                 let (cost, diffs) = s.serve_diff_request(page, &ivxs);
                 ctx.charge(SERVICE_OVERHEAD + cost);
-                wire.send(ctx, from, DsmMsg::DiffReply { page, diffs, req_id });
+                let image = s.lendable(page);
+                wire.send(ctx, from, DsmMsg::DiffReply { page, diffs, req_id, image });
             }
 
             // ---- barrier manager (node 0) ----
@@ -164,7 +165,7 @@ impl Reactor<DsmMsg, NodeState> for Handler {
                     let (turn, req_seq) = (node, chain::OOB_SEQ);
                     if diffs.is_empty() {
                         // All collected: a straggler, its requester counts it stale.
-                        let reply = DsmMsg::DiffReply { page, diffs, req_id: req_seq };
+                        let reply = DsmMsg::DiffReply { page, diffs, req_id: req_seq, image: None };
                         wire.send(ctx, env.from % n, reply);
                     } else {
                         let reply = DsmMsg::McastDiffReply { page, diffs, turn, req_seq };

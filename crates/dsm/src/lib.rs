@@ -25,7 +25,7 @@
 //! | layer | module | owns |
 //! |---|---|---|
 //! | consistency | `vc`, `interval`, `consistency` | vector clocks, intervals, write notices |
-//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, valid notices, protection bits, and the page's history of notices and cached diffs), each page's bytes, shared until a node writes (copy on write), and their handles, twin pool |
+//! | data plane | `page`, `diff`, `dataplane` | the page table (per-page slots: twin, valid notices, protection bits, and the page's history of notices and cached diffs), each page's bytes, shared until a node writes (copy on write; the shared buffer is the twin), and their handles |
 //! | fetch | `fetch` | demand-fetch request/reply and the shared retry budget |
 //! | sync | `sync` | barrier manager, distributed locks |
 //! | exec | `exec` | the one receive of every wait, fork/join, the forked [`Task`], the slave loop |

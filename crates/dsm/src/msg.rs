@@ -23,8 +23,13 @@ pub enum DsmMsg {
     /// Ask `owner`'s handler for the diffs of the listed intervals of one
     /// page. Replies go straight to node `from`'s application process.
     DiffRequest { page: PageId, ivxs: Vec<u32>, from: NodeId, req_id: u64 },
-    /// Diffs in response to one [`DsmMsg::DiffRequest`].
-    DiffReply { page: PageId, diffs: Vec<DiffEntry>, req_id: u64 },
+    /// Diffs in response to one [`DsmMsg::DiffRequest`]. `image` lends the
+    /// server's own buffer of the page where it is valid, not writable and
+    /// under no page guard: a requester whose copy holds the same bytes
+    /// once the diffs are applied shares it, so a fetched page is one
+    /// buffer in the simulator. It goes host-side, as `SeqGo`'s retired
+    /// pages do: the requester needs only the diffs, so it adds no size.
+    DiffReply { page: PageId, diffs: Vec<DiffEntry>, req_id: u64, image: Option<Arc<Page>> },
 
     // ---- barriers (centralized manager at node 0) ----
     /// Barrier arrival: the client's vector time plus every interval record

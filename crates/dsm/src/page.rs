@@ -20,10 +20,20 @@ use crate::vc::Vc;
 /// One page's bytes. A page-table slot holds them behind an `Arc`: the
 /// shared segment's image of the page (or its zero page) while the node
 /// only reads it, else bytes the node materialized, which it shares with
-/// every other node that retired the page alike in a replicated section
+/// every node that holds the same bytes — replicas that retired the page
+/// alike in a replicated section, readers that fetched a writer's diffs
 /// (DESIGN.md §8). A node writes a page only while it holds the only
-/// reference: materialization copies a shared page first (`PageBuf::own`).
+/// reference: a write fault copies a shared page first (`PageBuf::own`).
 pub type Page = [u8; PAGE_SIZE];
+
+/// A buffer of its own holding `page`'s bytes: copy on write's copy,
+/// straight into the new buffer (`Arc::new` of the bytes would copy them
+/// through the stack first).
+pub(crate) fn copy_of(page: &Arc<Page>) -> Arc<Page> {
+    let mut copy = Arc::clone(page);
+    Arc::make_mut(&mut copy);
+    copy
+}
 
 #[cfg(not(target_env = "gnu"))]
 compile_error!("repseq-dsm tunes glibc's allocator (`keep_heap`): it builds against glibc only");
@@ -65,19 +75,26 @@ pub(crate) fn keep_heap() {
 /// points at: it changes the page table, which the next access checks.
 ///
 /// Every handle the crate reads through is outlived by its bytes. A
-/// buffer lives while a slot, the segment or a message holds it, and a
-/// slot lets go of its buffer only for another one — a store's copy of a
-/// shared page, or at a slave's section end the master's identical copy
-/// of a retired page — or with its node's `NodeState`, which the
-/// simulation drops after every process has ended. A load or store reads
-/// through its handle within one straight-line access. Page-run guards
-/// are the only holders that outlast one: a guard lives inside one
-/// `with_slices{,_mut}` call over a buffer its node holds alone, which
-/// stays its node's alone until a replicated section retires the page,
-/// and no section retires under a guard: a slave retires only in its
-/// scheduler loop, and the master starts no replicated section inside a
-/// guard (`rse::run_master` asserts it). A detached guard owns the `Vec`
-/// its handle points into.
+/// buffer lives while one of its holders does: the segment, a slot, a
+/// twin ([`PageMeta::twin`]), a message (`SeqGo`'s retired pages, a
+/// `DiffReply`'s lent page) or a fetch that holds the pages its replies
+/// lent. A slot lets go of its buffer only for another — a write
+/// fault's copy of a shared page (the shared buffer stays on as the
+/// twin), a slave's adoption of the master's identical copy of a retired
+/// page at a section end, a fetch's swap for the writer's identical
+/// buffer — or with its node's `NodeState`, which the simulation drops
+/// after every process has ended. A load or store reads through its
+/// handle within one straight-line access.
+///
+/// Page-run guards are the only holders that outlast one, and the guard
+/// rule keeps theirs: a guard lives inside one `with_slices{,_mut}` call
+/// over a buffer its node holds alone (the guard materialized it), and
+/// while `PageMeta::guards` counts it the node lends the page to no
+/// fetch, retires it into no `SeqGo` (`retired_pages` asserts it) and
+/// swaps it for no other buffer. So the buffer stays the node's alone,
+/// the next store writes it in place (a page held alone is twinned by a
+/// copy), and the guard's handle stays the slot's bytes. A detached
+/// guard owns the `Vec` its handle points into.
 ///
 /// [`NodeState::mapped`]: crate::NodeState::mapped
 #[derive(Clone, Copy)]
@@ -146,8 +163,11 @@ impl PageBuf {
 /// page's past is its [`PageHistory`], allocated with the first entry, so
 /// a slot with its byte reference fits one cache line.
 pub struct PageMeta {
-    /// The twin saved at the first write since the page was last diffed.
-    pub twin: Option<Box<[u8]>>,
+    /// The page's bytes as they were at the first write since it was last
+    /// diffed. A write fault on a page whose buffer the node shares keeps
+    /// that buffer as the twin and writes into a copy; a page the node
+    /// holds alone is twinned by a copy, so its buffer stays put.
+    pub twin: Option<Arc<Page>>,
     /// Software write permission: a write to a non-writable page traps.
     /// Only a write fault sets it, once the page's bytes are the node's
     /// alone.
@@ -177,6 +197,10 @@ pub struct PageMeta {
     /// Own valid notice changed since the last exchange (the page is on
     /// the `RseState::valid_changed` worklist).
     pub(crate) valid_changed: bool,
+    /// Live page-run guards over the page on this node: while one lives
+    /// the page's buffer is neither lent, retired into a `SeqGo` nor
+    /// swapped (see [`PageBuf`]). The protocol handler reads it.
+    pub(crate) guards: u16,
     /// The page's history; `None` while it has no entry.
     pub(crate) history: Option<Box<PageHistory>>,
 }
@@ -240,6 +264,7 @@ impl PageMeta {
             rse_protected: false,
             peers_valid_at: None,
             valid_changed: false,
+            guards: 0,
             history: None,
         }
     }

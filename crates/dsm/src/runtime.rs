@@ -5,7 +5,6 @@
 //! (fork/join) and [`crate::strategy`] (sequential-section execution) — as
 //! further `impl DsmNode` blocks.
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -42,16 +41,13 @@ pub struct DsmNode {
     /// Race-detection sink (cloned off the topology); `None` costs one
     /// branch per access and nothing else.
     pub(crate) race: Option<Arc<dyn RaceSink>>,
-    /// Page-run guards live on this process, which a replicated section
-    /// may not start under (see [`PageBuf`]).
-    pub(crate) guards: Cell<usize>,
 }
 
 impl DsmNode {
     /// Build the application-side handle, configured as its node's state.
     pub(crate) fn new(ctx: NodeCtx, wire: Wire) -> DsmNode {
         let race = wire.topo.race.clone();
-        DsmNode { ctx, wire, race, guards: Cell::new(0) }
+        DsmNode { ctx, wire, race }
     }
 
     /// This node's id (0 is the master).
@@ -163,12 +159,33 @@ impl DsmNode {
     // for; anything else walks: faults, fetches, materializes. The node's
     // `host` counters, plain fields of the lent state, count both.
 
-    /// A page-run guard serves `count` element accesses from the one
-    /// translation its acquisition just resolved (and counted): each after
-    /// the first skips the walk exactly like a mapped access.
+    /// Open a page run over page `p`, which `buf` resolved (and counted):
+    /// it serves `count` element accesses, each after the first skipping
+    /// the walk exactly like a mapped access. A run that is a guard — its
+    /// closure may yield — reads the node's own bytes of its page,
+    /// materialized if a load mapped the page in place (a closure that
+    /// stores into its page through another path reads the store back),
+    /// and is counted on the page's slot until [`DsmNode::close_guard`]
+    /// (the guard rule of [`PageBuf`]).
     #[inline]
-    pub(crate) fn count_run(&self, count: usize) {
-        self.ctx.state().host.tlb_hits += count as u64 - 1;
+    pub(crate) fn open_run(&self, p: PageId, buf: PageBuf, count: usize, guard: bool) -> PageBuf {
+        let mut st = self.ctx.state();
+        st.host.tlb_hits += count as u64 - 1;
+        if !guard {
+            return buf;
+        }
+        let page = st.page_mut(p);
+        page.guards += 1;
+        // A writable page is already the node's alone.
+        if page.writable {
+            return buf;
+        }
+        st.page_buf(p)
+    }
+
+    /// Close a guard [`DsmNode::open_run`] opened over page `p`.
+    pub(crate) fn close_guard(&self, p: PageId) {
+        self.ctx.state().page_mut(p).guards -= 1;
     }
 
     /// Resolve page `p` for reading, or for writing: straight from the
@@ -213,14 +230,6 @@ impl DsmNode {
             // Invalid page: fetch it first.
             self.read_fault(p)?;
         }
-    }
-
-    /// Page `p`'s own slot, materialized if a load mapped the page in
-    /// place: a page guard's closure may store into its page through
-    /// another path and must read the store back. Counts no walk: the
-    /// guard's acquisition counted itself.
-    pub(crate) fn own_page(&self, p: PageId) -> PageBuf {
-        self.ctx.state().page_buf(p)
     }
 
     /// Read a typed value from the shared address space.

@@ -266,14 +266,11 @@ impl<T: Pod> ShArray<T> {
                 i += 1;
             } else {
                 let count = ((PAGE_SIZE - in_page) / T::SIZE).min(range.end - i);
-                let mut buf = node.page_for(p, WRITE)?;
-                if own && !WRITE {
-                    buf = node.own_page(p);
-                }
-                node.count_run(count);
-                node.guards.set(node.guards.get() + 1);
+                let buf = node.open_run(p, node.page_for(p, WRITE)?, count, own);
                 let done = f(&mut PageSliceMut::new(buf, in_page, i, count, node.race_tap(a)));
-                node.guards.set(node.guards.get() - 1);
+                if own {
+                    node.close_guard(p);
+                }
                 done?;
                 i += count;
             }

@@ -55,7 +55,7 @@ pub struct NodeState {
     /// Lazy-release-consistency metadata: vector time, interval store,
     /// and the open interval's write set.
     pub(crate) con: Consistency,
-    /// The data plane: page table, twins, diff cache and twin pool.
+    /// The data plane: page table, twins and diff cache.
     pub(crate) data: DataPlane,
     /// Replicated-section protocol state (§5).
     pub(crate) rse: RseState,

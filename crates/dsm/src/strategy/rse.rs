@@ -22,9 +22,6 @@ use crate::wire::Nodes;
 /// exchange, fork of the body to every node, replicated execution of the
 /// master's own copy, then the end-of-section join.
 pub(crate) fn run_master(node: &DsmNode, body: Arc<TaskFn>) -> Result<(), Stopped> {
-    // Retirement shares the master's pages: a guard's bytes must stay its
-    // node's alone (see `PageBuf`).
-    assert_eq!(node.guards.get(), 0, "a replicated section started inside a page guard");
     node.fork_replicated(Arc::clone(&body))?;
     node.enter_replicated();
     body(node)?;

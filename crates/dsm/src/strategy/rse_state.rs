@@ -240,18 +240,23 @@ impl NodeState {
     }
 
     /// The master's copies of the pages this section wrote, for its
-    /// release (`SeqGo`): shared, not copied.
+    /// release (`SeqGo`): shared, not copied. Retirement shares them, so
+    /// none may be under a page guard (see `PageBuf`).
     pub(crate) fn retired_pages(&self) -> Arc<[(PageId, Arc<Page>)]> {
-        let bytes = &self.data.bytes;
-        let own = |p: PageId| Arc::clone(bytes[p as usize].as_ref().expect("a written page"));
-        self.rse.dirty.iter().map(|&p| (p, own(p))).collect()
+        let DataPlane { pages, bytes, .. } = &self.data;
+        let own = |&p: &PageId| {
+            assert_eq!(pages[p as usize].guards, 0, "page {p} retired under a page guard");
+            (p, Arc::clone(bytes[p as usize].as_ref().expect("a written page")))
+        };
+        self.rse.dirty.iter().map(own).collect()
     }
 
     /// A slave at its section's end: share the master's copy of each page
     /// the section retired wherever this node's copy holds the same bytes,
     /// dropping its own; a copy that differs stays. No access can tell,
     /// since equal bytes replace equal bytes, and no retired page is
-    /// writable, so the next store into one copies it again.
+    /// writable, so the next store into one copies it again. A slave
+    /// retires in its scheduler loop, under no page guard.
     pub(crate) fn adopt_retired(&mut self, retired: &[(PageId, Arc<Page>)]) {
         let DataPlane { pages, bytes, .. } = &mut self.data;
         for (p, image) in retired {

@@ -364,7 +364,7 @@ fn matching_reply_from_unknown_sender_is_absorbed_not_fatal() {
             // to fetch, carrying the colliding req_id 1, sent from this
             // *application* pid (pid 3 — not a handler).
             let page = (x.addr(0) / PAGE_SIZE as u64) as PageId;
-            let msg = DsmMsg::DiffReply { page, diffs: Vec::new(), req_id: 1 };
+            let msg = DsmMsg::DiffReply { page, diffs: Vec::new(), req_id: 1, image: None };
             // The raw send bypasses the network model, so it keeps the
             // minimum cross-node latency (~45 us here) itself; 60 us still
             // lands inside the master's ~200 us fetch window.
@@ -396,7 +396,8 @@ fn a_stray_message_fails_the_run_under_the_handlers_name() {
                     // No handler expects a diff *reply*. The raw send
                     // bypasses the network model, so it keeps the minimum
                     // cross-node latency itself.
-                    let stray = DsmMsg::DiffReply { page: 0, diffs: Vec::new(), req_id: 1 };
+                    let stray =
+                        DsmMsg::DiffReply { page: 0, diffs: Vec::new(), req_id: 1, image: None };
                     node.ctx().send(2, stray, node.ctx().now() + Dur::from_micros(60));
                 }
                 // Everyone is parked in the barrier when it lands.
@@ -433,7 +434,8 @@ fn stale_replies_are_counted_in_every_wait() {
     // network model, so it keeps the minimum cross-node latency itself.
     let forge = move |node: &DsmNode, to: usize| {
         let at = node.ctx().now() + Dur::from_micros(60);
-        node.ctx().send(n + to, DsmMsg::DiffReply { page: 0, diffs: Vec::new(), req_id: 0 }, at);
+        let stray = DsmMsg::DiffReply { page: 0, diffs: Vec::new(), req_id: 0, image: None };
+        node.ctx().send(n + to, stray, at);
         node.ctx().send(n + to, DsmMsg::WakePage { page: 0 }, at);
     };
     // The forger stays busy long after they land, so the target still waits.

@@ -258,11 +258,11 @@ fn replicated_bulk_writes_take_the_53_fault_path() {
 // A node holds only the pages it writes
 // ---------------------------------------------------------------
 
-/// What every access and fault checks fits one cache line: the slot and
-/// the reference to its bytes.
+/// What every access and fault checks fits one cache line with room to
+/// spare: the slot and the reference to its bytes, 48 B.
 #[test]
 fn a_slot_with_its_handle_fits_one_cache_line() {
-    const { assert!(size_of::<PageMeta>() + size_of::<Option<Arc<Page>>>() <= 64) }
+    const { assert!(size_of::<PageMeta>() + size_of::<Option<Arc<Page>>>() <= 48) }
 }
 
 const WORDS: usize = PAGE_SIZE / 8;
@@ -581,41 +581,45 @@ fn every_node_folds_its_counts_whether_the_run_ends_well_or_not() {
 /// Pages a replicated section writes on the three-node clusters below.
 const K: usize = 3;
 
-/// Every node's own page buffers (`footprint`), by node, read in a
-/// parallel section.
-fn own_buffers(node: &DsmNode) -> Result<Vec<Vec<usize>>, Stopped> {
-    let seen = Arc::new(Mutex::new(vec![Vec::new(); node.n_nodes()]));
+/// Every node's own page buffers and twin buffers (`footprint`), by
+/// node, read in a parallel section.
+fn own_buffers(node: &DsmNode) -> Result<Vec<(Vec<usize>, Vec<usize>)>, Stopped> {
+    let seen = Arc::new(Mutex::new(vec![Default::default(); node.n_nodes()]));
     let out = Arc::clone(&seen);
     node.run_parallel(move |nd| {
-        let own = nd.ctx().state().footprint().0;
-        out.lock().unwrap()[nd.node()] = own;
+        let (own, twins, _) = nd.ctx().state().footprint();
+        out.lock().unwrap()[nd.node()] = (own, twins);
         Ok(())
     })?;
     let own = seen.lock().unwrap().clone();
     Ok(own)
 }
 
-/// The distinct buffers among every node's own.
-fn distinct(own: &[Vec<usize>]) -> usize {
-    own.iter().flatten().collect::<std::collections::HashSet<_>>().len()
+/// The distinct buffers among every node's own and twin buffers.
+fn distinct(own: &[(Vec<usize>, Vec<usize>)]) -> usize {
+    let all = own.iter().flat_map(|(own, twins)| own.iter().chain(twins));
+    all.collect::<std::collections::HashSet<_>>().len()
 }
 
-/// Three nodes run a replicated section whose body writes `value(node,
-/// k)` into each of `K` pages. Then node 1 stores 99 into the first page,
-/// and every node reads its own copy of that page a millisecond later, in
-/// the same parallel section. Returns the buffers after the section, what
-/// each node read and the buffers after the store.
-fn retire_then_store(
+/// Three nodes run a sequential section in `mode` whose body writes
+/// `value(node, k)` into each of `K` pages (under `MasterOnly` the master
+/// alone runs it), and every node reads the pages. Then node 1 stores 99
+/// into the first page, and every node reads its own copy of that page a
+/// millisecond later, in the same parallel section. Returns the buffers
+/// after the reads, what each node read and the buffers after the store.
+fn share_then_store(
+    mode: SeqMode,
     value: fn(usize, usize) -> u64,
-) -> (Vec<Vec<usize>>, Vec<u64>, Vec<Vec<usize>>) {
+) -> (Vec<(Vec<usize>, Vec<usize>)>, Vec<u64>, Vec<(Vec<usize>, Vec<usize>)>) {
     let n = 3;
     let mut cl = Cluster::new(ClusterConfig::paper(n), Stats::new(n));
     let x = cl.alloc_array_page_aligned::<u64>(K * WORDS);
     let (out, launched) = cl.launch_master(move |node| {
-        node.run_sequential(SeqMode::Replicated, move |nd| {
+        node.run_sequential(mode, move |nd| {
             (0..K).try_for_each(|k| x.set(nd, k * WORDS, value(nd.node(), k)))
         })?;
-        let retired = own_buffers(node)?;
+        node.run_parallel(move |nd| (0..K).try_for_each(|k| x.get(nd, k * WORDS).map(drop)))?;
+        let shared = own_buffers(node)?;
         let seen = Arc::new(Mutex::new(vec![0; n]));
         let out = Arc::clone(&seen);
         node.run_parallel(move |nd| {
@@ -629,7 +633,7 @@ fn retire_then_store(
             Ok(())
         })?;
         let seen = seen.lock().unwrap().clone();
-        Ok((retired, seen, own_buffers(node)?))
+        Ok((shared, seen, own_buffers(node)?))
     });
     launched.result.expect("simulation must complete");
     out.unwrap()
@@ -640,8 +644,8 @@ fn retire_then_store(
 /// identical copies. One later store on one node adds exactly its copy.
 #[test]
 fn a_retired_page_is_one_buffer_in_the_cluster() {
-    let (retired, _, stored) = retire_then_store(|_, k| k as u64 + 1);
-    assert!(retired.iter().all(|own| own.len() == K), "{retired:?}");
+    let (retired, _, stored) = share_then_store(SeqMode::Replicated, |_, k| k as u64 + 1);
+    assert!(retired.iter().all(|(own, _)| own.len() == K), "{retired:?}");
     assert_eq!(distinct(&retired), K, "every node keeps its own copy");
     assert_eq!(distinct(&stored), K + 1, "one store, one copy");
 }
@@ -650,7 +654,7 @@ fn a_retired_page_is_one_buffer_in_the_cluster() {
 /// reads its store, and neither the master nor the other slave sees it.
 #[test]
 fn a_store_into_a_shared_page_reaches_no_other_node() {
-    let (_, seen, _) = retire_then_store(|_, k| k as u64 + 1);
+    let (_, seen, _) = share_then_store(SeqMode::Replicated, |_, k| k as u64 + 1);
     assert_eq!(seen, vec![1, 99, 1]);
 }
 
@@ -659,7 +663,69 @@ fn a_store_into_a_shared_page_reaches_no_other_node() {
 /// its own copy and its own value.
 #[test]
 fn an_image_that_differs_from_the_slaves_bytes_is_not_adopted() {
-    let (retired, seen, _) = retire_then_store(|node, _| node as u64);
+    let (retired, seen, _) = share_then_store(SeqMode::Replicated, |node, _| node as u64);
     assert_eq!(distinct(&retired), 3 * K, "a slave adopted bytes that differ from its own");
     assert_eq!(seen, vec![0, 99, 2]);
+}
+
+// ---------------------------------------------------------------
+// A copy is shared until it is written
+// ---------------------------------------------------------------
+
+/// After the master writes `K` pages in a master-only section and both
+/// slaves fetch them, the cluster holds `K` buffers for them, not `3·K`:
+/// each slave's completed copy shares the buffer the master's reply lent.
+#[test]
+fn a_fetched_page_is_its_writers_buffer() {
+    let (fetched, _, _) = share_then_store(SeqMode::MasterOnly, |_, k| k as u64 + 1);
+    assert!(fetched.iter().all(|(own, _)| own.len() == K), "{fetched:?}");
+    assert_eq!(distinct(&fetched), K, "a slave keeps its own copy of a fetched page");
+}
+
+/// A store into a page its writer lent copies it first: the storing slave
+/// reads its store, and neither the master nor the other slave sees it.
+#[test]
+fn a_store_into_a_lent_page_reaches_no_other_node() {
+    let (_, seen, _) = share_then_store(SeqMode::MasterOnly, |_, k| k as u64 + 1);
+    assert_eq!(seen, vec![1, 99, 1]);
+}
+
+/// A write fault on a page whose buffer other nodes share makes one copy,
+/// the one it writes: the shared buffer is the twin, retired and fetched
+/// pages alike.
+#[test]
+fn a_write_fault_on_a_shared_page_copies_it_once() {
+    for mode in [SeqMode::Replicated, SeqMode::MasterOnly] {
+        let (shared, _, stored) = share_then_store(mode, |_, k| k as u64 + 1);
+        assert_eq!(stored[1].1, vec![shared[0].0[0]], "{mode:?}: the twin is the shared buffer");
+        assert_eq!(distinct(&stored), K + 1, "{mode:?}: one store, one copy");
+    }
+}
+
+/// A page under a live guard stays its node's alone: the master holds a
+/// read guard over the page it wrote while node 1 fetches the page from
+/// it, then stores into the page through the MMU and reads the store back
+/// through the guard. Had the master lent its buffer, the store would have
+/// written a copy, and the guard would still read the old bytes.
+#[test]
+fn a_page_under_a_guard_is_neither_lent_nor_swapped() {
+    let seen = run_on_images(|node, loaded, _| {
+        loaded.set(node, 0, 5)?;
+        let seen = Arc::new(Mutex::new(0));
+        let out = Arc::clone(&seen);
+        node.run_parallel(move |nd| {
+            if nd.node() == 1 {
+                return loaded.get(nd, 0).map(|v| assert_eq!(v, 5));
+            }
+            loaded.with_slices(nd, 0..WORDS, |run| {
+                nd.ctx().sleep(repseq_sim::Dur::from_millis(10))?;
+                loaded.set(nd, 3, 99)?;
+                *out.lock().unwrap() = run.get(3);
+                Ok(())
+            })
+        })?;
+        let seen = *seen.lock().unwrap();
+        Ok(seen)
+    });
+    assert_eq!(seen, 99, "the guard read a buffer its page no longer had");
 }

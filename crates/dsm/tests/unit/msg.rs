@@ -15,7 +15,7 @@ fn wire_sizes_scale_with_content() {
         covers: vec![1],
         diff: Diff::create(&[0u8; 64], &[1u8; 64]),
     });
-    let reply = DsmMsg::DiffReply { page: 1, diffs: vec![d], req_id: 0 };
+    let reply = DsmMsg::DiffReply { page: 1, diffs: vec![d], req_id: 0, image: None };
     assert!(reply.wire_size() > 64);
 }
 
@@ -34,7 +34,7 @@ fn every_message_names_its_class_and_receiver() {
     let vc = || Vc::zero(2);
     let table = [
         (M::DiffRequest { page: 0, ivxs: vec![], from: 0, req_id: 0 }, DiffRequest, true),
-        (M::DiffReply { page: 0, diffs: vec![], req_id: 0 }, DiffReply, false),
+        (M::DiffReply { page: 0, diffs: vec![], req_id: 0, image: None }, DiffReply, false),
         (M::BarrierArrive { from: 0, vc: vc(), records: vec![] }, Sync, true),
         (M::BarrierDepart { records: vec![], vc: vc() }, Sync, false),
         (M::LockAcquire { lock: 0, from: 0, vc: vc(), forwarded: false }, Lock, true),
@@ -80,4 +80,19 @@ fn seq_go_is_eight_bytes_whatever_it_carries() {
     let retired: Arc<[_]> = (0..3).map(|p| (p, Arc::clone(&page))).collect();
     assert_eq!(DsmMsg::SeqGo { retired }.wire_size(), 8);
     assert_eq!(DsmMsg::SeqGo { retired: Arc::new([]) }.wire_size(), 8);
+}
+
+/// The page a `DiffReply` lends is no news to its requester, which needs
+/// only the diffs: its wire size is the diffs' alone.
+#[test]
+fn a_diff_reply_s_wire_size_ignores_its_image() {
+    let d = Arc::new(crate::page::DiffRecord {
+        owner: 0,
+        covers: vec![1],
+        diff: Diff::create(&[0u8; 64], &[1u8; 64]),
+    });
+    let reply =
+        |image| DsmMsg::DiffReply { page: 1, diffs: vec![Arc::clone(&d)], req_id: 0, image };
+    let lent = reply(Some(Arc::new([1; crate::config::PAGE_SIZE])));
+    assert_eq!(lent.wire_size(), reply(None).wire_size());
 }

@@ -31,9 +31,11 @@ pub struct HostCounters {
     pub diff_apply_calls: u64,
     /// Payload bytes copied into pages by diff application.
     pub diff_apply_bytes: u64,
-    /// Twin allocations served from the buffer pool (allocations avoided).
+    /// Always 0: there is no twin pool (a twin is the buffer the page had,
+    /// or a copy). Kept, with `twin_pool_misses`, for `benchmark/`'s
+    /// `twin_pool_hit_rate` (ROADMAP item 6).
     pub twin_pool_hits: u64,
-    /// Twin allocations that fell through to the allocator.
+    /// Always 0 (see `twin_pool_hits`).
     pub twin_pool_misses: u64,
     /// Scratch vectors (notice walks, elections, diff batches) served from
     /// the per-node arena: allocations saved on the protocol hot paths.
